@@ -14,7 +14,7 @@ import sys
 from .algebra import GradedSignature, SuperSignature
 from .covering import Atlas, check_cocycle, graded_copy_name, lift_atlas, lift_super
 from .errors import ExprSyntaxError, GradedError
-from .expressions import format_expression, normalize_var_name, parse_expression
+from .expressions import format_expression, parse_expression, parse_var_name
 from .groups import (
     FiniteAbelianGroup,
     ParityMap,
@@ -25,12 +25,16 @@ from .groups import (
 from .morphisms import SuperMorphism
 
 
-def _weight_suffix(name: str) -> tuple[str, tuple[int, ...]]:
-    full = normalize_var_name(name)
-    if "@" not in full:
-        raise ValueError(f"graded variable {name!r} needs a weight suffix like x@(0)")
-    base, suffix = full.split("@", 1)
-    return full, tuple(int(p) for p in suffix[1:-1].split(","))
+def _expect(value, kind: type, where: str, what: str):
+    """Return ``value``, or raise a usage error naming the JSON key at fault."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{where} must be {what}, found {type(value).__name__}")
+    return value
+
+
+def _read_json(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return _expect(json.load(fh), dict, "the top level", "a JSON object")
 
 
 def _split_outside_parens(spec: str) -> list[str]:
@@ -50,38 +54,52 @@ def _split_outside_parens(spec: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
+def _weighted_entries(group: FiniteAbelianGroup, names) -> list:
+    """``(canonical name, weight)`` pairs for names like ``x@(0)``."""
+    out = []
+    for name in names:
+        full, residues = parse_var_name(name)
+        if residues is None:
+            raise ValueError(f"graded variable {name!r} needs a weight suffix like x@(0)")
+        out.append((full, group.character(residues)))
+    return out
+
+
 def parse_graded_signature(
     group: FiniteAbelianGroup, parity: ParityMap, even_spec: str, odd_spec: str
 ) -> GradedSignature:
     """Build a signature from comma-separated weighted names like ``x@0,x@1``."""
-
-    def entries(spec: str):
-        out = []
-        for item in _split_outside_parens(spec):
-            full, residues = _weight_suffix(item)
-            out.append((full, group.character(residues)))
-        return out
-
-    return GradedSignature(group, parity, entries(even_spec), entries(odd_spec))
+    return GradedSignature(
+        group,
+        parity,
+        _weighted_entries(group, _split_outside_parens(even_spec)),
+        _weighted_entries(group, _split_outside_parens(odd_spec)),
+    )
 
 
-def _signature_from_json(obj: dict, group=None, parity=None) -> SuperSignature:
-    even = [str(n) for n in obj.get("even", [])]
-    odd = [str(n) for n in obj.get("odd", [])]
-    weighted = any("@" in n for n in even + odd)
-    if not weighted:
+def _signature_from_json(obj, where: str, group=None, parity=None) -> SuperSignature:
+    _expect(obj, dict, where, "a JSON object")
+    even, odd = (
+        [str(n) for n in _expect(obj.get(key, []), list, f"{where}.{key}", "a list")]
+        for key in ("even", "odd")
+    )
+    if not any("@" in n for n in even + odd):
         return SuperSignature(even, odd)
     if group is None or parity is None:
         raise ValueError("weighted variable names need a group and a parity map")
+    return GradedSignature(
+        group, parity, _weighted_entries(group, even), _weighted_entries(group, odd)
+    )
 
-    def entries(names):
-        out = []
-        for n in names:
-            full, residues = _weight_suffix(n)
-            out.append((full, group.character(residues)))
-        return out
 
-    return GradedSignature(group, parity, entries(even), entries(odd))
+def _morphism_from_json(mapping, where: str, source, target) -> SuperMorphism:
+    """A morphism from a JSON object mapping target names to image text."""
+    images = {}
+    for var, expr in _expect(mapping, dict, where, "a JSON object").items():
+        name = parse_var_name(var)[0]
+        expr = _expect(expr, str, f"{where}.{var}", "an expression string")
+        images[name] = parse_expression(expr, source)
+    return SuperMorphism(source, target, images)
 
 
 def load_atlas(data: dict):
@@ -91,22 +109,22 @@ def load_atlas(data: dict):
     if "group" in data:
         group = parse_group_spec(str(data["group"]))
         parity = parse_parity_spec(group, str(data.get("parity", "0" * group.rank)))
+    specs = _expect(data.get("charts", {}), dict, "charts", "a JSON object")
     charts = {
-        str(cid): _signature_from_json(spec, group, parity)
-        for cid, spec in data.get("charts", {}).items()
+        str(cid): _signature_from_json(spec, f"charts.{cid}", group, parity)
+        for cid, spec in specs.items()
     }
     transitions = {}
-    for key, mapping in data.get("transitions", {}).items():
+    maps = _expect(data.get("transitions", {}), dict, "transitions", "a JSON object")
+    for key, mapping in maps.items():
         if "->" not in key:
             raise ValueError(f"transition key {key!r} is not of the form 'src->dst'")
         src, dst = (part.strip() for part in key.split("->", 1))
         if src not in charts or dst not in charts:
             raise ValueError(f"transition {key!r} names an unknown chart")
-        images = {
-            normalize_var_name(var): parse_expression(expr, charts[src])
-            for var, expr in mapping.items()
-        }
-        transitions[(src, dst)] = SuperMorphism(charts[src], charts[dst], images)
+        transitions[(src, dst)] = _morphism_from_json(
+            mapping, f"transitions.{key}", charts[src], charts[dst]
+        )
     return Atlas(charts=charts, transitions=transitions), group, parity
 
 
@@ -142,10 +160,10 @@ def _read_expr(args) -> str:
     return args.expr
 
 
-def _group_parity(args):
+def _signature_from_flags(args):
     group = parse_group_spec(args.group)
     parity = parse_parity_spec(group, args.parity) if args.parity else ParityMap.trivial(group)
-    return group, parity
+    return parse_graded_signature(group, parity, args.even or "", args.odd or "")
 
 
 def cmd_char_table(args) -> int:
@@ -174,8 +192,7 @@ def cmd_char_table(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    group, parity = _group_parity(args)
-    sig = parse_graded_signature(group, parity, args.even or "", args.odd or "")
+    sig = _signature_from_flags(args)
     f = parse_expression(_read_expr(args), sig)
     components = f.decompose()
     if args.json:
@@ -190,9 +207,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_act(args) -> int:
-    group, parity = _group_parity(args)
-    sig = parse_graded_signature(group, parity, args.even or "", args.odd or "")
-    g = group.element(tuple(int(p) for p in args.element.strip("() ").split(",")))
+    sig = _signature_from_flags(args)
+    g = sig.group.element(tuple(int(p) for p in args.element.strip("() ").split(",")))
     f = parse_expression(_read_expr(args), sig)
     result = f.act(g)
     if args.json:
@@ -203,17 +219,12 @@ def cmd_act(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(args.path)
     group = parse_group_spec(str(data["group"]))
     parity = parse_parity_spec(group, str(data["parity"]))
-    source = _signature_from_json(data["source"])
-    target = _signature_from_json(data["target"])
-    images = {
-        normalize_var_name(var): parse_expression(expr, source)
-        for var, expr in data["map"].items()
-    }
-    psi = SuperMorphism(source, target, images)
+    source = _signature_from_json(data["source"], "source")
+    target = _signature_from_json(data["target"], "target")
+    psi = _morphism_from_json(data["map"], "map", source, target)
     lifted = lift_super(psi, group, parity)
     ordered = [
         graded_copy_name(name, chi)
@@ -230,9 +241,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_lift_atlas(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    atlas, file_group, file_parity = load_atlas(data)
+    atlas, file_group, file_parity = load_atlas(_read_json(args.path))
     group = parse_group_spec(args.group) if args.group else file_group
     if group is None:
         raise ValueError("no group given on the command line or in the atlas file")
@@ -258,9 +267,7 @@ def cmd_lift_atlas(args) -> int:
 
 
 def cmd_check_cocycle(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    atlas, _, _ = load_atlas(data)
+    atlas, _, _ = load_atlas(_read_json(args.path))
     report = check_cocycle(atlas)
     if args.json:
         payload = {
@@ -339,10 +346,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GradedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ZeroDivisionError as exc:
+    except (GradedError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ExprSyntaxError as exc:

@@ -55,18 +55,13 @@ def covering_map(
     """The projection: each coordinate pulls back to the sum of its copies."""
     cover = covering_signature(signature, group, parity)
     images = {}
-    for name in signature.even:
-        total = SuperRational.zero(cover)
-        for chi in group.characters():
-            if parity(chi) == 0:
-                total = total + SuperRational.variable(cover, graded_copy_name(name, chi))
-        images[name] = total
-    for name in signature.odd:
-        total = SuperRational.zero(cover)
-        for chi in group.characters():
-            if parity(chi) == 1:
-                total = total + SuperRational.variable(cover, graded_copy_name(name, chi))
-        images[name] = total
+    for names, bit in ((signature.even, 0), (signature.odd, 1)):
+        for name in names:
+            total = SuperRational.zero(cover)
+            for chi in group.characters():
+                if parity(chi) == bit:
+                    total = total + SuperRational.variable(cover, graded_copy_name(name, chi))
+            images[name] = total
     return SuperMorphism(cover, signature, images)
 
 

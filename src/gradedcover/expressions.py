@@ -4,20 +4,25 @@ Grammar (no implicit multiplication):
 
     expr  := term (("+" | "-") term)*
     term  := unary (("*" | "/") unary)*
-    unary := "-" unary | atom ("^" integer)?
+    unary := "-"* atom ("^" integer)?
     atom  := "(" expr ")" | identifier | integer | "i" | "zeta(" int "," int ")"
 
 Identifiers may carry a weight suffix, canonically ``name@(k1,...,kt)``;
 the shorthand ``name@k`` is accepted for rank-one groups.  ``parse_expression``
-elaborates against a declared signature into an exact superfunction, and
-``format_expression`` renders one back in a canonical, re-parseable form.
+syntax-checks the whole text into a postfix program before any arithmetic
+runs, so malformed text is an ``ExprSyntaxError`` even if it also divides
+by zero; it then evaluates the program with a value stack against a
+declared signature into an exact superfunction.  Parentheses nest at most
+``MAX_NESTING`` (100) levels deep.  ``format_expression`` renders a
+superfunction back in a canonical, re-parseable form.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import SuperMonomial, SuperPolynomial, SuperRational, SuperSignature
 from .cyclotomic import Cyclotomic, root_of_unity
@@ -34,10 +39,9 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int" | "ident" | one of "+-*/^(),", or "end"
-    text: str
+    text: str  # "end of input" for the end token, as error messages quote it
     pos: int  # 1-based offset in the source text
 
 
@@ -52,208 +56,146 @@ def _lex(text: str) -> list[Token]:
             kind = m.lastgroup if m.lastgroup != "op" else m.group()
             tokens.append(Token(kind, m.group(), i + 1))
         i = m.end()
-    tokens.append(Token("end", "", len(text) + 1))
+    tokens.append(Token("end", "end of input", len(text) + 1))
     return tokens
 
 
-def normalize_var_name(name: str) -> str:
-    """Canonicalize the weight suffix: ``x@1`` becomes ``x@(1)``."""
+def parse_var_name(name: str) -> tuple[str, tuple[int, ...] | None]:
+    """Canonical spelling and weight residues of a variable name.
+
+    ``x@1`` gives ``("x@(1)", (1,))``; a name without a weight suffix
+    gives ``(name, None)``.
+    """
     if "@" not in name:
-        return name
+        return name, None
     base, suffix = name.split("@", 1)
     try:
         if suffix.startswith("(") and suffix.endswith(")"):
-            ks = [int(p) for p in suffix[1:-1].split(",")]
+            ks = tuple(int(p) for p in suffix[1:-1].split(","))
         else:
-            ks = [int(suffix)]
+            ks = (int(suffix),)
     except ValueError:
         raise ValueError(
             f"malformed weight suffix in {name!r}; expected name@(k1,...,kt)"
         ) from None
-    return f"{base}@({','.join(str(k) for k in ks)})"
+    return f"{base}@({','.join(str(k) for k in ks)})", ks
 
 
-# -- abstract syntax ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Node:
-    pass
-
-
-@dataclass(frozen=True)
-class Integer(Node):
-    value: int
-
-
-@dataclass(frozen=True)
-class ImaginaryUnit(Node):
-    pass
-
-
-@dataclass(frozen=True)
-class Zeta(Node):
-    order: int
-    power: int
-
-
-@dataclass(frozen=True)
-class Variable(Node):
-    name: str
-    pos: int
-
-
-@dataclass(frozen=True)
-class Neg(Node):
-    operand: Node
-
-
-@dataclass(frozen=True)
-class Pow(Node):
-    base: Node
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Mul(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Div(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Add(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Sub(Node):
-    left: Node
-    right: Node
+MAX_NESTING = 100  # each level costs four parser frames
 
 
 class _Parser:
+    """Recursive descent that emits a postfix program.
+
+    Steps are ``("const", n)``, ``("root", order, power)``,
+    ``("var", name, pos)``, ``("neg",)``, ``("^", n)`` and the binary
+    ``("+",)``, ``("-",)``, ``("*",)``, ``("/",)``.  It does no arithmetic
+    and no name lookup.
+    """
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.idx = 0
+        self.depth = 0
+        self.program: list[tuple] = []
 
-    def peek(self) -> Token:
-        return self.tokens[self.idx]
-
-    def advance(self) -> Token:
+    def take(self, *kinds: str) -> Token | None:
+        """Consume and return the next token if its kind is one of ``kinds``."""
         tok = self.tokens[self.idx]
+        if tok.kind not in kinds:
+            return None
         self.idx += 1
         return tok
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            what = tok.text or "end of input"
-            raise ExprSyntaxError(f"expected {kind!r}, found {what!r}", tok.pos)
-        return self.advance()
+        tok = self.take(kind)
+        if tok is None:
+            tok = self.tokens[self.idx]
+            raise ExprSyntaxError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
+        return tok
 
-    def parse(self) -> Node:
-        node = self.expr()
-        tok = self.peek()
+    def parse(self) -> list[tuple]:
+        self.expr()
+        tok = self.tokens[self.idx]
         if tok.kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
-        return node
+        return self.program
 
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
-        return node
+    def expr(self):
+        self.term()
+        while op := self.take("+", "-"):
+            self.term()
+            self.program.append((op.kind,))
 
-    def term(self) -> Node:
-        node = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            rhs = self.unary()
-            node = Mul(node, rhs) if op.kind == "*" else Div(node, rhs)
-        return node
+    def term(self):
+        self.unary()
+        while op := self.take("*", "/"):
+            self.unary()
+            self.program.append((op.kind,))
 
-    def unary(self) -> Node:
-        if self.peek().kind == "-":
-            self.advance()
-            return Neg(self.unary())
-        node = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
-            tok = self.expect("int")
-            node = Pow(node, int(tok.text))
-        return node
+    def unary(self):
+        negations = 0
+        while self.take("-"):
+            negations += 1
+        self.atom()
+        if self.take("^"):
+            self.program.append(("^", int(self.expect("int").text)))
+        self.program.extend([("neg",)] * negations)
 
-    def atom(self) -> Node:
-        tok = self.peek()
+    def atom(self):
+        tok = self.tokens[self.idx]
+        self.idx += 1
         if tok.kind == "(":
-            self.advance()
-            node = self.expr()
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(f"parentheses nest deeper than {MAX_NESTING}", tok.pos)
+            self.depth += 1
+            self.expr()
             self.expect(")")
-            return node
-        if tok.kind == "int":
-            self.advance()
-            return Integer(int(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "i":
-                return ImaginaryUnit()
-            if tok.text == "zeta":
-                self.expect("(")
-                order = int(self.expect("int").text)
-                self.expect(",")
-                power = int(self.expect("int").text)
-                self.expect(")")
-                if order < 1:
-                    raise ExprSyntaxError("zeta needs a positive order", tok.pos)
-                return Zeta(order, power)
-            return Variable(tok.text, tok.pos)
-        what = tok.text or "end of input"
-        raise ExprSyntaxError(f"expected a value, found {what!r}", tok.pos)
+            self.depth -= 1
+        elif tok.kind == "int":
+            self.program.append(("const", int(tok.text)))
+        elif tok.text == "i":
+            self.program.append(("root", 4, 1))
+        elif tok.text == "zeta":
+            self.expect("(")
+            order = int(self.expect("int").text)
+            self.expect(",")
+            power = int(self.expect("int").text)
+            self.expect(")")
+            if order < 1:
+                raise ExprSyntaxError("zeta needs a positive order", tok.pos)
+            self.program.append(("root", order, power))
+        elif tok.kind == "ident":
+            self.program.append(("var", tok.text, tok.pos))
+        else:
+            raise ExprSyntaxError(f"expected a value, found {tok.text!r}", tok.pos)
 
 
-def parse_ast(text: str) -> Node:
-    return _Parser(_lex(text)).parse()
-
-
-def elaborate(node: Node, signature: SuperSignature) -> SuperRational:
-    """Resolve variables against the signature and build the exact function."""
-    if isinstance(node, Integer):
-        return SuperRational.constant(signature, node.value)
-    if isinstance(node, ImaginaryUnit):
-        return SuperRational.constant(signature, root_of_unity(4, 1))
-    if isinstance(node, Zeta):
-        return SuperRational.constant(signature, root_of_unity(node.order, node.power))
-    if isinstance(node, Variable):
-        name = normalize_var_name(node.name)
-        if name not in signature.even and name not in signature.odd:
-            raise ExprSyntaxError(f"unknown identifier {node.name!r}", node.pos)
-        return SuperRational.variable(signature, name)
-    if isinstance(node, Neg):
-        return -elaborate(node.operand, signature)
-    if isinstance(node, Pow):
-        return elaborate(node.base, signature) ** node.exponent
-    if isinstance(node, Mul):
-        return elaborate(node.left, signature) * elaborate(node.right, signature)
-    if isinstance(node, Div):
-        return elaborate(node.left, signature) / elaborate(node.right, signature)
-    if isinstance(node, Add):
-        return elaborate(node.left, signature) + elaborate(node.right, signature)
-    if isinstance(node, Sub):
-        return elaborate(node.left, signature) - elaborate(node.right, signature)
-    raise TypeError(f"unknown node {node!r}")
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
-    return elaborate(parse_ast(text), signature)
+    """Parse the whole text, then evaluate it exactly over the signature."""
+    stack: list[SuperRational] = []
+    for step in _Parser(_lex(text)).parse():
+        op = step[0]
+        if op == "var":
+            name = parse_var_name(step[1])[0]
+            if name not in signature.even and name not in signature.odd:
+                raise ExprSyntaxError(f"unknown identifier {step[1]!r}", step[2])
+            stack.append(SuperRational.variable(signature, name))
+        elif op == "const":
+            stack.append(SuperRational.constant(signature, step[1]))
+        elif op == "root":
+            stack.append(SuperRational.constant(signature, root_of_unity(step[1], step[2])))
+        elif op == "neg":
+            stack[-1] = -stack[-1]
+        elif op == "^":
+            stack[-1] = stack[-1] ** step[1]
+        else:
+            rhs = stack.pop()
+            stack[-1] = _BINARY[op](stack[-1], rhs)
+    return stack[0]
 
 
 # -- formatting ------------------------------------------------------------

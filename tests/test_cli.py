@@ -228,3 +228,45 @@ def test_malformed_weight_suffix_is_a_usage_error(capsys):
     ])
     assert code == 2
     assert "weight suffix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        (" + ".join(["x@0"] * 5000), 0),
+        ("-" * 1000 + "x@0", 0),
+        ("(" * 3000 + "x@0" + ")" * 3000, 2),
+        ("1/0 )", 2),
+    ],
+    ids=["flat-sum", "minus-chain", "deep-nesting", "syntax-before-division"],
+)
+def test_hostile_expressions_end_with_their_exit_code(text, code, capsys):
+    argv = ["decompose", "--group", "2", "--parity", "0", "--even", "x@0,x@1"]
+    assert main(argv + [f"--expr={text}"]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+MALFORMED_SHAPES = [  # (command, payload, the key the error must name)
+    ("check-cocycle", [CP1_ATLAS], "the top level"),
+    ("check-cocycle", dict(CP1_ATLAS, charts={"0": ["x"], "1": {"even": ["y"]}}), "charts.0"),
+    ("check-cocycle", dict(CP1_ATLAS, transitions={"0->1": "1/x"}), "transitions.0->1"),
+    ("check-cocycle", dict(CP1_ATLAS, transitions={"0->1": {"y": 5}}), "transitions.0->1.y"),
+    ("check-cocycle",
+     dict(CP1_ATLAS, charts={"0": {"even": "xy"}, "1": {"even": ["y"]}}), "charts.0.even"),
+    ("lift", [SUPER_MORPHISM], "the top level"),
+    ("lift", dict(SUPER_MORPHISM, source=["x"]), "source"),
+    ("lift", dict(SUPER_MORPHISM, map="1/x"), "map"),
+    ("lift", dict(SUPER_MORPHISM, map={"y": 5, "eta": "xi/x"}), "map.y"),
+    ("lift", dict(SUPER_MORPHISM, source={"even": "xy", "odd": ["xi"]}), "source.even"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, payload, key", MALFORMED_SHAPES, ids=[f"{c}:{k}" for c, _, k in MALFORMED_SHAPES]
+)
+def test_malformed_json_shapes_name_the_key(command, payload, key, tmp_path, capsys):
+    path = write_json(tmp_path, "bad.json", payload)
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{key} must be" in err

@@ -1,4 +1,4 @@
-"""Parsing, elaboration, and canonical formatting of expression text."""
+"""Parsing, evaluation, and canonical formatting of expression text."""
 
 import random
 from fractions import Fraction
@@ -17,6 +17,7 @@ from gradedcover import (
     parse_expression,
     root_of_unity,
 )
+from gradedcover.expressions import MAX_NESTING
 from conftest import random_group, random_parity, random_rational, random_signature
 
 
@@ -103,6 +104,32 @@ def test_syntax_errors_carry_positions():
         parse_expression("x0^(2)", sig)  # exponents are plain integers
     with pytest.raises(ExprSyntaxError):
         parse_expression("2 x0", sig)  # no implicit multiplication
+
+
+def test_long_flat_sums_and_minus_chains_need_no_recursion():
+    sig = line_signature()
+    x0 = SuperRational.variable(sig, "x0")
+    assert parse_expression(" + ".join(["x0"] * 5000), sig) == 5000 * x0
+    assert parse_expression("-" * 1001 + "x0", sig) == -x0
+
+
+def test_parenthesis_nesting_is_bounded():
+    sig = line_signature()
+    x0 = SuperRational.variable(sig, "x0")
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expression("(" * 3000 + "x0" + ")" * 3000, sig)
+    assert err.value.position == MAX_NESTING + 1
+    assert parse_expression("(" * MAX_NESTING + "x0" + ")" * MAX_NESTING, sig) == x0
+
+
+def test_whole_text_is_syntax_checked_before_evaluation():
+    sig = line_signature()
+    with pytest.raises((ZeroDivisionError, NotInvertibleError)):
+        parse_expression("1/0", sig)
+    for text in ("1/0 )", "zeta(3,1) )"):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expression(text, sig)
+        assert err.value.position == len(text)
 
 
 def test_unknown_identifier_is_reported_with_position():
