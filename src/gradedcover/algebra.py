@@ -12,14 +12,22 @@ the value of its weight.  ``SuperRational.decompose`` splits a function
 into weight-homogeneous components; ``decompose_oracle`` computes the
 same split by literal group averaging and exists as an independent
 cross-check of the production algorithm.
+
+When every coefficient product of two polynomials lands in one field
+Q(zeta_N), their product accumulates integer convolutions per output
+monomial and reduces modulo Phi_N once per monomial; otherwise it runs
+one Cyclotomic multiply-add per pair of terms.  Either way a coefficient's
+conductor is the lcm of the products summed into it since its running
+sum last cancelled to zero, exactly as the termwise loop computes it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, _reduce, euler_phi
 from .errors import NotInvertibleError, SignatureMismatchError
 from .groups import Character, FiniteAbelianGroup, GroupElement, ParityMap
 
@@ -161,6 +169,9 @@ class SuperMonomial(NamedTuple):
         return (sum(self.even), self.even, len(self.odd), self.odd)
 
 
+Terms = dict[SuperMonomial, Cyclotomic]
+
+
 def _merge_odd(a: tuple[int, ...], b: tuple[int, ...]):
     """Interleave two ascending index tuples; returns (sign, merged) or None."""
     if not a:
@@ -185,6 +196,103 @@ def _merge_odd(a: tuple[int, ...], b: tuple[int, ...]):
     merged.extend(a[i:])
     merged.extend(b[j:])
     return sign, tuple(merged)
+
+
+def _product_monomial(m1: SuperMonomial, m2: SuperMonomial):
+    """(sign, m1*m2), or None when a repeated anticommuting factor kills it."""
+    merged = _merge_odd(m1.odd, m2.odd)
+    if merged is None:
+        return None
+    sign, odd = merged
+    return sign, SuperMonomial(tuple(a + b for a, b in zip(m1.even, m2.even)), odd)
+
+
+def _product_conductor(a: Terms, b: Terms) -> int | None:
+    """The conductor N shared by every coefficient product of a*b, else None."""
+    right = {c.conductor for c in b.values()}
+    found = {lcm(x, y) for x in {c.conductor for c in a.values()} for y in right}
+    return found.pop() if len(found) == 1 else None
+
+
+def _mul_terms_termwise(a: Terms, b: Terms) -> Terms:
+    """Product terms by one Cyclotomic multiply-add per pair of terms.
+
+    A coefficient's conductor is the lcm of the products summed into it
+    since its running sum last cancelled to zero.
+    """
+    out: Terms = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            product = _product_monomial(m1, m2)
+            if product is None:
+                continue
+            sign, mono = product
+            c = c1 * c2
+            if sign < 0:
+                c = -c
+            acc = out.get(mono)
+            s = c if acc is None else acc + c
+            if s.is_zero():
+                out.pop(mono, None)
+            else:
+                out[mono] = s
+    return out
+
+
+def _integer_terms(terms: Terms, n: int) -> tuple[int, list]:
+    """Coefficients lifted to conductor n: (denominator d, [(mono, ints)]).
+
+    Each coefficient equals its integer vector over the power basis
+    divided by the one common denominator d.
+    """
+    lifted = [
+        (m, c.coeffs if c.conductor == n else c.lift(n).coeffs)
+        for m, c in terms.items()
+    ]
+    d = lcm(*(x.denominator for _, v in lifted for x in v))
+    return d, [(m, [x.numerator * (d // x.denominator) for x in v]) for m, v in lifted]
+
+
+def _mul_terms_integer(a: Terms, b: Terms, n: int) -> Terms:
+    """Product terms when every coefficient product lands in Q(zeta_n).
+
+    Sums the unreduced integer convolutions of each output monomial and
+    reduces modulo Phi_n (monic, integral) once per monomial; the terms
+    equal those of ``_mul_terms_termwise``, conductors included.
+    """
+    da, va = _integer_terms(a, n)
+    db, vb = _integer_terms(b, n)
+    acc: dict = {}
+    if n == 1:
+        for m1, (x,) in va:
+            for m2, (y,) in vb:
+                product = _product_monomial(m1, m2)
+                if product is not None:
+                    sign, mono = product
+                    acc[mono] = acc.get(mono, 0) + sign * x * y
+    else:
+        width = 2 * euler_phi(n) - 1
+        for m1, x in va:
+            neg_x = [-t for t in x]
+            for m2, y in vb:
+                product = _product_monomial(m1, m2)
+                if product is None:
+                    continue
+                sign, mono = product
+                vec = acc.get(mono)
+                if vec is None:
+                    vec = acc[mono] = [0] * width
+                for i, xi in enumerate(x if sign > 0 else neg_x):
+                    if xi:
+                        for j, yj in enumerate(y):
+                            vec[i + j] += xi * yj
+    den = da * db
+    out: Terms = {}
+    for mono, v in acc.items():
+        reduced = (v,) if n == 1 else _reduce(v, n)
+        if any(reduced):
+            out[mono] = Cyclotomic._raw(tuple(Fraction(c, den) for c in reduced), n)
+    return out
 
 
 def _as_coefficient(value: Scalar) -> Cyclotomic:
@@ -316,25 +424,11 @@ class SuperPolynomial:
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
         self._check_signature(other)
-        out: dict[SuperMonomial, Cyclotomic] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                merged = _merge_odd(m1.odd, m2.odd)
-                if merged is None:
-                    continue  # repeated anticommuting factor squares to zero
-                sign, odd = merged
-                mono = SuperMonomial(
-                    tuple(a + b for a, b in zip(m1.even, m2.even)), odd
-                )
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                acc = out.get(mono)
-                s = c if acc is None else acc + c
-                if s.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
+        n = _product_conductor(self.terms, other.terms)
+        if n is None:
+            out = _mul_terms_termwise(self.terms, other.terms)
+        else:
+            out = _mul_terms_integer(self.terms, other.terms, n)
         return SuperPolynomial._raw(self.signature, out)
 
     __rmul__ = __mul__
@@ -551,7 +645,14 @@ class SuperRational:
             self.numerator * rhs.numerator, self.denominator * rhs.denominator
         )
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        # other * self: odd factors anticommute, so only scalars may swap
+        if isinstance(other, (int, Fraction, Cyclotomic)):
+            return self * other
+        lhs = self._coerce(other)
+        if lhs is None:
+            return NotImplemented
+        return lhs * self
 
     def __truediv__(self, other):
         rhs = self._coerce(other)

@@ -254,7 +254,7 @@ class Cyclotomic:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
+            base = base * base if k > 1 else base
             k >>= 1
         return result
 

@@ -13,6 +13,7 @@ from gradedcover import (
     SuperPolynomial,
     SuperRational,
     decompose_oracle,
+    format_expression,
     make_group,
     root_of_unity,
 )
@@ -114,6 +115,18 @@ def _reverse_sign_check(a, b):
         return a * b  # mixed parity: rule applies termwise, skip here
     sign = -1 if pa == 1 and pb == 1 else 1
     return b * a * sign
+
+
+def test_mixed_products_keep_the_factor_order():
+    # odd a, b: a*b = -b*a, so a polynomial times a rational must not swap
+    sig = pair_signature()
+    s1 = SuperPolynomial.variable(sig, "s1")
+    s2 = SuperRational.variable(sig, "s2")
+    expected = SuperRational(s1 * s2.numerator)
+    assert s1 * s2 == expected
+    assert s1 * s2 != -expected
+    assert format_expression(s1 * s2) == "s1*s2"
+    assert 3 * s2 == s2 * 3
 
 
 def test_signature_mismatch_rejected():
