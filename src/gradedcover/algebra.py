@@ -19,12 +19,16 @@ monomial and reduces modulo Phi_N once per monomial; otherwise it runs
 one Cyclotomic multiply-add per pair of terms.  Either way a coefficient's
 conductor is the lcm of the products summed into it since its running
 sum last cancelled to zero, exactly as the termwise loop computes it.
+Both methods pack each monomial into one int key, so a monomial product
+is one integer addition, and a factor equal to the constant 1 at
+conductor 1 is skipped.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import neg
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from .cyclotomic import Cyclotomic, _reduce, euler_phi
@@ -172,39 +176,67 @@ class SuperMonomial(NamedTuple):
 Terms = dict[SuperMonomial, Cyclotomic]
 
 
-def _merge_odd(a: tuple[int, ...], b: tuple[int, ...]):
-    """Interleave two ascending index tuples; returns (sign, merged) or None."""
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
-    if set(a) & set(b):
-        return None
-    merged = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] < b[j]:
-            merged.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining len(a)-i factors of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            merged.append(b[j])
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return sign, tuple(merged)
+def _odd_sign(ma: int, mb: int) -> int:
+    """Reordering sign of two odd index bitmasks; 0 when they share an index."""
+    if ma & mb:
+        return 0
+    flips = 0
+    while mb:
+        low = mb & -mb
+        # the index of b at ``low`` jumps over the indices of a above it
+        flips += (ma >> low.bit_length()).bit_count()
+        mb ^= low
+    return -1 if flips & 1 else 1
 
 
-def _product_monomial(m1: SuperMonomial, m2: SuperMonomial):
-    """(sign, m1*m2), or None when a repeated anticommuting factor kills it."""
-    merged = _merge_odd(m1.odd, m2.odd)
-    if merged is None:
-        return None
-    sign, odd = merged
-    return sign, SuperMonomial(tuple(a + b for a, b in zip(m1.even, m2.even)), odd)
+def _packed(a: Terms, b: Terms, values_b: list, negate):
+    """Monomials packed into int keys: (keys of a, rows, unpack).
+
+    Even exponent i occupies bits [i*w, (i+1)*w), with w wide enough for
+    the sum of the two operands' largest exponents, and the odd index set
+    is a bitmask above the even fields.  So no field carries, and for
+    disjoint masks the key of a product monomial is the sum of the keys.
+    ``rows[i]`` lists ``(key, value)`` for the terms of b whose product
+    with a's i-th term survives, in b's order, the value negated by
+    ``negate`` where reordering the odd factors flips the sign; one row is
+    built per distinct odd mask of a.  ``unpack`` decodes a key.
+    """
+    n_even = len(next(iter(a)).even)
+    width = sum(max((e for m in t for e in m.even), default=0) for t in (a, b)).bit_length()
+    shift = n_even * width
+
+    def pack(terms):
+        out = []
+        for m in terms:
+            mask = key = sum(1 << j for j in m.odd)
+            for e in reversed(m.even):
+                key = key << width | e
+            out.append((key, mask))
+        return out
+
+    field = (1 << width) - 1
+    shifts = [i * width for i in range(n_even)]
+    odd_sets: dict[int, tuple[int, ...]] = {}
+
+    def unpack(key: int) -> SuperMonomial:
+        mask = key >> shift
+        odd = odd_sets.get(mask)
+        if odd is None:
+            odd = odd_sets[mask] = tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+        return SuperMonomial(tuple([key >> s & field for s in shifts]), odd)
+
+    packed_b = pack(b)
+    rows: dict[int, list] = {}
+    keys_a = []
+    for ka, ma in pack(a):
+        keys_a.append(ka)
+        if ma not in rows:
+            row = rows[ma] = []
+            for (kb, mb), y in zip(packed_b, values_b):
+                sign = _odd_sign(ma, mb)
+                if sign:
+                    row.append((kb, y if sign > 0 else negate(y)))
+    return keys_a, [rows[ka >> shift] for ka in keys_a], unpack
 
 
 def _product_conductor(a: Terms, b: Terms) -> int | None:
@@ -220,37 +252,32 @@ def _mul_terms_termwise(a: Terms, b: Terms) -> Terms:
     A coefficient's conductor is the lcm of the products summed into it
     since its running sum last cancelled to zero.
     """
-    out: Terms = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            product = _product_monomial(m1, m2)
-            if product is None:
-                continue
-            sign, mono = product
+    if not a or not b:
+        return {}
+    keys_a, rows, unpack = _packed(a, b, list(b.values()), neg)
+    out: dict[int, Cyclotomic] = {}
+    for ka, row, c1 in zip(keys_a, rows, a.values()):
+        for kb, c2 in row:
             c = c1 * c2
-            if sign < 0:
-                c = -c
-            acc = out.get(mono)
+            key = ka + kb
+            acc = out.get(key)
             s = c if acc is None else acc + c
             if s.is_zero():
-                out.pop(mono, None)
+                out.pop(key, None)
             else:
-                out[mono] = s
-    return out
+                out[key] = s
+    return {unpack(key): c for key, c in out.items()}
 
 
-def _integer_terms(terms: Terms, n: int) -> tuple[int, list]:
-    """Coefficients lifted to conductor n: (denominator d, [(mono, ints)]).
+def _integer_vectors(terms: Terms, n: int) -> tuple[int, list[list[int]]]:
+    """Coefficients lifted to conductor n: (denominator d, integer vectors).
 
     Each coefficient equals its integer vector over the power basis
     divided by the one common denominator d.
     """
-    lifted = [
-        (m, c.coeffs if c.conductor == n else c.lift(n).coeffs)
-        for m, c in terms.items()
-    ]
-    d = lcm(*(x.denominator for _, v in lifted for x in v))
-    return d, [(m, [x.numerator * (d // x.denominator) for x in v]) for m, v in lifted]
+    lifted = [c.coeffs if c.conductor == n else c.lift(n).coeffs for c in terms.values()]
+    d = lcm(*(x.denominator for v in lifted for x in v))
+    return d, [[x.numerator * (d // x.denominator) for x in v] for v in lifted]
 
 
 def _mul_terms_integer(a: Terms, b: Terms, n: int) -> Terms:
@@ -260,39 +287,46 @@ def _mul_terms_integer(a: Terms, b: Terms, n: int) -> Terms:
     reduces modulo Phi_n (monic, integral) once per monomial; the terms
     equal those of ``_mul_terms_termwise``, conductors included.
     """
-    da, va = _integer_terms(a, n)
-    db, vb = _integer_terms(b, n)
+    if not a or not b:
+        return {}
+    da, va = _integer_vectors(a, n)
+    db, vb = _integer_vectors(b, n)
     acc: dict = {}
     if n == 1:
-        for m1, (x,) in va:
-            for m2, (y,) in vb:
-                product = _product_monomial(m1, m2)
-                if product is not None:
-                    sign, mono = product
-                    acc[mono] = acc.get(mono, 0) + sign * x * y
+        keys_a, rows, unpack = _packed(a, b, [y for (y,) in vb], neg)
+        for ka, row, (x,) in zip(keys_a, rows, va):
+            for kb, y in row:
+                key = ka + kb
+                acc[key] = acc.get(key, 0) + x * y
     else:
+        keys_a, rows, unpack = _packed(a, b, vb, lambda y: [-t for t in y])
         width = 2 * euler_phi(n) - 1
-        for m1, x in va:
-            neg_x = [-t for t in x]
-            for m2, y in vb:
-                product = _product_monomial(m1, m2)
-                if product is None:
-                    continue
-                sign, mono = product
-                vec = acc.get(mono)
+        for ka, row, x in zip(keys_a, rows, va):
+            for kb, y in row:
+                key = ka + kb
+                vec = acc.get(key)
                 if vec is None:
-                    vec = acc[mono] = [0] * width
-                for i, xi in enumerate(x if sign > 0 else neg_x):
+                    vec = acc[key] = [0] * width
+                for i, xi in enumerate(x):
                     if xi:
                         for j, yj in enumerate(y):
                             vec[i + j] += xi * yj
     den = da * db
+    fraction = Fraction if den == 1 else lambda c: Fraction(c, den)
     out: Terms = {}
-    for mono, v in acc.items():
+    for key, v in acc.items():
         reduced = (v,) if n == 1 else _reduce(v, n)
         if any(reduced):
-            out[mono] = Cyclotomic._raw(tuple(Fraction(c, den) for c in reduced), n)
+            out[unpack(key)] = Cyclotomic._raw(tuple(map(fraction, reduced)), n)
     return out
+
+
+def _is_one(terms: Terms) -> bool:
+    """True for exactly the constant 1 at conductor 1."""
+    if len(terms) != 1:
+        return False
+    ((mono, c),) = terms.items()
+    return c.conductor == 1 and c.coeffs == (1,) and not mono.odd and not any(mono.even)
 
 
 def _as_coefficient(value: Scalar) -> Cyclotomic:
@@ -424,6 +458,11 @@ class SuperPolynomial:
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
         self._check_signature(other)
+        # c*1 keeps c's vector and conductor on both product paths
+        if _is_one(other.terms):
+            return self
+        if _is_one(self.terms):
+            return other
         n = _product_conductor(self.terms, other.terms)
         if n is None:
             out = _mul_terms_termwise(self.terms, other.terms)

@@ -4,7 +4,9 @@
 coefficient product of the two operands lands in one field Q(zeta_N), and
 ``_mul_terms_termwise`` otherwise.  Both must give the same terms with the
 same coefficient vectors and the same conductors, because the printed
-``zeta(N,k)`` form follows the conductor.
+``zeta(N,k)`` form follows the conductor.  Both pack monomials into
+integer keys; ``reference_product`` multiplies monomials directly and
+checks the packed layout, including the order of the output terms.
 """
 
 import random
@@ -13,7 +15,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedcover import Cyclotomic, SuperMonomial, SuperPolynomial, SuperSignature, euler_phi
+from gradedcover import (
+    Cyclotomic,
+    SuperMonomial,
+    SuperPolynomial,
+    SuperSignature,
+    euler_phi,
+    root_of_unity,
+)
 from gradedcover.algebra import _mul_terms_integer, _mul_terms_termwise, _product_conductor
 
 SIG = SuperSignature(even=("x", "y"), odd=("s1", "s2", "s3"))
@@ -138,3 +147,139 @@ def operands(draw):
 @given(operands(), operands())
 def test_kernel_matches_termwise_loop(a, b):
     check_product(a, b)
+    check_layout(a, b)
+
+
+# -- the packed monomial layout ---------------------------------------------
+
+
+def surviving_pairs(a, b):
+    """(m1*m2, flips, c1, c2) per pair without a repeated odd factor, a-major."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            if not set(m1.odd) & set(m2.odd):
+                mono = SuperMonomial(
+                    tuple(x + y for x, y in zip(m1.even, m2.even)),
+                    tuple(sorted(m1.odd + m2.odd)),
+                )
+                # each index of m2 jumps over the indices of m1 above it
+                yield mono, sum(1 for j in m2.odd for i in m1.odd if i > j), c1, c2
+
+
+def reference_product(a, b):
+    """Termwise product with unpacked monomials, in the a-major pair order.
+
+    A monomial keeps its place while its running sum is nonzero; when the
+    sum cancels it is dropped, and a later pair appends it again.
+    """
+    out = {}
+    for mono, flips, c1, c2 in surviving_pairs(a, b):
+        c = c1 * c2 if flips % 2 == 0 else -(c1 * c2)
+        s = out[mono] + c if mono in out else c
+        if s.is_zero():
+            out.pop(mono, None)
+        else:
+            out[mono] = s
+    return out
+
+
+def check_layout(a, b):
+    """Both paths equal the reference product, the order of terms included."""
+    want = reference_product(a.terms, b.terms)
+    got = _mul_terms_termwise(a.terms, b.terms)
+    assert list(got) == list(want)
+    assert_same_terms(got, want)
+    n = _product_conductor(a.terms, b.terms)
+    if n is not None:
+        kernel = _mul_terms_integer(a.terms, b.terms, n)
+        assert_same_terms(kernel, got)
+        # first appearance in the pair loop, cancelled monomials skipped
+        first = dict.fromkeys(mono for mono, *_ in surviving_pairs(a.terms, b.terms))
+        assert list(kernel) == [m for m in first if m in kernel]
+
+
+def test_output_order_of_each_path():
+    sig = SuperSignature(even=("x",))
+    a = SuperPolynomial(sig, {SuperMonomial((k,), ()): 1 for k in range(3)})
+    b = SuperPolynomial(sig, {SuperMonomial((2,), ()): 1, SuperMonomial((1,), ()): -1,
+                              SuperMonomial((0,), ()): 1})
+    check_layout(a, b)
+    # x^2 cancels at the fifth pair and comes back at the last one
+    assert [m.even for m in _mul_terms_termwise(a.terms, b.terms)] == [(0,), (4,), (2,)]
+    assert [m.even for m in _mul_terms_integer(a.terms, b.terms, 1)] == [(2,), (0,), (4,)]
+
+
+def test_exponents_straddling_a_field_width():
+    sig = SuperSignature(even=("x", "y"), odd=("s",))
+    x, y, s = (SuperPolynomial.variable(sig, v) for v in ("x", "y", "s"))
+    z = Cyclotomic([0, 1], 4)
+    assert (x**255 * x).terms == {SuperMonomial((256, 0), ()): Cyclotomic([1])}
+    big = SuperPolynomial(sig, {SuperMonomial((2**40, 1), ()): 3})
+    assert (big * big).terms == {SuperMonomial((2**41, 2), ()): Cyclotomic([9])}
+    for a, b in [
+        (x**255 * y**255 + x * s, x * y + y**255 * s),
+        (x**255 * z + y**256 * s, x + y * z),
+        (big + s * z, big * z + x**255),
+        (x**127 + y**128, x**128 * s + y**127 * z),
+    ]:
+        check_layout(a, b)
+        check_layout(b, a)
+
+
+def test_signature_without_even_variables():
+    sig = SuperSignature(odd=("s1", "s2", "s3"))
+    s1, s2, s3 = (SuperPolynomial.variable(sig, v) for v in ("s1", "s2", "s3"))
+    z = Cyclotomic([0, 1, 0, 0], 12)
+    a = s3 * z + s1 * s2 + 2 + s2
+    b = s2 * s1 + s1 * z + s3 - 3
+    check_layout(a, b)
+    check_layout(b, a)
+    assert (s3 * s1 * s2).terms == {SuperMonomial((), (0, 1, 2)): Cyclotomic([1])}
+
+
+def test_ten_odd_variables():
+    names = [f"t{k}" for k in range(10)]
+    sig = SuperSignature(even=("x",), odd=names)
+    rng = random.Random(17)
+
+    def operand(pool, n_terms):
+        terms = {}
+        while len(terms) < n_terms:
+            odd = tuple(sorted(rng.sample(pool, rng.randint(0, min(4, len(pool))))))
+            mono = SuperMonomial((rng.randint(0, 3),), odd)
+            terms[mono] = random_coefficient(rng, rng.choice((1, 4, 3)))
+        return SuperPolynomial(sig, terms)
+
+    for _ in range(40):
+        # disjoint index sets, split around a random cut, then overlapping ones
+        cut = rng.randint(1, 9)
+        check_layout(operand(range(cut), 4), operand(range(cut, 10), 4))
+        check_layout(operand(range(10), 5), operand(range(10), 5))
+    t = [SuperPolynomial.variable(sig, v) for v in names]
+    product = t[9] * t[0] * t[8] * t[1]
+    assert product.terms == {SuperMonomial((0,), (0, 1, 8, 9)): Cyclotomic([1])}
+
+
+# -- products by the constant 1 ------------------------------------------------
+
+
+def test_products_by_one_return_the_other_operand():
+    rng = random.Random(12)
+    p = random_operand(rng, (12, 3), 5)
+    assert p.has_odd_content()
+    one = SuperPolynomial.one(SIG)
+    for product in (p * one, one * p):
+        assert list(product.terms) == list(p.terms)
+        assert_same_terms(product.terms, p.terms)
+    assert (one * one).terms == one.terms
+
+
+def test_one_at_a_higher_conductor_takes_a_product_path():
+    one4 = SuperPolynomial.constant(SIG, root_of_unity(4, 1) ** 4)
+    assert one4.as_constant() == 1 and one4.as_constant().conductor == 4
+    rng = random.Random(8)
+    p = random_operand(rng, (1,), 4)
+    for a, b in ((p, one4), (one4, p)):
+        product = a * b
+        assert_same_terms(product.terms, _mul_terms_termwise(a.terms, b.terms))
+        assert {c.conductor for c in product.terms.values()} == {4}
