@@ -497,6 +497,10 @@ class SuperPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def is_one(self) -> bool:
+        """True for exactly the constant 1 at conductor 1."""
+        return _is_one(self.terms)
+
     def __bool__(self):
         return bool(self.terms)
 

@@ -8,6 +8,7 @@ singular lift, cocycle violation), 2 on usage, syntax, or file errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -289,7 +290,10 @@ def cmd_check_cocycle(args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call; ``parse_args`` returns a fresh namespace each time."""
     parser = argparse.ArgumentParser(
         prog="gradedcover",
         description="Exact graded function algebras and coverings of superdomains.",
@@ -342,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (GradedError, ZeroDivisionError) as exc:

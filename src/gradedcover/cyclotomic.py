@@ -124,7 +124,8 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, value: Rational) -> "Cyclotomic":
-        return cls([Fraction(value)], 1)
+        # a length-1 vector is already reduced modulo Phi_1
+        return cls._raw((Fraction(value),), 1)
 
     @classmethod
     def _raw(cls, coeffs: tuple[Fraction, ...], conductor: int) -> "Cyclotomic":

@@ -12,9 +12,15 @@ the shorthand ``name@k`` is accepted for rank-one groups.  ``parse_expression``
 syntax-checks the whole text into a postfix program before any arithmetic
 runs, so malformed text is an ``ExprSyntaxError`` even if it also divides
 by zero; it then evaluates the program with a value stack against a
-declared signature into an exact superfunction.  Parentheses nest at most
-``MAX_NESTING`` (100) levels deep.  ``format_expression`` renders a
-superfunction back in a canonical, re-parseable form.
+declared signature into an exact superfunction.  Values on the stack stay
+polynomials until a division by a non-constant: dividing by a constant c
+other than 1 multiplies by 1/c.  Other divisions, and arithmetic on a
+quotient, go through ``SuperRational``; a quotient whose denominator is
+exactly 1 at conductor 1 turns back into a polynomial.
+Parentheses nest at most ``MAX_NESTING`` (100) levels deep, and
+``zeta(N,k)`` takes orders N up to ``DEFAULT_ORDER_BOUND`` (4096).
+``format_expression`` renders a superfunction back in a canonical,
+re-parseable form.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from typing import NamedTuple
 from .algebra import SuperMonomial, SuperPolynomial, SuperRational, SuperSignature
 from .cyclotomic import Cyclotomic, root_of_unity
 from .errors import ExprSyntaxError
+from .groups import DEFAULT_ORDER_BOUND
 
 _TOKEN_RE = re.compile(
     r"""
@@ -87,7 +94,7 @@ MAX_NESTING = 100  # each level costs four parser frames
 class _Parser:
     """Recursive descent that emits a postfix program.
 
-    Steps are ``("const", n)``, ``("root", order, power)``,
+    Steps are ``("const", n)``, ``("root", order, power, pos)``,
     ``("var", name, pos)``, ``("neg",)``, ``("^", n)`` and the binary
     ``("+",)``, ``("-",)``, ``("*",)``, ``("/",)``.  It does no arithmetic
     and no name lookup.
@@ -155,7 +162,7 @@ class _Parser:
         elif tok.kind == "int":
             self.program.append(("const", int(tok.text)))
         elif tok.text == "i":
-            self.program.append(("root", 4, 1))
+            self.program.append(("root", 4, 1, tok.pos))
         elif tok.text == "zeta":
             self.expect("(")
             order = int(self.expect("int").text)
@@ -164,7 +171,7 @@ class _Parser:
             self.expect(")")
             if order < 1:
                 raise ExprSyntaxError("zeta needs a positive order", tok.pos)
-            self.program.append(("root", order, power))
+            self.program.append(("root", order, power, tok.pos))
         elif tok.kind == "ident":
             self.program.append(("var", tok.text, tok.pos))
         else:
@@ -173,29 +180,55 @@ class _Parser:
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
+Value = SuperPolynomial | SuperRational  # a polynomial p stands for p/1
+
+
+def _binary(op: str, lhs: Value, rhs: Value) -> Value:
+    """``lhs op rhs`` with the numerators and denominators ``SuperRational``
+    would produce, kept as a polynomial while the denominator is 1."""
+    if isinstance(lhs, SuperPolynomial) and isinstance(rhs, SuperPolynomial):
+        if op != "/":
+            return _BINARY[op](lhs, rhs)
+        c = rhs.as_constant()
+        if c is not None and c != 1:
+            # the same product SuperRational's folding of constant denominators makes
+            return lhs * SuperPolynomial.constant(lhs.signature, c.inverse())
+    if isinstance(lhs, SuperPolynomial):
+        lhs = SuperRational(lhs)
+    if isinstance(rhs, SuperPolynomial):
+        rhs = SuperRational(rhs)
+    out = _BINARY[op](lhs, rhs)
+    return out.numerator if out.denominator.is_one() else out
+
 
 def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
     """Parse the whole text, then evaluate it exactly over the signature."""
-    stack: list[SuperRational] = []
+    stack: list[Value] = []
     for step in _Parser(_lex(text)).parse():
         op = step[0]
         if op == "var":
             name = parse_var_name(step[1])[0]
             if name not in signature.even and name not in signature.odd:
                 raise ExprSyntaxError(f"unknown identifier {step[1]!r}", step[2])
-            stack.append(SuperRational.variable(signature, name))
+            stack.append(SuperPolynomial.variable(signature, name))
         elif op == "const":
-            stack.append(SuperRational.constant(signature, step[1]))
+            stack.append(SuperPolynomial.constant(signature, step[1]))
         elif op == "root":
-            stack.append(SuperRational.constant(signature, root_of_unity(step[1], step[2])))
+            _, order, power, pos = step
+            if order > DEFAULT_ORDER_BOUND:
+                raise ExprSyntaxError(
+                    f"zeta order {order} is above the bound {DEFAULT_ORDER_BOUND}", pos
+                )
+            stack.append(SuperPolynomial.constant(signature, root_of_unity(order, power)))
         elif op == "neg":
             stack[-1] = -stack[-1]
         elif op == "^":
             stack[-1] = stack[-1] ** step[1]
         else:
             rhs = stack.pop()
-            stack[-1] = _BINARY[op](stack[-1], rhs)
-    return stack[0]
+            stack[-1] = _binary(op, stack[-1], rhs)
+    top = stack[0]
+    return top if isinstance(top, SuperRational) else SuperRational(top)
 
 
 # -- formatting ------------------------------------------------------------
@@ -272,6 +305,6 @@ def format_expression(f: SuperRational | SuperPolynomial) -> str:
     if isinstance(f, SuperPolynomial):
         return _format_poly(f)
     num = _format_poly(f.numerator)
-    if f.denominator == SuperPolynomial.one(f.signature):
+    if f.denominator.as_constant() == 1:
         return num
     return f"({num})/({_format_poly(f.denominator)})"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gradedcover.cli import main
+from gradedcover.cli import build_parser, main
 
 CP1_ATLAS = {
     "charts": {"0": {"even": ["x"], "odd": []}, "1": {"even": ["y"], "odd": []}},
@@ -237,8 +237,11 @@ def test_malformed_weight_suffix_is_a_usage_error(capsys):
         ("-" * 1000 + "x@0", 0),
         ("(" * 3000 + "x@0" + ")" * 3000, 2),
         ("1/0 )", 2),
+        ("zeta(100000000,1)", 2),
+        ("zeta(4096,1)", 0),
     ],
-    ids=["flat-sum", "minus-chain", "deep-nesting", "syntax-before-division"],
+    ids=["flat-sum", "minus-chain", "deep-nesting", "syntax-before-division",
+         "zeta-order-above-bound", "zeta-order-at-bound"],
 )
 def test_hostile_expressions_end_with_their_exit_code(text, code, capsys):
     argv = ["decompose", "--group", "2", "--parity", "0", "--even", "x@0,x@1"]
@@ -270,3 +273,29 @@ def test_malformed_json_shapes_name_the_key(command, payload, key, tmp_path, cap
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"{key} must be" in err
+
+
+def test_parser_is_reused_without_leaking_options(tmp_path, capsys):
+    decompose = ["decompose", "--group", "2", "--parity", "0", "--even", "x@0,x@1",
+                 "--expr", "1/(x@(0)+x@(1))"]
+    assert main(decompose) == 0
+    first = capsys.readouterr().out
+
+    atlas = write_json(tmp_path, "cp1.json", CP1_ATLAS)
+    lifted = tmp_path / "lifted.json"
+    assert main(["lift-atlas", atlas, "--group", "2", "--parity", "0", "--json",
+                 "--output", str(lifted)]) == 0
+    written = lifted.read_text(encoding="utf-8")
+    assert capsys.readouterr().out == ""
+
+    with pytest.raises(SystemExit) as err:
+        main(["decompose", "--group", "2", "--expr", "x@0", "--no-such-flag"])
+    assert err.value.code == 2
+    capsys.readouterr()
+
+    assert main(decompose) == 0
+    assert capsys.readouterr().out == first  # not JSON, not redirected to a file
+    assert lifted.read_text(encoding="utf-8") == written
+    assert build_parser() is build_parser()
+    args = build_parser().parse_args(decompose)
+    assert (args.output, args.json, args.odd) == (None, False, None)

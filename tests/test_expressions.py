@@ -1,5 +1,6 @@
 """Parsing, evaluation, and canonical formatting of expression text."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from gradedcover import (
     parse_expression,
     root_of_unity,
 )
-from gradedcover.expressions import MAX_NESTING
+from gradedcover.expressions import MAX_NESTING, _lex, _Parser, parse_var_name
 from conftest import random_group, random_parity, random_rational, random_signature
 
 
@@ -104,6 +105,9 @@ def test_syntax_errors_carry_positions():
         parse_expression("x0^(2)", sig)  # exponents are plain integers
     with pytest.raises(ExprSyntaxError):
         parse_expression("2 x0", sig)  # no implicit multiplication
+    with pytest.raises(ExprSyntaxError, match="above the bound 4096") as err:
+        parse_expression("x0 + zeta(4097,1)", sig)
+    assert err.value.position == 6
 
 
 def test_long_flat_sums_and_minus_chains_need_no_recursion():
@@ -185,3 +189,93 @@ def test_random_round_trips():
         sig = random_signature(rng, grp, random_parity(rng, grp))
         f = random_rational(rng, sig)
         assert parse_expression(format_expression(f), sig) == f
+
+
+# -- polynomial-first evaluation against the all-SuperRational evaluator ----
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def reference_parse(text, signature):
+    """The evaluator with a ``SuperRational`` for every value on the stack."""
+    stack = []
+    for step in _Parser(_lex(text)).parse():
+        op = step[0]
+        if op == "var":
+            stack.append(SuperRational.variable(signature, parse_var_name(step[1])[0]))
+        elif op == "const":
+            stack.append(SuperRational.constant(signature, step[1]))
+        elif op == "root":
+            stack.append(SuperRational.constant(signature, root_of_unity(step[1], step[2])))
+        elif op == "neg":
+            stack[-1] = -stack[-1]
+        elif op == "^":
+            stack[-1] = stack[-1] ** step[1]
+        else:
+            rhs = stack.pop()
+            stack[-1] = _OPS[op](stack[-1], rhs)
+    return stack[0]
+
+
+def _items(poly):
+    return [(mono, c.conductor, c.coeffs) for mono, c in poly.terms.items()]
+
+
+def evaluation(parse, text, signature):
+    """Numerator and denominator items in order, or the exception raised."""
+    try:
+        f = parse(text, signature)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return _items(f.numerator), _items(f.denominator)
+
+
+ATOMS = ["x0", "x1", "xi1", "xi2", "0", "1", "2", "(3/2)", "i", "zeta(12,5)", "zeta(3,1)"]
+# zeta(12,0) and zeta(4,4) equal 1 at conductors 12 and 4
+CONSTANT_DIVISORS = ["2", "(3/2)", "i", "zeta(12,5)", "zeta(12,0)", "zeta(4,4)", "1"]
+POLYNOMIAL_DIVISORS = ["(1 + x0)", "(x0 - 2*x1)", "(3 + xi1*xi2)", "(x1 + xi1)", "xi2", "(x0 - x0)"]
+
+
+def random_text(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(["", "", "-", "--"]) + rng.choice(ATOMS)
+    kind = rng.choice(["+", "-", "*", "/", "/", "/", "^", "neg"])
+    a = random_text(rng, depth - 1)
+    if kind == "/":
+        r = rng.random()
+        if r < 0.5:
+            b = rng.choice(CONSTANT_DIVISORS)
+        elif r < 0.8:
+            b = rng.choice(POLYNOMIAL_DIVISORS)
+        else:
+            b = f"({random_text(rng, depth - 1)})"
+        return f"({a})/{b}"
+    if kind == "^":
+        return f"({a})^{rng.choice([0, 0, 1, 2])}"
+    if kind == "neg":
+        opening, closing = rng.choice([("-(-(", "))"), ("--(", ")"), ("-(--(", "))")])
+        return opening + a + closing
+    return f"{a} {kind} {random_text(rng, depth - 1)}"
+
+
+def test_polynomial_first_evaluation_matches_the_rational_evaluator():
+    sig = SuperSignature(even=["x0", "x1"], odd=["xi1", "xi2"])
+    rng = random.Random(5)
+    divisions_by_zero = ["x0/0", "x0/(x0-x0)"]
+    texts = divisions_by_zero + [
+        f"3/2*zeta(12,5)*x0/{d}" for d in CONSTANT_DIVISORS + POLYNOMIAL_DIVISORS
+    ]
+    texts += ["x0^0", "---x0", "-(-(-x0))^2", "(x0/(1 + x0))*(1 + x0)", "x1/zeta(12,0) + x0"]
+    texts += [random_text(rng, 3) for _ in range(300 - len(texts))]
+    outcomes = {}
+    for text in texts:
+        outcomes[text] = evaluation(reference_parse, text, sig)
+        assert evaluation(parse_expression, text, sig) == outcomes[text], text
+    failed = [text for text, out in outcomes.items() if isinstance(out[0], type)]
+    # a constant denominator other than 1 is folded, so these equal 1
+    unit_denominators = [
+        out[1] for out in outcomes.values()
+        if not isinstance(out[0], type) and len(out[1]) == 1 and out[1][0][0].degree() == 0
+    ]
+    assert set(divisions_by_zero) <= set(failed) and len(failed) < 100
+    assert any(conductor > 1 for ((_, conductor, _),) in unit_denominators)
