@@ -905,25 +905,14 @@ class SuperRational:
     def restrict_to_base(self) -> "SuperRational":
         """Set all anticommuting and all non-identity-weight variables to zero."""
         sig = self._graded_signature()
-        base_even = tuple(
-            i for i, w in enumerate(sig.even_weights) if w.is_identity()
-        )
-
-        def restrict(poly: SuperPolynomial) -> SuperPolynomial:
-            kept = {
-                m: c
-                for m, c in poly.terms.items()
-                if not m.odd
-                and all(e == 0 or i in base_even for i, e in enumerate(m.even))
-            }
-            return SuperPolynomial._raw(sig, kept)
-
-        den = restrict(self.denominator)
+        even = [i if w.is_identity() else None for i, w in enumerate(sig.even_weights)]
+        odd = [None] * len(sig.odd)
+        den = restrict_terms(self.denominator, sig, even, odd)
         if den.is_zero():
             raise ZeroDivisionError(
                 "denominator vanishes identically on the base domain"
             )
-        return SuperRational(restrict(self.numerator), den)
+        return SuperRational(restrict_terms(self.numerator, sig, even, odd), den)
 
     def evaluate_even(
         self, point: Mapping[str, complex], *, tol: float = 1e-12
@@ -955,6 +944,29 @@ def _even_value(sig: SuperSignature, mono: SuperMonomial, point: Mapping[str, co
             except KeyError:
                 raise ValueError(f"no value given for variable {sig.even[i]!r}") from None
     return val
+
+
+def restrict_terms(
+    poly: SuperPolynomial,
+    signature: SuperSignature,
+    even: Sequence[int | None],
+    odd: Sequence[int | None],
+) -> SuperPolynomial:
+    """Set the variables mapped to None to zero, and rename the rest to
+    the ``signature`` indices ``even``/``odd`` give them: distinct, and
+    increasing on the odd ones, so no coefficient or sign changes."""
+    kept = {}
+    for m, c in poly.terms.items():
+        if any(e and even[i] is None for i, e in enumerate(m.even)) or any(
+            odd[j] is None for j in m.odd
+        ):
+            continue
+        exps = [0] * len(signature.even)
+        for i, e in enumerate(m.even):
+            if e:
+                exps[even[i]] = e
+        kept[SuperMonomial(tuple(exps), tuple(odd[j] for j in m.odd))] = c
+    return SuperPolynomial._raw(signature, kept)
 
 
 def _substitute_poly(

@@ -17,8 +17,10 @@ polynomials until a division by a non-constant: dividing by a constant c
 other than 1 multiplies by 1/c.  Other divisions, and arithmetic on a
 quotient, go through ``SuperRational``; a quotient whose denominator is
 exactly 1 at conductor 1 turns back into a polynomial.
-Parentheses nest at most ``MAX_NESTING`` (100) levels deep, and
-``zeta(N,k)`` takes orders N up to ``DEFAULT_ORDER_BOUND`` (4096).
+Parentheses nest at most ``MAX_NESTING`` (100) levels deep,
+``zeta(N,k)`` takes orders N up to ``DEFAULT_ORDER_BOUND`` (4096), and a
+power of an operand with more than one term may have at most
+``MAX_POWER_SIZE`` (500) coefficient entries as ``_check_power`` counts them.
 ``format_expression`` renders a superfunction back in a canonical,
 re-parseable form.
 """
@@ -28,10 +30,11 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from math import comb, lcm
 from typing import NamedTuple
 
 from .algebra import SuperMonomial, SuperPolynomial, SuperRational, SuperSignature
-from .cyclotomic import Cyclotomic, root_of_unity
+from .cyclotomic import Cyclotomic, euler_phi, root_of_unity
 from .errors import ExprSyntaxError
 from .groups import DEFAULT_ORDER_BOUND
 
@@ -89,13 +92,14 @@ def parse_var_name(name: str) -> tuple[str, tuple[int, ...] | None]:
 
 
 MAX_NESTING = 100  # each level costs four parser frames
+MAX_POWER_SIZE = 500  # (7/3+zeta(6,1)*x)^249 takes about 1 s on a 2-core VM
 
 
 class _Parser:
     """Recursive descent that emits a postfix program.
 
     Steps are ``("const", n)``, ``("root", order, power, pos)``,
-    ``("var", name, pos)``, ``("neg",)``, ``("^", n)`` and the binary
+    ``("var", name, pos)``, ``("neg",)``, ``("^", n, pos)`` and the binary
     ``("+",)``, ``("-",)``, ``("*",)``, ``("/",)``.  It does no arithmetic
     and no name lookup.
     """
@@ -145,8 +149,8 @@ class _Parser:
         while self.take("-"):
             negations += 1
         self.atom()
-        if self.take("^"):
-            self.program.append(("^", int(self.expect("int").text)))
+        if power := self.take("^"):
+            self.program.append(("^", int(self.expect("int").text), power.pos))
         self.program.extend([("neg",)] * negations)
 
     def atom(self):
@@ -201,6 +205,23 @@ def _binary(op: str, lhs: Value, rhs: Value) -> Value:
     return out.numerator if out.denominator.is_one() else out
 
 
+def _check_power(value: Value, exponent: int, pos: int):
+    """Reject a power of more than ``MAX_POWER_SIZE`` coefficient entries:
+    t > 1 terms to the k give at most C(k+t-1, k) terms, each phi(N) wide
+    over the field Q(zeta_N) of their coefficients.  The count grows with
+    k, so a larger exponent is checked as the bound itself."""
+    polys = [value] if isinstance(value, SuperPolynomial) else [value.numerator, value.denominator]
+    for poly in polys:
+        t = len(poly.terms)
+        if exponent > 1 and t > 1:
+            width = euler_phi(lcm(*(c.conductor for c in poly.terms.values())))
+            if comb(min(exponent, MAX_POWER_SIZE) + t - 1, t - 1) * width > MAX_POWER_SIZE:
+                raise ExprSyntaxError(
+                    f"power of {t} terms to the {exponent} is above the size bound "
+                    f"{MAX_POWER_SIZE}", pos
+                )
+
+
 def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
     """Parse the whole text, then evaluate it exactly over the signature."""
     stack: list[Value] = []
@@ -223,7 +244,9 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
         elif op == "neg":
             stack[-1] = -stack[-1]
         elif op == "^":
-            stack[-1] = stack[-1] ** step[1]
+            _, exponent, pos = step
+            _check_power(stack[-1], exponent, pos)
+            stack[-1] = stack[-1] ** exponent
         else:
             rhs = stack.pop()
             stack[-1] = _binary(op, stack[-1], rhs)

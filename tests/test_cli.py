@@ -1,6 +1,7 @@
 """Command dispatch, output shapes, and the exit-code contract."""
 
 import json
+import time
 
 import pytest
 
@@ -239,14 +240,32 @@ def test_malformed_weight_suffix_is_a_usage_error(capsys):
         ("1/0 )", 2),
         ("zeta(100000000,1)", 2),
         ("zeta(4096,1)", 0),
+        ("(1+x@0)^100000", 2),
+        ("x@0^100000000", 0),
     ],
     ids=["flat-sum", "minus-chain", "deep-nesting", "syntax-before-division",
-         "zeta-order-above-bound", "zeta-order-at-bound"],
+         "zeta-order-above-bound", "zeta-order-at-bound", "power-above-size-bound",
+         "huge-power-of-one-term"],
 )
 def test_hostile_expressions_end_with_their_exit_code(text, code, capsys):
     argv = ["decompose", "--group", "2", "--parity", "0", "--even", "x@0,x@1"]
     assert main(argv + [f"--expr={text}"]) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", ["3", "4", "5", "6"])
+def test_lifted_projective_line_checks_within_its_budget(order, tmp_path, capsys):
+    # composing the lifted transitions directly takes 0.65 s over Z_4 and minutes
+    # over Z_5 on a 2-core VM
+    source = write_json(tmp_path, "cp1.json", CP1_ATLAS)
+    lifted = str(tmp_path / "lifted.json")
+    assert main(["lift-atlas", source, "--group", order, "--json", "--output", lifted]) == 0
+    start = time.perf_counter()
+    code = main(["check-cocycle", lifted, "--json"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert elapsed < 2.0, f"check-cocycle of lifted P^1 over Z_{order} took {elapsed:.2f}s"
 
 
 MALFORMED_SHAPES = [  # (command, payload, the key the error must name)

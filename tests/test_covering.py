@@ -1,9 +1,15 @@
 """Covering signatures, projections, unique lifts, and atlas machinery."""
 
+import functools
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+from gradedcover import covering
+from gradedcover.cli import dump_atlas, load_atlas
 from gradedcover import (
     Atlas,
     CoveringError,
@@ -21,8 +27,13 @@ from gradedcover import (
     lift_mixed,
     lift_super,
     make_group,
+    parse_group_spec,
+    parse_parity_spec,
 )
 from conftest import random_polynomial_morphism
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import inputs  # noqa: E402  (the benchmark's seeded atlas texts)
 
 
 def z2_trivial():
@@ -349,3 +360,192 @@ def test_three_chart_polynomial_atlas_lifts_cleanly():
     assert report.ok
     for morphism in lifted.transitions.values():
         assert isinstance(morphism, GradedMorphism)
+
+
+# -- descent ------------------------------------------------------------------
+
+
+@functools.cache
+def lifted_atlas(family, index, group, parity):
+    atlas, _, _ = load_atlas(json.loads(inputs.atlas_text(family, index)))
+    g = parse_group_spec(group)
+    return lift_atlas(atlas, g, parse_parity_spec(g, parity))
+
+
+def checked(atlas):
+    """check_cocycle's report, and the path it took: "descent" when the
+    direct check ran only on a base atlas, "direct" when it ran on atlas."""
+    seen = []
+    direct = covering._check_cocycle_direct
+
+    def spy(checked_atlas):
+        seen.append(checked_atlas)
+        return direct(checked_atlas)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covering, "_check_cocycle_direct", spy)
+        report = check_cocycle(atlas)
+    if seen[-1] is atlas:
+        return report, "direct"
+    assert len(seen) == 1
+    assert all(type(sig) is SuperSignature for sig in seen[0].charts.values())
+    return report, "descent"
+
+
+def assert_agrees(atlas, path):
+    """check_cocycle takes ``path`` and reports exactly what the direct check does."""
+    report, taken = checked(atlas)
+    assert taken == path
+    assert report == covering._check_cocycle_direct(atlas)
+    return report
+
+
+SHEAR_GROUPS = (("4", "1"), ("2x2", "11"), ("6", "1"))
+LIFTS = (
+    [("P1", 0, g, "0") for g in ("2", "3", "4")]
+    + [("P11", 0, g, "1") for g in ("4", "6")]
+    + [("shear", j, g, p) for j in range(inputs.SHEAR_UNIVERSE) for g, p in SHEAR_GROUPS]
+)
+
+
+@pytest.mark.parametrize("lift", LIFTS, ids=[inputs.atlas_key(*key) for key in LIFTS])
+def test_lifted_atlases_pass_by_descent(lift):
+    assert assert_agrees(lifted_atlas(*lift), "descent").ok
+
+
+def replaced(atlas, key, name, image):
+    """The atlas with one image of one transition replaced."""
+    old = atlas.transitions[key]
+    images = dict(old.images, **{name: image})
+    transitions = dict(atlas.transitions)
+    transitions[key] = SuperMorphism(old.source, old.target, images)
+    return Atlas(dict(atlas.charts), transitions)
+
+
+def plus_one(atlas):
+    """A weight-0 constant added to one image: the lift of a broken base."""
+    m = atlas.transitions[("1", "0")]
+    name = m.target.even[0]
+    return replaced(atlas, ("1", "0"), name, m.images[name] + 1)
+
+
+def wrong_weight(atlas):
+    """A variable of another weight added to one image: no lift at all."""
+    m = atlas.transitions[("1", "0")]
+    name, weight = m.target.even[0], m.target.even_weights[0]
+    other = next(n for n, w in zip(m.source.even, m.source.even_weights) if w != weight)
+    image = m.images[name] + SuperRational.variable(m.source, other)
+    return replaced(atlas, ("1", "0"), name, image)
+
+
+def scaled(atlas):
+    """One image of a non-identity weight doubled: homogeneous, but no lift."""
+    m = atlas.transitions[("1", "0")]
+    name = m.target.even[1]
+    return replaced(atlas, ("1", "0"), name, 2 * m.images[name])
+
+
+def moved(atlas):
+    """A term moved from one copy's image to another's: the copies still
+    sum to the projection, but one image is no longer homogeneous."""
+    m = atlas.transitions[("1", "0")]
+    first, second = m.target.even[:2]
+    f = SuperRational.variable(m.source, m.source.even[0])
+    return replaced(replaced(atlas, ("1", "0"), first, m.images[first] + f),
+                    ("1", "0"), second, m.images[second] - f)
+
+
+def renamed(atlas):
+    """One graded copy of chart 0 renamed, so the chart is no covering signature."""
+    sig = atlas.charts["0"]
+    group, parity = sig.group, sig.parity
+    old = sig.even[-1]
+    text = json.dumps(dump_atlas(atlas, group, parity)).replace(old, "w" + old)
+    renamed_atlas, _, _ = load_atlas(json.loads(text))
+    assert "w" + old in renamed_atlas.charts["0"].even
+    return renamed_atlas
+
+
+def dropped(atlas):
+    """One reverse transition missing."""
+    transitions = dict(atlas.transitions)
+    del transitions[("1", "0")]
+    return Atlas(dict(atlas.charts), transitions)
+
+
+def singular(atlas):
+    """Every image of 0->1 set to zero: the lift of the zero map, whose
+    composite with 1->0 divides by zero in the base and in the covering."""
+    m = atlas.transitions[("0", "1")]
+    transitions = dict(atlas.transitions)
+    transitions[("0", "1")] = SuperMorphism(
+        m.source, m.target, {name: SuperRational.zero(m.source) for name in m.images}
+    )
+    return Atlas(dict(atlas.charts), transitions)
+
+
+PERTURBED = [("P1", 0, "2", "0"), ("P1", 0, "3", "0"), ("P11", 0, "4", "1")] + [
+    ("shear", 0, g, p) for g, p in SHEAR_GROUPS
+]
+PERTURBATIONS = [plus_one, wrong_weight, scaled, moved, renamed, dropped]
+
+
+@pytest.mark.parametrize("perturb", PERTURBATIONS, ids=[f.__name__ for f in PERTURBATIONS])
+@pytest.mark.parametrize("lift", PERTURBED, ids=[inputs.atlas_key(*key) for key in PERTURBED])
+def test_perturbed_lifted_atlases_fall_back_to_the_direct_report(lift, perturb):
+    report = assert_agrees(perturb(lifted_atlas(*lift)), "direct")
+    # a renamed covering is still a valid atlas; every other perturbation breaks it
+    assert report.ok == (perturb is renamed)
+
+
+RATIONAL = PERTURBED[:3]  # shear atlases are polynomial, so never singular
+
+
+@pytest.mark.parametrize("lift", RATIONAL, ids=[inputs.atlas_key(*key) for key in RATIONAL])
+def test_singular_lifted_composites_are_singular_in_the_base(lift):
+    # descent proves every transition a lift, and the base check is singular
+    atlas = singular(lifted_atlas(*lift))
+    base = covering._base_atlas(atlas)
+    assert base is not None
+    assert any(f.kind == "singular" for f in covering._check_cocycle_direct(base).failures)
+    report = assert_agrees(atlas, "direct")
+    assert any(f.kind == "singular" for f in report.failures)
+
+
+def test_the_broken_benchmark_atlas_is_the_lift_of_a_broken_base():
+    lifted = lifted_atlas(*inputs.BROKEN_BASE)
+    m = lifted.transitions[("1", "0")]
+    text = json.dumps(dump_atlas(lifted, m.source.group, m.source.parity))
+    data = json.loads(inputs.break_lifted(text))
+    broken, _, _ = load_atlas(data)
+    base = covering._base_atlas(broken)
+    y = SuperRational.variable(base.charts["1"], "y")
+    assert base.transitions[("1", "0")].images["x"] == 1 / y + 1
+    # the common monomial content is cancelled: 1/x, not x^2/x^3
+    x = SuperRational.variable(base.charts["0"], "x")
+    assert base.transitions[("0", "1")].images["y"].denominator == x.numerator
+    assert not assert_agrees(broken, "direct").ok
+
+
+def test_non_covering_atlases_take_the_direct_path():
+    assert assert_agrees(projective_line_atlas(), "direct").ok
+    assert assert_agrees(three_chart_polynomial_atlas(), "direct").ok
+
+
+def test_coverings_under_different_gradings_take_the_direct_path():
+    line = SuperSignature(even=["x"])
+    g2, g3 = make_group([2]), make_group([3])
+    a = covering_signature(line, g2, ParityMap.trivial(g2))
+    b = covering_signature(SuperSignature(even=["y"]), g3, ParityMap.trivial(g3))
+    xa = {n: SuperRational.variable(a, n) for n in a.even}
+    yb = {n: SuperRational.variable(b, n) for n in b.even}
+    atlas = Atlas(
+        charts={"0": a, "1": b},
+        transitions={
+            ("0", "1"): SuperMorphism(
+                a, b, {"y@(0)": xa["x@(0)"], "y@(1)": xa["x@(1)"], "y@(2)": SuperRational.zero(a)}
+            ),
+            ("1", "0"): SuperMorphism(b, a, {"x@(0)": yb["y@(0)"], "x@(1)": yb["y@(1)"]}),
+        },
+    )
+    assert not assert_agrees(atlas, "direct").ok

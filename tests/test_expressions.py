@@ -108,6 +108,28 @@ def test_syntax_errors_carry_positions():
     with pytest.raises(ExprSyntaxError, match="above the bound 4096") as err:
         parse_expression("x0 + zeta(4097,1)", sig)
     assert err.value.position == 6
+    with pytest.raises(ExprSyntaxError, match="above the size bound 500") as err:
+        parse_expression("x0 + (1 + x0)^500", sig)
+    assert err.value.position == 14  # the "^"
+
+
+def test_power_bound_counts_terms_times_field_width():
+    sig = line_signature()
+    # 500 terms of width 1, and C(32,2) = 496 terms of (1 + x0 + x1)^30
+    assert len(parse_expression("(1 + x0)^499", sig).numerator.terms) == 500
+    assert len(parse_expression("(1 + x0 + x1)^30", sig).numerator.terms) == 496
+    assert len(parse_expression("(1/(1 + x0))^499", sig).denominator.terms) == 500
+    # one term, or an exponent of 0 or 1, is never counted
+    assert parse_expression("(2*x0*x1)^100000", sig).numerator.as_constant() is None
+    long_sum = "(" + " + ".join(f"x0^{k}" for k in range(600)) + ")"
+    assert parse_expression(long_sum + "^1", sig) == parse_expression(long_sum, sig)
+    assert parse_expression(long_sum + "^0", sig) == 1
+    for text in ["(1 + x0)^500", "(1 + x0 + x1)^31", "(x0/(1 + x0))^500",
+                 "(1 + zeta(12,1)*x0)^125", "(1 + x0)^1000000000"]:
+        with pytest.raises(ExprSyntaxError, match="above the size bound 500"):
+            parse_expression(text, sig)
+    # (1 + x0)^125 has 126 terms of width 1; over Q(zeta_12) each has width 4
+    assert len(parse_expression("(1 + x0)^125", sig).numerator.terms) == 126
 
 
 def test_long_flat_sums_and_minus_chains_need_no_recursion():
