@@ -21,14 +21,21 @@ conductor is the lcm of the products summed into it since its running
 sum last cancelled to zero, exactly as the termwise loop computes it.
 Both methods pack each monomial into one int key, so a monomial product
 is one integer addition, and a factor equal to the constant 1 at
-conductor 1 is skipped.
+conductor 1 is skipped.  One term times one term is one Cyclotomic product.
+
+``decompose`` norms an inhomogeneous denominator D over its orbit.  For
+rational N and D the norm is Galois-stable, so it is built over Q through
+prime-index subgroups from the stabilizer of D up, one cofactor per step
+shared by numerator and denominator; other coefficients keep one product
+per twist, since regrouping those would move printed conductors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
-from operator import neg
+from operator import add, mul, neg
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from .cyclotomic import Cyclotomic, _reduce, euler_phi
@@ -321,6 +328,16 @@ def _mul_terms_integer(a: Terms, b: Terms, n: int) -> Terms:
     return out
 
 
+def _mul_single(a: Terms, b: Terms) -> Terms:
+    """One term times one term: ``Cyclotomic.__mul__`` gives the kernel's conductor."""
+    ((m1, c1),), ((m2, c2),) = a.items(), b.items()
+    sign = _odd_sign(sum(1 << j for j in m1.odd), sum(1 << j for j in m2.odd))
+    if not sign:
+        return {}
+    mono = SuperMonomial(tuple(map(add, m1.even, m2.even)), tuple(sorted(m1.odd + m2.odd)))
+    return {mono: c1 * c2 if sign > 0 else -(c1 * c2)}
+
+
 def _is_one(terms: Terms) -> bool:
     """True for exactly the constant 1 at conductor 1."""
     if len(terms) != 1:
@@ -463,6 +480,8 @@ class SuperPolynomial:
             return self
         if _is_one(self.terms):
             return other
+        if len(self.terms) == 1 == len(other.terms):
+            return SuperPolynomial._raw(self.signature, _mul_single(self.terms, other.terms))
         n = _product_conductor(self.terms, other.terms)
         if n is None:
             out = _mul_terms_termwise(self.terms, other.terms)
@@ -795,23 +814,35 @@ class SuperRational:
         """Rewrite over a group-invariant denominator.
 
         Multiplying numerator and denominator by the distinct group twists
-        of D makes the denominator the orbit product of D, which the group
-        permutes, i.e. an invariant polynomial, termwise of identity
-        weight.  Homogeneity is then a termwise property of the numerator.
+        of D, one per coset of its stabilizer S, makes the denominator the
+        orbit product of D, which the group permutes, i.e. an invariant
+        polynomial, termwise of identity weight.  Homogeneity is then a
+        termwise property of the numerator.
+
+        For rational N and D the orbit product is Galois-stable and
+        ``_orbit_tower`` builds it over Q through prime-index subgroups
+        S = K_0 < ... < G.  It starts at S and skips no step whose partial
+        product is already invariant: that product may have a larger
+        stabilizer than D.  Its values equal the chain's, and rational
+        values print alike at any conductor; irrational coefficients keep
+        ``_normed_chain``, since regrouping them moves printed conductors.
         """
         sig = self._graded_signature()
+        num, den = self.numerator, self.denominator
+        if all(c.is_rational() for p in (num, den) for c in p.terms.values()):
+            return _orbit_tower(sig, _over_q(num), _over_q(den))
+        return self._normed_chain()
+
+    def _normed_chain(self) -> tuple[SuperPolynomial, SuperPolynomial]:
+        """``_normed`` by multiplying N and D by each distinct twist of D."""
         distinct = [self.denominator]
-        for g in sig.group.elements():
+        for g in self._graded_signature().group.elements():
             if g.is_identity():
                 continue
             twisted = self.denominator.act(g)
             if not any(twisted == seen for seen in distinct):
                 distinct.append(twisted)
-        num, den = self.numerator, self.denominator
-        for twisted in distinct[1:]:
-            num = num * twisted
-            den = den * twisted
-        return num, den
+        return tuple(_twist_chain([self.numerator, self.denominator], distinct[1:]))
 
     def weight(self) -> Character | None:
         """The weight when homogeneous, None when inhomogeneous."""
@@ -933,6 +964,73 @@ class SuperRational:
             key = tuple(sig.odd[j] for j in mono.odd)
             out[key] = out.get(key, 0j) + c.embed() * _even_value(sig, mono, point)
         return {key: val / den for key, val in out.items()}
+
+
+def _twist_chain(polys: list[SuperPolynomial], twists: list[SuperPolynomial]) -> list:
+    """Each polynomial times every twist, one product at a time."""
+    for twisted in twists:
+        polys = [p * twisted for p in polys]
+    return polys
+
+
+def _over_q(poly: SuperPolynomial) -> SuperPolynomial:
+    """The polynomial with every coefficient retagged at conductor 1."""
+    if not all(c.is_rational() for c in poly.terms.values()):
+        raise ArithmeticError("orbit cofactor has an irrational coefficient")
+    terms = {m: Cyclotomic._raw(c.coeffs[:1], 1) for m, c in poly.terms.items()}
+    return SuperPolynomial._raw(poly.signature, terms)
+
+
+def _orbit_tower(
+    sig: GradedSignature, num: SuperPolynomial, den: SuperPolynomial
+) -> tuple[SuperPolynomial, SuperPolynomial]:
+    """(N*c_1*...*c_r, P_r) for rational N and D: see ``SuperRational._normed``.
+
+    K_0 is the stabilizer of D, found by residue arithmetic.  Each step
+    adds a g of prime order p modulo K, peeled off a cyclic generator's
+    order modulo K, larger primes first.  P = P_(i-1) is K-invariant, so
+    chi_m(g) = zeta_p^j on each of its monomials; with f_j the part of P
+    at j, the cofactor prod_(k=1..p-1) g^k.P is f_0 - f_1 for p = 2,
+    (f_2 - f_1)^2 + (f_0 - f_1)(f_0 - f_2) for p = 3 (the circulant
+    determinant), and the chain's twist product, checked rational, for
+    p >= 5.  Then P_i = P*c_i.
+    """
+    group = sig.group
+    n = group.exponent
+
+    def exponent(residues, g):  # chi(g) = zeta_n^exponent
+        return sum(k * x * (n // q) for k, x, q in zip(residues, g, group.factors)) % n
+
+    def times(g, k):
+        return tuple(k * x % q for x, q in zip(g, group.factors))
+
+    weights = {den.monomial_weight(m).residues for m in den.terms}
+    stab = {g for g in product(*map(range, group.factors))
+            if not any(exponent(w, g) for w in weights)}
+    units = [tuple(int(t == j) for t in range(group.rank)) for j in range(group.rank)]
+    for p in [p for p in range(n, 1, -1) if n % p == 0 and all(p % r for r in range(2, p))]:
+        for e in units:
+            order = next(k for k in range(1, n + 1) if times(e, k) in stab)
+            while order % p == 0:
+                order //= p
+                g = times(e, order)
+                stab = {tuple((x + y) % q for x, y, q in zip(k, times(g, t), group.factors))
+                        for k in stab for t in range(p)}
+                a = [exponent(w.residues, g) for w in sig.even_weights]
+                parts = [{} for _ in range(p)]
+                for m, v in den.terms.items():
+                    parts[sum(map(mul, m.even, a)) % n * p // n][m] = v
+                f = [SuperPolynomial._raw(sig, t) for t in parts]
+                if p == 2:
+                    c = f[0] - f[1]
+                elif p == 3:
+                    d = f[2] - f[1]
+                    c = d * d + (f[0] - f[1]) * (f[0] - f[2])
+                else:
+                    twists = [den.act(GroupElement(group, times(g, k))) for k in range(1, p)]
+                    c = _over_q(_twist_chain(twists[:1], twists[1:])[0])
+                num, den = num * c, den * c
+    return num, den
 
 
 def _even_value(sig: SuperSignature, mono: SuperMonomial, point: Mapping[str, complex]) -> complex:

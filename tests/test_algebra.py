@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gradedcover import (
     GradedSignature,
     NotInvertibleError,
     ParityMap,
     SignatureMismatchError,
+    SuperMonomial,
     SuperPolynomial,
     SuperRational,
     decompose_oracle,
@@ -474,3 +477,155 @@ def test_klein_odd_variables_multiply_to_the_even_weight():
     product = SuperRational.variable(sig, "sa") * SuperRational.variable(sig, "sb")
     assert product.weight() == klein.character((1, 1))
     assert product.grassmann_parity() == 0
+
+
+# -- the rational orbit tower of _normed against the twist chain ---------------
+
+
+def rational_polynomial(rng, sig, n_terms, max_degree, with_odd):
+    """Rational coefficients, a third of them tagged at the group exponent."""
+    n = sig.group.exponent
+    terms = {}
+    for _ in range(n_terms):
+        evens = [0] * len(sig.even)
+        for _ in range(rng.randint(0, max_degree)):
+            evens[rng.randrange(len(evens))] += 1
+        odd = ()
+        if with_odd and sig.odd and rng.random() < 0.5:
+            odd = tuple(sorted(rng.sample(range(len(sig.odd)), rng.randint(1, len(sig.odd)))))
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+        if rng.random() < 0.3:
+            c = root_of_unity(n, rng.choice([0, n // 2] if n % 2 == 0 else [0])) * c
+        terms[SuperMonomial(tuple(evens), odd)] = c
+    return SuperPolynomial(sig, terms)
+
+
+def assert_tower_matches_chain(f):
+    num, den = f._normed()
+    chain_num, chain_den = f._normed_chain()
+    assert num.terms == chain_num.terms
+    assert den.terms == chain_den.terms
+    assert all(c.conductor == 1 for c in den.terms.values())
+
+
+TOWER_GROUPS = [[q] for q in range(2, 13)] + [[2, 2, 2], [2, 6], [3, 3]]
+
+
+def test_orbit_tower_matches_the_chain_on_seeded_rational_functions():
+    rng = random.Random(2024)
+    for factors in TOWER_GROUPS:
+        grp = make_group(factors)
+        for _ in range(4):
+            sig = random_signature(rng, grp, random_parity(rng, grp))
+            den = rational_polynomial(rng, sig, rng.randint(1, 3), 2, with_odd=False)
+            num = rational_polynomial(rng, sig, rng.randint(1, 3), 3, with_odd=True)
+            if den.is_zero():
+                continue
+            assert_tower_matches_chain(SuperRational(num, den))
+        # a denominator with a trivial stabilizer: the whole orbit
+        units = [grp.character([int(t == j) for t in range(grp.rank)]) for j in range(grp.rank)]
+        sig = GradedSignature(
+            grp, ParityMap.trivial(grp), even=[(f"u{j}", u) for j, u in enumerate(units)]
+        )
+        den = SuperPolynomial.one(sig)
+        for j in range(grp.rank):
+            den = den + SuperPolynomial.variable(sig, f"u{j}") * (j + 2)
+        f = SuperRational(rational_polynomial(rng, sig, 2, 2, with_odd=False), den)
+        assert_tower_matches_chain(f)
+        assert max(m.degree() for m in f._normed()[1].terms) == grp.order
+
+
+def test_orbit_tower_on_a_denominator_fixed_by_a_subgroup():
+    # every weight of D lies in {0, 3}, so 2 and 4 fix D: two cosets of six
+    grp = make_group([6])
+    sig = GradedSignature(
+        grp,
+        ParityMap.trivial(grp),
+        even=[("x", grp.character((0,))), ("y", grp.character((3,))), ("z", grp.character((2,)))],
+    )
+    x, y, z = (SuperPolynomial.variable(sig, v) for v in ("x", "y", "z"))
+    f = SuperRational(z + 2, x + y * y * y + x * y)
+    assert_tower_matches_chain(f)
+    assert f._normed()[1] == x * x - (y * y * y + x * y) ** 2
+
+
+def test_orbit_tower_starts_from_the_stabilizer_of_the_denominator():
+    # after the (1,0) step, P = (1 - a^2)(1 - c^2) is fixed by (0,1) but D is
+    # not, so the (0,1) step must still square P
+    klein = make_group([2, 2])
+    sig = GradedSignature(
+        klein,
+        ParityMap.trivial(klein),
+        even=[("a", klein.character((1, 0))), ("b", klein.character((0, 1))),
+              ("c", klein.character((1, 1)))],
+    )
+    a, c = SuperPolynomial.variable(sig, "a"), SuperPolynomial.variable(sig, "c")
+    f = SuperRational(SuperPolynomial.one(sig), (1 + a) * (1 + c))
+    assert_tower_matches_chain(f)
+    den = f._normed()[1]
+    assert den == ((1 - a * a) * (1 - c * c)) ** 2
+    assert format_expression(den) == format_expression(f._normed_chain()[1])
+
+
+def test_orbit_tower_carries_odd_variables_in_the_numerator():
+    sig = z4_signature()
+    x0, x2, s1, s3 = (SuperPolynomial.variable(sig, v) for v in ("x0", "x2", "s1", "s3"))
+    f = SuperRational(s1 * s3 + 3 * s1 * x2 - s3, x0 + x2 + 2)
+    assert_tower_matches_chain(f)
+    assert f._normed()[0].has_odd_content()
+
+
+def test_irrational_coefficients_take_the_chain(monkeypatch):
+    calls = []
+    chain = SuperRational._normed_chain
+
+    def spy(self):
+        calls.append(self)
+        return chain(self)
+
+    monkeypatch.setattr(SuperRational, "_normed_chain", spy)
+    sig = z4_signature()
+    x0, x2 = (SuperPolynomial.variable(sig, v) for v in ("x0", "x2"))
+    i = root_of_unity(4, 1)
+    rational = SuperRational(x0 - 2, x0 + x2)
+    rational._normed()
+    assert calls == []
+    for f in (SuperRational(x0 * i, x0 + x2), SuperRational(x0, x0 + x2 * i)):
+        f._normed()
+        assert calls[-1] is f
+    assert len(calls) == 2
+
+
+def test_prime_step_cofactor_must_be_rational(monkeypatch):
+    from gradedcover import algebra
+
+    chain = algebra._twist_chain
+
+    def skewed(polys, twists):
+        return [p * root_of_unity(5, 1) for p in chain(polys, twists)]
+
+    monkeypatch.setattr(algebra, "_twist_chain", skewed)
+    grp = make_group([5])
+    sig = GradedSignature(
+        grp, ParityMap.trivial(grp), even=[("x", grp.character((0,))), ("y", grp.character((1,)))]
+    )
+    x, y = (SuperPolynomial.variable(sig, v) for v in ("x", "y"))
+    with pytest.raises(ArithmeticError, match="irrational"):
+        SuperRational(SuperPolynomial.one(sig), x + y)._normed()
+
+
+@st.composite
+def rational_functions(draw):
+    grp = make_group(draw(st.sampled_from([[2], [3], [4], [5], [6], [2, 2], [2, 4], [3, 3]])))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sig = random_signature(rng, grp, random_parity(rng, grp))
+    den = rational_polynomial(rng, sig, draw(st.integers(1, 3)), 2, with_odd=False)
+    num = rational_polynomial(rng, sig, draw(st.integers(0, 3)), 3, with_odd=True)
+    assume(not den.is_zero())
+    return SuperRational(num, den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_functions())
+def test_orbit_tower_equals_the_chain(f):
+    assert_tower_matches_chain(f)

@@ -2,11 +2,13 @@
 
 ``SuperPolynomial.__mul__`` uses ``_mul_terms_integer`` when every
 coefficient product of the two operands lands in one field Q(zeta_N), and
-``_mul_terms_termwise`` otherwise.  Both must give the same terms with the
-same coefficient vectors and the same conductors, because the printed
-``zeta(N,k)`` form follows the conductor.  Both pack monomials into
-integer keys; ``reference_product`` multiplies monomials directly and
-checks the packed layout, including the order of the output terms.
+``_mul_terms_termwise`` otherwise; one term times one term is a single
+``Cyclotomic`` product (``_mul_single``).  All must give the same terms
+with the same coefficient vectors and the same conductors, because the
+printed ``zeta(N,k)`` form follows the conductor.  Both kernels pack
+monomials into integer keys; ``reference_product`` multiplies monomials
+directly and checks the packed layout, including the order of the output
+terms.
 """
 
 import random
@@ -283,3 +285,39 @@ def test_one_at_a_higher_conductor_takes_a_product_path():
         product = a * b
         assert_same_terms(product.terms, _mul_terms_termwise(a.terms, b.terms))
         assert {c.conductor for c in product.terms.values()} == {4}
+
+
+# -- one term times one term ---------------------------------------------------
+
+
+def test_single_term_products_match_both_kernels():
+    rng = random.Random(44)
+    x = SuperMonomial((1, 2), ())
+    cases = [
+        # (odd set of a, odd set of b, sign of the reordering, 0 when they overlap)
+        ((), (), 1),
+        ((), (1,), 1),
+        ((0,), (1,), 1),
+        ((1,), (0,), -1),
+        ((0, 2), (1,), -1),
+        ((2,), (0, 1), 1),
+        ((0, 1), (1, 2), 0),
+    ]
+    for ca, cb in ((1, 1), (3, 4), (12, 4)):
+        for odd_a, odd_b, sign in cases:
+            for _ in range(3):
+                a = {SuperMonomial((rng.randint(0, 3), rng.randint(0, 3)), odd_a):
+                     random_coefficient(rng, ca)}
+                b = {x._replace(odd=odd_b): random_coefficient(rng, cb)}
+                pa, pb = SuperPolynomial(SIG, a), SuperPolynomial(SIG, b)
+                got = (pa * pb).terms
+                want = _mul_terms_termwise(a, b)
+                assert list(got) == list(want)
+                assert_same_terms(got, want)
+                assert_same_terms(got, _mul_terms_integer(a, b, _product_conductor(a, b)))
+                if sign == 0:
+                    assert got == {}
+                else:
+                    (c1,), (c2,) = a.values(), b.values()
+                    (c,) = got.values()
+                    assert c == c1 * c2 * sign
