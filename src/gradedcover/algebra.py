@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from operator import add, mul, neg
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -848,8 +848,11 @@ class SuperRational:
         """The weight when homogeneous, None when inhomogeneous."""
         if self.is_zero():
             raise ValueError("the zero function has no weight")
-        sig = self._graded_signature()
-        den_weight = self.denominator.termwise_weight()
+        self._graded_signature()
+        return self._weight_over(self.denominator.termwise_weight())
+
+    def _weight_over(self, den_weight: Character | None) -> Character | None:
+        """``weight`` given the denominator's termwise weight."""
         if den_weight is not None:
             num_weight = self.numerator.termwise_weight()
             if num_weight is None:
@@ -990,10 +993,13 @@ def _orbit_tower(
     adds a g of prime order p modulo K, peeled off a cyclic generator's
     order modulo K, larger primes first.  P = P_(i-1) is K-invariant, so
     chi_m(g) = zeta_p^j on each of its monomials; with f_j the part of P
-    at j, the cofactor prod_(k=1..p-1) g^k.P is f_0 - f_1 for p = 2,
-    (f_2 - f_1)^2 + (f_0 - f_1)(f_0 - f_2) for p = 3 (the circulant
-    determinant), and the chain's twist product, checked rational, for
-    p >= 5.  Then P_i = P*c_i.
+    at j, the cofactor prod_(k=1..p-1) g^k.P is C_p(f_0, ..., f_(p-1)),
+    the circulant determinant over its first row (Frobenius 1896): f_0 - f_1
+    for p = 2, (f_2 - f_1)^2 + (f_0 - f_1)(f_0 - f_2) for p = 3.  For p >= 5
+    it is read off the cached integer form C_p (``_circulant_form``) when
+    each f_j is zero or one term and those terms share no variable, as for
+    the sum of the |H| copies of a lifted coordinate; otherwise it is the
+    chain's twist product, checked rational.  Then P_i = P*c_i.
     """
     group = sig.group
     n = group.exponent
@@ -1026,11 +1032,78 @@ def _orbit_tower(
                 elif p == 3:
                     d = f[2] - f[1]
                     c = d * d + (f[0] - f[1]) * (f[0] - f[2])
+                elif _separate_terms(parts):
+                    c = _circulant_cofactor(sig, parts)
                 else:
                     twists = [den.act(GroupElement(group, times(g, k))) for k in range(1, p)]
                     c = _over_q(_twist_chain(twists[:1], twists[1:])[0])
                 num, den = num * c, den * c
     return num, den
+
+
+def _separate_terms(parts: list[Terms]) -> bool:
+    """Whether each part is zero or one term, no two sharing a variable.
+
+    Then distinct terms of the form C_p give distinct monomials of the
+    cofactor, so the form is no larger than the cofactor read off it.  Parts
+    that share a variable, as in 1 + x + ... + x^10 over Z_11, would collapse
+    a form of C(20, 10) terms into a few, so they take the chain.
+    """
+    if any(len(t) > 1 for t in parts):
+        return False
+    used = [i for t in parts for m in t for i, e in enumerate(m.even) if e]
+    return len(used) == len(set(used))
+
+
+# Filled lazily, keyed by (p, support); concurrent fills compute equal lists.
+_CIRCULANT_FORMS: dict[tuple[int, tuple[int, ...]], list] = {}
+
+
+def _circulant_form(p: int, support: tuple[int, ...]) -> list:
+    """C_p(y) = prod_(k=1..p-1) sum_j zeta_p^(jk) y_j with y_j = 0 off ``support``.
+
+    An integer form of degree p - 1 as [(exponents over support, coefficient)],
+    built once per (p, support) by the twist chain on variables y_j of weight
+    j over Z_p and checked rational.  Keying on the support keeps a sparse
+    denominator over a large prime from building the full form.
+    """
+    form = _CIRCULANT_FORMS.get((p, support))
+    if form is None:
+        group = FiniteAbelianGroup((p,))
+        sig = GradedSignature(group, ParityMap.trivial(group),
+                              [(f"y{j}", group.character((j,))) for j in support])
+        y = sum((SuperPolynomial.variable(sig, n) for n in sig.even), SuperPolynomial.zero(sig))
+        twists = [y.act(group.element((k,))) for k in range(1, p)]
+        c = _over_q(_twist_chain(twists[:1], twists[1:])[0])
+        form = [(m.even, int(v.coeffs[0])) for m, v in c.terms.items()]
+        _CIRCULANT_FORMS[p, support] = form
+    return form
+
+
+def _circulant_cofactor(sig: GradedSignature, parts: list[Terms]) -> SuperPolynomial:
+    """C_p(f_0, ..., f_(p-1)) read off the form when ``_separate_terms(parts)``.
+
+    The term a_e*y^e gives a_e*prod c_j^e_j at the monomial sum e_j*m_j, and
+    no two terms meet there.  As C_p has degree p - 1, that is an integer
+    over d^(p-1), d the common denominator of the c_j.  Monomials are packed
+    into int keys, as in ``_packed``, with fields wide enough for sums of
+    p - 1 exponents.
+    """
+    p = len(parts)
+    support = tuple(j for j, t in enumerate(parts) if t)
+    monos, vals = zip(*(next(iter(parts[j].items())) for j in support))
+    d = lcm(*(c.coeffs[0].denominator for c in vals))
+    nums = [int(c.coeffs[0] * d) for c in vals]
+    width = ((p - 1) * max(max(m.even) for m in monos)).bit_length()
+    keys = [sum(e << i * width for i, e in enumerate(m.even)) for m in monos]
+    den, field = d ** (p - 1), (1 << width) - 1
+    shifts = [i * width for i in range(len(sig.even))]
+    terms = {}
+    for exps, a in _circulant_form(p, support):
+        key = sum(map(mul, exps, keys))
+        terms[SuperMonomial(tuple([key >> s & field for s in shifts]), ())] = \
+            Cyclotomic._raw((Fraction(a * prod(map(pow, nums, exps)), den),), 1)
+    return SuperPolynomial._raw(sig, terms)
 
 
 def _even_value(sig: SuperSignature, mono: SuperMonomial, point: Mapping[str, complex]) -> complex:

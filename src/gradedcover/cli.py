@@ -138,9 +138,10 @@ def dump_atlas(atlas: Atlas, group, parity) -> dict:
         cid: {"even": list(sig.even), "odd": list(sig.odd)}
         for cid, sig in sorted(atlas.charts.items())
     }
+    texts: dict = {}  # the transitions' shared denominators, printed once each
     data["transitions"] = {
         f"{src}->{dst}": {
-            name: format_expression(img) for name, img in sorted(m.images.items())
+            name: format_expression(img, texts) for name, img in sorted(m.images.items())
         }
         for (src, dst), m in sorted(atlas.transitions.items())
     }
@@ -196,13 +197,14 @@ def cmd_decompose(args) -> int:
     sig = _signature_from_flags(args)
     f = parse_expression(_read_expr(args), sig)
     components = f.decompose()
+    texts: dict = {}  # the components share one denominator
     if args.json:
         payload = {
-            "components": {str(chi): format_expression(c) for chi, c in components.items()}
+            "components": {str(chi): format_expression(c, texts) for chi, c in components.items()}
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
         return 0
-    lines = [f"{chi}: {format_expression(c)}" for chi, c in components.items()]
+    lines = [f"{chi}: {format_expression(c, texts)}" for chi, c in components.items()]
     _emit("\n".join(lines) if lines else "0", args.output)
     return 0
 
@@ -233,11 +235,12 @@ def cmd_lift(args) -> int:
         for chi in group.characters()
     ]
     items = [(n, lifted.images[n]) for n in ordered if n in lifted.images]
+    texts: dict = {}  # the copies of each coordinate share one denominator
     if args.json:
-        payload = {"images": {n: format_expression(img) for n, img in items}}
+        payload = {"images": {n: format_expression(img, texts) for n, img in items}}
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
         return 0
-    _emit("\n".join(f"{n} = {format_expression(img)}" for n, img in items), args.output)
+    _emit("\n".join(f"{n} = {format_expression(img, texts)}" for n, img in items), args.output)
     return 0
 
 
@@ -256,11 +259,11 @@ def cmd_lift_atlas(args) -> int:
     if args.json:
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
         return 0
-    lines = []
+    lines, texts = [], {}
     for (src, dst), morphism in sorted(lifted.transitions.items()):
         lines.append(f"[{src}->{dst}]")
         lines.extend(
-            f"  {name} = {format_expression(img)}"
+            f"  {name} = {format_expression(img, texts)}"
             for name, img in sorted(morphism.images.items())
         )
     _emit("\n".join(lines) if lines else "(no transitions)", args.output)

@@ -323,11 +323,22 @@ def _format_poly(poly: SuperPolynomial) -> str:
     return _join_signed(parts)
 
 
-def format_expression(f: SuperRational | SuperPolynomial) -> str:
-    """Canonical text form; ``parse_expression`` reads it back exactly."""
+def format_expression(f: SuperRational | SuperPolynomial, texts: dict | None = None) -> str:
+    """Canonical text form; ``parse_expression`` reads it back exactly.
+
+    The components of one decomposition or lift share a denominator object.
+    A caller printing them passes one ``texts`` dict to every call, and each
+    denominator object is then printed once.  The dict holds the objects, so
+    their ids stay theirs while it lives.
+    """
     if isinstance(f, SuperPolynomial):
         return _format_poly(f)
     num = _format_poly(f.numerator)
-    if f.denominator.as_constant() == 1:
+    den = f.denominator
+    if den.as_constant() == 1:
         return num
-    return f"({num})/({_format_poly(f.denominator)})"
+    if texts is None:
+        texts = {}
+    if id(den) not in texts:
+        texts[id(den)] = (den, _format_poly(den))
+    return f"({num})/({texts[id(den)][1]})"

@@ -13,6 +13,7 @@ from typing import Mapping
 
 from .algebra import GradedSignature, SuperRational, SuperSignature
 from .errors import MorphismValidationError, SignatureMismatchError
+from .groups import Character
 
 
 class SuperMorphism:
@@ -69,7 +70,12 @@ class SuperMorphism:
 
 
 class GradedMorphism(SuperMorphism):
-    """A morphism of graded domains: images are homogeneous of the right weight."""
+    """A morphism of graded domains: images are homogeneous of the right weight.
+
+    Validation weighs every numerator, but each distinct denominator object
+    only once, since the components of a lift share one; an inhomogeneous
+    denominator is normed per image, as ``SuperRational.weight`` does.
+    """
 
     def __init__(
         self,
@@ -86,12 +92,16 @@ class GradedMorphism(SuperMorphism):
                 "source and target are graded by different groups or parities"
             )
         super().__init__(source, target, images)
+        den_weights: dict[int, Character | None] = {}  # by id; the images hold the objects
         for name in target.even + target.odd:
             img = self.images[name]
             if img.is_zero():
                 continue
             expected = target.weight_of_var(name)
-            found = img.weight()
+            den = img.denominator
+            if id(den) not in den_weights:
+                den_weights[id(den)] = den.termwise_weight()
+            found = img._weight_over(den_weights[id(den)])
             if found != expected:
                 raise MorphismValidationError(
                     name,

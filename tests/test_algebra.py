@@ -605,13 +605,16 @@ def test_prime_step_cofactor_must_be_rational(monkeypatch):
         return [p * root_of_unity(5, 1) for p in chain(polys, twists)]
 
     monkeypatch.setattr(algebra, "_twist_chain", skewed)
+    monkeypatch.setattr(algebra, "_CIRCULANT_FORMS", {})  # a form is built, not read
     grp = make_group([5])
     sig = GradedSignature(
         grp, ParityMap.trivial(grp), even=[("x", grp.character((0,))), ("y", grp.character((1,)))]
     )
     x, y = (SuperPolynomial.variable(sig, v) for v in ("x", "y"))
-    with pytest.raises(ArithmeticError, match="irrational"):
-        SuperRational(SuperPolynomial.one(sig), x + y)._normed()
+    # x + y builds the form C_5; x + x^2 + y has a two-term part and takes the chain
+    for den in (x + y, x + x * x + y):
+        with pytest.raises(ArithmeticError, match="irrational"):
+            SuperRational(SuperPolynomial.one(sig), den)._normed()
 
 
 @st.composite
@@ -629,3 +632,125 @@ def rational_functions(draw):
 @given(rational_functions())
 def test_orbit_tower_equals_the_chain(f):
     assert_tower_matches_chain(f)
+
+
+# -- the cached circulant cofactor of a p >= 5 step ----------------------------
+
+
+def cyclic_signature(q, names_and_weights):
+    grp = make_group([q])
+    return GradedSignature(
+        grp, ParityMap.trivial(grp),
+        even=[(name, grp.character((h,))) for name, h in names_and_weights],
+    )
+
+
+def spy_on(monkeypatch, name):
+    """Wrap ``algebra.<name>`` and return the list of its calls' arguments."""
+    from gradedcover import algebra
+
+    calls, real = [], getattr(algebra, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(algebra, name, spy)
+    return calls
+
+
+def weighted_sum(rng, sig, monomials):
+    """sum c_h * m_h with non-unit rational c_h, one term per monomial."""
+    den = SuperPolynomial.zero(sig)
+    for mono in monomials:
+        c = Fraction(rng.choice([-7, -3, -2, 2, 5]), rng.choice([1, 3, 4, 9]))
+        den = den + SuperPolynomial(sig, {mono: c})
+    return den
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_circulant_cofactor_matches_the_chain_on_one_term_parts(q, monkeypatch):
+    rng = random.Random(q)
+    full = cyclic_signature(q, [(f"x{h}", h) for h in range(q)])
+    sparse = cyclic_signature(q, [("a", 0), ("b", 1), ("c", 3)])
+    cases = [
+        # every weight once, as in a lifted 1/x
+        (full, [SuperMonomial(tuple(int(i == h) for i in range(q)), ()) for h in range(q)]),
+        # squares and a constant: weights 0, 2h
+        (full, [SuperMonomial((0,) * q, ())]
+         + [SuperMonomial(tuple(2 * int(i == h) for i in range(q)), ()) for h in (1, 2)]),
+        # weights 2 and 3 only: the other parts are zero
+        (sparse, [SuperMonomial((0, 2, 0), ()), SuperMonomial((0, 0, 1), ())]),
+        (sparse, [SuperMonomial((2, 0, 0), ()), SuperMonomial((0, 1, 1), ())]),
+    ]
+    calls = spy_on(monkeypatch, "_circulant_cofactor")
+    for sig, monomials in cases:
+        den = weighted_sum(rng, sig, monomials)
+        num = rational_polynomial(rng, sig, 3, 2, with_odd=False)
+        before = len(calls)
+        assert_tower_matches_chain(SuperRational(num, den))
+        assert len(calls) == before + 1
+
+
+def two_term_parts(q):
+    # the first step is p = q/2, where weights 0 and p share part 0
+    sig = cyclic_signature(q, [("u", 1), ("v", q // 2)])
+    return sig, [SuperMonomial((0, 0), ()), SuperMonomial((1, 0), ()), SuperMonomial((0, 1), ())]
+
+
+def shared_variable(q):
+    # one-term parts a^2, a*b*c and c: collapsing terms of C_q could meet
+    sig = cyclic_signature(q, [("a", 0), ("b", 1), ("c", 3)])
+    return sig, [SuperMonomial((2, 0, 0), ()), SuperMonomial((1, 1, 1), ()),
+                 SuperMonomial((0, 0, 1), ())]
+
+
+def dense_univariate(q):
+    # 1 + x + ... + x^(q-1): C_q has C(2q-2, q-1) terms, the cofactor
+    # (1 - x)(1 - x^q)^(q-2) only 2(q-1)
+    sig = cyclic_signature(q, [("x", 1)])
+    return sig, [SuperMonomial((j,), ()) for j in range(q)]
+
+
+@pytest.mark.parametrize("q, case", [(10, two_term_parts), (14, two_term_parts),
+                                     (5, shared_variable), (7, shared_variable),
+                                     (11, dense_univariate)])
+def test_parts_that_are_not_separate_terms_take_the_chain(q, case, monkeypatch):
+    rng = random.Random(q)
+    sig, monomials = case(q)
+    f = SuperRational(rational_polynomial(rng, sig, 3, 2, with_odd=False),
+                      weighted_sum(rng, sig, monomials))
+    form_calls = spy_on(monkeypatch, "_circulant_cofactor")
+    chain_calls = spy_on(monkeypatch, "_twist_chain")
+    num, den = f._normed()
+    assert form_calls == [] and len(chain_calls) == 1
+    chain_num, chain_den = f._normed_chain()
+    assert (num.terms, den.terms) == (chain_num.terms, chain_den.terms)
+
+
+def test_lifting_p1_over_z7_reads_the_cached_form(monkeypatch):
+    from gradedcover import SuperMorphism, SuperSignature, algebra, lift_super
+
+    grp = make_group([7])
+    x = SuperRational.variable(SuperSignature(even=["x"]), "x")
+    psi = SuperMorphism(x.signature, SuperSignature(even=["y"]), {"y": 1 / x})
+    expected = lift_super(psi, grp, ParityMap.trivial(grp))
+    assert (7, tuple(range(7))) in algebra._CIRCULANT_FORMS
+    calls = spy_on(monkeypatch, "_twist_chain")
+    lifted = lift_super(psi, grp, ParityMap.trivial(grp))
+    assert calls == []
+    assert all(lifted.images[n].numerator.terms == expected.images[n].numerator.terms
+               and lifted.images[n].denominator.terms == expected.images[n].denominator.terms
+               for n in expected.images)
+
+
+def test_building_a_circulant_form_checks_it_rational(monkeypatch):
+    from gradedcover import algebra
+
+    monkeypatch.setattr(algebra, "_CIRCULANT_FORMS", {})
+    calls = spy_on(monkeypatch, "_over_q")
+    form = algebra._circulant_form(7, tuple(range(7)))
+    assert len(calls) == 1 and len(form) == 924  # C(12, 6) monomials of degree 6
+    assert algebra._circulant_form(7, tuple(range(7))) is form and len(calls) == 1
+    # C_p is symmetric under j -> r*j, so which part is which does not matter
+    assert sorted(algebra._circulant_form(7, (0, 1))) == sorted(algebra._circulant_form(7, (0, 3)))

@@ -11,6 +11,8 @@ from gradedcover import (
     GradedSignature,
     NotInvertibleError,
     ParityMap,
+    SuperMonomial,
+    SuperPolynomial,
     SuperRational,
     SuperSignature,
     format_expression,
@@ -301,3 +303,41 @@ def test_polynomial_first_evaluation_matches_the_rational_evaluator():
     ]
     assert set(divisions_by_zero) <= set(failed) and len(failed) < 100
     assert any(conductor > 1 for ((_, conductor, _),) in unit_denominators)
+
+
+# -- one texts dict prints each shared denominator object once ---------------
+
+
+def test_shared_and_unshared_denominators_print_as_alone():
+    sig = line_signature()
+    x0, x1 = (parse_expression(n, sig).numerator for n in ("x0", "x1"))
+    shared, other = x0 * x0 - x1 * x1, x0 + 2 * x1
+    copy = SuperPolynomial(sig, dict(shared.terms))  # equal terms, another object
+    items = [
+        SuperRational(x0, shared), SuperRational(x1, other), SuperRational(-x1, shared),
+        x0 + 1, SuperRational(x0 * x1, shared), SuperRational(x1, copy),
+        SuperRational(x0, SuperPolynomial.one(sig)), SuperRational(1 + x1, shared),
+        SuperRational(x1, other),
+    ]
+    texts: dict = {}
+    printed = [format_expression(f, texts) for f in items]
+    assert printed == [format_expression(f) for f in items]
+    assert printed[0].endswith(f"/({format_expression(shared)})")
+    assert {id(den) for den, _ in texts.values()} == {id(shared), id(other), id(copy)}
+
+
+def test_a_freed_denominator_does_not_leak_its_text():
+    sig = line_signature()
+    x1 = parse_expression("x1", sig).numerator
+    one, mono = SuperMonomial((0, 0), ()), SuperMonomial((1, 0), ())
+    texts: dict = {}
+
+    def printed(k, texts):
+        # the quotient is freed on return, so without the dict holding its
+        # denominator the next call's objects could take their addresses
+        return format_expression(SuperRational(x1, SuperPolynomial(sig, {one: 1, mono: k})), texts)
+
+    # each k comes three times in a row, each time in a new object
+    ks = [k - k % 3 + 1 for k in range(30)]
+    assert [printed(k, texts) for k in ks] == [printed(k, None) for k in ks]
+    assert len(texts) == 30 and len({text for _, text in texts.values()}) == 10

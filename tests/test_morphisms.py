@@ -238,3 +238,57 @@ def test_extra_image_keys_are_rejected():
     }
     with pytest.raises(MorphismValidationError, match="bogus"):
         GradedMorphism(sig, sig, images)
+
+
+# -- validation weighs each shared denominator once ---------------------------
+
+
+def lifted_projective_line(order):
+    from gradedcover import lift_super
+
+    grp = make_group([order])
+    x = SuperRational.variable(SuperSignature(even=["x"]), "x")
+    psi = SuperMorphism(x.signature, SuperSignature(even=["y"]), {"y": 1 / x})
+    return lift_super(psi, grp, ParityMap.trivial(grp))
+
+
+def test_a_wrong_numerator_over_the_shared_denominator_is_reported():
+    lifted = lifted_projective_line(3)
+    images = dict(lifted.images)
+    shared = images["y@(0)"].denominator
+    assert all(img.denominator is shared for img in images.values())
+    # y@(2) gets the weight-(1) numerator over the very same denominator object
+    images["y@(2)"] = SuperRational(images["y@(1)"].numerator, shared)
+    with pytest.raises(MorphismValidationError) as err:
+        GradedMorphism(lifted.source, lifted.target, images)
+    assert err.value.variable == "y@(2)"
+    assert "weight" in str(err.value)
+    # an inhomogeneous numerator over it is named too
+    images["y@(2)"] = SuperRational(
+        images["y@(1)"].numerator + lifted.images["y@(2)"].numerator, shared
+    )
+    with pytest.raises(MorphismValidationError, match="inhomogeneous") as err:
+        GradedMorphism(lifted.source, lifted.target, images)
+    assert err.value.variable == "y@(2)"
+
+
+def test_a_shared_inhomogeneous_denominator_is_normed_per_image(monkeypatch):
+    sig = z2_line_signature()
+    target = z2_line_signature(names=("y0", "y1"))
+    x0, x1 = (SuperRational.variable(sig, n).numerator for n in ("x0", "x1"))
+    shared = 1 + x1  # weights 0 and 1: not termwise homogeneous
+    normed = []
+    real = SuperRational._normed
+
+    def spy(self):
+        normed.append(self)
+        return real(self)
+
+    monkeypatch.setattr(SuperRational, "_normed", spy)
+    images = {"y0": SuperRational(x0 * shared, shared), "y1": SuperRational(x1 * shared, shared)}
+    GradedMorphism(sig, target, images)
+    assert len(normed) == 2 and normed[0] is images["y0"] and normed[1] is images["y1"]
+    images["y1"] = SuperRational(x0, shared)  # x0/(1 + x1) is inhomogeneous
+    with pytest.raises(MorphismValidationError, match="inhomogeneous") as err:
+        GradedMorphism(sig, target, images)
+    assert err.value.variable == "y1"
