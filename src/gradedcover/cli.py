@@ -8,6 +8,7 @@ singular lift, cocycle violation), 2 on usage, syntax, or file errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -274,20 +275,7 @@ def cmd_check_cocycle(args) -> int:
     atlas, _, _ = load_atlas(_read_json(args.path))
     report = check_cocycle(atlas)
     if args.json:
-        payload = {
-            "ok": report.ok,
-            "note": report.note,
-            "failures": [
-                {
-                    "kind": f.kind,
-                    "charts": list(f.charts),
-                    "detail": f.detail,
-                    "residual": f.residual,
-                }
-                for f in report.failures
-            ],
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
+        _emit(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True), args.output)
     else:
         _emit(report.describe(), args.output)
     return 0 if report.ok else 1

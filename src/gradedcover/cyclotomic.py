@@ -8,6 +8,9 @@ zero-testing is exact.
 
 Values with different conductors interoperate by lifting both operands
 into Q(zeta_lcm) first.
+
+A root zeta_N^k is z^(k mod N) reduced modulo Phi_N, over the integers,
+and cached per (N, k mod N): one reduction per root, no table of all N.
 """
 
 from __future__ import annotations
@@ -15,15 +18,16 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
-# Filled lazily, keyed by conductor.  Concurrent first access is safe:
-# every thread computes the same immutable tuple and dict item assignment
-# is atomic, so a duplicated fill is idempotent.
+# Filled lazily, keyed by conductor and by (order, exponent mod order).
+# Concurrent first access is safe: every thread computes the same
+# immutable tuple and dict item assignment is atomic, so a duplicated
+# fill is idempotent.
 _CYCLOTOMIC_POLY: dict[int, tuple[int, ...]] = {}
-_POWER_TABLE: dict[int, tuple[tuple[Fraction, ...], ...]] = {}
+_ROOTS: dict[tuple[int, int], tuple[Fraction, ...]] = {}
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -84,27 +88,6 @@ def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
     return tuple(work)
 
 
-def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Reduced vectors of z^0, ..., z^(n-1) modulo Phi_n."""
-    cached = _POWER_TABLE.get(n)
-    if cached is not None:
-        return cached
-    deg = euler_phi(n)
-    phi_n = cyclotomic_polynomial(n)
-    rows = []
-    cur = [_ONE] + [_ZERO] * (deg - 1)
-    for _ in range(n):
-        rows.append(tuple(cur))
-        # multiply by z in place, folding the overflow back with Phi_n
-        top = cur[-1]
-        cur = [_ZERO] + cur[:-1]
-        if top:
-            cur = [c - top * phi_n[j] for j, c in enumerate(cur)]
-    table = tuple(rows)
-    _POWER_TABLE[n] = table
-    return table
-
-
 class Cyclotomic:
     """An exact element of Q(zeta_N), always reduced modulo Phi_N."""
 
@@ -145,10 +128,7 @@ class Cyclotomic:
                 f"cannot lift conductor {self.conductor} into {conductor}"
             )
         step = conductor // self.conductor
-        out = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
-        for k, c in enumerate(self.coeffs):
-            out[k * step] = c
-        return Cyclotomic._raw(_reduce(out, conductor), conductor)
+        return Cyclotomic._raw(_spread(self.coeffs, step, conductor), conductor)
 
     @staticmethod
     def _common(a: "Cyclotomic", b: "Cyclotomic"):
@@ -200,13 +180,9 @@ class Cyclotomic:
             q = Fraction(other)
             return Cyclotomic._raw(tuple(x * q for x in self.coeffs), self.conductor)
         a, b = Cyclotomic._common(self, rhs)
-        out = [_ZERO] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        out[i + j] += x * y
-        return Cyclotomic._raw(_reduce(out, a.conductor), a.conductor)
+        return Cyclotomic._raw(
+            _reduce(_polymul(a.coeffs, b.coeffs), a.conductor), a.conductor
+        )
 
     __rmul__ = __mul__
 
@@ -264,10 +240,7 @@ class Cyclotomic:
         n = self.conductor
         if n <= 2:
             return self
-        out = [_ZERO] * ((len(self.coeffs) - 1) * (n - 1) + 1)
-        for k, c in enumerate(self.coeffs):
-            out[k * (n - 1)] = c
-        return Cyclotomic._raw(_reduce(out, n), n)
+        return Cyclotomic._raw(_spread(self.coeffs, n - 1, n), n)
 
     # -- predicates and views ------------------------------------------
 
@@ -331,13 +304,26 @@ class Cyclotomic:
 
 
 def root_of_unity(n: int, k: int) -> Cyclotomic:
-    """Exact zeta_N^k."""
+    """Exact zeta_N^k, the remainder of z^(k mod N) modulo Phi_N."""
     if n < 1:
         raise ValueError(f"order of the root must be >= 1, got {n}")
-    return Cyclotomic._raw(_power_table(n)[k % n], n)
+    key = (n, k % n)
+    coeffs = _ROOTS.get(key)
+    if coeffs is None:
+        reduced = _reduce([0] * key[1] + [1], n)
+        coeffs = _ROOTS[key] = tuple(Fraction(c) if c else _ZERO for c in reduced)
+    return Cyclotomic._raw(coeffs, n)
 
 
-# -- helpers for the extended Euclid above ----------------------------
+def _spread(coeffs: tuple[Fraction, ...], step: int, n: int) -> tuple[Fraction, ...]:
+    """Image of sum c_k z^k under z -> z^step, reduced modulo Phi_n."""
+    out = [_ZERO] * ((len(coeffs) - 1) * step + 1)
+    for k, c in enumerate(coeffs):
+        out[k * step] = c
+    return _reduce(out, n)
+
+
+# -- polynomial helpers for products and the extended Euclid ----------
 
 
 def _polydivmod(a: list[Fraction], b: list[Fraction]):
@@ -356,12 +342,13 @@ def _polydivmod(a: list[Fraction], b: list[Fraction]):
     return out, rem
 
 
-def _polymul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _polymul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     out = [_ZERO] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] += x * y
+                if y:
+                    out[i + j] += x * y
     return out
 
 

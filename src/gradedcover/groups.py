@@ -6,7 +6,8 @@ residues (k_1, ..., k_t) is the homomorphism
 
     g = (g_1, ..., g_t)  |->  prod_i zeta_{q_i}^(k_i * g_i),
 
-evaluated exactly in Q(zeta_N) where N is the group exponent.
+evaluated exactly in Q(zeta_N) where N is the group exponent.  Both
+kinds share one residue base, ``_Residues``, yet never compare equal.
 """
 
 from __future__ import annotations
@@ -67,19 +68,19 @@ class FiniteAbelianGroup:
     def identity_character(self) -> "Character":
         return Character(self, (0,) * len(self.factors))
 
-    def elements(self) -> list["GroupElement"]:
-        """All elements, lexicographic on residue tuples."""
+    def _enumerate(self, kind):
         return [
-            GroupElement(self, r)
+            kind(self, r)
             for r in itertools.product(*(range(q) for q in self.factors))
         ]
 
+    def elements(self) -> list["GroupElement"]:
+        """All elements, lexicographic on residue tuples."""
+        return self._enumerate(GroupElement)
+
     def characters(self) -> list["Character"]:
         """All characters, lexicographic on residue tuples."""
-        return [
-            Character(self, r)
-            for r in itertools.product(*(range(q) for q in self.factors))
-        ]
+        return self._enumerate(Character)
 
     def __str__(self):
         return "x".join(str(q) for q in self.factors) if self.factors else "1"
@@ -98,13 +99,16 @@ def make_group(
 
 
 @dataclass(frozen=True)
-class GroupElement:
+class _Residues:
+    """A group plus a residue tuple, multiplied residue-wise."""
+
     group: FiniteAbelianGroup
     residues: tuple[int, ...]
 
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        _same_group(self, other)
-        return GroupElement(
+    def __mul__(self, other):
+        if other.group != self.group:
+            raise ValueError("operands belong to different groups")
+        return type(self)(
             self.group,
             tuple(
                 (a + b) % q
@@ -112,8 +116,8 @@ class GroupElement:
             ),
         )
 
-    def inverse(self) -> "GroupElement":
-        return GroupElement(
+    def inverse(self):
+        return type(self)(
             self.group,
             tuple((-a) % q for a, q in zip(self.residues, self.group.factors)),
         )
@@ -125,12 +129,12 @@ class GroupElement:
         return "(" + ",".join(str(r) for r in self.residues) + ")"
 
 
-@dataclass(frozen=True)
-class Character:
-    """A weight label: the character g -> prod zeta_{q_i}^(k_i g_i)."""
+class GroupElement(_Residues):
+    """A group element g = (g_1, ..., g_t)."""
 
-    group: FiniteAbelianGroup
-    residues: tuple[int, ...]
+
+class Character(_Residues):
+    """A weight label: the character g -> prod zeta_{q_i}^(k_i g_i)."""
 
     def __call__(self, g: GroupElement) -> Cyclotomic:
         """Exact value at g, a root of unity of order dividing the exponent."""
@@ -141,33 +145,6 @@ class Character:
         for k, gi, q in zip(self.residues, g.residues, self.group.factors):
             e += k * gi * (n // q)
         return root_of_unity(n, e % n)
-
-    def __mul__(self, other: "Character") -> "Character":
-        _same_group(self, other)
-        return Character(
-            self.group,
-            tuple(
-                (a + b) % q
-                for a, b, q in zip(self.residues, other.residues, self.group.factors)
-            ),
-        )
-
-    def inverse(self) -> "Character":
-        return Character(
-            self.group,
-            tuple((-a) % q for a, q in zip(self.residues, self.group.factors)),
-        )
-
-    def is_identity(self) -> bool:
-        return not any(self.residues)
-
-    def __str__(self):
-        return "(" + ",".join(str(r) for r in self.residues) + ")"
-
-
-def _same_group(a, b):
-    if a.group != b.group:
-        raise ValueError("operands belong to different groups")
 
 
 def character_table(group: FiniteAbelianGroup) -> list[list[Cyclotomic]]:

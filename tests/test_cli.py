@@ -242,15 +242,21 @@ def test_malformed_weight_suffix_is_a_usage_error(capsys):
         ("zeta(4096,1)", 0),
         ("(1+x@0)^100000", 2),
         ("x@0^100000000", 0),
+        # one root of a large order: building all N powers took 6.3 s and 4.7 s
+        ("zeta(3003,3002)*x@0", 0),
+        ("zeta(4095,4094)*x@0", 0),
     ],
     ids=["flat-sum", "minus-chain", "deep-nesting", "syntax-before-division",
          "zeta-order-above-bound", "zeta-order-at-bound", "power-above-size-bound",
-         "huge-power-of-one-term"],
+         "huge-power-of-one-term", "zeta-3003-high-power", "zeta-4095-high-power"],
 )
 def test_hostile_expressions_end_with_their_exit_code(text, code, capsys):
     argv = ["decompose", "--group", "2", "--parity", "0", "--even", "x@0,x@1"]
+    start = time.perf_counter()
     assert main(argv + [f"--expr={text}"]) == code
+    elapsed = time.perf_counter() - start
     assert "Traceback" not in capsys.readouterr().err
+    assert elapsed < 2.0, f"decompose of {text[:40]!r} took {elapsed:.2f}s"
 
 
 @pytest.mark.parametrize("order", ["3", "4", "5", "6"])

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gradedcover import Cyclotomic, cyclotomic_polynomial, euler_phi, root_of_unity
 
@@ -152,7 +154,7 @@ def test_polynomial_cache_fills_idempotently_under_threads():
     import gradedcover.cyclotomic as cyc
 
     cyc._CYCLOTOMIC_POLY.clear()
-    cyc._POWER_TABLE.clear()
+    cyc._ROOTS.clear()
     results = []
 
     def worker():
@@ -165,3 +167,94 @@ def test_polynomial_cache_fills_idempotently_under_threads():
         t.join()
     assert len(set(results)) == 1
     assert results[0] == cyclotomic_polynomial(36)
+
+
+def _roots_by_recurrence(n):
+    """z^0, ..., z^(n-1) modulo Phi_n: multiply by z, fold the top coefficient with Phi_n."""
+    phi_n = cyclotomic_polynomial(n)
+    cur = [Fraction(1)] + [Fraction(0)] * (len(phi_n) - 2)
+    rows = []
+    for _ in range(n):
+        rows.append(tuple(cur))
+        top = cur[-1]
+        cur = [Fraction(0)] + cur[:-1]
+        if top:
+            cur = [c - top * phi_n[j] for j, c in enumerate(cur)]
+    return rows
+
+
+def test_roots_by_reduction_match_the_recurrence():
+    for n in range(1, 65):
+        rows = _roots_by_recurrence(n)
+        for k in range(-2 * n, 2 * n):
+            root = root_of_unity(n, k)
+            assert root.conductor == n
+            assert root.coeffs == rows[k % n], (n, k)
+            assert all(type(c) is Fraction for c in root.coeffs)
+
+
+def test_lift_and_conjugate_are_spreads_of_the_power_basis():
+    rng = random.Random(5)
+    for n in [1, 2, 3, 4, 5, 6, 8, 9, 12, 15]:
+        coeffs = [Fraction(rng.randint(-4, 4), rng.choice([1, 3])) for _ in range(euler_phi(n))]
+        a = Cyclotomic(coeffs, n)
+        # z_n = z_(nm)^m, and complex conjugation sends z_n to z_n^(n-1)
+        for m in [1, 2, 3, 5]:
+            lifted = sum((c * root_of_unity(n * m, k * m) for k, c in enumerate(coeffs)),
+                         Cyclotomic([0], n * m))
+            assert a.lift(n * m).conductor == n * m
+            assert a.lift(n * m).coeffs == lifted.coeffs
+        conj = sum((c * root_of_unity(n, -k) for k, c in enumerate(coeffs)), Cyclotomic([0], n))
+        assert a.conjugate().conductor == n
+        assert a.conjugate().coeffs == conj.coeffs
+        assert abs(a.conjugate().embed() - a.embed().conjugate()) < 1e-9
+
+
+CONDUCTORS = [1, 2, 3, 4, 5, 8, 12]
+
+
+@st.composite
+def values(draw, conductor=None):
+    n = draw(st.sampled_from(CONDUCTORS)) if conductor is None else conductor
+    q = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    return Cyclotomic(draw(st.lists(q, min_size=euler_phi(n), max_size=euler_phi(n))), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values(), values(), values())
+def test_ring_axioms_across_conductors(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+
+
+@settings(max_examples=60, deadline=None)
+@given(values())
+def test_nonzero_values_have_inverses(a):
+    assume(not a.is_zero())
+    assert a * a.inverse() == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(values(), values())
+def test_conjugation_is_a_multiplicative_involution(a, b):
+    assert a.conjugate().conjugate().coeffs == a.coeffs
+    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CONDUCTORS), st.sampled_from([1, 2, 3]), st.data())
+def test_lift_preserves_sums_and_products(n, m, data):
+    a, b = data.draw(values(n)), data.draw(values(n))
+    for lifted, parts in [((a + b).lift(n * m), a.lift(n * m) + b.lift(n * m)),
+                          ((a * b).lift(n * m), a.lift(n * m) * b.lift(n * m))]:
+        assert lifted.conductor == parts.conductor == n * m
+        assert lifted.coeffs == parts.coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.integers(-200, 200), st.integers(-200, 200))
+def test_root_exponents_add(n, j, k):
+    product = root_of_unity(n, j) * root_of_unity(n, k)
+    assert product.conductor == n
+    assert product.coeffs == root_of_unity(n, j + k).coeffs

@@ -3,9 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedcover import (
+    Character,
     Cyclotomic,
+    GroupElement,
     ParityMap,
     character_table,
     make_group,
@@ -194,3 +198,25 @@ def test_parity_spec_parsing():
         parse_parity_spec(g, "2x")
     with pytest.raises(ValueError):
         parse_parity_spec(g, "1")  # wrong length
+
+
+@st.composite
+def residue_pairs(draw):
+    """A group and two residue tuples in it."""
+    group = make_group(draw(st.sampled_from([[2], [3], [4], [6], [12], [2, 2], [2, 4], [3, 3]])))
+    residues = st.tuples(*(st.integers(-20, 20) for _ in group.factors))
+    return group, draw(residues), draw(residues)
+
+
+@settings(max_examples=60, deadline=None)
+@given(residue_pairs())
+def test_elements_and_characters_keep_their_types(pair):
+    group, r, s = pair
+    g, h = group.element(r), group.element(s)
+    chi, psi = group.character(r), group.character(s)
+    assert type(g * h) is GroupElement and type(g.inverse()) is GroupElement
+    assert type(chi * psi) is Character and type(chi.inverse()) is Character
+    assert (g * h).residues == (chi * psi).residues
+    assert (g * g.inverse()).is_identity() and (chi * chi.inverse()).is_identity()
+    assert g != chi and chi != g
+    assert (chi * psi)(g) == chi(g) * psi(g)
