@@ -33,12 +33,11 @@ per twist, since regrouping those would move printed conductors.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import lcm, prod
 from operator import add, mul, neg
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from .cyclotomic import Cyclotomic, _reduce, euler_phi
+from .cyclotomic import Cyclotomic, _power, _reduce, euler_phi
 from .errors import NotInvertibleError, SignatureMismatchError
 from .groups import Character, FiniteAbelianGroup, GroupElement, ParityMap
 
@@ -262,18 +261,20 @@ def _mul_terms_termwise(a: Terms, b: Terms) -> Terms:
     if not a or not b:
         return {}
     keys_a, rows, unpack = _packed(a, b, list(b.values()), neg)
-    out: dict[int, Cyclotomic] = {}
-    for ka, row, c1 in zip(keys_a, rows, a.values()):
-        for kb, c2 in row:
-            c = c1 * c2
-            key = ka + kb
-            acc = out.get(key)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return {unpack(key): c for key, c in out.items()}
+    pairs = ((ka + kb, c1 * c2) for ka, row, c1 in zip(keys_a, rows, a.values()) for kb, c2 in row)
+    return {unpack(key): c for key, c in _accumulate({}, pairs).items()}
+
+
+def _accumulate(out: dict, items) -> dict:
+    """Add each (key, c) into ``out``, dropping a key whose running sum is zero."""
+    for key, c in items:
+        acc = out.get(key)
+        s = c if acc is None else acc + c
+        if s.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
 
 
 def _integer_vectors(terms: Terms, n: int) -> tuple[int, list[list[int]]]:
@@ -437,14 +438,7 @@ class SuperPolynomial:
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
         self._check_signature(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc = out.get(mono)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
+        out = _accumulate(dict(self.terms), other.terms.items())
         return SuperPolynomial._raw(self.signature, out)
 
     __radd__ = __add__
@@ -494,15 +488,7 @@ class SuperPolynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take nonnegative integer exponents")
-        result = SuperPolynomial.one(self.signature)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _power(self, exponent, SuperPolynomial.one(self.signature))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
@@ -771,27 +757,15 @@ class SuperRational:
             raise NotInvertibleError(
                 "even part of the numerator is zero; the function is not invertible"
             )
-        nil = num - even
-        # sum_{k<=m} (-1)^k n^k E^(m-k) over denominator E^(m+1), where
-        # n^(m+1) = 0; each extra anticommuting variable can extend m by 1.
-        powers = [SuperPolynomial.one(num.signature)]
-        acc = SuperPolynomial.one(num.signature)
-        while True:
-            acc = acc * nil
-            if acc.is_zero():
-                break
-            powers.append(acc)
-        m = len(powers) - 1
-        series = SuperPolynomial.zero(num.signature)
-        even_pow = SuperPolynomial.one(num.signature)
-        partial = [even_pow]
-        for _ in range(m):
-            even_pow = even_pow * even
-            partial.append(even_pow)
-        for k, nk in enumerate(powers):
-            term = nk * partial[m - k]
-            series = series + (term if k % 2 == 0 else -term)
-        return SuperRational(self.denominator * series, even * partial[m])
+        # Horner: sum_{k<=m} (-n)^k E^(m-k) over E^(m+1), where (-n)^(m+1) = 0;
+        # each extra anticommuting variable can extend m by 1.
+        minus_nil = even - num
+        one = SuperPolynomial.one(num.signature)
+        series, den, power = SuperPolynomial.zero(num.signature), one, one
+        while power:
+            series = series * even + power
+            den, power = den * even, power * minus_nil
+        return SuperRational(self.denominator * series, den)
 
     # -- grading ------------------------------------------------------------
 
@@ -1003,26 +977,17 @@ def _orbit_tower(
     """
     group = sig.group
     n = group.exponent
-
-    def exponent(residues, g):  # chi(g) = zeta_n^exponent
-        return sum(k * x * (n // q) for k, x, q in zip(residues, g, group.factors)) % n
-
-    def times(g, k):
-        return tuple(k * x % q for x, q in zip(g, group.factors))
-
-    weights = {den.monomial_weight(m).residues for m in den.terms}
-    stab = {g for g in product(*map(range, group.factors))
-            if not any(exponent(w, g) for w in weights)}
-    units = [tuple(int(t == j) for t in range(group.rank)) for j in range(group.rank)]
+    weights = {den.monomial_weight(m) for m in den.terms}
+    stab = {g for g in group.elements() if not any(w.exponent_at(g) for w in weights)}
+    units = [group.element([int(t == j) for t in range(group.rank)]) for j in range(group.rank)]
     for p in [p for p in range(n, 1, -1) if n % p == 0 and all(p % r for r in range(2, p))]:
         for e in units:
-            order = next(k for k in range(1, n + 1) if times(e, k) in stab)
+            order = next(k for k in range(1, n + 1) if e ** k in stab)
             while order % p == 0:
                 order //= p
-                g = times(e, order)
-                stab = {tuple((x + y) % q for x, y, q in zip(k, times(g, t), group.factors))
-                        for k in stab for t in range(p)}
-                a = [exponent(w.residues, g) for w in sig.even_weights]
+                g = e ** order
+                stab = {k * g ** t for k in stab for t in range(p)}
+                a = [w.exponent_at(g) for w in sig.even_weights]
                 parts = [{} for _ in range(p)]
                 for m, v in den.terms.items():
                     parts[sum(map(mul, m.even, a)) % n * p // n][m] = v
@@ -1035,7 +1000,7 @@ def _orbit_tower(
                 elif _separate_terms(parts):
                     c = _circulant_cofactor(sig, parts)
                 else:
-                    twists = [den.act(GroupElement(group, times(g, k))) for k in range(1, p)]
+                    twists = [den.act(g ** k) for k in range(1, p)]
                     c = _over_q(_twist_chain(twists[:1], twists[1:])[0])
                 num, den = num * c, den * c
     return num, den

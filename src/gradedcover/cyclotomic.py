@@ -7,7 +7,8 @@ the residue is a canonical form: equality is coefficient equality and
 zero-testing is exact.
 
 Values with different conductors interoperate by lifting both operands
-into Q(zeta_lcm) first.
+into Q(zeta_lcm) first, except that a rational factor (conductor 1) scales
+the other operand's vector without a lift.
 
 A root zeta_N^k is z^(k mod N) reduced modulo Phi_N, over the integers,
 and cached per (N, k mod N): one reduction per root, no table of all N.
@@ -176,9 +177,11 @@ class Cyclotomic:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Cyclotomic._raw(tuple(x * q for x in self.coeffs), self.conductor)
+        if self.conductor == 1 or rhs.conductor == 1:
+            # q times each entry is the lifted product's vector, without the lift
+            a, b = (rhs, self) if self.conductor == 1 else (self, rhs)
+            q = b.coeffs[0]
+            return Cyclotomic._raw(tuple(x * q for x in a.coeffs), a.conductor)
         a, b = Cyclotomic._common(self, rhs)
         return Cyclotomic._raw(
             _reduce(_polymul(a.coeffs, b.coeffs), a.conductor), a.conductor
@@ -225,15 +228,7 @@ class Cyclotomic:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = Cyclotomic.from_rational(1)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _power(self, exponent, Cyclotomic.from_rational(1))
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, the Galois map z -> z^(N-1)."""
@@ -295,9 +290,7 @@ class Cyclotomic:
                     parts.append(f"-{mono}")
                 else:
                     parts.append(f"{c}*{mono}")
-        body = "0" if not parts else parts[0]
-        for p in parts[1:]:
-            body += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+        body = _join_signed(parts) if parts else "0"
         if self.conductor == 4 or self.is_rational():
             return body  # "i" needs no conductor tag
         return f"{body} (conductor={self.conductor})"
@@ -321,6 +314,25 @@ def _spread(coeffs: tuple[Fraction, ...], step: int, n: int) -> tuple[Fraction, 
     for k, c in enumerate(coeffs):
         out[k * step] = c
     return _reduce(out, n)
+
+
+def _power(base, k: int, one):
+    """base ** k for k >= 0 by binary powering, starting from ``one``."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return result
+
+
+def _join_signed(pieces: list[str]) -> str:
+    """Signed pieces joined as a sum: "a", "-b" give "a - b"."""
+    text = pieces[0]
+    for p in pieces[1:]:
+        text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return text
 
 
 # -- polynomial helpers for products and the extended Euclid ----------

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import operator
 import re
-from fractions import Fraction
 from math import comb, lcm
 from typing import NamedTuple
 
 from .algebra import SuperMonomial, SuperPolynomial, SuperRational, SuperSignature
-from .cyclotomic import Cyclotomic, euler_phi, root_of_unity
+from .cyclotomic import Cyclotomic, _join_signed, euler_phi, root_of_unity
 from .errors import ExprSyntaxError
 from .groups import DEFAULT_ORDER_BOUND
 
@@ -257,20 +256,16 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
 # -- formatting ------------------------------------------------------------
 
 
-def _format_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _coeff_pieces(c: Cyclotomic) -> list[str]:
     """Render a coefficient as signed product strings, one per basis term."""
     if c.is_rational():
-        return [_format_fraction(c.rational_value())]
+        return [str(c.rational_value())]
     pieces = []
     for k, q in enumerate(c.coeffs):
         if not q:
             continue
         if k == 0:
-            pieces.append(_format_fraction(q))
+            pieces.append(str(q))
             continue
         root = "i" if c.conductor == 4 else f"zeta({c.conductor},{k})"
         if q == 1:
@@ -278,15 +273,8 @@ def _coeff_pieces(c: Cyclotomic) -> list[str]:
         elif q == -1:
             pieces.append(f"-{root}")
         else:
-            pieces.append(f"{_format_fraction(q)}*{root}")
+            pieces.append(f"{q}*{root}")
     return pieces
-
-
-def _join_signed(pieces: list[str]) -> str:
-    text = pieces[0]
-    for p in pieces[1:]:
-        text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return text
 
 
 def _format_term(signature: SuperSignature, mono: SuperMonomial, c: Cyclotomic) -> str:

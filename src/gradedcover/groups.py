@@ -116,11 +116,13 @@ class _Residues:
             ),
         )
 
-    def inverse(self):
+    def __pow__(self, k: int):
         return type(self)(
-            self.group,
-            tuple((-a) % q for a, q in zip(self.residues, self.group.factors)),
+            self.group, tuple(k * a % q for a, q in zip(self.residues, self.group.factors))
         )
+
+    def inverse(self):
+        return self ** -1
 
     def is_identity(self) -> bool:
         return not any(self.residues)
@@ -136,15 +138,17 @@ class GroupElement(_Residues):
 class Character(_Residues):
     """A weight label: the character g -> prod zeta_{q_i}^(k_i g_i)."""
 
-    def __call__(self, g: GroupElement) -> Cyclotomic:
-        """Exact value at g, a root of unity of order dividing the exponent."""
+    def exponent_at(self, g: GroupElement) -> int:
+        """The e in range(n) with chi(g) = zeta_n^e, n the group exponent."""
         if g.group != self.group:
             raise ValueError("element belongs to a different group")
         n = self.group.exponent
-        e = 0
-        for k, gi, q in zip(self.residues, g.residues, self.group.factors):
-            e += k * gi * (n // q)
-        return root_of_unity(n, e % n)
+        terms = zip(self.residues, g.residues, self.group.factors)
+        return sum(k * x * (n // q) for k, x, q in terms) % n
+
+    def __call__(self, g: GroupElement) -> Cyclotomic:
+        """Exact value at g, a root of unity of order dividing the exponent."""
+        return root_of_unity(self.group.exponent, self.exponent_at(g))
 
 
 def character_table(group: FiniteAbelianGroup) -> list[list[Cyclotomic]]:
@@ -189,9 +193,7 @@ class ParityMap:
         return sum(k * b for k, b in zip(chi.residues, self.bits)) % 2
 
 
-def parse_group_spec(
-    spec: str, *, order_bound: int = DEFAULT_ORDER_BOUND
-) -> FiniteAbelianGroup:
+def parse_group_spec(spec: str) -> FiniteAbelianGroup:
     """Parse a group spec string like ``"2x2"`` or ``"4"``."""
     text = spec.strip()
     if not text:
@@ -200,7 +202,7 @@ def parse_group_spec(
         factors = [int(part) for part in text.split("x")]
     except ValueError:
         raise ValueError(f"malformed group spec {spec!r}") from None
-    return make_group(factors, order_bound=order_bound)
+    return make_group(factors)
 
 
 def parse_parity_spec(group: FiniteAbelianGroup, spec: str) -> ParityMap:

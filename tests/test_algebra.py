@@ -388,6 +388,73 @@ def test_invert_with_nilpotent_tail():
     assert inv == 1 / x - (s1 * s2) / (x**2)
 
 
+def three_loop_inverse(f):
+    """1/N as sum_k (-1)^k n^k E^(m-k) over E*E^m, built from the list of
+    powers of n and the list of powers of E, with n^(m+1) = 0."""
+    num = f.numerator
+    even = num.even_part()
+    nil = num - even
+    powers = [SuperPolynomial.one(num.signature)]
+    acc = SuperPolynomial.one(num.signature)
+    while True:
+        acc = acc * nil
+        if acc.is_zero():
+            break
+        powers.append(acc)
+    m = len(powers) - 1
+    series = SuperPolynomial.zero(num.signature)
+    even_pow = SuperPolynomial.one(num.signature)
+    partial = [even_pow]
+    for _ in range(m):
+        even_pow = even_pow * even
+        partial.append(even_pow)
+    for k, nk in enumerate(powers):
+        term = nk * partial[m - k]
+        series = series + (term if k % 2 == 0 else -term)
+    return SuperRational(f.denominator * series, even * partial[m]), m
+
+
+def term_items(poly):
+    return [(mono, c.conductor, c.coeffs) for mono, c in poly.terms.items()]
+
+
+def assert_inverse_matches_three_loops(f):
+    inv, (ref, depth) = f.invert(), three_loop_inverse(f)
+    assert term_items(inv.numerator) == term_items(ref.numerator)
+    assert term_items(inv.denominator) == term_items(ref.denominator)
+    assert all(type(x) is Fraction for p in (inv.numerator, inv.denominator)
+               for c in p.terms.values() for x in c.coeffs)
+    return depth
+
+
+def test_invert_matches_the_three_loop_series_on_deep_nilpotent_tails():
+    g = make_group([2])
+    sig = GradedSignature(
+        g, ParityMap(g, (1,)), even=[("x", g.character((0,))), ("y", g.character((0,)))],
+        odd=[(f"s{j}", g.character((1,))) for j in range(1, 5)],
+    )
+    x, y, s1, s2, s3, s4 = (SuperRational.variable(sig, v) for v in sig.even + sig.odd)
+    z3, i = root_of_unity(3, 1), root_of_unity(4, 1)
+    for f in [x + s1 * s2 + s3 * s4,
+              (x + s1 * s2 + s3 * s4) / (1 + y),
+              Fraction(3, 2) * x + z3 * s1 * s2 - i * y * s3 * s4,
+              x * y + 1 + z3 * s1 * s2 + i * s1 * s3 + s2 * s4 + x * s3 * s4]:
+        assert assert_inverse_matches_three_loops(f) >= 2
+        assert f * f.invert() == 1
+    # seeded numerators E + n, n a sum of one- and two-variable odd monomials
+    rng = random.Random(11)
+    depths = []
+    for _ in range(80):
+        num = random_polynomial(rng, sig, max_terms=3, max_degree=2, with_odd=False, nonzero=True)
+        for _ in range(rng.randint(1, 4)):
+            odd = tuple(sorted(rng.sample(range(4), rng.randint(1, 2))))
+            mono = SuperMonomial((rng.randint(0, 1), 0), odd)
+            c = rng.choice([1, Fraction(-2, 3), z3, i, root_of_unity(12, 5), root_of_unity(5, 2)])
+            num = num + SuperPolynomial(sig, {mono: c})
+        depths.append(assert_inverse_matches_three_loops(SuperRational(num)))
+    assert depths.count(2) >= 10
+
+
 def test_invert_rejects_pure_nilpotents():
     sig = pair_signature()
     with pytest.raises(NotInvertibleError):
@@ -754,3 +821,20 @@ def test_building_a_circulant_form_checks_it_rational(monkeypatch):
     assert algebra._circulant_form(7, tuple(range(7))) is form and len(calls) == 1
     # C_p is symmetric under j -> r*j, so which part is which does not matter
     assert sorted(algebra._circulant_form(7, (0, 1))) == sorted(algebra._circulant_form(7, (0, 3)))
+
+
+ORACLE_GROUPS = [[q] for q in range(2, 13)] + [[2, 2], [2, 4], [2, 6], [3, 3], [2, 2, 2]]
+
+
+@st.composite
+def graded_functions(draw):
+    """A seeded random rational function over a group of order at most 12."""
+    grp = make_group(draw(st.sampled_from(ORACLE_GROUPS)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_rational(rng, random_signature(rng, grp, random_parity(rng, grp)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_functions())
+def test_decompose_equals_the_averaging_oracle(f):
+    assert f.decompose() == decompose_oracle(f)

@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gradedcover import Cyclotomic, cyclotomic_polynomial, euler_phi, root_of_unity
@@ -258,3 +259,31 @@ def test_root_exponents_add(n, j, k):
     product = root_of_unity(n, j) * root_of_unity(n, k)
     assert product.conductor == n
     assert product.coeffs == root_of_unity(n, j + k).coeffs
+
+
+def lifted_product(a, b):
+    """a * b with both operands lifted to the lcm conductor and convolved."""
+    n = lcm(a.conductor, b.conductor)
+    x, y = a.lift(n).coeffs, b.lift(n).coeffs
+    conv = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, s in enumerate(x):
+        for j, t in enumerate(y):
+            conv[i + j] += s * t
+    return Cyclotomic(conv, n)  # the constructor reduces modulo Phi_n
+
+
+@settings(max_examples=60, deadline=None)
+@given(values(), st.fractions(min_value=-4, max_value=4, max_denominator=3))
+@example(root_of_unity(12, 5), Fraction(0))
+@example(root_of_unity(5, 2), Fraction(1))
+@example(Cyclotomic([0, 0], 3), Fraction(-2, 3))
+@example(Cyclotomic([0], 1), Fraction(0))
+def test_rational_factors_scale_like_the_lifted_product(a, q):
+    rational = Cyclotomic.from_rational(q)
+    factors = [Fraction(q), rational] + ([int(q)] if q.denominator == 1 else [])
+    for factor in factors:
+        for product, reference in [(a * factor, lifted_product(a, rational)),
+                                   (factor * a, lifted_product(rational, a))]:
+            assert product.conductor == reference.conductor == a.conductor
+            assert product.coeffs == reference.coeffs
+            assert all(type(c) is Fraction for c in product.coeffs)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedcover import (
     ExprSyntaxError,
@@ -213,6 +215,26 @@ def test_random_round_trips():
         sig = random_signature(rng, grp, random_parity(rng, grp))
         f = random_rational(rng, sig)
         assert parse_expression(format_expression(f), sig) == f
+
+
+@st.composite
+def signed_functions(draw):
+    """A signature over a group of order at most 12 and a seeded random function on it."""
+    grp = make_group(draw(st.sampled_from([[2], [3], [4], [6], [12], [2, 2], [2, 6], [3, 3]])))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sig = random_signature(rng, grp, random_parity(rng, grp))
+    return sig, random_rational(rng, sig)
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_functions())
+def test_format_then_parse_is_the_identity(case):
+    sig, f = case
+    for g in [f, *f.decompose().values()]:
+        text = format_expression(g)
+        back = parse_expression(text, sig)
+        assert back == g
+        assert format_expression(back) == text
 
 
 # -- polynomial-first evaluation against the all-SuperRational evaluator ----

@@ -189,6 +189,8 @@ def test_group_spec_parsing():
         parse_group_spec("2xq")
     with pytest.raises(ValueError):
         parse_group_spec("")
+    with pytest.raises(ValueError):
+        parse_group_spec("x".join(["2"] * 13))  # order 8192 > default bound
 
 
 def test_parity_spec_parsing():
@@ -220,3 +222,34 @@ def test_elements_and_characters_keep_their_types(pair):
     assert (g * g.inverse()).is_identity() and (chi * chi.inverse()).is_identity()
     assert g != chi and chi != g
     assert (chi * psi)(g) == chi(g) * psi(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(residue_pairs(), st.integers(-30, 30))
+def test_powers_are_repeated_products(pair, k):
+    group, r, _ = pair
+    for x, identity in [(group.element(r), group.identity),
+                        (group.character(r), group.identity_character)]:
+        expected = identity
+        for _ in range(abs(k)):
+            expected = expected * (x if k >= 0 else x.inverse())
+        assert x ** k == expected and type(x ** k) is type(x)
+        assert x ** -1 == x.inverse() and (x * x ** -1).is_identity()
+        assert all(0 <= a < q for a, q in zip((x ** k).residues, group.factors))
+
+
+def test_character_exponent_gives_its_value():
+    for factors in ([12], [2, 6], [3, 3], [2, 2, 2], [4, 6]):
+        group = make_group(factors)
+        n = group.exponent
+        for chi in group.characters():
+            for g in group.elements():
+                e = chi.exponent_at(g)
+                assert 0 <= e < n
+                value = chi(g)
+                assert value.conductor == n and value.coeffs == root_of_unity(n, e).coeffs
+                # the module docstring's product of one root per cyclic factor
+                expected = Cyclotomic.from_rational(1)
+                for k, x, q in zip(chi.residues, g.residues, factors):
+                    expected = expected * root_of_unity(q, k * x)
+                assert value == expected
