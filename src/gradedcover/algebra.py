@@ -93,7 +93,7 @@ class GradedSignature(SuperSignature):
     the parity of its weight always agree.
     """
 
-    __slots__ = ("group", "parity", "even_weights", "odd_weights")
+    __slots__ = ("group", "parity", "even_weights", "odd_weights", "weight_rows")
 
     def __init__(
         self,
@@ -124,6 +124,11 @@ class GradedSignature(SuperSignature):
         object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "even_weights", tuple(w for _, w in even))
         object.__setattr__(self, "odd_weights", tuple(w for _, w in odd))
+        # per cyclic factor: its order and the variables' residues there
+        object.__setattr__(self, "weight_rows", tuple(
+            (q, [w.residues[t] for _, w in even], [w.residues[t] for _, w in odd])
+            for t, q in enumerate(group.factors)
+        ))
 
     def weight_of_var(self, name: str) -> Character:
         if name in self.even:
@@ -195,34 +200,23 @@ def _odd_sign(ma: int, mb: int) -> int:
     return -1 if flips & 1 else 1
 
 
-def _packed(a: Terms, b: Terms, values_b: list, negate):
-    """Monomials packed into int keys: (keys of a, rows, unpack).
+def _codec(n_even: int, width: int):
+    """(pack, unpack) between monomials and int keys.
 
-    Even exponent i occupies bits [i*w, (i+1)*w), with w wide enough for
-    the sum of the two operands' largest exponents, and the odd index set
-    is a bitmask above the even fields.  So no field carries, and for
-    disjoint masks the key of a product monomial is the sum of the keys.
-    ``rows[i]`` lists ``(key, value)`` for the terms of b whose product
-    with a's i-th term survives, in b's order, the value negated by
-    ``negate`` where reordering the odd factors flips the sign; one row is
-    built per distinct odd mask of a.  ``unpack`` decodes a key.
+    Even exponent i occupies bits [i*w, (i+1)*w) and the odd index set is
+    a bitmask above the even fields.  While no field carries, and for
+    disjoint masks, the key of a product monomial is the sum of the keys.
+    ``pack`` gives (key, mask).
     """
-    n_even = len(next(iter(a)).even)
-    width = sum(max((e for m in t for e in m.even), default=0) for t in (a, b)).bit_length()
-    shift = n_even * width
-
-    def pack(terms):
-        out = []
-        for m in terms:
-            mask = key = sum(1 << j for j in m.odd)
-            for e in reversed(m.even):
-                key = key << width | e
-            out.append((key, mask))
-        return out
-
-    field = (1 << width) - 1
+    shift, field = n_even * width, (1 << width) - 1
     shifts = [i * width for i in range(n_even)]
     odd_sets: dict[int, tuple[int, ...]] = {}
+
+    def pack(m: SuperMonomial) -> tuple[int, int]:
+        mask = key = sum(1 << j for j in m.odd)
+        for e in reversed(m.even):
+            key = key << width | e
+        return key, mask
 
     def unpack(key: int) -> SuperMonomial:
         mask = key >> shift
@@ -231,18 +225,30 @@ def _packed(a: Terms, b: Terms, values_b: list, negate):
             odd = odd_sets[mask] = tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
         return SuperMonomial(tuple([key >> s & field for s in shifts]), odd)
 
-    packed_b = pack(b)
+    return pack, unpack
+
+
+def _packed(a: Terms, b: Terms, values_b: list, negate):
+    """Monomials packed into int keys by ``_codec``: (keys of a, rows, unpack).
+
+    The field width fits the sum of the two operands' largest exponents.
+    ``rows[i]`` lists ``(key, value)`` for the terms of b whose product
+    with a's i-th term survives, in b's order, the value negated by
+    ``negate`` where reordering the odd factors flips the sign; one row is
+    built per distinct odd mask of a.
+    """
+    width = sum(max((e for m in t for e in m.even), default=0) for t in (a, b)).bit_length()
+    pack, unpack = _codec(len(next(iter(a)).even), width)
+    packed_a, packed_b = list(map(pack, a)), list(map(pack, b))
     rows: dict[int, list] = {}
-    keys_a = []
-    for ka, ma in pack(a):
-        keys_a.append(ka)
+    for _, ma in packed_a:
         if ma not in rows:
             row = rows[ma] = []
             for (kb, mb), y in zip(packed_b, values_b):
                 sign = _odd_sign(ma, mb)
                 if sign:
                     row.append((kb, y if sign > 0 else negate(y)))
-    return keys_a, [rows[ka >> shift] for ka in keys_a], unpack
+    return [ka for ka, _ in packed_a], [rows[ma] for _, ma in packed_a], unpack
 
 
 def _product_conductor(a: Terms, b: Terms) -> int | None:
@@ -538,19 +544,14 @@ class SuperPolynomial:
         return None
 
     def monomial_weight(self, mono: SuperMonomial) -> Character:
+        """The product of the variables' weights: a dot product per cyclic factor."""
         sig = self.signature
         if not isinstance(sig, GradedSignature):
             raise TypeError("weights require a graded signature")
-        factors = sig.group.factors
-        acc = [0] * len(factors)
-        for i, e in enumerate(mono.even):
-            if e:
-                for t, r in enumerate(sig.even_weights[i].residues):
-                    acc[t] += e * r
-        for j in mono.odd:
-            for t, r in enumerate(sig.odd_weights[j].residues):
-                acc[t] += r
-        return Character(sig.group, tuple(a % q for a, q in zip(acc, factors)))
+        return Character(sig.group, tuple(
+            (sum(map(mul, mono.even, even)) + sum(odd[j] for j in mono.odd)) % q
+            for q, even, odd in sig.weight_rows
+        ))
 
     def termwise_weight(self) -> Character | None:
         """The common weight of all monomials, or None if they disagree."""
@@ -809,14 +810,9 @@ class SuperRational:
 
     def _normed_chain(self) -> tuple[SuperPolynomial, SuperPolynomial]:
         """``_normed`` by multiplying N and D by each distinct twist of D."""
-        distinct = [self.denominator]
-        for g in self._graded_signature().group.elements():
-            if g.is_identity():
-                continue
-            twisted = self.denominator.act(g)
-            if not any(twisted == seen for seen in distinct):
-                distinct.append(twisted)
-        return tuple(_twist_chain([self.numerator, self.denominator], distinct[1:]))
+        den = self.denominator
+        twists = [den.act(c[0]) for c in _twist_classes(den)[1:]]
+        return tuple(_twist_chain([self.numerator, den], twists))
 
     def weight(self) -> Character | None:
         """The weight when homogeneous, None when inhomogeneous."""
@@ -943,6 +939,20 @@ class SuperRational:
         return {key: val / den for key, val in out.items()}
 
 
+def _twist_classes(den: SuperPolynomial) -> list[list[GroupElement]]:
+    """The group split by the values of D's monomial weights.
+
+    g.D = h.D exactly when every monomial weight of D takes one value at g
+    and h.  Classes come in ``elements()`` order, so the first is the
+    stabilizer of D and the first member of each class gives a new twist.
+    """
+    weights = dict.fromkeys(den.monomial_weight(m) for m in den.terms)
+    classes: dict[tuple[int, ...], list[GroupElement]] = {}
+    for g in den.signature.group.elements():
+        classes.setdefault(tuple(w.exponent_at(g) for w in weights), []).append(g)
+    return list(classes.values())
+
+
 def _twist_chain(polys: list[SuperPolynomial], twists: list[SuperPolynomial]) -> list:
     """Each polynomial times every twist, one product at a time."""
     for twisted in twists:
@@ -963,7 +973,7 @@ def _orbit_tower(
 ) -> tuple[SuperPolynomial, SuperPolynomial]:
     """(N*c_1*...*c_r, P_r) for rational N and D: see ``SuperRational._normed``.
 
-    K_0 is the stabilizer of D, found by residue arithmetic.  Each step
+    K_0 is the stabilizer of D, the first of its ``_twist_classes``.  Each step
     adds a g of prime order p modulo K, peeled off a cyclic generator's
     order modulo K, larger primes first.  P = P_(i-1) is K-invariant, so
     chi_m(g) = zeta_p^j on each of its monomials; with f_j the part of P
@@ -977,8 +987,7 @@ def _orbit_tower(
     """
     group = sig.group
     n = group.exponent
-    weights = {den.monomial_weight(m) for m in den.terms}
-    stab = {g for g in group.elements() if not any(w.exponent_at(g) for w in weights)}
+    stab = set(_twist_classes(den)[0])
     units = [group.element([int(t == j) for t in range(group.rank)]) for j in range(group.rank)]
     for p in [p for p in range(n, 1, -1) if n % p == 0 and all(p % r for r in range(2, p))]:
         for e in units:
@@ -987,10 +996,9 @@ def _orbit_tower(
                 order //= p
                 g = e ** order
                 stab = {k * g ** t for k in stab for t in range(p)}
-                a = [w.exponent_at(g) for w in sig.even_weights]
                 parts = [{} for _ in range(p)]
                 for m, v in den.terms.items():
-                    parts[sum(map(mul, m.even, a)) % n * p // n][m] = v
+                    parts[den.monomial_weight(m).exponent_at(g) * p // n][m] = v
                 f = [SuperPolynomial._raw(sig, t) for t in parts]
                 if p == 2:
                     c = f[0] - f[1]
@@ -1051,23 +1059,19 @@ def _circulant_cofactor(sig: GradedSignature, parts: list[Terms]) -> SuperPolyno
     The term a_e*y^e gives a_e*prod c_j^e_j at the monomial sum e_j*m_j, and
     no two terms meet there.  As C_p has degree p - 1, that is an integer
     over d^(p-1), d the common denominator of the c_j.  Monomials are packed
-    into int keys, as in ``_packed``, with fields wide enough for sums of
-    p - 1 exponents.
+    by ``_codec``, with fields wide enough for sums of p - 1 exponents.
     """
     p = len(parts)
     support = tuple(j for j, t in enumerate(parts) if t)
     monos, vals = zip(*(next(iter(parts[j].items())) for j in support))
     d = lcm(*(c.coeffs[0].denominator for c in vals))
     nums = [int(c.coeffs[0] * d) for c in vals]
-    width = ((p - 1) * max(max(m.even) for m in monos)).bit_length()
-    keys = [sum(e << i * width for i, e in enumerate(m.even)) for m in monos]
-    den, field = d ** (p - 1), (1 << width) - 1
-    shifts = [i * width for i in range(len(sig.even))]
+    pack, unpack = _codec(len(sig.even), ((p - 1) * max(max(m.even) for m in monos)).bit_length())
+    keys = [pack(m)[0] for m in monos]
     terms = {}
     for exps, a in _circulant_form(p, support):
-        key = sum(map(mul, exps, keys))
-        terms[SuperMonomial(tuple([key >> s & field for s in shifts]), ())] = \
-            Cyclotomic._raw((Fraction(a * prod(map(pow, nums, exps)), den),), 1)
+        terms[unpack(sum(map(mul, exps, keys)))] = \
+            Cyclotomic._raw((Fraction(a * prod(map(pow, nums, exps)), d ** (p - 1)),), 1)
     return SuperPolynomial._raw(sig, terms)
 
 

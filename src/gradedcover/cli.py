@@ -14,7 +14,7 @@ import json
 import sys
 
 from .algebra import GradedSignature, SuperSignature
-from .covering import Atlas, check_cocycle, graded_copy_name, lift_atlas, lift_super
+from .covering import Atlas, check_cocycle, lift_atlas, lift_super
 from .errors import ExprSyntaxError, GradedError
 from .expressions import format_expression, parse_expression, parse_var_name
 from .groups import (
@@ -230,12 +230,8 @@ def cmd_lift(args) -> int:
     target = _signature_from_json(data["target"], "target")
     psi = _morphism_from_json(data["map"], "map", source, target)
     lifted = lift_super(psi, group, parity)
-    ordered = [
-        graded_copy_name(name, chi)
-        for name in target.even + target.odd
-        for chi in group.characters()
-    ]
-    items = [(n, lifted.images[n]) for n in ordered if n in lifted.images]
+    # each coordinate's copies in character order, the even coordinates first
+    items = [(n, lifted.images[n]) for n in lifted.target.even + lifted.target.odd]
     texts: dict = {}  # the copies of each coordinate share one denominator
     if args.json:
         payload = {"images": {n: format_expression(img, texts) for n, img in items}}

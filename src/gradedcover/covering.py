@@ -55,19 +55,26 @@ def covering_signature(
     return GradedSignature(group, parity, even, odd)
 
 
+def _copies(base: SuperSignature, cover: GradedSignature) -> list[list]:
+    """Per parity, [(coordinate, [(copy, weight), ...])] for ``base``, read off
+    its ``covering_signature``, which lists each coordinate's copies together."""
+    layout = []
+    for names, copies in ((base.even, [*zip(cover.even, cover.even_weights)]),
+                          (base.odd, [*zip(cover.odd, cover.odd_weights)])):
+        k = len(copies) // max(len(names), 1)
+        layout.append([(name, copies[i * k:(i + 1) * k]) for i, name in enumerate(names)])
+    return layout
+
+
 def covering_map(
     signature: SuperSignature, group: FiniteAbelianGroup, parity: ParityMap
 ) -> SuperMorphism:
     """The projection: each coordinate pulls back to the sum of its copies."""
     cover = covering_signature(signature, group, parity)
-    images = {}
-    for names, bit in ((signature.even, 0), (signature.odd, 1)):
-        for name in names:
-            total = SuperRational.zero(cover)
-            for chi in group.characters():
-                if parity(chi) == bit:
-                    total = total + SuperRational.variable(cover, graded_copy_name(name, chi))
-            images[name] = total
+    images = {
+        name: sum((SuperRational.variable(cover, c) for c, _ in copies), SuperRational.zero(cover))
+        for part in _copies(signature, cover) for name, copies in part
+    }
     return SuperMorphism(cover, signature, images)
 
 
@@ -83,11 +90,10 @@ def lift_mixed(phi: SuperMorphism) -> GradedMorphism:
         raise TypeError("the morphism must start from a graded domain")
     cover = covering_signature(source_super(phi.target), source.group, source.parity)
     images: dict[str, SuperRational] = {}
-    for name in phi.target.even + phi.target.odd:
-        components = phi.images[name].decompose()
-        for chi in source.group.characters():
-            copy = graded_copy_name(name, chi)
-            if copy in cover.even or copy in cover.odd:
+    for part in _copies(phi.target, cover):
+        for name, copies in part:
+            components = phi.images[name].decompose()
+            for copy, chi in copies:
                 images[copy] = components.get(chi, SuperRational.zero(source))
     return GradedMorphism(source, cover, images)
 
@@ -257,18 +263,17 @@ def _descend(
 ) -> SuperMorphism | None:
     """psi = p_B o lifted o s_A when lifted = lift(psi) is proved, else None."""
     cover = lifted.source
-    group, parity = cover.group, cover.parity
-    characters = group.characters()  # the identity first
-    odd = next((chi for chi in characters if parity(chi) == 1), None)
-    keep = {graded_copy_name(n, characters[0]): k for k, n in enumerate(source.even)}
-    keep.update({graded_copy_name(n, odd): k for k, n in enumerate(source.odd)})
+    # each coordinate's first copy: x@(0), or the first odd-parity copy
+    keep = {
+        copies[0][0]: k for part in _copies(source, cover) for k, (_, copies) in enumerate(part)
+    }
     section = ([keep.get(n) for n in cover.even], [keep.get(n) for n in cover.odd])
     totals, images = {}, {}
-    for names, bit in ((target.even, 0), (target.odd, 1)):
-        for name in names:
+    for part in _copies(target, lifted.target):
+        for name, copies in part:
             total = SuperRational.zero(cover)
-            for chi in (chi for chi in characters if parity(chi) == bit):
-                img = lifted.images[graded_copy_name(name, chi)]
+            for copy, chi in copies:
+                img = lifted.images[copy]
                 if not img.is_zero():
                     num_weight, den_weight = (
                         p.termwise_weight() for p in (img.numerator, img.denominator)
@@ -281,7 +286,7 @@ def _descend(
                 restrict_terms(p, source, *section) for p in (total.numerator, total.denominator)
             ))
     psi = SuperMorphism(source, target, images)
-    projected = compose(psi, covering_map(source, group, parity))
+    projected = compose(psi, covering_map(source, cover.group, cover.parity))
     if all(totals[name] == projected.images[name] for name in totals):
         return psi
     return None

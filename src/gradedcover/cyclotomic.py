@@ -74,16 +74,18 @@ def euler_phi(n: int) -> int:
 
 
 def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    """Remainder of a rational polynomial modulo Phi_n."""
+    """Remainder of a rational polynomial modulo Phi_n, subtracting only
+    the non-zero lower coefficients of Phi_n."""
     phi_n = cyclotomic_polynomial(n)
     deg = len(phi_n) - 1
     work = list(coeffs)
+    lower = [(j, d) for j, d in enumerate(phi_n[:deg]) if d]
     for k in range(len(work) - 1, deg - 1, -1):
         c = work[k]
         if c:
             work[k] = _ZERO
-            for j in range(deg):
-                work[k - deg + j] -= c * phi_n[j]
+            for j, d in lower:
+                work[k - deg + j] -= c * d
     work = work[:deg]
     work.extend([_ZERO] * (deg - len(work)))
     return tuple(work)
@@ -276,20 +278,7 @@ class Cyclotomic:
     def __str__(self):
         # Polynomial in z (z = i for conductor 4), tagged with the conductor.
         sym = "i" if self.conductor == 4 else "z"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                mono = sym if k == 1 else f"{sym}^{k}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{c}*{mono}")
+        parts = _basis_pieces(self.coeffs, lambda k: sym if k == 1 else f"{sym}^{k}")
         body = _join_signed(parts) if parts else "0"
         if self.conductor == 4 or self.is_rational():
             return body  # "i" needs no conductor tag
@@ -325,6 +314,24 @@ def _power(base, k: int, one):
         base = base * base if k > 1 else base
         k >>= 1
     return result
+
+
+def _basis_pieces(coeffs: Sequence[Fraction], root) -> list[str]:
+    """Signed pieces of sum q_k root(k) over the non-zero q_k: q at k = 0,
+    else ``root(k)``, ``-root(k)`` or ``q*root(k)``."""
+    pieces = []
+    for k, q in enumerate(coeffs):
+        if not q:
+            continue
+        if k == 0:
+            pieces.append(str(q))
+        elif q == 1:
+            pieces.append(root(k))
+        elif q == -1:
+            pieces.append(f"-{root(k)}")
+        else:
+            pieces.append(f"{q}*{root(k)}")
+    return pieces
 
 
 def _join_signed(pieces: list[str]) -> str:

@@ -33,7 +33,7 @@ from math import comb, lcm
 from typing import NamedTuple
 
 from .algebra import SuperMonomial, SuperPolynomial, SuperRational, SuperSignature
-from .cyclotomic import Cyclotomic, _join_signed, euler_phi, root_of_unity
+from .cyclotomic import Cyclotomic, _basis_pieces, _join_signed, euler_phi, root_of_unity
 from .errors import ExprSyntaxError
 from .groups import DEFAULT_ORDER_BOUND
 
@@ -256,27 +256,6 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
 # -- formatting ------------------------------------------------------------
 
 
-def _coeff_pieces(c: Cyclotomic) -> list[str]:
-    """Render a coefficient as signed product strings, one per basis term."""
-    if c.is_rational():
-        return [str(c.rational_value())]
-    pieces = []
-    for k, q in enumerate(c.coeffs):
-        if not q:
-            continue
-        if k == 0:
-            pieces.append(str(q))
-            continue
-        root = "i" if c.conductor == 4 else f"zeta({c.conductor},{k})"
-        if q == 1:
-            pieces.append(root)
-        elif q == -1:
-            pieces.append(f"-{root}")
-        else:
-            pieces.append(f"{q}*{root}")
-    return pieces
-
-
 def _format_term(signature: SuperSignature, mono: SuperMonomial, c: Cyclotomic) -> str:
     vars_parts = []
     for i, e in enumerate(mono.even):
@@ -286,7 +265,8 @@ def _format_term(signature: SuperSignature, mono: SuperMonomial, c: Cyclotomic) 
             vars_parts.append(f"{signature.even[i]}^{e}")
     vars_parts.extend(signature.odd[j] for j in mono.odd)
 
-    pieces = _coeff_pieces(c)
+    n = c.conductor
+    pieces = _basis_pieces(c.coeffs, lambda k: "i" if n == 4 else f"zeta({n},{k})")
     if len(pieces) > 1:
         coeff_txt = f"({_join_signed(pieces)})"
     else:

@@ -1,13 +1,17 @@
 """Behavior of the graded function algebra: products, action, decomposition."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradedcover import (
+    Character,
+    Cyclotomic,
     GradedSignature,
     NotInvertibleError,
     ParityMap,
@@ -18,6 +22,9 @@ from gradedcover import (
     decompose_oracle,
     format_expression,
     make_group,
+    parse_expression,
+    parse_group_spec,
+    parse_parity_spec,
     root_of_unity,
 )
 from conftest import (
@@ -838,3 +845,126 @@ def graded_functions(draw):
 @given(graded_functions())
 def test_decompose_equals_the_averaging_oracle(f):
     assert f.decompose() == decompose_oracle(f)
+
+
+# -- one weight rule and one twist-class rule ----------------------------------
+
+
+def nested_residue_weight(sig, mono):
+    """A monomial's weight by the nested residue loop the per-factor rows replace."""
+    acc = [0] * sig.group.rank
+    for i, e in enumerate(mono.even):
+        if e:
+            for t, r in enumerate(sig.even_weights[i].residues):
+                acc[t] += e * r
+    for j in mono.odd:
+        for t, r in enumerate(sig.odd_weights[j].residues):
+            acc[t] += r
+    return Character(sig.group, tuple(a % q for a, q in zip(acc, sig.group.factors)))
+
+
+# every group of rank at most 3 and order at most 12
+WEIGHT_GROUPS = sorted(
+    f for r in (1, 2, 3) for f in itertools.product(range(2, 13), repeat=r) if prod(f) <= 12
+)
+
+
+@st.composite
+def graded_monomials(draw):
+    """A signature with odd variables where the parity allows them, and a monomial."""
+    grp = make_group(draw(st.sampled_from(WEIGHT_GROUPS)))
+    bits = tuple(draw(st.integers(0, 1)) if q % 2 == 0 else 0 for q in grp.factors)
+    pm = ParityMap(grp, bits)
+    weights = [[chi for chi in grp.characters() if pm(chi) == bit] for bit in (0, 1)]
+    n_even = draw(st.integers(1, 3))
+    n_odd = draw(st.integers(1, 3)) if weights[1] else 0
+    sig = GradedSignature(
+        grp, pm,
+        even=[(f"x{k}", draw(st.sampled_from(weights[0]))) for k in range(n_even)],
+        odd=[(f"s{k}", draw(st.sampled_from(weights[1]))) for k in range(n_odd)],
+    )
+    even = tuple(draw(st.integers(0, 30)) for _ in range(n_even))
+    odd = tuple(sorted(draw(st.sets(st.integers(0, n_odd - 1)))) if n_odd else ())
+    return sig, SuperMonomial(even, odd)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_monomials())
+def test_monomial_weight_equals_the_nested_residue_loop(case):
+    sig, mono = case
+    weight = SuperPolynomial.zero(sig).monomial_weight(mono)
+    assert weight == nested_residue_weight(sig, mono)
+    assert type(weight) is Character and weight.group == sig.group
+
+
+def twists_by_comparison(den):
+    """D's distinct twists as the chain found them before the twist classes:
+    act with every g and keep each twist unequal to all kept so far."""
+    distinct = [den]
+    for g in den.signature.group.elements():
+        if not g.is_identity():
+            twisted = den.act(g)
+            if not any(twisted == seen for seen in distinct):
+                distinct.append(twisted)
+    return distinct[1:]
+
+
+def exact_terms(poly):
+    """Terms with each coefficient's conductor and vector, as printing sees them."""
+    return {m: (c.conductor, c.coeffs) for m, c in poly.terms.items()}
+
+
+TWIST_CASES = [
+    # (group, parity, even variables, denominator, stabilizer residues)
+    ("4", "0", "x@0,y@2", "x@0^2 + zeta(3,1)*y@2", [(0,), (2,)]),
+    ("12", "0", "x@0,y@1,z@4", "x@0 + zeta(5,2)*y@1^6 + i*z@4^3", [(0,), (2,), (4,), (6,), (8,), (10,)]),
+    ("12", "0", "x@0,y@1,z@4", "1 + zeta(3,1)*y@1 - z@4^2*x@0", [(0,)]),
+    ("16", "0", "x@0,y@1", "x@0 + zeta(3,1)*y@1", [(0,)]),
+    ("16", "0", "x@0,y@4", "x@0^3 + i*y@4 - 2", [(0,), (4,), (8,), (12,)]),
+    ("2x2", "00", "x@(0,0),y@(1,0),z@(1,1)", "x@(0,0) + zeta(3,1)*y@(1,0) + z@(1,1)^2",
+     [(0, 0), (0, 1)]),
+    ("2x2", "11", "x@(0,0),y@(1,1)", "x@(0,0)*y@(1,1) + zeta(8,3)", [(0, 0), (1, 1)]),
+    ("2x6", "00", "x@(0,0),y@(1,2),z@(0,3)", "x@(0,0) + zeta(5,1)*y@(1,2)*z@(0,3) + i*y@(1,2)^2",
+     [(0, 0), (1, 3)]),
+    ("2x6", "00", "x@(0,0),y@(1,2),z@(0,3)", "zeta(7,3)*x@(0,0) + y@(1,2)^3 - z@(0,3)^2",
+     [(0, k) for k in range(6)]),
+]
+
+
+@pytest.mark.parametrize("group, parity, even, den_text, stabilizer", TWIST_CASES)
+def test_twist_classes_give_the_twists_the_comparison_found(
+    monkeypatch, group, parity, even, den_text, stabilizer
+):
+    from gradedcover import algebra
+    from gradedcover.cli import parse_graded_signature
+
+    grp = parse_group_spec(group)
+    sig = parse_graded_signature(grp, parse_parity_spec(grp, parity), even, "")
+    den = parse_expression(den_text, sig).numerator
+    num = SuperPolynomial.variable(sig, sig.even[0]) + 3
+    classes = algebra._twist_classes(den)
+    assert [g.residues for g in classes[0]] == stabilizer
+    expected = twists_by_comparison(den)
+    twists = [den.act(c[0]) for c in classes[1:]]
+    assert [exact_terms(t) for t in twists] == [exact_terms(t) for t in expected]
+    chain = algebra._twist_chain([num, den], expected)
+    # the chain compares neither polynomials nor coefficients any more
+    for cls in (SuperPolynomial, Cyclotomic):
+        monkeypatch.setattr(cls, "__eq__", lambda self, other: pytest.fail("compared"))
+    got = SuperRational(num, den)._normed_chain()
+    monkeypatch.undo()
+    assert [exact_terms(p) for p in got] == [exact_terms(p) for p in chain]
+
+
+def test_twist_classes_on_seeded_irrational_denominators():
+    from gradedcover import algebra
+
+    rng = random.Random(11)
+    for factors in ([12], [16], [2, 2], [2, 6]):
+        grp = make_group(factors)
+        for _ in range(6):
+            sig = random_signature(rng, grp, random_parity(rng, grp))
+            den = random_polynomial(rng, sig, 4, 3, with_odd=False, nonzero=True)
+            twists = [den.act(c[0]) for c in algebra._twist_classes(den)[1:]]
+            expected = twists_by_comparison(den)
+            assert [exact_terms(t) for t in twists] == [exact_terms(t) for t in expected]

@@ -13,7 +13,7 @@ inputs; the benchmark goldens do not see that.  The SHA-256 of every exit
 code and stdout was recorded before the product kernel packed monomials
 into integer keys.
 
-Only a change to the printed-conductor contract (ROADMAP item 2, minimal
+Only a change to the printed-conductor contract (ROADMAP item 1(a), minimal
 conductors) may re-record ``DIGEST``; a faster product must keep it.
 """
 

@@ -47,6 +47,35 @@ def test_char_table_z4_uses_i(capsys):
     assert " i" in out and "-i" in out
 
 
+CHAR_TABLE_Z8 = [
+    '                                   (0)                 (1)                 (2)                 (3)                 (4)                 (5)                 (6)                 (7)',
+    '                 (0)                 1                   1                   1                   1                   1                   1                   1                   1',
+    '                 (1)                 1     z (conductor=8)   z^2 (conductor=8)   z^3 (conductor=8)                  -1    -z (conductor=8)  -z^2 (conductor=8)  -z^3 (conductor=8)',
+    '                 (2)                 1   z^2 (conductor=8)                  -1  -z^2 (conductor=8)                   1   z^2 (conductor=8)                  -1  -z^2 (conductor=8)',
+    '                 (3)                 1   z^3 (conductor=8)  -z^2 (conductor=8)     z (conductor=8)                  -1  -z^3 (conductor=8)   z^2 (conductor=8)    -z (conductor=8)',
+    '                 (4)                 1                  -1                   1                  -1                   1                  -1                   1                  -1',
+    '                 (5)                 1    -z (conductor=8)   z^2 (conductor=8)  -z^3 (conductor=8)                  -1     z (conductor=8)  -z^2 (conductor=8)   z^3 (conductor=8)',
+    '                 (6)                 1  -z^2 (conductor=8)                  -1   z^2 (conductor=8)                   1  -z^2 (conductor=8)                  -1   z^2 (conductor=8)',
+    '                 (7)                 1  -z^3 (conductor=8)  -z^2 (conductor=8)    -z (conductor=8)                  -1   z^3 (conductor=8)   z^2 (conductor=8)     z (conductor=8)',
+]
+
+CHAR_TABLE_Z2XZ3 = [
+    '                                     (0,0)                 (0,1)                 (0,2)                 (1,0)                 (1,1)                 (1,2)',
+    '                 (0,0)                   1                     1                     1                     1                     1                     1',
+    '                 (0,1)                   1  -1 + z (conductor=6)      -z (conductor=6)                     1  -1 + z (conductor=6)      -z (conductor=6)',
+    '                 (0,2)                   1      -z (conductor=6)  -1 + z (conductor=6)                     1      -z (conductor=6)  -1 + z (conductor=6)',
+    '                 (1,0)                   1                     1                     1                    -1                    -1                    -1',
+    '                 (1,1)                   1  -1 + z (conductor=6)      -z (conductor=6)                    -1   1 - z (conductor=6)       z (conductor=6)',
+    '                 (1,2)                   1      -z (conductor=6)  -1 + z (conductor=6)                    -1       z (conductor=6)   1 - z (conductor=6)',
+]
+
+
+@pytest.mark.parametrize("group, table", [("8", CHAR_TABLE_Z8), ("2x3", CHAR_TABLE_Z2XZ3)])
+def test_char_table_text_is_pinned(capsys, group, table):
+    assert main(["char-table", "--group", group]) == 0
+    assert capsys.readouterr().out.splitlines() == table
+
+
 def test_char_table_json(capsys):
     assert main(["char-table", "--group", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -108,11 +137,13 @@ def test_act_flips_sign(capsys):
 def test_lift_super_morphism(tmp_path, capsys):
     path = write_json(tmp_path, "psi.json", SUPER_MORPHISM)
     assert main(["lift", path]) == 0
-    out = capsys.readouterr().out
-    assert "y@(0) = (x@(0))/(x@(0)^2 - x@(2)^2)" in out
-    assert "y@(2) = (-x@(2))/(x@(0)^2 - x@(2)^2)" in out
-    assert "eta@(1) = (x@(0)*xi@(1) - x@(2)*xi@(3))/(x@(0)^2 - x@(2)^2)" in out
-    assert "eta@(3) = (x@(0)*xi@(3) - x@(2)*xi@(1))/(x@(0)^2 - x@(2)^2)" in out
+    # each coordinate's copies in character order, the even coordinates first
+    assert capsys.readouterr().out.splitlines() == [
+        "y@(0) = (x@(0))/(x@(0)^2 - x@(2)^2)",
+        "y@(2) = (-x@(2))/(x@(0)^2 - x@(2)^2)",
+        "eta@(1) = (x@(0)*xi@(1) - x@(2)*xi@(3))/(x@(0)^2 - x@(2)^2)",
+        "eta@(3) = (x@(0)*xi@(3) - x@(2)*xi@(1))/(x@(0)^2 - x@(2)^2)",
+    ]
 
 
 def test_lift_rejects_parity_violation(tmp_path, capsys):

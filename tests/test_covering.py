@@ -22,6 +22,8 @@ from gradedcover import (
     compose,
     covering_map,
     covering_signature,
+    format_expression,
+    graded_copy_name,
     identity_morphism,
     lift_atlas,
     lift_mixed,
@@ -549,3 +551,54 @@ def test_coverings_under_different_gradings_take_the_direct_path():
         },
     )
     assert not assert_agrees(atlas, "direct").ok
+
+
+# -- one cover layout ----------------------------------------------------------
+
+
+def covering_map_by_filter(signature, group, parity):
+    """The projection as built before the layout was read off the cover:
+    every character, filtered by the coordinate's parity."""
+    cover = covering_signature(signature, group, parity)
+    images = {}
+    for names, bit in ((signature.even, 0), (signature.odd, 1)):
+        for name in names:
+            total = SuperRational.zero(cover)
+            for chi in group.characters():
+                if parity(chi) == bit:
+                    total = total + SuperRational.variable(cover, graded_copy_name(name, chi))
+            images[name] = total
+    return SuperMorphism(cover, signature, images)
+
+
+def lift_mixed_by_filter(phi):
+    """``lift_mixed`` as built before: every character, kept if its copy exists."""
+    source = phi.source
+    cover = covering_signature(covering.source_super(phi.target), source.group, source.parity)
+    images = {}
+    for name in phi.target.even + phi.target.odd:
+        components = phi.images[name].decompose()
+        for chi in source.group.characters():
+            copy = graded_copy_name(name, chi)
+            if copy in cover.even or copy in cover.odd:
+                images[copy] = components.get(chi, SuperRational.zero(source))
+    return GradedMorphism(source, cover, images)
+
+
+def same_images(got, expected):
+    assert got.source == expected.source and got.target == expected.target
+    assert list(got.images) == list(expected.images)
+    for name, img in expected.images.items():
+        assert format_expression(got.images[name]) == format_expression(img)
+
+
+@pytest.mark.parametrize("group, parity", [("4", "1"), ("2x2", "11")])
+def test_cover_layout_gives_the_images_the_parity_filter_gave(group, parity):
+    atlas, _, _ = load_atlas(json.loads(inputs.projective_superline()))
+    grp = parse_group_spec(group)
+    pm = parse_parity_spec(grp, parity)
+    for psi in atlas.transitions.values():
+        projection = covering_map(psi.source, grp, pm)
+        same_images(projection, covering_map_by_filter(psi.source, grp, pm))
+        mixed = compose(psi, projection)
+        same_images(lift_mixed(mixed), lift_mixed_by_filter(mixed))

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gradedcover import Cyclotomic, cyclotomic_polynomial, euler_phi, root_of_unity
+from gradedcover.cyclotomic import _reduce
 
 
 def test_known_cyclotomic_polynomials():
@@ -287,3 +288,35 @@ def test_rational_factors_scale_like_the_lifted_product(a, q):
             assert product.conductor == reference.conductor == a.conductor
             assert product.coeffs == reference.coeffs
             assert all(type(c) is Fraction for c in product.coeffs)
+
+
+def dense_reduce(coeffs, n):
+    """Remainder modulo Phi_n by the loop over every lower coefficient, zeros included."""
+    phi_n = cyclotomic_polynomial(n)
+    deg = len(phi_n) - 1
+    work = list(coeffs)
+    for k in range(len(work) - 1, deg - 1, -1):
+        c = work[k]
+        if c:
+            work[k] = Fraction(0)
+            for j in range(deg):
+                work[k - deg + j] -= c * phi_n[j]
+    work = work[:deg]
+    work.extend([Fraction(0)] * (deg - len(work)))
+    return tuple(work)
+
+
+def test_sparse_reduction_matches_the_dense_loop():
+    rng = random.Random(9)
+    draws = [lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))]
+    for n in [1, 2, 12, 105, 3003, 4095]:
+        deg = euler_phi(n)
+        for draw in draws:
+            for length in [0, 1, deg, deg + 1, deg + rng.randint(2, 60)]:
+                vec = [draw() for _ in range(length)]
+                got, want = _reduce(vec, n), dense_reduce(vec, n)
+                assert got == want, (n, length)
+                assert [type(c) for c in got] == [type(c) for c in want]
+    # the vector of a root of unity of order 3003, as root_of_unity reduces it
+    vec = [0] * 3002 + [1]
+    assert _reduce(vec, 3003) == dense_reduce(vec, 3003)
