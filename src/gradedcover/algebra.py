@@ -37,7 +37,7 @@ from math import lcm, prod
 from operator import add, mul, neg
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from .cyclotomic import Cyclotomic, _power, _reduce, euler_phi
+from .cyclotomic import Cyclotomic, _power, _reduce, euler_phi, root_of_unity
 from .errors import NotInvertibleError, SignatureMismatchError
 from .groups import Character, FiniteAbelianGroup, GroupElement, ParityMap
 
@@ -335,14 +335,34 @@ def _mul_terms_integer(a: Terms, b: Terms, n: int) -> Terms:
     return out
 
 
-def _mul_single(a: Terms, b: Terms) -> Terms:
-    """One term times one term: ``Cyclotomic.__mul__`` gives the kernel's conductor."""
-    ((m1, c1),), ((m2, c2),) = a.items(), b.items()
-    sign = _odd_sign(sum(1 << j for j in m1.odd), sum(1 << j for j in m2.odd))
+def _mul_single(t1: tuple, t2: tuple) -> tuple | None:
+    """One (monomial, coefficient) term times another, None for zero:
+    ``Cyclotomic.__mul__`` gives the kernel's conductor, and a coefficient 1
+    at conductor 1 is not multiplied in."""
+    (m1, c1), (m2, c2) = t1, t2
+    sign = _odd_sign(sum(1 << j for j in m1.odd), sum(1 << j for j in m2.odd)) if m2.odd else 1
     if not sign:
-        return {}
+        return None
     mono = SuperMonomial(tuple(map(add, m1.even, m2.even)), tuple(sorted(m1.odd + m2.odd)))
-    return {mono: c1 * c2 if sign > 0 else -(c1 * c2)}
+    c = c2 if _is_unit(c1) else c1 if _is_unit(c2) else c1 * c2
+    return mono, c if sign > 0 else -c
+
+
+def _pow_single(t: tuple, k: int) -> tuple | None:
+    """One term to the k >= 0, None for zero: the exponents scale, an odd
+    monomial squares to zero, and a coefficient 1 at conductor 1 stays."""
+    m, c = t
+    if k == 0:
+        return SuperMonomial((0,) * len(m.even), ()), Cyclotomic.from_rational(1)
+    if k == 1:
+        return t
+    if m.odd:
+        return None
+    return SuperMonomial(tuple(e * k for e in m.even), ()), c if _is_unit(c) else c**k
+
+
+def _is_unit(c: Cyclotomic) -> bool:
+    return c.conductor == 1 and c.coeffs[0] == 1
 
 
 def _is_one(terms: Terms) -> bool:
@@ -350,7 +370,7 @@ def _is_one(terms: Terms) -> bool:
     if len(terms) != 1:
         return False
     ((mono, c),) = terms.items()
-    return c.conductor == 1 and c.coeffs == (1,) and not mono.odd and not any(mono.even)
+    return _is_unit(c) and not mono.odd and not any(mono.even)
 
 
 def _as_coefficient(value: Scalar) -> Cyclotomic:
@@ -481,7 +501,8 @@ class SuperPolynomial:
         if _is_one(self.terms):
             return other
         if len(self.terms) == 1 == len(other.terms):
-            return SuperPolynomial._raw(self.signature, _mul_single(self.terms, other.terms))
+            t = _mul_single(*self.terms.items(), *other.terms.items())
+            return SuperPolynomial._raw(self.signature, {} if t is None else dict([t]))
         n = _product_conductor(self.terms, other.terms)
         if n is None:
             out = _mul_terms_termwise(self.terms, other.terms)
@@ -581,10 +602,14 @@ class SuperPolynomial:
             raise TypeError("group actions require a graded signature")
         if g.group != sig.group:
             raise SignatureMismatchError("element belongs to a different group")
-        return SuperPolynomial._raw(
-            sig,
-            {m: c * self.monomial_weight(m)(g) for m, c in self.terms.items()},
-        )
+        # each monomial's weight is zeta_n^e at g: a dot product gives e
+        n = sig.group.exponent
+        even = [w.exponent_at(g) for w in sig.even_weights]
+        odd = [w.exponent_at(g) for w in sig.odd_weights]
+        return SuperPolynomial._raw(sig, {
+            m: c * root_of_unity(n, (sum(map(mul, m.even, even)) + sum(odd[j] for j in m.odd)) % n)
+            for m, c in self.terms.items()
+        })
 
     def sorted_terms(self) -> list[tuple[SuperMonomial, Cyclotomic]]:
         """Terms in the canonical output order, leading monomial first."""

@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from .algebra import GradedSignature, SuperSignature
+from .algebra import GradedSignature, SuperRational, SuperSignature
 from .covering import Atlas, check_cocycle, lift_atlas, lift_super
 from .errors import ExprSyntaxError, GradedError
 from .expressions import format_expression, parse_expression, parse_var_name
@@ -95,12 +95,17 @@ def _signature_from_json(obj, where: str, group=None, parity=None) -> SuperSigna
 
 
 def _morphism_from_json(mapping, where: str, source, target) -> SuperMorphism:
-    """A morphism from a JSON object mapping target names to image text."""
-    images = {}
+    """A morphism from a JSON object mapping target names to image text;
+    an image whose denominator has exactly the first one's terms, in order
+    and conductors included, shares its object, as a lift's components do."""
+    images, shared = {}, None
     for var, expr in _expect(mapping, dict, where, "a JSON object").items():
         name = parse_var_name(var)[0]
         expr = _expect(expr, str, f"{where}.{var}", "an expression string")
-        images[name] = parse_expression(expr, source)
+        f = parse_expression(expr, source)
+        terms = [(m, c.conductor, c.coeffs) for m, c in f.denominator.terms.items()]
+        shared = shared or (f.denominator, terms)
+        images[name] = SuperRational(f.numerator, shared[0]) if terms == shared[1] else f
     return SuperMorphism(source, target, images)
 
 

@@ -49,8 +49,22 @@ def _divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
+
+
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending degree, monic."""
+    """Coefficients of Phi_n, ascending degree, monic: Phi_m(x^p) if p | m,
+    else Phi_m(x^p) / Phi_m(x), for m = n/p and p a repeated prime factor
+    of n if it has one, else its largest, which keeps the division small."""
     if n < 1:
         raise ValueError(f"conductor must be >= 1, got {n}")
     cached = _CYCLOTOMIC_POLY.get(n)
@@ -59,18 +73,22 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     if n == 1:
         poly: tuple[int, ...] = (-1, 1)
     else:
-        # Phi_n = (x^n - 1) / prod of Phi_d over proper divisors d of n.
-        work = [-1] + [0] * (n - 1) + [1]
-        for d in range(1, n):
-            if n % d == 0:
-                work = _divexact(work, cyclotomic_polynomial(d))
-        poly = tuple(work)
+        primes = _prime_factors(n)
+        p = next((q for q in primes if n % (q * q) == 0), primes[-1])
+        base = cyclotomic_polynomial(n // p)
+        stretched = [0] * ((len(base) - 1) * p + 1)
+        stretched[::p] = base
+        poly = tuple(stretched if n % (p * p) == 0 else _divexact(stretched, base))
     _CYCLOTOMIC_POLY[n] = poly
     return poly
 
 
 def euler_phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+    if n < 1:
+        raise ValueError(f"conductor must be >= 1, got {n}")
+    for p in _prime_factors(n):
+        n = n // p * (p - 1)
+    return n
 
 
 def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:

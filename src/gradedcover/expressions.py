@@ -12,11 +12,13 @@ the shorthand ``name@k`` is accepted for rank-one groups.  ``parse_expression``
 syntax-checks the whole text into a postfix program before any arithmetic
 runs, so malformed text is an ``ExprSyntaxError`` even if it also divides
 by zero; it then evaluates the program with a value stack against a
-declared signature into an exact superfunction.  Values on the stack stay
-polynomials until a division by a non-constant: dividing by a constant c
-other than 1 multiplies by 1/c.  Other divisions, and arithmetic on a
-quotient, go through ``SuperRational``; a quotient whose denominator is
-exactly 1 at conductor 1 turns back into a polynomial.
+declared signature into an exact superfunction.  A single term stays one
+(monomial, coefficient) pair through products, powers and division by a
+constant c other than 1 (a product with 1/c), and a sum adds each term
+into one dict in place.  Values stay polynomials until a division by a
+non-constant; that division, and arithmetic on a quotient, go through
+``SuperRational``, and a quotient whose denominator is exactly 1 at
+conductor 1 turns back into a polynomial.
 Parentheses nest at most ``MAX_NESTING`` (100) levels deep,
 ``zeta(N,k)`` takes orders N up to ``DEFAULT_ORDER_BOUND`` (4096), and a
 power of an operand with more than one term may have at most
@@ -33,6 +35,7 @@ from math import comb, lcm
 from typing import NamedTuple
 
 from .algebra import SuperMonomial, SuperPolynomial, SuperRational, SuperSignature
+from .algebra import _accumulate, _mul_single, _pow_single
 from .cyclotomic import Cyclotomic, _basis_pieces, _join_signed, euler_phi, root_of_unity
 from .errors import ExprSyntaxError
 from .groups import DEFAULT_ORDER_BOUND
@@ -43,8 +46,9 @@ _TOKEN_RE = re.compile(
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:@(?:\(\s*\d+(?:\s*,\s*\d+)*\s*\)|\d+))?)
   | (?P<op>[-+*/^(),])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
@@ -56,15 +60,12 @@ class Token(NamedTuple):
 
 def _lex(text: str) -> list[Token]:
     tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {text[i]!r}", i + 1)
-        if m.lastgroup != "ws":
-            kind = m.lastgroup if m.lastgroup != "op" else m.group()
-            tokens.append(Token(kind, m.group(), i + 1))
-        i = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start() + 1)
+        if kind != "ws":
+            tokens.append(Token(m.group() if kind == "op" else kind, m.group(), m.start() + 1))
     tokens.append(Token("end", "end of input", len(text) + 1))
     return tokens
 
@@ -187,19 +188,13 @@ Value = SuperPolynomial | SuperRational  # a polynomial p stands for p/1
 
 
 def _binary(op: str, lhs: Value, rhs: Value) -> Value:
-    """``lhs op rhs`` with the numerators and denominators ``SuperRational``
-    would produce, kept as a polynomial while the denominator is 1."""
-    if isinstance(lhs, SuperPolynomial) and isinstance(rhs, SuperPolynomial):
-        if op != "/":
-            return _BINARY[op](lhs, rhs)
-        c = rhs.as_constant()
-        if c is not None and c != 1:
-            # the same product SuperRational's folding of constant denominators makes
-            return lhs * SuperPolynomial.constant(lhs.signature, c.inverse())
-    if isinstance(lhs, SuperPolynomial):
-        lhs = SuperRational(lhs)
-    if isinstance(rhs, SuperPolynomial):
-        rhs = SuperRational(rhs)
+    """``lhs op rhs`` as ``SuperRational`` computes it, kept as a polynomial
+    while the denominator is 1; a polynomial divided by a non-constant even
+    polynomial is their quotient, the terms its inverse series would give."""
+    if op == "/" and isinstance(lhs, SuperPolynomial) and isinstance(rhs, SuperPolynomial):
+        if rhs.as_constant() is None and rhs and not rhs.has_odd_content():
+            return SuperRational(lhs, rhs)
+    lhs, rhs = (SuperRational(v) if isinstance(v, SuperPolynomial) else v for v in (lhs, rhs))
     out = _BINARY[op](lhs, rhs)
     return out.numerator if out.denominator.is_one() else out
 
@@ -221,35 +216,78 @@ def _check_power(value: Value, exponent: int, pos: int):
                 )
 
 
+# A polynomial on the stack is one non-zero (monomial, coefficient) term,
+# or a dict of terms that only the stack holds, which a sum adds into.
+
+def _term(value) -> tuple | None:
+    if type(value) is dict and len(value) == 1:
+        return next(iter(value.items()))
+    return value if type(value) is tuple else None
+
+
+def _value(value, signature: SuperSignature) -> Value:
+    if type(value) is tuple:
+        value = dict((value,))
+    return SuperPolynomial._raw(signature, value) if type(value) is dict else value
+
+
+def _stacked(value: Value):
+    return dict(value.terms) if isinstance(value, SuperPolynomial) else value
+
+
 def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
     """Parse the whole text, then evaluate it exactly over the signature."""
-    stack: list[Value] = []
+    unit, one = SuperMonomial((0,) * len(signature.even), ()), Cyclotomic.from_rational(1)
+    monomials: dict[str, SuperMonomial] = {}  # by identifier, for this parse
+    stack: list = []
     for step in _Parser(_lex(text)).parse():
         op = step[0]
         if op == "var":
-            name = parse_var_name(step[1])[0]
-            if name not in signature.even and name not in signature.odd:
-                raise ExprSyntaxError(f"unknown identifier {step[1]!r}", step[2])
-            stack.append(SuperPolynomial.variable(signature, name))
+            mono = monomials.get(step[1])
+            if mono is None:
+                name = parse_var_name(step[1])[0]
+                if name not in signature.even and name not in signature.odd:
+                    raise ExprSyntaxError(f"unknown identifier {step[1]!r}", step[2])
+                (mono,) = SuperPolynomial.variable(signature, name).terms
+                monomials[step[1]] = mono
+            stack.append((mono, one))
         elif op == "const":
-            stack.append(SuperPolynomial.constant(signature, step[1]))
+            stack.append((unit, Cyclotomic.from_rational(step[1])) if step[1] else {})
         elif op == "root":
             _, order, power, pos = step
             if order > DEFAULT_ORDER_BOUND:
                 raise ExprSyntaxError(
                     f"zeta order {order} is above the bound {DEFAULT_ORDER_BOUND}", pos
                 )
-            stack.append(SuperPolynomial.constant(signature, root_of_unity(order, power)))
+            stack.append((unit, root_of_unity(order, power)))
         elif op == "neg":
-            stack[-1] = -stack[-1]
+            top = stack[-1]
+            stack[-1] = (top[0], -top[1]) if type(top) is tuple else _stacked(-_value(top, signature))
         elif op == "^":
             _, exponent, pos = step
-            _check_power(stack[-1], exponent, pos)
-            stack[-1] = stack[-1] ** exponent
+            if term := _term(stack[-1]):
+                stack[-1] = _pow_single(term, exponent) or {}
+            else:
+                value = _value(stack[-1], signature)
+                _check_power(value, exponent, pos)
+                stack[-1] = _stacked(value**exponent)
         else:
             rhs = stack.pop()
-            stack[-1] = _binary(op, stack[-1], rhs)
-    top = stack[0]
+            lhs = stack[-1]
+            if op in "+-" and SuperRational not in (type(lhs), type(rhs)):
+                items = (rhs,) if type(rhs) is tuple else rhs.items()
+                if op == "-":
+                    items = [(mono, -c) for mono, c in items]
+                stack[-1] = _accumulate(lhs if type(lhs) is dict else dict((lhs,)), items)
+                continue
+            a, b = _term(lhs), _term(rhs)
+            if op == "*" and a and b:
+                stack[-1] = _mul_single(a, b) or {}
+            elif op == "/" and a and b and b[0] == unit and b[1] != 1:
+                stack[-1] = _mul_single(a, (unit, b[1].inverse()))
+            else:
+                stack[-1] = _stacked(_binary(op, _value(lhs, signature), _value(rhs, signature)))
+    top = _value(stack[0], signature)
     return top if isinstance(top, SuperRational) else SuperRational(top)
 
 

@@ -897,6 +897,23 @@ def test_monomial_weight_equals_the_nested_residue_loop(case):
     assert type(weight) is Character and weight.group == sig.group
 
 
+@st.composite
+def graded_polynomials(draw):
+    """A signature from ``graded_monomials`` and a seeded random polynomial on it."""
+    sig, _ = draw(graded_monomials())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return sig, random_polynomial(rng, sig, max_terms=6, max_degree=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_polynomials())
+def test_action_equals_the_character_values_term_for_term(case):
+    sig, poly = case
+    for g in sig.group.elements():
+        want = SuperPolynomial(sig, {m: c * poly.monomial_weight(m)(g) for m, c in poly.terms.items()})
+        assert list(exact_terms(poly.act(g)).items()) == list(exact_terms(want).items())
+
+
 def twists_by_comparison(den):
     """D's distinct twists as the chain found them before the twist classes:
     act with every g and keep each twist unequal to all kept so far."""

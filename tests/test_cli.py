@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from gradedcover.cli import build_parser, main
+from gradedcover import GradedMorphism, SuperPolynomial
+from gradedcover.cli import build_parser, dump_atlas, load_atlas, main
 
 CP1_ATLAS = {
     "charts": {"0": {"even": ["x"], "odd": []}, "1": {"even": ["y"], "odd": []}},
@@ -367,3 +368,25 @@ def test_parser_is_reused_without_leaking_options(tmp_path, capsys):
     assert build_parser() is build_parser()
     args = build_parser().parse_args(decompose)
     assert (args.output, args.json, args.odd) == (None, False, None)
+
+
+def test_loaded_lift_images_share_one_denominator(tmp_path, capsys, monkeypatch):
+    source = write_json(tmp_path, "cp1.json", CP1_ATLAS)
+    lifted = tmp_path / "lifted.json"
+    assert main(["lift-atlas", source, "--group", "4", "--json", "--output", str(lifted)]) == 0
+    data = json.loads(lifted.read_text(encoding="utf-8"))
+    atlas, group, parity = load_atlas(data)
+    for morphism in atlas.transitions.values():
+        dens = [img.denominator for img in morphism.images.values()]
+        assert len(dens) == 4 and len(dens[0].terms) > 1
+        assert all(den is dens[0] for den in dens)
+    # printing is unchanged, and a graded morphism weighs the shared one once
+    assert dump_atlas(atlas, group, parity) == data
+    weighed = []
+    termwise_weight = SuperPolynomial.termwise_weight
+    monkeypatch.setattr(SuperPolynomial, "termwise_weight",
+                        lambda self: weighed.append(self) or termwise_weight(self))
+    m = atlas.transitions[("0", "1")]
+    GradedMorphism(m.source, m.target, m.images)
+    assert len(weighed) == 4 + 1  # each numerator, then the shared denominator
+    capsys.readouterr()

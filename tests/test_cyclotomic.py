@@ -1,5 +1,6 @@
 """Exactness checks for the cyclotomic field arithmetic."""
 
+import functools
 import random
 from fractions import Fraction
 from math import lcm
@@ -19,6 +20,40 @@ def test_known_cyclotomic_polynomials():
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     assert euler_phi(64) == 32
+
+
+@functools.cache
+def _phi_by_division(n):
+    """Phi_n as (x^n - 1) divided by Phi_d for every proper divisor d."""
+    work = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = _phi_by_division(d)
+            quotient = [0] * (len(work) - len(den) + 1)
+            for k in range(len(quotient) - 1, -1, -1):
+                c = quotient[k] = work[k + len(den) - 1]
+                for j, x in enumerate(den):
+                    work[k + j] -= c * x
+            assert not any(work[: len(den) - 1])
+            work = quotient
+    return tuple(work)
+
+
+def test_cyclotomic_polynomials_from_smaller_factors_match_the_division():
+    for n in range(1, 301):
+        assert cyclotomic_polynomial(n) == _phi_by_division(n), n
+        assert euler_phi(n) == len(_phi_by_division(n)) - 1, n
+    with pytest.raises(ValueError):
+        euler_phi(0)
+
+
+def test_large_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for n in (3003, 4095):
+        want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(n) == tuple(int(c) for c in want)
+        assert euler_phi(n) == len(want) - 1
 
 
 def test_imaginary_unit_squares_to_minus_one():

@@ -22,6 +22,8 @@ from gradedcover import (
     parse_expression,
     root_of_unity,
 )
+from gradedcover.cli import dump_atlas, load_atlas
+from gradedcover.covering import lift_atlas
 from gradedcover.expressions import MAX_NESTING, _lex, _Parser, parse_var_name
 from conftest import random_group, random_parity, random_rational, random_signature
 
@@ -313,6 +315,17 @@ def test_polynomial_first_evaluation_matches_the_rational_evaluator():
     ]
     texts += ["x0^0", "---x0", "-(-(-x0))^2", "(x0/(1 + x0))*(1 + x0)", "x1/zeta(12,0) + x0"]
     texts += [random_text(rng, 3) for _ in range(300 - len(texts))]
+    # single terms folded on the stack: odd squares, zeros, a conductor that
+    # resets once its sum cancels, powers of a root, and the zeroth power
+    texts += ["xi1^2", "(x0*xi1)^2", "0*x0", "x0/0", "0/3", "x0 - x0 + zeta(12,5)*x0",
+              "zeta(6,1)^3*x1", "(x0*xi2)^0"]
+    # long sums accumulated in place, with cancellations and re-insertions
+    long_rng = random.Random(7)
+    texts += [
+        " + ".join(random_text(long_rng, 1) for _ in range(long_rng.randint(50, 80)))
+        for _ in range(6)
+    ]
+    texts += [" - ".join(["x0*xi1", "zeta(12,5)*x1^2", "(3/2)*x0"] * 20) + " + x0*x1"]
     outcomes = {}
     for text in texts:
         outcomes[text] = evaluation(reference_parse, text, sig)
@@ -325,6 +338,53 @@ def test_polynomial_first_evaluation_matches_the_rational_evaluator():
     ]
     assert set(divisions_by_zero) <= set(failed) and len(failed) < 100
     assert any(conductor > 1 for ((_, conductor, _),) in unit_denominators)
+
+
+def test_printed_lift_images_parse_without_polynomial_arithmetic(monkeypatch):
+    cp1 = {
+        "charts": {"0": {"even": ["x"], "odd": []}, "1": {"even": ["y"], "odd": []}},
+        "transitions": {"0->1": {"y": "1/x"}, "1->0": {"x": "1/y"}},
+    }
+    atlas, _, _ = load_atlas(cp1)
+    group = make_group([4])
+    parity = ParityMap.trivial(group)
+    lifted = lift_atlas(atlas, group, parity)
+    images = [
+        (lifted.charts[key.split("->")[0]], text)
+        for key, mapping in dump_atlas(lifted, group, parity)["transitions"].items()
+        for text in mapping.values()
+    ]
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__pow__"):
+        method = getattr(SuperPolynomial, name)
+
+        def counted(self, other, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, other)
+
+        monkeypatch.setattr(SuperPolynomial, name, counted)
+    for sig, text in images:
+        f = parse_expression(text, sig)
+        assert len(f.numerator.terms) > 1 and len(f.denominator.terms) > 1
+    assert len(images) == 8 and calls == []
+
+
+def test_lexer_errors_point_at_the_character():
+    sig = line_signature()
+    cases = [
+        ("x0\t+\t$", 6),  # a tab is whitespace of width one
+        ("x0 + \u00e9", 6),  # no identifier starts with a non-ASCII letter
+        ("x0 + x1 #", 9),  # trailing garbage
+        ("x0@ + x1", 3),  # a weight suffix needs its residues
+    ]
+    for text, pos in cases:
+        with pytest.raises(ExprSyntaxError, match="unexpected character") as err:
+            parse_expression(text, sig)
+        assert err.value.position == pos, text
+        assert repr(text[pos - 1]) in str(err.value)
+    assert [(t.kind, t.pos) for t in _lex("\tx0^2")] == [
+        ("ident", 2), ("^", 4), ("int", 5), ("end", 6)
+    ]
 
 
 # -- one texts dict prints each shared denominator object once ---------------
