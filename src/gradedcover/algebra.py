@@ -15,13 +15,16 @@ cross-check of the production algorithm.
 
 When every coefficient product of two polynomials lands in one field
 Q(zeta_N), their product accumulates integer convolutions per output
-monomial and reduces modulo Phi_N once per monomial; otherwise it runs
-one Cyclotomic multiply-add per pair of terms.  Either way a coefficient's
-conductor is the lcm of the products summed into it since its running
-sum last cancelled to zero, exactly as the termwise loop computes it.
-Both methods pack each monomial into one int key, so a monomial product
-is one integer addition, and a factor equal to the constant 1 at
-conductor 1 is skipped.  One term times one term is one Cyclotomic product.
+monomial and reduces modulo Phi_N once per monomial (at N = 1, products
+of plain ints); otherwise it runs one Cyclotomic multiply-add per pair of
+terms.  Either way a coefficient's conductor is the lcm of the products
+summed into it since its running sum last cancelled to zero, exactly as
+the termwise loop computes it.  Both methods pack each monomial into one
+int key, so a monomial product is one integer addition, through one codec
+per layout (variable count, byte-wide fields) that memoizes the monomial
+of each key in a memo cleared when full.  A factor equal to the constant 1
+at conductor 1 is skipped, and one term times one term is one Cyclotomic
+product.
 
 ``decompose`` norms an inhomogeneous denominator D over its orbit.  For
 rational N and D the norm is Galois-stable, so it is built over Q through
@@ -200,32 +203,64 @@ def _odd_sign(ma: int, mb: int) -> int:
     return -1 if flips & 1 else 1
 
 
-def _codec(n_even: int, width: int):
-    """(pack, unpack) between monomials and int keys.
+# Monomials one codec's memo keeps, and codecs kept; full ones are cleared.
+_MEMO_BOUND = 8192
+_CODEC_BOUND = 16
+_CODECS: dict[tuple[int, int], "_Codec"] = {}
+
+
+class _Codec:
+    """Monomials packed into int keys, and keys unpacked through a memo.
 
     Even exponent i occupies bits [i*w, (i+1)*w) and the odd index set is
     a bitmask above the even fields.  While no field carries, and for
     disjoint masks, the key of a product monomial is the sum of the keys.
-    ``pack`` gives (key, mask).
+    Packing is not memoized: hashing a monomial costs as much as packing it.
+    Unpacked monomials share even tuples by even key and odd tuples by mask.
     """
-    shift, field = n_even * width, (1 << width) - 1
-    shifts = [i * width for i in range(n_even)]
-    odd_sets: dict[int, tuple[int, ...]] = {}
 
-    def pack(m: SuperMonomial) -> tuple[int, int]:
-        mask = key = sum(1 << j for j in m.odd)
+    __slots__ = ("width", "shift", "field", "shifts", "memo", "odds")
+
+    def __init__(self, n_even: int, width: int):
+        self.width, self.shift, self.field = width, n_even * width, (1 << width) - 1
+        self.shifts = [i * width for i in range(n_even)]
+        self.memo: dict[int, SuperMonomial] = {}
+        self.odds: dict[int, tuple[int, ...]] = {}
+
+    def pack(self, m: SuperMonomial) -> int:
+        """The key of a monomial; ``key >> shift`` is its odd mask."""
+        key = sum(1 << j for j in m.odd)
         for e in reversed(m.even):
-            key = key << width | e
-        return key, mask
+            key = key << self.width | e
+        return key
 
-    def unpack(key: int) -> SuperMonomial:
-        mask = key >> shift
-        odd = odd_sets.get(mask)
-        if odd is None:
-            odd = odd_sets[mask] = tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
-        return SuperMonomial(tuple([key >> s & field for s in shifts]), odd)
+    def unpack(self, key: int) -> SuperMonomial:
+        m = self.memo.get(key)
+        if m is None:
+            if len(self.memo) >= _MEMO_BOUND:
+                self.memo.clear()
+                self.odds.clear()
+            mask, field = key >> self.shift, self.field
+            base = self.memo.get(key ^ mask << self.shift)  # the even part's monomial
+            odd = self.odds.get(mask)
+            if odd is None:
+                odd = self.odds[mask] = tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+            m = self.memo[key] = SuperMonomial(
+                tuple([key >> s & field for s in self.shifts]) if base is None else base.even, odd
+            )
+        return m
 
-    return pack, unpack
+
+def _codec(n_even: int, width: int) -> _Codec:
+    """The codec of ``width``-bit fields rounded up to whole bytes, so that
+    products over one signature mostly share one codec and its memo."""
+    layout = n_even, -(-width // 8) * 8
+    codec = _CODECS.get(layout)
+    if codec is None:
+        if len(_CODECS) >= _CODEC_BOUND:
+            _CODECS.clear()
+        codec = _CODECS[layout] = _Codec(*layout)
+    return codec
 
 
 def _packed(a: Terms, b: Terms, values_b: list, negate):
@@ -238,17 +273,19 @@ def _packed(a: Terms, b: Terms, values_b: list, negate):
     built per distinct odd mask of a.
     """
     width = sum(max((e for m in t for e in m.even), default=0) for t in (a, b)).bit_length()
-    pack, unpack = _codec(len(next(iter(a)).even), width)
-    packed_a, packed_b = list(map(pack, a)), list(map(pack, b))
+    codec = _codec(len(next(iter(a)).even), width)
+    keys_a, keys_b, shift = list(map(codec.pack, a)), list(map(codec.pack, b)), codec.shift
     rows: dict[int, list] = {}
-    for _, ma in packed_a:
+    for ka in keys_a:
+        ma = ka >> shift
         if ma not in rows:
             row = rows[ma] = []
-            for (kb, mb), y in zip(packed_b, values_b):
-                sign = _odd_sign(ma, mb)
+            for kb, y in zip(keys_b, values_b):
+                mb = kb >> shift
+                sign = _odd_sign(ma, mb) if mb else 1
                 if sign:
                     row.append((kb, y if sign > 0 else negate(y)))
-    return [ka for ka, _ in packed_a], [rows[ma] for _, ma in packed_a], unpack
+    return keys_a, [rows[ka >> shift] for ka in keys_a], codec.unpack
 
 
 def _product_conductor(a: Terms, b: Terms) -> int | None:
@@ -283,14 +320,16 @@ def _accumulate(out: dict, items) -> dict:
     return out
 
 
-def _integer_vectors(terms: Terms, n: int) -> tuple[int, list[list[int]]]:
+def _integer_vectors(terms: Terms, n: int) -> tuple[int, list]:
     """Coefficients lifted to conductor n: (denominator d, integer vectors).
 
     Each coefficient equals its integer vector over the power basis
-    divided by the one common denominator d.
+    divided by the one common denominator d; at n = 1 a vector is one int.
     """
     lifted = [c.coeffs if c.conductor == n else c.lift(n).coeffs for c in terms.values()]
     d = lcm(*(x.denominator for v in lifted for x in v))
+    if n == 1:
+        return d, [x.numerator * (d // x.denominator) for (x,) in lifted]
     return d, [[x.numerator * (d // x.denominator) for x in v] for v in lifted]
 
 
@@ -307,8 +346,8 @@ def _mul_terms_integer(a: Terms, b: Terms, n: int) -> Terms:
     db, vb = _integer_vectors(b, n)
     acc: dict = {}
     if n == 1:
-        keys_a, rows, unpack = _packed(a, b, [y for (y,) in vb], neg)
-        for ka, row, (x,) in zip(keys_a, rows, va):
+        keys_a, rows, unpack = _packed(a, b, vb, neg)
+        for ka, row, x in zip(keys_a, rows, va):
             for kb, y in row:
                 key = ka + kb
                 acc[key] = acc.get(key, 0) + x * y
@@ -637,13 +676,23 @@ class SuperRational:
             raise ValueError("denominators must be free of anticommuting variables")
         if denominator.is_zero():
             raise ZeroDivisionError("zero denominator")
-        const = denominator.as_constant()
+        self._set(numerator, denominator)
+
+    def _set(self, num: SuperPolynomial, den: SuperPolynomial):
+        const = den.as_constant()
         if const is not None and const != 1:
             # fold constant denominators into the coefficients
-            numerator = numerator * const.inverse()
-            denominator = SuperPolynomial.one(numerator.signature)
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
+            num, den = num * const.inverse(), SuperPolynomial.one(num.signature)
+        object.__setattr__(self, "numerator", num)
+        object.__setattr__(self, "denominator", den)
+
+    @classmethod
+    def _of(cls, num: SuperPolynomial, den: SuperPolynomial) -> "SuperRational":
+        """num/den from arithmetic on valid functions, which keeps den even,
+        non-zero and over num's signature: only a constant den is folded."""
+        self = object.__new__(cls)
+        self._set(num, den)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("superfunctions are immutable")
@@ -686,8 +735,8 @@ class SuperRational:
         if rhs is None:
             return NotImplemented
         if self.denominator == rhs.denominator:
-            return SuperRational(self.numerator + rhs.numerator, self.denominator)
-        return SuperRational(
+            return SuperRational._of(self.numerator + rhs.numerator, self.denominator)
+        return SuperRational._of(
             self.numerator * rhs.denominator + rhs.numerator * self.denominator,
             self.denominator * rhs.denominator,
         )
@@ -695,7 +744,7 @@ class SuperRational:
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperRational(-self.numerator, self.denominator)
+        return SuperRational._of(-self.numerator, self.denominator)
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -711,11 +760,11 @@ class SuperRational:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
-            return SuperRational(self.numerator * other, self.denominator)
+            return SuperRational._of(self.numerator * other, self.denominator)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return SuperRational(
+        return SuperRational._of(
             self.numerator * rhs.numerator, self.denominator * rhs.denominator
         )
 
@@ -745,7 +794,7 @@ class SuperRational:
             return NotImplemented
         if exponent < 0:
             return self.invert() ** (-exponent)
-        return SuperRational(self.numerator**exponent, self.denominator**exponent)
+        return SuperRational._of(self.numerator**exponent, self.denominator**exponent)
 
     def __eq__(self, other):
         rhs = self._coerce(other)
@@ -791,7 +840,7 @@ class SuperRational:
         while power:
             series = series * even + power
             den, power = den * even, power * minus_nil
-        return SuperRational(self.denominator * series, den)
+        return SuperRational._of(self.denominator * series, den)
 
     # -- grading ------------------------------------------------------------
 
@@ -927,8 +976,9 @@ class SuperRational:
                     f"image of {name!r} must have parity {want}, found {have}"
                 )
 
-        num = _substitute_poly(self.numerator, images, target)
-        den = _substitute_poly(self.denominator, images, target)
+        powers: dict[tuple[int, int], SuperRational] = {}  # shared by num and den
+        num = _substitute_poly(self.numerator, images, target, powers)
+        den = _substitute_poly(self.denominator, images, target, powers)
         return num * den.invert()
 
     def restrict_to_base(self) -> "SuperRational":
@@ -1091,11 +1141,11 @@ def _circulant_cofactor(sig: GradedSignature, parts: list[Terms]) -> SuperPolyno
     monos, vals = zip(*(next(iter(parts[j].items())) for j in support))
     d = lcm(*(c.coeffs[0].denominator for c in vals))
     nums = [int(c.coeffs[0] * d) for c in vals]
-    pack, unpack = _codec(len(sig.even), ((p - 1) * max(max(m.even) for m in monos)).bit_length())
-    keys = [pack(m)[0] for m in monos]
+    codec = _codec(len(sig.even), ((p - 1) * max(max(m.even) for m in monos)).bit_length())
+    keys = list(map(codec.pack, monos))
     terms = {}
     for exps, a in _circulant_form(p, support):
-        terms[unpack(sum(map(mul, exps, keys)))] = \
+        terms[codec.unpack(sum(map(mul, exps, keys)))] = \
             Cyclotomic._raw((Fraction(a * prod(map(pow, nums, exps)), d ** (p - 1)),), 1)
     return SuperPolynomial._raw(sig, terms)
 
@@ -1138,14 +1188,18 @@ def _substitute_poly(
     poly: SuperPolynomial,
     images: Mapping[str, SuperRational],
     target: SuperSignature,
+    powers: dict,
 ) -> SuperRational:
+    """poly at the images; ``powers`` keeps each image power, by (index, exponent)."""
     sig = poly.signature
     total = SuperRational.zero(target)
     for mono, c in poly.terms.items():
         term = SuperRational.constant(target, c)
         for i, e in enumerate(mono.even):
             if e:
-                term = term * images[sig.even[i]] ** e
+                if (i, e) not in powers:
+                    powers[i, e] = images[sig.even[i]] ** e
+                term = term * powers[i, e]
         for j in mono.odd:
             term = term * images[sig.odd[j]]
         total = total + term

@@ -179,6 +179,7 @@ class CocycleReport:
 
 
 def _residual(morphism: SuperMorphism) -> dict[str, str]:
+    """The images of an endomorphism that are not their own variable, printed."""
     sig = morphism.source
     out = {}
     for name in sig.even + sig.odd:
@@ -311,19 +312,22 @@ def _check_cocycle_direct(atlas: Atlas) -> CocycleReport:
     """Compose every pair and triple of transitions and compare with the identity."""
     failures: list[CocycleFailure] = []
 
-    def chained(chain: tuple[str, ...]):
-        """Composite along consecutive chart ids, or None on singularity."""
+    def check(chain: tuple[str, ...], kind: str, detail: str):
+        """Compose along consecutive chart ids; a singular composite, or one
+        with a residual (computed once), is a failure."""
         try:
             total = None
             for src, dst in zip(chain, chain[1:]):
                 leg = atlas.transitions[(src, dst)]
                 total = leg if total is None else compose(leg, total)
-            return total
         except GradedError as exc:
             failures.append(
                 CocycleFailure("singular", chain, f"composition undefined: {exc}")
             )
-            return None
+            return
+        residual = _residual(total)
+        if residual:
+            failures.append(CocycleFailure(kind, chain[:-1], detail, residual))
 
     for a, b in sorted(atlas.transitions):
         if (b, a) not in atlas.transitions:
@@ -337,16 +341,7 @@ def _check_cocycle_direct(atlas: Atlas) -> CocycleReport:
         if a >= b or (b, a) not in atlas.transitions:
             continue
         for chain in ((a, b, a), (b, a, b)):
-            comp = chained(chain)
-            if comp is not None and not comp.is_identity():
-                failures.append(
-                    CocycleFailure(
-                        "pair",
-                        (chain[0], chain[1]),
-                        "round trip is not the identity",
-                        _residual(comp),
-                    )
-                )
+            check(chain, "pair", "round trip is not the identity")
 
     ids = sorted(atlas.charts)
     for i in range(len(ids)):
@@ -357,16 +352,7 @@ def _check_cocycle_direct(atlas: Atlas) -> CocycleReport:
                     leg not in atlas.transitions for leg in zip(chain, chain[1:])
                 ):
                     continue
-                comp = chained(chain)
-                if comp is not None and not comp.is_identity():
-                    failures.append(
-                        CocycleFailure(
-                            "triple",
-                            chain[:3],
-                            "cyclic composite is not the identity",
-                            _residual(comp),
-                        )
-                    )
+                check(chain, "triple", "cyclic composite is not the identity")
 
     return CocycleReport(ok=not failures, failures=failures)
 

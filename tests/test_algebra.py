@@ -19,6 +19,7 @@ from gradedcover import (
     SuperMonomial,
     SuperPolynomial,
     SuperRational,
+    SuperSignature,
     decompose_oracle,
     format_expression,
     make_group,
@@ -985,3 +986,93 @@ def test_twist_classes_on_seeded_irrational_denominators():
             twists = [den.act(c[0]) for c in algebra._twist_classes(den)[1:]]
             expected = twists_by_comparison(den)
             assert [exact_terms(t) for t in twists] == [exact_terms(t) for t in expected]
+
+
+# -- substitution and the unchecked constructor of arithmetic results ----------
+
+
+def test_substitute_raises_each_image_to_each_power_once(monkeypatch):
+    """x^2 in several numerator and denominator monomials is one power of
+    x's image, and the terms are those of rebuilding it for every monomial."""
+    sig = SuperSignature(even=("x", "y"))
+    x, y = (SuperPolynomial.variable(sig, v) for v in sig.even)
+    f = SuperRational(x**2 * y + 3 * x**2 + y**2 + x, x**2 + x**2 * y**2 + 2 * y)
+    images = {"x": SuperRational(x + 1, y + 2), "y": SuperRational(x - y)}
+
+    def rebuilt(poly):
+        total = SuperRational.zero(sig)
+        for mono, c in poly.terms.items():
+            term = SuperRational.constant(sig, c)
+            for name, e in zip(sig.even, mono.even):
+                if e:
+                    term = term * images[name] ** e
+            total = total + term
+        return total
+
+    want = rebuilt(f.numerator) * rebuilt(f.denominator).invert()
+    calls = []
+    power = SuperRational.__pow__
+
+    def counted(self, exponent):
+        calls.append((id(self), exponent))
+        return power(self, exponent)
+
+    monkeypatch.setattr(SuperRational, "__pow__", counted)
+    got = f.substitute(images)
+    # (x, 2), (x, 1), (y, 1), (y, 2)
+    assert len(calls) == len(set(calls)) == 4
+    assert term_items(got.numerator) == term_items(want.numerator)
+    assert term_items(got.denominator) == term_items(want.denominator)
+
+
+def rational_items(f):
+    return term_items(f.numerator), term_items(f.denominator)
+
+
+def arithmetic_results(f, g, k):
+    """The terms of f + g, f - g, -f, f * g, f * 3/2, f ** k and of the
+    inverses that exist."""
+    results = [f + g, f - g, -f, f * g, f * Fraction(3, 2), f**k]
+    results += [h.invert() for h in (f, g) if not h.numerator.even_part().is_zero()]
+    return [rational_items(r) for r in results]
+
+
+def through_checked_constructor(compute):
+    """``compute()`` with every arithmetic result built by ``SuperRational(n, d)``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SuperRational, "_of", classmethod(lambda cls, num, den: cls(num, den)))
+        return compute()
+
+
+@st.composite
+def function_pairs(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    grp = random_group(rng)
+    sig = random_signature(rng, grp, random_parity(rng, grp))
+    f, g = (random_rational(rng, sig, max_terms=3, max_degree=2) for _ in range(2))
+    return f, g, draw(st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(function_pairs())
+def test_arithmetic_results_equal_the_checked_constructor(case):
+    f, g, k = case
+    compute = lambda: arithmetic_results(f, g, k)  # noqa: E731
+    assert compute() == through_checked_constructor(compute)
+
+
+def test_arithmetic_folds_constant_denominators_other_than_one():
+    sig = pair_signature()
+    x, s1, s2 = (SuperRational.variable(sig, v) for v in ("x", "s1", "s2"))
+    # 1/(2 + s1*s2) is (2 - s1*s2) over the constant 4, which is folded
+    inverse = lambda: [rational_items((2 + s1 * s2).invert())]  # noqa: E731
+    assert inverse() == through_checked_constructor(inverse)
+    assert (2 + s1 * s2).invert().denominator.is_one()
+    # a denominator equal to 1 at conductor 4 is not
+    one_at_4 = SuperPolynomial.constant(sig, Cyclotomic([1, 0], 4))
+    f = SuperRational((x + s1).numerator, one_at_4)
+    g = SuperRational((x * s2 + 1).numerator, one_at_4)
+    results = lambda: arithmetic_results(f, g, 2)  # noqa: E731
+    assert results() == through_checked_constructor(results)
+    for h in (f + g, -f, f * g, f**2):
+        assert [c.conductor for c in h.denominator.terms.values()] == [4]

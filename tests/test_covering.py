@@ -1,6 +1,7 @@
 """Covering signatures, projections, unique lifts, and atlas machinery."""
 
 import functools
+import hashlib
 import json
 import random
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from gradedcover import covering
-from gradedcover.cli import dump_atlas, load_atlas
+from gradedcover.cli import dump_atlas, load_atlas, main
 from gradedcover import (
     Atlas,
     CoveringError,
@@ -527,6 +528,41 @@ def test_the_broken_benchmark_atlas_is_the_lift_of_a_broken_base():
     x = SuperRational.variable(base.charts["0"], "x")
     assert base.transitions[("0", "1")].images["y"].denominator == x.numerator
     assert not assert_agrees(broken, "direct").ok
+
+
+# SHA-256 of ``check-cocycle --json`` on the broken benchmark atlas
+BROKEN_REPORT_SHA256 = "d5c3034b29d2ed74af341f3bcae02d41f86419dae081d28a1ce454ccb296c759"
+
+
+def test_the_broken_benchmark_atlas_report_is_pinned(tmp_path, capsys, monkeypatch):
+    """The report, byte for byte, and one equality test per image of each
+    composite: the residual pass alone decides that a composite fails."""
+    family, index, group, parity = inputs.BROKEN_BASE
+    source = tmp_path / "base.json"
+    source.write_text(inputs.atlas_text(family, index))
+    lifted = tmp_path / "lifted.json"
+    assert main(["lift-atlas", str(source), "--group", group, "--parity", parity,
+                 "--json", "--output", str(lifted)]) == 0
+    broken = tmp_path / "broken.json"
+    broken.write_text(inputs.break_lifted(lifted.read_text()))
+    capsys.readouterr()
+    assert main(["check-cocycle", str(broken), "--json"]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BROKEN_REPORT_SHA256
+
+    atlas, _, _ = load_atlas(json.loads(broken.read_text()))
+    calls = []
+    eq = SuperRational.__eq__
+
+    def counted(self, other):
+        calls.append(other)
+        return eq(self, other)
+
+    monkeypatch.setattr(SuperRational, "__eq__", counted)
+    report = covering._check_cocycle_direct(atlas)
+    # the round trips 0->1->0 and 1->0->1, each with the images of chart 0 or 1
+    assert [f.charts for f in report.failures] == [("0", "1"), ("1", "0")]
+    assert len(calls) == sum(len(atlas.charts[c].even + atlas.charts[c].odd) for c in "01")
 
 
 def test_non_covering_atlases_take_the_direct_path():

@@ -321,3 +321,32 @@ def test_single_term_products_match_both_kernels():
                     (c1,), (c2,) = a.values(), b.values()
                     (c,) = got.values()
                     assert c == c1 * c2 * sign
+
+
+# -- the codec memo --------------------------------------------------------------
+
+
+def test_products_past_the_codec_memo_bound():
+    """More distinct monomials than one codec's memo holds: the memo is
+    cleared when full, and both kernels still give the reference terms."""
+    from gradedcover import algebra
+
+    rng = random.Random(45)
+    sig = SuperSignature(even=("x", "y"), odd=("s",))
+
+    def coefficient():
+        return Fraction(rng.randint(-9, 9) or 1, rng.choice([1, 2, 3]))
+
+    a = SuperPolynomial(sig, {SuperMonomial((e, 0), ()): coefficient() for e in range(100)})
+    # y^e and y^e*s: unpacked monomials share their even part
+    b = SuperPolynomial(sig, {SuperMonomial((0, e), odd): coefficient()
+                              for e in range(50) for odd in ((), (0,))})
+    # 10,000 product monomials
+    assert len(a.terms) * len(b.terms) > algebra._MEMO_BOUND
+    want = reference_product(a.terms, b.terms)
+    for _ in range(2):
+        for got in (_mul_terms_integer(a.terms, b.terms, 1), (a * b).terms,
+                    _mul_terms_termwise(a.terms, b.terms)):
+            assert list(got) == list(want)
+            assert_same_terms(got, want)
+        assert all(len(c.memo) <= algebra._MEMO_BOUND for c in algebra._CODECS.values())
