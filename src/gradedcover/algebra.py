@@ -40,7 +40,7 @@ from math import lcm, prod
 from operator import add, mul, neg
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from .cyclotomic import Cyclotomic, _power, _reduce, euler_phi, root_of_unity
+from .cyclotomic import Cyclotomic, _power, _prime_factors, _reduce, euler_phi, root_of_unity
 from .errors import NotInvertibleError, SignatureMismatchError
 from .groups import Character, FiniteAbelianGroup, GroupElement, ParityMap
 
@@ -897,13 +897,20 @@ class SuperRational:
 
     def _weight_over(self, den_weight: Character | None) -> Character | None:
         """``weight`` given the denominator's termwise weight."""
+        num, _, shift = self._homogeneous_split(den_weight)
+        num_weight = num.termwise_weight()
+        return None if num_weight is None else num_weight * shift
+
+    def _homogeneous_split(
+        self, den_weight: Character | None
+    ) -> tuple[SuperPolynomial, SuperPolynomial, Character]:
+        """(N, D, 1/weight(D)) over a termwise homogeneous D: this function's
+        own when ``den_weight``, its denominator's termwise weight, is not
+        None, else ``_normed``'s, whose D has the identity weight."""
         if den_weight is not None:
-            num_weight = self.numerator.termwise_weight()
-            if num_weight is None:
-                return None
-            return num_weight * den_weight.inverse()
-        num, _ = self._normed()
-        return num.termwise_weight()
+            return self.numerator, self.denominator, den_weight.inverse()
+        group = self._graded_signature().group
+        return (*self._normed(), Character(group, (0,) * group.rank))
 
     def is_homogeneous(self, chi: Character) -> bool:
         if self.is_zero():
@@ -922,19 +929,11 @@ class SuperRational:
         self._graded_signature()
         if self.is_zero():
             return {}
-        den_weight = self.denominator.termwise_weight()
-        if den_weight is not None:
-            shift = den_weight.inverse()
-            parts = {
-                chi * shift: SuperRational(part, self.denominator)
-                for chi, part in self.numerator.weight_components().items()
-            }
-            return {chi: parts[chi] for chi in sorted(parts, key=lambda c: c.residues)}
-        num, den = self._normed()
-        return {
-            chi: SuperRational(part, den)
-            for chi, part in num.weight_components().items()
+        num, den, shift = self._homogeneous_split(self.denominator.termwise_weight())
+        parts = {
+            chi * shift: SuperRational(part, den) for chi, part in num.weight_components().items()
         }
+        return {chi: parts[chi] for chi in sorted(parts, key=lambda c: c.residues)}
 
     def substitute(
         self,
@@ -1064,7 +1063,7 @@ def _orbit_tower(
     n = group.exponent
     stab = set(_twist_classes(den)[0])
     units = [group.element([int(t == j) for t in range(group.rank)]) for j in range(group.rank)]
-    for p in [p for p in range(n, 1, -1) if n % p == 0 and all(p % r for r in range(2, p))]:
+    for p in reversed(_prime_factors(n)):
         for e in units:
             order = next(k for k in range(1, n + 1) if e ** k in stab)
             while order % p == 0:

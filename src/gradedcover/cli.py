@@ -1,6 +1,10 @@
 """Command-line interface.
 
 Subcommands: char-table, decompose, act, lift, lift-atlas, check-cocycle.
+Each command returns its JSON payload, its text and its exit code, and
+``main`` writes one of the two, to ``--output`` or stdout; the text is
+joined from the payload's strings.  Atlas and morphism files take their
+grading from one reader, the parity defaulting to all-zero bits.
 Exit codes: 0 on success, 1 on a mathematical failure (invalid morphism,
 singular lift, cocycle violation), 2 on usage, syntax, or file errors.
 """
@@ -16,7 +20,7 @@ import sys
 from .algebra import GradedSignature, SuperRational, SuperSignature
 from .covering import Atlas, check_cocycle, lift_atlas, lift_super
 from .errors import ExprSyntaxError, GradedError
-from .expressions import format_expression, parse_expression, parse_var_name
+from .expressions import format_expression, parse_expression, parse_residues, parse_var_name
 from .groups import (
     FiniteAbelianGroup,
     ParityMap,
@@ -27,7 +31,7 @@ from .groups import (
 from .morphisms import SuperMorphism
 
 
-def _expect(value, kind: type, where: str, what: str):
+def _expect(value, kind: type | tuple[type, ...], where: str, what: str):
     """Return ``value``, or raise a usage error naming the JSON key at fault."""
     if not isinstance(value, kind):
         raise ValueError(f"{where} must be {what}, found {type(value).__name__}")
@@ -109,13 +113,18 @@ def _morphism_from_json(mapping, where: str, source, target) -> SuperMorphism:
     return SuperMorphism(source, target, images)
 
 
+def _grading(data: dict) -> tuple[FiniteAbelianGroup, ParityMap]:
+    """The ``group`` and ``parity`` of a JSON file, the parity all-zero bits
+    when it is absent."""
+    spec = _expect(data.get("group"), (str, int), "group", 'a group spec like "2x2"')
+    group = parse_group_spec(str(spec))
+    return group, parse_parity_spec(group, str(data.get("parity", "0" * group.rank)))
+
+
 def load_atlas(data: dict):
     """Read the atlas JSON format; returns (atlas, group, parity), the
     latter two None when the file declares no grading data."""
-    group = parity = None
-    if "group" in data:
-        group = parse_group_spec(str(data["group"]))
-        parity = parse_parity_spec(group, str(data.get("parity", "0" * group.rank)))
+    group, parity = _grading(data) if "group" in data else (None, None)
     specs = _expect(data.get("charts", {}), dict, "charts", "a JSON object")
     charts = {
         str(cid): _signature_from_json(spec, f"charts.{cid}", group, parity)
@@ -174,79 +183,58 @@ def _signature_from_flags(args):
     return parse_graded_signature(group, parity, args.even or "", args.odd or "")
 
 
-def cmd_char_table(args) -> int:
+def cmd_char_table(args) -> tuple[dict, str, int]:
     group = parse_group_spec(args.group)
-    table = character_table(group)
     elements = [str(g) for g in group.elements()]
     characters = [str(chi) for chi in group.characters()]
-    cells = [[str(v) for v in row] for row in table]
-    if args.json:
-        payload = {
-            "group": str(group),
-            "elements": elements,
-            "characters": characters,
-            "table": cells,
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
-        return 0
+    cells = [[str(v) for v in row] for row in character_table(group)]
+    payload = {
+        "group": str(group),
+        "elements": elements,
+        "characters": characters,
+        "table": cells,
+    }
     width = max(
         len(s) for row in cells + [elements, characters] for s in row
     )
     lines = [" " * (width + 2) + "  ".join(e.rjust(width) for e in elements)]
     for chi, row in zip(characters, cells):
         lines.append(chi.rjust(width + 2) + "  ".join(v.rjust(width) for v in row))
-    _emit("\n".join(lines), args.output)
-    return 0
+    return payload, "\n".join(lines), 0
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple[dict, str, int]:
     sig = _signature_from_flags(args)
     f = parse_expression(_read_expr(args), sig)
-    components = f.decompose()
     texts: dict = {}  # the components share one denominator
-    if args.json:
-        payload = {
-            "components": {str(chi): format_expression(c, texts) for chi, c in components.items()}
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
-        return 0
-    lines = [f"{chi}: {format_expression(c, texts)}" for chi, c in components.items()]
-    _emit("\n".join(lines) if lines else "0", args.output)
-    return 0
+    components = {str(chi): format_expression(c, texts) for chi, c in f.decompose().items()}
+    lines = [f"{chi}: {text}" for chi, text in components.items()]
+    return {"components": components}, "\n".join(lines) if lines else "0", 0
 
 
-def cmd_act(args) -> int:
+def cmd_act(args) -> tuple[dict, str, int]:
     sig = _signature_from_flags(args)
-    g = sig.group.element(tuple(int(p) for p in args.element.strip("() ").split(",")))
-    f = parse_expression(_read_expr(args), sig)
-    result = f.act(g)
-    if args.json:
-        _emit(json.dumps({"result": format_expression(result)}, indent=2), args.output)
-    else:
-        _emit(format_expression(result), args.output)
-    return 0
+    what = f"group element {args.element!r}; expected k1,...,kt"
+    g = sig.group.element(parse_residues(args.element, what))
+    result = format_expression(parse_expression(_read_expr(args), sig).act(g))
+    return {"result": result}, result, 0
 
 
-def cmd_lift(args) -> int:
+def cmd_lift(args) -> tuple[dict, str, int]:
     data = _read_json(args.path)
-    group = parse_group_spec(str(data["group"]))
-    parity = parse_parity_spec(group, str(data["parity"]))
-    source = _signature_from_json(data["source"], "source")
-    target = _signature_from_json(data["target"], "target")
-    psi = _morphism_from_json(data["map"], "map", source, target)
+    group, parity = _grading(data)
+    source = _signature_from_json(data.get("source"), "source")
+    target = _signature_from_json(data.get("target"), "target")
+    psi = _morphism_from_json(data.get("map"), "map", source, target)
     lifted = lift_super(psi, group, parity)
-    # each coordinate's copies in character order, the even coordinates first
-    items = [(n, lifted.images[n]) for n in lifted.target.even + lifted.target.odd]
     texts: dict = {}  # the copies of each coordinate share one denominator
-    if args.json:
-        payload = {"images": {n: format_expression(img, texts) for n, img in items}}
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
-        return 0
-    _emit("\n".join(f"{n} = {format_expression(img, texts)}" for n, img in items), args.output)
-    return 0
+    # each coordinate's copies in character order, the even coordinates first
+    names = lifted.target.even + lifted.target.odd
+    images = {n: format_expression(lifted.images[n], texts) for n in names}
+    return {"images": images}, "\n".join(f"{n} = {text}" for n, text in images.items()), 0
 
 
-def cmd_lift_atlas(args) -> int:
+def cmd_lift_atlas(args) -> tuple[dict, str, int]:
     atlas, file_group, file_parity = load_atlas(_read_json(args.path))
     group = parse_group_spec(args.group) if args.group else file_group
     if group is None:
@@ -256,30 +244,16 @@ def cmd_lift_atlas(args) -> int:
         (file_parity if file_parity is not None and file_parity.group == group
          else ParityMap.trivial(group))
     )
-    lifted = lift_atlas(atlas, group, parity)
-    payload = dump_atlas(lifted, group, parity)
-    if args.json:
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
-        return 0
-    lines, texts = [], {}
-    for (src, dst), morphism in sorted(lifted.transitions.items()):
-        lines.append(f"[{src}->{dst}]")
-        lines.extend(
-            f"  {name} = {format_expression(img, texts)}"
-            for name, img in sorted(morphism.images.items())
-        )
-    _emit("\n".join(lines) if lines else "(no transitions)", args.output)
-    return 0
+    payload = dump_atlas(lift_atlas(atlas, group, parity), group, parity)
+    lines = []
+    for key, images in payload["transitions"].items():
+        lines += [f"[{key}]", *(f"  {name} = {text}" for name, text in images.items())]
+    return payload, "\n".join(lines) if lines else "(no transitions)", 0
 
 
-def cmd_check_cocycle(args) -> int:
-    atlas, _, _ = load_atlas(_read_json(args.path))
-    report = check_cocycle(atlas)
-    if args.json:
-        _emit(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True), args.output)
-    else:
-        _emit(report.describe(), args.output)
-    return 0 if report.ok else 1
+def cmd_check_cocycle(args) -> tuple[dict, str, int]:
+    report = check_cocycle(load_atlas(_read_json(args.path))[0])
+    return dataclasses.asdict(report), report.describe(), 0 if report.ok else 1
 
 
 @functools.cache
@@ -292,11 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def output(p):
+        p.add_argument("--json", action="store_true", help="emit JSON")
+        p.add_argument("--output", help="write the result to this file")
+
     def common(p, group_required=True):
         p.add_argument("--group", required=group_required, help="group spec, e.g. 2x2")
         p.add_argument("--parity", help="parity bits, one per factor, e.g. 11")
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--output", help="write the result to this file")
+        output(p)
 
     p = sub.add_parser("char-table", help="print the exact character table")
     common(p)
@@ -319,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", help="lift a superdomain morphism to the coverings")
     p.add_argument("path", help="morphism JSON file")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--output")
+    output(p)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("lift-atlas", help="lift a supermanifold atlas")
@@ -330,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-cocycle", help="verify atlas transition identities")
     p.add_argument("path", help="atlas JSON file")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--output")
+    output(p)
     p.set_defaults(func=cmd_check_cocycle)
 
     return parser
@@ -340,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, text, code = args.func(args)
+        _emit(json.dumps(payload, indent=2, sort_keys=True) if args.json else text, args.output)
+        return code
     except (GradedError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,6 +16,7 @@ atlas satisfies the cocycle identities exactly when its base atlas does;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .algebra import GradedSignature, SuperMonomial, SuperPolynomial, SuperRational
 from .algebra import SuperSignature, restrict_terms
@@ -26,7 +27,7 @@ from .morphisms import GradedMorphism, SuperMorphism, compose
 
 
 def graded_copy_name(base: str, weight: Character) -> str:
-    return f"{base}@({','.join(str(r) for r in weight.residues)})"
+    return f"{base}@{weight}"
 
 
 def covering_signature(
@@ -180,13 +181,7 @@ class CocycleReport:
 
 def _residual(morphism: SuperMorphism) -> dict[str, str]:
     """The images of an endomorphism that are not their own variable, printed."""
-    sig = morphism.source
-    out = {}
-    for name in sig.even + sig.odd:
-        img = morphism.images[name]
-        if img != SuperRational.variable(sig, name):
-            out[name] = format_expression(img)
-    return out
+    return {name: format_expression(morphism.images[name]) for name in morphism._moved()}
 
 
 def check_cocycle(atlas: Atlas) -> CocycleReport:
@@ -343,16 +338,10 @@ def _check_cocycle_direct(atlas: Atlas) -> CocycleReport:
         for chain in ((a, b, a), (b, a, b)):
             check(chain, "pair", "round trip is not the identity")
 
-    ids = sorted(atlas.charts)
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            for k in range(j + 1, len(ids)):
-                chain = (ids[i], ids[j], ids[k], ids[i])
-                if any(
-                    leg not in atlas.transitions for leg in zip(chain, chain[1:])
-                ):
-                    continue
-                check(chain, "triple", "cyclic composite is not the identity")
+    for a, b, c in combinations(sorted(atlas.charts), 3):
+        chain = (a, b, c, a)
+        if all(leg in atlas.transitions for leg in zip(chain, chain[1:])):
+            check(chain, "triple", "cyclic composite is not the identity")
 
     return CocycleReport(ok=not failures, failures=failures)
 

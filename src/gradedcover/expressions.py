@@ -70,6 +70,18 @@ def _lex(text: str) -> list[Token]:
     return tokens
 
 
+def parse_residues(text: str, what: str) -> tuple[int, ...]:
+    """The residues of ``(k1,...,kt)`` or ``k1,...,kt``: comma-separated
+    ints, the parentheses optional.  The error reads ``malformed <what>``."""
+    inner = text.strip()
+    if inner.startswith("(") and inner.endswith(")"):
+        inner = inner[1:-1]
+    try:
+        return tuple(int(p) for p in inner.split(","))
+    except ValueError:
+        raise ValueError(f"malformed {what}") from None
+
+
 def parse_var_name(name: str) -> tuple[str, tuple[int, ...] | None]:
     """Canonical spelling and weight residues of a variable name.
 
@@ -79,15 +91,7 @@ def parse_var_name(name: str) -> tuple[str, tuple[int, ...] | None]:
     if "@" not in name:
         return name, None
     base, suffix = name.split("@", 1)
-    try:
-        if suffix.startswith("(") and suffix.endswith(")"):
-            ks = tuple(int(p) for p in suffix[1:-1].split(","))
-        else:
-            ks = (int(suffix),)
-    except ValueError:
-        raise ValueError(
-            f"malformed weight suffix in {name!r}; expected name@(k1,...,kt)"
-        ) from None
+    ks = parse_residues(suffix, f"weight suffix in {name!r}; expected name@(k1,...,kt)")
     return f"{base}@({','.join(str(k) for k in ks)})", ks
 
 

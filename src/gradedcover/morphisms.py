@@ -9,7 +9,7 @@ requires every image to be homogeneous of its variable's weight.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .algebra import GradedSignature, SuperRational, SuperSignature
 from .errors import MorphismValidationError, SignatureMismatchError
@@ -57,13 +57,12 @@ class SuperMorphism:
     __hash__ = None
 
     def is_identity(self) -> bool:
-        if self.source != self.target:
-            return False
+        return self.source == self.target and next(self._moved(), None) is None
+
+    def _moved(self) -> Iterator[str]:
+        """The variables of an endomorphism whose images are not themselves."""
         sig = self.source
-        return all(
-            self.images[name] == SuperRational.variable(sig, name)
-            for name in sig.even + sig.odd
-        )
+        return (n for n in sig.even + sig.odd if self.images[n] != SuperRational.variable(sig, n))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.source!r} -> {self.target!r})"

@@ -1,11 +1,12 @@
 """Command dispatch, output shapes, and the exit-code contract."""
 
+import hashlib
 import json
 import time
 
 import pytest
 
-from gradedcover import GradedMorphism, SuperPolynomial
+from gradedcover import GradedMorphism, SuperPolynomial, cli
 from gradedcover.cli import build_parser, dump_atlas, load_atlas, main
 
 CP1_ATLAS = {
@@ -16,6 +17,11 @@ CP1_ATLAS = {
 BROKEN_ATLAS = {
     "charts": {"1": {"even": ["x"], "odd": []}, "2": {"even": ["y"], "odd": []}},
     "transitions": {"1->2": {"y": "1/x"}, "2->1": {"x": "1/y + 1"}},
+}
+
+SUPER_ATLAS = {  # P^{1|1}
+    "charts": {"0": {"even": ["x"], "odd": ["xi"]}, "1": {"even": ["y"], "odd": ["eta"]}},
+    "transitions": {"0->1": {"y": "1/x", "eta": "xi/x"}, "1->0": {"x": "1/y", "xi": "eta/y"}},
 }
 
 SUPER_MORPHISM = {
@@ -318,6 +324,8 @@ def test_lift_of_the_projective_line_over_z8_within_its_budget(tmp_path, capsys)
     assert elapsed < 1.0, f"lift-atlas of P^1 over Z_8 took {elapsed:.2f}s"
 
 
+MISSING_KEYS = ("group", "source", "target", "map")  # of a morphism file
+
 MALFORMED_SHAPES = [  # (command, payload, the key the error must name)
     ("check-cocycle", [CP1_ATLAS], "the top level"),
     ("check-cocycle", dict(CP1_ATLAS, charts={"0": ["x"], "1": {"even": ["y"]}}), "charts.0"),
@@ -330,11 +338,16 @@ MALFORMED_SHAPES = [  # (command, payload, the key the error must name)
     ("lift", dict(SUPER_MORPHISM, map="1/x"), "map"),
     ("lift", dict(SUPER_MORPHISM, map={"y": 5, "eta": "xi/x"}), "map.y"),
     ("lift", dict(SUPER_MORPHISM, source={"even": "xy", "odd": ["xi"]}), "source.even"),
+    *(("lift", {k: v for k, v in SUPER_MORPHISM.items() if k != key}, key) for key in MISSING_KEYS),
+]
+# a missing key's row is told apart from the row whose value has the wrong type
+SHAPE_IDS = [f"{c}:{k}" for c, _, k in MALFORMED_SHAPES[:-len(MISSING_KEYS)]] + [
+    f"lift:no {k}" for k in MISSING_KEYS
 ]
 
 
 @pytest.mark.parametrize(
-    "command, payload, key", MALFORMED_SHAPES, ids=[f"{c}:{k}" for c, _, k in MALFORMED_SHAPES]
+    "command, payload, key", MALFORMED_SHAPES, ids=SHAPE_IDS
 )
 def test_malformed_json_shapes_name_the_key(command, payload, key, tmp_path, capsys):
     path = write_json(tmp_path, "bad.json", payload)
@@ -390,3 +403,119 @@ def test_loaded_lift_images_share_one_denominator(tmp_path, capsys, monkeypatch)
     GradedMorphism(m.source, m.target, m.images)
     assert len(weighed) == 4 + 1  # each numerator, then the shared denominator
     capsys.readouterr()
+
+
+def test_lift_file_without_parity_lifts_with_zero_bits(tmp_path, capsys):
+    even = {"group": "3", "source": {"even": ["x"]}, "target": {"even": ["y"]},
+            "map": {"y": "1/x"}}
+    outs = []
+    for data in (even, dict(even, parity="0")):
+        assert main(["lift", write_json(tmp_path, "psi.json", data), "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    # odd coordinates have no odd-parity copies under zero bits, as with "parity": "0"
+    odd = {k: v for k, v in SUPER_MORPHISM.items() if k != "parity"}
+    assert main(["lift", write_json(tmp_path, "odd.json", odd)]) == 1
+    assert "no odd-parity weights" in capsys.readouterr().err
+
+
+ACT_Z4 = ["act", "--group", "4", "--even", "x@0,y@1", "--expr", "x@0 + y@1"]
+ACT_KLEIN = ["act", "--group", "2x2", "--even", "x@(0,0),y@(1,1)", "--expr", "x@(0,0) + y@(1,1)"]
+
+
+@pytest.mark.parametrize("argv, element, out", [
+    (ACT_Z4, "1", "x@(0) + i*y@(1)"),
+    (ACT_KLEIN, "1,0", "x@(0,0) - y@(1,1)"),
+    (ACT_KLEIN, "(1,0)", "x@(0,0) - y@(1,1)"),
+    (ACT_KLEIN, " ( 1 , 0 ) ", "x@(0,0) - y@(1,1)"),
+    # these three were read as element 1 over Z_4
+    (ACT_Z4, "((1", None), (ACT_Z4, "1)", None), (ACT_Z4, "(1", None),
+    (ACT_Z4, "()", None), (ACT_KLEIN, "1;0", None),
+])
+def test_act_element_text(argv, element, out, capsys):
+    assert main(argv + ["--element", element]) == (0 if out else 2)
+    stdout, err = capsys.readouterr()
+    if out:
+        assert stdout == out + "\n"
+    else:
+        assert f"malformed group element {element!r}" in err
+
+
+LIFTED_P1_Z3 = [
+    "[0->1]",
+    "  y@(0) = (x@(0)^2 - x@(1)*x@(2))/(x@(0)^3 - 3*x@(0)*x@(1)*x@(2) + x@(1)^3 + x@(2)^3)",
+    "  y@(1) = (-x@(0)*x@(1) + x@(2)^2)/(x@(0)^3 - 3*x@(0)*x@(1)*x@(2) + x@(1)^3 + x@(2)^3)",
+    "  y@(2) = (-x@(0)*x@(2) + x@(1)^2)/(x@(0)^3 - 3*x@(0)*x@(1)*x@(2) + x@(1)^3 + x@(2)^3)",
+    "[1->0]",
+    "  x@(0) = (y@(0)^2 - y@(1)*y@(2))/(y@(0)^3 - 3*y@(0)*y@(1)*y@(2) + y@(1)^3 + y@(2)^3)",
+    "  x@(1) = (-y@(0)*y@(1) + y@(2)^2)/(y@(0)^3 - 3*y@(0)*y@(1)*y@(2) + y@(1)^3 + y@(2)^3)",
+    "  x@(2) = (-y@(0)*y@(2) + y@(1)^2)/(y@(0)^3 - 3*y@(0)*y@(1)*y@(2) + y@(1)^3 + y@(2)^3)",
+]
+
+LIFTED_P11_Z4 = [
+    "[0->1]",
+    "  eta@(1) = (x@(0)*xi@(1) - x@(2)*xi@(3))/(x@(0)^2 - x@(2)^2)",
+    "  eta@(3) = (x@(0)*xi@(3) - x@(2)*xi@(1))/(x@(0)^2 - x@(2)^2)",
+    "  y@(0) = (x@(0))/(x@(0)^2 - x@(2)^2)",
+    "  y@(2) = (-x@(2))/(x@(0)^2 - x@(2)^2)",
+    "[1->0]",
+    "  x@(0) = (y@(0))/(y@(0)^2 - y@(2)^2)",
+    "  x@(2) = (-y@(2))/(y@(0)^2 - y@(2)^2)",
+    "  xi@(1) = (y@(0)*eta@(1) - y@(2)*eta@(3))/(y@(0)^2 - y@(2)^2)",
+    "  xi@(3) = (y@(0)*eta@(3) - y@(2)*eta@(1))/(y@(0)^2 - y@(2)^2)",
+]
+
+PASSED = "cocycle check passed (identities checked as formal rational identities, ignoring overlap domains)"
+DECOMPOSE_Z3 = ["decompose", "--group", "3", "--even", "x@0,y@1,z@2", "--expr"]
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["lift-atlas", "{cp1}", "--group", "3"], LIFTED_P1_Z3),
+    (["lift-atlas", "{super}", "--group", "4", "--parity", "1"], LIFTED_P11_Z4),
+    (DECOMPOSE_Z3 + ["1/(x@0+y@1) + z@2"], [
+        "(0): (x@(0)^2)/(x@(0)^3 + y@(1)^3)",
+        "(1): (-x@(0)*y@(1))/(x@(0)^3 + y@(1)^3)",
+        "(2): (x@(0)^3*z@(2) + y@(1)^3*z@(2) + y@(1)^2)/(x@(0)^3 + y@(1)^3)",
+    ]),
+    # a homogeneous denominator shifts the numerator's weights, then they are re-sorted
+    (DECOMPOSE_Z3 + ["(1 + y@1 + z@2)/y@1"],
+     ["(0): (y@(1))/(y@(1))", "(1): (z@(2))/(y@(1))", "(2): (1)/(y@(1))"]),
+    (DECOMPOSE_Z3 + ["x@0 - x@0"], ["0"]),
+    (["act", "--group", "4", "--even", "x@0,y@1", "--element", "(1)", "--expr",
+      "x@0+y@1^2/x@0", "--json"], ["{", '  "result": "(x@(0)^2 - y@(1)^2)/(x@(0))"', "}"]),
+    (["check-cocycle", "{cp1}"], [PASSED]),
+    (["check-cocycle", "{cp1}", "--json"],
+     ["{", '  "failures": [],', '  "note": "' + PASSED[22:-1] + '",', '  "ok": true', "}"]),
+], ids=["lift-atlas-p1-z3", "lift-atlas-p11-z4", "decompose-three", "decompose-shifted",
+        "decompose-zero", "act-json", "check-cocycle", "check-cocycle-json"])
+def test_text_outputs_are_pinned(argv, lines, tmp_path, capsys):
+    paths = {"cp1": write_json(tmp_path, "cp1.json", CP1_ATLAS),
+             "super": write_json(tmp_path, "super.json", SUPER_ATLAS)}
+    assert main([arg.format(**paths) for arg in argv]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_broken_lifted_atlas_text_report_is_pinned(tmp_path, capsys):
+    lifted = tmp_path / "lifted.json"
+    assert main(["lift-atlas", write_json(tmp_path, "cp1.json", CP1_ATLAS), "--group", "3",
+                 "--json", "--output", str(lifted)]) == 0
+    data = json.loads(lifted.read_text(encoding="utf-8"))
+    images = data["transitions"]["1->0"]
+    images["x@(0)"] = f"({images['x@(0)']}) + 1"
+    assert main(["check-cocycle", write_json(tmp_path, "broken.json", data)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("cocycle check FAILED")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "abe5da1be19d4c6f9202e4e3878b88eb7283b0df3cdc1e09dc37e51583c06f24"
+    )
+
+
+def test_text_lift_atlas_formats_each_image_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    format_expression = cli.format_expression
+    monkeypatch.setattr(cli, "format_expression",
+                        lambda f, texts=None: calls.append(f) or format_expression(f, texts))
+    path = write_json(tmp_path, "super.json", SUPER_ATLAS)
+    assert main(["lift-atlas", path, "--group", "4", "--parity", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == LIFTED_P11_Z4
+    assert len(calls) == 8  # two transitions of four images each

@@ -24,7 +24,7 @@ from gradedcover import (
 )
 from gradedcover.cli import dump_atlas, load_atlas
 from gradedcover.covering import lift_atlas
-from gradedcover.expressions import MAX_NESTING, _lex, _Parser, parse_var_name
+from gradedcover.expressions import MAX_NESTING, _lex, _Parser, parse_residues, parse_var_name
 from conftest import random_group, random_parity, random_rational, random_signature
 
 
@@ -423,3 +423,19 @@ def test_a_freed_denominator_does_not_leak_its_text():
     ks = [k - k % 3 + 1 for k in range(30)]
     assert [printed(k, texts) for k in ks] == [printed(k, None) for k in ks]
     assert len(texts) == 30 and len({text for _, text in texts.values()}) == 10
+
+
+@pytest.mark.parametrize("text, residues", [
+    ("1", (1,)), ("(1)", (1,)), ("1,0", (1, 0)), ("(1,0)", (1, 0)), (" ( 1 , 0 ) ", (1, 0)),
+])
+def test_residue_text_takes_optional_parentheses(text, residues):
+    assert parse_residues(text, "residues") == residues
+    assert parse_var_name(f"x@{text}") == (f"x@({','.join(map(str, residues))})", residues)
+
+
+@pytest.mark.parametrize("text", ["((1", "1)", "(1", "()", "", "1;0", "(1,)"])
+def test_malformed_residue_text_is_quoted(text):
+    with pytest.raises(ValueError, match=r"malformed weight suffix in 'x@"):
+        parse_var_name(f"x@{text}")
+    with pytest.raises(ValueError, match="malformed element"):
+        parse_residues(text, "element")
