@@ -13,18 +13,18 @@ into weight-homogeneous components; ``decompose_oracle`` computes the
 same split by literal group averaging and exists as an independent
 cross-check of the production algorithm.
 
-When every coefficient product of two polynomials lands in one field
-Q(zeta_N), their product accumulates integer convolutions per output
-monomial and reduces modulo Phi_N once per monomial (at N = 1, products
-of plain ints); otherwise it runs one Cyclotomic multiply-add per pair of
-terms.  Either way a coefficient's conductor is the lcm of the products
-summed into it since its running sum last cancelled to zero, exactly as
-the termwise loop computes it.  Both methods pack each monomial into one
-int key, so a monomial product is one integer addition, through one codec
-per layout (variable count, byte-wide fields) that memoizes the monomial
-of each key in a memo cleared when full.  A factor equal to the constant 1
-at conductor 1 is skipped, and one term times one term is one Cyclotomic
-product.
+Products run through ``_mul_chain``, one factor after another.  While each
+coefficient product lands in one field Q(zeta_N), the running product stays
+integral: one integer vector per output monomial over one denominator, its
+convolutions reduced modulo Phi_N once per monomial (at N = 1, plain ints),
+coefficients built after the last factor.  Otherwise a step runs one
+Cyclotomic multiply-add per pair of terms.  Either way a coefficient's
+conductor is the lcm of the products summed into it since its running sum
+last cancelled to zero.  Monomials are packed into int keys, so a monomial
+product is one integer addition, through one codec per layout (variable
+count, byte-wide fields) that memoizes the monomial of each key in a memo
+cleared when full.  A factor equal to the constant 1 at conductor 1 is
+skipped, and one term times one term is one Cyclotomic product.
 
 ``decompose`` norms an inhomogeneous denominator D over its orbit.  For
 rational N and D the norm is Galois-stable, so it is built over Q through
@@ -263,18 +263,17 @@ def _codec(n_even: int, width: int) -> _Codec:
     return codec
 
 
-def _packed(a: Terms, b: Terms, values_b: list, negate):
-    """Monomials packed into int keys by ``_codec``: (keys of a, rows, unpack).
+def _chain_codec(factors: Sequence[Terms]) -> _Codec:
+    """The codec whose fields fit the product of ``factors`` (the first one
+    non-empty): a field holds the sum of their largest exponents."""
+    width = sum(max((e for m in t for e in m.even), default=0) for t in factors).bit_length()
+    return _codec(len(next(iter(factors[0])).even), width)
 
-    The field width fits the sum of the two operands' largest exponents.
-    ``rows[i]`` lists ``(key, value)`` for the terms of b whose product
-    with a's i-th term survives, in b's order, the value negated by
-    ``negate`` where reordering the odd factors flips the sign; one row is
-    built per distinct odd mask of a.
-    """
-    width = sum(max((e for m in t for e in m.even), default=0) for t in (a, b)).bit_length()
-    codec = _codec(len(next(iter(a)).even), width)
-    keys_a, keys_b, shift = list(map(codec.pack, a)), list(map(codec.pack, b)), codec.shift
+
+def _odd_rows(keys_a, keys_b: list, values_b: list, shift: int, negate) -> dict[int, list]:
+    """Per distinct odd mask of ``keys_a``: ``(key, value)`` for the terms of b
+    whose product with it survives, in b's order, the value negated by
+    ``negate`` where reordering the odd factors flips the sign."""
     rows: dict[int, list] = {}
     for ka in keys_a:
         ma = ka >> shift
@@ -285,14 +284,7 @@ def _packed(a: Terms, b: Terms, values_b: list, negate):
                 sign = _odd_sign(ma, mb) if mb else 1
                 if sign:
                     row.append((kb, y if sign > 0 else negate(y)))
-    return keys_a, [rows[ka >> shift] for ka in keys_a], codec.unpack
-
-
-def _product_conductor(a: Terms, b: Terms) -> int | None:
-    """The conductor N shared by every coefficient product of a*b, else None."""
-    right = {c.conductor for c in b.values()}
-    found = {lcm(x, y) for x in {c.conductor for c in a.values()} for y in right}
-    return found.pop() if len(found) == 1 else None
+    return rows
 
 
 def _mul_terms_termwise(a: Terms, b: Terms) -> Terms:
@@ -303,9 +295,11 @@ def _mul_terms_termwise(a: Terms, b: Terms) -> Terms:
     """
     if not a or not b:
         return {}
-    keys_a, rows, unpack = _packed(a, b, list(b.values()), neg)
-    pairs = ((ka + kb, c1 * c2) for ka, row, c1 in zip(keys_a, rows, a.values()) for kb, c2 in row)
-    return {unpack(key): c for key, c in _accumulate({}, pairs).items()}
+    codec = _chain_codec((a, b))
+    shift, keys_a = codec.shift, list(map(codec.pack, a))
+    rows = _odd_rows(keys_a, list(map(codec.pack, b)), list(b.values()), shift, neg)
+    pairs = ((ka + kb, c1 * c2) for ka, c1 in zip(keys_a, a.values()) for kb, c2 in rows[ka >> shift])
+    return {codec.unpack(key): c for key, c in _accumulate({}, pairs).items()}
 
 
 def _accumulate(out: dict, items) -> dict:
@@ -321,11 +315,8 @@ def _accumulate(out: dict, items) -> dict:
 
 
 def _integer_vectors(terms: Terms, n: int) -> tuple[int, list]:
-    """Coefficients lifted to conductor n: (denominator d, integer vectors).
-
-    Each coefficient equals its integer vector over the power basis
-    divided by the one common denominator d; at n = 1 a vector is one int.
-    """
+    """(d, vectors): each coefficient lifted to conductor n is its integer
+    vector over the power basis divided by d; at n = 1 a vector is one int."""
     lifted = [c.coeffs if c.conductor == n else c.lift(n).coeffs for c in terms.values()]
     d = lcm(*(x.denominator for v in lifted for x in v))
     if n == 1:
@@ -333,45 +324,93 @@ def _integer_vectors(terms: Terms, n: int) -> tuple[int, list]:
     return d, [[x.numerator * (d // x.denominator) for x in v] for v in lifted]
 
 
-def _mul_terms_integer(a: Terms, b: Terms, n: int) -> Terms:
-    """Product terms when every coefficient product lands in Q(zeta_n).
+class _IntegerProduct:
+    """A product kept in integers between factors: each monomial's key by
+    ``codec`` maps to an integer vector at conductor ``n`` (an int at n = 1),
+    over one denominator ``d``; only ``terms`` builds coefficients."""
 
-    Sums the unreduced integer convolutions of each output monomial and
-    reduces modulo Phi_n (monic, integral) once per monomial; the terms
-    equal those of ``_mul_terms_termwise``, conductors included.
-    """
-    if not a or not b:
-        return {}
-    da, va = _integer_vectors(a, n)
-    db, vb = _integer_vectors(b, n)
-    acc: dict = {}
-    if n == 1:
-        keys_a, rows, unpack = _packed(a, b, vb, neg)
-        for ka, row, x in zip(keys_a, rows, va):
-            for kb, y in row:
-                key = ka + kb
-                acc[key] = acc.get(key, 0) + x * y
-    else:
-        keys_a, rows, unpack = _packed(a, b, vb, lambda y: [-t for t in y])
-        width = 2 * euler_phi(n) - 1
-        for ka, row, x in zip(keys_a, rows, va):
-            for kb, y in row:
-                key = ka + kb
-                vec = acc.get(key)
-                if vec is None:
-                    vec = acc[key] = [0] * width
-                for i, xi in enumerate(x):
-                    if xi:
-                        for j, yj in enumerate(y):
-                            vec[i + j] += xi * yj
-    den = da * db
-    fraction = Fraction if den == 1 else lambda c: Fraction(c, den)
-    out: Terms = {}
-    for key, v in acc.items():
-        reduced = (v,) if n == 1 else _reduce(v, n)
-        if any(reduced):
-            out[unpack(key)] = Cyclotomic._raw(tuple(map(fraction, reduced)), n)
-    return out
+    __slots__ = ("codec", "n", "d", "vecs")
+
+    def __init__(self, codec: _Codec, terms: Terms, n: int):
+        self.codec, self.n, (self.d, vecs) = codec, n, _integer_vectors(terms, n)
+        self.vecs = dict(zip(map(codec.pack, terms), vecs))
+
+    def times(self, b: Terms, n: int) -> "_IntegerProduct":
+        """Times b, each coefficient product in Q(zeta_n): lift as integers if n
+        grew, sum each key's convolutions, reduce modulo Phi_n (monic) once per
+        key and drop zeros, giving ``_mul_terms_termwise``'s terms and conductors."""
+        vecs, shift = self.vecs, self.codec.shift
+        if n != self.n:  # z -> z^step, then modulo Phi_n
+            step = n // self.n
+            for key, v in vecs.items():
+                v = (v,) if self.n == 1 else v
+                out = [0] * (euler_phi(n) + len(v) * step)
+                out[:len(v) * step:step] = v
+                vecs[key] = _reduce(out, n)
+            self.n = n
+        db, vb = _integer_vectors(b, n)
+        keys_b, acc = list(map(self.codec.pack, b)), {}
+        if n == 1:
+            rows = _odd_rows(vecs, keys_b, vb, shift, neg)
+            for ka, x in vecs.items():
+                for kb, y in rows[ka >> shift]:
+                    key = ka + kb
+                    acc[key] = acc.get(key, 0) + x * y
+            self.vecs = {key: v for key, v in acc.items() if v}
+        else:
+            # each vector of b as its non-zero (index, entry) pairs
+            sparse = [[(j, t) for j, t in enumerate(y) if t] for y in vb]
+            rows = _odd_rows(vecs, keys_b, sparse, shift, lambda y: [(j, -t) for j, t in y])
+            width = 2 * euler_phi(n) - 1
+            for ka, x in vecs.items():
+                for kb, y in rows[ka >> shift]:
+                    key = ka + kb
+                    vec = acc.get(key)
+                    if vec is None:
+                        vec = acc[key] = [0] * width
+                    for i, xi in enumerate(x):
+                        if xi:
+                            for j, yj in y:
+                                vec[i + j] += xi * yj
+            reduced = ((key, _reduce(v, n)) for key, v in acc.items())
+            self.vecs = {key: r for key, r in reduced if any(r)}
+        self.d *= db
+        return self
+
+    def terms(self) -> Terms:
+        d, n, unpack = self.d, self.n, self.codec.unpack
+        fraction = Fraction if d == 1 else lambda c: Fraction(c, d)
+        if n == 1:
+            return {unpack(key): Cyclotomic._raw((fraction(v),), 1) for key, v in self.vecs.items()}
+        return {unpack(key): Cyclotomic._raw(tuple(map(fraction, v)), n) for key, v in self.vecs.items()}
+
+
+def _mul_terms_integer(a: Terms, b: Terms, n: int) -> Terms:
+    """Product terms when every coefficient product lands in Q(zeta_n): the
+    one-factor case of ``_mul_chain``'s ``_IntegerProduct``."""
+    return _IntegerProduct(_chain_codec((a, b)), a, n).times(b, n).terms() if a and b else {}
+
+
+def _mul_chain(a: Terms, factors: Sequence[Terms]) -> Terms:
+    """a times each factor in turn, each step taking ``SuperPolynomial.__mul__``'s
+    dispatch and giving its terms, order and conductors.  Steps whose products
+    share one conductor run in one ``_IntegerProduct``, with a codec for the
+    whole chain, which keeps integers between them; other steps run termwise."""
+    run = None
+    for b in factors:
+        if _is_one(b):
+            continue
+        if (_is_one(a) if run is None else run.n == 1 and run.vecs == {0: run.d}):
+            a, run = b, None
+            continue
+        left = {c.conductor for c in a.values()} if run is None else {run.n}
+        found = {lcm(x, c.conductor) for x in left for c in b.values()}
+        if len(found) == 1:
+            (n,) = found
+            run = (run or _IntegerProduct(_chain_codec([a, *factors]), a, n)).times(b, n)
+        else:
+            a, run = _mul_terms_termwise(a if run is None else run.terms(), b), None
+    return a if run is None else run.terms()
 
 
 def _mul_single(t1: tuple, t2: tuple) -> tuple | None:
@@ -542,12 +581,7 @@ class SuperPolynomial:
         if len(self.terms) == 1 == len(other.terms):
             t = _mul_single(*self.terms.items(), *other.terms.items())
             return SuperPolynomial._raw(self.signature, {} if t is None else dict([t]))
-        n = _product_conductor(self.terms, other.terms)
-        if n is None:
-            out = _mul_terms_termwise(self.terms, other.terms)
-        else:
-            out = _mul_terms_integer(self.terms, other.terms, n)
-        return SuperPolynomial._raw(self.signature, out)
+        return SuperPolynomial._raw(self.signature, _mul_chain(self.terms, [other.terms]))
 
     __rmul__ = __mul__
 
@@ -875,6 +909,9 @@ class SuperRational:
         stabilizer than D.  Its values equal the chain's, and rational
         values print alike at any conductor; irrational coefficients keep
         ``_normed_chain``, since regrouping them moves printed conductors.
+        That chain stays in integers between its twists, except at a step
+        whose coefficient products share no field, as over Z_16 for 1/(x +
+        zeta_3*y): it is multiplied termwise.
         """
         sig = self._graded_signature()
         num, den = self.numerator, self.denominator
@@ -899,18 +936,18 @@ class SuperRational:
         """``weight`` given the denominator's termwise weight."""
         num, _, shift = self._homogeneous_split(den_weight)
         num_weight = num.termwise_weight()
-        return None if num_weight is None else num_weight * shift
+        return num_weight if num_weight is None or shift is None else num_weight * shift
 
     def _homogeneous_split(
         self, den_weight: Character | None
-    ) -> tuple[SuperPolynomial, SuperPolynomial, Character]:
-        """(N, D, 1/weight(D)) over a termwise homogeneous D: this function's
-        own when ``den_weight``, its denominator's termwise weight, is not
-        None, else ``_normed``'s, whose D has the identity weight."""
-        if den_weight is not None:
-            return self.numerator, self.denominator, den_weight.inverse()
-        group = self._graded_signature().group
-        return (*self._normed(), Character(group, (0,) * group.rank))
+    ) -> tuple[SuperPolynomial, SuperPolynomial, Character | None]:
+        """(N, D, 1/weight(D), None for the identity) over a termwise
+        homogeneous D: this function's own when ``den_weight``, its
+        denominator's termwise weight, is not None, else ``_normed``'s."""
+        if den_weight is None:
+            return (*self._normed(), None)
+        shift = None if den_weight.is_identity() else den_weight.inverse()
+        return self.numerator, self.denominator, shift
 
     def is_homogeneous(self, chi: Character) -> bool:
         if self.is_zero():
@@ -931,7 +968,8 @@ class SuperRational:
             return {}
         num, den, shift = self._homogeneous_split(self.denominator.termwise_weight())
         parts = {
-            chi * shift: SuperRational(part, den) for chi, part in num.weight_components().items()
+            chi if shift is None else chi * shift: SuperRational(part, den)
+            for chi, part in num.weight_components().items()
         }
         return {chi: parts[chi] for chi in sorted(parts, key=lambda c: c.residues)}
 
@@ -1028,10 +1066,10 @@ def _twist_classes(den: SuperPolynomial) -> list[list[GroupElement]]:
 
 
 def _twist_chain(polys: list[SuperPolynomial], twists: list[SuperPolynomial]) -> list:
-    """Each polynomial times every twist, one product at a time."""
-    for twisted in twists:
-        polys = [p * twisted for p in polys]
-    return polys
+    """Each polynomial times every twist in turn by ``_mul_chain``: integers
+    between the twists, and the terms of one ``__mul__`` per twist."""
+    factors = [t.terms for t in twists]
+    return [SuperPolynomial._raw(p.signature, _mul_chain(p.terms, factors)) for p in polys]
 
 
 def _over_q(poly: SuperPolynomial) -> SuperPolynomial:

@@ -21,6 +21,7 @@ from gradedcover import (
     SuperRational,
     SuperSignature,
     decompose_oracle,
+    euler_phi,
     format_expression,
     make_group,
     parse_expression,
@@ -986,6 +987,155 @@ def test_twist_classes_on_seeded_irrational_denominators():
             twists = [den.act(c[0]) for c in algebra._twist_classes(den)[1:]]
             expected = twists_by_comparison(den)
             assert [exact_terms(t) for t in twists] == [exact_terms(t) for t in expected]
+
+
+# -- the twist chain in integers against one product per twist -----------------
+
+
+def reference_twist_chain(polys, twists):
+    """The chain as it ran before it was kept in integers: one
+    ``SuperPolynomial.__mul__`` per twist."""
+    for twisted in twists:
+        polys = [p * twisted for p in polys]
+    return polys
+
+
+def ordered_terms(poly):
+    """Monomials in dict order, each with its conductor and coefficient vector."""
+    return [(m, c.conductor, c.coeffs) for m, c in poly.terms.items()]
+
+
+def assert_chain_matches_the_reference(polys, twists):
+    from gradedcover import algebra
+
+    got = algebra._twist_chain(polys, twists)
+    want = reference_twist_chain(polys, twists)
+    assert [ordered_terms(p) for p in got] == [ordered_terms(p) for p in want]
+    assert all(type(x) is Fraction for p in got for c in p.terms.values() for x in c.coeffs)
+
+
+CHAIN_SIG = SuperSignature(even=("x", "y"), odd=("s1", "s2"))
+# single conductors, and mixed ones whose lcms with a factor's may disagree
+CHAIN_CONDUCTORS = [(1,), (3,), (4,), (12,), (1, 3), (1, 4), (3, 4), (1, 12), (4, 12)]
+
+
+@st.composite
+def chain_coefficients(draw, conductors):
+    n = draw(st.sampled_from(conductors))
+    halves_and_thirds = st.integers(-6, 6).map(lambda k: Fraction(k, 6)).filter(lambda q: q)
+    return Cyclotomic(draw(st.lists(halves_and_thirds, min_size=euler_phi(n), max_size=euler_phi(n))), n)
+
+
+@st.composite
+def chain_operands(draw):
+    """Terms at conductors from {1, 3, 4, 12}, the constant 1, one term, or
+    c*(s1 + s2), whose product with another such operand is zero."""
+    kind = draw(st.sampled_from(["terms", "terms", "terms", "one", "single", "odd pair"]))
+    if kind == "one":
+        return SuperPolynomial.one(CHAIN_SIG)
+    conductors = draw(st.sampled_from(CHAIN_CONDUCTORS))
+    if kind == "odd pair":
+        c = draw(chain_coefficients(conductors))
+        return SuperPolynomial(CHAIN_SIG, {SuperMonomial((0, 0), (j,)): c for j in (0, 1)})
+    monomials = draw(st.lists(
+        st.builds(SuperMonomial, st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                  st.sampled_from([(), (), (0,), (1,), (0, 1)])),
+        min_size=1, max_size=1 if kind == "single" else 4, unique=True,
+    ))
+    return SuperPolynomial(CHAIN_SIG, {m: draw(chain_coefficients(conductors)) for m in monomials})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(chain_operands(), min_size=1, max_size=2), st.lists(chain_operands(), max_size=4))
+def test_twist_chain_equals_one_product_per_twist(polys, twists):
+    assert_chain_matches_the_reference(polys, twists)
+
+
+def test_twist_chain_takes_each_branch_of_the_product_dispatch(monkeypatch):
+    from gradedcover import algebra
+
+    x, y, s1, s2 = (SuperPolynomial.variable(CHAIN_SIG, v) for v in ("x", "y", "s1", "s2"))
+    one = SuperPolynomial.one(CHAIN_SIG)
+    z3, i, z12, half = root_of_unity(3, 1), root_of_unity(4, 1), root_of_unity(12, 1), Fraction(1, 2)
+    cases = [
+        # (polynomials, twists, whether a step has no common product conductor)
+        # a numerator of 1 starts from the first twist
+        ([one, x + z3 * y], [(x + half * y) * z12, (x - half * y) * (i * z3)], False),
+        # one term times one term at the lcm conductor, then sums
+        ([x * z3 * half, s1 * i], [y * i, y * z12, x + y * z12], False),
+        # s1 + s2 squares to zero midway, and zero stays zero
+        ([x + s1 * half, s1 * z3], [(s1 + s2) * z3, (s1 + s2) * i, x + y * z12], False),
+        # 2 times 1/2 is 1, which the next twist replaces
+        ([one * 2], [one * half, (x + y) * z3, (x + y) * i], False),
+        # factors equal to 1 are skipped
+        ([x * z3 + y], [one, (x + y) * z12, one], False),
+        # conductors {1, 4} times {1, 3}: the lcms disagree; then integer steps again
+        ([x + y * i], [x * z3 + half * y, (x + y) * z12, (x - y) * z12], True),
+    ]
+    termwise = spy_on(monkeypatch, "_mul_terms_termwise")
+    for polys, twists, falls_back in cases:
+        assert_chain_matches_the_reference(polys, twists)
+        termwise.clear()
+        algebra._twist_chain(polys, twists)
+        assert len(termwise) == int(falls_back)
+
+
+def test_decompose_over_z12_keeps_the_twist_chain_in_integers(monkeypatch, capsys):
+    """The chain makes no polynomial product and unpacks each output monomial once."""
+    from gradedcover import algebra, cli
+
+    inside, products, unpacked, outputs = [], [], [], []
+    chain, mul, unpack = algebra._twist_chain, SuperPolynomial.__mul__, algebra._Codec.unpack
+
+    def spied_chain(polys, twists):
+        inside.append(True)
+        try:
+            outputs.append(chain(polys, twists))
+        finally:
+            inside.pop()
+        return outputs[-1]
+
+    def spied_mul(self, other):
+        if inside:
+            products.append(other)
+        return mul(self, other)
+
+    def spied_unpack(self, key):
+        if inside:
+            unpacked.append(key)
+        return unpack(self, key)
+
+    monkeypatch.setattr(algebra, "_twist_chain", spied_chain)
+    monkeypatch.setattr(SuperPolynomial, "__mul__", spied_mul)
+    monkeypatch.setattr(algebra._Codec, "unpack", spied_unpack)
+    argv = ["decompose", "--group", "12", "--even", "x@1,y@5",
+            "--expr", "(x@1 + zeta(12,1)*y@5)/(x@1^2 + zeta(3,1)*y@5)"]
+    assert cli.main(argv) == 0
+    assert "(0): " in capsys.readouterr().out
+    assert len(outputs) == 1 and products == []
+    assert len(unpacked) == sum(len(p.terms) for p in outputs[0]) > 0
+
+
+def test_identity_shifts_make_no_character_product(monkeypatch):
+    products = []
+    real = Character.__mul__
+
+    def spied(self, other):
+        products.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Character, "__mul__", spied)
+    sig = z4_signature()
+    x0, x2, s1 = (SuperPolynomial.variable(sig, v) for v in ("x0", "x2", "s1"))
+    # a normed denominator, and a homogeneous one of identity weight
+    for den in (x0 + x2, x0 + 3):
+        f = SuperRational(x0 + x2 + s1, den)
+        assert len(f.decompose()) == 3 and f.weight() is None
+        assert SuperRational(den * 2, den).weight() == sig.group.identity_character
+    assert products == []
+    # a denominator of weight 2 shifts each of the three components once
+    assert len(SuperRational(x0 + x2 + s1, x2).decompose()) == 3
+    assert len(products) == 3
 
 
 # -- substitution and the unchecked constructor of arithmetic results ----------

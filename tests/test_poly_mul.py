@@ -1,18 +1,20 @@
 """The integer-accumulating product kernel against the termwise loop.
 
-``SuperPolynomial.__mul__`` uses ``_mul_terms_integer`` when every
-coefficient product of the two operands lands in one field Q(zeta_N), and
-``_mul_terms_termwise`` otherwise; one term times one term is a single
-``Cyclotomic`` product (``_mul_single``).  All must give the same terms
-with the same coefficient vectors and the same conductors, because the
-printed ``zeta(N,k)`` form follows the conductor.  Both kernels pack
-monomials into integer keys; ``reference_product`` multiplies monomials
-directly and checks the packed layout, including the order of the output
-terms.
+``SuperPolynomial.__mul__`` multiplies in integers (``_mul_terms_integer``
+is that kernel for one product) when every coefficient product of the two
+operands lands in one field Q(zeta_N), the conductor ``product_conductor``
+finds, and by ``_mul_terms_termwise`` otherwise; one term times one term
+is a single ``Cyclotomic`` product (``_mul_single``).  All must give the
+same terms with the same coefficient vectors and the same conductors,
+because the printed ``zeta(N,k)`` form follows the conductor.  Both
+kernels pack monomials into integer keys; ``reference_product`` multiplies
+monomials directly and checks the packed layout, including the order of
+the output terms.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,8 @@ from gradedcover import (
     euler_phi,
     root_of_unity,
 )
-from gradedcover.algebra import _mul_terms_integer, _mul_terms_termwise, _product_conductor
+from gradedcover import algebra
+from gradedcover.algebra import _mul_terms_integer, _mul_terms_termwise
 
 SIG = SuperSignature(even=("x", "y"), odd=("s1", "s2", "s3"))
 ODD_SETS = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
@@ -61,10 +64,16 @@ def random_operand(rng, conductors, n_terms):
     return SuperPolynomial(SIG, terms)
 
 
+def product_conductor(a, b):
+    """The conductor N shared by every coefficient product of a*b, else None."""
+    found = {lcm(x.conductor, y.conductor) for x in a.values() for y in b.values()}
+    return found.pop() if len(found) == 1 else None
+
+
 def check_product(a, b):
     want = _mul_terms_termwise(a.terms, b.terms)
     assert_same_terms((a * b).terms, want)
-    n = _product_conductor(a.terms, b.terms)
+    n = product_conductor(a.terms, b.terms)
     if n is not None:
         assert_same_terms(_mul_terms_integer(a.terms, b.terms, n), want)
 
@@ -83,13 +92,19 @@ CASES = [
 ]
 
 
-def test_dispatch_and_agreement_on_seeded_operands():
+def test_dispatch_and_agreement_on_seeded_operands(monkeypatch):
+    termwise, real = [], algebra._mul_terms_termwise
+    monkeypatch.setattr(algebra, "_mul_terms_termwise", lambda a, b: termwise.append(a) or real(a, b))
     rng = random.Random(31)
     for ca, cb, n in CASES:
         for _ in range(15):
             a = random_operand(rng, ca, rng.randint(len(ca), 5))
             b = random_operand(rng, cb, rng.randint(len(cb), 5))
-            assert _product_conductor(a.terms, b.terms) == n
+            assert product_conductor(a.terms, b.terms) == n
+            termwise.clear()
+            a * b
+            # products without one conductor, and only those, run termwise
+            assert bool(termwise) == (n is None and len(a.terms) * len(b.terms) > 1)
             check_product(a, b)
             check_product(b, a)
 
@@ -191,7 +206,7 @@ def check_layout(a, b):
     got = _mul_terms_termwise(a.terms, b.terms)
     assert list(got) == list(want)
     assert_same_terms(got, want)
-    n = _product_conductor(a.terms, b.terms)
+    n = product_conductor(a.terms, b.terms)
     if n is not None:
         kernel = _mul_terms_integer(a.terms, b.terms, n)
         assert_same_terms(kernel, got)
@@ -314,7 +329,7 @@ def test_single_term_products_match_both_kernels():
                 want = _mul_terms_termwise(a, b)
                 assert list(got) == list(want)
                 assert_same_terms(got, want)
-                assert_same_terms(got, _mul_terms_integer(a, b, _product_conductor(a, b)))
+                assert_same_terms(got, _mul_terms_integer(a, b, product_conductor(a, b)))
                 if sign == 0:
                     assert got == {}
                 else:
