@@ -1,10 +1,10 @@
 """Graded supercommutative function algebras.
 
-Functions are Grassmann polynomials with exact cyclotomic coefficients,
-optionally divided by a nonzero polynomial in the commuting variables
-(``SuperRational``).  Keeping denominators free of anticommuting content
-makes every function canonicalizable, so equality is decidable by
-cross-multiplication and no gcd machinery is needed.
+Functions are Grassmann polynomials with exact cyclotomic coefficients
+(integers over one positive denominator), optionally divided by a nonzero
+polynomial in the commuting variables (``SuperRational``).  Denominators free
+of anticommuting content make every function canonicalizable, so equality is
+decidable by cross-multiplication and no gcd machinery is needed.
 
 Over a ``GradedSignature`` every variable carries a weight (a character
 of the grading group) and the group acts by rescaling each variable with
@@ -17,7 +17,7 @@ Products run through ``_mul_chain``, one factor after another.  While each
 coefficient product lands in one field Q(zeta_N), the running product stays
 integral: one integer vector per output monomial over one denominator, its
 convolutions reduced modulo Phi_N once per monomial (at N = 1, plain ints),
-coefficients built after the last factor.  Otherwise a step runs one
+one gcd per coefficient after the last factor.  Otherwise a step runs one
 Cyclotomic multiply-add per pair of terms.  Either way a coefficient's
 conductor is the lcm of the products summed into it since its running sum
 last cancelled to zero.  Monomials are packed into int keys, so a monomial
@@ -316,12 +316,12 @@ def _accumulate(out: dict, items) -> dict:
 
 def _integer_vectors(terms: Terms, n: int) -> tuple[int, list]:
     """(d, vectors): each coefficient lifted to conductor n is its integer
-    vector over the power basis divided by d; at n = 1 a vector is one int."""
-    lifted = [c.coeffs if c.conductor == n else c.lift(n).coeffs for c in terms.values()]
-    d = lcm(*(x.denominator for v in lifted for x in v))
+    vector over the power basis divided by d = lcm(dens); at n = 1, one int."""
+    lifted = [c if c.conductor == n else c.lift(n) for c in terms.values()]
+    d = lcm(*(c.den for c in lifted))
     if n == 1:
-        return d, [x.numerator * (d // x.denominator) for (x,) in lifted]
-    return d, [[x.numerator * (d // x.denominator) for x in v] for v in lifted]
+        return d, [c.num[0] * (d // c.den) for c in lifted]
+    return d, [c.num if c.den == d else [x * (d // c.den) for x in c.num] for c in lifted]
 
 
 class _IntegerProduct:
@@ -378,11 +378,10 @@ class _IntegerProduct:
         return self
 
     def terms(self) -> Terms:
-        d, n, unpack = self.d, self.n, self.codec.unpack
-        fraction = Fraction if d == 1 else lambda c: Fraction(c, d)
+        d, n, unpack, lowest = self.d, self.n, self.codec.unpack, Cyclotomic._lowest
         if n == 1:
-            return {unpack(key): Cyclotomic._raw((fraction(v),), 1) for key, v in self.vecs.items()}
-        return {unpack(key): Cyclotomic._raw(tuple(map(fraction, v)), n) for key, v in self.vecs.items()}
+            return {unpack(key): lowest((v,), d, 1) for key, v in self.vecs.items()}
+        return {unpack(key): lowest(tuple(v), d, n) for key, v in self.vecs.items()}
 
 
 def _mul_terms_integer(a: Terms, b: Terms, n: int) -> Terms:
@@ -440,7 +439,7 @@ def _pow_single(t: tuple, k: int) -> tuple | None:
 
 
 def _is_unit(c: Cyclotomic) -> bool:
-    return c.conductor == 1 and c.coeffs[0] == 1
+    return c.conductor == 1 and c.num[0] == 1 and c.den == 1
 
 
 def _is_one(terms: Terms) -> bool:
@@ -452,11 +451,7 @@ def _is_one(terms: Terms) -> bool:
 
 
 def _as_coefficient(value: Scalar) -> Cyclotomic:
-    if isinstance(value, Cyclotomic):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Cyclotomic.from_rational(value)
-    raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
+    return value if isinstance(value, Cyclotomic) else Cyclotomic.from_rational(value)
 
 
 class SuperPolynomial:
@@ -1076,7 +1071,7 @@ def _over_q(poly: SuperPolynomial) -> SuperPolynomial:
     """The polynomial with every coefficient retagged at conductor 1."""
     if not all(c.is_rational() for c in poly.terms.values()):
         raise ArithmeticError("orbit cofactor has an irrational coefficient")
-    terms = {m: Cyclotomic._raw(c.coeffs[:1], 1) for m, c in poly.terms.items()}
+    terms = {m: Cyclotomic._raw(c.num[:1], c.den, 1) for m, c in poly.terms.items()}
     return SuperPolynomial._raw(poly.signature, terms)
 
 
@@ -1160,7 +1155,7 @@ def _circulant_form(p: int, support: tuple[int, ...]) -> list:
         y = sum((SuperPolynomial.variable(sig, n) for n in sig.even), SuperPolynomial.zero(sig))
         twists = [y.act(group.element((k,))) for k in range(1, p)]
         c = _over_q(_twist_chain(twists[:1], twists[1:])[0])
-        form = [(m.even, int(v.coeffs[0])) for m, v in c.terms.items()]
+        form = [(m.even, v.num[0]) for m, v in c.terms.items()]
         _CIRCULANT_FORMS[p, support] = form
     return form
 
@@ -1176,14 +1171,14 @@ def _circulant_cofactor(sig: GradedSignature, parts: list[Terms]) -> SuperPolyno
     p = len(parts)
     support = tuple(j for j, t in enumerate(parts) if t)
     monos, vals = zip(*(next(iter(parts[j].items())) for j in support))
-    d = lcm(*(c.coeffs[0].denominator for c in vals))
-    nums = [int(c.coeffs[0] * d) for c in vals]
+    d = lcm(*(c.den for c in vals))
+    nums = [c.num[0] * (d // c.den) for c in vals]
     codec = _codec(len(sig.even), ((p - 1) * max(max(m.even) for m in monos)).bit_length())
     keys = list(map(codec.pack, monos))
     terms = {}
     for exps, a in _circulant_form(p, support):
         terms[codec.unpack(sum(map(mul, exps, keys)))] = \
-            Cyclotomic._raw((Fraction(a * prod(map(pow, nums, exps)), d ** (p - 1)),), 1)
+            Cyclotomic._lowest((a * prod(map(pow, nums, exps)),), d ** (p - 1), 1)
     return SuperPolynomial._raw(sig, terms)
 
 

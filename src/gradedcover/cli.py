@@ -107,7 +107,7 @@ def _morphism_from_json(mapping, where: str, source, target) -> SuperMorphism:
         name = parse_var_name(var)[0]
         expr = _expect(expr, str, f"{where}.{var}", "an expression string")
         f = parse_expression(expr, source)
-        terms = [(m, c.conductor, c.coeffs) for m, c in f.denominator.terms.items()]
+        terms = [(m, c.conductor, c.num, c.den) for m, c in f.denominator.terms.items()]
         shared = shared or (f.denominator, terms)
         images[name] = SuperRational(f.numerator, shared[0]) if terms == shared[1] else f
     return SuperMorphism(source, target, images)

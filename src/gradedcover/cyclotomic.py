@@ -1,24 +1,25 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-An element is stored as a residue modulo the N-th cyclotomic polynomial
-Phi_N, i.e. as a vector of phi(N) rational coefficients over the power
-basis 1, z, ..., z^(phi(N)-1) with z = zeta_N.  Phi_N is irreducible, so
-the residue is a canonical form: equality is coefficient equality and
-zero-testing is exact.
+An element is its residue modulo the N-th cyclotomic polynomial Phi_N over
+the power basis 1, z, ..., z^(phi(N)-1), z = zeta_N, stored as FLINT's
+fmpq_poly is: phi(N) integers ``num`` over one positive ``den``, in lowest
+terms, zero as zeros over 1.  Phi_N is monic, so reduction stays integral,
+and irreducible, so the form is canonical: equality compares (num, den).
 
 Values with different conductors interoperate by lifting both operands
 into Q(zeta_lcm) first, except that a rational factor (conductor 1) scales
 the other operand's vector without a lift.
 
-A root zeta_N^k is z^(k mod N) reduced modulo Phi_N, over the integers,
-and cached per (N, k mod N): one reduction per root, no table of all N.
+A root zeta_N^k is z^(k mod N) reduced modulo Phi_N, an integer vector
+over 1, cached per (N, k mod N): one reduction per root, no table of all N.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -28,10 +29,10 @@ Rational = Union[int, Fraction]
 # immutable tuple and dict item assignment is atomic, so a duplicated
 # fill is idempotent.
 _CYCLOTOMIC_POLY: dict[int, tuple[int, ...]] = {}
-_ROOTS: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+_REDUCERS: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
+_ROOTS: dict[tuple[int, int], tuple[int, ...]] = {}
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -91,35 +92,45 @@ def euler_phi(n: int) -> int:
     return n
 
 
-def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    """Remainder of a rational polynomial modulo Phi_n, subtracting only
-    the non-zero lower coefficients of Phi_n."""
-    phi_n = cyclotomic_polynomial(n)
-    deg = len(phi_n) - 1
+def _reducer(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(n), Phi_n's non-zero lower coefficients as (offset from the top, value))."""
+    if n not in _REDUCERS:
+        phi_n = cyclotomic_polynomial(n)
+        deg = len(phi_n) - 1
+        _REDUCERS[n] = (deg, tuple((j - deg, d) for j, d in enumerate(phi_n[:deg]) if d))
+    return _REDUCERS[n]
+
+
+def _reduce(coeffs: list, n: int) -> tuple:
+    """Remainder of a polynomial modulo Phi_n, subtracting only the non-zero
+    lower coefficients of Phi_n; Phi_n is monic, so integers stay integers."""
+    deg, lower = _reducer(n)
     work = list(coeffs)
-    lower = [(j, d) for j, d in enumerate(phi_n[:deg]) if d]
     for k in range(len(work) - 1, deg - 1, -1):
         c = work[k]
         if c:
-            work[k] = _ZERO
             for j, d in lower:
-                work[k - deg + j] -= c * d
-    work = work[:deg]
+                work[k + j] -= c * d
+    del work[deg:]
     work.extend([_ZERO] * (deg - len(work)))
     return tuple(work)
 
 
 class Cyclotomic:
-    """An exact element of Q(zeta_N), always reduced modulo Phi_N."""
+    """An exact element of Q(zeta_N): ``num``/``den`` reduced modulo Phi_N."""
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "num", "den")
 
-    def __init__(self, coeffs: Iterable[Rational], conductor: int = 1):
+    def __new__(cls, coeffs: Iterable[Rational], conductor: int = 1):
         if conductor < 1:
             raise ValueError(f"conductor must be >= 1, got {conductor}")
-        vec = [Fraction(c) for c in coeffs]
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", _reduce(vec, conductor))
+        vec = list(coeffs)
+        if not all(isinstance(c, (int, Fraction)) for c in vec):
+            raise TypeError("coefficients must be int or Fraction")
+        den = lcm(*(c.denominator for c in vec))
+        num = [c.numerator * (den // c.denominator) for c in vec]
+        num.extend([0] * (_reducer(conductor)[0] - len(num)))
+        return Cyclotomic._lowest(_reduce(num, conductor), den, conductor)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic values are immutable")
@@ -129,14 +140,32 @@ class Cyclotomic:
     @classmethod
     def from_rational(cls, value: Rational) -> "Cyclotomic":
         # a length-1 vector is already reduced modulo Phi_1
-        return cls._raw((Fraction(value),), 1)
+        if isinstance(value, (int, Fraction)):
+            return Cyclotomic._raw((value.numerator,), value.denominator, 1)
+        raise TypeError(f"cannot use {type(value).__name__} as a rational coefficient")
 
-    @classmethod
-    def _raw(cls, coeffs: tuple[Fraction, ...], conductor: int) -> "Cyclotomic":
-        self = object.__new__(cls)
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
+    @staticmethod
+    def _raw(num: tuple[int, ...], den: int, conductor: int) -> "Cyclotomic":
+        """num/den in lowest terms, set past ``__setattr__`` by the slot descriptors."""
+        self = _new(Cyclotomic)
+        _set_conductor(self, conductor)
+        _set_num(self, num)
+        _set_den(self, den)
         return self
+
+    @staticmethod
+    def _lowest(num: tuple[int, ...], den: int, conductor: int) -> "Cyclotomic":
+        """The value num/den at the conductor, den > 0, in lowest terms by one gcd."""
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num, den = tuple(x // g for x in num), den // g
+        return Cyclotomic._raw(num, den, conductor)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The entries num_k/den as Fractions, built on each read."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     # -- conductor handling -------------------------------------------
 
@@ -145,25 +174,22 @@ class Cyclotomic:
         if conductor == self.conductor:
             return self
         if conductor % self.conductor != 0:
-            raise ValueError(
-                f"cannot lift conductor {self.conductor} into {conductor}"
-            )
+            raise ValueError(f"cannot lift conductor {self.conductor} into {conductor}")
+        # Z[zeta_M] meets Q(zeta_N) in Z[zeta_N] (power Z-bases): lowest terms hold
         step = conductor // self.conductor
-        return Cyclotomic._raw(_spread(self.coeffs, step, conductor), conductor)
+        return Cyclotomic._raw(_spread(self.num, step, conductor), self.den, conductor)
 
     @staticmethod
     def _common(a: "Cyclotomic", b: "Cyclotomic"):
         if a.conductor == b.conductor:
             return a, b
-        m = a.conductor * b.conductor // gcd(a.conductor, b.conductor)
+        m = lcm(a.conductor, b.conductor)
         return a.lift(m), b.lift(m)
 
     def _coerce(self, other) -> "Cyclotomic | None":
         if isinstance(other, Cyclotomic):
             return other
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_rational(other)
-        return None
+        return Cyclotomic.from_rational(other) if isinstance(other, (int, Fraction)) else None
 
     # -- ring / field operations --------------------------------------
 
@@ -172,14 +198,14 @@ class Cyclotomic:
         if rhs is None:
             return NotImplemented
         a, b = Cyclotomic._common(self, rhs)
-        return Cyclotomic._raw(
-            tuple(x + y for x, y in zip(a.coeffs, b.coeffs)), a.conductor
-        )
+        da, db = a.den, b.den
+        num = tuple(x * db + y * da for x, y in zip(a.num, b.num))
+        return Cyclotomic._lowest(num, da * db, a.conductor)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic._raw(tuple(-x for x in self.coeffs), self.conductor)
+        return Cyclotomic._raw(tuple(-x for x in self.num), self.den, self.conductor)
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -200,12 +226,11 @@ class Cyclotomic:
         if self.conductor == 1 or rhs.conductor == 1:
             # q times each entry is the lifted product's vector, without the lift
             a, b = (rhs, self) if self.conductor == 1 else (self, rhs)
-            q = b.coeffs[0]
-            return Cyclotomic._raw(tuple(x * q for x in a.coeffs), a.conductor)
+            q = b.num[0]
+            return Cyclotomic._lowest(tuple(x * q for x in a.num), a.den * b.den, a.conductor)
         a, b = Cyclotomic._common(self, rhs)
-        return Cyclotomic._raw(
-            _reduce(_polymul(a.coeffs, b.coeffs), a.conductor), a.conductor
-        )
+        num = _reduce(_polymul(a.num, b.num), a.conductor)
+        return Cyclotomic._lowest(num, a.den * b.den, a.conductor)
 
     __rmul__ = __mul__
 
@@ -213,22 +238,21 @@ class Cyclotomic:
         """Multiplicative inverse; Phi_N irreducible makes gcd(a, Phi_N) = 1."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic value")
-        n = self.conductor
-        # extended Euclid over Q[x] for (a, Phi_N)
+        n, lead = self.conductor, self.num[0]
+        if self.is_rational():  # 1/(q/d) = d*q/q^2, zeros above
+            return Cyclotomic._lowest((self.den * lead,) + self.num[1:], lead * lead, n)
+        # extended Euclid over Q[x] for (num, Phi_N); 1/a is den/num
         r0 = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        r1 = list(self.coeffs)
-        s0: list[Fraction] = [_ZERO]
-        s1: list[Fraction] = [_ONE]
+        r1 = [Fraction(x) for x in self.num]
+        s0, s1 = [_ZERO], [Fraction(1)]
         while True:
             while r1 and not r1[-1]:
                 r1.pop()
             if len(r1) == 1:
-                inv_lead = 1 / r1[0]
-                return Cyclotomic._raw(
-                    _reduce([c * inv_lead for c in s1], n), n
-                )
+                scale = self.den / r1[0]
+                return Cyclotomic([c * scale for c in s1], n)
             q, r = _polydivmod(r0, r1)
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
+            s0, s1 = s1, [x - y for x, y in zip_longest(s0, _polymul(q, s1), fillvalue=0)]
             r0, r1 = r1, r
 
     def __truediv__(self, other):
@@ -255,35 +279,37 @@ class Cyclotomic:
         n = self.conductor
         if n <= 2:
             return self
-        return Cyclotomic._raw(_spread(self.coeffs, n - 1, n), n)
+        return Cyclotomic._raw(_spread(self.num, n - 1, n), self.den, n)
 
     # -- predicates and views ------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(not c for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("value is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def embed(self) -> complex:
         """Numeric image under zeta_N -> exp(2*pi*i/N)."""
         z = cmath.exp(2j * cmath.pi / self.conductor)
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
+        for x in reversed(self.num):
+            acc = acc * z + x / self.den
         return acc
 
     def __eq__(self, other):
+        if type(other) is int:  # an integer lifts to (other, 0, ..., 0) over 1
+            return self.den == 1 and self.num[0] == other and not any(self.num[1:])
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
         a, b = Cyclotomic._common(self, rhs)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     __hash__ = None  # value-equal across conductors; not hashable
 
@@ -296,11 +322,15 @@ class Cyclotomic:
     def __str__(self):
         # Polynomial in z (z = i for conductor 4), tagged with the conductor.
         sym = "i" if self.conductor == 4 else "z"
-        parts = _basis_pieces(self.coeffs, lambda k: sym if k == 1 else f"{sym}^{k}")
+        parts = _basis_pieces(self.num, self.den, lambda k: sym if k == 1 else f"{sym}^{k}")
         body = _join_signed(parts) if parts else "0"
         if self.conductor == 4 or self.is_rational():
             return body  # "i" needs no conductor tag
         return f"{body} (conductor={self.conductor})"
+
+
+_new = object.__new__
+_set_conductor, _set_num, _set_den = (Cyclotomic.__dict__[f].__set__ for f in Cyclotomic.__slots__)
 
 
 def root_of_unity(n: int, k: int) -> Cyclotomic:
@@ -308,18 +338,18 @@ def root_of_unity(n: int, k: int) -> Cyclotomic:
     if n < 1:
         raise ValueError(f"order of the root must be >= 1, got {n}")
     key = (n, k % n)
-    coeffs = _ROOTS.get(key)
-    if coeffs is None:
-        reduced = _reduce([0] * key[1] + [1], n)
-        coeffs = _ROOTS[key] = tuple(Fraction(c) if c else _ZERO for c in reduced)
-    return Cyclotomic._raw(coeffs, n)
+    num = _ROOTS.get(key)
+    if num is None:
+        vec = [0] * max(_reducer(n)[0], key[1] + 1)
+        vec[key[1]] = 1
+        num = _ROOTS[key] = _reduce(vec, n)
+    return Cyclotomic._raw(num, 1, n)
 
 
-def _spread(coeffs: tuple[Fraction, ...], step: int, n: int) -> tuple[Fraction, ...]:
-    """Image of sum c_k z^k under z -> z^step, reduced modulo Phi_n."""
-    out = [_ZERO] * ((len(coeffs) - 1) * step + 1)
-    for k, c in enumerate(coeffs):
-        out[k * step] = c
+def _spread(num: tuple[int, ...], step: int, n: int) -> tuple[int, ...]:
+    """Image of sum num_k z^k under z -> z^step, reduced modulo Phi_n."""
+    out = [0] * max((len(num) - 1) * step + 1, _reducer(n)[0])
+    out[:len(num) * step:step] = num
     return _reduce(out, n)
 
 
@@ -334,18 +364,20 @@ def _power(base, k: int, one):
     return result
 
 
-def _basis_pieces(coeffs: Sequence[Fraction], root) -> list[str]:
-    """Signed pieces of sum q_k root(k) over the non-zero q_k: q at k = 0,
-    else ``root(k)``, ``-root(k)`` or ``q*root(k)``."""
+def _basis_pieces(num: Sequence[int], den: int, root) -> list[str]:
+    """Signed pieces of sum q_k root(k) over the non-zero q_k = num_k/den, as
+    str(Fraction) prints it: q at k = 0, else root(k), -root(k) or q*root(k)."""
     pieces = []
-    for k, q in enumerate(coeffs):
-        if not q:
+    for k, x in enumerate(num):
+        if not x:
             continue
+        g = gcd(x, den)
+        q = str(x // g) if g == den else f"{x // g}/{den // g}"
         if k == 0:
-            pieces.append(str(q))
-        elif q == 1:
+            pieces.append(q)
+        elif q == "1":
             pieces.append(root(k))
-        elif q == -1:
+        elif q == "-1":
             pieces.append(f"-{root(k)}")
         else:
             pieces.append(f"{q}*{root(k)}")
@@ -379,18 +411,11 @@ def _polydivmod(a: list[Fraction], b: list[Fraction]):
     return out, rem
 
 
-def _polymul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1) if a and b else []
+def _polymul(a: Sequence, b: Sequence) -> list:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
                     out[i + j] += x * y
-    return out
-
-
-def _polysub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = list(a) + [_ZERO] * (len(b) - len(a))
-    for j, y in enumerate(b):
-        out[j] -= y
     return out

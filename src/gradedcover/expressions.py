@@ -308,7 +308,7 @@ def _format_term(signature: SuperSignature, mono: SuperMonomial, c: Cyclotomic) 
     vars_parts.extend(signature.odd[j] for j in mono.odd)
 
     n = c.conductor
-    pieces = _basis_pieces(c.coeffs, lambda k: "i" if n == 4 else f"zeta({n},{k})")
+    pieces = _basis_pieces(c.num, c.den, lambda k: "i" if n == 4 else f"zeta({n},{k})")
     if len(pieces) > 1:
         coeff_txt = f"({_join_signed(pieces)})"
     else:

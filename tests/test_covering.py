@@ -565,6 +565,45 @@ def test_the_broken_benchmark_atlas_report_is_pinned(tmp_path, capsys, monkeypat
     assert len(calls) == sum(len(atlas.charts[c].even + atlas.charts[c].odd) for c in "01")
 
 
+def test_integer_products_and_equality_build_no_fraction():
+    """While the broken benchmark atlas is checked, no Fraction is constructed
+    inside ``_IntegerProduct.terms`` or ``Cyclotomic.__eq__``: coefficients are
+    integers over one denominator on both sides."""
+    from fractions import Fraction
+
+    from gradedcover import Cyclotomic
+    from gradedcover.algebra import _IntegerProduct
+
+    lifted = lifted_atlas(*inputs.BROKEN_BASE)
+    m = lifted.transitions[("1", "0")]
+    text = json.dumps(dump_atlas(lifted, m.source.group, m.source.parity))
+    broken, _, _ = load_atlas(json.loads(inputs.break_lifted(text)))
+    watched = {_IntegerProduct.terms.__code__: "terms", Cyclotomic.__eq__.__code__: "eq"}
+    # every construction path: __new__, and _from_coprime_ints where it exists
+    makers = {getattr(f, "__func__", f).__code__ for name, f in vars(Fraction).items()
+              if name in ("__new__", "_from_coprime_ints")}
+    entered, made, depth = {"terms": 0, "eq": 0}, [], [0]
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code in watched:
+            entered[watched[code]] += 1
+            depth[0] += 1
+        elif event == "return" and code in watched:
+            depth[0] -= 1
+        elif event == "call" and code in makers and depth[0]:
+            made.append(frame.f_back.f_code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        report = check_cocycle(broken)
+    finally:
+        sys.setprofile(None)
+    assert not report.ok
+    assert entered["terms"] > 100 and entered["eq"] > 100, entered
+    assert made == []
+
+
 def test_non_covering_atlases_take_the_direct_path():
     assert assert_agrees(projective_line_atlas(), "direct").ok
     assert assert_agrees(three_chart_polynomial_atlas(), "direct").ok

@@ -3,7 +3,7 @@
 import functools
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -355,3 +355,143 @@ def test_sparse_reduction_matches_the_dense_loop():
     # the vector of a root of unity of order 3003, as root_of_unity reduces it
     vec = [0] * 3002 + [1]
     assert _reduce(vec, 3003) == dense_reduce(vec, 3003)
+
+
+# -- the stored form against a Fraction-vector reference ---------------------
+#
+# A reference value is (conductor, tuple of Fractions), computed the way the
+# arithmetic ran while coefficients were Fraction tuples: lift by spreading
+# the power basis, products by convolution, every vector reduced by
+# ``dense_reduce``, and the inverse by solving a linear system over Q.
+
+REFERENCE_CONDUCTORS = [1, 3, 4, 5, 12, 16]
+
+
+def ref_lift(a, m):
+    n, vec = a
+    step = m // n
+    out = [Fraction(0)] * ((len(vec) - 1) * step + 1)
+    out[::step] = vec
+    return m, dense_reduce(out, m)
+
+
+def ref_common(a, b):
+    m = lcm(a[0], b[0])
+    return ref_lift(a, m), ref_lift(b, m)
+
+
+def ref_add(a, b):
+    (m, x), (_, y) = ref_common(a, b)
+    return m, tuple(s + t for s, t in zip(x, y))
+
+
+def ref_mul(a, b):
+    (m, x), (_, y) = ref_common(a, b)
+    conv = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, s in enumerate(x):
+        for j, t in enumerate(y):
+            conv[i + j] += s * t
+    return m, dense_reduce(conv, m)
+
+
+def ref_conjugate(a):
+    n, vec = a
+    out = [Fraction(0)] * ((len(vec) - 1) * (n - 1) + 1)
+    out[::max(n - 1, 1)] = vec
+    return n, dense_reduce(out, n) if n > 2 else vec
+
+
+def ref_inverse(a):
+    """The x with a*x = 1: Gauss-Jordan on the columns a*z^k over Q."""
+    n, _ = a
+    deg = euler_phi(n)
+    basis = [(n, tuple(Fraction(int(j == k)) for j in range(deg))) for k in range(deg)]
+    cols = [ref_mul(a, z)[1] for z in basis]
+    rows = [[cols[k][i] for k in range(deg)] + [Fraction(int(i == 0))] for i in range(deg)]
+    for c in range(deg):
+        p = next(r for r in range(c, deg) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(deg):
+            if r != c and rows[r][c]:
+                rows[r] = [v - rows[r][c] * w for v, w in zip(rows[r], rows[c])]
+    return n, tuple(row[-1] for row in rows)
+
+
+def assert_stored_form(c, reference):
+    """Integers over one positive denominator in lowest terms, zero as all
+    zeros over 1, at the reference's conductor and value."""
+    n, vec = reference
+    assert c.conductor == n
+    assert type(c.den) is int and c.den > 0
+    assert type(c.num) is tuple and len(c.num) == euler_phi(n)
+    assert all(type(x) is int for x in c.num)
+    assert gcd(c.den, *c.num) == 1
+    assert any(c.num) or c.den == 1
+    assert c.coeffs == vec
+    assert all(type(x) is Fraction for x in c.coeffs)
+
+
+@st.composite
+def reference_values(draw):
+    n = draw(st.sampled_from(REFERENCE_CONDUCTORS))
+    q = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    vec = draw(st.lists(q, min_size=euler_phi(n), max_size=euler_phi(n)))
+    return n, dense_reduce(vec, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reference_values(), reference_values(), st.sampled_from([1, 2, 3]))
+@example((12, (Fraction(1, 2),) * 4), (12, (Fraction(-1, 2),) * 4), 1)
+@example((16, (Fraction(1, 4),) + (Fraction(0),) * 7), (1, (Fraction(3, 4),)), 2)
+@example((3, (Fraction(2, 3), Fraction(4, 3))), (4, (Fraction(-2, 3), Fraction(0))), 3)
+@example((5, (Fraction(1, 2),) * 4), (12, (Fraction(-3, 4),) + (Fraction(0),) * 3), 1)
+def test_integer_fields_match_the_fraction_reference(a_ref, b_ref, m):
+    a, b = Cyclotomic(a_ref[1], a_ref[0]), Cyclotomic(b_ref[1], b_ref[0])
+    assert_stored_form(a, a_ref)
+    assert_stored_form(b, b_ref)
+    minus_b = (b_ref[0], tuple(-x for x in b_ref[1]))
+    assert_stored_form(-b, minus_b)
+    assert_stored_form(a + b, ref_add(a_ref, b_ref))
+    assert_stored_form(a - b, ref_add(a_ref, minus_b))
+    assert_stored_form(a - a, (a_ref[0], (Fraction(0),) * euler_phi(a_ref[0])))
+    assert_stored_form(a * b, ref_mul(a_ref, b_ref))
+    assert_stored_form(a.conjugate(), ref_conjugate(a_ref))
+    assert_stored_form(a.lift(a.conductor * m), ref_lift(a_ref, a_ref[0] * m))
+    if any(b_ref[1]):
+        assert_stored_form(b.inverse(), ref_inverse(b_ref))
+    # equality across conductors is equality of the lifted reference vectors
+    common = ref_common(a_ref, b_ref)
+    assert (a == b) == (common[0][1] == common[1][1])
+    same = Cyclotomic(ref_lift(a_ref, lcm(a_ref[0], b_ref[0]))[1], lcm(a_ref[0], b_ref[0]))
+    assert a == same and same == a and not (a != same)
+
+
+def test_coefficient_text_is_the_fraction_text():
+    from gradedcover.cyclotomic import _basis_pieces
+
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.choice(REFERENCE_CONDUCTORS)
+        dens = [1, 2, 4, 6, 9]
+        vec = [Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(euler_phi(n))]
+        c = Cyclotomic(vec, n)
+        want = []
+        for k, q in enumerate(c.coeffs):
+            if q:
+                text = "z" if k else ""
+                want.append(str(q) if k == 0 else text if q == 1 else "-" + text if q == -1
+                            else f"{q}*{text}")
+        assert _basis_pieces(c.num, c.den, lambda k: "z") == want
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/3", 1j, None])
+def test_only_ints_and_fractions_are_coefficients(bad):
+    with pytest.raises(TypeError):
+        Cyclotomic([bad])
+    with pytest.raises(TypeError):
+        Cyclotomic([1, bad], 3)
+    with pytest.raises(TypeError):
+        Cyclotomic.from_rational(bad)
+    with pytest.raises(TypeError):
+        root_of_unity(3, 1) + bad
