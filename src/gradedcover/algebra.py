@@ -31,6 +31,10 @@ rational N and D the norm is Galois-stable, so it is built over Q through
 prime-index subgroups from the stabilizer of D up, one cofactor per step
 shared by numerator and denominator; other coefficients keep one product
 per twist, since regrouping those would move printed conductors.
+
+Signatures, polynomials and quotients are ``_Frozen`` (see ``cyclotomic``):
+signatures are equal and hash alike when type and fields agree, so a plain
+one never equals a graded one; polynomials and quotients compare by value.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ from math import lcm, prod
 from operator import add, mul, neg
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from .cyclotomic import Cyclotomic, _power, _prime_factors, _reduce, euler_phi, root_of_unity
+from .cyclotomic import (Cyclotomic, _Frozen, _power, _prime_factors, _reduce, _reducer,
+                         _spread, root_of_unity)
 from .errors import NotInvertibleError, SignatureMismatchError
 from .groups import Character, FiniteAbelianGroup, GroupElement, ParityMap
 
@@ -50,7 +55,7 @@ EVEN = 0
 ODD = 1
 
 
-class SuperSignature:
+class SuperSignature(_Frozen):
     """Named coordinates of a superdomain: commuting and anticommuting."""
 
     __slots__ = ("even", "odd")
@@ -64,25 +69,12 @@ class SuperSignature:
         object.__setattr__(self, "even", even)
         object.__setattr__(self, "odd", odd)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("signatures are immutable")
-
     def parity_of_var(self, name: str) -> int:
         if name in self.even:
             return EVEN
         if name in self.odd:
             return ODD
         raise KeyError(name)
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.even == other.even
-            and self.odd == other.odd
-        )
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.even, self.odd))
 
     def __repr__(self):
         return f"SuperSignature(even={list(self.even)}, odd={list(self.odd)})"
@@ -129,7 +121,7 @@ class GradedSignature(SuperSignature):
         object.__setattr__(self, "odd_weights", tuple(w for _, w in odd))
         # per cyclic factor: its order and the variables' residues there
         object.__setattr__(self, "weight_rows", tuple(
-            (q, [w.residues[t] for _, w in even], [w.residues[t] for _, w in odd])
+            (q, tuple(w.residues[t] for _, w in even), tuple(w.residues[t] for _, w in odd))
             for t, q in enumerate(group.factors)
         ))
 
@@ -146,22 +138,6 @@ class GradedSignature(SuperSignature):
         for w in self.even_weights + self.odd_weights:
             dims[w] = dims.get(w, 0) + 1
         return dims
-
-    def __eq__(self, other):
-        return (
-            type(other) is GradedSignature
-            and self.group == other.group
-            and self.parity == other.parity
-            and self.even == other.even
-            and self.odd == other.odd
-            and self.even_weights == other.even_weights
-            and self.odd_weights == other.odd_weights
-        )
-
-    def __hash__(self):
-        return hash(
-            ("GradedSignature", self.group, self.even, self.odd, self.even_weights, self.odd_weights)
-        )
 
     def __repr__(self):
         ev = [f"{n}:{w}" for n, w in zip(self.even, self.even_weights)]
@@ -340,13 +316,10 @@ class _IntegerProduct:
         grew, sum each key's convolutions, reduce modulo Phi_n (monic) once per
         key and drop zeros, giving ``_mul_terms_termwise``'s terms and conductors."""
         vecs, shift = self.vecs, self.codec.shift
-        if n != self.n:  # z -> z^step, then modulo Phi_n
+        if n != self.n:
             step = n // self.n
             for key, v in vecs.items():
-                v = (v,) if self.n == 1 else v
-                out = [0] * (euler_phi(n) + len(v) * step)
-                out[:len(v) * step:step] = v
-                vecs[key] = _reduce(out, n)
+                vecs[key] = _spread((v,) if self.n == 1 else v, step, n)
             self.n = n
         db, vb = _integer_vectors(b, n)
         keys_b, acc = list(map(self.codec.pack, b)), {}
@@ -361,7 +334,7 @@ class _IntegerProduct:
             # each vector of b as its non-zero (index, entry) pairs
             sparse = [[(j, t) for j, t in enumerate(y) if t] for y in vb]
             rows = _odd_rows(vecs, keys_b, sparse, shift, lambda y: [(j, -t) for j, t in y])
-            width = 2 * euler_phi(n) - 1
+            width = 2 * _reducer(n)[0] - 1
             for ka, x in vecs.items():
                 for kb, y in rows[ka >> shift]:
                     key = ka + kb
@@ -382,12 +355,6 @@ class _IntegerProduct:
         if n == 1:
             return {unpack(key): lowest((v,), d, 1) for key, v in self.vecs.items()}
         return {unpack(key): lowest(tuple(v), d, n) for key, v in self.vecs.items()}
-
-
-def _mul_terms_integer(a: Terms, b: Terms, n: int) -> Terms:
-    """Product terms when every coefficient product lands in Q(zeta_n): the
-    one-factor case of ``_mul_chain``'s ``_IntegerProduct``."""
-    return _IntegerProduct(_chain_codec((a, b)), a, n).times(b, n).terms() if a and b else {}
 
 
 def _mul_chain(a: Terms, factors: Sequence[Terms]) -> Terms:
@@ -454,7 +421,7 @@ def _as_coefficient(value: Scalar) -> Cyclotomic:
     return value if isinstance(value, Cyclotomic) else Cyclotomic.from_rational(value)
 
 
-class SuperPolynomial:
+class SuperPolynomial(_Frozen):
     """A Grassmann polynomial over a signature, in canonical form.
 
     ``terms`` maps monomials to nonzero cyclotomic coefficients; the zero
@@ -484,9 +451,6 @@ class SuperPolynomial:
                 clean[mono] = c
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("polynomials are immutable")
 
     @classmethod
     def _raw(cls, signature, terms):
@@ -684,7 +648,7 @@ class SuperPolynomial:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
 
 
-class SuperRational:
+class SuperRational(_Frozen):
     """A Grassmann polynomial divided by a nonzero even polynomial.
 
     The denominator never contains anticommuting variables, so equality is
@@ -722,9 +686,6 @@ class SuperRational:
         self = object.__new__(cls)
         self._set(num, den)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("superfunctions are immutable")
 
     @property
     def signature(self) -> SuperSignature:
@@ -1067,6 +1028,12 @@ def _twist_chain(polys: list[SuperPolynomial], twists: list[SuperPolynomial]) ->
     return [SuperPolynomial._raw(p.signature, _mul_chain(p.terms, factors)) for p in polys]
 
 
+def _twist_product(poly: SuperPolynomial, g: GroupElement, p: int) -> SuperPolynomial:
+    """prod_(k=1..p-1) g^k.poly by the twist chain, checked rational."""
+    twists = [poly.act(g ** k) for k in range(1, p)]
+    return _over_q(_twist_chain(twists[:1], twists[1:])[0])
+
+
 def _over_q(poly: SuperPolynomial) -> SuperPolynomial:
     """The polynomial with every coefficient retagged at conductor 1."""
     if not all(c.is_rational() for c in poly.terms.values()):
@@ -1115,8 +1082,7 @@ def _orbit_tower(
                 elif _separate_terms(parts):
                     c = _circulant_cofactor(sig, parts)
                 else:
-                    twists = [den.act(g ** k) for k in range(1, p)]
-                    c = _over_q(_twist_chain(twists[:1], twists[1:])[0])
+                    c = _twist_product(den, g, p)
                 num, den = num * c, den * c
     return num, den
 
@@ -1153,8 +1119,7 @@ def _circulant_form(p: int, support: tuple[int, ...]) -> list:
         sig = GradedSignature(group, ParityMap.trivial(group),
                               [(f"y{j}", group.character((j,))) for j in support])
         y = sum((SuperPolynomial.variable(sig, n) for n in sig.even), SuperPolynomial.zero(sig))
-        twists = [y.act(group.element((k,))) for k in range(1, p)]
-        c = _over_q(_twist_chain(twists[:1], twists[1:])[0])
+        c = _twist_product(y, group.element((1,)), p)
         form = [(m.even, v.num[0]) for m, v in c.terms.items()]
         _CIRCULANT_FORMS[p, support] = form
     return form
@@ -1170,11 +1135,10 @@ def _circulant_cofactor(sig: GradedSignature, parts: list[Terms]) -> SuperPolyno
     """
     p = len(parts)
     support = tuple(j for j, t in enumerate(parts) if t)
-    monos, vals = zip(*(next(iter(parts[j].items())) for j in support))
-    d = lcm(*(c.den for c in vals))
-    nums = [c.num[0] * (d // c.den) for c in vals]
-    codec = _codec(len(sig.even), ((p - 1) * max(max(m.even) for m in monos)).bit_length())
-    keys = list(map(codec.pack, monos))
+    picked = {m: c for t in parts for m, c in t.items()}
+    d, nums = _integer_vectors(picked, 1)
+    codec = _codec(len(sig.even), ((p - 1) * max(max(m.even) for m in picked)).bit_length())
+    keys = list(map(codec.pack, picked))
     terms = {}
     for exps, a in _circulant_form(p, support):
         terms[codec.unpack(sum(map(mul, exps, keys)))] = \

@@ -12,6 +12,13 @@ the other operand's vector without a lift.
 
 A root zeta_N^k is z^(k mod N) reduced modulo Phi_N, an integer vector
 over 1, cached per (N, k mod N): one reduction per root, no table of all N.
+``_reduce`` takes and returns ints, padding with int 0.  ``inverse`` keeps
+its extended Euclid over Q: an integer pseudo-remainder Euclid rescales the
+whole remainder at every step (5.1 s against 0.64 s on 1/(3*zeta_4093 + 2)).
+
+``_Frozen`` is the one base of every value type of the package: it refuses
+assignment, compares and hashes by type and slots, and copies and pickles
+by its slots without running a checked constructor again.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import cmath
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -32,7 +40,38 @@ _CYCLOTOMIC_POLY: dict[int, tuple[int, ...]] = {}
 _REDUCERS: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
 _ROOTS: dict[tuple[int, int], tuple[int, ...]] = {}
 
-_ZERO = Fraction(0)
+
+class _Frozen:
+    """An immutable value whose state is the tuple of its two or more slots,
+    base class first; types with value equality override ``__eq__`` and set
+    ``__hash__ = None``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(f for c in reversed(cls.__mro__) for f in vars(c).get("__slots__", ()))
+        cls._state = property(attrgetter(*cls._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and self._state == other._state)
+
+    def __hash__(self):
+        return hash((type(self), self._state))
+
+    def __reduce__(self):
+        return _restore, (type(self), self._state)
+
+
+def _restore(cls, state: tuple):
+    """An instance of ``cls`` with its slots set to ``state``, unchecked."""
+    self = object.__new__(cls)
+    for field, value in zip(cls._fields, state):
+        object.__setattr__(self, field, value)
+    return self
 
 
 def _divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -102,8 +141,9 @@ def _reducer(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 
 def _reduce(coeffs: list, n: int) -> tuple:
-    """Remainder of a polynomial modulo Phi_n, subtracting only the non-zero
-    lower coefficients of Phi_n; Phi_n is monic, so integers stay integers."""
+    """Remainder of a polynomial modulo Phi_n, of length phi(n), subtracting
+    only the non-zero lower coefficients of Phi_n; Phi_n is monic, so
+    integers stay integers, and a short input is padded with int 0."""
     deg, lower = _reducer(n)
     work = list(coeffs)
     for k in range(len(work) - 1, deg - 1, -1):
@@ -112,11 +152,11 @@ def _reduce(coeffs: list, n: int) -> tuple:
             for j, d in lower:
                 work[k + j] -= c * d
     del work[deg:]
-    work.extend([_ZERO] * (deg - len(work)))
+    work.extend([0] * (deg - len(work)))
     return tuple(work)
 
 
-class Cyclotomic:
+class Cyclotomic(_Frozen):
     """An exact element of Q(zeta_N): ``num``/``den`` reduced modulo Phi_N."""
 
     __slots__ = ("conductor", "num", "den")
@@ -129,11 +169,7 @@ class Cyclotomic:
             raise TypeError("coefficients must be int or Fraction")
         den = lcm(*(c.denominator for c in vec))
         num = [c.numerator * (den // c.denominator) for c in vec]
-        num.extend([0] * (_reducer(conductor)[0] - len(num)))
         return Cyclotomic._lowest(_reduce(num, conductor), den, conductor)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cyclotomic values are immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -244,7 +280,7 @@ class Cyclotomic:
         # extended Euclid over Q[x] for (num, Phi_N); 1/a is den/num
         r0 = [Fraction(c) for c in cyclotomic_polynomial(n)]
         r1 = [Fraction(x) for x in self.num]
-        s0, s1 = [_ZERO], [Fraction(1)]
+        s0, s1 = [Fraction(0)], [Fraction(1)]
         while True:
             while r1 and not r1[-1]:
                 r1.pop()
@@ -340,16 +376,15 @@ def root_of_unity(n: int, k: int) -> Cyclotomic:
     key = (n, k % n)
     num = _ROOTS.get(key)
     if num is None:
-        vec = [0] * max(_reducer(n)[0], key[1] + 1)
-        vec[key[1]] = 1
+        vec = [0] * key[1] + [1]
         num = _ROOTS[key] = _reduce(vec, n)
     return Cyclotomic._raw(num, 1, n)
 
 
 def _spread(num: tuple[int, ...], step: int, n: int) -> tuple[int, ...]:
     """Image of sum num_k z^k under z -> z^step, reduced modulo Phi_n."""
-    out = [0] * max((len(num) - 1) * step + 1, _reducer(n)[0])
-    out[:len(num) * step:step] = num
+    out = [0] * ((len(num) - 1) * step + 1)
+    out[::step] = num
     return _reduce(out, n)
 
 
@@ -396,7 +431,7 @@ def _join_signed(pieces: list[str]) -> str:
 
 
 def _polydivmod(a: list[Fraction], b: list[Fraction]):
-    out = [_ZERO] * max(len(a) - len(b) + 1, 0)
+    out = [0] * max(len(a) - len(b) + 1, 0)
     rem = list(a)
     while len(rem) >= len(b):
         if not rem[-1]:

@@ -12,11 +12,12 @@ from __future__ import annotations
 from typing import Iterator, Mapping
 
 from .algebra import GradedSignature, SuperRational, SuperSignature
+from .cyclotomic import _Frozen
 from .errors import MorphismValidationError, SignatureMismatchError
 from .groups import Character
 
 
-class SuperMorphism:
+class SuperMorphism(_Frozen):
     """A parity-respecting morphism with a superdomain target.
 
     The source may be a plain or a graded signature; no weight conditions
@@ -42,9 +43,6 @@ class SuperMorphism:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("morphisms are immutable")
 
     def __eq__(self, other):
         if not isinstance(other, SuperMorphism):
@@ -75,6 +73,8 @@ class GradedMorphism(SuperMorphism):
     only once, since the components of a lift share one; an inhomogeneous
     denominator is normed per image, as ``SuperRational.weight`` does.
     """
+
+    __slots__ = ()
 
     def __init__(
         self,

@@ -1,6 +1,8 @@
 """Behavior of the graded function algebra: products, action, decomposition."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from math import prod
@@ -17,12 +19,14 @@ from gradedcover import (
     ParityMap,
     SignatureMismatchError,
     SuperMonomial,
+    SuperMorphism,
     SuperPolynomial,
     SuperRational,
     SuperSignature,
     decompose_oracle,
     euler_phi,
     format_expression,
+    lift_super,
     make_group,
     parse_expression,
     parse_group_spec,
@@ -83,6 +87,62 @@ def test_signature_rejects_wrong_parities():
         GradedSignature(z4, pm, odd=[("s", z4.character((2,)))])
     with pytest.raises(ValueError):
         GradedSignature(z4, pm, even=[("x", z4.character((0,))), ("x", z4.character((2,)))])
+
+
+def test_signatures_are_equal_by_type_and_fields():
+    z2 = make_group([2])
+    plain = SuperSignature(even=("x",), odd=("s",))
+    graded = GradedSignature(z2, ParityMap(z2, (1,)), even=[("x", z2.character((0,)))],
+                             odd=[("s", z2.character((1,)))])
+    # the same names graded or not
+    assert plain != graded and graded != plain
+    # the same names and weights under two parities
+    x_only = [("x", z2.character((0,)))]
+    assert GradedSignature(z2, ParityMap(z2, (0,)), even=x_only) != GradedSignature(
+        z2, ParityMap(z2, (1,)), even=x_only)
+    # built twice from the same data
+    for build in (lambda: SuperSignature(even=["x"], odd=["s"]), z4_signature):
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+
+
+def frozen_values():
+    """One value of each immutable type, by name."""
+    sig = z4_signature()
+    x0, x2, s1, s3 = (SuperPolynomial.variable(sig, v) for v in ("x0", "x2", "s1", "s3"))
+    poly = Fraction(2, 3) * x0 * x2 + root_of_unity(12, 5) * s1 * s3 - 1
+    x = SuperRational.variable(SuperSignature(even=["x"]), "x")
+    psi = SuperMorphism(x.signature, SuperSignature(even=["y"], odd=["t"]),
+                        {"y": 1 / (x + 2), "t": SuperRational.zero(x.signature)})
+    z3 = make_group([3])
+    return {
+        "rational Cyclotomic": Cyclotomic.from_rational(Fraction(-3, 4)),
+        "irrational Cyclotomic": root_of_unity(12, 5) * Fraction(2, 3) + 1,
+        "SuperSignature": SuperSignature(even=["x", "y"], odd=["s"]),
+        "GradedSignature": sig,
+        "SuperPolynomial": poly,
+        "SuperRational": SuperRational(poly, x0 + 3 * x2 * x2 + 2),
+        "SuperMorphism": psi,
+        "lifted GradedMorphism": lift_super(
+            SuperMorphism(x.signature, SuperSignature(even=["y"]), {"y": 1 / (x + 2)}),
+            z3, ParityMap.trivial(z3)),
+    }
+
+
+@pytest.mark.parametrize("name", list(frozen_values()))
+def test_values_copy_and_pickle_and_stay_frozen(name):
+    value = frozen_values()[name]
+    value_equality = not isinstance(value, SuperSignature)  # signatures alone hash
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is type(value) and copied == value
+        for field in type(value)._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(copied, field, None)
+        if value_equality:
+            with pytest.raises(TypeError):
+                hash(copied)
+        else:
+            assert hash(copied) == hash(value)
 
 
 def test_anticommuting_variables_anticommute():

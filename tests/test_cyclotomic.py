@@ -337,7 +337,7 @@ def dense_reduce(coeffs, n):
             for j in range(deg):
                 work[k - deg + j] -= c * phi_n[j]
     work = work[:deg]
-    work.extend([Fraction(0)] * (deg - len(work)))
+    work.extend([0] * (deg - len(work)))
     return tuple(work)
 
 

@@ -1,7 +1,7 @@
 """The integer-accumulating product kernel against the termwise loop.
 
 ``SuperPolynomial.__mul__`` multiplies in integers (``_mul_terms_integer``
-is that kernel for one product) when every coefficient product of the two
+below is that kernel, ``_IntegerProduct``, for one product) when every coefficient product of the two
 operands lands in one field Q(zeta_N), the conductor ``product_conductor``
 finds, and by ``_mul_terms_termwise`` otherwise; one term times one term
 is a single ``Cyclotomic`` product (``_mul_single``).  All must give the
@@ -28,7 +28,14 @@ from gradedcover import (
     root_of_unity,
 )
 from gradedcover import algebra
-from gradedcover.algebra import _mul_terms_integer, _mul_terms_termwise
+from gradedcover.algebra import _chain_codec, _IntegerProduct, _mul_terms_termwise
+
+
+def _mul_terms_integer(a, b, n):
+    """Product terms when every coefficient product lands in Q(zeta_n): the
+    one-factor case of ``_mul_chain``'s ``_IntegerProduct``."""
+    return _IntegerProduct(_chain_codec((a, b)), a, n).times(b, n).terms() if a and b else {}
+
 
 SIG = SuperSignature(even=("x", "y"), odd=("s1", "s2", "s3"))
 ODD_SETS = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
