@@ -29,8 +29,9 @@ skipped, and one term times one term is one Cyclotomic product.
 ``decompose`` norms an inhomogeneous denominator D over its orbit.  For
 rational N and D the norm is Galois-stable, so it is built over Q through
 prime-index subgroups from the stabilizer of D up, one cofactor per step
-shared by numerator and denominator; other coefficients keep one product
-per twist, since regrouping those would move printed conductors.
+shared by numerator and denominator and computed in integers by one rule for
+every prime (``_cofactor``); other coefficients keep one product per twist,
+since regrouping those would move printed conductors.
 
 Signatures, polynomials and quotients are ``_Frozen`` (see ``cyclotomic``):
 signatures are equal and hash alike when type and fields agree, so a plain
@@ -40,7 +41,7 @@ one never equals a graded one; polynomials and quotients compare by value.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from operator import add, mul, neg
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -860,14 +861,14 @@ class SuperRational(_Frozen):
 
         For rational N and D the orbit product is Galois-stable and
         ``_orbit_tower`` builds it over Q through prime-index subgroups
-        S = K_0 < ... < G.  It starts at S and skips no step whose partial
-        product is already invariant: that product may have a larger
-        stabilizer than D.  Its values equal the chain's, and rational
-        values print alike at any conductor; irrational coefficients keep
-        ``_normed_chain``, since regrouping them moves printed conductors.
-        That chain stays in integers between its twists, except at a step
-        whose coefficient products share no field, as over Z_16 for 1/(x +
-        zeta_3*y): it is multiplied termwise.
+        S = K_0 < ... < G, each step's cofactor by ``_cofactor``.  It starts
+        at S and skips no step whose partial product is already invariant:
+        that product may have a larger stabilizer than D.  Its values equal
+        the chain's, and rational values print alike at any conductor;
+        irrational coefficients keep ``_normed_chain``, since regrouping them
+        moves printed conductors.  That chain stays in integers between its
+        twists, except at a step whose coefficient products share no field,
+        as over Z_16 for 1/(x + zeta_3*y): it is multiplied termwise.
         """
         sig = self._graded_signature()
         num, den = self.numerator, self.denominator
@@ -1028,16 +1029,8 @@ def _twist_chain(polys: list[SuperPolynomial], twists: list[SuperPolynomial]) ->
     return [SuperPolynomial._raw(p.signature, _mul_chain(p.terms, factors)) for p in polys]
 
 
-def _twist_product(poly: SuperPolynomial, g: GroupElement, p: int) -> SuperPolynomial:
-    """prod_(k=1..p-1) g^k.poly by the twist chain, checked rational."""
-    twists = [poly.act(g ** k) for k in range(1, p)]
-    return _over_q(_twist_chain(twists[:1], twists[1:])[0])
-
-
 def _over_q(poly: SuperPolynomial) -> SuperPolynomial:
-    """The polynomial with every coefficient retagged at conductor 1."""
-    if not all(c.is_rational() for c in poly.terms.values()):
-        raise ArithmeticError("orbit cofactor has an irrational coefficient")
+    """A rational polynomial with every coefficient retagged at conductor 1."""
     terms = {m: Cyclotomic._raw(c.num[:1], c.den, 1) for m, c in poly.terms.items()}
     return SuperPolynomial._raw(poly.signature, terms)
 
@@ -1050,14 +1043,9 @@ def _orbit_tower(
     K_0 is the stabilizer of D, the first of its ``_twist_classes``.  Each step
     adds a g of prime order p modulo K, peeled off a cyclic generator's
     order modulo K, larger primes first.  P = P_(i-1) is K-invariant, so
-    chi_m(g) = zeta_p^j on each of its monomials; with f_j the part of P
-    at j, the cofactor prod_(k=1..p-1) g^k.P is C_p(f_0, ..., f_(p-1)),
-    the circulant determinant over its first row (Frobenius 1896): f_0 - f_1
-    for p = 2, (f_2 - f_1)^2 + (f_0 - f_1)(f_0 - f_2) for p = 3.  For p >= 5
-    it is read off the cached integer form C_p (``_circulant_form``) when
-    each f_j is zero or one term and those terms share no variable, as for
-    the sum of the |H| copies of a lifted coordinate; otherwise it is the
-    chain's twist product, checked rational.  Then P_i = P*c_i.
+    chi_m(g) = zeta_p^j_m on each of its monomials m, and the step's
+    cofactor c_i = prod_(k=1..p-1) g^k.P is ``_cofactor`` of those j_m.
+    Then P_i = P*c_i.
     """
     group = sig.group
     n = group.exponent
@@ -1070,80 +1058,47 @@ def _orbit_tower(
                 order //= p
                 g = e ** order
                 stab = {k * g ** t for k in stab for t in range(p)}
-                parts = [{} for _ in range(p)]
-                for m, v in den.terms.items():
-                    parts[den.monomial_weight(m).exponent_at(g) * p // n][m] = v
-                f = [SuperPolynomial._raw(sig, t) for t in parts]
-                if p == 2:
-                    c = f[0] - f[1]
-                elif p == 3:
-                    d = f[2] - f[1]
-                    c = d * d + (f[0] - f[1]) * (f[0] - f[2])
-                elif _separate_terms(parts):
-                    c = _circulant_cofactor(sig, parts)
-                else:
-                    c = _twist_product(den, g, p)
+                js = [den.monomial_weight(m).exponent_at(g) * p // n for m in den.terms]
+                c = _cofactor(sig, den.terms, js, p)
                 num, den = num * c, den * c
     return num, den
 
 
-def _separate_terms(parts: list[Terms]) -> bool:
-    """Whether each part is zero or one term, no two sharing a variable.
+def _cofactor(sig: GradedSignature, terms: Terms, js: list[int], p: int) -> SuperPolynomial:
+    """C = prod_(k=1..p-1) sum_m zeta_p^(j_m*k) c_m*m for P = sum_m c_m*m
+    rational, ``js`` giving j_m in ``terms`` order, by Kronecker substitution.
 
-    Then distinct terms of the form C_p give distinct monomials of the
-    cofactor, so the form is no larger than the cofactor read off it.  Parts
-    that share a variable, as in 1 + x + ... + x^10 over Z_11, would collapse
-    a form of C(20, 10) terms into a few, so they take the chain.
+    The Galois group of Q(zeta_p) permutes these p - 1 twists of P, so C is
+    rational.  With d the common denominator of the c_m, d^(p-1)*C is then
+    a rational algebraic integer, i.e. integral, and each of its
+    coefficients is a sum of products of p - 1 roots of unity times
+    integers d*c_m, so at most L^(p-1) in size, L = sum_m |d*c_m|.  With
+    t = 2L + 1, zeta_p -> t is a ring map Z[zeta_p] -> Z/M for
+    M = Phi_p(t) >= t^(p-1) > 2*L^(p-1), so the twists multiplied as
+    integers modulo M, over packed monomial keys, leave each coefficient of
+    d^(p-1)*C as its symmetric residue.  M need not be prime.  At p = 2,
+    t = -1 modulo t + 1 and C = f_0 - f_1, f_j the part of P at j.
     """
-    if any(len(t) > 1 for t in parts):
-        return False
-    used = [i for t in parts for m in t for i, e in enumerate(m.even) if e]
-    return len(used) == len(set(used))
-
-
-# Filled lazily, keyed by (p, support); concurrent fills compute equal lists.
-_CIRCULANT_FORMS: dict[tuple[int, tuple[int, ...]], list] = {}
-
-
-def _circulant_form(p: int, support: tuple[int, ...]) -> list:
-    """C_p(y) = prod_(k=1..p-1) sum_j zeta_p^(jk) y_j with y_j = 0 off ``support``.
-
-    An integer form of degree p - 1 as [(exponents over support, coefficient)],
-    built once per (p, support) by the twist chain on variables y_j of weight
-    j over Z_p and checked rational.  Keying on the support keeps a sparse
-    denominator over a large prime from building the full form.
-    """
-    form = _CIRCULANT_FORMS.get((p, support))
-    if form is None:
-        group = FiniteAbelianGroup((p,))
-        sig = GradedSignature(group, ParityMap.trivial(group),
-                              [(f"y{j}", group.character((j,))) for j in support])
-        y = sum((SuperPolynomial.variable(sig, n) for n in sig.even), SuperPolynomial.zero(sig))
-        c = _twist_product(y, group.element((1,)), p)
-        form = [(m.even, v.num[0]) for m, v in c.terms.items()]
-        _CIRCULANT_FORMS[p, support] = form
-    return form
-
-
-def _circulant_cofactor(sig: GradedSignature, parts: list[Terms]) -> SuperPolynomial:
-    """C_p(f_0, ..., f_(p-1)) read off the form when ``_separate_terms(parts)``.
-
-    The term a_e*y^e gives a_e*prod c_j^e_j at the monomial sum e_j*m_j, and
-    no two terms meet there.  As C_p has degree p - 1, that is an integer
-    over d^(p-1), d the common denominator of the c_j.  Monomials are packed
-    by ``_codec``, with fields wide enough for sums of p - 1 exponents.
-    """
-    p = len(parts)
-    support = tuple(j for j, t in enumerate(parts) if t)
-    picked = {m: c for t in parts for m, c in t.items()}
-    d, nums = _integer_vectors(picked, 1)
-    codec = _codec(len(sig.even), ((p - 1) * max(max(m.even) for m in picked)).bit_length())
-    keys = list(map(codec.pack, picked))
-    terms = {}
-    for exps, a in _circulant_form(p, support):
-        terms[codec.unpack(sum(map(mul, exps, keys)))] = \
-            Cyclotomic._lowest((a * prod(map(pow, nums, exps)),), d ** (p - 1), 1)
-    return SuperPolynomial._raw(sig, terms)
+    if any(c.conductor != 1 for c in terms.values()):
+        raise ArithmeticError("orbit cofactor needs rational coefficients at conductor 1")
+    d, nums = _integer_vectors(terms, 1)
+    t = 2 * sum(map(abs, nums)) + 1
+    modulus = (t ** p - 1) // (t - 1)
+    codec = _chain_codec([terms] * (p - 1))
+    keys, powers = list(map(codec.pack, terms)), [t ** i for i in range(p)]
+    acc = {0: 1}
+    for k in range(1, p):
+        twist = [(key, a * powers[j * k % p]) for key, a, j in zip(keys, nums, js)]
+        out = {}
+        for ka, x in acc.items():
+            for kb, y in twist:
+                out[ka + kb] = out.get(ka + kb, 0) + x * y
+        acc = {key: r for key, v in out.items() if (r := v % modulus)}
+    scale, half = d ** (p - 1), modulus // 2
+    return SuperPolynomial._raw(sig, {
+        codec.unpack(key): Cyclotomic._lowest((r - modulus if r > half else r,), scale, 1)
+        for key, r in acc.items()
+    })
 
 
 def _even_value(sig: SuperSignature, mono: SuperMonomial, point: Mapping[str, complex]) -> complex:

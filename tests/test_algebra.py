@@ -732,30 +732,25 @@ def test_irrational_coefficients_take_the_chain(monkeypatch):
     assert len(calls) == 2
 
 
-def test_prime_step_cofactor_must_be_rational(monkeypatch):
+def test_prime_step_cofactor_must_be_rational():
     from gradedcover import algebra
 
-    chain = algebra._twist_chain
-
-    def skewed(polys, twists):
-        return [p * root_of_unity(5, 1) for p in chain(polys, twists)]
-
-    monkeypatch.setattr(algebra, "_twist_chain", skewed)
-    monkeypatch.setattr(algebra, "_CIRCULANT_FORMS", {})  # a form is built, not read
     grp = make_group([5])
     sig = GradedSignature(
         grp, ParityMap.trivial(grp), even=[("x", grp.character((0,))), ("y", grp.character((1,)))]
     )
     x, y = (SuperPolynomial.variable(sig, v) for v in ("x", "y"))
-    # x + y builds the form C_5; x + x^2 + y has a two-term part and takes the chain
-    for den in (x + y, x + x * x + y):
-        with pytest.raises(ArithmeticError, match="irrational"):
-            SuperRational(SuperPolynomial.one(sig), den)._normed()
+    zeta = root_of_unity(5, 1)
+    # one-term parts, and a two-term part at j = 0
+    for den in (x + zeta * y, x + x * x + zeta * y):
+        with pytest.raises(ArithmeticError, match="conductor 1"):
+            algebra._orbit_tower(sig, SuperPolynomial.one(sig), den)
 
 
 @st.composite
 def rational_functions(draw):
-    grp = make_group(draw(st.sampled_from([[2], [3], [4], [5], [6], [2, 2], [2, 4], [3, 3]])))
+    grp = make_group(draw(st.sampled_from(
+        [[2], [3], [4], [5], [6], [7], [10], [2, 2], [2, 4], [3, 3]])))
     rng = random.Random(draw(st.integers(0, 2**32)))
     sig = random_signature(rng, grp, random_parity(rng, grp))
     den = rational_polynomial(rng, sig, draw(st.integers(1, 3)), 2, with_odd=False)
@@ -770,7 +765,7 @@ def test_orbit_tower_equals_the_chain(f):
     assert_tower_matches_chain(f)
 
 
-# -- the cached circulant cofactor of a p >= 5 step ----------------------------
+# -- the cofactor of a prime step, by Kronecker substitution ------------------
 
 
 def cyclic_signature(q, names_and_weights):
@@ -804,12 +799,12 @@ def weighted_sum(rng, sig, monomials):
     return den
 
 
-@pytest.mark.parametrize("q", [5, 7])
-def test_circulant_cofactor_matches_the_chain_on_one_term_parts(q, monkeypatch):
-    rng = random.Random(q)
+def one_term_parts(q):
+    """Denominator monomials whose parts at a Z_q step are single terms in
+    distinct variables, each with its signature."""
     full = cyclic_signature(q, [(f"x{h}", h) for h in range(q)])
     sparse = cyclic_signature(q, [("a", 0), ("b", 1), ("c", 3)])
-    cases = [
+    return [
         # every weight once, as in a lifted 1/x
         (full, [SuperMonomial(tuple(int(i == h) for i in range(q)), ()) for h in range(q)]),
         # squares and a constant: weights 0, 2h
@@ -819,77 +814,69 @@ def test_circulant_cofactor_matches_the_chain_on_one_term_parts(q, monkeypatch):
         (sparse, [SuperMonomial((0, 2, 0), ()), SuperMonomial((0, 0, 1), ())]),
         (sparse, [SuperMonomial((2, 0, 0), ()), SuperMonomial((0, 1, 1), ())]),
     ]
-    calls = spy_on(monkeypatch, "_circulant_cofactor")
-    for sig, monomials in cases:
-        den = weighted_sum(rng, sig, monomials)
-        num = rational_polynomial(rng, sig, 3, 2, with_odd=False)
-        before = len(calls)
-        assert_tower_matches_chain(SuperRational(num, den))
-        assert len(calls) == before + 1
 
 
 def two_term_parts(q):
     # the first step is p = q/2, where weights 0 and p share part 0
     sig = cyclic_signature(q, [("u", 1), ("v", q // 2)])
-    return sig, [SuperMonomial((0, 0), ()), SuperMonomial((1, 0), ()), SuperMonomial((0, 1), ())]
+    return [(sig, [SuperMonomial((0, 0), ()), SuperMonomial((1, 0), ()),
+                   SuperMonomial((0, 1), ())])]
 
 
 def shared_variable(q):
-    # one-term parts a^2, a*b*c and c: collapsing terms of C_q could meet
+    # one-term parts a^2, a*b*c and c, sharing variables
     sig = cyclic_signature(q, [("a", 0), ("b", 1), ("c", 3)])
-    return sig, [SuperMonomial((2, 0, 0), ()), SuperMonomial((1, 1, 1), ()),
-                 SuperMonomial((0, 0, 1), ())]
+    return [(sig, [SuperMonomial((2, 0, 0), ()), SuperMonomial((1, 1, 1), ()),
+                   SuperMonomial((0, 0, 1), ())])]
 
 
 def dense_univariate(q):
-    # 1 + x + ... + x^(q-1): C_q has C(2q-2, q-1) terms, the cofactor
-    # (1 - x)(1 - x^q)^(q-2) only 2(q-1)
+    # 1 + x + ... + x^(q-1): the cofactor (1 - x)(1 - x^q)^(q-2) has 2(q-1) terms
     sig = cyclic_signature(q, [("x", 1)])
-    return sig, [SuperMonomial((j,), ()) for j in range(q)]
+    return [(sig, [SuperMonomial((j,), ()) for j in range(q)])]
 
 
-@pytest.mark.parametrize("q, case", [(10, two_term_parts), (14, two_term_parts),
-                                     (5, shared_variable), (7, shared_variable),
-                                     (11, dense_univariate)])
-def test_parts_that_are_not_separate_terms_take_the_chain(q, case, monkeypatch):
+PRIME_STEP_CASES = [(5, one_term_parts), (7, one_term_parts),
+                    (10, two_term_parts), (14, two_term_parts),
+                    (5, shared_variable), (7, shared_variable), (11, dense_univariate)]
+
+
+def prime_step_functions(q, case):
     rng = random.Random(q)
-    sig, monomials = case(q)
-    f = SuperRational(rational_polynomial(rng, sig, 3, 2, with_odd=False),
-                      weighted_sum(rng, sig, monomials))
-    form_calls = spy_on(monkeypatch, "_circulant_cofactor")
-    chain_calls = spy_on(monkeypatch, "_twist_chain")
-    num, den = f._normed()
-    assert form_calls == [] and len(chain_calls) == 1
-    chain_num, chain_den = f._normed_chain()
-    assert (num.terms, den.terms) == (chain_num.terms, chain_den.terms)
+    return [SuperRational(rational_polynomial(rng, sig, 3, 2, with_odd=False),
+                          weighted_sum(rng, sig, monomials))
+            for sig, monomials in case(q)]
 
 
-def test_lifting_p1_over_z7_reads_the_cached_form(monkeypatch):
-    from gradedcover import SuperMorphism, SuperSignature, algebra, lift_super
+@pytest.mark.parametrize("q, case", PRIME_STEP_CASES,
+                         ids=[f"{q}-{case.__name__}" for q, case in PRIME_STEP_CASES])
+def test_prime_step_cofactor_matches_the_chain(q, case):
+    for f in prime_step_functions(q, case):
+        assert_tower_matches_chain(f)
 
-    grp = make_group([7])
-    x = SuperRational.variable(SuperSignature(even=["x"]), "x")
-    psi = SuperMorphism(x.signature, SuperSignature(even=["y"]), {"y": 1 / x})
-    expected = lift_super(psi, grp, ParityMap.trivial(grp))
-    assert (7, tuple(range(7))) in algebra._CIRCULANT_FORMS
+
+def test_rational_normed_never_enters_the_twist_chain(monkeypatch):
     calls = spy_on(monkeypatch, "_twist_chain")
-    lifted = lift_super(psi, grp, ParityMap.trivial(grp))
+    for q, case in PRIME_STEP_CASES:
+        for f in prime_step_functions(q, case):
+            f._normed()
     assert calls == []
-    assert all(lifted.images[n].numerator.terms == expected.images[n].numerator.terms
-               and lifted.images[n].denominator.terms == expected.images[n].denominator.terms
-               for n in expected.images)
 
 
-def test_building_a_circulant_form_checks_it_rational(monkeypatch):
-    from gradedcover import algebra
+MODULUS_GROUPS = [2, 3, 5, 7, 10, 11, 12]
+MODULUS_CONSTANTS = [1, 1000, -10**6, Fraction(10**5, 7)]
 
-    monkeypatch.setattr(algebra, "_CIRCULANT_FORMS", {})
-    calls = spy_on(monkeypatch, "_over_q")
-    form = algebra._circulant_form(7, tuple(range(7)))
-    assert len(calls) == 1 and len(form) == 924  # C(12, 6) monomials of degree 6
-    assert algebra._circulant_form(7, tuple(range(7))) is form and len(calls) == 1
-    # C_p is symmetric under j -> r*j, so which part is which does not matter
-    assert sorted(algebra._circulant_form(7, (0, 1))) == sorted(algebra._circulant_form(7, (0, 3)))
+
+@pytest.mark.parametrize("q", MODULUS_GROUPS)
+@pytest.mark.parametrize("c0", MODULUS_CONSTANTS, ids=str)
+@pytest.mark.parametrize("shape", ["c0 + y", "c0*x + y", "c0 - y*z + 3/11*y^2"])
+def test_cofactor_modulus_bounds_large_coefficients(q, c0, shape):
+    # over Z_7, c0 + y has cofactor constant c0^6, near the bound L^6 = (|c0| + 1)^6
+    sig = cyclic_signature(q, [("x", 0), ("y", 1), ("z", 2 % q)])
+    x, y, z = (SuperPolynomial.variable(sig, v) for v in ("x", "y", "z"))
+    den = {"c0 + y": c0 + y, "c0*x + y": x * c0 + y,
+           "c0 - y*z + 3/11*y^2": c0 - y * z + y * y * Fraction(3, 11)}[shape]
+    assert_tower_matches_chain(SuperRational(x + 2 * y, den))
 
 
 ORACLE_GROUPS = [[q] for q in range(2, 13)] + [[2, 2], [2, 4], [2, 6], [3, 3], [2, 2, 2]]

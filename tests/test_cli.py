@@ -324,6 +324,27 @@ def test_lift_of_the_projective_line_over_z8_within_its_budget(tmp_path, capsys)
     assert elapsed < 1.0, f"lift-atlas of P^1 over Z_8 took {elapsed:.2f}s"
 
 
+# Inputs whose orbit tower takes a prime step p >= 5, which the benchmark's
+# decompose inputs never reach: (exit code, SHA-256 of stdout), recorded while
+# each p >= 5 step still read a circulant form or took the twist chain.
+PRIME_STEP_DECOMPOSE = [
+    (["--group", "7", "--even", "x@1",
+      "--expr", "1/(1 + x@1 + x@1^2 + x@1^3 + x@1^4 + x@1^5 + x@1^6)"],
+     "8eb7e6f8b05788ed3aee39c8ea315f68f340fec498197d241cf3fef6bb8ec638"),
+    (["--group", "11", "--even", "a@0,b@1,c@3",
+      "--expr", "(a@0 + 1)/(2*a@0^2 - 3*b@1 + 5/7*c@3)"],
+     "44c1657e56c6fda18f2fc4ca2fd9e91495688f31139a0393ccefa6b3c9a70161"),
+    (["--group", "10", "--even", "u@1,v@5", "--expr", "(u@1 - v@5)/(1 + 3*u@1 + 1000*v@5)"],
+     "3e882d25006b0fe15889f6f3cf280225a9354f2fdf5edde39d1e270d2cacecff"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PRIME_STEP_DECOMPOSE, ids=["z7", "z11", "z10"])
+def test_prime_step_decompose_output_is_pinned(argv, digest, capsys):
+    assert main(["decompose", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 MISSING_KEYS = ("group", "source", "target", "map")  # of a morphism file
 
 MALFORMED_SHAPES = [  # (command, payload, the key the error must name)
