@@ -13,25 +13,19 @@ into weight-homogeneous components; ``decompose_oracle`` computes the
 same split by literal group averaging and exists as an independent
 cross-check of the production algorithm.
 
-Products run through ``_mul_chain``, one factor after another.  While each
-coefficient product lands in one field Q(zeta_N), the running product stays
-integral: one integer vector per output monomial over one denominator, its
-convolutions reduced modulo Phi_N once per monomial (at N = 1, plain ints),
-one gcd per coefficient after the last factor.  Otherwise a step runs one
-Cyclotomic multiply-add per pair of terms.  Either way a coefficient's
-conductor is the lcm of the products summed into it since its running sum
-last cancelled to zero.  Monomials are packed into int keys, so a monomial
-product is one integer addition, through one codec per layout (variable
-count, byte-wide fields) that memoizes the monomial of each key in a memo
+Products run through ``_mul_chain``, one factor after another, in one
+running integer product lifted to Q(zeta_N), N the lcm of the conductors
+met: one integer vector per output monomial over one denominator, reduced
+modulo Phi_N once per monomial (at N = 1, plain ints), one gcd per
+coefficient after the last factor.  Coefficients print by value, so where
+one is stored never shows.  Monomials are packed into int keys, so a
+monomial product is one integer addition, through one codec per layout
+(variable count, byte-wide fields) whose memo of unpacked monomials is
 cleared when full.  A factor equal to the constant 1 at conductor 1 is
 skipped, and one term times one term is one Cyclotomic product.
 
-``decompose`` norms an inhomogeneous denominator D over its orbit.  For
-rational N and D the norm is Galois-stable, so it is built over Q through
-prime-index subgroups from the stabilizer of D up, one cofactor per step
-shared by numerator and denominator and computed in integers by one rule for
-every prime (``_cofactor``); other coefficients keep one product per twist,
-since regrouping those would move printed conductors.
+``decompose`` norms an inhomogeneous denominator D over its orbit, through
+prime-index subgroups from the stabilizer of D up (``_orbit_tower``).
 
 Signatures, polynomials and quotients are ``_Frozen`` (see ``cyclotomic``):
 signatures are equal and hash alike when type and fields agree, so a plain
@@ -264,21 +258,6 @@ def _odd_rows(keys_a, keys_b: list, values_b: list, shift: int, negate) -> dict[
     return rows
 
 
-def _mul_terms_termwise(a: Terms, b: Terms) -> Terms:
-    """Product terms by one Cyclotomic multiply-add per pair of terms.
-
-    A coefficient's conductor is the lcm of the products summed into it
-    since its running sum last cancelled to zero.
-    """
-    if not a or not b:
-        return {}
-    codec = _chain_codec((a, b))
-    shift, keys_a = codec.shift, list(map(codec.pack, a))
-    rows = _odd_rows(keys_a, list(map(codec.pack, b)), list(b.values()), shift, neg)
-    pairs = ((ka + kb, c1 * c2) for ka, c1 in zip(keys_a, a.values()) for kb, c2 in rows[ka >> shift])
-    return {codec.unpack(key): c for key, c in _accumulate({}, pairs).items()}
-
-
 def _accumulate(out: dict, items) -> dict:
     """Add each (key, c) into ``out``, dropping a key whose running sum is zero."""
     for key, c in items:
@@ -313,9 +292,8 @@ class _IntegerProduct:
         self.vecs = dict(zip(map(codec.pack, terms), vecs))
 
     def times(self, b: Terms, n: int) -> "_IntegerProduct":
-        """Times b, each coefficient product in Q(zeta_n): lift as integers if n
-        grew, sum each key's convolutions, reduce modulo Phi_n (monic) once per
-        key and drop zeros, giving ``_mul_terms_termwise``'s terms and conductors."""
+        """Times b in Q(zeta_n): lift as integers if n grew, sum each key's
+        convolutions, reduce modulo Phi_n once per key and drop zeros."""
         vecs, shift = self.vecs, self.codec.shift
         if n != self.n:
             step = n // self.n
@@ -359,31 +337,28 @@ class _IntegerProduct:
 
 
 def _mul_chain(a: Terms, factors: Sequence[Terms]) -> Terms:
-    """a times each factor in turn, each step taking ``SuperPolynomial.__mul__``'s
-    dispatch and giving its terms, order and conductors.  Steps whose products
-    share one conductor run in one ``_IntegerProduct``, with a codec for the
-    whole chain, which keeps integers between them; other steps run termwise."""
+    """a times each factor in turn, in one ``_IntegerProduct`` with a codec for
+    the whole chain, which keeps integers between the factors: each step lifts
+    to the lcm of the conductors it meets.  A factor equal to 1 at conductor 1
+    is skipped, and a zero operand gives no terms."""
     run = None
     for b in factors:
         if _is_one(b):
             continue
+        if not b or not (a if run is None else run.vecs):
+            return {}
         if (_is_one(a) if run is None else run.n == 1 and run.vecs == {0: run.d}):
             a, run = b, None
             continue
-        left = {c.conductor for c in a.values()} if run is None else {run.n}
-        found = {lcm(x, c.conductor) for x in left for c in b.values()}
-        if len(found) == 1:
-            (n,) = found
-            run = (run or _IntegerProduct(_chain_codec([a, *factors]), a, n)).times(b, n)
-        else:
-            a, run = _mul_terms_termwise(a if run is None else run.terms(), b), None
+        n = lcm(*(c.conductor for c in a.values())) if run is None else run.n
+        n = lcm(n, *(c.conductor for c in b.values()))
+        run = (run or _IntegerProduct(_chain_codec([a, *factors]), a, n)).times(b, n)
     return a if run is None else run.terms()
 
 
 def _mul_single(t1: tuple, t2: tuple) -> tuple | None:
-    """One (monomial, coefficient) term times another, None for zero:
-    ``Cyclotomic.__mul__`` gives the kernel's conductor, and a coefficient 1
-    at conductor 1 is not multiplied in."""
+    """One (monomial, coefficient) term times another, None for zero; a
+    coefficient 1 at conductor 1 is not multiplied in."""
     (m1, c1), (m2, c2) = t1, t2
     sign = _odd_sign(sum(1 << j for j in m1.odd), sum(1 << j for j in m2.odd)) if m2.odd else 1
     if not sign:
@@ -533,7 +508,6 @@ class SuperPolynomial(_Frozen):
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
         self._check_signature(other)
-        # c*1 keeps c's vector and conductor on both product paths
         if _is_one(other.terms):
             return self
         if _is_one(self.terms):
@@ -859,28 +833,12 @@ class SuperRational(_Frozen):
         polynomial, termwise of identity weight.  Homogeneity is then a
         termwise property of the numerator.
 
-        For rational N and D the orbit product is Galois-stable and
-        ``_orbit_tower`` builds it over Q through prime-index subgroups
-        S = K_0 < ... < G, each step's cofactor by ``_cofactor``.  It starts
-        at S and skips no step whose partial product is already invariant:
-        that product may have a larger stabilizer than D.  Its values equal
-        the chain's, and rational values print alike at any conductor;
-        irrational coefficients keep ``_normed_chain``, since regrouping them
-        moves printed conductors.  That chain stays in integers between its
-        twists, except at a step whose coefficient products share no field,
-        as over Z_16 for 1/(x + zeta_3*y): it is multiplied termwise.
+        ``_orbit_tower`` builds it through prime-index subgroups
+        S = K_0 < ... < G, one cofactor per step for numerator and denominator.
+        It skips no step whose partial product is already invariant: that may
+        have a larger stabilizer than D.
         """
-        sig = self._graded_signature()
-        num, den = self.numerator, self.denominator
-        if all(c.is_rational() for p in (num, den) for c in p.terms.values()):
-            return _orbit_tower(sig, _over_q(num), _over_q(den))
-        return self._normed_chain()
-
-    def _normed_chain(self) -> tuple[SuperPolynomial, SuperPolynomial]:
-        """``_normed`` by multiplying N and D by each distinct twist of D."""
-        den = self.denominator
-        twists = [den.act(c[0]) for c in _twist_classes(den)[1:]]
-        return tuple(_twist_chain([self.numerator, den], twists))
+        return _orbit_tower(self._graded_signature(), self.numerator, self.denominator)
 
     def weight(self) -> Character | None:
         """The weight when homogeneous, None when inhomogeneous."""
@@ -1008,48 +966,24 @@ class SuperRational(_Frozen):
         return {key: val / den for key, val in out.items()}
 
 
-def _twist_classes(den: SuperPolynomial) -> list[list[GroupElement]]:
-    """The group split by the values of D's monomial weights.
-
-    g.D = h.D exactly when every monomial weight of D takes one value at g
-    and h.  Classes come in ``elements()`` order, so the first is the
-    stabilizer of D and the first member of each class gives a new twist.
-    """
-    weights = dict.fromkeys(den.monomial_weight(m) for m in den.terms)
-    classes: dict[tuple[int, ...], list[GroupElement]] = {}
-    for g in den.signature.group.elements():
-        classes.setdefault(tuple(w.exponent_at(g) for w in weights), []).append(g)
-    return list(classes.values())
-
-
-def _twist_chain(polys: list[SuperPolynomial], twists: list[SuperPolynomial]) -> list:
-    """Each polynomial times every twist in turn by ``_mul_chain``: integers
-    between the twists, and the terms of one ``__mul__`` per twist."""
-    factors = [t.terms for t in twists]
-    return [SuperPolynomial._raw(p.signature, _mul_chain(p.terms, factors)) for p in polys]
-
-
-def _over_q(poly: SuperPolynomial) -> SuperPolynomial:
-    """A rational polynomial with every coefficient retagged at conductor 1."""
-    terms = {m: Cyclotomic._raw(c.num[:1], c.den, 1) for m, c in poly.terms.items()}
-    return SuperPolynomial._raw(poly.signature, terms)
-
-
 def _orbit_tower(
     sig: GradedSignature, num: SuperPolynomial, den: SuperPolynomial
 ) -> tuple[SuperPolynomial, SuperPolynomial]:
-    """(N*c_1*...*c_r, P_r) for rational N and D: see ``SuperRational._normed``.
+    """(N*c_1*...*c_r, P_r): see ``SuperRational._normed``.
 
-    K_0 is the stabilizer of D, the first of its ``_twist_classes``.  Each step
-    adds a g of prime order p modulo K, peeled off a cyclic generator's
+    K_0, the stabilizer of D, is where every monomial weight of D is 1.  Each
+    step adds a g of prime order p modulo K, peeled off a cyclic generator's
     order modulo K, larger primes first.  P = P_(i-1) is K-invariant, so
-    chi_m(g) = zeta_p^j_m on each of its monomials m, and the step's
-    cofactor c_i = prod_(k=1..p-1) g^k.P is ``_cofactor`` of those j_m.
-    Then P_i = P*c_i.
+    chi_m(g) = zeta_p^j_m on each monomial m of P, j_m one dot product with
+    the variables' exponents at g, as in ``act``.  The cofactor
+    c_i = prod_(k=1..p-1) g^k.P is ``_cofactor`` of the j_m for rational P,
+    else the ``_mul_chain`` of the twists, with coefficients
+    c_m*zeta_p^(j_m*k).  Then P_i = P*c_i.
     """
     group = sig.group
     n = group.exponent
-    stab = set(_twist_classes(den)[0])
+    weights = dict.fromkeys(den.monomial_weight(m) for m in den.terms)
+    stab = {g for g in group.elements() if not any(w.exponent_at(g) for w in weights)}
     units = [group.element([int(t == j) for t in range(group.rank)]) for j in range(group.rank)]
     for p in reversed(_prime_factors(n)):
         for e in units:
@@ -1058,30 +992,33 @@ def _orbit_tower(
                 order //= p
                 g = e ** order
                 stab = {k * g ** t for k in stab for t in range(p)}
-                js = [den.monomial_weight(m).exponent_at(g) * p // n for m in den.terms]
-                c = _cofactor(sig, den.terms, js, p)
+                at_g = [w.exponent_at(g) for w in sig.even_weights]
+                js = [sum(map(mul, m.even, at_g)) % n * p // n for m in den.terms]
+                if all(c.is_rational() for c in den.terms.values()):
+                    c = _cofactor(sig, den.terms, js, p)
+                else:
+                    twists = [{m: c * root_of_unity(n, j * k % p * (n // p))
+                               for (m, c), j in zip(den.terms.items(), js)} for k in range(1, p)]
+                    c = SuperPolynomial._raw(sig, _mul_chain(twists[0], twists[1:]))
                 num, den = num * c, den * c
     return num, den
 
 
 def _cofactor(sig: GradedSignature, terms: Terms, js: list[int], p: int) -> SuperPolynomial:
     """C = prod_(k=1..p-1) sum_m zeta_p^(j_m*k) c_m*m for P = sum_m c_m*m
-    rational, ``js`` giving j_m in ``terms`` order, by Kronecker substitution.
+    rational (c_m read off ``num[0]``), ``js`` giving j_m in ``terms`` order.
 
-    The Galois group of Q(zeta_p) permutes these p - 1 twists of P, so C is
+    The Galois group of Q(zeta_p) permutes these twists of P, so C is
     rational.  With d the common denominator of the c_m, d^(p-1)*C is then
-    a rational algebraic integer, i.e. integral, and each of its
-    coefficients is a sum of products of p - 1 roots of unity times
-    integers d*c_m, so at most L^(p-1) in size, L = sum_m |d*c_m|.  With
-    t = 2L + 1, zeta_p -> t is a ring map Z[zeta_p] -> Z/M for
-    M = Phi_p(t) >= t^(p-1) > 2*L^(p-1), so the twists multiplied as
-    integers modulo M, over packed monomial keys, leave each coefficient of
-    d^(p-1)*C as its symmetric residue.  M need not be prime.  At p = 2,
-    t = -1 modulo t + 1 and C = f_0 - f_1, f_j the part of P at j.
+    integral, each coefficient a sum of products of p - 1 roots of unity
+    times integers d*c_m, so at most L^(p-1) in size, L = sum_m |d*c_m|.
+    With t = 2L + 1, zeta_p -> t is a ring map Z[zeta_p] -> Z/M for
+    M = Phi_p(t) >= t^(p-1) > 2*L^(p-1) (Kronecker substitution): the twists
+    multiplied as integers modulo M, over packed monomial keys, leave each
+    coefficient of d^(p-1)*C as its symmetric residue.  M need not be prime.
     """
-    if any(c.conductor != 1 for c in terms.values()):
-        raise ArithmeticError("orbit cofactor needs rational coefficients at conductor 1")
-    d, nums = _integer_vectors(terms, 1)
+    d = lcm(*(c.den for c in terms.values()))
+    nums = [c.num[0] * (d // c.den) for c in terms.values()]
     t = 2 * sum(map(abs, nums)) + 1
     modulus = (t ** p - 1) // (t - 1)
     codec = _chain_codec([terms] * (p - 1))

@@ -8,7 +8,9 @@ and irreducible, so the form is canonical: equality compares (num, den).
 
 Values with different conductors interoperate by lifting both operands
 into Q(zeta_lcm) first, except that a rational factor (conductor 1) scales
-the other operand's vector without a lift.
+the other operand's vector without a lift.  ``least`` descends the other
+way, one prime at a time, to the least conductor of a value, which printing
+uses when the group's field does not hold it.
 
 A root zeta_N^k is z^(k mod N) reduced modulo Phi_N, an integer vector
 over 1, cached per (N, k mod N): one reduction per root, no table of all N.
@@ -27,7 +29,7 @@ import cmath
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, sub
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -221,6 +223,34 @@ class Cyclotomic(_Frozen):
             return a, b
         m = lcm(a.conductor, b.conductor)
         return a.lift(m), b.lift(m)
+
+    def least(self) -> "Cyclotomic":
+        """The same value at its least conductor, one prime p of C at a time:
+        if p^2 | C, Phi_C(z) = Phi_(C/p)(z^p), so it lies in Q(zeta_(C/p)) iff
+        only indices divisible by p are non-zero, ``num[::p]`` there.  If
+        C = p*m, p coprime to m, zeta_C^e = zeta_p^(e*s)*zeta_m^(e*t) for
+        s = 1/m mod p, t = 1/p mod m; with T_j its part at zeta_p^j modulo
+        Phi_m, it lies in Q(zeta_m) iff T_1 = ... = T_(p-1), as T_0 - T_(p-1).
+        A prime that fails once fails below too; ``den`` stays, as in ``lift``."""
+        num, n = self.num, self.conductor
+        for p in _prime_factors(n):
+            while n % p == 0:
+                m = n // p
+                if m % p == 0:
+                    if any(num[k] for k in range(len(num)) if k % p):
+                        break
+                    num = num[::p]
+                else:
+                    s, t = pow(m, -1, p), pow(p, -1, m)
+                    parts = [[0] * m for _ in range(p)]
+                    for e, x in enumerate(num):
+                        parts[e * s % p][e * t % m] += x
+                    parts = [_reduce(part, m) for part in parts]
+                    if any(part != parts[-1] for part in parts[1:-1]):
+                        break
+                    num = tuple(map(sub, parts[0], parts[-1]))
+                n = m
+        return Cyclotomic._raw(num, self.den, n)
 
     def _coerce(self, other) -> "Cyclotomic | None":
         if isinstance(other, Cyclotomic):

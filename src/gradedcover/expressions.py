@@ -22,9 +22,13 @@ conductor 1 turns back into a polynomial.
 Parentheses nest at most ``MAX_NESTING`` (100) levels deep,
 ``zeta(N,k)`` takes orders N up to ``DEFAULT_ORDER_BOUND`` (4096), and a
 power of an operand with more than one term may have at most
-``MAX_POWER_SIZE`` (500) coefficient entries as ``_check_power`` counts them.
+``MAX_POWER_SIZE`` (500) coefficient entries as ``_check_power`` counts them;
+a power of one term may print no integer of more than
+``MAX_COEFFICIENT_DIGITS`` (4300) digits, as ``_term_power`` checks it.
 ``format_expression`` renders a superfunction back in a canonical,
-re-parseable form.
+re-parseable form, each coefficient by its value: over Q(zeta_N), N the
+exponent of a graded signature's group (1 for a plain one), when that field
+holds it, else at its least conductor.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import re
 from math import comb, lcm
 from typing import NamedTuple
 
-from .algebra import SuperMonomial, SuperPolynomial, SuperRational, SuperSignature
+from .algebra import GradedSignature, SuperMonomial, SuperPolynomial, SuperRational, SuperSignature
 from .algebra import _accumulate, _mul_single, _pow_single
 from .cyclotomic import Cyclotomic, _basis_pieces, _join_signed, euler_phi, root_of_unity
 from .errors import ExprSyntaxError
@@ -97,6 +101,8 @@ def parse_var_name(name: str) -> tuple[str, tuple[int, ...] | None]:
 
 MAX_NESTING = 100  # each level costs four parser frames
 MAX_POWER_SIZE = 500  # (7/3+zeta(6,1)*x)^249 takes about 1 s on a 2-core VM
+MAX_COEFFICIENT_DIGITS = 4300  # the interpreter's default limit on int-to-text conversion
+_DIGIT_LIMIT = 10**MAX_COEFFICIENT_DIGITS
 
 
 class _Parser:
@@ -220,6 +226,30 @@ def _check_power(value: Value, exponent: int, pos: int):
                 )
 
 
+def _too_long(x: int, k: int = 1) -> bool:
+    """Whether x^k, x >= 0, has more than ``MAX_COEFFICIENT_DIGITS`` digits;
+    x^k is computed only below 2^(2L), L the bit length of the limit."""
+    return x > 1 and (k * (x.bit_length() - 1) >= _DIGIT_LIMIT.bit_length() or x**k >= _DIGIT_LIMIT)
+
+
+def _term_power(term: tuple, exponent: int, pos: int) -> tuple | None:
+    """``_pow_single``, refusing a coefficient c^k with an integer (entry or
+    denominator) of more than ``MAX_COEFFICIENT_DIGITS`` digits: a rational
+    a/b in lowest terms gives |a|^k and b^k, checked before the power is
+    taken, any other c^k once it is taken."""
+    mono, c = term
+    if c.is_rational() and not mono.odd:
+        too_long = _too_long(max(abs(c.num[0]), c.den), exponent)
+        out = None if too_long else _pow_single(term, exponent)
+    else:
+        out = _pow_single(term, exponent)
+        too_long = out is not None and _too_long(max(*map(abs, out[1].num), out[1].den))
+    if too_long:
+        raise ExprSyntaxError(f"coefficient of the power to the {exponent} has more than "
+                              f"{MAX_COEFFICIENT_DIGITS} digits", pos)
+    return out
+
+
 # A polynomial on the stack is one non-zero (monomial, coefficient) term,
 # or a dict of terms that only the stack holds, which a sum adds into.
 
@@ -270,7 +300,7 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
         elif op == "^":
             _, exponent, pos = step
             if term := _term(stack[-1]):
-                stack[-1] = _pow_single(term, exponent) or {}
+                stack[-1] = _term_power(term, exponent, pos) or {}
             else:
                 value = _value(stack[-1], signature)
                 _check_power(value, exponent, pos)
@@ -307,6 +337,11 @@ def _format_term(signature: SuperSignature, mono: SuperMonomial, c: Cyclotomic) 
             vars_parts.append(f"{signature.even[i]}^{e}")
     vars_parts.extend(signature.odd[j] for j in mono.odd)
 
+    # over Q(zeta_N), N the group exponent, if it holds c, else at c's least conductor
+    if not c.is_rational():
+        n = signature.group.exponent if isinstance(signature, GradedSignature) else 1
+        c = c if n % c.conductor == 0 else c.least()
+        c = c.lift(n) if n % c.conductor == 0 else c
     n = c.conductor
     pieces = _basis_pieces(c.num, c.den, lambda k: "i" if n == 4 else f"zeta({n},{k})")
     if len(pieces) > 1:

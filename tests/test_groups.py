@@ -34,8 +34,8 @@ def test_make_group_rejects_bad_factors():
     with pytest.raises(ValueError):
         make_group([0, 2])
     with pytest.raises(ValueError):
-        make_group([2] * 13)  # order 8192 > default bound
-    make_group([2] * 13, order_bound=10000)  # explicit bound lifts the cap
+        make_group([2] * 13)  # order 8192 > the bound
+    assert make_group([2] * 12).order == 4096  # at the bound
 
 
 def test_enumeration_is_lexicographic():

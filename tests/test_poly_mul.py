@@ -1,20 +1,21 @@
 """The integer-accumulating product kernel against the termwise loop.
 
 ``SuperPolynomial.__mul__`` multiplies in integers (``_mul_terms_integer``
-below is that kernel, ``_IntegerProduct``, for one product) when every coefficient product of the two
-operands lands in one field Q(zeta_N), the conductor ``product_conductor``
-finds, and by ``_mul_terms_termwise`` otherwise; one term times one term
-is a single ``Cyclotomic`` product (``_mul_single``).  All must give the
-same terms with the same coefficient vectors and the same conductors,
-because the printed ``zeta(N,k)`` form follows the conductor.  Both
-kernels pack monomials into integer keys; ``reference_product`` multiplies
-monomials directly and checks the packed layout, including the order of
-the output terms.
+below is that kernel, ``_IntegerProduct``, for one product) in Q(zeta_N),
+N the lcm of every coefficient's conductor (``product_conductor``); one
+term times one term is a single ``Cyclotomic`` product (``_mul_single``).
+``_mul_terms_termwise`` below, one ``Cyclotomic`` multiply-add per pair of
+terms, is the kernel's reference.  All must give the same terms with equal
+coefficient values; a coefficient prints by its value, so its stored
+conductor is free.  Both pack monomials into integer keys;
+``reference_product`` multiplies monomials directly and checks the packed
+layout, including the order of the output terms.
 """
 
 import random
 from fractions import Fraction
 from math import lcm
+from operator import neg
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,22 @@ from gradedcover import (
     root_of_unity,
 )
 from gradedcover import algebra
-from gradedcover.algebra import _chain_codec, _IntegerProduct, _mul_terms_termwise
+from gradedcover.algebra import _accumulate, _chain_codec, _IntegerProduct, _odd_rows
+
+
+def _mul_terms_termwise(a, b):
+    """Product terms by one Cyclotomic multiply-add per pair of terms.
+
+    A coefficient's conductor is the lcm of the products summed into it
+    since its running sum last cancelled to zero.
+    """
+    if not a or not b:
+        return {}
+    codec = _chain_codec((a, b))
+    shift, keys_a = codec.shift, list(map(codec.pack, a))
+    rows = _odd_rows(keys_a, list(map(codec.pack, b)), list(b.values()), shift, neg)
+    pairs = ((ka + kb, c1 * c2) for ka, c1 in zip(keys_a, a.values()) for kb, c2 in rows[ka >> shift])
+    return {codec.unpack(key): c for key, c in _accumulate({}, pairs).items()}
 
 
 def _mul_terms_integer(a, b, n):
@@ -44,8 +60,7 @@ ODD_SETS = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
 def assert_same_terms(got, want):
     assert got.keys() == want.keys()
     for mono, c in want.items():
-        assert got[mono].conductor == c.conductor, mono
-        assert got[mono].coeffs == c.coeffs, mono
+        assert got[mono] == c, mono
         assert all(type(x) is Fraction for x in got[mono].coeffs)
 
 
@@ -72,20 +87,18 @@ def random_operand(rng, conductors, n_terms):
 
 
 def product_conductor(a, b):
-    """The conductor N shared by every coefficient product of a*b, else None."""
-    found = {lcm(x.conductor, y.conductor) for x in a.values() for y in b.values()}
-    return found.pop() if len(found) == 1 else None
+    """The conductor N of the field a*b is computed in: the lcm of every
+    coefficient's conductor in a and in b."""
+    return lcm(*(c.conductor for c in (*a.values(), *b.values())))
 
 
 def check_product(a, b):
     want = _mul_terms_termwise(a.terms, b.terms)
     assert_same_terms((a * b).terms, want)
-    n = product_conductor(a.terms, b.terms)
-    if n is not None:
-        assert_same_terms(_mul_terms_integer(a.terms, b.terms, n), want)
+    assert_same_terms(_mul_terms_integer(a.terms, b.terms, product_conductor(a.terms, b.terms)), want)
 
 
-# (conductors of a, conductors of b, the kernel's N or None for the loop)
+# (conductors of a, conductors of b, the kernel's N)
 CASES = [
     ((1,), (1,), 1),
     ((4,), (4,), 4),
@@ -94,24 +107,22 @@ CASES = [
     ((3,), (4,), 12),
     ((1, 3), (12,), 12),
     ((3, 12), (4,), 12),
-    ((1, 3), (4,), None),
-    ((1, 4), (1,), None),
+    # no one field holds every coefficient product: the kernel lifts to the lcm
+    ((1, 3), (4,), 12),
+    ((1, 4), (1,), 4),
+    ((1, 5), (3, 8), 120),
 ]
 
 
-def test_dispatch_and_agreement_on_seeded_operands(monkeypatch):
-    termwise, real = [], algebra._mul_terms_termwise
-    monkeypatch.setattr(algebra, "_mul_terms_termwise", lambda a, b: termwise.append(a) or real(a, b))
+def test_dispatch_and_agreement_on_seeded_operands():
     rng = random.Random(31)
     for ca, cb, n in CASES:
         for _ in range(15):
             a = random_operand(rng, ca, rng.randint(len(ca), 5))
             b = random_operand(rng, cb, rng.randint(len(cb), 5))
             assert product_conductor(a.terms, b.terms) == n
-            termwise.clear()
-            a * b
-            # products without one conductor, and only those, run termwise
-            assert bool(termwise) == (n is None and len(a.terms) * len(b.terms) > 1)
+            # every product, single terms included, lands at the lcm
+            assert {c.conductor for c in (a * b).terms.values()} <= {n}
             check_product(a, b)
             check_product(b, a)
 
@@ -213,13 +224,11 @@ def check_layout(a, b):
     got = _mul_terms_termwise(a.terms, b.terms)
     assert list(got) == list(want)
     assert_same_terms(got, want)
-    n = product_conductor(a.terms, b.terms)
-    if n is not None:
-        kernel = _mul_terms_integer(a.terms, b.terms, n)
-        assert_same_terms(kernel, got)
-        # first appearance in the pair loop, cancelled monomials skipped
-        first = dict.fromkeys(mono for mono, *_ in surviving_pairs(a.terms, b.terms))
-        assert list(kernel) == [m for m in first if m in kernel]
+    kernel = _mul_terms_integer(a.terms, b.terms, product_conductor(a.terms, b.terms))
+    assert_same_terms(kernel, got)
+    # first appearance in the pair loop, cancelled monomials skipped
+    first = dict.fromkeys(mono for mono, *_ in surviving_pairs(a.terms, b.terms))
+    assert list(kernel) == [m for m in first if m in kernel]
 
 
 def test_output_order_of_each_path():
