@@ -14,18 +14,22 @@ same split by literal group averaging and exists as an independent
 cross-check of the production algorithm.
 
 Products run through ``_mul_chain``, one factor after another, in one
-running integer product lifted to Q(zeta_N), N the lcm of the conductors
-met: one integer vector per output monomial over one denominator, reduced
-modulo Phi_N once per monomial (at N = 1, plain ints), one gcd per
-coefficient after the last factor.  Coefficients print by value, so where
-one is stored never shows.  Monomials are packed into int keys, so a
-monomial product is one integer addition, through one codec per layout
-(variable count, byte-wide fields) whose memo of unpacked monomials is
-cleared when full.  A factor equal to the constant 1 at conductor 1 is
-skipped, and one term times one term is one Cyclotomic product.
+running integer product: every operand is lifted once to Q(zeta_N), N the
+lcm of all their coefficients' conductors, one integer vector per output
+monomial over one denominator, reduced modulo Phi_N once per monomial and
+factor (at N = 1, plain ints), one gcd per coefficient after the last
+factor.  Coefficients print by value, so where one is stored never shows.
+Monomials are packed into int keys, so a monomial product is one integer
+addition, through one codec per layout (variable count, byte-wide fields)
+whose memo of unpacked monomials is cleared when full.
+``SuperPolynomial.__mul__`` scales by a scalar, returns the other operand
+for a factor equal to the constant 1 at conductor 1, and multiplies one term
+by one term as one Cyclotomic product.
 
 ``decompose`` norms an inhomogeneous denominator D over its orbit, through
-prime-index subgroups from the stabilizer of D up (``_orbit_tower``).
+prime-index subgroups from the stabilizer of D up (``_orbit_tower``), on
+the exponents of zeta_N that the group gives D's monomial weights: no group
+element is built.
 
 Signatures, polynomials and quotients are ``_Frozen`` (see ``cyclotomic``):
 signatures are equal and hash alike when type and fields agree, so a plain
@@ -40,7 +44,7 @@ from operator import add, mul, neg
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from .cyclotomic import (Cyclotomic, _Frozen, _power, _prime_factors, _reduce, _reducer,
-                         _spread, root_of_unity)
+                         root_of_unity)
 from .errors import NotInvertibleError, SignatureMismatchError
 from .groups import Character, FiniteAbelianGroup, GroupElement, ParityMap
 
@@ -222,23 +226,19 @@ class _Codec:
         return m
 
 
-def _codec(n_even: int, width: int) -> _Codec:
-    """The codec of ``width``-bit fields rounded up to whole bytes, so that
-    products over one signature mostly share one codec and its memo."""
-    layout = n_even, -(-width // 8) * 8
+def _chain_codec(factors: Sequence[Terms]) -> _Codec:
+    """The codec whose fields fit the product of ``factors`` (the first one
+    non-empty): a field holds the sum of their largest exponents, rounded up
+    to whole bytes, so that products over one signature mostly share one
+    codec and its memo."""
+    width = sum(max((e for m in t for e in m.even), default=0) for t in factors).bit_length()
+    layout = len(next(iter(factors[0])).even), -(-width // 8) * 8
     codec = _CODECS.get(layout)
     if codec is None:
         if len(_CODECS) >= _CODEC_BOUND:
             _CODECS.clear()
         codec = _CODECS[layout] = _Codec(*layout)
     return codec
-
-
-def _chain_codec(factors: Sequence[Terms]) -> _Codec:
-    """The codec whose fields fit the product of ``factors`` (the first one
-    non-empty): a field holds the sum of their largest exponents."""
-    width = sum(max((e for m in t for e in m.even), default=0) for t in factors).bit_length()
-    return _codec(len(next(iter(factors[0])).even), width)
 
 
 def _odd_rows(keys_a, keys_b: list, values_b: list, shift: int, negate) -> dict[int, list]:
@@ -280,35 +280,32 @@ def _integer_vectors(terms: Terms, n: int) -> tuple[int, list]:
     return d, [c.num if c.den == d else [x * (d // c.den) for x in c.num] for c in lifted]
 
 
-class _IntegerProduct:
-    """A product kept in integers between factors: each monomial's key by
-    ``codec`` maps to an integer vector at conductor ``n`` (an int at n = 1),
-    over one denominator ``d``; only ``terms`` builds coefficients."""
+def _mul_chain(a: Terms, factors: Sequence[Terms]) -> Terms:
+    """a times each factor in turn, kept in integers between the factors.
 
-    __slots__ = ("codec", "n", "d", "vecs")
-
-    def __init__(self, codec: _Codec, terms: Terms, n: int):
-        self.codec, self.n, (self.d, vecs) = codec, n, _integer_vectors(terms, n)
-        self.vecs = dict(zip(map(codec.pack, terms), vecs))
-
-    def times(self, b: Terms, n: int) -> "_IntegerProduct":
-        """Times b in Q(zeta_n): lift as integers if n grew, sum each key's
-        convolutions, reduce modulo Phi_n once per key and drop zeros."""
-        vecs, shift = self.vecs, self.codec.shift
-        if n != self.n:
-            step = n // self.n
-            for key, v in vecs.items():
-                vecs[key] = _spread((v,) if self.n == 1 else v, step, n)
-            self.n = n
+    Every operand is lifted once to Q(zeta_n), n the lcm of all their
+    coefficients' conductors, and each monomial's packed key (one codec for
+    the whole chain) maps to an integer vector there (an int at n = 1) over
+    one running denominator.  A factor sums each output key's convolutions
+    and reduces it modulo Phi_n once, dropping zeros; the coefficients are
+    built after the last factor, one gcd each.  A zero operand gives {}."""
+    if not a or not all(factors):
+        return {}
+    n = lcm(*(c.conductor for t in (a, *factors) for c in t.values()))
+    codec = _chain_codec([a, *factors])
+    pack, shift = codec.pack, codec.shift
+    d, vecs = _integer_vectors(a, n)
+    vecs = dict(zip(map(pack, a), vecs))
+    for b in factors:
         db, vb = _integer_vectors(b, n)
-        keys_b, acc = list(map(self.codec.pack, b)), {}
+        keys_b, acc = list(map(pack, b)), {}
         if n == 1:
             rows = _odd_rows(vecs, keys_b, vb, shift, neg)
             for ka, x in vecs.items():
                 for kb, y in rows[ka >> shift]:
                     key = ka + kb
                     acc[key] = acc.get(key, 0) + x * y
-            self.vecs = {key: v for key, v in acc.items() if v}
+            vecs = {key: v for key, v in acc.items() if v}
         else:
             # each vector of b as its non-zero (index, entry) pairs
             sparse = [[(j, t) for j, t in enumerate(y) if t] for y in vb]
@@ -325,35 +322,10 @@ class _IntegerProduct:
                             for j, yj in y:
                                 vec[i + j] += xi * yj
             reduced = ((key, _reduce(v, n)) for key, v in acc.items())
-            self.vecs = {key: r for key, r in reduced if any(r)}
-        self.d *= db
-        return self
-
-    def terms(self) -> Terms:
-        d, n, unpack, lowest = self.d, self.n, self.codec.unpack, Cyclotomic._lowest
-        if n == 1:
-            return {unpack(key): lowest((v,), d, 1) for key, v in self.vecs.items()}
-        return {unpack(key): lowest(tuple(v), d, n) for key, v in self.vecs.items()}
-
-
-def _mul_chain(a: Terms, factors: Sequence[Terms]) -> Terms:
-    """a times each factor in turn, in one ``_IntegerProduct`` with a codec for
-    the whole chain, which keeps integers between the factors: each step lifts
-    to the lcm of the conductors it meets.  A factor equal to 1 at conductor 1
-    is skipped, and a zero operand gives no terms."""
-    run = None
-    for b in factors:
-        if _is_one(b):
-            continue
-        if not b or not (a if run is None else run.vecs):
-            return {}
-        if (_is_one(a) if run is None else run.n == 1 and run.vecs == {0: run.d}):
-            a, run = b, None
-            continue
-        n = lcm(*(c.conductor for c in a.values())) if run is None else run.n
-        n = lcm(n, *(c.conductor for c in b.values()))
-        run = (run or _IntegerProduct(_chain_codec([a, *factors]), a, n)).times(b, n)
-    return a if run is None else run.terms()
+            vecs = {key: r for key, r in reduced if any(r)}
+        d *= db
+    unpack, lowest = codec.unpack, Cyclotomic._lowest
+    return {unpack(key): lowest((v,) if n == 1 else tuple(v), d, n) for key, v in vecs.items()}
 
 
 def _mul_single(t1: tuple, t2: tuple) -> tuple | None:
@@ -971,29 +943,35 @@ def _orbit_tower(
 ) -> tuple[SuperPolynomial, SuperPolynomial]:
     """(N*c_1*...*c_r, P_r): see ``SuperRational._normed``.
 
-    K_0, the stabilizer of D, is where every monomial weight of D is 1.  Each
-    step adds a g of prime order p modulo K, peeled off a cyclic generator's
-    order modulo K, larger primes first.  P = P_(i-1) is K-invariant, so
-    chi_m(g) = zeta_p^j_m on each monomial m of P, j_m one dot product with
-    the variables' exponents at g, as in ``act``.  The cofactor
+    The group acts on D only through h(g), the exponents of zeta_n (n the
+    group exponent) that g gives the distinct monomial weights of D; h(e_t)
+    of the t-th unit is one dot product with column t of ``weight_rows``.
+    K_0 = Stab(D) is the kernel of h, so every K of the tower contains it and
+    is known by h(K), from {0} up.  Each step adds g = e_t^k of prime order p
+    modulo K, peeled off e_t's order modulo K (the least k with
+    k*h(e_t) in h(K)), larger primes first, and h(K) gains the p multiples of
+    h(g).  P = P_(i-1) is K-invariant, so chi_m(g) = zeta_p^j_m on each
+    monomial m of P, j_m from column t too.  The cofactor
     c_i = prod_(k=1..p-1) g^k.P is ``_cofactor`` of the j_m for rational P,
     else the ``_mul_chain`` of the twists, with coefficients
     c_m*zeta_p^(j_m*k).  Then P_i = P*c_i.
     """
-    group = sig.group
-    n = group.exponent
-    weights = dict.fromkeys(den.monomial_weight(m) for m in den.terms)
-    stab = {g for g in group.elements() if not any(w.exponent_at(g) for w in weights)}
-    units = [group.element([int(t == j) for t in range(group.rank)]) for j in range(group.rank)]
+    n = sig.group.exponent
+    # per cyclic factor Z_q: n/q, so that residue r there is zeta_n^(r*n/q)
+    rows = [(n // q, even) for q, even, _ in sig.weight_rows]
+    weights = dict.fromkeys(
+        tuple(sum(map(mul, m.even, even)) * step % n for step, even in rows) for m in den.terms
+    )
+    hk = {(0,) * len(weights)}  # h(K)
     for p in reversed(_prime_factors(n)):
-        for e in units:
-            order = next(k for k in range(1, n + 1) if e ** k in stab)
+        for t, (step, even) in enumerate(rows):
+            col = [w[t] for w in weights]  # h(e_t)
+            order = next(k for k in range(1, n + 1) if tuple(k * x % n for x in col) in hk)
             while order % p == 0:
                 order //= p
-                g = e ** order
-                stab = {k * g ** t for k in stab for t in range(p)}
-                at_g = [w.exponent_at(g) for w in sig.even_weights]
-                js = [sum(map(mul, m.even, at_g)) % n * p // n for m in den.terms]
+                h = [order * x % n for x in col]
+                hk = {tuple((u + i * x) % n for u, x in zip(v, h)) for v in hk for i in range(p)}
+                js = [sum(map(mul, m.even, even)) * step * order % n * p // n for m in den.terms]
                 if all(c.is_rational() for c in den.terms.values()):
                     c = _cofactor(sig, den.terms, js, p)
                 else:

@@ -102,9 +102,12 @@ def _morphism_from_json(mapping, where: str, source, target) -> SuperMorphism:
     """A morphism from a JSON object mapping target names to image text;
     an image whose denominator has exactly the first one's terms, in order
     and conductors included, shares its object, as a lift's components do."""
-    images, shared = {}, None
+    images, keys, shared = {}, {}, None
     for var, expr in _expect(mapping, dict, where, "a JSON object").items():
         name = parse_var_name(var)[0]
+        if name in keys:
+            raise ValueError(f"{where}: keys {keys[name]!r} and {var!r} name one variable")
+        keys[name] = var
         expr = _expect(expr, str, f"{where}.{var}", "an expression string")
         f = parse_expression(expr, source)
         terms = [(m, c.conductor, c.num, c.den) for m, c in f.denominator.terms.items()]
@@ -130,7 +133,7 @@ def load_atlas(data: dict):
         str(cid): _signature_from_json(spec, f"charts.{cid}", group, parity)
         for cid, spec in specs.items()
     }
-    transitions = {}
+    transitions, keys = {}, {}
     maps = _expect(data.get("transitions", {}), dict, "transitions", "a JSON object")
     for key, mapping in maps.items():
         if "->" not in key:
@@ -138,6 +141,9 @@ def load_atlas(data: dict):
         src, dst = (part.strip() for part in key.split("->", 1))
         if src not in charts or dst not in charts:
             raise ValueError(f"transition {key!r} names an unknown chart")
+        if (src, dst) in keys:
+            raise ValueError(f"transition keys {keys[src, dst]!r} and {key!r} name one transition")
+        keys[src, dst] = key
         transitions[(src, dst)] = _morphism_from_json(
             mapping, f"transitions.{key}", charts[src], charts[dst]
         )

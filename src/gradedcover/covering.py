@@ -150,7 +150,7 @@ class Atlas:
 
 @dataclass
 class CocycleFailure:
-    kind: str  # "missing-reverse" | "pair" | "triple" | "singular"
+    kind: str  # "missing-reverse" | "self" | "pair" | "triple" | "singular"
     charts: tuple[str, ...]
     detail: str
     residual: dict[str, str] = field(default_factory=dict)
@@ -198,8 +198,8 @@ def check_cocycle(atlas: Atlas) -> CocycleReport:
        image has termwise homogeneous numerator and denominator of its
        variable's weight and the copies of y sum to psi_ab(y) o p_A.
     3. The base atlas of the psi_ab passes the direct check, missing
-       reverses included, so every lifted composite is the lift of the
-       identity.
+       reverses and self-transitions included, so every lifted composite
+       is the lift of the identity.
 
     Any other atlas, a failed step, or a ``GradedError`` or
     ``ZeroDivisionError`` on the way falls back to the direct check.
@@ -304,7 +304,8 @@ def _cancel_content(num: SuperPolynomial, den: SuperPolynomial) -> SuperRational
 
 
 def _check_cocycle_direct(atlas: Atlas) -> CocycleReport:
-    """Compose every pair and triple of transitions and compare with the identity."""
+    """Compare each self-transition a->a, and the composite of every pair and
+    triple of transitions, with the identity."""
     failures: list[CocycleFailure] = []
 
     def check(chain: tuple[str, ...], kind: str, detail: str):
@@ -333,6 +334,8 @@ def _check_cocycle_direct(atlas: Atlas) -> CocycleReport:
             )
 
     for a, b in sorted(atlas.transitions):
+        if a == b:
+            check((a, a), "self", "self-transition is not the identity")
         if a >= b or (b, a) not in atlas.transitions:
             continue
         for chain in ((a, b, a), (b, a, b)):

@@ -18,9 +18,10 @@ over 1, cached per (N, k mod N): one reduction per root, no table of all N.
 its extended Euclid over Q: an integer pseudo-remainder Euclid rescales the
 whole remainder at every step (5.1 s against 0.64 s on 1/(3*zeta_4093 + 2)).
 
-``_Frozen`` is the one base of every value type of the package: it refuses
-assignment, compares and hashes by type and slots, and copies and pickles
-by its slots without running a checked constructor again.
+``_Frozen``, the base of ``Cyclotomic``, signatures, polynomials, quotients
+and morphisms (the group types are frozen dataclasses), refuses assignment,
+compares and hashes by type and slots, and copies and pickles by its slots
+without running a checked constructor again.
 """
 
 from __future__ import annotations

@@ -23,8 +23,9 @@ Parentheses nest at most ``MAX_NESTING`` (100) levels deep,
 ``zeta(N,k)`` takes orders N up to ``DEFAULT_ORDER_BOUND`` (4096), and a
 power of an operand with more than one term may have at most
 ``MAX_POWER_SIZE`` (500) coefficient entries as ``_check_power`` counts them;
-a power of one term may print no integer of more than
-``MAX_COEFFICIENT_DIGITS`` (4300) digits, as ``_term_power`` checks it.
+neither an integer literal nor a power of one term may hold an integer of
+more than ``MAX_COEFFICIENT_DIGITS`` (4300) digits (``_Parser.integer`` and
+``_term_power`` check them).
 ``format_expression`` renders a superfunction back in a canonical,
 re-parseable form, each coefficient by its value: over Q(zeta_N), N the
 exponent of a graded signature's group (1 for a plain one), when that field
@@ -135,6 +136,14 @@ class _Parser:
             raise ExprSyntaxError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
         return tok
 
+    def integer(self, tok: Token) -> int:
+        """An int token's value; more than ``MAX_COEFFICIENT_DIGITS`` digits is a syntax error."""
+        if len(tok.text) > MAX_COEFFICIENT_DIGITS:
+            raise ExprSyntaxError(
+                f"integer literal has more than {MAX_COEFFICIENT_DIGITS} digits", tok.pos
+            )
+        return int(tok.text)
+
     def parse(self) -> list[tuple]:
         self.expr()
         tok = self.tokens[self.idx]
@@ -160,7 +169,7 @@ class _Parser:
             negations += 1
         self.atom()
         if power := self.take("^"):
-            self.program.append(("^", int(self.expect("int").text), power.pos))
+            self.program.append(("^", self.integer(self.expect("int")), power.pos))
         self.program.extend([("neg",)] * negations)
 
     def atom(self):
@@ -174,14 +183,14 @@ class _Parser:
             self.expect(")")
             self.depth -= 1
         elif tok.kind == "int":
-            self.program.append(("const", int(tok.text)))
+            self.program.append(("const", self.integer(tok)))
         elif tok.text == "i":
             self.program.append(("root", 4, 1, tok.pos))
         elif tok.text == "zeta":
             self.expect("(")
-            order = int(self.expect("int").text)
+            order = self.integer(self.expect("int"))
             self.expect(",")
-            power = int(self.expect("int").text)
+            power = self.integer(self.expect("int"))
             self.expect(")")
             if order < 1:
                 raise ExprSyntaxError("zeta needs a positive order", tok.pos)

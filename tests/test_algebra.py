@@ -786,6 +786,27 @@ def test_prime_step_cofactor_must_be_rational():
         assert (num.terms, normed.terms) == tuple(p.terms for p in normed_chain(SuperRational(SuperPolynomial.one(sig), den)))
 
 
+def test_orbit_tower_builds_no_group_element(monkeypatch):
+    """The tower works on the exponents h(g) that g gives D's monomial
+    weights, so norming rational and irrational denominators over Z_2 x Z_4
+    constructs no ``GroupElement``."""
+    from gradedcover import GroupElement
+
+    grp = make_group([2, 4])
+    sig = GradedSignature(grp, ParityMap.trivial(grp), even=[
+        ("x", grp.character((0, 0))), ("y", grp.character((1, 1))), ("z", grp.character((0, 2)))])
+    x, y, z = (SuperPolynomial.variable(sig, v) for v in ("x", "y", "z"))
+    made = []
+    init = GroupElement.__init__
+    monkeypatch.setattr(GroupElement, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    assert grp.identity is not None and len(made) == 1
+    made.clear()
+    for den in (x + y + 2, x * x + 3 * y - z, x + root_of_unity(3, 1) * y + root_of_unity(4, 1) * z):
+        components = SuperRational(x + z, den).decompose()
+        assert len(components) > 1
+    assert made == []
+
+
 @st.composite
 def rational_functions(draw):
     grp = make_group(draw(st.sampled_from(

@@ -343,10 +343,15 @@ PRIME_STEP_DECOMPOSE = [
      "44c1657e56c6fda18f2fc4ca2fd9e91495688f31139a0393ccefa6b3c9a70161"),
     (["--group", "10", "--even", "u@1,v@5", "--expr", "(u@1 - v@5)/(1 + 3*u@1 + 1000*v@5)"],
      "3e882d25006b0fe15889f6f3cf280225a9354f2fdf5edde39d1e270d2cacecff"),
+    # one p = 5 step: the first of its four twists times the other three, at
+    # conductor 60; recorded while the orbit tower still built group elements
+    (["--group", "5", "--even", "x@0,x@1,y@2",
+      "--expr", "1/(x@0+zeta(4,1)*x@1+zeta(3,1)*y@2)"],
+     "aeb14ec240877fc510824babda3eab8bb0a87ad3220dbea07f8973e6823a32cf"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", PRIME_STEP_DECOMPOSE, ids=["z7", "z11", "z10"])
+@pytest.mark.parametrize("argv, digest", PRIME_STEP_DECOMPOSE, ids=["z7", "z11", "z10", "z5-chain"])
 def test_prime_step_decompose_output_is_pinned(argv, digest, capsys):
     assert main(["decompose", *argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
@@ -547,3 +552,54 @@ def test_text_lift_atlas_formats_each_image_once(tmp_path, capsys, monkeypatch):
     assert main(["lift-atlas", path, "--group", "4", "--parity", "1"]) == 0
     assert capsys.readouterr().out.splitlines() == LIFTED_P11_Z4
     assert len(calls) == 8  # two transitions of four images each
+
+
+def with_transitions(**transitions):
+    return dict(CP1_ATLAS, transitions=dict(CP1_ATLAS["transitions"], **transitions))
+
+
+DECOMPOSE_Z2 = ["decompose", "--group", "2", "--even", "x@0"]
+
+# (argv, the atlas file its "FILE" names or None, a fragment of the message)
+USAGE_ERRORS = [
+    (["check-cocycle", "FILE"], with_transitions(**{"01": {"y": "1/x"}}),
+     "transition key '01' is not of the form 'src->dst'"),
+    (["check-cocycle", "FILE"], with_transitions(**{"0->2": {"y": "1/x"}}),
+     "transition '0->2' names an unknown chart"),
+    (["lift-atlas", "FILE"], CP1_ATLAS, "no group given on the command line or in the atlas file"),
+    (["decompose", "--group", "2", "--even", "x@0,y", "--expr", "1"], None,
+     "graded variable 'y' needs a weight suffix"),
+    (["check-cocycle", "FILE"], dict(CP1_ATLAS, charts={"0": {"even": ["x@0"]}, "1": {"even": ["y"]}}),
+     "weighted variable names need a group and a parity map"),
+    ([*DECOMPOSE_Z2, "--expr", "zeta(0,1)*x@0"], None, "zeta needs a positive order (position 1)"),
+    (["check-cocycle", "FILE"], with_transitions(**{"0 -> 1": {"y": "1/x"}}),
+     "transition keys '0->1' and '0 -> 1' name one transition"),
+    (["check-cocycle", "FILE"],
+     dict(CP1_ATLAS, group="2", charts={"0": {"even": ["x@0", "x@1"]}, "1": {"even": ["y@0"]}},
+          transitions={"0->0": {"x@1": "x@1", "x@0": "x@0", "x@(1)": "x@(1)"}}),
+     "transitions.0->0: keys 'x@1' and 'x@(1)' name one variable"),
+]
+
+
+@pytest.mark.parametrize("argv, atlas, message", USAGE_ERRORS, ids=[
+    "transition-key-form", "unknown-chart", "no-group", "no-weight-suffix",
+    "weights-without-group", "zeta-order-zero", "two-spellings-of-a-transition",
+    "two-spellings-of-a-variable"])
+def test_usage_errors_exit_2_with_their_message(argv, atlas, message, tmp_path, capsys):
+    if atlas is not None:
+        argv = [write_json(tmp_path, "atlas.json", atlas) if a == "FILE" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert message in captured.err
+
+
+def test_a_self_transition_other_than_the_identity_fails(tmp_path, capsys):
+    for image, code in (("x", 0), ("x + 1", 1)):
+        path = write_json(tmp_path, "self.json", with_transitions(**{"0->0": {"x": image}}))
+        assert main(["check-cocycle", path]) == code
+        assert main(["lift-atlas", path, "--group", "2"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert "self on (0): self-transition is not the identity\n    x = x + 1" in captured.out
+            assert "input atlas fails the cocycle check" in captured.err

@@ -515,6 +515,38 @@ def test_singular_lifted_composites_are_singular_in_the_base(lift):
     assert any(f.kind == "singular" for f in report.failures)
 
 
+def self_transition_atlas(shift):
+    """P^1 with a declared self-transition 0->0 of x -> x + shift."""
+    atlas = projective_line_atlas()
+    chart = atlas.charts["0"]
+    x = SuperRational.variable(chart, "x")
+    transitions = dict(atlas.transitions)
+    transitions[("0", "0")] = SuperMorphism(chart, chart, {"x": x + shift})
+    return Atlas(dict(atlas.charts), transitions)
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_a_self_transition_must_be_the_identity(shift):
+    report = assert_agrees(self_transition_atlas(shift), "direct")
+    failures = [(f.kind, f.charts, f.residual) for f in report.failures]
+    assert failures == ([("self", ("0",), {"x": "x + 1"})] if shift else [])
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_a_lifted_self_transition_descends_to_its_base(shift):
+    g, pm = z2_trivial()
+    atlas = lift_atlas(self_transition_atlas(0), g, pm)
+    if shift:
+        image = atlas.transitions[("0", "0")].images["x@(0)"]
+        atlas = replaced(atlas, ("0", "0"), "x@(0)", image + shift)
+    base = covering._base_atlas(atlas)
+    x = SuperRational.variable(base.charts["0"], "x")
+    assert base.transitions[("0", "0")].images == {"x": x + shift}
+    report = assert_agrees(atlas, "direct" if shift else "descent")
+    failures = [(f.kind, f.charts, f.residual) for f in report.failures]
+    assert failures == ([("self", ("0",), {"x@(0)": "x@(0) + 1"})] if shift else [])
+
+
 def test_the_broken_benchmark_atlas_is_the_lift_of_a_broken_base():
     lifted = lifted_atlas(*inputs.BROKEN_BASE)
     m = lifted.transitions[("1", "0")]
@@ -567,18 +599,18 @@ def test_the_broken_benchmark_atlas_report_is_pinned(tmp_path, capsys, monkeypat
 
 def test_integer_products_and_equality_build_no_fraction():
     """While the broken benchmark atlas is checked, no Fraction is constructed
-    inside ``_IntegerProduct.terms`` or ``Cyclotomic.__eq__``: coefficients are
+    inside ``_mul_chain`` or ``Cyclotomic.__eq__``: coefficients are
     integers over one denominator on both sides."""
     from fractions import Fraction
 
     from gradedcover import Cyclotomic
-    from gradedcover.algebra import _IntegerProduct
+    from gradedcover.algebra import _mul_chain
 
     lifted = lifted_atlas(*inputs.BROKEN_BASE)
     m = lifted.transitions[("1", "0")]
     text = json.dumps(dump_atlas(lifted, m.source.group, m.source.parity))
     broken, _, _ = load_atlas(json.loads(inputs.break_lifted(text)))
-    watched = {_IntegerProduct.terms.__code__: "terms", Cyclotomic.__eq__.__code__: "eq"}
+    watched = {_mul_chain.__code__: "terms", Cyclotomic.__eq__.__code__: "eq"}
     # every construction path: __new__, and _from_coprime_ints where it exists
     makers = {getattr(f, "__func__", f).__code__ for name, f in vars(Fraction).items()
               if name in ("__new__", "_from_coprime_ints")}

@@ -136,6 +136,17 @@ def test_single_term_powers_are_bounded_by_the_digits_they_print():
         parse_expression(text, sig)
 
 
+def test_integer_literals_are_bounded_by_the_digits_the_interpreter_reads():
+    sig = SuperSignature(even=["x"])
+    digits = "1" * 4301
+    for text, position in [(digits, 1), (f"x^{digits}", 3), (f"2 + zeta({digits},1)", 10),
+                           (f"zeta(3,{digits})", 8)]:
+        with pytest.raises(ExprSyntaxError, match="integer literal has more than 4300 digits") as err:
+            parse_expression(text, sig)
+        assert err.value.position == position  # the literal
+    assert parse_expression(digits[1:], sig) == SuperRational.constant(sig, int(digits[1:]))
+
+
 def test_power_bound_counts_terms_times_field_width():
     sig = line_signature()
     # 500 terms of width 1, and C(32,2) = 496 terms of (1 + x0 + x1)^30

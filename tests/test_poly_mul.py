@@ -1,7 +1,7 @@
 """The integer-accumulating product kernel against the termwise loop.
 
 ``SuperPolynomial.__mul__`` multiplies in integers (``_mul_terms_integer``
-below is that kernel, ``_IntegerProduct``, for one product) in Q(zeta_N),
+below is that kernel, ``_mul_chain``, for one product) in Q(zeta_N),
 N the lcm of every coefficient's conductor (``product_conductor``); one
 term times one term is a single ``Cyclotomic`` product (``_mul_single``).
 ``_mul_terms_termwise`` below, one ``Cyclotomic`` multiply-add per pair of
@@ -29,7 +29,7 @@ from gradedcover import (
     root_of_unity,
 )
 from gradedcover import algebra
-from gradedcover.algebra import _accumulate, _chain_codec, _IntegerProduct, _odd_rows
+from gradedcover.algebra import _accumulate, _chain_codec, _mul_chain, _odd_rows
 
 
 def _mul_terms_termwise(a, b):
@@ -49,8 +49,10 @@ def _mul_terms_termwise(a, b):
 
 def _mul_terms_integer(a, b, n):
     """Product terms when every coefficient product lands in Q(zeta_n): the
-    one-factor case of ``_mul_chain``'s ``_IntegerProduct``."""
-    return _IntegerProduct(_chain_codec((a, b)), a, n).times(b, n).terms() if a and b else {}
+    one-factor case of ``_mul_chain``, which stores each coefficient at n."""
+    out = _mul_chain(a, [b])
+    assert all(c.conductor == n for c in out.values())
+    return out
 
 
 SIG = SuperSignature(even=("x", "y"), odd=("s1", "s2", "s3"))
