@@ -13,12 +13,14 @@ into weight-homogeneous components; ``decompose_oracle`` computes the
 same split by literal group averaging and exists as an independent
 cross-check of the production algorithm.
 
-Products run through ``_mul_chain``, one factor after another, in one
-running integer product: every operand is lifted once to Q(zeta_N), N the
-lcm of all their coefficients' conductors, one integer vector per output
-monomial over one denominator, reduced modulo Phi_N once per monomial and
-factor (at N = 1, plain ints), one gcd per coefficient after the last
-factor.  Coefficients print by value, so where one is stored never shows.
+A monomial's weight is its residue tuple, one dot product per cyclic factor
+(``_residues``); a ``Character`` is built once per distinct weight asked for.
+
+Products run through ``_mul_terms``, two operands in integers: both are
+lifted once to Q(zeta_N), N the lcm of their coefficients' conductors, one
+integer vector per output monomial over one denominator, reduced modulo
+Phi_N once per monomial (at N = 1, plain ints), one gcd per coefficient.
+Coefficients print by value, so where one is stored never shows.
 Monomials are packed into int keys, so a monomial product is one integer
 addition, through one codec per layout (variable count, byte-wide fields)
 whose memo of unpacked monomials is cleared when full.
@@ -29,7 +31,8 @@ by one term as one Cyclotomic product.
 ``decompose`` norms an inhomogeneous denominator D over its orbit, through
 prime-index subgroups from the stabilizer of D up (``_orbit_tower``), on
 the exponents of zeta_N that the group gives D's monomial weights: no group
-element is built.
+element is built.  Each prime step multiplies its twists in integers by
+Kronecker substitution (``_cofactor``), whatever the coefficients.
 
 Signatures, polynomials and quotients are ``_Frozen`` (see ``cyclotomic``):
 signatures are equal and hash alike when type and fields agree, so a plain
@@ -165,6 +168,19 @@ class SuperMonomial(NamedTuple):
 Terms = dict[SuperMonomial, Cyclotomic]
 
 
+def _graded(sig: SuperSignature) -> GradedSignature:
+    """``sig``, which weights, the group action and decomposition need graded."""
+    if not isinstance(sig, GradedSignature):
+        raise TypeError("this operation requires a graded signature")
+    return sig
+
+
+def _residues(sig: GradedSignature, mono: SuperMonomial) -> tuple[int, ...]:
+    """A monomial's weight as residues: one dot product per cyclic factor."""
+    return tuple((sum(map(mul, mono.even, even)) + sum(odd[j] for j in mono.odd)) % q
+                 for q, even, odd in sig.weight_rows)
+
+
 def _odd_sign(ma: int, mb: int) -> int:
     """Reordering sign of two odd index bitmasks; 0 when they share an index."""
     if ma & mb:
@@ -280,52 +296,44 @@ def _integer_vectors(terms: Terms, n: int) -> tuple[int, list]:
     return d, [c.num if c.den == d else [x * (d // c.den) for x in c.num] for c in lifted]
 
 
-def _mul_chain(a: Terms, factors: Sequence[Terms]) -> Terms:
-    """a times each factor in turn, kept in integers between the factors.
-
-    Every operand is lifted once to Q(zeta_n), n the lcm of all their
-    coefficients' conductors, and each monomial's packed key (one codec for
-    the whole chain) maps to an integer vector there (an int at n = 1) over
-    one running denominator.  A factor sums each output key's convolutions
-    and reduces it modulo Phi_n once, dropping zeros; the coefficients are
-    built after the last factor, one gcd each.  A zero operand gives {}."""
-    if not a or not all(factors):
+def _mul_terms(a: Terms, b: Terms) -> Terms:
+    """a times b in integers: both are lifted once to Q(zeta_n), n the lcm of
+    their coefficients' conductors, each packed monomial key to an integer
+    vector there (an int at n = 1) over one denominator.  Each output key sums
+    its convolutions and is reduced modulo Phi_n once, zeros dropped; each
+    coefficient takes one gcd.  A zero operand gives {}."""
+    if not a or not b:
         return {}
-    n = lcm(*(c.conductor for t in (a, *factors) for c in t.values()))
-    codec = _chain_codec([a, *factors])
+    n = lcm(*(c.conductor for t in (a, b) for c in t.values()))
+    codec = _chain_codec([a, b])
     pack, shift = codec.pack, codec.shift
-    d, vecs = _integer_vectors(a, n)
-    vecs = dict(zip(map(pack, a), vecs))
-    for b in factors:
-        db, vb = _integer_vectors(b, n)
-        keys_b, acc = list(map(pack, b)), {}
-        if n == 1:
-            rows = _odd_rows(vecs, keys_b, vb, shift, neg)
-            for ka, x in vecs.items():
-                for kb, y in rows[ka >> shift]:
-                    key = ka + kb
-                    acc[key] = acc.get(key, 0) + x * y
-            vecs = {key: v for key, v in acc.items() if v}
-        else:
-            # each vector of b as its non-zero (index, entry) pairs
-            sparse = [[(j, t) for j, t in enumerate(y) if t] for y in vb]
-            rows = _odd_rows(vecs, keys_b, sparse, shift, lambda y: [(j, -t) for j, t in y])
-            width = 2 * _reducer(n)[0] - 1
-            for ka, x in vecs.items():
-                for kb, y in rows[ka >> shift]:
-                    key = ka + kb
-                    vec = acc.get(key)
-                    if vec is None:
-                        vec = acc[key] = [0] * width
-                    for i, xi in enumerate(x):
-                        if xi:
-                            for j, yj in y:
-                                vec[i + j] += xi * yj
-            reduced = ((key, _reduce(v, n)) for key, v in acc.items())
-            vecs = {key: r for key, r in reduced if any(r)}
-        d *= db
-    unpack, lowest = codec.unpack, Cyclotomic._lowest
-    return {unpack(key): lowest((v,) if n == 1 else tuple(v), d, n) for key, v in vecs.items()}
+    (da, va), (db, vb) = _integer_vectors(a, n), _integer_vectors(b, n)
+    keys_a, keys_b, acc = list(map(pack, a)), list(map(pack, b)), {}
+    if n == 1:
+        rows = _odd_rows(keys_a, keys_b, vb, shift, neg)
+        for ka, x in zip(keys_a, va):
+            for kb, y in rows[ka >> shift]:
+                key = ka + kb
+                acc[key] = acc.get(key, 0) + x * y
+        vecs = ((key, (v,)) for key, v in acc.items() if v)
+    else:
+        # each vector of b as its non-zero (index, entry) pairs
+        sparse = [[(j, t) for j, t in enumerate(y) if t] for y in vb]
+        rows = _odd_rows(keys_a, keys_b, sparse, shift, lambda y: [(j, -t) for j, t in y])
+        width = 2 * _reducer(n)[0] - 1
+        for ka, x in zip(keys_a, va):
+            for kb, y in rows[ka >> shift]:
+                key = ka + kb
+                vec = acc.get(key)
+                if vec is None:
+                    vec = acc[key] = [0] * width
+                for i, xi in enumerate(x):
+                    if xi:
+                        for j, yj in y:
+                            vec[i + j] += xi * yj
+        vecs = ((key, r) for key, r in ((key, _reduce(v, n)) for key, v in acc.items()) if any(r))
+    unpack, lowest, d = codec.unpack, Cyclotomic._lowest, da * db
+    return {unpack(key): lowest(v, d, n) for key, v in vecs}
 
 
 def _mul_single(t1: tuple, t2: tuple) -> tuple | None:
@@ -487,7 +495,7 @@ class SuperPolynomial(_Frozen):
         if len(self.terms) == 1 == len(other.terms):
             t = _mul_single(*self.terms.items(), *other.terms.items())
             return SuperPolynomial._raw(self.signature, {} if t is None else dict([t]))
-        return SuperPolynomial._raw(self.signature, _mul_chain(self.terms, [other.terms]))
+        return SuperPolynomial._raw(self.signature, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -544,49 +552,38 @@ class SuperPolynomial(_Frozen):
         return None
 
     def monomial_weight(self, mono: SuperMonomial) -> Character:
-        """The product of the variables' weights: a dot product per cyclic factor."""
-        sig = self.signature
-        if not isinstance(sig, GradedSignature):
-            raise TypeError("weights require a graded signature")
-        return Character(sig.group, tuple(
-            (sum(map(mul, mono.even, even)) + sum(odd[j] for j in mono.odd)) % q
-            for q, even, odd in sig.weight_rows
-        ))
+        """The product of the variables' weights."""
+        sig = _graded(self.signature)
+        return Character(sig.group, _residues(sig, mono))
 
     def termwise_weight(self) -> Character | None:
         """The common weight of all monomials, or None if they disagree."""
-        weight: Character | None = None
-        for mono in self.terms:
-            w = self.monomial_weight(mono)
-            if weight is None:
-                weight = w
-            elif w != weight:
-                return None
-        return weight
+        sig = _graded(self.signature)
+        residues = (_residues(sig, m) for m in self.terms)
+        first = next(residues, None)
+        if first is None or any(r != first for r in residues):
+            return None
+        return Character(sig.group, first)
 
     def weight_components(self) -> dict[Character, "SuperPolynomial"]:
         """Split termwise by monomial weight; keys in lex residue order."""
-        buckets: dict[Character, dict[SuperMonomial, Cyclotomic]] = {}
+        sig = _graded(self.signature)
+        buckets: dict[tuple[int, ...], Terms] = {}
         for mono, c in self.terms.items():
-            buckets.setdefault(self.monomial_weight(mono), {})[mono] = c
-        return {
-            chi: SuperPolynomial._raw(self.signature, buckets[chi])
-            for chi in sorted(buckets, key=lambda ch: ch.residues)
-        }
+            buckets.setdefault(_residues(sig, mono), {})[mono] = c
+        return {Character(sig.group, r): SuperPolynomial._raw(sig, buckets[r])
+                for r in sorted(buckets)}
 
     def act(self, g: GroupElement) -> "SuperPolynomial":
         """Rescale every variable by the value of its weight at g."""
-        sig = self.signature
-        if not isinstance(sig, GradedSignature):
-            raise TypeError("group actions require a graded signature")
+        sig = _graded(self.signature)
         if g.group != sig.group:
             raise SignatureMismatchError("element belongs to a different group")
-        # each monomial's weight is zeta_n^e at g: a dot product gives e
+        # weight residues r take the value zeta_n^(sum_t r_t*g_t*n/q_t) at g
         n = sig.group.exponent
-        even = [w.exponent_at(g) for w in sig.even_weights]
-        odd = [w.exponent_at(g) for w in sig.odd_weights]
+        steps = [x * (n // q) for x, q in zip(g.residues, sig.group.factors)]
         return SuperPolynomial._raw(sig, {
-            m: c * root_of_unity(n, (sum(map(mul, m.even, even)) + sum(odd[j] for j in m.odd)) % n)
+            m: c * root_of_unity(n, sum(map(mul, _residues(sig, m), steps)))
             for m, c in self.terms.items()
         })
 
@@ -781,12 +778,6 @@ class SuperRational(_Frozen):
 
     # -- grading ------------------------------------------------------------
 
-    def _graded_signature(self) -> GradedSignature:
-        sig = self.signature
-        if not isinstance(sig, GradedSignature):
-            raise TypeError("this operation requires a graded signature")
-        return sig
-
     def act(self, g: GroupElement) -> "SuperRational":
         """The group action, an automorphism of the function algebra."""
         return SuperRational(self.numerator.act(g), self.denominator.act(g))
@@ -806,17 +797,16 @@ class SuperRational(_Frozen):
         termwise property of the numerator.
 
         ``_orbit_tower`` builds it through prime-index subgroups
-        S = K_0 < ... < G, one cofactor per step for numerator and denominator.
-        It skips no step whose partial product is already invariant: that may
-        have a larger stabilizer than D.
+        S = K_0 < ... < G, one ``_cofactor`` per step for numerator and
+        denominator, rational or not.  It skips no step whose partial product
+        is already invariant: that may have a larger stabilizer than D.
         """
-        return _orbit_tower(self._graded_signature(), self.numerator, self.denominator)
+        return _orbit_tower(_graded(self.signature), self.numerator, self.denominator)
 
     def weight(self) -> Character | None:
         """The weight when homogeneous, None when inhomogeneous."""
         if self.is_zero():
             raise ValueError("the zero function has no weight")
-        self._graded_signature()
         return self._weight_over(self.denominator.termwise_weight())
 
     def _weight_over(self, den_weight: Character | None) -> Character | None:
@@ -850,7 +840,7 @@ class SuperRational(_Frozen):
         already homogeneous of weight d needs no norming: the monomials of
         weight w in the numerator contribute the component of weight w/d.
         """
-        self._graded_signature()
+        _graded(self.signature)
         if self.is_zero():
             return {}
         num, den, shift = self._homogeneous_split(self.denominator.termwise_weight())
@@ -907,7 +897,7 @@ class SuperRational(_Frozen):
 
     def restrict_to_base(self) -> "SuperRational":
         """Set all anticommuting and all non-identity-weight variables to zero."""
-        sig = self._graded_signature()
+        sig = _graded(self.signature)
         even = [i if w.is_identity() else None for i, w in enumerate(sig.even_weights)]
         odd = [None] * len(sig.odd)
         den = restrict_terms(self.denominator, sig, even, odd)
@@ -944,76 +934,83 @@ def _orbit_tower(
     """(N*c_1*...*c_r, P_r): see ``SuperRational._normed``.
 
     The group acts on D only through h(g), the exponents of zeta_n (n the
-    group exponent) that g gives the distinct monomial weights of D; h(e_t)
-    of the t-th unit is one dot product with column t of ``weight_rows``.
+    group exponent) that g gives the distinct monomial weights of D; a weight
+    of residues r takes zeta_n^(r_t*n/q_t) at the t-th unit e_t of Z_(q_t).
     K_0 = Stab(D) is the kernel of h, so every K of the tower contains it and
     is known by h(K), from {0} up.  Each step adds g = e_t^k of prime order p
     modulo K, peeled off e_t's order modulo K (the least k with
     k*h(e_t) in h(K)), larger primes first, and h(K) gains the p multiples of
     h(g).  P = P_(i-1) is K-invariant, so chi_m(g) = zeta_p^j_m on each
-    monomial m of P, j_m from column t too.  The cofactor
-    c_i = prod_(k=1..p-1) g^k.P is ``_cofactor`` of the j_m for rational P,
-    else the ``_mul_chain`` of the twists, with coefficients
-    c_m*zeta_p^(j_m*k).  Then P_i = P*c_i.
+    monomial m of P, j_m read off m's residues too.  The cofactor
+    c_i = prod_(k=1..p-1) g^k.P is ``_cofactor`` of the j_m, and P_i = P*c_i.
     """
     n = sig.group.exponent
-    # per cyclic factor Z_q: n/q, so that residue r there is zeta_n^(r*n/q)
-    rows = [(n // q, even) for q, even, _ in sig.weight_rows]
-    weights = dict.fromkeys(
-        tuple(sum(map(mul, m.even, even)) * step % n for step, even in rows) for m in den.terms
-    )
+    steps = [n // q for q in sig.group.factors]  # residue r at Z_q is zeta_n^(r*n/q)
+    weights = dict.fromkeys(tuple(map(mul, _residues(sig, m), steps)) for m in den.terms)
     hk = {(0,) * len(weights)}  # h(K)
     for p in reversed(_prime_factors(n)):
-        for t, (step, even) in enumerate(rows):
+        for t, step in enumerate(steps):
             col = [w[t] for w in weights]  # h(e_t)
             order = next(k for k in range(1, n + 1) if tuple(k * x % n for x in col) in hk)
             while order % p == 0:
                 order //= p
                 h = [order * x % n for x in col]
                 hk = {tuple((u + i * x) % n for u, x in zip(v, h)) for v in hk for i in range(p)}
-                js = [sum(map(mul, m.even, even)) * step * order % n * p // n for m in den.terms]
-                if all(c.is_rational() for c in den.terms.values()):
-                    c = _cofactor(sig, den.terms, js, p)
-                else:
-                    twists = [{m: c * root_of_unity(n, j * k % p * (n // p))
-                               for (m, c), j in zip(den.terms.items(), js)} for k in range(1, p)]
-                    c = SuperPolynomial._raw(sig, _mul_chain(twists[0], twists[1:]))
+                js = [_residues(sig, m)[t] * step * order % n * p // n for m in den.terms]
+                c = _cofactor(sig, den.terms, js, p)
                 num, den = num * c, den * c
     return num, den
 
 
 def _cofactor(sig: GradedSignature, terms: Terms, js: list[int], p: int) -> SuperPolynomial:
-    """C = prod_(k=1..p-1) sum_m zeta_p^(j_m*k) c_m*m for P = sum_m c_m*m
-    rational (c_m read off ``num[0]``), ``js`` giving j_m in ``terms`` order.
+    """C = prod_(k=1..p-1) sum_m zeta_p^(j_m*k) c_m*m for P = sum_m c_m*m even,
+    ``js`` giving j_m in ``terms`` order.
 
-    The Galois group of Q(zeta_p) permutes these twists of P, so C is
-    rational.  With d the common denominator of the c_m, d^(p-1)*C is then
-    integral, each coefficient a sum of products of p - 1 roots of unity
-    times integers d*c_m, so at most L^(p-1) in size, L = sum_m |d*c_m|.
-    With t = 2L + 1, zeta_p -> t is a ring map Z[zeta_p] -> Z/M for
-    M = Phi_p(t) >= t^(p-1) > 2*L^(p-1) (Kronecker substitution): the twists
-    multiplied as integers modulo M, over packed monomial keys, leave each
-    coefficient of d^(p-1)*C as its symmetric residue.  M need not be prime.
+    Write c_m = a_m(z)/d, d the common denominator and a_m an integer
+    polynomial in z = zeta_N left unreduced, N the lcm of the irrational c_m's
+    conductors, and take zeta_p as a separate symbol s.  The Galois group of
+    Q(zeta_p) fixes z and permutes the twists, so d^(p-1)*C is free of s over
+    Z[z]: its coefficient at a monomial and z^i is an integer, a sum of
+    products of p - 1 entries of the a_m times roots of unity, so at most
+    L^(p-1) in size, L the sum of all |entries|.  With t = 2L + 1, s -> t is
+    a ring map Z[z][s]/Phi_p(s) -> (Z/M)[z] for M = Phi_p(t) >= t^(p-1) >
+    2*L^(p-1) (Kronecker substitution): the twists multiplied as integers
+    modulo M, z's exponent in the odd field of the packed keys, leave each
+    such coefficient as its symmetric residue.  M need not be prime.  Each
+    z-vector is then reduced modulo Phi_N once; at N = 1 it is one int.
     """
-    d = lcm(*(c.den for c in terms.values()))
-    nums = [c.num[0] * (d // c.den) for c in terms.values()]
-    t = 2 * sum(map(abs, nums)) + 1
-    modulus = (t ** p - 1) // (t - 1)
+    cs = list(terms.values())
+    n = lcm(*(c.conductor for c in cs if not c.is_rational()))
+    d = lcm(*(c.den for c in cs))
     codec = _chain_codec([terms] * (p - 1))
-    keys, powers = list(map(codec.pack, terms)), [t ** i for i in range(p)]
+    shift = codec.shift
+    entries = [  # (key of m*z^i, entry of a_m at z^i, j_m)
+        (codec.pack(m) + (i << shift), a * (d // c.den), j)
+        for m, c, j in zip(terms, cs, js)
+        for i, a in enumerate(c.num[:1] if c.is_rational() else c.lift(n).num) if a
+    ]
+    t = 2 * sum(abs(a) for _, a, _ in entries) + 1
+    modulus = (t ** p - 1) // (t - 1)
+    powers, half = [t ** i for i in range(p)], modulus // 2
     acc = {0: 1}
     for k in range(1, p):
-        twist = [(key, a * powers[j * k % p]) for key, a, j in zip(keys, nums, js)]
+        twist = [(key, a * powers[j * k % p]) for key, a, j in entries]
         out = {}
         for ka, x in acc.items():
             for kb, y in twist:
                 out[ka + kb] = out.get(ka + kb, 0) + x * y
         acc = {key: r for key, v in out.items() if (r := v % modulus)}
-    scale, half = d ** (p - 1), modulus // 2
-    return SuperPolynomial._raw(sig, {
-        codec.unpack(key): Cyclotomic._lowest((r - modulus if r > half else r,), scale, 1)
-        for key, r in acc.items()
-    })
+    signed = ((key, r - modulus if r > half else r) for key, r in acc.items())
+    if n == 1:
+        coeffs = ((key, (r,)) for key, r in signed)
+    else:
+        width, low, vecs = (p - 1) * (_reducer(n)[0] - 1) + 1, (1 << shift) - 1, {}
+        for key, r in signed:  # the monomial's key below shift, z's exponent above
+            vecs.setdefault(key & low, [0] * width)[key >> shift] = r
+        reduced = ((key, _reduce(v, n)) for key, v in vecs.items())
+        coeffs = ((key, r) for key, r in reduced if any(r))
+    unpack, lowest, scale = codec.unpack, Cyclotomic._lowest, d ** (p - 1)
+    return SuperPolynomial._raw(sig, {unpack(key): lowest(r, scale, n) for key, r in coeffs})
 
 
 def _even_value(sig: SuperSignature, mono: SuperMonomial, point: Mapping[str, complex]) -> complex:
@@ -1079,9 +1076,7 @@ def decompose_oracle(f: SuperRational) -> dict[Character, SuperRational]:
     as a sum of rational functions.  Slower than ``decompose`` but shares
     none of its machinery, so the two act as mutual checks.
     """
-    sig = f.signature
-    if not isinstance(sig, GradedSignature):
-        raise TypeError("decomposition requires a graded signature")
+    sig = _graded(f.signature)
     group = sig.group
     scale = Fraction(1, group.order)
     out: dict[Character, SuperRational] = {}

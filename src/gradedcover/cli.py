@@ -220,8 +220,7 @@ def cmd_decompose(args) -> tuple[dict, str, int]:
 
 def cmd_act(args) -> tuple[dict, str, int]:
     sig = _signature_from_flags(args)
-    what = f"group element {args.element!r}; expected k1,...,kt"
-    g = sig.group.element(parse_residues(args.element, what))
+    g = sig.group.element(parse_residues(args.element, "group element"))
     result = format_expression(parse_expression(_read_expr(args), sig).act(g))
     return {"result": result}, result, 0
 

@@ -75,16 +75,18 @@ def _lex(text: str) -> list[Token]:
     return tokens
 
 
-def parse_residues(text: str, what: str) -> tuple[int, ...]:
-    """The residues of ``(k1,...,kt)`` or ``k1,...,kt``: comma-separated
-    ints, the parentheses optional.  The error reads ``malformed <what>``."""
-    inner = text.strip()
+def parse_residues(text: str, what: str, start: int = 0) -> tuple[int, ...]:
+    """The residues of ``text[start:]``, ``(k1,...,kt)`` or ``k1,...,kt``,
+    the parentheses optional.  A malformed text is a ``ValueError`` naming
+    ``what`` and quoting ``text``, cut to 40 characters."""
+    inner = text[start:].strip()
     if inner.startswith("(") and inner.endswith(")"):
         inner = inner[1:-1]
     try:
         return tuple(int(p) for p in inner.split(","))
     except ValueError:
-        raise ValueError(f"malformed {what}") from None
+        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        raise ValueError(f"malformed {what} {shown}; expected (k1,...,kt)") from None
 
 
 def parse_var_name(name: str) -> tuple[str, tuple[int, ...] | None]:
@@ -93,10 +95,10 @@ def parse_var_name(name: str) -> tuple[str, tuple[int, ...] | None]:
     ``x@1`` gives ``("x@(1)", (1,))``; a name without a weight suffix
     gives ``(name, None)``.
     """
-    if "@" not in name:
+    base, at, _ = name.partition("@")
+    if not at:
         return name, None
-    base, suffix = name.split("@", 1)
-    ks = parse_residues(suffix, f"weight suffix in {name!r}; expected name@(k1,...,kt)")
+    ks = parse_residues(name, "weight suffix in", len(base) + 1)
     return f"{base}@({','.join(str(k) for k in ks)})", ks
 
 
@@ -288,7 +290,10 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
         if op == "var":
             mono = monomials.get(step[1])
             if mono is None:
-                name = parse_var_name(step[1])[0]
+                try:
+                    name = parse_var_name(step[1])[0]
+                except ValueError as exc:  # a residue too long to read as an int
+                    raise ExprSyntaxError(str(exc), step[2]) from None
                 if name not in signature.even and name not in signature.odd:
                     raise ExprSyntaxError(f"unknown identifier {step[1]!r}", step[2])
                 (mono,) = SuperPolynomial.variable(signature, name).terms

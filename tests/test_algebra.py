@@ -1,6 +1,7 @@
 """Behavior of the graded function algebra: products, action, decomposition."""
 
 import copy
+import functools
 import itertools
 import pickle
 import random
@@ -554,6 +555,17 @@ def test_base_restriction_kills_odd_content():
     assert f.restrict_to_base().is_zero()
 
 
+def test_quotients_check_their_denominator():
+    sig = pair_signature()
+    x, s1, s2 = (SuperPolynomial.variable(sig, v) for v in ("x", "s1", "s2"))
+    with pytest.raises(SignatureMismatchError, match="different signatures"):
+        SuperRational(x, SuperPolynomial.one(z4_signature()))
+    with pytest.raises(ValueError, match="free of anticommuting variables"):
+        SuperRational(x, x + s1 * s2)
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        SuperRational(x, SuperPolynomial.zero(sig))
+
+
 def test_base_restriction_needs_a_surviving_denominator():
     sig = z4_signature()
     f = 1 / SuperRational.variable(sig, "x2")
@@ -750,7 +762,7 @@ def test_orbit_tower_carries_odd_variables_in_the_numerator():
 
 def test_irrational_coefficients_take_the_chain():
     """An irrational step of the tower multiplies the twists of P by
-    ``_mul_chain``; N and D equal the oracle's, rational or not."""
+    ``_cofactor`` too; N and D equal the oracle's, rational or not."""
     sig = z4_signature()
     x0, x2 = (SuperPolynomial.variable(sig, v) for v in ("x0", "x2"))
     i, z3 = root_of_unity(4, 1), root_of_unity(3, 1)
@@ -761,9 +773,9 @@ def test_irrational_coefficients_take_the_chain():
     assert SuperRational(x0, x0 + x2 * i)._normed()[1] == x0 * x0 + x2 * x2
 
 
-def test_prime_step_cofactor_must_be_rational():
-    """``_cofactor`` takes a rational P at any stored conductor; an irrational
-    P takes the chain of its twists instead, and both give the oracle's."""
+def test_prime_step_cofactor_takes_any_coefficients():
+    """``_cofactor`` takes a rational P at any stored conductor, and an
+    irrational P at its own, and gives the oracle's."""
     from gradedcover import algebra
 
     grp = make_group([5])
@@ -780,6 +792,12 @@ def test_prime_step_cofactor_must_be_rational():
     at_5 = algebra._cofactor(sig, (den * one_at_5).terms, js, 5)
     assert at_1.terms == at_5.terms == (x**4 - x**3 * y * 2 + x**2 * y**2 * 4
                                         - x * y**3 * 8 + y**4 * 16).terms
+    # the product of the twists x + c*zeta^k*y, k = 1..4, at conductors 5, 3 and 15
+    for c in (zeta * 2, root_of_unity(3, 1) - 4, zeta * root_of_unity(3, 1) + 7):
+        twists = SuperPolynomial.one(sig)
+        for k in range(1, 5):
+            twists = twists * (x + y * (c * root_of_unity(5, k)))
+        assert algebra._cofactor(sig, (x + y * c).terms, js, 5).terms == twists.terms
     # one-term parts, and a two-term part at j = 0
     for den in (x + zeta * y, x + x * x + zeta * y, x * one_at_5 + y):
         num, normed = algebra._orbit_tower(sig, SuperPolynomial.one(sig), den)
@@ -807,8 +825,19 @@ def test_orbit_tower_builds_no_group_element(monkeypatch):
     assert made == []
 
 
+def times_root(poly, root):
+    """``poly`` with its first coefficient times ``root``."""
+    if poly.is_zero():
+        return poly
+    (mono, c), *rest = poly.terms.items()
+    return SuperPolynomial(poly.signature, {mono: c * root, **dict(rest)})
+
+
 @st.composite
 def rational_functions(draw):
+    """A seeded rational function; for half of them, the first coefficient of
+    N and of D is times a root of unity, so that the tower's steps are
+    irrational."""
     grp = make_group(draw(st.sampled_from(
         [[2], [3], [4], [5], [6], [7], [10], [2, 2], [2, 4], [3, 3]])))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -816,6 +845,9 @@ def rational_functions(draw):
     den = rational_polynomial(rng, sig, draw(st.integers(1, 3)), 2, with_odd=False)
     num = rational_polynomial(rng, sig, draw(st.integers(0, 3)), 3, with_odd=True)
     assume(not den.is_zero())
+    if draw(st.booleans()):
+        root = root_of_unity(draw(st.sampled_from([3, 4, 5, 8])), 1)
+        num, den = times_root(num, root), times_root(den, root)
     return SuperRational(num, den)
 
 
@@ -915,17 +947,21 @@ def test_prime_step_cofactor_matches_the_chain(q, case):
         assert_tower_matches_chain(f)
 
 
-def test_rational_normed_never_enters_the_twist_chain(monkeypatch):
-    # twists of an irrational P multiply each coefficient by a root of unity
+def test_normed_calls_no_root_of_unity(monkeypatch):
+    """Every step takes ``_cofactor``, whose twists carry zeta_p as an
+    integer: no coefficient is multiplied by a root of unity."""
+    rational = [f for q, case in PRIME_STEP_CASES for f in prime_step_functions(q, case)]
+    irrational = [SuperRational(f.numerator, times_root(f.denominator, root_of_unity(k, 1)))
+                  for f in rational for k in (3, 4)]
     calls = spy_on(monkeypatch, "root_of_unity")
-    for q, case in PRIME_STEP_CASES:
-        for f in prime_step_functions(q, case):
-            f._normed()
+    for f in rational + irrational:
+        f._normed()
     assert calls == []
 
 
 MODULUS_GROUPS = [2, 3, 5, 7, 10, 11, 12]
-MODULUS_CONSTANTS = [1, 1000, -10**6, Fraction(10**5, 7)]
+MODULUS_CONSTANTS = [1, 1000, -10**6, Fraction(10**5, 7),
+                     1000 * root_of_unity(3, 1), 10**6 * root_of_unity(4, 1) - 7]
 
 
 @pytest.mark.parametrize("q", MODULUS_GROUPS)
@@ -1005,6 +1041,21 @@ def test_monomial_weight_equals_the_nested_residue_loop(case):
     weight = SuperPolynomial.zero(sig).monomial_weight(mono)
     assert weight == nested_residue_weight(sig, mono)
     assert type(weight) is Character and weight.group == sig.group
+
+
+def test_weights_build_one_character_per_distinct_weight(monkeypatch):
+    """Weights compare as residues: weighing a homogeneous polynomial builds
+    one ``Character``, and splitting one builds one per distinct weight."""
+    sig = z4_signature()
+    x0, x2, s1, s3 = (SuperPolynomial.variable(sig, v) for v in ("x0", "x2", "s1", "s3"))
+    homogeneous = x0**3 + x0 * x2**2 + x2**4 + s1 * s3 + x0 * s1 * s3
+    mixed = homogeneous + x2 + x0 * x2 + s1 + x0 * s1
+    made = []
+    init = Character.__init__
+    monkeypatch.setattr(Character, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    assert homogeneous.termwise_weight().residues == (0,) and len(made) == 1
+    made.clear()
+    assert len(mixed.weight_components()) == 3 and len(made) == 3
 
 
 @st.composite
@@ -1100,12 +1151,13 @@ def test_twist_classes_on_seeded_irrational_denominators():
 
 
 def assert_chain_matches_the_reference(polys, twists):
-    """``_mul_chain`` over all the twists at once gives the values of one
-    product per twist, monomial for monomial in the same order."""
+    """``_mul_terms`` folded over the twists gives the values of one
+    ``SuperPolynomial.__mul__`` per twist, monomial for monomial in the same
+    order."""
     from gradedcover import algebra
 
     factors = [t.terms for t in twists]
-    got = [algebra._mul_chain(p.terms, factors) for p in polys]
+    got = [functools.reduce(algebra._mul_terms, factors, p.terms) for p in polys]
     want = reference_twist_chain(polys, twists)
     assert [list(t.items()) for t in got] == [list(p.terms.items()) for p in want]
     assert all(type(x) is Fraction for t in got for c in t.values() for x in c.coeffs)

@@ -269,6 +269,24 @@ def test_malformed_weight_suffix_is_a_usage_error(capsys):
     assert "weight suffix" in capsys.readouterr().err
 
 
+# a residue of 4,301 digits is more than the interpreter reads as an int
+ONES = "1" * 4301
+
+
+@pytest.mark.parametrize("argv, head, tail", [
+    (["decompose", "--group", "2", "--even", "x@0", "--expr", f"x@({ONES})"],
+     "syntax error: malformed weight suffix in 'x@(111", "; expected (k1,...,kt) (position 1)\n"),
+    (["decompose", "--group", "2", "--even", f"x@({ONES})", "--expr", "1"],
+     "error: malformed weight suffix in 'x@(111", "; expected (k1,...,kt)\n"),
+    (["act", "--group", "2", "--even", "x@0", "--expr", "x@0", "--element", ONES],
+     "error: malformed group element '111", "; expected (k1,...,kt)\n"),
+], ids=["expr", "even", "element"])
+def test_an_oversized_residue_is_not_echoed(argv, head, tail, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err) < 200 and err.startswith(head) and err.endswith(tail)
+
+
 @pytest.mark.parametrize(
     "text, code, group",
     [

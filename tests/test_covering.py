@@ -15,7 +15,9 @@ from gradedcover import (
     Atlas,
     CoveringError,
     GradedMorphism,
+    GradedSignature,
     ParityMap,
+    SignatureMismatchError,
     SuperMorphism,
     SuperRational,
     SuperSignature,
@@ -297,6 +299,15 @@ def test_lift_atlas_single_chart():
     lifted = lift_atlas(atlas, g, pm)
     assert lifted.transitions == {}
     assert lifted.charts["only"].odd == ("xi@(1)", "xi@(3)")
+
+
+def test_atlas_transitions_must_fit_their_charts():
+    atlas = projective_line_atlas()
+    psi = atlas.transitions[("0", "1")]
+    with pytest.raises(ValueError, match="names an unknown chart"):
+        Atlas(dict(atlas.charts), {("0", "2"): psi})
+    with pytest.raises(SignatureMismatchError, match="does not match its chart signatures"):
+        Atlas(dict(atlas.charts), {("1", "0"): psi})
 
 
 def test_lift_atlas_rejects_broken_input():
@@ -599,18 +610,18 @@ def test_the_broken_benchmark_atlas_report_is_pinned(tmp_path, capsys, monkeypat
 
 def test_integer_products_and_equality_build_no_fraction():
     """While the broken benchmark atlas is checked, no Fraction is constructed
-    inside ``_mul_chain`` or ``Cyclotomic.__eq__``: coefficients are
+    inside ``_mul_terms`` or ``Cyclotomic.__eq__``: coefficients are
     integers over one denominator on both sides."""
     from fractions import Fraction
 
     from gradedcover import Cyclotomic
-    from gradedcover.algebra import _mul_chain
+    from gradedcover.algebra import _mul_terms
 
     lifted = lifted_atlas(*inputs.BROKEN_BASE)
     m = lifted.transitions[("1", "0")]
     text = json.dumps(dump_atlas(lifted, m.source.group, m.source.parity))
     broken, _, _ = load_atlas(json.loads(inputs.break_lifted(text)))
-    watched = {_mul_chain.__code__: "terms", Cyclotomic.__eq__.__code__: "eq"}
+    watched = {_mul_terms.__code__: "terms", Cyclotomic.__eq__.__code__: "eq"}
     # every construction path: __new__, and _from_coprime_ints where it exists
     makers = {getattr(f, "__func__", f).__code__ for name, f in vars(Fraction).items()
               if name in ("__new__", "_from_coprime_ints")}
@@ -639,6 +650,26 @@ def test_integer_products_and_equality_build_no_fraction():
 def test_non_covering_atlases_take_the_direct_path():
     assert assert_agrees(projective_line_atlas(), "direct").ok
     assert assert_agrees(three_chart_polynomial_atlas(), "direct").ok
+    # over Z_2 with parity 1, even x@(0) and odd x@(1) name x in both parities
+    z2 = make_group([2])
+    chart = GradedSignature(z2, ParityMap(z2, (1,)), even=[("x@(0)", z2.character((0,)))],
+                            odd=[("x@(1)", z2.character((1,)))])
+    assert covering._base_signature(chart) is None
+    assert assert_agrees(Atlas({"0": chart}, {("0", "0"): identity_morphism(chart)}), "direct").ok
+
+
+def test_an_image_that_vanishes_on_the_base_takes_the_direct_path():
+    """y@(1)^2/y@(1)^2 is homogeneous of weight 0, but the section sends its
+    denominator to zero: descent gives up, and the direct check reports."""
+    atlas = lifted_atlas("P1", 0, "2", "0")
+    m = atlas.transitions[("1", "0")]
+    square = SuperRational.variable(m.source, m.source.even[1]) ** 2
+    broken = replaced(atlas, ("1", "0"), m.target.even[0], square / square)
+    with pytest.raises(ZeroDivisionError):
+        covering._descend(broken.transitions[("1", "0")], *(
+            covering._base_signature(broken.charts[c]) for c in "10"))
+    assert covering._base_atlas(broken) is None
+    assert not assert_agrees(broken, "direct").ok
 
 
 def test_coverings_under_different_gradings_take_the_direct_path():

@@ -1,9 +1,9 @@
 """The integer-accumulating product kernel against the termwise loop.
 
-``SuperPolynomial.__mul__`` multiplies in integers (``_mul_terms_integer``
-below is that kernel, ``_mul_chain``, for one product) in Q(zeta_N),
-N the lcm of every coefficient's conductor (``product_conductor``); one
-term times one term is a single ``Cyclotomic`` product (``_mul_single``).
+``SuperPolynomial.__mul__`` multiplies in integers in Q(zeta_N) (the kernel
+``_mul_terms``, which ``_mul_terms_integer`` below calls), N the lcm of
+every coefficient's conductor (``product_conductor``); one term times one
+term is a single ``Cyclotomic`` product (``_mul_single``).
 ``_mul_terms_termwise`` below, one ``Cyclotomic`` multiply-add per pair of
 terms, is the kernel's reference.  All must give the same terms with equal
 coefficient values; a coefficient prints by its value, so its stored
@@ -29,7 +29,7 @@ from gradedcover import (
     root_of_unity,
 )
 from gradedcover import algebra
-from gradedcover.algebra import _accumulate, _chain_codec, _mul_chain, _odd_rows
+from gradedcover.algebra import _accumulate, _chain_codec, _mul_terms, _odd_rows
 
 
 def _mul_terms_termwise(a, b):
@@ -48,9 +48,9 @@ def _mul_terms_termwise(a, b):
 
 
 def _mul_terms_integer(a, b, n):
-    """Product terms when every coefficient product lands in Q(zeta_n): the
-    one-factor case of ``_mul_chain``, which stores each coefficient at n."""
-    out = _mul_chain(a, [b])
+    """Product terms when every coefficient product lands in Q(zeta_n):
+    ``_mul_terms``, which stores each coefficient at n."""
+    out = _mul_terms(a, b)
     assert all(c.conductor == n for c in out.values())
     return out
 
