@@ -16,14 +16,17 @@ cross-check of the production algorithm.
 A monomial's weight is its residue tuple, one dot product per cyclic factor
 (``_residues``); a ``Character`` is built once per distinct weight asked for.
 
-Products run through ``_mul_terms``, two operands in integers: both are
-lifted once to Q(zeta_N), N the lcm of their coefficients' conductors, one
-integer vector per output monomial over one denominator, reduced modulo
-Phi_N once per monomial (at N = 1, plain ints), one gcd per coefficient.
-Coefficients print by value, so where one is stored never shows.
-Monomials are packed into int keys, so a monomial product is one integer
-addition, through one codec per layout (variable count, byte-wide fields)
-whose memo of unpacked monomials is cleared when full.
+Products run on packed polynomials (d, {key: integer vector}): each
+coefficient at one conductor N over one denominator d, reduced modulo Phi_N
+(at N = 1, plain ints), and each monomial an int key, so a monomial product
+is one integer addition, through one codec per layout (variable count,
+byte-wide fields) whose memo of unpacked monomials is cleared when full.
+``_mul_terms`` is ``_pack`` of both operands at the lcm of their
+conductors, the kernel ``_packed_product`` and ``_unpacked``, one gcd per
+coefficient.  ``_substitute`` (``substitute`` and ``compose``) packs each
+image once and evaluates whole functions on packed values, calling the
+kernel directly, and unpacks each result once.  Coefficients print by
+value, so where one is stored never shows.
 ``SuperPolynomial.__mul__`` scales by a scalar, returns the other operand
 for a factor equal to the constant 1 at conductor 1, and multiplies one term
 by one term as one Cyclotomic product.
@@ -42,7 +45,8 @@ one never equals a graded one; polynomials and quotients compare by value.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import add, mul, neg
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -242,19 +246,24 @@ class _Codec:
         return m
 
 
-def _chain_codec(factors: Sequence[Terms]) -> _Codec:
-    """The codec whose fields fit the product of ``factors`` (the first one
-    non-empty): a field holds the sum of their largest exponents, rounded up
-    to whole bytes, so that products over one signature mostly share one
-    codec and its memo."""
-    width = sum(max((e for m in t for e in m.even), default=0) for t in factors).bit_length()
-    layout = len(next(iter(factors[0])).even), -(-width // 8) * 8
+def _codec(n_even: int, top: int) -> _Codec:
+    """The codec of ``n_even`` fields that hold exponents up to ``top``,
+    rounded up to whole bytes, so that products over one signature mostly
+    share one codec and its memo."""
+    layout = n_even, -(-top.bit_length() // 8) * 8
     codec = _CODECS.get(layout)
     if codec is None:
         if len(_CODECS) >= _CODEC_BOUND:
             _CODECS.clear()
         codec = _CODECS[layout] = _Codec(*layout)
     return codec
+
+
+def _chain_codec(factors: Sequence[Terms]) -> _Codec:
+    """The codec whose fields fit the product of ``factors`` (the first one
+    non-empty): a field holds the sum of their largest exponents."""
+    top = sum(max((e for m in t for e in m.even), default=0) for t in factors)
+    return _codec(len(next(iter(factors[0])).even), top)
 
 
 def _odd_rows(keys_a, keys_b: list, values_b: list, shift: int, negate) -> dict[int, list]:
@@ -286,54 +295,85 @@ def _accumulate(out: dict, items) -> dict:
     return out
 
 
-def _integer_vectors(terms: Terms, n: int) -> tuple[int, list]:
-    """(d, vectors): each coefficient lifted to conductor n is its integer
-    vector over the power basis divided by d = lcm(dens); at n = 1, one int."""
-    lifted = [c if c.conductor == n else c.lift(n) for c in terms.values()]
-    d = lcm(*(c.den for c in lifted))
+# A packed polynomial is (d, {key: value}): each value an integer vector
+# over the power basis of Q(zeta_n), reduced modulo Phi_n (one int at n = 1),
+# the coefficient at ``key`` being value/d; zeros are dropped.
+
+
+def _entries(c: Cyclotomic, n: int):
+    """c's integer vector at conductor n (one int at n = 1), n a multiple of
+    its conductor or c rational."""
     if n == 1:
-        return d, [c.num[0] * (d // c.den) for c in lifted]
-    return d, [c.num if c.den == d else [x * (d // c.den) for x in c.num] for c in lifted]
+        return c.num[0]
+    if c.conductor == n:
+        return c.num
+    if n % c.conductor == 0:
+        return c.lift(n).num
+    return c.num[:1] + (0,) * (_reducer(n)[0] - 1)
+
+
+def _pack(terms: Terms, n: int, codec: _Codec) -> tuple[int, dict]:
+    """The packed form of ``terms`` at conductor n over d = lcm(dens); its
+    gcd with every entry is 1, as each coefficient is in lowest terms."""
+    d = lcm(*(c.den for c in terms.values()))
+    pack = codec.pack
+    if n == 1:
+        return d, {pack(m): c.num[0] * (d // c.den) for m, c in terms.items()}
+    return d, {pack(m): v if c.den == d else tuple(x * (d // c.den) for x in v)
+               for m, c in terms.items() for v in (c.num if c.conductor == n else _entries(c, n),)}
+
+
+def _packed_product(a: tuple[int, dict], b: tuple[int, dict], n: int, shift: int
+                    ) -> tuple[int, dict]:
+    """a times b on packed polynomials at conductor n, ``shift`` the codec's:
+    each output key sums its convolutions over da*db and is reduced modulo
+    Phi_n once, zeros dropped, no gcd taken."""
+    (da, ta), (db, tb) = a, b
+    acc = {}
+    if n == 1:
+        rows = _odd_rows(ta, list(tb), list(tb.values()), shift, neg)
+        for ka, x in ta.items():
+            for kb, y in rows[ka >> shift]:
+                key = ka + kb
+                acc[key] = acc.get(key, 0) + x * y
+        return da * db, {key: v for key, v in acc.items() if v}
+    # each vector of b as its non-zero (index, entry) pairs
+    sparse = [[(j, t) for j, t in enumerate(y) if t] for y in tb.values()]
+    rows = _odd_rows(ta, list(tb), sparse, shift, lambda y: [(j, -t) for j, t in y])
+    width = 2 * _reducer(n)[0] - 1
+    for ka, x in ta.items():
+        for kb, y in rows[ka >> shift]:
+            key = ka + kb
+            vec = acc.get(key)
+            if vec is None:
+                vec = acc[key] = [0] * width
+            for i, xi in enumerate(x):
+                if xi:
+                    for j, yj in y:
+                        vec[i + j] += xi * yj
+    reduced = ((key, _reduce(v, n)) for key, v in acc.items())
+    return da * db, {key: r for key, r in reduced if any(r)}
+
+
+def _unpacked(packed: tuple[int, dict], n: int, codec: _Codec) -> Terms:
+    """Terms of a packed polynomial, each coefficient at n in lowest terms by one gcd."""
+    d, t = packed
+    unpack, lowest = codec.unpack, Cyclotomic._lowest
+    if n == 1:
+        return {unpack(key): lowest((v,), d, 1) for key, v in t.items()}
+    return {unpack(key): lowest(v, d, n) for key, v in t.items()}
 
 
 def _mul_terms(a: Terms, b: Terms) -> Terms:
-    """a times b in integers: both are lifted once to Q(zeta_n), n the lcm of
-    their coefficients' conductors, each packed monomial key to an integer
-    vector there (an int at n = 1) over one denominator.  Each output key sums
-    its convolutions and is reduced modulo Phi_n once, zeros dropped; each
-    coefficient takes one gcd.  A zero operand gives {}."""
+    """a times b in integers: both are packed once at Q(zeta_n), n the lcm of
+    their coefficients' conductors, multiplied by ``_packed_product`` and
+    unpacked, so each coefficient takes one gcd.  A zero operand gives {}."""
     if not a or not b:
         return {}
     n = lcm(*(c.conductor for t in (a, b) for c in t.values()))
     codec = _chain_codec([a, b])
-    pack, shift = codec.pack, codec.shift
-    (da, va), (db, vb) = _integer_vectors(a, n), _integer_vectors(b, n)
-    keys_a, keys_b, acc = list(map(pack, a)), list(map(pack, b)), {}
-    if n == 1:
-        rows = _odd_rows(keys_a, keys_b, vb, shift, neg)
-        for ka, x in zip(keys_a, va):
-            for kb, y in rows[ka >> shift]:
-                key = ka + kb
-                acc[key] = acc.get(key, 0) + x * y
-        vecs = ((key, (v,)) for key, v in acc.items() if v)
-    else:
-        # each vector of b as its non-zero (index, entry) pairs
-        sparse = [[(j, t) for j, t in enumerate(y) if t] for y in vb]
-        rows = _odd_rows(keys_a, keys_b, sparse, shift, lambda y: [(j, -t) for j, t in y])
-        width = 2 * _reducer(n)[0] - 1
-        for ka, x in zip(keys_a, va):
-            for kb, y in rows[ka >> shift]:
-                key = ka + kb
-                vec = acc.get(key)
-                if vec is None:
-                    vec = acc[key] = [0] * width
-                for i, xi in enumerate(x):
-                    if xi:
-                        for j, yj in y:
-                            vec[i + j] += xi * yj
-        vecs = ((key, r) for key, r in ((key, _reduce(v, n)) for key, v in acc.items()) if any(r))
-    unpack, lowest, d = codec.unpack, Cyclotomic._lowest, da * db
-    return {unpack(key): lowest(v, d, n) for key, v in vecs}
+    product = _packed_product(_pack(a, n, codec), _pack(b, n, codec), n, codec.shift)
+    return _unpacked(product, n, codec)
 
 
 def _mul_single(t1: tuple, t2: tuple) -> tuple | None:
@@ -768,7 +808,8 @@ class SuperRational(_Frozen):
             )
         # Horner: sum_{k<=m} (-n)^k E^(m-k) over E^(m+1), where (-n)^(m+1) = 0;
         # each extra anticommuting variable can extend m by 1.
-        minus_nil = even - num
+        minus_nil = SuperPolynomial._raw(  # E - N, the odd terms of N negated
+            num.signature, {m: -c for m, c in num.terms.items() if m.odd})
         one = SuperPolynomial.one(num.signature)
         series, den, power = SuperPolynomial.zero(num.signature), one, one
         while power:
@@ -890,10 +931,7 @@ class SuperRational(_Frozen):
                     f"image of {name!r} must have parity {want}, found {have}"
                 )
 
-        powers: dict[tuple[int, int], SuperRational] = {}  # shared by num and den
-        num = _substitute_poly(self.numerator, images, target, powers)
-        den = _substitute_poly(self.denominator, images, target, powers)
-        return num * den.invert()
+        return _substitute([self], images, target)[0]
 
     def restrict_to_base(self) -> "SuperRational":
         """Set all anticommuting and all non-identity-weight variables to zero."""
@@ -1047,26 +1085,121 @@ def restrict_terms(
     return SuperPolynomial._raw(signature, kept)
 
 
-def _substitute_poly(
-    poly: SuperPolynomial,
-    images: Mapping[str, SuperRational],
-    target: SuperSignature,
-    powers: dict,
-) -> SuperRational:
-    """poly at the images; ``powers`` keeps each image power, by (index, exponent)."""
-    sig = poly.signature
-    total = SuperRational.zero(target)
-    for mono, c in poly.terms.items():
-        term = SuperRational.constant(target, c)
-        for i, e in enumerate(mono.even):
-            if e:
-                if (i, e) not in powers:
-                    powers[i, e] = images[sig.even[i]] ** e
-                term = term * powers[i, e]
-        for j in mono.odd:
-            term = term * images[sig.odd[j]]
-        total = total + term
-    return total
+def _canonical(packed: tuple[int, dict], n: int) -> tuple[int, dict]:
+    """The packed polynomial at conductor n with the gcd of d and all its
+    entries divided out: equal values are then equal forms."""
+    d, t = packed
+    if d != 1:
+        g = gcd(d, *(t.values() if n == 1 else chain.from_iterable(t.values())))
+        if g != 1:
+            return d // g, {k: v // g if n == 1 else tuple(x // g for x in v) for k, v in t.items()}
+    return packed
+
+
+def _packed_sum(a: tuple[int, dict], b: tuple[int, dict], n: int) -> tuple[int, dict]:
+    """a + b on packed polynomials at conductor n, over lcm(da, db), canonical."""
+    (da, ta), (db, tb) = a, b
+    d, out = lcm(da, db), {}
+    for t, s in ((ta, d // da), (tb, d // db)):
+        for k, v in t.items():
+            v = v * s if n == 1 else tuple(x * s for x in v)
+            if k in out:
+                v = out[k] + v if n == 1 else tuple(map(add, out[k], v))
+            if v if n == 1 else any(v):
+                out[k] = v
+            else:
+                del out[k]
+    return _canonical((d, out), n)
+
+
+def _substitute(
+    fs: Sequence[SuperRational], images: Mapping[str, SuperRational], target: SuperSignature
+) -> list[SuperRational]:
+    """Each of ``fs``, functions over one signature, at the images over ``target``.
+
+    Each image is packed once, at one conductor n (the lcm of the irrational
+    coefficients' conductors in ``fs`` and the images) and in one codec
+    whose fields hold every exponent reached: a sum of k terms
+    cross-multiplies at most k term denominators, so none passes the sum
+    over a polynomial's terms of sum_v e_v*top(v), top(v) the largest
+    exponent in v's image.  Each numerator and denominator of ``fs`` is then
+    evaluated on canonical packed (numerator, denominator) pairs as
+    ``SuperRational`` arithmetic does termwise: a term is its coefficient
+    times the cached image powers, in variable order, then its odd images; a
+    sum adds numerators over equal denominators and cross-multiplies unequal
+    ones.  Each total is unpacked once, and f is num * den.invert().  A
+    polynomial shared by object, such as the one denominator of a lifted
+    transition's images, is packed, evaluated and inverted once.
+    """
+    if not fs:
+        return []
+    sig = fs[0].signature
+    polys = [p for f in fs for p in (f.numerator, f.denominator)]
+    monos = [m for p in polys for m in p.terms]
+    names = {sig.even[i] for m in monos for i, e in enumerate(m.even) if e}
+    names.update(sig.odd[j] for m in monos for j in m.odd)
+    inner = {v: (images[v].numerator, images[v].denominator) for v in names}
+    top = {v: max((e for p in pair for m in p.terms for e in m.even), default=0)
+           for v, pair in inner.items()}
+    tops = [top.get(v, 0) for v in sig.even + sig.odd]
+    reach = max(sum(sum(map(mul, m.even, tops)) + sum(tops[len(m.even) + j] for j in m.odd)
+                    for m in p.terms) for p in polys)
+    n = lcm(*(c.conductor for p in chain(polys, *inner.values()) for c in p.terms.values()
+              if not c.is_rational()))
+    codec = _codec(len(target.even), reach)
+    one, zero = (1, {0: _entries(Cyclotomic.from_rational(1), n)}), (1, {})
+    unit = SuperPolynomial.one(target)
+    packed: dict[int, tuple] = {}  # by id; ``fs`` and the images hold the objects
+    powers: dict[tuple[str, int], tuple] = {}
+
+    def times(a, b):
+        if not a[1] or not b[1]:
+            return zero
+        if a == one or b == one:
+            return b if a == one else a
+        return _canonical(_packed_product(a, b, n, codec.shift), n)
+
+    def power(v, e):  # v's image to the e, as (numerator, denominator)
+        if (v, e) not in powers:
+            if e == 1:
+                for p in inner[v]:
+                    if id(p) not in packed:
+                        packed[id(p)] = _pack(p.terms, n, codec)
+                powers[v, e] = tuple(packed[id(p)] for p in inner[v])
+            else:
+                half = power(v, e // 2)
+                powers[v, e] = tuple(map(times, half, half))
+                if e % 2:
+                    powers[v, e] = tuple(map(times, powers[v, e], power(v, 1)))
+        return powers[v, e]
+
+    def evaluate(p):
+        total = zero, one
+        for mono, c in p.terms.items():
+            term = (c.den, {0: _entries(c, n)}), one
+            for i, e in enumerate(mono.even):
+                if e:
+                    term = tuple(map(times, term, power(sig.even[i], e)))
+            for j in mono.odd:
+                term = tuple(map(times, term, power(sig.odd[j], 1)))
+            (na, da), (nb, db) = total, term
+            if da == db:
+                total = _packed_sum(na, nb, n), da
+            else:
+                total = _packed_sum(times(na, db), times(nb, da), n), times(da, db)
+        return SuperRational._of(*(
+            unit if x == one else SuperPolynomial._raw(target, _unpacked(x, n, codec))
+            for x in total
+        ))
+
+    nums: dict[int, SuperRational] = {}  # by id, as ``packed``
+    inverses: dict[int, SuperRational] = {}
+    for f in fs:
+        if id(f.numerator) not in nums:
+            nums[id(f.numerator)] = evaluate(f.numerator)
+        if id(f.denominator) not in inverses:
+            inverses[id(f.denominator)] = evaluate(f.denominator).invert()
+    return [nums[id(f.numerator)] * inverses[id(f.denominator)] for f in fs]
 
 
 def decompose_oracle(f: SuperRational) -> dict[Character, SuperRational]:

@@ -20,7 +20,8 @@ import sys
 from .algebra import GradedSignature, SuperRational, SuperSignature
 from .covering import Atlas, check_cocycle, lift_atlas, lift_super
 from .errors import ExprSyntaxError, GradedError
-from .expressions import format_expression, parse_expression, parse_residues, parse_var_name
+from .expressions import _quoted, format_expression, parse_expression, parse_residues
+from .expressions import parse_var_name
 from .groups import (
     FiniteAbelianGroup,
     ParityMap,
@@ -66,7 +67,7 @@ def _weighted_entries(group: FiniteAbelianGroup, names) -> list:
     for name in names:
         full, residues = parse_var_name(name)
         if residues is None:
-            raise ValueError(f"graded variable {name!r} needs a weight suffix like x@(0)")
+            raise ValueError(f"graded variable {_quoted(name)} needs a weight suffix like x@(0)")
         out.append((full, group.character(residues)))
     return out
 

@@ -72,10 +72,13 @@ def covering_map(
 ) -> SuperMorphism:
     """The projection: each coordinate pulls back to the sum of its copies."""
     cover = covering_signature(signature, group, parity)
-    images = {
-        name: sum((SuperRational.variable(cover, c) for c, _ in copies), SuperRational.zero(cover))
-        for part in _copies(signature, cover) for name, copies in part
-    }
+    images = {}
+    for part in _copies(signature, cover):
+        for name, copies in part:
+            terms = {}  # one monomial with coefficient 1 per copy
+            for copy, _ in copies:
+                terms.update(SuperPolynomial.variable(cover, copy).terms)
+            images[name] = SuperRational(SuperPolynomial._raw(cover, terms))
     return SuperMorphism(cover, signature, images)
 
 

@@ -23,9 +23,10 @@ Parentheses nest at most ``MAX_NESTING`` (100) levels deep,
 ``zeta(N,k)`` takes orders N up to ``DEFAULT_ORDER_BOUND`` (4096), and a
 power of an operand with more than one term may have at most
 ``MAX_POWER_SIZE`` (500) coefficient entries as ``_check_power`` counts them;
-neither an integer literal nor a power of one term may hold an integer of
-more than ``MAX_COEFFICIENT_DIGITS`` (4300) digits (``_Parser.integer`` and
-``_term_power`` check them).
+neither an integer literal nor a power, product or quotient of single terms
+may hold an integer of more than ``MAX_COEFFICIENT_DIGITS`` (4300) digits
+(``_Parser.integer``, ``_term_power`` and ``_bounded`` check them).  A
+message quotes at most 40 characters of a name or a residue (``_quoted``).
 ``format_expression`` renders a superfunction back in a canonical,
 re-parseable form, each coefficient by its value: over Q(zeta_N), N the
 exponent of a graded signature's group (1 for a plain one), when that field
@@ -78,15 +79,19 @@ def _lex(text: str) -> list[Token]:
 def parse_residues(text: str, what: str, start: int = 0) -> tuple[int, ...]:
     """The residues of ``text[start:]``, ``(k1,...,kt)`` or ``k1,...,kt``,
     the parentheses optional.  A malformed text is a ``ValueError`` naming
-    ``what`` and quoting ``text``, cut to 40 characters."""
+    ``what`` and quoting ``text`` (``_quoted``)."""
     inner = text[start:].strip()
     if inner.startswith("(") and inner.endswith(")"):
         inner = inner[1:-1]
     try:
         return tuple(int(p) for p in inner.split(","))
     except ValueError:
-        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
-        raise ValueError(f"malformed {what} {shown}; expected (k1,...,kt)") from None
+        raise ValueError(f"malformed {what} {_quoted(text)}; expected (k1,...,kt)") from None
+
+
+def _quoted(text: str) -> str:
+    """``text`` quoted for a message, cut to 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def parse_var_name(name: str) -> tuple[str, tuple[int, ...] | None]:
@@ -113,7 +118,7 @@ class _Parser:
 
     Steps are ``("const", n)``, ``("root", order, power, pos)``,
     ``("var", name, pos)``, ``("neg",)``, ``("^", n, pos)`` and the binary
-    ``("+",)``, ``("-",)``, ``("*",)``, ``("/",)``.  It does no arithmetic
+    ``("+",)``, ``("-",)``, ``("*", pos)``, ``("/", pos)``.  It does no arithmetic
     and no name lookup.
     """
 
@@ -163,7 +168,7 @@ class _Parser:
         self.unary()
         while op := self.take("*", "/"):
             self.unary()
-            self.program.append((op.kind,))
+            self.program.append((op.kind, op.pos))
 
     def unary(self):
         negations = 0
@@ -243,22 +248,29 @@ def _too_long(x: int, k: int = 1) -> bool:
     return x > 1 and (k * (x.bit_length() - 1) >= _DIGIT_LIMIT.bit_length() or x**k >= _DIGIT_LIMIT)
 
 
+def _digits_error(what: str, pos: int) -> ExprSyntaxError:
+    return ExprSyntaxError(
+        f"coefficient of the {what} has more than {MAX_COEFFICIENT_DIGITS} digits", pos
+    )
+
+
+def _bounded(term: tuple | None, what: str, pos: int) -> tuple | None:
+    """``term``, refused at ``pos`` when its coefficient has an integer (entry
+    or denominator) of more than ``MAX_COEFFICIENT_DIGITS`` digits."""
+    if term is not None and max(term[1].den, *map(abs, term[1].num)) >= _DIGIT_LIMIT:
+        raise _digits_error(what, pos)
+    return term
+
+
 def _term_power(term: tuple, exponent: int, pos: int) -> tuple | None:
-    """``_pow_single``, refusing a coefficient c^k with an integer (entry or
-    denominator) of more than ``MAX_COEFFICIENT_DIGITS`` digits: a rational
-    a/b in lowest terms gives |a|^k and b^k, checked before the power is
-    taken, any other c^k once it is taken."""
+    """``_pow_single``, ``_bounded``: a rational a/b in lowest terms gives
+    |a|^k and b^k, checked before the power is taken, any other c^k once it
+    is taken."""
     mono, c = term
-    if c.is_rational() and not mono.odd:
-        too_long = _too_long(max(abs(c.num[0]), c.den), exponent)
-        out = None if too_long else _pow_single(term, exponent)
-    else:
-        out = _pow_single(term, exponent)
-        too_long = out is not None and _too_long(max(*map(abs, out[1].num), out[1].den))
-    if too_long:
-        raise ExprSyntaxError(f"coefficient of the power to the {exponent} has more than "
-                              f"{MAX_COEFFICIENT_DIGITS} digits", pos)
-    return out
+    what = f"power to the {exponent}"
+    if c.is_rational() and not mono.odd and _too_long(max(abs(c.num[0]), c.den), exponent):
+        raise _digits_error(what, pos)
+    return _bounded(_pow_single(term, exponent), what, pos)
 
 
 # A polynomial on the stack is one non-zero (monomial, coefficient) term,
@@ -295,7 +307,7 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
                 except ValueError as exc:  # a residue too long to read as an int
                     raise ExprSyntaxError(str(exc), step[2]) from None
                 if name not in signature.even and name not in signature.odd:
-                    raise ExprSyntaxError(f"unknown identifier {step[1]!r}", step[2])
+                    raise ExprSyntaxError(f"unknown identifier {_quoted(step[1])}", step[2])
                 (mono,) = SuperPolynomial.variable(signature, name).terms
                 monomials[step[1]] = mono
             stack.append((mono, one))
@@ -330,9 +342,9 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
                 continue
             a, b = _term(lhs), _term(rhs)
             if op == "*" and a and b:
-                stack[-1] = _mul_single(a, b) or {}
+                stack[-1] = _bounded(_mul_single(a, b), "product", step[1]) or {}
             elif op == "/" and a and b and b[0] == unit and b[1] != 1:
-                stack[-1] = _mul_single(a, (unit, b[1].inverse()))
+                stack[-1] = _bounded(_mul_single(a, (unit, b[1].inverse())), "quotient", step[1])
             else:
                 stack[-1] = _stacked(_binary(op, _value(lhs, signature), _value(rhs, signature)))
     top = _value(stack[0], signature)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping
 
-from .algebra import GradedSignature, SuperRational, SuperSignature
+from .algebra import GradedSignature, SuperRational, SuperSignature, _substitute
 from .cyclotomic import _Frozen
 from .errors import MorphismValidationError, SignatureMismatchError
 from .groups import Character
@@ -142,16 +142,17 @@ def compose(second: SuperMorphism, first: SuperMorphism) -> SuperMorphism:
     """The composite morphism; pullbacks compose in the opposite order.
 
     ``second`` maps B -> C and ``first`` maps A -> B; the result maps
-    A -> C with images second*(z) evaluated along first.
+    A -> C with images second*(z) evaluated along first, all of them in one
+    ``_substitute``, which packs each image of ``first`` once.
     """
     if first.target != second.source:
         raise SignatureMismatchError(
             "inner target and outer source signatures differ"
         )
-    images = {
-        name: img.substitute(first.images, signature=first.source)
-        for name, img in second.images.items()
-    }
+    # first's images are complete, over first.source and of their variables'
+    # parities, which is all that ``SuperRational.substitute`` checks
+    images = dict(zip(second.images, _substitute(list(second.images.values()),
+                                                 first.images, first.source)))
     if isinstance(first, GradedMorphism) and isinstance(second, GradedMorphism):
         return GradedMorphism(first.source, second.target, images)
     return SuperMorphism(first.source, second.target, images)

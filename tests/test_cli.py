@@ -287,6 +287,21 @@ def test_an_oversized_residue_is_not_echoed(argv, head, tail, capsys):
     assert len(err) < 200 and err.startswith(head) and err.endswith(tail)
 
 
+LONG_NAME = "y" * 5000
+
+
+@pytest.mark.parametrize("argv, head, tail", [
+    (["decompose", "--group", "2", "--even", "x@0", "--expr", LONG_NAME],
+     "syntax error: unknown identifier 'yyy", "... (5000 characters) (position 1)\n"),
+    (["decompose", "--group", "2", "--even", LONG_NAME, "--expr", "1"],
+     "error: graded variable 'yyy", "... (5000 characters) needs a weight suffix like x@(0)\n"),
+], ids=["unknown-identifier", "no-weight-suffix"])
+def test_an_oversized_name_is_not_echoed(argv, head, tail, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err) < 200 and err.startswith(head) and err.endswith(tail)
+
+
 @pytest.mark.parametrize(
     "text, code, group",
     [
@@ -307,11 +322,14 @@ def test_an_oversized_residue_is_not_echoed(argv, head, tail, capsys):
         ("1/(x@0+zeta(3,1)*x@1)", 0, "128"),
         # exact, but 2^999999 has more digits than the interpreter prints
         ("(2*x@0)^999999", 2, "2"),
+        # each factor prints, their product 10^8000 would not
+        ("(10*x@0)^4000*(10*x@0)^4000", 2, "2"),
     ],
     ids=["flat-sum", "minus-chain", "deep-nesting", "syntax-before-division",
          "zeta-order-above-bound", "zeta-order-at-bound", "power-above-size-bound",
          "huge-power-of-one-term", "zeta-3003-high-power", "zeta-4095-high-power",
-         "irrational-norm-over-z64", "irrational-norm-over-z128", "coefficient-above-print-limit"],
+         "irrational-norm-over-z64", "irrational-norm-over-z128", "coefficient-above-print-limit",
+         "product-above-print-limit"],
 )
 def test_hostile_expressions_end_with_their_exit_code(text, code, group, capsys):
     argv = ["decompose", "--group", group, "--parity", "0", "--even", "x@0,x@1"]

@@ -1,0 +1,277 @@
+"""Packed composition against the termwise evaluation it replaced.
+
+``SuperRational.substitute`` and ``compose`` evaluate every function through
+``_substitute``, on packed integer polynomials.  ``substitute_poly`` below is
+the evaluation they used before: one ``SuperRational`` per monomial, summed
+by ``SuperRational.__add__``.  Both must give the same numerator and the same
+denominator, polynomial for polynomial, not only the same value: a
+composite prints as its numerator over its denominator.
+"""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gradedcover import (
+    Cyclotomic,
+    NotInvertibleError,
+    SuperMonomial,
+    SuperMorphism,
+    SuperPolynomial,
+    SuperRational,
+    SuperSignature,
+    compose,
+    root_of_unity,
+)
+from gradedcover import algebra
+from gradedcover.cli import load_atlas, parse_group_spec, parse_parity_spec
+from gradedcover.covering import lift_atlas
+
+
+def substitute_poly(poly, images, target, powers):
+    """poly at the images; ``powers`` keeps each image power, by (index, exponent)."""
+    sig = poly.signature
+    total = SuperRational.zero(target)
+    for mono, c in poly.terms.items():
+        term = SuperRational.constant(target, c)
+        for i, e in enumerate(mono.even):
+            if e:
+                if (i, e) not in powers:
+                    powers[i, e] = images[sig.even[i]] ** e
+                term = term * powers[i, e]
+        for j in mono.odd:
+            term = term * images[sig.odd[j]]
+        total = total + term
+    return total
+
+
+def reference(f, images, target):
+    """f at the images, termwise: numerator times the inverse of the denominator."""
+    powers = {}
+    num = substitute_poly(f.numerator, images, target, powers)
+    den = substitute_poly(f.denominator, images, target, powers)
+    return num * den.invert()
+
+
+def assert_same(got, want):
+    """The same numerator and denominator, term for term, coefficients by value."""
+    assert got.numerator == want.numerator
+    assert got.denominator == want.denominator
+
+
+# B: the variables substituted; A: the variables of the images
+B = SuperSignature(even=("x", "y"), odd=("s", "t"))
+A = SuperSignature(even=("u", "v"), odd=("a", "b", "c"))
+
+
+def coefficient(rng, conductor):
+    """A small rational, times a root of unity of order ``conductor`` on
+    half the draws; now and then a rational stored at conductor 4 or 5."""
+    q = Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 1, 2, 3]))
+    roll = rng.random()
+    if conductor > 1 and roll < 0.5:
+        return root_of_unity(conductor, rng.randrange(conductor)) * q
+    if roll < 0.6:
+        return Cyclotomic([q] + [0] * 3, rng.choice([4, 5]))
+    return q
+
+
+def polynomial(rng, sig, conductor, odd_sizes, terms=3, degree=2, nonzero=False):
+    """Up to ``terms`` monomials of degree at most ``degree`` in the even
+    variables, each with an odd index set whose size is drawn from ``odd_sizes``."""
+    while True:
+        out = {}
+        for _ in range(rng.randint(1 if nonzero else 0, terms)):
+            even = [0] * len(sig.even)
+            for _ in range(rng.randint(0, degree)):
+                even[rng.randrange(len(even))] += 1
+            size = rng.choice(odd_sizes)
+            odd = tuple(sorted(rng.sample(range(len(sig.odd)), size)))
+            out[SuperMonomial(tuple(even), odd)] = coefficient(rng, conductor)
+        poly = SuperPolynomial(sig, out)
+        if poly or not nonzero:
+            return poly
+
+
+def denominator(rng, sig, conductor, shared):
+    """A shared object, a polynomial of its own, or the constant 1 or 3."""
+    roll = rng.random()
+    if roll < 0.35:
+        return shared
+    if roll < 0.7:
+        return polynomial(rng, sig, conductor, [0], terms=2, nonzero=True)
+    return SuperPolynomial.constant(sig, rng.choice([1, 3]))
+
+
+def images_over(rng, conductor):
+    """Images over A of B's variables: even ones with nilpotent content on
+    some draws, odd ones odd; denominators shared, distinct or constant, and
+    now and then a zero image."""
+    shared = polynomial(rng, A, conductor, [0], terms=2, nonzero=True)
+    images = {}
+    for names, sizes in ((B.even, [0, 0, 2]), (B.odd, [1, 1, 3])):
+        for name in names:
+            if rng.random() < 0.1:
+                images[name] = SuperRational.zero(A)
+                continue
+            num = polynomial(rng, A, conductor, sizes, nonzero=True)
+            images[name] = SuperRational(num, denominator(rng, A, conductor, shared))
+    return images
+
+
+def function_over(rng, conductor, odd_sizes, den):
+    """A function over B, over ``den`` or a denominator of its own."""
+    num = polynomial(rng, B, conductor, odd_sizes, terms=3)
+    if den is None:
+        den = polynomial(rng, B, conductor, [0], terms=2, nonzero=True)
+    return SuperRational(num, den)
+
+
+CONDUCTORS = (1, 3, 4, 5, 8, 12)
+
+
+@pytest.mark.parametrize("conductor", CONDUCTORS)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_packed_composition_builds_the_termwise_numerator_and_denominator(conductor, seed):
+    rng = random.Random(seed)
+    first = SuperMorphism(A, B, images_over(rng, conductor))
+    shared = polynomial(rng, B, conductor, [0], terms=2, nonzero=True)
+    # even, odd, even and of mixed parity, which only ``substitute`` takes
+    fs = [function_over(rng, conductor, sizes, shared if rng.random() < 0.5 else None)
+          for sizes in ([0, 2], [1], [0, 2], [0, 1, 2])]
+    wants = []
+    for f in fs:
+        try:
+            wants.append(reference(f, first.images, A))
+        except NotInvertibleError:
+            wants.append(NotInvertibleError)
+    for f, want in zip(fs, wants):
+        if want is NotInvertibleError:
+            with pytest.raises(NotInvertibleError):
+                f.substitute(first.images)
+        else:
+            assert_same(f.substitute(first.images), want)
+    if NotInvertibleError not in wants[:3]:
+        # the first three as the images of one morphism, in one composition
+        target = SuperSignature(even=("p", "r"), odd=("q",))
+        composite = compose(SuperMorphism(B, target, dict(zip("pqr", fs))), first)
+        for name, want in zip("pqr", wants):
+            assert_same(composite.images[name], want)
+
+
+def test_a_denominator_with_nilpotent_content_is_inverted_by_its_series():
+    u, v, a, b, c = (SuperRational.variable(A, n) for n in A.even + A.odd)
+    images = {"x": u + a * b, "y": (v + b * c) / (u + 1), "s": a / (v + 2), "t": c}
+    x, y, s, t = (SuperRational.variable(B, n) for n in B.even + B.odd)
+    for f in (1 / x, (s * t + y) / (x * y + 1), (x + s * t) / (x**2 + 3)):
+        got = f.substitute(images)
+        assert_same(got, reference(f, images, A))
+        assert got.numerator.has_odd_content()
+
+
+def test_zero_images_keep_their_denominators_in_the_sum():
+    u, v, a = (SuperRational.variable(A, n) for n in ("u", "v", "a"))
+    images = {"x": SuperRational.zero(A), "y": (u + 1) / (v + 1), "s": SuperRational.zero(A),
+              "t": a / u}
+    x, y, s, t = (SuperRational.variable(B, n) for n in B.even + B.odd)
+    for f in (x * y + 1, (x * y**2 + y + s * t) / (y + 2), x / (y**2 + 1)):
+        assert_same(f.substitute(images), reference(f, images, A))
+
+
+def test_equal_denominators_add_whatever_their_scale():
+    """u/2 * 2v and u * v are one denominator, as ``SuperRational`` compares
+    them, so the two terms add their numerators over it."""
+    u, v, a, b = (SuperRational.variable(A, n) for n in ("u", "v", "a", "b"))
+    images = {"x": 1 / (u / 2), "y": 1 / (2 * v), "s": a / u, "t": b / v}
+    x, y, s, t = (SuperRational.variable(B, n) for n in B.even + B.odd)
+    f = x * y + s * t
+    got = f.substitute(images)
+    assert_same(got, reference(f, images, A))
+    assert got.denominator == (u * v).numerator
+
+
+def test_a_singular_substituted_denominator_still_raises():
+    a, b = (SuperRational.variable(A, n) for n in ("a", "b"))
+    x = SuperRational.variable(B, "x")
+    first = SuperMorphism(A, SuperSignature(even=("x",)), {"x": a * b})
+    second = SuperMorphism(SuperSignature(even=("x",)), SuperSignature(even=("p",)),
+                           {"p": 1 / SuperRational.variable(first.target, "x")})
+    for call in (lambda: (1 / x).substitute({"x": a * b}),
+                 lambda: (1 / x).substitute({"x": SuperRational.zero(A)}),
+                 lambda: compose(second, first)):
+        with pytest.raises(NotInvertibleError):
+            call()
+
+
+@pytest.mark.parametrize("exponent, image_degree, top, width", [
+    (15, None, 255, 8),  # y^8 + y^9: the cross-multiplied sum reaches x^255
+    (15, 1, 256, 16),  # ... plus z, whose denominator 1 multiplies it by x
+    (16, None, 256, 16),
+])
+def test_the_codec_bound_leaves_no_carry(monkeypatch, exponent, image_degree, top, width):
+    """Each field holds every exponent the evaluation reaches: for each
+    product, the largest exponents of its operands sum to at most the field,
+    and the result is the reference's."""
+    sig = SuperSignature(even=("y", "z"))
+    target = SuperSignature(even=("x", "w"))
+    x = SuperRational.variable(target, "x")
+    y, z = (SuperRational.variable(sig, n) for n in sig.even)
+    images = {"y": (x**exponent + 1) / (x**exponent + 2), "z": x**(image_degree or 1)}
+    f = y**8 + y**9 if exponent == 15 else y**16
+    if image_degree:
+        f = f + z
+    codecs, products = [], []
+    codec, product = algebra._codec, algebra._packed_product
+
+    def spy_codec(n_even, reach):
+        codecs.append((reach, codec(n_even, reach)))
+        return codecs[-1][1]
+
+    def spy_product(a, b, n, shift):
+        products.append((a[1], b[1], shift))
+        return product(a, b, n, shift)
+
+    monkeypatch.setattr(algebra, "_codec", spy_codec)
+    monkeypatch.setattr(algebra, "_packed_product", spy_product)
+    got = f.substitute(images)
+    reach, used = codecs[0]  # the evaluation's; ``_mul_terms`` picks its own later
+    assert (reach, used.width) == (top, width)
+    field = used.field
+    for ta, tb, shift in products:
+        if shift == used.shift:
+            for s in used.shifts:
+                assert max(k >> s & field for k in ta) + max(k >> s & field for k in tb) <= field
+    assert_same(got, reference(f, images, target))
+    assert max(m.even[0] for m in got.numerator.terms) == top
+
+
+P1 = """{"charts": {"0": {"even": ["x"]}, "1": {"even": ["y"]}},
+         "transitions": {"0->1": {"y": "1/x"}, "1->0": {"x": "1/y"}}}"""
+
+
+def test_one_compose_packs_each_image_of_first_once(monkeypatch):
+    """Composing two lifted transitions packs each numerator and each
+    shared denominator of the inner one's images once."""
+    atlas, _, _ = load_atlas(json.loads(P1))
+    group = parse_group_spec("3")
+    lifted = lift_atlas(atlas, group, parse_parity_spec(group, "0"))
+    first, second = lifted.transitions[("0", "1")], lifted.transitions[("1", "0")]
+    packed = []
+    pack = algebra._pack
+
+    def spy(terms, n, codec):
+        packed.append(terms)
+        return pack(terms, n, codec)
+
+    monkeypatch.setattr(algebra, "_pack", spy)
+    composite = compose(second, first)
+    assert composite.is_identity()
+    polys = {id(p): p for f in first.images.values() for p in (f.numerator, f.denominator)}
+    assert len(polys) == len(first.images) + 1  # one denominator, shared
+    for p in polys.values():
+        assert sum(terms is p.terms for terms in packed) == 1

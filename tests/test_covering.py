@@ -610,18 +610,19 @@ def test_the_broken_benchmark_atlas_report_is_pinned(tmp_path, capsys, monkeypat
 
 def test_integer_products_and_equality_build_no_fraction():
     """While the broken benchmark atlas is checked, no Fraction is constructed
-    inside ``_mul_terms`` or ``Cyclotomic.__eq__``: coefficients are
+    inside the packed product kernel ``_packed_product`` (which ``_mul_terms``
+    and composition share) or ``Cyclotomic.__eq__``: coefficients are
     integers over one denominator on both sides."""
     from fractions import Fraction
 
     from gradedcover import Cyclotomic
-    from gradedcover.algebra import _mul_terms
+    from gradedcover.algebra import _packed_product
 
     lifted = lifted_atlas(*inputs.BROKEN_BASE)
     m = lifted.transitions[("1", "0")]
     text = json.dumps(dump_atlas(lifted, m.source.group, m.source.parity))
     broken, _, _ = load_atlas(json.loads(inputs.break_lifted(text)))
-    watched = {_mul_terms.__code__: "terms", Cyclotomic.__eq__.__code__: "eq"}
+    watched = {_packed_product.__code__: "terms", Cyclotomic.__eq__.__code__: "eq"}
     # every construction path: __new__, and _from_coprime_ints where it exists
     makers = {getattr(f, "__func__", f).__code__ for name, f in vars(Fraction).items()
               if name in ("__new__", "_from_coprime_ints")}
@@ -643,7 +644,8 @@ def test_integer_products_and_equality_build_no_fraction():
     finally:
         sys.setprofile(None)
     assert not report.ok
-    assert entered["terms"] > 100 and entered["eq"] > 100, entered
+    # the watch saw both run: 104 products and 100 comparisons at this writing
+    assert entered["terms"] > 50 and entered["eq"] > 50, entered
     assert made == []
 
 

@@ -147,6 +147,23 @@ def test_integer_literals_are_bounded_by_the_digits_the_interpreter_reads():
     assert parse_expression(digits[1:], sig) == SuperRational.constant(sig, int(digits[1:]))
 
 
+def test_single_term_products_and_quotients_are_bounded_by_the_printable_digits():
+    """A product or a quotient of one term by one term may not make a
+    coefficient the interpreter cannot print: it is refused at its operator."""
+    sig = SuperSignature(even=["x"])
+    big = "(10*x)^4000"  # 10^4000 has 4001 digits
+    for text, what, position in [(f"{big}*{big}", "product", 12),
+                                 (f"{big}/(1/10)^4000", "quotient", 12),
+                                 (f"x*{big}*10^300", "product", 14)]:
+        with pytest.raises(ExprSyntaxError, match=f"coefficient of the {what} has more than "
+                                                  "4300 digits") as err:
+            parse_expression(text, sig)
+        assert err.value.position == position  # the operator
+    # 4,300 digits are printable
+    value = parse_expression(f"{big}*10^299", sig)
+    assert value.numerator.terms[SuperMonomial((4000,), ())] == 10**4299
+
+
 def test_power_bound_counts_terms_times_field_width():
     sig = line_signature()
     # 500 terms of width 1, and C(32,2) = 496 terms of (1 + x0 + x1)^30
