@@ -266,16 +266,16 @@ def _chain_codec(factors: Sequence[Terms]) -> _Codec:
     return _codec(len(next(iter(factors[0])).even), top)
 
 
-def _odd_rows(keys_a, keys_b: list, values_b: list, shift: int, negate) -> dict[int, list]:
-    """Per distinct odd mask of ``keys_a``: ``(key, value)`` for the terms of b
-    whose product with it survives, in b's order, the value negated by
-    ``negate`` where reordering the odd factors flips the sign."""
+def _odd_rows(keys_a, items_b, shift: int, negate) -> dict[int, list]:
+    """Per distinct odd mask of ``keys_a``: ``(key, value)`` for the terms of b,
+    ``items_b`` re-iterable, whose product with it survives, in b's order, the
+    value negated by ``negate`` where reordering the odd factors flips the sign."""
     rows: dict[int, list] = {}
     for ka in keys_a:
         ma = ka >> shift
         if ma not in rows:
             row = rows[ma] = []
-            for kb, y in zip(keys_b, values_b):
+            for kb, y in items_b:
                 mb = kb >> shift
                 sign = _odd_sign(ma, mb) if mb else 1
                 if sign:
@@ -331,15 +331,15 @@ def _packed_product(a: tuple[int, dict], b: tuple[int, dict], n: int, shift: int
     (da, ta), (db, tb) = a, b
     acc = {}
     if n == 1:
-        rows = _odd_rows(ta, list(tb), list(tb.values()), shift, neg)
+        rows = _odd_rows(ta, tb.items(), shift, neg)
         for ka, x in ta.items():
             for kb, y in rows[ka >> shift]:
                 key = ka + kb
                 acc[key] = acc.get(key, 0) + x * y
         return da * db, {key: v for key, v in acc.items() if v}
     # each vector of b as its non-zero (index, entry) pairs
-    sparse = [[(j, t) for j, t in enumerate(y) if t] for y in tb.values()]
-    rows = _odd_rows(ta, list(tb), sparse, shift, lambda y: [(j, -t) for j, t in y])
+    sparse = [(kb, [(j, t) for j, t in enumerate(y) if t]) for kb, y in tb.items()]
+    rows = _odd_rows(ta, sparse, shift, lambda y: [(j, -t) for j, t in y])
     width = 2 * _reducer(n)[0] - 1
     for ka, x in ta.items():
         for kb, y in rows[ka >> shift]:
@@ -1128,8 +1128,8 @@ def _substitute(
     times the cached image powers, in variable order, then its odd images; a
     sum adds numerators over equal denominators and cross-multiplies unequal
     ones.  Each total is unpacked once, and f is num * den.invert().  A
-    polynomial shared by object, such as the one denominator of a lifted
-    transition's images, is packed, evaluated and inverted once.
+    polynomial shared by object is packed once, and a denominator shared so,
+    as by a lifted transition's images, is evaluated and inverted once.
     """
     if not fs:
         return []
@@ -1192,14 +1192,11 @@ def _substitute(
             for x in total
         ))
 
-    nums: dict[int, SuperRational] = {}  # by id, as ``packed``
-    inverses: dict[int, SuperRational] = {}
+    inverses: dict[int, SuperRational] = {}  # by id, as ``packed``
     for f in fs:
-        if id(f.numerator) not in nums:
-            nums[id(f.numerator)] = evaluate(f.numerator)
         if id(f.denominator) not in inverses:
             inverses[id(f.denominator)] = evaluate(f.denominator).invert()
-    return [nums[id(f.numerator)] * inverses[id(f.denominator)] for f in fs]
+    return [evaluate(f.numerator) * inverses[id(f.denominator)] for f in fs]
 
 
 def decompose_oracle(f: SuperRational) -> dict[Character, SuperRational]:

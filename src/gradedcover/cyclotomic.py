@@ -419,13 +419,19 @@ def _spread(num: tuple[int, ...], step: int, n: int) -> tuple[int, ...]:
     return _reduce(out, n)
 
 
-def _power(base, k: int, one):
-    """base ** k for k >= 0 by binary powering, starting from ``one``."""
+def _power(base, k: int, one, check=None):
+    """base ** k for k >= 0 by binary powering, starting from ``one``; each
+    product is passed to ``check``, if given, as soon as it is taken."""
     result = one
     while k:
         if k & 1:
             result = result * base
-        base = base * base if k > 1 else base
+            if check:
+                check(result)
+        if k > 1:
+            base = base * base
+            if check:
+                check(base)
         k >>= 1
     return result
 

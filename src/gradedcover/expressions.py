@@ -23,9 +23,13 @@ Parentheses nest at most ``MAX_NESTING`` (100) levels deep,
 ``zeta(N,k)`` takes orders N up to ``DEFAULT_ORDER_BOUND`` (4096), and a
 power of an operand with more than one term may have at most
 ``MAX_POWER_SIZE`` (500) coefficient entries as ``_check_power`` counts them;
-neither an integer literal nor a power, product or quotient of single terms
-may hold an integer of more than ``MAX_COEFFICIENT_DIGITS`` (4300) digits
-(``_Parser.integer``, ``_term_power`` and ``_bounded`` check them).  A
+neither an integer literal nor a product, quotient or power, nor a sum
+that involves a quotient, may hold an integer of more than
+``MAX_COEFFICIENT_DIGITS`` (4300) digits (``_Parser.integer``, ``_bounded``
+and ``_bounded_value`` check them; ``_term_power`` checks a rational
+single-term power before it is taken, and ``_bounded_power`` each product
+of a power as it is taken).  A sum of polynomials is not checked: it adds
+at most one digit.  A
 message quotes at most 40 characters of a name or a residue (``_quoted``).
 ``format_expression`` renders a superfunction back in a canonical,
 re-parseable form, each coefficient by its value: over Q(zeta_N), N the
@@ -42,7 +46,7 @@ from typing import NamedTuple
 
 from .algebra import GradedSignature, SuperMonomial, SuperPolynomial, SuperRational, SuperSignature
 from .algebra import _accumulate, _mul_single, _pow_single
-from .cyclotomic import Cyclotomic, _basis_pieces, _join_signed, euler_phi, root_of_unity
+from .cyclotomic import Cyclotomic, _basis_pieces, _join_signed, _power, euler_phi, root_of_unity
 from .errors import ExprSyntaxError
 from .groups import DEFAULT_ORDER_BOUND
 
@@ -118,8 +122,8 @@ class _Parser:
 
     Steps are ``("const", n)``, ``("root", order, power, pos)``,
     ``("var", name, pos)``, ``("neg",)``, ``("^", n, pos)`` and the binary
-    ``("+",)``, ``("-",)``, ``("*", pos)``, ``("/", pos)``.  It does no arithmetic
-    and no name lookup.
+    ``(op, pos)`` for op in ``+ - * /``.  It does no arithmetic and no name
+    lookup.
     """
 
     def __init__(self, tokens: list[Token]):
@@ -162,7 +166,7 @@ class _Parser:
         self.term()
         while op := self.take("+", "-"):
             self.term()
-            self.program.append((op.kind,))
+            self.program.append((op.kind, op.pos))
 
     def term(self):
         self.unary()
@@ -209,20 +213,22 @@ class _Parser:
 
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_RESULTS = {"+": "sum", "-": "difference", "*": "product", "/": "quotient"}
 
 Value = SuperPolynomial | SuperRational  # a polynomial p stands for p/1
 
 
-def _binary(op: str, lhs: Value, rhs: Value) -> Value:
+def _binary(op: str, lhs: Value, rhs: Value, pos: int) -> Value:
     """``lhs op rhs`` as ``SuperRational`` computes it, kept as a polynomial
     while the denominator is 1; a polynomial divided by a non-constant even
-    polynomial is their quotient, the terms its inverse series would give."""
+    polynomial is their quotient, the terms its inverse series would give.
+    A result with new coefficients is ``_bounded_value`` at ``pos``."""
     if op == "/" and isinstance(lhs, SuperPolynomial) and isinstance(rhs, SuperPolynomial):
         if rhs.as_constant() is None and rhs and not rhs.has_odd_content():
             return SuperRational(lhs, rhs)
     lhs, rhs = (SuperRational(v) if isinstance(v, SuperPolynomial) else v for v in (lhs, rhs))
     out = _BINARY[op](lhs, rhs)
-    return out.numerator if out.denominator.is_one() else out
+    return _bounded_value(out.numerator if out.denominator.is_one() else out, _RESULTS[op], pos)
 
 
 def _check_power(value: Value, exponent: int, pos: int):
@@ -254,12 +260,41 @@ def _digits_error(what: str, pos: int) -> ExprSyntaxError:
     )
 
 
+def _oversized(c: Cyclotomic) -> bool:
+    """Whether c has an integer (entry or denominator) of more than
+    ``MAX_COEFFICIENT_DIGITS`` digits."""
+    return c.den >= _DIGIT_LIMIT or max(map(abs, c.num)) >= _DIGIT_LIMIT
+
+
 def _bounded(term: tuple | None, what: str, pos: int) -> tuple | None:
-    """``term``, refused at ``pos`` when its coefficient has an integer (entry
-    or denominator) of more than ``MAX_COEFFICIENT_DIGITS`` digits."""
-    if term is not None and max(term[1].den, *map(abs, term[1].num)) >= _DIGIT_LIMIT:
+    """``term``, refused at ``pos`` when its coefficient is ``_oversized``."""
+    if term is not None and _oversized(term[1]):
         raise _digits_error(what, pos)
     return term
+
+
+def _bounded_value(value: Value, what: str, pos: int) -> Value:
+    """``value``, refused at ``pos`` when a coefficient of its numerator or
+    denominator is ``_oversized``."""
+    polys = [value] if isinstance(value, SuperPolynomial) else [value.numerator, value.denominator]
+    if any(_oversized(c) for poly in polys for c in poly.terms.values()):
+        raise _digits_error(what, pos)
+    return value
+
+
+def _bounded_power(value: Value, exponent: int, pos: int) -> Value:
+    """``value**exponent`` by the same binary powering, each product
+    ``_bounded_value`` as soon as it is taken, so that no product is taken
+    of a factor past the printable digits."""
+    what = f"power to the {exponent}"
+
+    def power(p: SuperPolynomial) -> SuperPolynomial:
+        one = SuperPolynomial.one(p.signature)
+        return _power(p, exponent, one, lambda q: _bounded_value(q, what, pos))
+
+    if isinstance(value, SuperPolynomial):
+        return power(value)
+    return SuperRational._of(power(value.numerator), power(value.denominator))
 
 
 def _term_power(term: tuple, exponent: int, pos: int) -> tuple | None:
@@ -268,9 +303,20 @@ def _term_power(term: tuple, exponent: int, pos: int) -> tuple | None:
     is taken."""
     mono, c = term
     what = f"power to the {exponent}"
-    if c.is_rational() and not mono.odd and _too_long(max(abs(c.num[0]), c.den), exponent):
+    if not (c.is_rational() and not mono.odd):
+        return _bounded(_pow_single(term, exponent), what, pos)
+    if _too_long(max(abs(c.num[0]), c.den), exponent):
         raise _digits_error(what, pos)
-    return _bounded(_pow_single(term, exponent), what, pos)
+    return _pow_single(term, exponent)
+
+
+def _term_product(a: tuple, b: tuple, pos: int) -> tuple | None:
+    """``_mul_single``, ``_bounded`` where the coefficient is a new product:
+    a factor whose coefficient is 1 leaves the other's, already bounded."""
+    term = _mul_single(a, b)
+    if term is not None and term[1] is not a[1] and term[1] is not b[1]:
+        _bounded(term, "product", pos)
+    return term
 
 
 # A polynomial on the stack is one non-zero (monomial, coefficient) term,
@@ -330,7 +376,7 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
             else:
                 value = _value(stack[-1], signature)
                 _check_power(value, exponent, pos)
-                stack[-1] = _stacked(value**exponent)
+                stack[-1] = _stacked(_bounded_power(value, exponent, pos))
         else:
             rhs = stack.pop()
             lhs = stack[-1]
@@ -342,11 +388,12 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
                 continue
             a, b = _term(lhs), _term(rhs)
             if op == "*" and a and b:
-                stack[-1] = _bounded(_mul_single(a, b), "product", step[1]) or {}
+                stack[-1] = _term_product(a, b, step[1]) or {}
             elif op == "/" and a and b and b[0] == unit and b[1] != 1:
                 stack[-1] = _bounded(_mul_single(a, (unit, b[1].inverse())), "quotient", step[1])
             else:
-                stack[-1] = _stacked(_binary(op, _value(lhs, signature), _value(rhs, signature)))
+                value = _binary(op, _value(lhs, signature), _value(rhs, signature), step[1])
+                stack[-1] = _stacked(value)
     top = _value(stack[0], signature)
     return top if isinstance(top, SuperRational) else SuperRational(top)
 

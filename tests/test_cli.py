@@ -324,12 +324,16 @@ def test_an_oversized_name_is_not_echoed(argv, head, tail, capsys):
         ("(2*x@0)^999999", 2, "2"),
         # each factor prints, their product 10^8000 would not
         ("(10*x@0)^4000*(10*x@0)^4000", 2, "2"),
+        ("(10*x@0)^4000*(10^4000*x@0 + 1)", 2, "2"),
+        # taking the whole power first took 6.6 s at the exponent 50
+        ("(10^4000*x@0 + 1)^499", 2, "2"),
     ],
     ids=["flat-sum", "minus-chain", "deep-nesting", "syntax-before-division",
          "zeta-order-above-bound", "zeta-order-at-bound", "power-above-size-bound",
          "huge-power-of-one-term", "zeta-3003-high-power", "zeta-4095-high-power",
          "irrational-norm-over-z64", "irrational-norm-over-z128", "coefficient-above-print-limit",
-         "product-above-print-limit"],
+         "product-above-print-limit", "multi-term-product-above-print-limit",
+         "multi-term-power-above-print-limit"],
 )
 def test_hostile_expressions_end_with_their_exit_code(text, code, group, capsys):
     argv = ["decompose", "--group", group, "--parity", "0", "--even", "x@0,x@1"]

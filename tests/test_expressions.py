@@ -164,6 +164,32 @@ def test_single_term_products_and_quotients_are_bounded_by_the_printable_digits(
     assert value.numerator.terms[SuperMonomial((4000,), ())] == 10**4299
 
 
+def test_multi_term_and_quotient_results_are_bounded_by_the_printable_digits():
+    """A product, quotient or power that goes beyond single terms, or a sum
+    or difference of quotients, may not make a coefficient the interpreter
+    cannot print either: it is refused at its operator, a power at the first
+    product of its binary powering that passes the bound."""
+    sig = SuperSignature(even=["x"])
+    big = "(10*x)^4000"  # 10^4000 has 4001 digits
+    for lhs, op, rhs, what in [
+        (big, "*", "(10^4000*x + 1)", "product"),
+        (f"x/{big}", "/", big, "quotient"),
+        ("1/(10^4000*x + 1)", "+", "1/(10^4000*x + 2)", "sum"),
+        ("1/(10^4000*x + 1)", "-", "1/(10^4000*x + 2)", "difference"),
+        ("(10^4000*x + 1)", "^", "2", "power to the 2"),
+        # refused at its first squaring, not after 8 more
+        ("(10^4000*x + 1)", "^", "499", "power to the 499"),
+        ("(1/(1 + 10^3000*x))", "^", "3", "power to the 3"),
+    ]:
+        with pytest.raises(ExprSyntaxError, match=f"coefficient of the {what} has more than "
+                                                  "4300 digits") as err:
+            parse_expression(lhs + op + rhs, sig)
+        assert err.value.position == len(lhs) + 1  # the operator
+    # 4,300 digits are printable
+    value = parse_expression("(10^4000*x + 1)*(10^299*x + 1)", sig)
+    assert value.numerator.terms[SuperMonomial((2,), ())] == 10**4299
+
+
 def test_power_bound_counts_terms_times_field_width():
     sig = line_signature()
     # 500 terms of width 1, and C(32,2) = 496 terms of (1 + x0 + x1)^30

@@ -42,7 +42,7 @@ def _mul_terms_termwise(a, b):
         return {}
     codec = _chain_codec((a, b))
     shift, keys_a = codec.shift, list(map(codec.pack, a))
-    rows = _odd_rows(keys_a, list(map(codec.pack, b)), list(b.values()), shift, neg)
+    rows = _odd_rows(keys_a, [(codec.pack(m), c) for m, c in b.items()], shift, neg)
     pairs = ((ka + kb, c1 * c2) for ka, c1 in zip(keys_a, a.values()) for kb, c2 in rows[ka >> shift])
     return {codec.unpack(key): c for key, c in _accumulate({}, pairs).items()}
 
