@@ -16,17 +16,18 @@ cross-check of the production algorithm.
 A monomial's weight is its residue tuple, one dot product per cyclic factor
 (``_residues``); a ``Character`` is built once per distinct weight asked for.
 
-Products run on packed polynomials (d, {key: integer vector}): each
-coefficient at one conductor N over one denominator d, reduced modulo Phi_N
-(at N = 1, plain ints), and each monomial an int key, so a monomial product
-is one integer addition, through one codec per layout (variable count,
-byte-wide fields) whose memo of unpacked monomials is cleared when full.
-``_mul_terms`` is ``_pack`` of both operands at the lcm of their
-conductors, the kernel ``_packed_product`` and ``_unpacked``, one gcd per
-coefficient.  ``_substitute`` (``substitute`` and ``compose``) packs each
-image once and evaluates whole functions on packed values, calling the
-kernel directly, and unpacks each result once.  Coefficients print by
-value, so where one is stored never shows.
+Products run on packed polynomials (d, {key: int}) at one conductor N over
+one denominator d: each key packs a monomial times z^i, z = zeta_N, so a
+product of two entries is one integer addition of keys and one product of
+ints, through one codec per layout (variable count, byte-wide fields, z's
+field among them) whose memo of unpacked monomials is cleared when full.
+``_packed_product`` is the one kernel: ``_mul_terms`` packs both operands
+at the lcm of their conductors, multiplies them and unpacks the product,
+each coefficient reduced modulo Phi_N once and taking one gcd;
+``_substitute`` (``substitute`` and ``compose``) packs each image once,
+evaluates whole functions on packed values, reducing each product, and
+unpacks each result once; ``_cofactor`` multiplies the twists of the norm
+tower.  Coefficients print by value, so where one is stored never shows.
 ``SuperPolynomial.__mul__`` scales by a scalar, returns the other operand
 for a factor equal to the constant 1 at conductor 1, and multiplies one term
 by one term as one Cyclotomic product.
@@ -47,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add, mul, neg
+from operator import add, mul
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from .cyclotomic import (Cyclotomic, _Frozen, _power, _prime_factors, _reduce, _reducer,
@@ -205,31 +206,35 @@ _CODECS: dict[tuple[int, int], "_Codec"] = {}
 
 
 class _Codec:
-    """Monomials packed into int keys, and keys unpacked through a memo.
+    """Monomials times powers of z = zeta_n packed into int keys, and keys
+    unpacked through a memo.
 
-    Even exponent i occupies bits [i*w, (i+1)*w) and the odd index set is
-    a bitmask above the even fields.  While no field carries, and for
-    disjoint masks, the key of a product monomial is the sum of the keys.
-    Packing is not memoized: hashing a monomial costs as much as packing it.
-    Unpacked monomials share even tuples by even key and odd tuples by mask.
+    Even exponent i occupies bits [i*w, (i+1)*w), z's exponent the next field
+    (from ``zshift``), and the odd index set is a bitmask above them (from
+    ``shift``).  While no field carries, and for disjoint masks, the key of a
+    product term is the sum of the keys.  Packing is not memoized: hashing a
+    monomial costs as much as packing it.  Unpacked monomials share even
+    tuples by even key and odd tuples by mask.
     """
 
-    __slots__ = ("width", "shift", "field", "shifts", "memo", "odds")
+    __slots__ = ("width", "zshift", "shift", "field", "shifts", "memo", "odds")
 
     def __init__(self, n_even: int, width: int):
-        self.width, self.shift, self.field = width, n_even * width, (1 << width) - 1
+        self.width, self.zshift, self.field = width, n_even * width, (1 << width) - 1
+        self.shift = self.zshift + width
         self.shifts = [i * width for i in range(n_even)]
         self.memo: dict[int, SuperMonomial] = {}
         self.odds: dict[int, tuple[int, ...]] = {}
 
     def pack(self, m: SuperMonomial) -> int:
-        """The key of a monomial; ``key >> shift`` is its odd mask."""
-        key = sum(1 << j for j in m.odd)
+        """The key of a monomial times z^0; ``key >> shift`` is its odd mask."""
+        key = sum(1 << j for j in m.odd) << self.width
         for e in reversed(m.even):
             key = key << self.width | e
         return key
 
     def unpack(self, key: int) -> SuperMonomial:
+        """The monomial of a key whose z field is 0."""
         m = self.memo.get(key)
         if m is None:
             if len(self.memo) >= _MEMO_BOUND:
@@ -247,9 +252,9 @@ class _Codec:
 
 
 def _codec(n_even: int, top: int) -> _Codec:
-    """The codec of ``n_even`` fields that hold exponents up to ``top``,
-    rounded up to whole bytes, so that products over one signature mostly
-    share one codec and its memo."""
+    """The codec of ``n_even`` fields and z's that hold exponents up to
+    ``top``, rounded up to whole bytes, so that products over one signature
+    mostly share one codec and its memo."""
     layout = n_even, -(-top.bit_length() // 8) * 8
     codec = _CODECS.get(layout)
     if codec is None:
@@ -259,17 +264,19 @@ def _codec(n_even: int, top: int) -> _Codec:
     return codec
 
 
-def _chain_codec(factors: Sequence[Terms]) -> _Codec:
+def _chain_codec(factors: Sequence[Terms], n: int) -> _Codec:
     """The codec whose fields fit the product of ``factors`` (the first one
-    non-empty): a field holds the sum of their largest exponents."""
+    non-empty) left unreduced at conductor n: an even field holds the sum of
+    their largest exponents, and z's field that of one exponent below phi(n)
+    per factor."""
     top = sum(max((e for m in t for e in m.even), default=0) for t in factors)
-    return _codec(len(next(iter(factors[0])).even), top)
+    return _codec(len(next(iter(factors[0])).even), max(top, len(factors) * (_reducer(n)[0] - 1)))
 
 
-def _odd_rows(keys_a, items_b, shift: int, negate) -> dict[int, list]:
+def _odd_rows(keys_a, items_b, shift: int) -> dict[int, list]:
     """Per distinct odd mask of ``keys_a``: ``(key, value)`` for the terms of b,
     ``items_b`` re-iterable, whose product with it survives, in b's order, the
-    value negated by ``negate`` where reordering the odd factors flips the sign."""
+    value negated where reordering the odd factors flips the sign."""
     rows: dict[int, list] = {}
     for ka in keys_a:
         ma = ka >> shift
@@ -277,9 +284,9 @@ def _odd_rows(keys_a, items_b, shift: int, negate) -> dict[int, list]:
             row = rows[ma] = []
             for kb, y in items_b:
                 mb = kb >> shift
-                sign = _odd_sign(ma, mb) if mb else 1
+                sign = _odd_sign(ma, mb) if ma and mb else 1
                 if sign:
-                    row.append((kb, y if sign > 0 else negate(y)))
+                    row.append((kb, y if sign > 0 else -y))
     return rows
 
 
@@ -295,84 +302,88 @@ def _accumulate(out: dict, items) -> dict:
     return out
 
 
-# A packed polynomial is (d, {key: value}): each value an integer vector
-# over the power basis of Q(zeta_n), reduced modulo Phi_n (one int at n = 1),
-# the coefficient at ``key`` being value/d; zeros are dropped.
+# A packed polynomial is (d, {key: int}), each key a codec's monomial times
+# z^i, z = zeta_n: a monomial's coefficient is the sum of value*z^i over its
+# keys, over d.  Reduced, each i < phi(n) and no value is zero.
 
 
-def _entries(c: Cyclotomic, n: int):
-    """c's integer vector at conductor n (one int at n = 1), n a multiple of
-    its conductor or c rational."""
-    if n == 1:
-        return c.num[0]
-    if c.conductor == n:
-        return c.num
-    if n % c.conductor == 0:
-        return c.lift(n).num
-    return c.num[:1] + (0,) * (_reducer(n)[0] - 1)
+def _entries(c: Cyclotomic, n: int) -> tuple[int, ...]:
+    """c's integers at conductor n, a multiple of its conductor, or its one
+    entry when it is rational."""
+    return c.lift(n).num if n % c.conductor == 0 else c.num[:1]
 
 
 def _pack(terms: Terms, n: int, codec: _Codec) -> tuple[int, dict]:
     """The packed form of ``terms`` at conductor n over d = lcm(dens); its
-    gcd with every entry is 1, as each coefficient is in lowest terms."""
+    gcd with every value is 1, as each coefficient is in lowest terms."""
     d = lcm(*(c.den for c in terms.values()))
     pack = codec.pack
     if n == 1:
         return d, {pack(m): c.num[0] * (d // c.den) for m, c in terms.items()}
-    return d, {pack(m): v if c.den == d else tuple(x * (d // c.den) for x in v)
-               for m, c in terms.items() for v in (c.num if c.conductor == n else _entries(c, n),)}
+    zshift = codec.zshift
+    return d, {key + (i << zshift): x * s
+               for m, c in terms.items() for key, s in ((pack(m), d // c.den),)
+               for i, x in enumerate(_entries(c, n)) if x}
 
 
-def _packed_product(a: tuple[int, dict], b: tuple[int, dict], n: int, shift: int
-                    ) -> tuple[int, dict]:
-    """a times b on packed polynomials at conductor n, ``shift`` the codec's:
-    each output key sums its convolutions over da*db and is reduced modulo
-    Phi_n once, zeros dropped, no gcd taken."""
+def _packed_product(a: tuple[int, dict], b: tuple[int, dict], shift: int) -> tuple[int, dict]:
+    """a times b on packed polynomials, ``shift`` the codec's: each output
+    key sums its products over da*db, unreduced, zeros kept, no gcd taken."""
     (da, ta), (db, tb) = a, b
+    rows = _odd_rows(ta, tb.items(), shift)
     acc = {}
-    if n == 1:
-        rows = _odd_rows(ta, tb.items(), shift, neg)
-        for ka, x in ta.items():
-            for kb, y in rows[ka >> shift]:
-                key = ka + kb
-                acc[key] = acc.get(key, 0) + x * y
-        return da * db, {key: v for key, v in acc.items() if v}
-    # each vector of b as its non-zero (index, entry) pairs
-    sparse = [(kb, [(j, t) for j, t in enumerate(y) if t]) for kb, y in tb.items()]
-    rows = _odd_rows(ta, sparse, shift, lambda y: [(j, -t) for j, t in y])
-    width = 2 * _reducer(n)[0] - 1
     for ka, x in ta.items():
         for kb, y in rows[ka >> shift]:
             key = ka + kb
-            vec = acc.get(key)
-            if vec is None:
-                vec = acc[key] = [0] * width
-            for i, xi in enumerate(x):
-                if xi:
-                    for j, yj in y:
-                        vec[i + j] += xi * yj
-    reduced = ((key, _reduce(v, n)) for key, v in acc.items())
-    return da * db, {key: r for key, r in reduced if any(r)}
+            acc[key] = acc.get(key, 0) + x * y
+    return da * db, acc
+
+
+def _reductions(t: dict, n: int, codec: _Codec):
+    """(monomial key, values modulo Phi_n) per monomial of ``t``, in
+    first-seen order: its values grouped by z's exponent and reduced once,
+    and only then a monomial whose reduction is zero dropped."""
+    zshift, field, phi, vecs = codec.zshift, codec.field, _reducer(n)[0], {}
+    for key, v in t.items():
+        i = key >> zshift & field
+        vec = vecs.get(base := key ^ i << zshift)
+        if vec is None:
+            vec = vecs[base] = [0] * phi
+        if i >= len(vec):
+            vec += [0] * (i + 1 - len(vec))
+        vec[i] = v
+    return ((key, r) for key, vec in vecs.items() if any(r := _reduce(vec, n)))
+
+
+def _reduced(t: dict, n: int, codec: _Codec) -> dict:
+    """``t`` reduced modulo Phi_n (``_reductions``), packed again."""
+    if n == 1:
+        return {key: v for key, v in t.items() if v}
+    zshift = codec.zshift
+    return {key | i << zshift: x
+            for key, r in _reductions(t, n, codec) for i, x in enumerate(r) if x}
 
 
 def _unpacked(packed: tuple[int, dict], n: int, codec: _Codec) -> Terms:
-    """Terms of a packed polynomial, each coefficient at n in lowest terms by one gcd."""
+    """Terms of a packed polynomial, reduced modulo Phi_n (``_reductions``)
+    and each coefficient at n in lowest terms by one gcd."""
     d, t = packed
     unpack, lowest = codec.unpack, Cyclotomic._lowest
     if n == 1:
-        return {unpack(key): lowest((v,), d, 1) for key, v in t.items()}
-    return {unpack(key): lowest(v, d, n) for key, v in t.items()}
+        return {unpack(key): lowest((v,), d, 1) for key, v in t.items() if v}
+    return {unpack(key): lowest(r, d, n) for key, r in _reductions(t, n, codec)}
 
 
 def _mul_terms(a: Terms, b: Terms) -> Terms:
     """a times b in integers: both are packed once at Q(zeta_n), n the lcm of
     their coefficients' conductors, multiplied by ``_packed_product`` and
-    unpacked, so each coefficient takes one gcd.  A zero operand gives {}."""
+    unpacked, so each coefficient takes one reduction and one gcd.  A zero
+    operand gives {}."""
     if not a or not b:
         return {}
     n = lcm(*(c.conductor for t in (a, b) for c in t.values()))
-    codec = _chain_codec([a, b])
-    product = _packed_product(_pack(a, n, codec), _pack(b, n, codec), n, codec.shift)
+    codec = _chain_codec([a, b], n)
+    product = _packed_product(_pack(a, n, codec), _pack(b, n, codec), codec.shift)
     return _unpacked(product, n, codec)
 
 
@@ -1012,43 +1023,26 @@ def _cofactor(sig: GradedSignature, terms: Terms, js: list[int], p: int) -> Supe
     products of p - 1 entries of the a_m times roots of unity, so at most
     L^(p-1) in size, L the sum of all |entries|.  With t = 2L + 1, s -> t is
     a ring map Z[z][s]/Phi_p(s) -> (Z/M)[z] for M = Phi_p(t) >= t^(p-1) >
-    2*L^(p-1) (Kronecker substitution): the twists multiplied as integers
-    modulo M, z's exponent in the odd field of the packed keys, leave each
-    such coefficient as its symmetric residue.  M need not be prime.  Each
-    z-vector is then reduced modulo Phi_N once; at N = 1 it is one int.
+    2*L^(p-1) (Kronecker substitution): the twists of the packed P, multiplied
+    by ``_packed_product`` modulo M, z's exponent in its own field of the
+    keys, leave each such coefficient as its symmetric residue.  M need not be
+    prime.  The bound holds only while z is left unreduced, so the product is
+    reduced modulo Phi_N once, as it is unpacked.
     """
-    cs = list(terms.values())
-    n = lcm(*(c.conductor for c in cs if not c.is_rational()))
-    d = lcm(*(c.den for c in cs))
-    codec = _chain_codec([terms] * (p - 1))
-    shift = codec.shift
-    entries = [  # (key of m*z^i, entry of a_m at z^i, j_m)
-        (codec.pack(m) + (i << shift), a * (d // c.den), j)
-        for m, c, j in zip(terms, cs, js)
-        for i, a in enumerate(c.num[:1] if c.is_rational() else c.lift(n).num) if a
-    ]
-    t = 2 * sum(abs(a) for _, a, _ in entries) + 1
+    n = lcm(*(c.conductor for c in terms.values() if not c.is_rational()))
+    codec = _chain_codec([terms] * (p - 1), n)
+    d, packed = _pack(terms, n, codec)
+    low, j = (1 << codec.zshift) - 1, dict(zip(map(codec.pack, terms), js))  # P is even
+    t = 2 * sum(map(abs, packed.values())) + 1
     modulus = (t ** p - 1) // (t - 1)
     powers, half = [t ** i for i in range(p)], modulus // 2
     acc = {0: 1}
     for k in range(1, p):
-        twist = [(key, a * powers[j * k % p]) for key, a, j in entries]
-        out = {}
-        for ka, x in acc.items():
-            for kb, y in twist:
-                out[ka + kb] = out.get(ka + kb, 0) + x * y
+        twist = 1, {key: a * powers[j[key & low] * k % p] for key, a in packed.items()}
+        _, out = _packed_product((1, acc), twist, codec.shift)
         acc = {key: r for key, v in out.items() if (r := v % modulus)}
-    signed = ((key, r - modulus if r > half else r) for key, r in acc.items())
-    if n == 1:
-        coeffs = ((key, (r,)) for key, r in signed)
-    else:
-        width, low, vecs = (p - 1) * (_reducer(n)[0] - 1) + 1, (1 << shift) - 1, {}
-        for key, r in signed:  # the monomial's key below shift, z's exponent above
-            vecs.setdefault(key & low, [0] * width)[key >> shift] = r
-        reduced = ((key, _reduce(v, n)) for key, v in vecs.items())
-        coeffs = ((key, r) for key, r in reduced if any(r))
-    unpack, lowest, scale = codec.unpack, Cyclotomic._lowest, d ** (p - 1)
-    return SuperPolynomial._raw(sig, {unpack(key): lowest(r, scale, n) for key, r in coeffs})
+    signed = {key: r - modulus if r > half else r for key, r in acc.items()}
+    return SuperPolynomial._raw(sig, _unpacked((d ** (p - 1), signed), n, codec))
 
 
 def _even_value(sig: SuperSignature, mono: SuperMonomial, point: Mapping[str, complex]) -> complex:
@@ -1085,31 +1079,26 @@ def restrict_terms(
     return SuperPolynomial._raw(signature, kept)
 
 
-def _canonical(packed: tuple[int, dict], n: int) -> tuple[int, dict]:
-    """The packed polynomial at conductor n with the gcd of d and all its
-    entries divided out: equal values are then equal forms."""
+def _canonical(packed: tuple[int, dict]) -> tuple[int, dict]:
+    """The packed polynomial with the gcd of d and all its values divided
+    out: equal values are then equal forms."""
     d, t = packed
     if d != 1:
-        g = gcd(d, *(t.values() if n == 1 else chain.from_iterable(t.values())))
+        g = gcd(d, *t.values())
         if g != 1:
-            return d // g, {k: v // g if n == 1 else tuple(x // g for x in v) for k, v in t.items()}
+            return d // g, {k: v // g for k, v in t.items()}
     return packed
 
 
-def _packed_sum(a: tuple[int, dict], b: tuple[int, dict], n: int) -> tuple[int, dict]:
-    """a + b on packed polynomials at conductor n, over lcm(da, db), canonical."""
+def _packed_sum(a: tuple[int, dict], b: tuple[int, dict]) -> tuple[int, dict]:
+    """a + b on packed polynomials over lcm(da, db), canonical."""
     (da, ta), (db, tb) = a, b
-    d, out = lcm(da, db), {}
-    for t, s in ((ta, d // da), (tb, d // db)):
-        for k, v in t.items():
-            v = v * s if n == 1 else tuple(x * s for x in v)
-            if k in out:
-                v = out[k] + v if n == 1 else tuple(map(add, out[k], v))
-            if v if n == 1 else any(v):
-                out[k] = v
-            else:
-                del out[k]
-    return _canonical((d, out), n)
+    d = lcm(da, db)
+    sa, sb = d // da, d // db
+    out = {k: v * sa for k, v in ta.items()}
+    for k, v in tb.items():
+        out[k] = out.get(k, 0) + v * sb
+    return _canonical((d, {k: v for k, v in out.items() if v}))
 
 
 def _substitute(
@@ -1122,12 +1111,14 @@ def _substitute(
     whose fields hold every exponent reached: a sum of k terms
     cross-multiplies at most k term denominators, so none passes the sum
     over a polynomial's terms of sum_v e_v*top(v), top(v) the largest
-    exponent in v's image.  Each numerator and denominator of ``fs`` is then
-    evaluated on canonical packed (numerator, denominator) pairs as
-    ``SuperRational`` arithmetic does termwise: a term is its coefficient
-    times the cached image powers, in variable order, then its odd images; a
-    sum adds numerators over equal denominators and cross-multiplies unequal
-    ones.  Each total is unpacked once, and f is num * den.invert().  A
+    exponent in v's image, and z's field holds 2*(phi(n) - 1), which an
+    unreduced product of two reduced values may reach.  Each numerator and
+    denominator of ``fs`` is then evaluated on canonical packed (numerator,
+    denominator) pairs as ``SuperRational`` arithmetic does termwise: a term
+    is its coefficient times the cached image powers, in variable order, then
+    its odd images; a sum adds numerators over equal denominators and
+    cross-multiplies unequal ones.  Each product is reduced modulo Phi_n,
+    each total is unpacked once, and f is num * den.invert().  A
     polynomial shared by object is packed once, and a denominator shared so,
     as by a lifted transition's images, is evaluated and inverted once.
     """
@@ -1146,8 +1137,8 @@ def _substitute(
                     for m in p.terms) for p in polys)
     n = lcm(*(c.conductor for p in chain(polys, *inner.values()) for c in p.terms.values()
               if not c.is_rational()))
-    codec = _codec(len(target.even), reach)
-    one, zero = (1, {0: _entries(Cyclotomic.from_rational(1), n)}), (1, {})
+    codec = _codec(len(target.even), max(reach, 2 * (_reducer(n)[0] - 1)))
+    one, zero, zshift = (1, {0: 1}), (1, {}), codec.zshift
     unit = SuperPolynomial.one(target)
     packed: dict[int, tuple] = {}  # by id; ``fs`` and the images hold the objects
     powers: dict[tuple[str, int], tuple] = {}
@@ -1157,7 +1148,8 @@ def _substitute(
             return zero
         if a == one or b == one:
             return b if a == one else a
-        return _canonical(_packed_product(a, b, n, codec.shift), n)
+        d, t = _packed_product(a, b, codec.shift)
+        return _canonical((d, _reduced(t, n, codec)))
 
     def power(v, e):  # v's image to the e, as (numerator, denominator)
         if (v, e) not in powers:
@@ -1176,7 +1168,7 @@ def _substitute(
     def evaluate(p):
         total = zero, one
         for mono, c in p.terms.items():
-            term = (c.den, {0: _entries(c, n)}), one
+            term = (c.den, {i << zshift: x for i, x in enumerate(_entries(c, n)) if x}), one
             for i, e in enumerate(mono.even):
                 if e:
                     term = tuple(map(times, term, power(sig.even[i], e)))
@@ -1184,9 +1176,9 @@ def _substitute(
                 term = tuple(map(times, term, power(sig.odd[j], 1)))
             (na, da), (nb, db) = total, term
             if da == db:
-                total = _packed_sum(na, nb, n), da
+                total = _packed_sum(na, nb), da
             else:
-                total = _packed_sum(times(na, db), times(nb, da), n), times(da, db)
+                total = _packed_sum(times(na, db), times(nb, da)), times(da, db)
         return SuperRational._of(*(
             unit if x == one else SuperPolynomial._raw(target, _unpacked(x, n, codec))
             for x in total

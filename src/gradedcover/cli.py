@@ -6,7 +6,8 @@ Each command returns its JSON payload, its text and its exit code, and
 joined from the payload's strings.  Atlas and morphism files take their
 grading from one reader, the parity defaulting to all-zero bits.
 Exit codes: 0 on success, 1 on a mathematical failure (invalid morphism,
-singular lift, cocycle violation), 2 on usage, syntax, or file errors.
+division by a non-invertible function, cocycle violation), 2 on usage,
+syntax, or file errors.
 """
 
 from __future__ import annotations

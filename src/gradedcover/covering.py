@@ -114,17 +114,15 @@ def lift_super(
 ) -> GradedMorphism:
     """Lift a morphism of superdomains to the graded coverings.
 
-    Built as the lift of psi composed with the source covering projection;
-    the lifted morphism makes the covering square commute exactly.
+    Built as the lift of psi composed with the source covering projection
+    p; the lifted morphism makes the covering square commute exactly.  The
+    composite always exists.  p preserves parity and its target is psi's
+    source, so ``compose`` finds the signatures and parities it checks.  A
+    denominator D of psi is even, non-zero and free of odd variables;
+    setting every copy but x@(0), of identity weight, to 0 turns D(p) back
+    into D, so D(p) is non-zero and even, and ``invert`` inverts it.
     """
-    projection = covering_map(psi.source, group, parity)
-    try:
-        mixed = compose(psi, projection)
-    except GradedError as exc:
-        raise CoveringError(
-            f"the morphism is singular along the covering: {exc}"
-        ) from exc
-    return lift_mixed(mixed)
+    return lift_mixed(compose(psi, covering_map(psi.source, group, parity)))
 
 
 # -- atlases ------------------------------------------------------------

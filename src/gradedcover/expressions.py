@@ -28,8 +28,9 @@ that involves a quotient, may hold an integer of more than
 ``MAX_COEFFICIENT_DIGITS`` (4300) digits (``_Parser.integer``, ``_bounded``
 and ``_bounded_value`` check them; ``_term_power`` checks a rational
 single-term power before it is taken, and ``_bounded_power`` each product
-of a power as it is taken).  A sum of polynomials is not checked: it adds
-at most one digit.  A
+of a power as it is taken).  A sum of polynomials adds at most one digit,
+so it is not checked at its operator: the result of a parse with such a sum
+is ``_bounded_value`` once, at the last one.  A
 message quotes at most 40 characters of a name or a residue (``_quoted``).
 ``format_expression`` renders a superfunction back in a canonical,
 re-parseable form, each coefficient by its value: over Q(zeta_N), N the
@@ -299,14 +300,17 @@ def _bounded_power(value: Value, exponent: int, pos: int) -> Value:
 
 def _term_power(term: tuple, exponent: int, pos: int) -> tuple | None:
     """``_pow_single``, ``_bounded``: a rational a/b in lowest terms gives
-    |a|^k and b^k, checked before the power is taken, any other c^k once it
-    is taken."""
+    |a|^k and b^k, checked before the power is taken; any other c^k is taken
+    by ``_power``, each product checked as soon as it is taken."""
     mono, c = term
     what = f"power to the {exponent}"
-    if not (c.is_rational() and not mono.odd):
-        return _bounded(_pow_single(term, exponent), what, pos)
-    if _too_long(max(abs(c.num[0]), c.den), exponent):
-        raise _digits_error(what, pos)
+    if c.is_rational():
+        if not mono.odd and _too_long(max(abs(c.num[0]), c.den), exponent):
+            raise _digits_error(what, pos)
+    elif exponent > 1 and not mono.odd:
+        power = _power(c, exponent, Cyclotomic.from_rational(1),
+                       lambda q: _bounded((mono, q), what, pos))
+        return SuperMonomial(tuple(e * exponent for e in mono.even), ()), power
     return _pow_single(term, exponent)
 
 
@@ -343,6 +347,7 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
     unit, one = SuperMonomial((0,) * len(signature.even), ()), Cyclotomic.from_rational(1)
     monomials: dict[str, SuperMonomial] = {}  # by identifier, for this parse
     stack: list = []
+    last_sum = None  # (name, position) of the last sum of polynomials, which is not bounded
     for step in _Parser(_lex(text)).parse():
         op = step[0]
         if op == "var":
@@ -385,6 +390,7 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
                 if op == "-":
                     items = [(mono, -c) for mono, c in items]
                 stack[-1] = _accumulate(lhs if type(lhs) is dict else dict((lhs,)), items)
+                last_sum = _RESULTS[op], step[1]
                 continue
             a, b = _term(lhs), _term(rhs)
             if op == "*" and a and b:
@@ -395,6 +401,8 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
                 value = _binary(op, _value(lhs, signature), _value(rhs, signature), step[1])
                 stack[-1] = _stacked(value)
     top = _value(stack[0], signature)
+    if last_sum:
+        _bounded_value(top, *last_sum)
     return top if isinstance(top, SuperRational) else SuperRational(top)
 
 

@@ -760,6 +760,32 @@ def test_orbit_tower_carries_odd_variables_in_the_numerator():
     assert f._normed()[0].has_odd_content()
 
 
+def test_a_cofactor_whose_z_exponents_pass_one_byte():
+    """A p = 3 step at conductor 257 (phi = 256): the twists' product leaves
+    exponents of z = zeta_257 up to 2*201 unreduced, past one byte, and the
+    codec's z field holds them.  The cofactor is the termwise product of the
+    twists of P."""
+    from gradedcover import algebra
+
+    grp = make_group([3])
+    sig = GradedSignature(
+        grp, ParityMap.trivial(grp), even=[("x", grp.character((0,))), ("y", grp.character((1,)))]
+    )
+    x, y = (SuperPolynomial.variable(sig, v) for v in ("x", "y"))
+    den = 1 + x * root_of_unity(257, 200) + y * root_of_unity(257, 201)
+    js = [den.monomial_weight(m).exponent_at(grp.element((1,))) for m in den.terms]
+    product = {SuperMonomial((0, 0), ()): Cyclotomic.from_rational(1)}
+    for k in (1, 2):
+        twist = {m: c * root_of_unity(3, j * k) for (m, c), j in zip(den.terms.items(), js)}
+        out = {}
+        for m1, c1 in product.items():
+            for m2, c2 in twist.items():
+                m = SuperMonomial((m1.even[0] + m2.even[0], m1.even[1] + m2.even[1]), ())
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+        product = {m: c for m, c in out.items() if not c.is_zero()}
+    assert algebra._cofactor(sig, den.terms, js, 3).terms == product
+
+
 def test_irrational_coefficients_take_the_chain():
     """An irrational step of the tower multiplies the twists of P by
     ``_cofactor`` too; N and D equal the oracle's, rational or not."""
@@ -1249,9 +1275,9 @@ def test_substitute_raises_each_image_to_each_power_once(monkeypatch):
     squares = []
     product = algebra._packed_product
 
-    def counted(a, b, n, shift):
+    def counted(a, b, shift):
         squares.append(a is b)
-        return product(a, b, n, shift)
+        return product(a, b, shift)
 
     monkeypatch.setattr(algebra, "_packed_product", counted)
     got = f.substitute(images)

@@ -327,13 +327,18 @@ def test_an_oversized_name_is_not_echoed(argv, head, tail, capsys):
         ("(10*x@0)^4000*(10^4000*x@0 + 1)", 2, "2"),
         # taking the whole power first took 6.6 s at the exponent 50
         ("(10^4000*x@0 + 1)^499", 2, "2"),
+        # taking the whole power first took 16.7 s
+        ("((1+zeta(5,1))*x@0)^10000000", 2, "2"),
+        # each term prints, their sum does not
+        ("9" * 4300 + " + " + "9" * 4300, 2, "2"),
     ],
     ids=["flat-sum", "minus-chain", "deep-nesting", "syntax-before-division",
          "zeta-order-above-bound", "zeta-order-at-bound", "power-above-size-bound",
          "huge-power-of-one-term", "zeta-3003-high-power", "zeta-4095-high-power",
          "irrational-norm-over-z64", "irrational-norm-over-z128", "coefficient-above-print-limit",
          "product-above-print-limit", "multi-term-product-above-print-limit",
-         "multi-term-power-above-print-limit"],
+         "multi-term-power-above-print-limit", "irrational-power-above-print-limit",
+         "sum-above-print-limit"],
 )
 def test_hostile_expressions_end_with_their_exit_code(text, code, group, capsys):
     argv = ["decompose", "--group", group, "--parity", "0", "--even", "x@0,x@1"]
@@ -342,6 +347,14 @@ def test_hostile_expressions_end_with_their_exit_code(text, code, group, capsys)
     elapsed = time.perf_counter() - start
     assert "Traceback" not in capsys.readouterr().err
     assert elapsed < 2.0, f"decompose of {text[:40]!r} took {elapsed:.2f}s"
+
+
+def test_a_sum_past_the_printable_digits_is_a_short_syntax_error(capsys):
+    nines = "9" * 4300
+    argv = ["decompose", "--group", "2", "--even", "x@0", "--expr", f"{nines} + {nines}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 200 and err.startswith("syntax error: coefficient of the sum")
 
 
 @pytest.mark.parametrize("order", ["3", "4", "5", "6"])

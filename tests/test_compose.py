@@ -232,9 +232,9 @@ def test_the_codec_bound_leaves_no_carry(monkeypatch, exponent, image_degree, to
         codecs.append((reach, codec(n_even, reach)))
         return codecs[-1][1]
 
-    def spy_product(a, b, n, shift):
+    def spy_product(a, b, shift):
         products.append((a[1], b[1], shift))
-        return product(a, b, n, shift)
+        return product(a, b, shift)
 
     monkeypatch.setattr(algebra, "_codec", spy_codec)
     monkeypatch.setattr(algebra, "_packed_product", spy_product)
@@ -244,10 +244,44 @@ def test_the_codec_bound_leaves_no_carry(monkeypatch, exponent, image_degree, to
     field = used.field
     for ta, tb, shift in products:
         if shift == used.shift:
-            for s in used.shifts:
+            # each even field, and z's, which holds the unreduced exponents
+            for s in used.shifts + [used.zshift]:
                 assert max(k >> s & field for k in ta) + max(k >> s & field for k in tb) <= field
     assert_same(got, reference(f, images, target))
     assert max(m.even[0] for m in got.numerator.terms) == top
+
+
+def test_the_codec_z_field_holds_unreduced_exponents(monkeypatch):
+    """At conductor 257 (phi = 256) the exponents reach 2 and z's up to
+    2*255 unreduced: the codec is sized by z's field, which holds each
+    product's unreduced exponents of z, and the result is the reference's."""
+    sig = SuperSignature(even=("y",))
+    target = SuperSignature(even=("x", "w"))
+    x = SuperRational.variable(target, "x")
+    y = SuperRational.variable(sig, "y")
+    images = {"y": (x * root_of_unity(257, 200) + 1) / (x + root_of_unity(257, 201))}
+    f = y**2 + y
+    codecs, products = [], []
+    codec, product = algebra._codec, algebra._packed_product
+
+    def spy_codec(n_even, reach):
+        codecs.append(codec(n_even, reach))
+        return codecs[-1]
+
+    def spy_product(a, b, shift):
+        products.append((a[1], b[1], shift))
+        return product(a, b, shift)
+
+    monkeypatch.setattr(algebra, "_codec", spy_codec)
+    monkeypatch.setattr(algebra, "_packed_product", spy_product)
+    got = f.substitute(images)
+    used = codecs[0]
+    assert used.width == 16
+    zs, field = used.zshift, used.field
+    tops = [max(k >> zs & field for k in ta) + max(k >> zs & field for k in tb)
+            for ta, tb, shift in products if shift == used.shift]
+    assert max(tops) > 255 and all(top <= 2 * 255 for top in tops)
+    assert_same(got, reference(f, images, target))
 
 
 P1 = """{"charts": {"0": {"even": ["x"]}, "1": {"even": ["y"]}},

@@ -190,6 +190,26 @@ def test_multi_term_and_quotient_results_are_bounded_by_the_printable_digits():
     assert value.numerator.terms[SuperMonomial((2,), ())] == 10**4299
 
 
+def test_sums_and_irrational_powers_are_bounded_by_the_printable_digits():
+    """A sum of polynomials adds at most one digit: the parse's result is
+    checked once, and refused at its last sum.  An irrational single-term
+    power is refused at the first product of its binary powering past the
+    bound."""
+    sig = SuperSignature(even=["x"])
+    nines = "9" * 4300
+    for text, what, position in [(f"{nines} + {nines}", "sum", 4302),
+                                 (f"{nines}*x - (-{nines}*x)", "difference", 4304),
+                                 (f"({nines} + {nines})/(x + 1)", "sum", 8610),  # x + 1's
+                                 ("((1+zeta(5,1))*x)^10000000", "power to the 10000000", 18)]:
+        with pytest.raises(ExprSyntaxError, match=f"coefficient of the {what} has more than "
+                                                  "4300 digits") as err:
+            parse_expression(text, sig)
+        assert err.value.position == position
+    # 4,300 digits are printable
+    value = parse_expression(f"{nines[1:]} + {nines[1:]}", sig)
+    assert value.numerator.terms[SuperMonomial((0,), ())] == 2 * int(nines[1:])
+
+
 def test_power_bound_counts_terms_times_field_width():
     sig = line_signature()
     # 500 terms of width 1, and C(32,2) = 496 terms of (1 + x0 + x1)^30

@@ -15,7 +15,6 @@ layout, including the order of the output terms.
 import random
 from fractions import Fraction
 from math import lcm
-from operator import neg
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,9 +39,9 @@ def _mul_terms_termwise(a, b):
     """
     if not a or not b:
         return {}
-    codec = _chain_codec((a, b))
+    codec = _chain_codec((a, b), 1)
     shift, keys_a = codec.shift, list(map(codec.pack, a))
-    rows = _odd_rows(keys_a, [(codec.pack(m), c) for m, c in b.items()], shift, neg)
+    rows = _odd_rows(keys_a, [(codec.pack(m), c) for m, c in b.items()], shift)
     pairs = ((ka + kb, c1 * c2) for ka, c1 in zip(keys_a, a.values()) for kb, c2 in rows[ka >> shift])
     return {codec.unpack(key): c for key, c in _accumulate({}, pairs).items()}
 
@@ -354,6 +353,19 @@ def test_single_term_products_match_both_kernels():
                     (c1,), (c2,) = a.values(), b.values()
                     (c,) = got.values()
                     assert c == c1 * c2 * sign
+
+
+def test_products_whose_z_exponents_pass_one_byte():
+    """At conductor 257 (phi = 256) a product's unreduced exponents of
+    z = zeta_257 pass one byte, here 200 + 201 = 401 at x*y: the codec's z
+    field holds them, so no exponent carries into the odd mask."""
+    sig = SuperSignature(even=("x", "y"), odd=("s",))
+    x, y = (SuperPolynomial.variable(sig, v) for v in ("x", "y"))
+    a = 1 + x * root_of_unity(257, 200)
+    b = 1 + y * root_of_unity(257, 201)
+    want = _mul_terms_termwise(a.terms, b.terms)
+    assert_same_terms(_mul_terms(a.terms, b.terms), want)
+    assert want[SuperMonomial((1, 1), ())] == root_of_unity(257, 401 - 257)
 
 
 # -- the codec memo --------------------------------------------------------------
