@@ -36,7 +36,10 @@ by one term as one Cyclotomic product.
 prime-index subgroups from the stabilizer of D up (``_orbit_tower``), on
 the exponents of zeta_N that the group gives D's monomial weights: no group
 element is built.  Each prime step multiplies its twists in integers by
-Kronecker substitution (``_cofactor``), whatever the coefficients.
+Kronecker substitution (``_cofactor``), whatever the coefficients.  The
+tower gives the cofactors and the invariant D*C once per distinct D;
+``_components`` multiplies each numerator by them, so the images of a
+lifted transition norm a shared D once and share its invariant form.
 
 Signatures, polynomials and quotients are ``_Frozen`` (see ``cyclotomic``):
 signatures are equal and hash alike when type and fields agree, so a plain
@@ -46,6 +49,7 @@ one never equals a graded one; polynomials and quotients compare by value.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
@@ -181,9 +185,16 @@ def _graded(sig: SuperSignature) -> GradedSignature:
 
 
 def _residues(sig: GradedSignature, mono: SuperMonomial) -> tuple[int, ...]:
-    """A monomial's weight as residues: one dot product per cyclic factor."""
-    return tuple((sum(map(mul, mono.even, even)) + sum(odd[j] for j in mono.odd)) % q
-                 for q, even, odd in sig.weight_rows)
+    """A monomial's weight as residues: one dot product per cyclic factor, in
+    exact ints, as exponents are unbounded."""
+    even, odd = mono
+    out = []
+    for q, even_row, odd_row in sig.weight_rows:
+        r = sum(map(mul, even, even_row))
+        if odd:
+            r += sum(map(odd_row.__getitem__, odd))
+        out.append(r % q)
+    return tuple(out)
 
 
 def _odd_sign(ma: int, mb: int) -> int:
@@ -839,21 +850,19 @@ class SuperRational(_Frozen):
             return None
         return self.numerator.grassmann_parity()
 
-    def _normed(self) -> tuple[SuperPolynomial, SuperPolynomial]:
-        """Rewrite over a group-invariant denominator.
-
-        Multiplying numerator and denominator by the distinct group twists
-        of D, one per coset of its stabilizer S, makes the denominator the
-        orbit product of D, which the group permutes, i.e. an invariant
-        polynomial, termwise of identity weight.  Homogeneity is then a
-        termwise property of the numerator.
+    def _normed(self) -> tuple[list[SuperPolynomial], SuperPolynomial]:
+        """The norm of the denominator D: cofactors c_1, ..., c_r and D*C,
+        C = c_1*...*c_r the product of the distinct group twists of D, one per
+        coset of its stabilizer S.  D*C is the orbit product of D, which the
+        group permutes: invariant, termwise of identity weight, so over it
+        N*C is homogeneous exactly where it is termwise.  Only D is read.
 
         ``_orbit_tower`` builds it through prime-index subgroups
-        S = K_0 < ... < G, one ``_cofactor`` per step for numerator and
-        denominator, rational or not.  It skips no step whose partial product
-        is already invariant: that may have a larger stabilizer than D.
+        S = K_0 < ... < G, one ``_cofactor`` per step, rational or not.  It
+        skips no step whose partial product is already invariant: that may
+        have a larger stabilizer than D.
         """
-        return _orbit_tower(_graded(self.signature), self.numerator, self.denominator)
+        return _orbit_tower(_graded(self.signature), self.denominator)
 
     def weight(self) -> Character | None:
         """The weight when homogeneous, None when inhomogeneous."""
@@ -863,20 +872,20 @@ class SuperRational(_Frozen):
 
     def _weight_over(self, den_weight: Character | None) -> Character | None:
         """``weight`` given the denominator's termwise weight."""
-        num, _, shift = self._homogeneous_split(den_weight)
-        num_weight = num.termwise_weight()
+        cofactors, _, shift = self._den_split(den_weight)
+        num_weight = reduce(mul, cofactors, self.numerator).termwise_weight()
         return num_weight if num_weight is None or shift is None else num_weight * shift
 
-    def _homogeneous_split(
+    def _den_split(
         self, den_weight: Character | None
-    ) -> tuple[SuperPolynomial, SuperPolynomial, Character | None]:
-        """(N, D, 1/weight(D), None for the identity) over a termwise
-        homogeneous D: this function's own when ``den_weight``, its
-        denominator's termwise weight, is not None, else ``_normed``'s."""
+    ) -> tuple[list[SuperPolynomial], SuperPolynomial, Character | None]:
+        """(cofactors, a termwise homogeneous D', 1/weight(D'), None for the
+        identity): none and this function's own D when ``den_weight``, D's
+        termwise weight, is not None, else ``_normed``'s."""
         if den_weight is None:
             return (*self._normed(), None)
         shift = None if den_weight.is_identity() else den_weight.inverse()
-        return self.numerator, self.denominator, shift
+        return [], self.denominator, shift
 
     def is_homogeneous(self, chi: Character) -> bool:
         if self.is_zero():
@@ -891,16 +900,10 @@ class SuperRational(_Frozen):
         exact and avoids summing rational functions.  A denominator that is
         already homogeneous of weight d needs no norming: the monomials of
         weight w in the numerator contribute the component of weight w/d.
+        ``_components`` does it, as for the images of a lifted transition.
         """
         _graded(self.signature)
-        if self.is_zero():
-            return {}
-        num, den, shift = self._homogeneous_split(self.denominator.termwise_weight())
-        parts = {
-            chi if shift is None else chi * shift: SuperRational(part, den)
-            for chi, part in num.weight_components().items()
-        }
-        return {chi: parts[chi] for chi in sorted(parts, key=lambda c: c.residues)}
+        return _components([self])[0]
 
     def substitute(
         self,
@@ -977,10 +980,34 @@ class SuperRational(_Frozen):
         return {key: val / den for key, val in out.items()}
 
 
+def _components(fs: Sequence[SuperRational]) -> list[dict[Character, SuperRational]]:
+    """``decompose`` of each of ``fs``, functions over one graded signature.
+
+    The denominator part (``_den_split``) is taken once per distinct D,
+    found by identity, then by value (a comparison costs far less than a
+    norm), and each numerator times its cofactors; the components of the
+    functions sharing D share one denominator, weighed and printed once.
+    """
+    splits: dict[int, tuple] = {}  # by id: (D, its split); ``fs`` hold the objects
+    out = []
+    for f in fs:
+        den = f.denominator
+        if f and id(den) not in splits:  # a zero f has no components
+            split = next((s for d, s in splits.values() if d == den), None)
+            splits[id(den)] = den, split or f._den_split(den.termwise_weight())
+        cofactors, normed, shift = splits[id(den)][1] if f else ([], den, None)
+        parts = {
+            chi if shift is None else chi * shift: SuperRational._of(part, normed)
+            for chi, part in reduce(mul, cofactors, f.numerator).weight_components().items()
+        }
+        out.append({chi: parts[chi] for chi in sorted(parts, key=lambda c: c.residues)})
+    return out
+
+
 def _orbit_tower(
-    sig: GradedSignature, num: SuperPolynomial, den: SuperPolynomial
-) -> tuple[SuperPolynomial, SuperPolynomial]:
-    """(N*c_1*...*c_r, P_r): see ``SuperRational._normed``.
+    sig: GradedSignature, den: SuperPolynomial
+) -> tuple[list[SuperPolynomial], SuperPolynomial]:
+    """([c_1, ..., c_r], P_r): see ``SuperRational._normed``.
 
     The group acts on D only through h(g), the exponents of zeta_n (n the
     group exponent) that g gives the distinct monomial weights of D; a weight
@@ -992,11 +1019,13 @@ def _orbit_tower(
     h(g).  P = P_(i-1) is K-invariant, so chi_m(g) = zeta_p^j_m on each
     monomial m of P, j_m read off m's residues too.  The cofactor
     c_i = prod_(k=1..p-1) g^k.P is ``_cofactor`` of the j_m, and P_i = P*c_i.
+    The numerator takes no part: its products N*c_1*...*c_r are the caller's.
     """
     n = sig.group.exponent
     steps = [n // q for q in sig.group.factors]  # residue r at Z_q is zeta_n^(r*n/q)
     weights = dict.fromkeys(tuple(map(mul, _residues(sig, m), steps)) for m in den.terms)
     hk = {(0,) * len(weights)}  # h(K)
+    cofactors = []
     for p in reversed(_prime_factors(n)):
         for t, step in enumerate(steps):
             col = [w[t] for w in weights]  # h(e_t)
@@ -1006,9 +1035,9 @@ def _orbit_tower(
                 h = [order * x % n for x in col]
                 hk = {tuple((u + i * x) % n for u, x in zip(v, h)) for v in hk for i in range(p)}
                 js = [_residues(sig, m)[t] * step * order % n * p // n for m in den.terms]
-                c = _cofactor(sig, den.terms, js, p)
-                num, den = num * c, den * c
-    return num, den
+                cofactors.append(_cofactor(sig, den.terms, js, p))
+                den = den * cofactors[-1]
+    return cofactors, den
 
 
 def _cofactor(sig: GradedSignature, terms: Terms, js: list[int], p: int) -> SuperPolynomial:

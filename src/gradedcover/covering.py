@@ -5,7 +5,11 @@ commuting coordinate by one graded copy x_i@g per even-parity weight g
 and each anticommuting one by a copy per odd-parity weight, and projects
 by sending every coordinate to the sum of its copies.  Morphisms between
 superdomains lift uniquely to the coverings, and lifting an atlas chart
-by chart turns a supermanifold atlas into a graded one.
+by chart turns a supermanifold atlas into a graded one: ``lift_atlas``
+builds each chart's covering signature and projection once, and lifts
+every transition against them through the one lift path ``_lift``, which
+``lift_super`` and ``lift_mixed`` take too.  ``_lift`` decomposes all
+images of a transition together, so a shared denominator is normed once.
 
 A graded morphism into a covering is fixed by its projection, whose
 homogeneous parts are its images, so lifting is functorial and a lifted
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .algebra import GradedSignature, SuperMonomial, SuperPolynomial, SuperRational
-from .algebra import SuperSignature, restrict_terms
+from .algebra import SuperSignature, _components, restrict_terms
 from .errors import CoveringError, GradedError, SignatureMismatchError
 from .expressions import format_expression
 from .groups import Character, FiniteAbelianGroup, ParityMap
@@ -71,7 +75,11 @@ def covering_map(
     signature: SuperSignature, group: FiniteAbelianGroup, parity: ParityMap
 ) -> SuperMorphism:
     """The projection: each coordinate pulls back to the sum of its copies."""
-    cover = covering_signature(signature, group, parity)
+    return _projection(signature, covering_signature(signature, group, parity))
+
+
+def _projection(signature: SuperSignature, cover: GradedSignature) -> SuperMorphism:
+    """``covering_map`` of ``signature``, given its ``covering_signature``."""
     images = {}
     for part in _copies(signature, cover):
         for name, copies in part:
@@ -92,14 +100,18 @@ def lift_mixed(phi: SuperMorphism) -> GradedMorphism:
     source = phi.source
     if not isinstance(source, GradedSignature):
         raise TypeError("the morphism must start from a graded domain")
-    cover = covering_signature(source_super(phi.target), source.group, source.parity)
-    images: dict[str, SuperRational] = {}
-    for part in _copies(phi.target, cover):
-        for name, copies in part:
-            components = phi.images[name].decompose()
-            for copy, chi in copies:
-                images[copy] = components.get(chi, SuperRational.zero(source))
-    return GradedMorphism(source, cover, images)
+    return _lift(phi, covering_signature(source_super(phi.target), source.group, source.parity))
+
+
+def _lift(phi: SuperMorphism, cover: GradedSignature) -> GradedMorphism:
+    """``lift_mixed`` of phi, given the covering signature of its target:
+    images that share a denominator norm it once in one ``_components``."""
+    layout = [entry for part in _copies(phi.target, cover) for entry in part]
+    components = _components([phi.images[name] for name, _ in layout])
+    zero = SuperRational.zero(phi.source)
+    images = {copy: parts.get(chi, zero)
+              for (_, copies), parts in zip(layout, components) for copy, chi in copies}
+    return GradedMorphism(phi.source, cover, images)
 
 
 def source_super(signature: SuperSignature) -> SuperSignature:
@@ -122,7 +134,8 @@ def lift_super(
     setting every copy but x@(0), of identity weight, to 0 turns D(p) back
     into D, so D(p) is non-zero and even, and ``invert`` inverts it.
     """
-    return lift_mixed(compose(psi, covering_map(psi.source, group, parity)))
+    phi = compose(psi, covering_map(psi.source, group, parity))
+    return _lift(phi, covering_signature(psi.target, group, parity))
 
 
 # -- atlases ------------------------------------------------------------
@@ -243,10 +256,11 @@ def _base_atlas(atlas: Atlas) -> Atlas | None:
     gradings = [(sig.group, sig.parity) for sig in atlas.charts.values()]
     if any(grading != gradings[0] for grading in gradings):
         return None
+    projections = {cid: _projection(charts[cid], sig) for cid, sig in atlas.charts.items()}
     transitions = {}
     try:
         for (a, b), lifted in atlas.transitions.items():
-            psi = _descend(lifted, charts[a], charts[b])
+            psi = _descend(lifted, projections[a], charts[b])
             if psi is None:
                 return None
             transitions[(a, b)] = psi
@@ -256,10 +270,11 @@ def _base_atlas(atlas: Atlas) -> Atlas | None:
 
 
 def _descend(
-    lifted: SuperMorphism, source: SuperSignature, target: SuperSignature
+    lifted: SuperMorphism, projection: SuperMorphism, target: SuperSignature
 ) -> SuperMorphism | None:
-    """psi = p_B o lifted o s_A when lifted = lift(psi) is proved, else None."""
-    cover = lifted.source
+    """psi = p_B o lifted o s_A when lifted = lift(psi) is proved, else None;
+    ``projection`` is p_A."""
+    cover, source = lifted.source, projection.target
     # each coordinate's first copy: x@(0), or the first odd-parity copy
     keep = {
         copies[0][0]: k for part in _copies(source, cover) for k, (_, copies) in enumerate(part)
@@ -283,7 +298,7 @@ def _descend(
                 restrict_terms(p, source, *section) for p in (total.numerator, total.denominator)
             ))
     psi = SuperMorphism(source, target, images)
-    projected = compose(psi, covering_map(source, cover.group, cover.parity))
+    projected = compose(psi, projection)
     if all(totals[name] == projected.images[name] for name in totals):
         return psi
     return None
@@ -361,8 +376,9 @@ def lift_atlas(atlas: Atlas, group: FiniteAbelianGroup, parity: ParityMap) -> At
         cid: covering_signature(sig, group, parity)
         for cid, sig in atlas.charts.items()
     }
-    transitions = {
-        key: lift_super(morphism, group, parity)
-        for key, morphism in atlas.transitions.items()
+    projections = {cid: _projection(atlas.charts[cid], cover) for cid, cover in charts.items()}
+    transitions = {  # lift_super of each, against the covering of each chart built once
+        (a, b): _lift(compose(psi, projections[a]), charts[b])
+        for (a, b), psi in atlas.transitions.items()
     }
     return Atlas(charts=charts, transitions=transitions)

@@ -29,13 +29,14 @@ that involves a quotient, may hold an integer of more than
 and ``_bounded_value`` check them; ``_term_power`` checks a rational
 single-term power before it is taken, and ``_bounded_power`` each product
 of a power as it is taken).  A sum of polynomials adds at most one digit,
-so it is not checked at its operator: the result of a parse with such a sum
-is ``_bounded_value`` once, at the last one.  A
+so it is not checked at each operator: a stacked sum carries the position of
+its last ``+`` or ``-`` and is ``_bounded_value`` once there, as it leaves
+the stack as an operand or as the result.  A
 message quotes at most 40 characters of a name or a residue (``_quoted``).
 ``format_expression`` renders a superfunction back in a canonical,
-re-parseable form, each coefficient by its value: over Q(zeta_N), N the
-exponent of a graded signature's group (1 for a plain one), when that field
-holds it, else at its least conductor.
+re-parseable form in one pass over its sorted terms, each coefficient by its
+value: over Q(zeta_N), N the exponent of a graded signature's group (1 for a
+plain one), when that field holds it, else at its least conductor.
 """
 
 from __future__ import annotations
@@ -347,7 +348,14 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
     unit, one = SuperMonomial((0,) * len(signature.even), ()), Cyclotomic.from_rational(1)
     monomials: dict[str, SuperMonomial] = {}  # by identifier, for this parse
     stack: list = []
-    last_sum = None  # (name, position) of the last sum of polynomials, which is not bounded
+    sums: dict[int, tuple] = {}  # by id of a stacked sum of polynomials: (name, its last position)
+
+    def settled(value):
+        """``value`` leaving the stack: a sum is ``_bounded_value`` at its last position."""
+        if sums and type(value) is dict and (mark := sums.pop(id(value), None)):
+            _bounded_value(_value(value, signature), *mark)
+        return value
+
     for step in _Parser(_lex(text)).parse():
         op = step[0]
         if op == "var":
@@ -372,11 +380,11 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
                 )
             stack.append((unit, root_of_unity(order, power)))
         elif op == "neg":
-            top = stack[-1]
+            top = settled(stack[-1])
             stack[-1] = (top[0], -top[1]) if type(top) is tuple else _stacked(-_value(top, signature))
         elif op == "^":
             _, exponent, pos = step
-            if term := _term(stack[-1]):
+            if term := _term(settled(stack[-1])):
                 stack[-1] = _term_power(term, exponent, pos) or {}
             else:
                 value = _value(stack[-1], signature)
@@ -386,13 +394,13 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
             rhs = stack.pop()
             lhs = stack[-1]
             if op in "+-" and SuperRational not in (type(lhs), type(rhs)):
-                items = (rhs,) if type(rhs) is tuple else rhs.items()
+                items = (rhs,) if type(rhs) is tuple else settled(rhs).items()
                 if op == "-":
                     items = [(mono, -c) for mono, c in items]
                 stack[-1] = _accumulate(lhs if type(lhs) is dict else dict((lhs,)), items)
-                last_sum = _RESULTS[op], step[1]
+                sums[id(stack[-1])] = _RESULTS[op], step[1]
                 continue
-            a, b = _term(lhs), _term(rhs)
+            a, b = _term(settled(lhs)), _term(settled(rhs))
             if op == "*" and a and b:
                 stack[-1] = _term_product(a, b, step[1]) or {}
             elif op == "/" and a and b and b[0] == unit and b[1] != 1:
@@ -400,53 +408,40 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
             else:
                 value = _binary(op, _value(lhs, signature), _value(rhs, signature), step[1])
                 stack[-1] = _stacked(value)
-    top = _value(stack[0], signature)
-    if last_sum:
-        _bounded_value(top, *last_sum)
+    top = _value(settled(stack[0]), signature)
     return top if isinstance(top, SuperRational) else SuperRational(top)
 
 
 # -- formatting ------------------------------------------------------------
 
 
-def _format_term(signature: SuperSignature, mono: SuperMonomial, c: Cyclotomic) -> str:
-    vars_parts = []
-    for i, e in enumerate(mono.even):
-        if e == 1:
-            vars_parts.append(signature.even[i])
-        elif e > 1:
-            vars_parts.append(f"{signature.even[i]}^{e}")
-    vars_parts.extend(signature.odd[j] for j in mono.odd)
-
-    # over Q(zeta_N), N the group exponent, if it holds c, else at c's least conductor
-    if not c.is_rational():
-        n = signature.group.exponent if isinstance(signature, GradedSignature) else 1
-        c = c if n % c.conductor == 0 else c.least()
-        c = c.lift(n) if n % c.conductor == 0 else c
-    n = c.conductor
-    pieces = _basis_pieces(c.num, c.den, lambda k: "i" if n == 4 else f"zeta({n},{k})")
-    if len(pieces) > 1:
-        coeff_txt = f"({_join_signed(pieces)})"
-    else:
-        coeff_txt = pieces[0]
-        if vars_parts and coeff_txt == "1":
-            coeff_txt = ""
-        elif vars_parts and coeff_txt == "-1":
-            coeff_txt = "-"
-
-    body = "*".join(vars_parts)
-    if coeff_txt in ("", "-"):
-        return coeff_txt + body
-    return coeff_txt + ("*" + body if body else "")
-
-
 def _format_poly(poly: SuperPolynomial) -> str:
-    if poly.is_zero():
+    """The terms, leading monomial first, in one pass: a rational a/b from its
+    integers (1 and -1 by their sign before a monomial), any other over
+    Q(zeta_N), N the group exponent, if it holds it, else at its least conductor."""
+    if not poly.terms:
         return "0"
-    parts = [
-        _format_term(poly.signature, mono, c) for mono, c in poly.sorted_terms()
-    ]
-    return _join_signed(parts)
+    sig = poly.signature
+    even, odd = sig.even, sig.odd
+    n = sig.group.exponent if isinstance(sig, GradedSignature) else 1
+    parts = []
+    for mono, c in poly.sorted_terms():
+        names = [even[i] if e == 1 else f"{even[i]}^{e}" for i, e in enumerate(mono.even) if e]
+        names.extend(odd[j] for j in mono.odd)
+        body = "*".join(names)
+        if not c.is_rational():
+            c = c if n % c.conductor == 0 else c.least()
+            c = c.lift(n) if n % c.conductor == 0 else c
+            m = c.conductor
+            pieces = _basis_pieces(c.num, c.den, lambda k: "i" if m == 4 else f"zeta({m},{k})")
+            coeff = f"({_join_signed(pieces)})" if len(pieces) > 1 else pieces[0]
+        elif body and c.den == 1 and abs(c.num[0]) == 1:
+            coeff = "" if c.num[0] == 1 else "-"
+        else:
+            coeff = str(c.num[0]) if c.den == 1 else f"{c.num[0]}/{c.den}"
+        text = f"{coeff}*{body}" if body and coeff not in ("", "-") else coeff + body
+        parts.append(text if not parts else f" - {text[1:]}" if text[0] == "-" else f" + {text}")
+    return "".join(parts)
 
 
 def format_expression(f: SuperRational | SuperPolynomial, texts: dict | None = None) -> str:

@@ -3,6 +3,7 @@
 import copy
 import functools
 import itertools
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -34,6 +35,7 @@ from gradedcover import (
     parse_parity_spec,
     root_of_unity,
 )
+from gradedcover import algebra
 from conftest import (
     random_group,
     random_parity,
@@ -261,6 +263,38 @@ def test_weight_adds_residues_mod_four():
     sig = z4_signature()
     f = SuperRational.variable(sig, "s3") * SuperRational.variable(sig, "x2")
     assert f.weight() == sig.group.character((1,))  # 3 + 2 mod 4
+
+
+def reference_residues(sig, mono):
+    """A monomial's weight residues as a generator per factor computed them."""
+    return tuple((sum(map(operator.mul, mono.even, even)) + sum(odd[j] for j in mono.odd)) % q
+                 for q, even, odd in sig.weight_rows)
+
+
+@st.composite
+def weighted_monomials(draw):
+    """A graded signature over a group of rank 1 to 3, odd variables where the
+    parity has odd weights, and one monomial with exponents up to 10^50."""
+    grp = make_group(draw(st.sampled_from([[2], [5], [12], [2, 4], [2, 2, 2], [2, 3, 4]])))
+    bits = tuple(draw(st.integers(0, 1)) if q % 2 == 0 else 0 for q in grp.factors)
+    parity = ParityMap(grp, bits)
+    weights = [[w for w in grp.characters() if parity(w) == b] for b in (0, 1)]
+    n_odd = draw(st.integers(0, 3)) if weights[1] else 0
+    sig = GradedSignature(
+        grp, parity,
+        even=[(f"x{i}", draw(st.sampled_from(weights[0]))) for i in range(draw(st.integers(0, 3)))],
+        odd=[(f"s{j}", draw(st.sampled_from(weights[1]))) for j in range(n_odd)])
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, 10**50))
+    mono = SuperMonomial(tuple(draw(exponent) for _ in sig.even),
+                         tuple(j for j in range(n_odd) if draw(st.booleans())))
+    return sig, mono
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_monomials())
+def test_residues_agree_with_the_generator_they_replaced(case):
+    sig, mono = case
+    assert algebra._residues(sig, mono) == reference_residues(sig, mono)
 
 
 def test_weight_of_inhomogeneous_is_none():
@@ -684,7 +718,8 @@ def rational_polynomial(rng, sig, n_terms, max_degree, with_odd):
 def assert_tower_matches_chain(f):
     """Equal values (``Cyclotomic.__eq__`` compares across conductors), an
     invariant denominator, and a rational one for rational N and D."""
-    num, den = f._normed()
+    cofactors, den = f._normed()
+    num = functools.reduce(operator.mul, cofactors, f.numerator)
     chain_num, chain_den = normed_chain(f)
     assert num.terms == chain_num.terms
     assert den.terms == chain_den.terms
@@ -757,7 +792,7 @@ def test_orbit_tower_carries_odd_variables_in_the_numerator():
     x0, x2, s1, s3 = (SuperPolynomial.variable(sig, v) for v in ("x0", "x2", "s1", "s3"))
     f = SuperRational(s1 * s3 + 3 * s1 * x2 - s3, x0 + x2 + 2)
     assert_tower_matches_chain(f)
-    assert f._normed()[0].has_odd_content()
+    assert functools.reduce(operator.mul, f._normed()[0], f.numerator).has_odd_content()
 
 
 def test_a_cofactor_whose_z_exponents_pass_one_byte():
@@ -826,7 +861,8 @@ def test_prime_step_cofactor_takes_any_coefficients():
         assert algebra._cofactor(sig, (x + y * c).terms, js, 5).terms == twists.terms
     # one-term parts, and a two-term part at j = 0
     for den in (x + zeta * y, x + x * x + zeta * y, x * one_at_5 + y):
-        num, normed = algebra._orbit_tower(sig, SuperPolynomial.one(sig), den)
+        cofactors, normed = algebra._orbit_tower(sig, den)
+        num = functools.reduce(operator.mul, cofactors, SuperPolynomial.one(sig))
         assert (num.terms, normed.terms) == tuple(p.terms for p in normed_chain(SuperRational(SuperPolynomial.one(sig), den)))
 
 
@@ -1154,7 +1190,8 @@ def test_twist_classes_give_the_twists_the_comparison_found(
     # the tower compares neither polynomials nor coefficients
     for cls in (SuperPolynomial, Cyclotomic):
         monkeypatch.setattr(cls, "__eq__", lambda self, other: pytest.fail("compared"))
-    got = SuperRational(num, den)._normed()
+    cofactors, normed = SuperRational(num, den)._normed()
+    got = [functools.reduce(operator.mul, cofactors, num), normed]
     monkeypatch.undo()
     assert [p.terms for p in got] == [p.terms for p in chain]
 

@@ -357,6 +357,18 @@ def test_a_sum_past_the_printable_digits_is_a_short_syntax_error(capsys):
     assert len(err.encode()) < 200 and err.startswith("syntax error: coefficient of the sum")
 
 
+@pytest.mark.parametrize("expr, position", [
+    ("({n} + {n})/(x@0 + 1)", 4303),  # not 8612, the + of x@0 + 1
+    ("x@0 + 1 + ({n} + {n})*x@0", 4313),  # not 9, the last + of the text
+])
+def test_a_sum_past_the_printable_digits_is_refused_at_its_own_operator(expr, position, capsys):
+    argv = ["decompose", "--group", "2", "--even", "x@0", "--expr", expr.format(n="9" * 4300)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == ("syntax error: coefficient of the sum has more than 4300 digits "
+                   f"(position {position})\n")
+
+
 @pytest.mark.parametrize("order", ["3", "4", "5", "6"])
 def test_lifted_projective_line_checks_within_its_budget(order, tmp_path, capsys):
     # composing the lifted transitions directly takes 0.65 s over Z_4 and minutes

@@ -32,6 +32,7 @@ from gradedcover import (
     lift_mixed,
     lift_super,
     make_group,
+    parse_expression,
     parse_group_spec,
     parse_parity_spec,
 )
@@ -667,9 +668,10 @@ def test_an_image_that_vanishes_on_the_base_takes_the_direct_path():
     m = atlas.transitions[("1", "0")]
     square = SuperRational.variable(m.source, m.source.even[1]) ** 2
     broken = replaced(atlas, ("1", "0"), m.target.even[0], square / square)
+    source, target = (covering._base_signature(broken.charts[c]) for c in "10")
+    projection = covering._projection(source, broken.charts["1"])
     with pytest.raises(ZeroDivisionError):
-        covering._descend(broken.transitions[("1", "0")], *(
-            covering._base_signature(broken.charts[c]) for c in "10"))
+        covering._descend(broken.transitions[("1", "0")], projection, target)
     assert covering._base_atlas(broken) is None
     assert not assert_agrees(broken, "direct").ok
 
@@ -742,3 +744,100 @@ def test_cover_layout_gives_the_images_the_parity_filter_gave(group, parity):
         same_images(projection, covering_map_by_filter(psi.source, grp, pm))
         mixed = compose(psi, projection)
         same_images(lift_mixed(mixed), lift_mixed_by_filter(mixed))
+
+
+# -- one covering per chart, one norm per denominator ------------------------
+
+
+def projective_space(k):
+    """P^k with charts i = 0..k, coordinates x<i><j> = X_j/X_i for j != i."""
+    charts = {str(i): {"even": [f"x{i}{j}" for j in range(k + 1) if j != i], "odd": []}
+              for i in range(k + 1)}
+    transitions = {}
+    for a in range(k + 1):
+        for b in range(k + 1):
+            if a != b:
+                over_a = {j: "1" if j == a else f"x{a}{j}" for j in range(k + 1)}
+                transitions[f"{a}->{b}"] = {
+                    f"x{b}{j}": f"{over_a[j]}/{over_a[b]}" for j in range(k + 1) if j != b}
+    return load_atlas({"charts": charts, "transitions": transitions})[0]
+
+
+def counting(monkeypatch, owner, name):
+    """Wrap ``owner.<name>`` and return the list its calls are appended to."""
+    calls, real = [], getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def lifted_by(atlas, group, parity):
+    g = parse_group_spec(group)
+    return lift_atlas(atlas, g, parse_parity_spec(g, parity))
+
+
+@pytest.mark.parametrize("atlas, group, parity, towers, signatures", [
+    (lambda: load_atlas(json.loads(inputs.projective_superline()))[0], "12", "1", 2, 2),
+    (lambda: projective_space(2), "4", "0", 6, 3),
+    (lambda: projective_space(3), "4", "0", 12, 4),
+], ids=["P11-Z12", "P2-Z4", "P3-Z4"])
+def test_a_lift_norms_each_denominator_once_and_covers_each_chart_once(
+    monkeypatch, atlas, group, parity, towers, signatures
+):
+    """Images of a transition share their denominator, which the orbit tower
+    norms once (4, 12 and 36 towers when each image normed its own), and the
+    covering signature of each chart is built once (6, 15 and 28 before)."""
+    from gradedcover import algebra
+
+    atlas = atlas()
+    tower = counting(monkeypatch, algebra, "_orbit_tower")
+    signature = counting(monkeypatch, covering, "covering_signature")
+    lifted = lifted_by(atlas, group, parity)
+    assert (len(tower), len(signature)) == (towers, signatures)
+    for m in lifted.transitions.values():
+        dens = {id(img.denominator) for img in m.images.values() if not img.is_zero()}
+        assert len(dens) == 1
+    monkeypatch.undo()
+    assert check_cocycle(lifted).ok
+
+
+def test_images_equal_by_value_share_one_norm(monkeypatch):
+    """Denominators are found by value too: x/(1 + y) and 1/(1 + y), parsed
+    apart, take one tower and one denominator object."""
+    from gradedcover import algebra
+
+    g, pm = z2_trivial()
+    source, target = SuperSignature(even=["x", "y"]), SuperSignature(even=["u", "v"])
+    psi = SuperMorphism(source, target, {
+        "u": parse_expression("x/(1 + y)", source), "v": parse_expression("1/(1 + y)", source)})
+    assert psi.images["u"].denominator is not psi.images["v"].denominator
+    tower = counting(monkeypatch, algebra, "_orbit_tower")
+    lifted = lift_super(psi, g, pm)
+    assert len(tower) == 1
+    assert len({id(img.denominator) for img in lifted.images.values() if not img.is_zero()}) == 1
+
+
+def test_descent_builds_one_projection_per_chart(monkeypatch):
+    lifted = lifted_atlas("shear", 3, "4", "1")
+    projections = counting(monkeypatch, covering, "_projection")
+    report, path = checked(lifted)
+    assert report.ok and path == "descent"
+    assert len(projections) == len(lifted.charts) == 3
+
+
+@pytest.mark.parametrize("sweep", inputs.lift_sweep([0, 7, 11]),
+                         ids=[inputs.atlas_key(*key) for key in inputs.lift_sweep([0, 7, 11])])
+def test_an_atlas_lift_is_the_lift_of_each_transition(sweep):
+    family, index, group, parity = sweep
+    atlas, _, _ = load_atlas(json.loads(inputs.atlas_text(family, index)))
+    g = parse_group_spec(group)
+    pm = parse_parity_spec(g, parity)
+    lifted = lift_atlas(atlas, g, pm)
+    for key, psi in atlas.transitions.items():
+        alone = lift_super(psi, g, pm)
+        assert list(lifted.transitions[key].images) == list(alone.images)
+        assert lifted.transitions[key] == alone

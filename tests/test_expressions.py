@@ -1,5 +1,6 @@
 """Parsing, evaluation, and canonical formatting of expression text."""
 
+import functools
 import operator
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedcover import (
+    Cyclotomic,
     ExprSyntaxError,
     GradedSignature,
     NotInvertibleError,
@@ -191,15 +193,18 @@ def test_multi_term_and_quotient_results_are_bounded_by_the_printable_digits():
 
 
 def test_sums_and_irrational_powers_are_bounded_by_the_printable_digits():
-    """A sum of polynomials adds at most one digit: the parse's result is
-    checked once, and refused at its last sum.  An irrational single-term
-    power is refused at the first product of its binary powering past the
-    bound."""
+    """A sum of polynomials adds at most one digit: each stacked sum is
+    checked once, as it leaves the stack, and refused at its own last ``+``
+    or ``-``.  An irrational single-term power is refused at the first
+    product of its binary powering past the bound."""
     sig = SuperSignature(even=["x"])
     nines = "9" * 4300
     for text, what, position in [(f"{nines} + {nines}", "sum", 4302),
                                  (f"{nines}*x - (-{nines}*x)", "difference", 4304),
-                                 (f"({nines} + {nines})/(x + 1)", "sum", 8610),  # x + 1's
+                                 (f"({nines} + {nines})/(x + 1)", "sum", 4303),
+                                 (f"x + 1 + ({nines} + {nines})*x", "sum", 4311),
+                                 (f"-({nines} + {nines})", "sum", 4304),
+                                 (f"({nines} - 1 + {nines})^2", "sum", 4307),
                                  ("((1+zeta(5,1))*x)^10000000", "power to the 10000000", 18)]:
         with pytest.raises(ExprSyntaxError, match=f"coefficient of the {what} has more than "
                                                   "4300 digits") as err:
@@ -324,7 +329,7 @@ def test_printed_coefficients_do_not_depend_on_how_products_are_grouped():
     for t in twists[1:]:
         at_once = at_once * t
     at_once = num * at_once
-    tower = f._normed()[0]
+    tower = functools.reduce(operator.mul, f._normed()[0], num)
     assert one_at_a_time == at_once == tower
     texts = {format_expression(p) for p in (one_at_a_time, at_once, tower)}
     assert len(texts) == 1
@@ -583,3 +588,108 @@ def test_malformed_residue_text_is_quoted(text):
         parse_var_name(f"x@{text}")
     with pytest.raises(ValueError, match="malformed element"):
         parse_residues(text, "element")
+
+
+# -- the one-pass printer against the termwise one it replaced -----------------
+
+
+def reference_format_term(signature, mono, c):
+    """One term as ``format_expression`` printed it term by term: the names
+    of every exponent, then the coefficient through ``_basis_pieces``."""
+    from gradedcover.cyclotomic import _basis_pieces, _join_signed
+
+    vars_parts = []
+    for i, e in enumerate(mono.even):
+        if e == 1:
+            vars_parts.append(signature.even[i])
+        elif e > 1:
+            vars_parts.append(f"{signature.even[i]}^{e}")
+    vars_parts.extend(signature.odd[j] for j in mono.odd)
+    if not c.is_rational():
+        n = signature.group.exponent if isinstance(signature, GradedSignature) else 1
+        c = c if n % c.conductor == 0 else c.least()
+        c = c.lift(n) if n % c.conductor == 0 else c
+    n = c.conductor
+    pieces = _basis_pieces(c.num, c.den, lambda k: "i" if n == 4 else f"zeta({n},{k})")
+    if len(pieces) > 1:
+        coeff_txt = f"({_join_signed(pieces)})"
+    else:
+        coeff_txt = pieces[0]
+        if vars_parts and coeff_txt == "1":
+            coeff_txt = ""
+        elif vars_parts and coeff_txt == "-1":
+            coeff_txt = "-"
+    body = "*".join(vars_parts)
+    if coeff_txt in ("", "-"):
+        return coeff_txt + body
+    return coeff_txt + ("*" + body if body else "")
+
+
+def reference_format_poly(poly):
+    from gradedcover.cyclotomic import _join_signed
+
+    if poly.is_zero():
+        return "0"
+    return _join_signed([reference_format_term(poly.signature, m, c) for m, c in poly.sorted_terms()])
+
+
+# Groups of exponent 1 (a plain signature), 2, 3, 4, 6, 12 and rank 3; the
+# coefficient conductors 1, 3, 4, 5, 7, 8 and 12, lifted to a multiple, often
+# divide none of them, which sends a coefficient through ``least()``.
+PRINT_GROUPS = [None, [2], [3], [4], [6], [12], [2, 2, 2], [2, 2, 3]]
+PRINT_CONDUCTORS = [1, 3, 4, 5, 7, 8, 12]
+
+
+@st.composite
+def printed_polynomials(draw):
+    factors = draw(st.sampled_from(PRINT_GROUPS))
+    n_even, n_odd = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    if factors is None:
+        sig = SuperSignature([f"x{i}" for i in range(n_even)], [f"s{j}" for j in range(n_odd)])
+    else:
+        grp = make_group(factors)
+        odd_bit = int(factors[0] % 2 == 0 and n_odd > 0)
+        parity = ParityMap(grp, (odd_bit,) + (0,) * (grp.rank - 1))
+        weights = [[w for w in grp.characters() if parity(w) == b] for b in (0, 1)]
+        sig = GradedSignature(
+            grp, parity, even=[(f"x{i}", draw(st.sampled_from(weights[0]))) for i in range(n_even)],
+            odd=[(f"s{j}", draw(st.sampled_from(weights[1]))) for j in range(n_odd * odd_bit)])
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, 10**50))
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        even = tuple(draw(exponent) for _ in sig.even)
+        odd = tuple(j for j in range(len(sig.odd)) if draw(st.booleans()))
+        n = draw(st.sampled_from(PRINT_CONDUCTORS))
+        c = sum((root_of_unity(n, k) * Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
+                 for k in range(draw(st.integers(1, 3)))), Cyclotomic.from_rational(0))
+        if draw(st.booleans()):
+            c = Cyclotomic.from_rational(draw(st.sampled_from([1, -1, Fraction(-5, 3), 7])))
+        terms[SuperMonomial(even, odd)] = c.lift(n * draw(st.sampled_from([1, 2, 3]))) if (
+            c.conductor == n) else c
+    return SuperPolynomial(sig, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(printed_polynomials())
+def test_the_one_pass_printer_prints_what_the_termwise_one_did(poly):
+    assert format_expression(poly) == reference_format_poly(poly)
+
+
+def test_the_printer_oracle_covers_units_least_conductors_and_zero():
+    """Fixed rows of the property: a unit coefficient before a monomial, a
+    coefficient stored at a conductor the group's exponent does not divide,
+    and the zero polynomial."""
+    grp = make_group([4])
+    sig = GradedSignature(grp, ParityMap.trivial(grp), even=[("x", grp.character((1,)))])
+    mono = SuperMonomial((10**50,), ())
+    cases = {
+        "x^" + str(10**50): {mono: 1},
+        "-x^" + str(10**50): {mono: -1},
+        "-5/3*x^" + str(10**50) + " - 1": {mono: Fraction(-5, 3), SuperMonomial((0,), ()): -1},
+        "zeta(3,1)*x^" + str(10**50): {mono: root_of_unity(3, 1).lift(12)},
+        "(1 + i)": {SuperMonomial((0,), ()): root_of_unity(8, 2).lift(24) + 1},
+        "0": {},
+    }
+    for text, terms in cases.items():
+        poly = SuperPolynomial(sig, terms)
+        assert format_expression(poly) == reference_format_poly(poly) == text
