@@ -39,7 +39,9 @@ element is built.  Each prime step multiplies its twists in integers by
 Kronecker substitution (``_cofactor``), whatever the coefficients.  The
 tower gives the cofactors and the invariant D*C once per distinct D;
 ``_components`` multiplies each numerator by them, so the images of a
-lifted transition norm a shared D once and share its invariant form.
+lifted transition norm a shared D once and share its invariant form, and
+the transitions of a lifted atlas, over coverings of one weight layout,
+share each norm and each numerator's weight split, relabelled.
 
 Signatures, polynomials and quotients are ``_Frozen`` (see ``cyclotomic``):
 signatures are equal and hash alike when type and fields agree, so a plain
@@ -980,27 +982,55 @@ class SuperRational(_Frozen):
         return {key: val / den for key, val in out.items()}
 
 
-def _components(fs: Sequence[SuperRational]) -> list[dict[Character, SuperRational]]:
+def _components(
+    fs: Sequence[SuperRational], seen: list | None = None
+) -> list[dict[Character, SuperRational]]:
     """``decompose`` of each of ``fs``, functions over one graded signature.
 
-    The denominator part (``_den_split``) is taken once per distinct D,
-    found by identity, then by value (a comparison costs far less than a
-    norm), and each numerator times its cofactors; the components of the
-    functions sharing D share one denominator, weighed and printed once.
+    The denominator part (``_den_split``) is taken once per distinct D, and
+    the weight split of a numerator times its cofactors once per numerator
+    over D, in this call or in all that share ``seen`` (one ``lift_atlas``).
+    D matches by identity, then by layout (group, parity, ordered weights)
+    and equal terms, a numerator by its monomial tuple, then equal terms.
+    ``_orbit_tower``, ``_cofactor``, ``termwise_weight`` and
+    ``weight_components`` never read a name, so a match over another
+    signature of one layout is the same polynomials renamed, relabelled
+    sharing their immutable ``terms``.  The components of the functions
+    sharing D share one denominator, weighed and printed once.
     """
-    splits: dict[int, tuple] = {}  # by id: (D, its split); ``fs`` hold the objects
+    seen = [] if seen is None else seen  # [(D, layout, split, {monomials: [(terms, parts)]})]
+    entries: dict[int, tuple] = {}  # id(D) -> its entry in ``seen``; ``fs`` hold the D's
+    splits: dict[int, tuple] = {}  # id(entry) -> its split over fs' signature
     out = []
     for f in fs:
-        den = f.denominator
-        if f and id(den) not in splits:  # a zero f has no components
-            split = next((s for d, s in splits.values() if d == den), None)
-            splits[id(den)] = den, split or f._den_split(den.termwise_weight())
-        cofactors, normed, shift = splits[id(den)][1] if f else ([], den, None)
-        parts = {
-            chi if shift is None else chi * shift: SuperRational._of(part, normed)
-            for chi, part in reduce(mul, cofactors, f.numerator).weight_components().items()
-        }
-        out.append({chi: parts[chi] for chi in sorted(parts, key=lambda c: c.residues)})
+        if not f:  # a zero f has no components
+            out.append({})
+            continue
+        sig, den, num = f.signature, f.denominator, f.numerator.terms
+        if id(den) not in entries:
+            layout = sig.group, sig.parity, sig.even_weights, sig.odd_weights
+            entry = next((e for e in seen if e[0] is den
+                          or e[1] == layout and e[0].terms == den.terms), None)
+            if entry is None:
+                seen.append(entry := (den, layout, f._den_split(den.termwise_weight()), {}))
+            entries[id(den)] = entry
+            if id(entry) not in splits:
+                cofactors, normed, shift = entry[2]
+                if normed.signature is not sig:  # renamed, sharing the terms
+                    cofactors = [SuperPolynomial._raw(sig, c.terms) for c in cofactors]
+                    normed = SuperPolynomial._raw(sig, normed.terms)
+                splits[id(entry)] = cofactors, normed, shift
+        cofactors, normed, shift = splits[id(entry := entries[id(den)])]
+        same = entry[3].setdefault(tuple(num), [])
+        parts = next((p for t, p in same if t == num), None)
+        if parts is None:
+            split = reduce(mul, cofactors, f.numerator).weight_components()
+            parts = sorted(((chi if shift is None else chi * shift, p)
+                            for chi, p in split.items()), key=lambda cp: cp[0].residues)
+            same.append((num, parts))
+        elif parts[0][1].signature is not sig:
+            parts = [(chi, SuperPolynomial._raw(sig, p.terms)) for chi, p in parts]
+        out.append({chi: SuperRational._of(p, normed) for chi, p in parts})
     return out
 
 

@@ -10,6 +10,9 @@ builds each chart's covering signature and projection once, and lifts
 every transition against them through the one lift path ``_lift``, which
 ``lift_super`` and ``lift_mixed`` take too.  ``_lift`` decomposes all
 images of a transition together, so a shared denominator is normed once.
+The charts' coverings, of one dimension, differ only in names, which the
+norm and the weight split never read, so ``lift_atlas`` norms each distinct
+denominator, and splits each numerator over it, once per atlas.
 
 A graded morphism into a covering is fixed by its projection, whose
 homogeneous parts are its images, so lifting is functorial and a lifted
@@ -103,11 +106,11 @@ def lift_mixed(phi: SuperMorphism) -> GradedMorphism:
     return _lift(phi, covering_signature(source_super(phi.target), source.group, source.parity))
 
 
-def _lift(phi: SuperMorphism, cover: GradedSignature) -> GradedMorphism:
+def _lift(phi: SuperMorphism, cover: GradedSignature, seen: list | None = None) -> GradedMorphism:
     """``lift_mixed`` of phi, given the covering signature of its target:
     images that share a denominator norm it once in one ``_components``."""
     layout = [entry for part in _copies(phi.target, cover) for entry in part]
-    components = _components([phi.images[name] for name, _ in layout])
+    components = _components([phi.images[name] for name, _ in layout], seen)
     zero = SuperRational.zero(phi.source)
     images = {copy: parts.get(chi, zero)
               for (_, copies), parts in zip(layout, components) for copy, chi in copies}
@@ -366,7 +369,8 @@ def _check_cocycle_direct(atlas: Atlas) -> CocycleReport:
 
 
 def lift_atlas(atlas: Atlas, group: FiniteAbelianGroup, parity: ParityMap) -> Atlas:
-    """Apply the covering construction to every chart and transition."""
+    """Apply the covering construction to every chart and transition; the
+    transitions share one ``_components`` lookup, kept for this call only."""
     report = check_cocycle(atlas)
     if not report.ok:
         raise CoveringError(
@@ -377,8 +381,9 @@ def lift_atlas(atlas: Atlas, group: FiniteAbelianGroup, parity: ParityMap) -> At
         for cid, sig in atlas.charts.items()
     }
     projections = {cid: _projection(atlas.charts[cid], cover) for cid, cover in charts.items()}
+    seen: list = []  # the norms and numerator splits of all the transitions
     transitions = {  # lift_super of each, against the covering of each chart built once
-        (a, b): _lift(compose(psi, projections[a]), charts[b])
+        (a, b): _lift(compose(psi, projections[a]), charts[b], seen)
         for (a, b), psi in atlas.transitions.items()
     }
     return Atlas(charts=charts, transitions=transitions)

@@ -425,22 +425,27 @@ def _format_poly(poly: SuperPolynomial) -> str:
     even, odd = sig.even, sig.odd
     n = sig.group.exponent if isinstance(sig, GradedSignature) else 1
     parts = []
-    for mono, c in poly.sorted_terms():
-        names = [even[i] if e == 1 else f"{even[i]}^{e}" for i, e in enumerate(mono.even) if e]
-        names.extend(odd[j] for j in mono.odd)
-        body = "*".join(names)
-        if not c.is_rational():
-            c = c if n % c.conductor == 0 else c.least()
-            c = c.lift(n) if n % c.conductor == 0 else c
-            m = c.conductor
-            pieces = _basis_pieces(c.num, c.den, lambda k: "i" if m == 4 else f"zeta({m},{k})")
-            coeff = f"({_join_signed(pieces)})" if len(pieces) > 1 else pieces[0]
-        elif body and c.den == 1 and abs(c.num[0]) == 1:
-            coeff = "" if c.num[0] == 1 else "-"
-        else:
-            coeff = str(c.num[0]) if c.den == 1 else f"{c.num[0]}/{c.den}"
-        text = f"{coeff}*{body}" if body and coeff not in ("", "-") else coeff + body
-        parts.append(text if not parts else f" - {text[1:]}" if text[0] == "-" else f" + {text}")
+    try:
+        for mono, c in poly.sorted_terms():
+            names = [even[i] if e == 1 else f"{even[i]}^{e}" for i, e in enumerate(mono.even) if e]
+            names.extend(odd[j] for j in mono.odd)
+            body = "*".join(names)
+            if not c.is_rational():
+                c = c if n % c.conductor == 0 else c.least()
+                c = c.lift(n) if n % c.conductor == 0 else c
+                m = c.conductor
+                pieces = _basis_pieces(c.num, c.den, lambda k: "i" if m == 4 else f"zeta({m},{k})")
+                coeff = f"({_join_signed(pieces)})" if len(pieces) > 1 else pieces[0]
+            elif body and c.den == 1 and abs(c.num[0]) == 1:
+                coeff = "" if c.num[0] == 1 else "-"
+            else:
+                coeff = str(c.num[0]) if c.den == 1 else f"{c.num[0]}/{c.den}"
+            text = f"{coeff}*{body}" if body and coeff not in ("", "-") else coeff + body
+            parts.append(f" - {text[1:]}" if parts and text[0] == "-" else
+                         f" + {text}" if parts else text)
+    except ValueError:  # the interpreter refuses to turn a longer int into text
+        raise ValueError(f"printing the result: a coefficient has more than "
+                         f"{MAX_COEFFICIENT_DIGITS} digits") from None
     return "".join(parts)
 
 

@@ -389,6 +389,52 @@ def test_decomposition_reconstructs_and_is_equivariant():
             assert part.act(g) == part * chi(g)
 
 
+def test_shared_norms_match_by_layout_and_terms_not_by_names(monkeypatch):
+    """Calls that share ``seen`` reuse a norm and a numerator split only over
+    signatures of one layout: y/(1 + x) over x@(1), y@(2) and v/(1 + u) over
+    u@(1), v@(2) take one norm, and y/(1 + x) over x@(2), y@(1), of equal
+    terms, its own."""
+    z3 = make_group([3])
+    pm = ParityMap.trivial(z3)
+
+    def over(*names_and_weights):
+        sig = GradedSignature(z3, pm, even=[(n, z3.character((k,))) for n, k in names_and_weights])
+        return parse_expression(f"{names_and_weights[1][0]}/(1 + {names_and_weights[0][0]})", sig)
+
+    fs = [over(("x", 1), ("y", 2)), over(("u", 1), ("v", 2)), over(("x", 2), ("y", 1))]
+    assert fs[0].denominator.terms == fs[2].denominator.terms
+    assert fs[0].numerator.terms == fs[2].numerator.terms
+    calls, real = [], algebra._orbit_tower
+    monkeypatch.setattr(algebra, "_orbit_tower", lambda *a: calls.append(a) or real(*a))
+    seen = []
+    shared = [algebra._components([f], seen)[0] for f in fs]
+    assert len(calls) == 2 and len(seen) == 2
+    monkeypatch.undo()
+    for f, parts in zip(fs, shared):
+        alone = f.decompose()
+        assert list(parts) == list(alone)
+        for chi, part in parts.items():
+            assert part.signature is f.signature
+            assert part.numerator.terms == alone[chi].numerator.terms
+            assert part.denominator.terms == alone[chi].denominator.terms
+    assert [format_expression(p) for p in shared[0].values()] != [
+        format_expression(p) for p in shared[2].values()]
+
+
+def test_reflected_subtraction_and_negative_powers_are_exact():
+    """``c - f`` for a scalar c, and f^-k, the inverse to the k."""
+    sig = klein_xy_signature()
+    f = parse_expression("(1 + x*y)/(2 + y)", sig)
+    i = root_of_unity(4, 1)
+    assert (3 - f) + f == 3
+    assert (i - f) + f == i
+    assert Fraction(1, 2) - f == -(f - Fraction(1, 2))
+    for k in (1, 2, 3):
+        assert f ** -k * f ** k == 1
+    assert f ** -1 == f.invert()
+    assert f ** -2 == parse_expression("(2 + y)^2/(1 + x*y)^2", sig)
+
+
 def test_decomposition_is_idempotent():
     rng = random.Random(17)
     for _ in range(8):

@@ -369,6 +369,23 @@ def test_a_sum_past_the_printable_digits_is_refused_at_its_own_operator(expr, po
                    f"(position {position})\n")
 
 
+@pytest.mark.parametrize("command", ["decompose", "lift"])
+def test_a_norm_past_the_printable_digits_fails_as_it_prints(command, tmp_path, capsys):
+    """Each literal parses, but the norm (N + x)(N - x) of a 4,000-digit N
+    has an 8,000-digit coefficient: the failure names printing and the bound."""
+    expr = f"1/({'9' * 4000} + x@1)"
+    if command == "decompose":
+        argv = ["decompose", "--group", "2", "--parity", "0", "--even", "x@0,x@1", "--expr", expr]
+    else:
+        argv = ["lift", write_json(tmp_path, "big.json", {
+            "group": "2", "source": {"even": ["x"]}, "target": {"even": ["y"]},
+            "map": {"y": expr.replace("x@1", "x")}})]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: printing the result: a coefficient has more than 4300 digits\n"
+
+
 @pytest.mark.parametrize("order", ["3", "4", "5", "6"])
 def test_lifted_projective_line_checks_within_its_budget(order, tmp_path, capsys):
     # composing the lifted transitions directly takes 0.65 s over Z_4 and minutes

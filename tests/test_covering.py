@@ -781,16 +781,20 @@ def lifted_by(atlas, group, parity):
 
 
 @pytest.mark.parametrize("atlas, group, parity, towers, signatures", [
-    (lambda: load_atlas(json.loads(inputs.projective_superline()))[0], "12", "1", 2, 2),
-    (lambda: projective_space(2), "4", "0", 6, 3),
-    (lambda: projective_space(3), "4", "0", 12, 4),
+    (lambda: load_atlas(json.loads(inputs.projective_superline()))[0], "12", "1", 1, 2),
+    (lambda: projective_space(2), "4", "0", 2, 3),
+    (lambda: projective_space(3), "4", "0", 3, 4),
 ], ids=["P11-Z12", "P2-Z4", "P3-Z4"])
 def test_a_lift_norms_each_denominator_once_and_covers_each_chart_once(
     monkeypatch, atlas, group, parity, towers, signatures
 ):
-    """Images of a transition share their denominator, which the orbit tower
-    norms once (4, 12 and 36 towers when each image normed its own), and the
-    covering signature of each chart is built once (6, 15 and 28 before)."""
+    """The orbit tower norms each distinct denominator once per atlas: the
+    transitions of P^{1|1} share one, and those of P^k one per coordinate
+    position, as a->b divides by the coordinate X_b/X_a of chart a (2, 6 and
+    12 towers when each transition normed its own, 4, 12 and 36 when each
+    image did).  The images of a transition share one denominator object,
+    and the covering signature of each chart is built once (6, 15 and 28
+    before)."""
     from gradedcover import algebra
 
     atlas = atlas()
@@ -833,7 +837,21 @@ def test_descent_builds_one_projection_per_chart(monkeypatch):
                          ids=[inputs.atlas_key(*key) for key in inputs.lift_sweep([0, 7, 11])])
 def test_an_atlas_lift_is_the_lift_of_each_transition(sweep):
     family, index, group, parity = sweep
-    atlas, _, _ = load_atlas(json.loads(inputs.atlas_text(family, index)))
+    assert_lift_of_each_transition(
+        load_atlas(json.loads(inputs.atlas_text(family, index)))[0], group, parity)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("group", ["4", "6"])
+def test_an_atlas_lift_of_projective_space_is_the_lift_of_each_transition(k, group):
+    """The transitions of P^k share their norms across charts, which
+    ``lift_super`` never does."""
+    assert_lift_of_each_transition(projective_space(k), group, "0")
+
+
+def assert_lift_of_each_transition(atlas, group, parity):
+    """Each lifted transition has the images of ``lift_super``, which shares
+    nothing across transitions: equal terms and equal printed text."""
     g = parse_group_spec(group)
     pm = parse_parity_spec(g, parity)
     lifted = lift_atlas(atlas, g, pm)
@@ -841,3 +859,21 @@ def test_an_atlas_lift_is_the_lift_of_each_transition(sweep):
         alone = lift_super(psi, g, pm)
         assert list(lifted.transitions[key].images) == list(alone.images)
         assert lifted.transitions[key] == alone
+        for name, img in alone.images.items():
+            got = lifted.transitions[key].images[name]
+            assert got.numerator.terms == img.numerator.terms
+            assert got.denominator.terms == img.denominator.terms
+            assert format_expression(got) == format_expression(img)
+
+
+def test_p1_splits_its_one_numerator_once_per_atlas(monkeypatch):
+    """P^1's 0->1 and 1->0 lift 1/x and 1/y over coverings of one layout, so
+    the second transition takes the first one's norm and weight split."""
+    from gradedcover import algebra
+
+    tower = counting(monkeypatch, algebra, "_orbit_tower")
+    split = counting(monkeypatch, algebra.SuperPolynomial, "weight_components")
+    lifted = lifted_by(load_atlas(json.loads(inputs.projective_line()))[0], "7", "0")
+    assert (len(tower), len(split)) == (1, 1)
+    monkeypatch.undo()
+    assert check_cocycle(lifted).ok

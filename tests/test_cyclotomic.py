@@ -94,6 +94,22 @@ def test_inverse_of_cube_root():
     assert inv == root_of_unity(3, 2)
 
 
+def test_quotients_and_negative_powers_invert_exactly():
+    """``/`` from either side and a negative power go through the inverse."""
+    c = 2 + root_of_unity(12, 1) + 3 * root_of_unity(12, 5)
+    d = Fraction(3, 7) - root_of_unity(5, 2)
+    assert c / d * d == c
+    assert c / 4 * 4 == c
+    assert 5 / d * d == 5
+    assert Fraction(2, 3) / c * c == Fraction(2, 3)
+    for k in (1, 2, 5):
+        assert c ** -k * c ** k == 1
+        assert (c * d) ** -k == c ** -k * d ** -k
+    assert d ** -1 == d.inverse()
+    with pytest.raises(ZeroDivisionError):
+        Cyclotomic.from_rational(0) ** -1
+
+
 def test_conjugation_inverts_roots():
     for n in (3, 4, 5, 8, 12):
         for k in range(n):
