@@ -14,9 +14,10 @@ uses when the group's field does not hold it.
 
 A root zeta_N^k is z^(k mod N) reduced modulo Phi_N, an integer vector
 over 1, cached per (N, k mod N): one reduction per root, no table of all N.
-``_reduce`` takes and returns ints, padding with int 0.  ``inverse`` keeps
-its extended Euclid over Q: an integer pseudo-remainder Euclid rescales the
-whole remainder at every step (5.1 s against 0.64 s on 1/(3*zeta_4093 + 2)).
+``_reduce`` takes and returns ints, padding with int 0.  ``inverse`` runs
+Euclid on (Phi_N, num) over Z with ``cyclotomic_polynomial``'s pseudo-division:
+each dividend is scaled once, so every step divides exactly, and each remainder
+is divided by its content, so no Fraction is built and no common factor grows.
 
 ``_Frozen``, the base of ``Cyclotomic``, signatures, polynomials, quotients
 and morphisms (the group types are frozen dataclasses), refuses assignment,
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, lcm
 from operator import attrgetter, sub
 from typing import Iterable, Sequence, Union
@@ -77,19 +77,22 @@ def _restore(cls, state: tuple):
     return self
 
 
-def _divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Exact division of integer polynomials, divisor monic."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        out[k] = c
-        if c:
+def _pseudodivmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with c^k*num = q*den + r and deg r < deg den, for c the leading
+    coefficient of den and k = deg num - deg den + 1 (0 if negative): num is
+    scaled by c^k once, up front, so every step divides by c exactly."""
+    c, top = den[-1], len(den) - 1
+    k = max(len(num) - top, 0)
+    scale = c**k
+    rem = [x * scale for x in num]
+    q = [0] * k
+    for i in range(k - 1, -1, -1):
+        t = rem[i + top]
+        if t:
+            t = q[i] = t // c
             for j, d in enumerate(den):
-                num[k + j] -= c * d
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+                rem[i + j] -= t * d
+    return q, rem[:top]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -121,7 +124,11 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         base = cyclotomic_polynomial(n // p)
         stretched = [0] * ((len(base) - 1) * p + 1)
         stretched[::p] = base
-        poly = tuple(stretched if n % (p * p) == 0 else _divexact(stretched, base))
+        if n % (p * p) != 0:
+            stretched, rem = _pseudodivmod(stretched, base)
+            if any(rem):
+                raise ArithmeticError("non-exact polynomial division")
+        poly = tuple(stretched)
     _CYCLOTOMIC_POLY[n] = poly
     return poly
 
@@ -302,25 +309,32 @@ class Cyclotomic(_Frozen):
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse; Phi_N irreducible makes gcd(a, Phi_N) = 1."""
+        """Multiplicative inverse by Euclid on (Phi_N, num) over Z.  Each
+        remainder r1 is made primitive and carries a cofactor s1/d1, ints over
+        one positive denominator, with r1 = s1*num/d1 modulo Phi_N; deg s1 <
+        phi(N), so it is only padded at the end.  Phi_N is irreducible and
+        a is not 0, so gcd(num, Phi_N) = 1: the remainders end at a constant
+        c = +-1, and 1/a = den/num = den*s1/(d1*c)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic value")
         n, lead = self.conductor, self.num[0]
         if self.is_rational():  # 1/(q/d) = d*q/q^2, zeros above
             return Cyclotomic._lowest((self.den * lead,) + self.num[1:], lead * lead, n)
-        # extended Euclid over Q[x] for (num, Phi_N); 1/a is den/num
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        r1 = [Fraction(x) for x in self.num]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
+        r0, s0, d0 = cyclotomic_polynomial(n), [0], 1
+        r1, s1, d1 = list(self.num), [1], 1
         while True:
-            while r1 and not r1[-1]:
+            while not r1[-1]:
                 r1.pop()
+            g = gcd(*r1)
+            h = gcd(d1 * g, *s1)
+            r1, s1, d1 = [x // g for x in r1], [x // h for x in s1], d1 * g // h
             if len(r1) == 1:
-                scale = self.den / r1[0]
-                return Cyclotomic([c * scale for c in s1], n)
-            q, r = _polydivmod(r0, r1)
-            s0, s1 = s1, [x - y for x, y in zip_longest(s0, _polymul(q, s1), fillvalue=0)]
-            r0, r1 = r1, r
+                return Cyclotomic._lowest(_reduce([self.den * r1[0] * x for x in s1], n), d1, n)
+            # c^k*r0 = q*r1 + r, so r = (c^k*s0/d0 - q*s1/d1)*num
+            q, r = _pseudodivmod(r0, r1)
+            ck, s = r1[-1] ** len(q), [-d0 * y for y in _polymul(q, s1)]
+            s[: len(s0)] = [x + ck * d1 * y for x, y in zip(s, s0)]
+            r0, s0, d0, r1, s1, d1 = r1, s1, d1, r, s, d0 * d1
 
     def __truediv__(self, other):
         rhs = self._coerce(other)
@@ -464,23 +478,7 @@ def _join_signed(pieces: list[str]) -> str:
     return text
 
 
-# -- polynomial helpers for products and the extended Euclid ----------
-
-
-def _polydivmod(a: list[Fraction], b: list[Fraction]):
-    out = [0] * max(len(a) - len(b) + 1, 0)
-    rem = list(a)
-    while len(rem) >= len(b):
-        if not rem[-1]:
-            rem.pop()
-            continue
-        shift = len(rem) - len(b)
-        q = rem[-1] / b[-1]
-        out[shift] = q
-        for j, c in enumerate(b):
-            rem[shift + j] -= q * c
-        rem.pop()
-    return out, rem
+# -- polynomial helpers for products and the inverse -----------------
 
 
 def _polymul(a: Sequence, b: Sequence) -> list:

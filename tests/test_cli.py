@@ -331,6 +331,8 @@ def test_an_oversized_name_is_not_echoed(argv, head, tail, capsys):
         ("((1+zeta(5,1))*x@0)^10000000", 2, "2"),
         # each term prints, their sum does not
         ("9" * 4300 + " + " + "9" * 4300, 2, "2"),
+        # a dense divisor at conductor 257: its inverse by Euclid over Q took 5.0 s
+        ("x@0/(" + " + ".join(f"{j * j % 7 + 1}*zeta(257,{j})" for j in range(20)) + ")", 0, "2"),
     ],
     ids=["flat-sum", "minus-chain", "deep-nesting", "syntax-before-division",
          "zeta-order-above-bound", "zeta-order-at-bound", "power-above-size-bound",
@@ -338,7 +340,7 @@ def test_an_oversized_name_is_not_echoed(argv, head, tail, capsys):
          "irrational-norm-over-z64", "irrational-norm-over-z128", "coefficient-above-print-limit",
          "product-above-print-limit", "multi-term-product-above-print-limit",
          "multi-term-power-above-print-limit", "irrational-power-above-print-limit",
-         "sum-above-print-limit"],
+         "sum-above-print-limit", "dense-irrational-divisor"],
 )
 def test_hostile_expressions_end_with_their_exit_code(text, code, group, capsys):
     argv = ["decompose", "--group", group, "--parity", "0", "--even", "x@0,x@1"]

@@ -2,6 +2,7 @@
 
 import functools
 import random
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -108,6 +109,54 @@ def test_quotients_and_negative_powers_invert_exactly():
     assert d ** -1 == d.inverse()
     with pytest.raises(ZeroDivisionError):
         Cyclotomic.from_rational(0) ** -1
+
+
+def test_inverse_builds_no_fraction():
+    """Euclid runs on integer remainders and cofactors: inverting
+    2 + z + 3z^3 at conductor 257 constructs no Fraction."""
+    a = 2 + root_of_unity(257, 1) + 3 * root_of_unity(257, 3)
+    # every construction path: __new__, and _from_coprime_ints where it exists
+    makers = {getattr(f, "__func__", f).__code__ for name, f in vars(Fraction).items()
+              if name in ("__new__", "_from_coprime_ints")}
+    entered, made, depth = [0], [], [0]
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if code is Cyclotomic.inverse.__code__:
+            if event == "call":
+                entered[0] += 1
+                depth[0] += 1
+            elif event == "return":
+                depth[0] -= 1
+        elif event == "call" and code in makers and depth[0]:
+            made.append(frame.f_back.f_code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        inv = a.inverse()
+    finally:
+        sys.setprofile(None)
+    assert entered == [1]
+    assert made == []
+    assert a * inv == 1
+
+
+@pytest.mark.parametrize("n, count", [(97, 40), (257, 20)])
+def test_inverses_at_large_conductors_match_sympy(n, count):
+    """The sparse 2 + z + 3z^3 and the dense sum of (j^2 mod 7 + 1)*z^j over
+    j < count, whose Euclid over Q swells, at a prime conductor: a*a^-1 = 1,
+    and den times sympy's inverse of num modulo Phi_n over QQ is a^-1."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    phi = sympy.Poly(cyclotomic_polynomial(n)[::-1], x, domain="QQ")
+    dense = sum((j * j % 7 + 1) * root_of_unity(n, j) for j in range(count))
+    for a in (2 + root_of_unity(n, 1) + 3 * root_of_unity(n, 3), dense):
+        inv = a.inverse()
+        assert a * inv == 1
+        num = sympy.Poly(a.num[::-1], x, domain="QQ")
+        want = (sympy.invert(num, phi) * a.den).all_coeffs()[::-1]
+        want += [0] * (euler_phi(n) - len(want))
+        assert inv.coeffs == tuple(Fraction(int(c.p), int(c.q)) for c in want)
 
 
 def test_conjugation_inverts_roots():
@@ -380,7 +429,7 @@ def test_sparse_reduction_matches_the_dense_loop():
 # the power basis, products by convolution, every vector reduced by
 # ``dense_reduce``, and the inverse by solving a linear system over Q.
 
-REFERENCE_CONDUCTORS = [1, 3, 4, 5, 12, 16]
+REFERENCE_CONDUCTORS = [1, 3, 4, 5, 7, 9, 12, 16]
 
 
 def ref_lift(a, m):
