@@ -57,8 +57,8 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from .cyclotomic import (Cyclotomic, _Frozen, _power, _prime_factors, _reduce, _reducer,
-                         root_of_unity)
+from .cyclotomic import (MAX_CONDUCTOR, Cyclotomic, _conductor, _Frozen, _power,
+                         _prime_factors, _reduce, _reducer, root_of_unity)
 from .errors import NotInvertibleError, SignatureMismatchError
 from .groups import Character, FiniteAbelianGroup, GroupElement, ParityMap
 
@@ -394,7 +394,7 @@ def _mul_terms(a: Terms, b: Terms) -> Terms:
     operand gives {}."""
     if not a or not b:
         return {}
-    n = lcm(*(c.conductor for t in (a, b) for c in t.values()))
+    n = _conductor(c.conductor for t in (a, b) for c in t.values())
     codec = _chain_codec([a, b], n)
     product = _packed_product(_pack(a, n, codec), _pack(b, n, codec), codec.shift)
     return _unpacked(product, n, codec)
@@ -867,32 +867,14 @@ class SuperRational(_Frozen):
         return _orbit_tower(_graded(self.signature), self.denominator)
 
     def weight(self) -> Character | None:
-        """The weight when homogeneous, None when inhomogeneous."""
+        """The one key of ``decompose``, None when inhomogeneous."""
         if self.is_zero():
             raise ValueError("the zero function has no weight")
-        return self._weight_over(self.denominator.termwise_weight())
-
-    def _weight_over(self, den_weight: Character | None) -> Character | None:
-        """``weight`` given the denominator's termwise weight."""
-        cofactors, _, shift = self._den_split(den_weight)
-        num_weight = reduce(mul, cofactors, self.numerator).termwise_weight()
-        return num_weight if num_weight is None or shift is None else num_weight * shift
-
-    def _den_split(
-        self, den_weight: Character | None
-    ) -> tuple[list[SuperPolynomial], SuperPolynomial, Character | None]:
-        """(cofactors, a termwise homogeneous D', 1/weight(D'), None for the
-        identity): none and this function's own D when ``den_weight``, D's
-        termwise weight, is not None, else ``_normed``'s."""
-        if den_weight is None:
-            return (*self._normed(), None)
-        shift = None if den_weight.is_identity() else den_weight.inverse()
-        return [], self.denominator, shift
+        parts = self.decompose()
+        return next(iter(parts)) if len(parts) == 1 else None
 
     def is_homogeneous(self, chi: Character) -> bool:
-        if self.is_zero():
-            return True
-        return self.weight() == chi
+        return self.is_zero() or self.weight() == chi
 
     def decompose(self) -> dict[Character, "SuperRational"]:
         """Split into homogeneous components; zero components are omitted.
@@ -985,18 +967,20 @@ class SuperRational(_Frozen):
 def _components(
     fs: Sequence[SuperRational], seen: list | None = None
 ) -> list[dict[Character, SuperRational]]:
-    """``decompose`` of each of ``fs``, functions over one graded signature.
+    """``decompose`` of each of ``fs``, functions over one graded signature:
+    the one homogeneity rule, which ``weight`` and ``GradedMorphism`` read.
 
-    The denominator part (``_den_split``) is taken once per distinct D, and
-    the weight split of a numerator times its cofactors once per numerator
-    over D, in this call or in all that share ``seen`` (one ``lift_atlas``).
+    D, or ``_normed``'s cofactors and D*C if D is not termwise homogeneous,
+    is taken once per distinct D, and the weight split of a numerator times
+    the cofactors once per numerator over D, in this call or in all that
+    share ``seen`` (one ``lift_atlas``).
     D matches by identity, then by layout (group, parity, ordered weights)
     and equal terms, a numerator by its monomial tuple, then equal terms.
     ``_orbit_tower``, ``_cofactor``, ``termwise_weight`` and
     ``weight_components`` never read a name, so a match over another
     signature of one layout is the same polynomials renamed, relabelled
     sharing their immutable ``terms``.  The components of the functions
-    sharing D share one denominator, weighed and printed once.
+    sharing D share one denominator, weighed once here and printed once.
     """
     seen = [] if seen is None else seen  # [(D, layout, split, {monomials: [(terms, parts)]})]
     entries: dict[int, tuple] = {}  # id(D) -> its entry in ``seen``; ``fs`` hold the D's
@@ -1011,8 +995,11 @@ def _components(
             layout = sig.group, sig.parity, sig.even_weights, sig.odd_weights
             entry = next((e for e in seen if e[0] is den
                           or e[1] == layout and e[0].terms == den.terms), None)
-            if entry is None:
-                seen.append(entry := (den, layout, f._den_split(den.termwise_weight()), {}))
+            if entry is None:  # (cofactors, a termwise homogeneous D', 1/weight(D'))
+                d = den.termwise_weight()
+                split = (*f._normed(), None) if d is None else (
+                    [], den, None if d.is_identity() else d.inverse())
+                seen.append(entry := (den, layout, split, {}))
             entries[id(den)] = entry
             if id(entry) not in splits:
                 cofactors, normed, shift = entry[2]
@@ -1088,7 +1075,7 @@ def _cofactor(sig: GradedSignature, terms: Terms, js: list[int], p: int) -> Supe
     prime.  The bound holds only while z is left unreduced, so the product is
     reduced modulo Phi_N once, as it is unpacked.
     """
-    n = lcm(*(c.conductor for c in terms.values() if not c.is_rational()))
+    n = _conductor(c.conductor for c in terms.values() if not c.is_rational())
     codec = _chain_codec([terms] * (p - 1), n)
     d, packed = _pack(terms, n, codec)
     low, j = (1 << codec.zshift) - 1, dict(zip(map(codec.pack, terms), js))  # P is even
@@ -1196,6 +1183,9 @@ def _substitute(
                     for m in p.terms) for p in polys)
     n = lcm(*(c.conductor for p in chain(polys, *inner.values()) for c in p.terms.values()
               if not c.is_rational()))
+    if n > MAX_CONDUCTOR and len(fs) > 1:  # past the bound, each f alone may need less
+        return [g for f in fs for g in _substitute([f], images, target)]
+    n = _conductor([n])
     codec = _codec(len(target.even), max(reach, 2 * (_reducer(n)[0] - 1)))
     one, zero, zshift = (1, {0: 1}), (1, {}), codec.zshift
     unit = SuperPolynomial.one(target)

@@ -9,7 +9,8 @@ by chart turns a supermanifold atlas into a graded one: ``lift_atlas``
 builds each chart's covering signature and projection once, and lifts
 every transition against them through the one lift path ``_lift``, which
 ``lift_super`` and ``lift_mixed`` take too.  ``_lift`` decomposes all
-images of a transition together, so a shared denominator is normed once.
+images of a transition together, so a shared denominator is normed once,
+and builds the lift from that split unchecked.
 The charts' coverings, of one dimension, differ only in names, which the
 norm and the weight split never read, so ``lift_atlas`` norms each distinct
 denominator, and splits each numerator over it, once per atlas.
@@ -27,6 +28,7 @@ from itertools import combinations
 
 from .algebra import GradedSignature, SuperMonomial, SuperPolynomial, SuperRational
 from .algebra import SuperSignature, _components, restrict_terms
+from .cyclotomic import _restore
 from .errors import CoveringError, GradedError, SignatureMismatchError
 from .expressions import format_expression
 from .groups import Character, FiniteAbelianGroup, ParityMap
@@ -108,13 +110,21 @@ def lift_mixed(phi: SuperMorphism) -> GradedMorphism:
 
 def _lift(phi: SuperMorphism, cover: GradedSignature, seen: list | None = None) -> GradedMorphism:
     """``lift_mixed`` of phi, given the covering signature of its target:
-    images that share a denominator norm it once in one ``_components``."""
+    images that share a denominator norm it once in one ``_components``.
+    Built unchecked, as unpickling builds it, since ``GradedMorphism``'s
+    checks hold: ``_copies`` gives each copy y@chi of ``cover`` an image over
+    phi.source, zero or the bucket of weight chi of phi's image N/D of y:
+    the terms of N*C of one weight over D*C, termwise homogeneous (C = 1 if
+    D is), so ``_components`` of it is itself, of weight chi.  It has y's
+    parity, which is y@chi's (odd coordinates take odd-parity copies), as N
+    has it and C is even.
+    """
     layout = [entry for part in _copies(phi.target, cover) for entry in part]
     components = _components([phi.images[name] for name, _ in layout], seen)
     zero = SuperRational.zero(phi.source)
     images = {copy: parts.get(chi, zero)
               for (_, copies), parts in zip(layout, components) for copy, chi in copies}
-    return GradedMorphism(phi.source, cover, images)
+    return _restore(GradedMorphism, (phi.source, cover, images))
 
 
 def source_super(signature: SuperSignature) -> SuperSignature:

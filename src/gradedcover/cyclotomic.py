@@ -7,10 +7,11 @@ terms, zero as zeros over 1.  Phi_N is monic, so reduction stays integral,
 and irreducible, so the form is canonical: equality compares (num, den).
 
 Values with different conductors interoperate by lifting both operands
-into Q(zeta_lcm) first, except that a rational factor (conductor 1) scales
-the other operand's vector without a lift.  ``least`` descends the other
-way, one prime at a time, to the least conductor of a value, which printing
-uses when the group's field does not hold it.
+into Q(zeta_lcm) first, an lcm of at most ``MAX_CONDUCTOR``, except that a
+rational factor (conductor 1) scales the other operand's vector without a
+lift.  ``least`` descends the other way, one prime at a time, to the least
+conductor of a value, which printing uses when the group's field does not
+hold it, and equality when the conductors differ.
 
 A root zeta_N^k is z^(k mod N) reduced modulo Phi_N, an integer vector
 over 1, cached per (N, k mod N): one reduction per root, no table of all N.
@@ -33,7 +34,11 @@ from math import gcd, lcm
 from operator import attrgetter, sub
 from typing import Iterable, Sequence, Union
 
+from .errors import GradedError
+
 Rational = Union[int, Fraction]
+
+MAX_CONDUCTOR = 65536  # zeta(251,1)*zeta(257,1), at 64,507, takes about 0.3 s on a 2-core VM
 
 # Filled lazily, keyed by conductor and by (order, exponent mod order).
 # Concurrent first access is safe: every thread computes the same
@@ -75,6 +80,15 @@ def _restore(cls, state: tuple):
     for field, value in zip(cls._fields, state):
         object.__setattr__(self, field, value)
     return self
+
+
+def _conductor(conductors: Iterable[int]) -> int:
+    """The lcm of ``conductors``, to lift values to: a ``GradedError`` past
+    ``MAX_CONDUCTOR``, before any dense vector of phi(lcm) integers exists."""
+    n = lcm(*conductors)
+    if n > MAX_CONDUCTOR:
+        raise GradedError(f"conductor {n} is above the bound {MAX_CONDUCTOR}")
+    return n
 
 
 def _pseudodivmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -229,7 +243,7 @@ class Cyclotomic(_Frozen):
     def _common(a: "Cyclotomic", b: "Cyclotomic"):
         if a.conductor == b.conductor:
             return a, b
-        m = lcm(a.conductor, b.conductor)
+        m = _conductor((a.conductor, b.conductor))
         return a.lift(m), b.lift(m)
 
     def least(self) -> "Cyclotomic":
@@ -389,8 +403,8 @@ class Cyclotomic(_Frozen):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = Cyclotomic._common(self, rhs)
-        return a.num == b.num and a.den == b.den
+        a, b = (self, rhs) if self.conductor == rhs.conductor else (self.least(), rhs.least())
+        return a.conductor == b.conductor and a.num == b.num and a.den == b.den  # no lift
 
     __hash__ = None  # value-equal across conductors; not hashable
 

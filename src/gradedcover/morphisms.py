@@ -4,17 +4,16 @@ A morphism into a domain with coordinates (y_i, eta_j) is determined by
 the pullback images of those coordinates, so it is stored as a validated
 mapping from target variable names to superfunctions over the source.
 ``SuperMorphism`` checks parities only; ``GradedMorphism`` additionally
-requires every image to be homogeneous of its variable's weight.
+requires every image to be one ``_components`` bucket, of its variable's weight.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Mapping
 
-from .algebra import GradedSignature, SuperRational, SuperSignature, _substitute
+from .algebra import GradedSignature, SuperRational, SuperSignature, _components, _substitute
 from .cyclotomic import _Frozen
 from .errors import MorphismValidationError, SignatureMismatchError
-from .groups import Character
 
 
 class SuperMorphism(_Frozen):
@@ -69,9 +68,9 @@ class SuperMorphism(_Frozen):
 class GradedMorphism(SuperMorphism):
     """A morphism of graded domains: images are homogeneous of the right weight.
 
-    Validation weighs every numerator, but each distinct denominator object
-    only once, since the components of a lift share one; an inhomogeneous
-    denominator is normed per image, as ``SuperRational.weight`` does.
+    ``_components`` must split each image into one component, of its
+    variable's weight; images in order share one ``seen``, so each distinct
+    denominator is normed once.  ``covering._lift`` builds lifts unchecked.
     """
 
     __slots__ = ()
@@ -91,23 +90,13 @@ class GradedMorphism(SuperMorphism):
                 "source and target are graded by different groups or parities"
             )
         super().__init__(source, target, images)
-        den_weights: dict[int, Character | None] = {}  # by id; the images hold the objects
-        for name in target.even + target.odd:
-            img = self.images[name]
-            if img.is_zero():
-                continue
+        seen: list = []  # shared, so each distinct denominator is normed once
+        for name in target.even + target.odd:  # image by image: the first mismatch raises
+            (parts,) = _components([self.images[name]], seen)
             expected = target.weight_of_var(name)
-            den = img.denominator
-            if id(den) not in den_weights:
-                den_weights[id(den)] = den.termwise_weight()
-            found = img._weight_over(den_weights[id(den)])
-            if found != expected:
-                raise MorphismValidationError(
-                    name,
-                    "weight mismatch",
-                    expected=str(expected),
-                    found="inhomogeneous" if found is None else str(found),
-                )
+            if parts and list(parts) != [expected]:  # a zero image has no parts
+                found = str(next(iter(parts))) if len(parts) == 1 else "inhomogeneous"
+                raise MorphismValidationError(name, "weight mismatch", str(expected), found)
 
 
 def _check_images_complete(target: SuperSignature, images: dict):
@@ -117,9 +106,7 @@ def _check_images_complete(target: SuperSignature, images: dict):
             raise MorphismValidationError(name, "missing image")
     extra = sorted(set(images) - declared)
     if extra:
-        raise MorphismValidationError(
-            extra[0], "not a variable of the target signature"
-        )
+        raise MorphismValidationError(extra[0], "not a variable of the target signature")
 
 
 def _check_parities(target: SuperSignature, images: dict):
@@ -146,9 +133,7 @@ def compose(second: SuperMorphism, first: SuperMorphism) -> SuperMorphism:
     ``_substitute``, which packs each image of ``first`` once.
     """
     if first.target != second.source:
-        raise SignatureMismatchError(
-            "inner target and outer source signatures differ"
-        )
+        raise SignatureMismatchError("inner target and outer source signatures differ")
     # first's images are complete, over first.source and of their variables'
     # parities, which is all that ``SuperRational.substitute`` checks
     images = dict(zip(second.images, _substitute(list(second.images.values()),

@@ -35,6 +35,7 @@ from gradedcover import (
     parse_expression,
     parse_group_spec,
     parse_parity_spec,
+    root_of_unity,
 )
 from conftest import random_polynomial_morphism
 
@@ -851,12 +852,16 @@ def test_an_atlas_lift_of_projective_space_is_the_lift_of_each_transition(k, gro
 
 def assert_lift_of_each_transition(atlas, group, parity):
     """Each lifted transition has the images of ``lift_super``, which shares
-    nothing across transitions: equal terms and equal printed text."""
+    nothing across transitions: equal terms and equal printed text.  Both
+    are built unchecked, so each is rebuilt through the validating
+    ``GradedMorphism`` too, which must accept it unchanged."""
     g = parse_group_spec(group)
     pm = parse_parity_spec(g, parity)
     lifted = lift_atlas(atlas, g, pm)
     for key, psi in atlas.transitions.items():
         alone = lift_super(psi, g, pm)
+        for lift in (lifted.transitions[key], alone):
+            assert GradedMorphism(lift.source, lift.target, lift.images) == lift
         assert list(lifted.transitions[key].images) == list(alone.images)
         assert lifted.transitions[key] == alone
         for name, img in alone.images.items():
@@ -864,6 +869,25 @@ def assert_lift_of_each_transition(atlas, group, parity):
             assert got.numerator.terms == img.numerator.terms
             assert got.denominator.terms == img.denominator.terms
             assert format_expression(got) == format_expression(img)
+
+
+def test_images_over_conductors_past_the_bound_compose_and_lift_each_at_its_own():
+    """psi's images need zeta_257 and zeta_263, whose lcm, 67,591, passes the
+    conductor bound, but no image needs both: each is substituted at its own."""
+    g = make_group([2])
+    pm = ParityMap.trivial(g)
+    sig = SuperSignature(even=["u", "v"])
+    u, v = (SuperRational.variable(sig, n).numerator for n in ("u", "v"))
+    a, b = root_of_unity(257, 1), root_of_unity(263, 1)
+    images = {"u": SuperRational(u, 1 + a * u), "v": SuperRational(v, 1 + b * v)}
+    psi = SuperMorphism(sig, sig, images)
+    pulled = compose(psi, covering_map(sig, g, pm))
+    for name, n in (("u", 257), ("v", 263)):
+        img = pulled.images[name]
+        assert {c.conductor for p in (img.numerator, img.denominator)
+                for c in p.terms.values()} == {n}
+    lift = lift_super(psi, g, pm)
+    assert GradedMorphism(lift.source, lift.target, lift.images) == lift
 
 
 def test_p1_splits_its_one_numerator_once_per_atlas(monkeypatch):

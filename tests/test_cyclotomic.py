@@ -11,7 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gradedcover import Cyclotomic, cyclotomic_polynomial, euler_phi, root_of_unity
-from gradedcover.cyclotomic import _reduce, _spread
+from gradedcover.cyclotomic import MAX_CONDUCTOR, _conductor, _reduce, _spread
+from gradedcover.errors import GradedError
 
 
 def test_known_cyclotomic_polynomials():
@@ -604,3 +605,25 @@ def test_least_conductor_is_the_least_field_galois_fixes(c):
     canonical = Cyclotomic(least.coeffs, want)
     assert (least.num, least.den) == (canonical.num, canonical.den) and least.den == c.den
     assert least.least().conductor == want
+
+
+def test_an_lcm_of_conductors_past_the_bound_is_refused_before_any_lift():
+    assert _conductor([MAX_CONDUCTOR, 256]) == MAX_CONDUCTOR
+    assert _conductor([]) == 1
+    with pytest.raises(GradedError, match=f"conductor {MAX_CONDUCTOR + 1} is above the bound"):
+        _conductor([MAX_CONDUCTOR + 1])
+    a, b = root_of_unity(4093, 1), root_of_unity(4091, 1)
+    for op in (a.__mul__, a.__add__):
+        with pytest.raises(GradedError, match="conductor 16744463 is above the bound 65536"):
+            op(b)
+    assert (a * root_of_unity(16, 1)).conductor == 65488  # 0.05 s
+
+
+def test_equality_past_the_bound_answers_by_least_forms():
+    """Equal values share their least conductor and vector there, so values
+    whose conductors' lcm passes the bound compare without a lift."""
+    a, b = root_of_unity(257, 1), root_of_unity(263, 1)  # lcm 67,591
+    assert not a == b and a != b
+    assert root_of_unity(4093, 1) != root_of_unity(4091, 1)
+    assert root_of_unity(3, 1) == root_of_unity(6, 2) and root_of_unity(3, 1) != root_of_unity(6, 1)
+    assert a.lift(514) == a and -a.lift(514) != a

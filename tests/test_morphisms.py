@@ -16,6 +16,7 @@ from gradedcover import (
     compose,
     identity_morphism,
     make_group,
+    root_of_unity,
 )
 from conftest import random_group, random_parity, random_signature
 
@@ -272,7 +273,7 @@ def test_a_wrong_numerator_over_the_shared_denominator_is_reported():
     assert err.value.variable == "y@(2)"
 
 
-def test_a_shared_inhomogeneous_denominator_is_normed_per_image(monkeypatch):
+def test_a_shared_inhomogeneous_denominator_is_normed_once(monkeypatch):
     sig = z2_line_signature()
     target = z2_line_signature(names=("y0", "y1"))
     x0, x1 = (SuperRational.variable(sig, n).numerator for n in ("x0", "x1"))
@@ -287,8 +288,26 @@ def test_a_shared_inhomogeneous_denominator_is_normed_per_image(monkeypatch):
     monkeypatch.setattr(SuperRational, "_normed", spy)
     images = {"y0": SuperRational(x0 * shared, shared), "y1": SuperRational(x1 * shared, shared)}
     GradedMorphism(sig, target, images)
-    assert len(normed) == 2 and normed[0] is images["y0"] and normed[1] is images["y1"]
+    assert len(normed) == 1 and normed[0] is images["y0"]
     images["y1"] = SuperRational(x0, shared)  # x0/(1 + x1) is inhomogeneous
     with pytest.raises(MorphismValidationError, match="inhomogeneous") as err:
         GradedMorphism(sig, target, images)
     assert err.value.variable == "y1"
+
+
+def test_images_over_conductors_past_the_bound_validate_each_at_its_own():
+    """Denominators with one set of monomials, over zeta_257 and zeta_263,
+    are compared without a lift to their lcm, 67,591; validation takes the
+    images in order, so the first mismatch raises before a later image's
+    norm is refused by the conductor bound."""
+    sig = z2_line_signature()
+    target = z2_line_signature(names=("y0", "y1"))
+    x0, x1 = (SuperRational.variable(sig, n).numerator for n in ("x0", "x1"))
+    a, b = root_of_unity(257, 1), root_of_unity(263, 1)
+    images = {"y0": SuperRational(x0, 1 + a * x0), "y1": SuperRational(x1, 1 + b * x0)}
+    assert GradedMorphism(sig, target, images).images == images
+    images["y0"] = SuperRational.variable(sig, "x1")
+    images["y1"] = SuperRational(x1, root_of_unity(4093, 1) * x0 + root_of_unity(4091, 1) * x1)
+    with pytest.raises(MorphismValidationError, match="weight mismatch") as err:
+        GradedMorphism(sig, target, images)
+    assert err.value.variable == "y0"
