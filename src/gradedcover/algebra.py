@@ -412,19 +412,6 @@ def _mul_single(t1: tuple, t2: tuple) -> tuple | None:
     return mono, c if sign > 0 else -c
 
 
-def _pow_single(t: tuple, k: int) -> tuple | None:
-    """One term to the k >= 0, None for zero: the exponents scale, an odd
-    monomial squares to zero, and a coefficient 1 at conductor 1 stays."""
-    m, c = t
-    if k == 0:
-        return SuperMonomial((0,) * len(m.even), ()), Cyclotomic.from_rational(1)
-    if k == 1:
-        return t
-    if m.odd:
-        return None
-    return SuperMonomial(tuple(e * k for e in m.even), ()), c if _is_unit(c) else c**k
-
-
 def _is_unit(c: Cyclotomic) -> bool:
     return c.conductor == 1 and c.num[0] == 1 and c.den == 1
 

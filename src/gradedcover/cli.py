@@ -182,7 +182,7 @@ def _emit(text: str, output: str | None):
 def _read_expr(args) -> str:
     if args.expr is None or args.expr == "-":
         return sys.stdin.read()
-    return args.expr
+    return args.expr if isinstance(args.expr, str) else "--"  # argparse reads --expr=-- as []
 
 
 def _signature_from_flags(args):
@@ -191,8 +191,14 @@ def _signature_from_flags(args):
     return parse_graded_signature(group, parity, args.even or "", args.odd or "")
 
 
+MAX_CHAR_TABLE_ORDER = 256  # order^2 cells: order 1024 took 22 s on a 2-core VM
+
+
 def cmd_char_table(args) -> tuple[dict, str, int]:
     group = parse_group_spec(args.group)
+    if group.order > MAX_CHAR_TABLE_ORDER:
+        raise ValueError(f"a character table of a group of order {group.order} is above "
+                         f"the bound {MAX_CHAR_TABLE_ORDER}")
     elements = [str(g) for g in group.elements()]
     characters = [str(chi) for chi in group.characters()]
     cells = [[str(v) for v in row] for row in character_table(group)]

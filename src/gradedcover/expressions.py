@@ -12,27 +12,28 @@ the shorthand ``name@k`` is accepted for rank-one groups.  ``parse_expression``
 syntax-checks the whole text into a postfix program before any arithmetic
 runs, so malformed text is an ``ExprSyntaxError`` even if it also divides
 by zero; it then evaluates the program with a value stack against a
-declared signature into an exact superfunction.  A single term stays one
-(monomial, coefficient) pair through products, powers and division by a
-constant c other than 1 (a product with 1/c), and a sum adds each term
-into one dict in place.  Values stay polynomials until a division by a
-non-constant; that division, and arithmetic on a quotient, go through
-``SuperRational``, and a quotient whose denominator is exactly 1 at
-conductor 1 turns back into a polynomial.
+declared signature into an exact superfunction.  A polynomial on the
+stack is a dict of terms that only the stack holds, a single term a
+one-entry dict: a product, a power, or a division by a constant c other
+than 1 (a product with 1/c) of single terms pushes a new one, and a sum
+adds each term into its left dict in place.  Values stay polynomials
+until a division by a non-constant; that division, and arithmetic on a
+quotient, go through ``SuperRational``, and a quotient whose denominator
+is exactly 1 at conductor 1 turns back into a polynomial.
 Parentheses nest at most ``MAX_NESTING`` (100) levels deep,
 ``zeta(N,k)`` takes orders N up to ``DEFAULT_ORDER_BOUND`` (4096), and a
 power of an operand with more than one term may have at most
 ``MAX_POWER_SIZE`` (500) coefficient entries as ``_check_power`` counts them;
 neither an integer literal nor a product, quotient or power, nor a sum
 that involves a quotient, may hold an integer of more than
-``MAX_COEFFICIENT_DIGITS`` (4300) digits (``_Parser.integer``, ``_bounded``
-and ``_bounded_value`` check them; ``_term_power`` checks a rational
-single-term power before it is taken, and ``_bounded_power`` each product
-of a power as it is taken).  A sum of polynomials adds at most one digit,
-so it is not checked at each operator: a stacked sum carries the position of
-its last ``+`` or ``-`` and is ``_bounded_value`` once there, as it leaves
-the stack as an operand or as the result.  A
-message quotes at most 40 characters of a name or a residue (``_quoted``).
+``MAX_COEFFICIENT_DIGITS`` (4300) digits: ``_Parser.integer`` checks each
+literal and ``_bounded`` each new coefficient, a power's at each product of
+its binary powering as it is taken (``_term_power``, ``_bounded_power``).
+A sum of polynomials adds at most one digit, so it is not checked at each
+operator: a stacked sum carries the position of its last ``+`` or ``-``
+and is ``_bounded`` once there, as it leaves the stack as an operand or
+as the result.  A message quotes at most 40 characters of a name, a
+residue, a token or an integer (``_quoted``).
 ``format_expression`` renders a superfunction back in a canonical,
 re-parseable form in one pass over its sorted terms, each coefficient by its
 value: over Q(zeta_N), N the exponent of a graded signature's group (1 for a
@@ -47,7 +48,7 @@ from math import comb, lcm
 from typing import NamedTuple
 
 from .algebra import GradedSignature, SuperMonomial, SuperPolynomial, SuperRational, SuperSignature
-from .algebra import _accumulate, _mul_single, _pow_single
+from .algebra import _accumulate, _is_unit, _mul_single
 from .cyclotomic import Cyclotomic, _basis_pieces, _join_signed, _power, euler_phi, root_of_unity
 from .errors import ExprSyntaxError
 from .groups import DEFAULT_ORDER_BOUND
@@ -95,9 +96,9 @@ def parse_residues(text: str, what: str, start: int = 0) -> tuple[int, ...]:
         raise ValueError(f"malformed {what} {_quoted(text)}; expected (k1,...,kt)") from None
 
 
-def _quoted(text: str) -> str:
+def _quoted(text: str, quote=repr) -> str:
     """``text`` quoted for a message, cut to 40 characters."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+    return quote(text) if len(text) <= 40 else f"{quote(text[:40])}... ({len(text)} characters)"
 
 
 def parse_var_name(name: str) -> tuple[str, tuple[int, ...] | None]:
@@ -146,7 +147,7 @@ class _Parser:
         tok = self.take(kind)
         if tok is None:
             tok = self.tokens[self.idx]
-            raise ExprSyntaxError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
+            raise ExprSyntaxError(f"expected {kind!r}, found {_quoted(tok.text)}", tok.pos)
         return tok
 
     def integer(self, tok: Token) -> int:
@@ -161,7 +162,7 @@ class _Parser:
         self.expr()
         tok = self.tokens[self.idx]
         if tok.kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
+            raise ExprSyntaxError(f"unexpected trailing input {_quoted(tok.text)}", tok.pos)
         return self.program
 
     def expr(self):
@@ -211,7 +212,7 @@ class _Parser:
         elif tok.kind == "ident":
             self.program.append(("var", tok.text, tok.pos))
         else:
-            raise ExprSyntaxError(f"expected a value, found {tok.text!r}", tok.pos)
+            raise ExprSyntaxError(f"expected a value, found {_quoted(tok.text)}", tok.pos)
 
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -224,13 +225,14 @@ def _binary(op: str, lhs: Value, rhs: Value, pos: int) -> Value:
     """``lhs op rhs`` as ``SuperRational`` computes it, kept as a polynomial
     while the denominator is 1; a polynomial divided by a non-constant even
     polynomial is their quotient, the terms its inverse series would give.
-    A result with new coefficients is ``_bounded_value`` at ``pos``."""
+    The result's coefficients are ``_bounded`` at ``pos``."""
     if op == "/" and isinstance(lhs, SuperPolynomial) and isinstance(rhs, SuperPolynomial):
         if rhs.as_constant() is None and rhs and not rhs.has_odd_content():
             return SuperRational(lhs, rhs)
     lhs, rhs = (SuperRational(v) if isinstance(v, SuperPolynomial) else v for v in (lhs, rhs))
     out = _BINARY[op](lhs, rhs)
-    return _bounded_value(out.numerator if out.denominator.is_one() else out, _RESULTS[op], pos)
+    _bounded([*out.numerator.terms.values(), *out.denominator.terms.values()], _RESULTS[op], pos)
+    return out.numerator if out.denominator.is_one() else out
 
 
 def _check_power(value: Value, exponent: int, pos: int):
@@ -245,97 +247,60 @@ def _check_power(value: Value, exponent: int, pos: int):
             width = euler_phi(lcm(*(c.conductor for c in poly.terms.values())))
             if comb(min(exponent, MAX_POWER_SIZE) + t - 1, t - 1) * width > MAX_POWER_SIZE:
                 raise ExprSyntaxError(
-                    f"power of {t} terms to the {exponent} is above the size bound "
-                    f"{MAX_POWER_SIZE}", pos
+                    f"power of {t} terms to the {_quoted(str(exponent), str)} is above the "
+                    f"size bound {MAX_POWER_SIZE}", pos
                 )
 
 
-def _too_long(x: int, k: int = 1) -> bool:
-    """Whether x^k, x >= 0, has more than ``MAX_COEFFICIENT_DIGITS`` digits;
-    x^k is computed only below 2^(2L), L the bit length of the limit."""
-    return x > 1 and (k * (x.bit_length() - 1) >= _DIGIT_LIMIT.bit_length() or x**k >= _DIGIT_LIMIT)
-
-
-def _digits_error(what: str, pos: int) -> ExprSyntaxError:
-    return ExprSyntaxError(
-        f"coefficient of the {what} has more than {MAX_COEFFICIENT_DIGITS} digits", pos
-    )
-
-
-def _oversized(c: Cyclotomic) -> bool:
-    """Whether c has an integer (entry or denominator) of more than
-    ``MAX_COEFFICIENT_DIGITS`` digits."""
-    return c.den >= _DIGIT_LIMIT or max(map(abs, c.num)) >= _DIGIT_LIMIT
-
-
-def _bounded(term: tuple | None, what: str, pos: int) -> tuple | None:
-    """``term``, refused at ``pos`` when its coefficient is ``_oversized``."""
-    if term is not None and _oversized(term[1]):
-        raise _digits_error(what, pos)
-    return term
-
-
-def _bounded_value(value: Value, what: str, pos: int) -> Value:
-    """``value``, refused at ``pos`` when a coefficient of its numerator or
-    denominator is ``_oversized``."""
-    polys = [value] if isinstance(value, SuperPolynomial) else [value.numerator, value.denominator]
-    if any(_oversized(c) for poly in polys for c in poly.terms.values()):
-        raise _digits_error(what, pos)
-    return value
+def _bounded(coefficients, what: str, pos: int):
+    """Refuse at ``pos`` any of ``coefficients`` with an integer (entry or
+    denominator) of more than ``MAX_COEFFICIENT_DIGITS`` digits."""
+    for c in coefficients:
+        if c.den >= _DIGIT_LIMIT or max(map(abs, c.num)) >= _DIGIT_LIMIT:
+            raise ExprSyntaxError(
+                f"coefficient of the {what} has more than {MAX_COEFFICIENT_DIGITS} digits", pos
+            )
 
 
 def _bounded_power(value: Value, exponent: int, pos: int) -> Value:
     """``value**exponent`` by the same binary powering, each product
-    ``_bounded_value`` as soon as it is taken, so that no product is taken
+    ``_bounded`` as soon as it is taken, so that no product is taken
     of a factor past the printable digits."""
-    what = f"power to the {exponent}"
+    what = f"power to the {_quoted(str(exponent), str)}"
 
     def power(p: SuperPolynomial) -> SuperPolynomial:
         one = SuperPolynomial.one(p.signature)
-        return _power(p, exponent, one, lambda q: _bounded_value(q, what, pos))
+        return _power(p, exponent, one, lambda q: _bounded(q.terms.values(), what, pos))
 
     if isinstance(value, SuperPolynomial):
         return power(value)
     return SuperRational._of(power(value.numerator), power(value.denominator))
 
 
-def _term_power(term: tuple, exponent: int, pos: int) -> tuple | None:
-    """``_pow_single``, ``_bounded``: a rational a/b in lowest terms gives
-    |a|^k and b^k, checked before the power is taken; any other c^k is taken
-    by ``_power``, each product checked as soon as it is taken."""
-    mono, c = term
-    what = f"power to the {exponent}"
-    if c.is_rational():
-        if not mono.odd and _too_long(max(abs(c.num[0]), c.den), exponent):
-            raise _digits_error(what, pos)
-    elif exponent > 1 and not mono.odd:
-        power = _power(c, exponent, Cyclotomic.from_rational(1),
-                       lambda q: _bounded((mono, q), what, pos))
-        return SuperMonomial(tuple(e * exponent for e in mono.even), ()), power
-    return _pow_single(term, exponent)
+def _term_power(mono: SuperMonomial, c: Cyclotomic, exponent: int, pos: int) -> dict:
+    """One term to the k >= 0, as a one-entry dict, {} for zero: the exponents
+    scale, an odd monomial to a power >= 2 is zero, a coefficient 1 at
+    conductor 1 stays, and any other is taken by ``_power``, each product
+    ``_bounded``.  A rational a/b in lowest terms has its powers a^j/b^j in
+    lowest terms and growing with j, and binary powering forms none above
+    c^k, so a product is refused exactly when c^k is."""
+    if mono.odd and exponent > 1:
+        return {}
+    mono = SuperMonomial(tuple(e * exponent for e in mono.even), mono.odd if exponent == 1 else ())
+    if not _is_unit(c):
+        what = f"power to the {_quoted(str(exponent), str)}"
+        c = _power(c, exponent, Cyclotomic.from_rational(1), lambda q: _bounded((q,), what, pos))
+    return {mono: c}
 
 
-def _term_product(a: tuple, b: tuple, pos: int) -> tuple | None:
-    """``_mul_single``, ``_bounded`` where the coefficient is a new product:
-    a factor whose coefficient is 1 leaves the other's, already bounded."""
-    term = _mul_single(a, b)
-    if term is not None and term[1] is not a[1] and term[1] is not b[1]:
-        _bounded(term, "product", pos)
-    return term
-
-
-# A polynomial on the stack is one non-zero (monomial, coefficient) term,
-# or a dict of terms that only the stack holds, which a sum adds into.
+# A polynomial on the stack is a dict of terms that only the stack holds,
+# a single term a one-entry dict; a sum adds into its left dict in place.
 
 def _term(value) -> tuple | None:
-    if type(value) is dict and len(value) == 1:
-        return next(iter(value.items()))
-    return value if type(value) is tuple else None
+    return next(iter(value.items())) if type(value) is dict and len(value) == 1 else None
 
 
 def _value(value, signature: SuperSignature) -> Value:
-    if type(value) is tuple:
-        value = dict((value,))
     return SuperPolynomial._raw(signature, value) if type(value) is dict else value
 
 
@@ -351,9 +316,9 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
     sums: dict[int, tuple] = {}  # by id of a stacked sum of polynomials: (name, its last position)
 
     def settled(value):
-        """``value`` leaving the stack: a sum is ``_bounded_value`` at its last position."""
+        """``value`` leaving the stack: a sum is ``_bounded`` at its last position."""
         if sums and type(value) is dict and (mark := sums.pop(id(value), None)):
-            _bounded_value(_value(value, signature), *mark)
+            _bounded(value.values(), *mark)
         return value
 
     for step in _Parser(_lex(text)).parse():
@@ -369,23 +334,22 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
                     raise ExprSyntaxError(f"unknown identifier {_quoted(step[1])}", step[2])
                 (mono,) = SuperPolynomial.variable(signature, name).terms
                 monomials[step[1]] = mono
-            stack.append((mono, one))
+            stack.append({mono: one})
         elif op == "const":
-            stack.append((unit, Cyclotomic.from_rational(step[1])) if step[1] else {})
+            stack.append({unit: Cyclotomic.from_rational(step[1])} if step[1] else {})
         elif op == "root":
             _, order, power, pos = step
             if order > DEFAULT_ORDER_BOUND:
-                raise ExprSyntaxError(
-                    f"zeta order {order} is above the bound {DEFAULT_ORDER_BOUND}", pos
-                )
-            stack.append((unit, root_of_unity(order, power)))
+                raise ExprSyntaxError(f"zeta order {_quoted(str(order), str)} is above the "
+                                      f"bound {DEFAULT_ORDER_BOUND}", pos)
+            stack.append({unit: root_of_unity(order, power)})
         elif op == "neg":
             top = settled(stack[-1])
-            stack[-1] = (top[0], -top[1]) if type(top) is tuple else _stacked(-_value(top, signature))
+            stack[-1] = {mono: -c for mono, c in top.items()} if type(top) is dict else -top
         elif op == "^":
             _, exponent, pos = step
             if term := _term(settled(stack[-1])):
-                stack[-1] = _term_power(term, exponent, pos) or {}
+                stack[-1] = _term_power(*term, exponent, pos)
             else:
                 value = _value(stack[-1], signature)
                 _check_power(value, exponent, pos)
@@ -394,17 +358,23 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
             rhs = stack.pop()
             lhs = stack[-1]
             if op in "+-" and SuperRational not in (type(lhs), type(rhs)):
-                items = (rhs,) if type(rhs) is tuple else settled(rhs).items()
+                items = settled(rhs).items()
                 if op == "-":
                     items = [(mono, -c) for mono, c in items]
-                stack[-1] = _accumulate(lhs if type(lhs) is dict else dict((lhs,)), items)
-                sums[id(stack[-1])] = _RESULTS[op], step[1]
+                _accumulate(lhs, items)
+                sums[id(lhs)] = _RESULTS[op], step[1]
                 continue
             a, b = _term(settled(lhs)), _term(settled(rhs))
             if op == "*" and a and b:
-                stack[-1] = _term_product(a, b, step[1]) or {}
+                term = _mul_single(a, b)
+                # a factor 1 leaves the other's coefficient, already bounded
+                if term and term[1] is not a[1] and term[1] is not b[1]:
+                    _bounded((term[1],), "product", step[1])
+                stack[-1] = dict((term,)) if term else {}
             elif op == "/" and a and b and b[0] == unit and b[1] != 1:
-                stack[-1] = _bounded(_mul_single(a, (unit, b[1].inverse())), "quotient", step[1])
+                mono, c = _mul_single(a, (unit, b[1].inverse()))
+                _bounded((c,), "quotient", step[1])
+                stack[-1] = {mono: c}
             else:
                 value = _binary(op, _value(lhs, signature), _value(rhs, signature), step[1])
                 stack[-1] = _stacked(value)

@@ -1,10 +1,14 @@
 """Command dispatch, output shapes, and the exit-code contract."""
 
+import contextlib
 import hashlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedcover import GradedMorphism, SuperPolynomial, cli
 from gradedcover.cli import build_parser, dump_atlas, load_atlas, main
@@ -88,6 +92,19 @@ def test_char_table_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["table"] == [["1", "1"], ["1", "-1"]]
     assert payload["elements"] == ["(0)", "(1)"]
+
+
+def test_char_table_order_is_bounded(capsys):
+    """Order 1,024 took 22 s on a 2-core VM and order 4,096 did not end: a
+    table above order 256 is refused before any cell is built, and one of
+    order 256 prints."""
+    start = time.perf_counter()
+    assert main(["char-table", "--group", "4096"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: a character table of a group of order 4096 is above the bound 256\n")
+    assert main(["char-table", "--group", "2x2x2x2x2x2x2x2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 257
 
 
 def test_decompose_reciprocal_sum(capsys):
@@ -287,6 +304,30 @@ def test_an_oversized_residue_is_not_echoed(argv, head, tail, capsys):
     assert len(err) < 200 and err.startswith(head) and err.endswith(tail)
 
 
+NINES = "9" * 4300  # the longest literal that reads as an int
+
+
+@pytest.mark.parametrize("expr, head, tail", [
+    (f"zeta({NINES},1)", "syntax error: zeta order 999",
+     "... (4300 characters) is above the bound 4096 (position 1)\n"),
+    (f"(1+x@0)^{NINES}", "syntax error: power of 2 terms to the 999",
+     "... (4300 characters) is above the size bound 500 (position 8)\n"),
+    (f"(2*x@0)^{NINES}", "syntax error: coefficient of the power to the 999",
+     "... (4300 characters) has more than 4300 digits (position 8)\n"),
+    (f"(x@0 {NINES}", "syntax error: expected ')', found '999",
+     "'... (4300 characters) (position 6)\n"),
+    (f"x@0^q{NINES}", "syntax error: expected 'int', found 'q999",
+     "'... (4301 characters) (position 5)\n"),
+    (f"x@0 {NINES}", "syntax error: unexpected trailing input '999",
+     "'... (4300 characters) (position 5)\n"),
+], ids=["zeta-order", "power-size", "power-digits", "expected-paren", "expected-int",
+        "trailing-input"])
+def test_an_oversized_literal_is_not_echoed(expr, head, tail, capsys):
+    assert main(["decompose", "--group", "2", "--even", "x@0", "--expr", expr]) == 2
+    err = capsys.readouterr().err
+    assert len(err) < 200 and err.startswith(head) and err.endswith(tail)
+
+
 LONG_NAME = "y" * 5000
 
 
@@ -339,6 +380,14 @@ def test_an_oversized_name_is_not_echoed(argv, head, tail, capsys):
         ("zeta(4096,1)+zeta(4093,1)", 1, "2"),
         ("zeta(1031,1)*zeta(1033,1)", 1, "2"),
         ("1/(zeta(4093,1)*x@0 + zeta(4091,1)*x@1)", 1, "2"),
+        # single terms to a 4,300-digit power: a unit and a root of unity stay
+        # small at each of 14,284 checked squarings, a rational passes the
+        # bound within 14
+        ("(-x@0)^" + NINES, 0, "2"),
+        ("(i*x@0)^" + NINES, 0, "2"),
+        ("((2/3)*x@0)^" + NINES, 2, "2"),
+        # argparse hands the value of --expr=-- over as [], not as "--"
+        ("--", 2, "2"),
     ],
     ids=["flat-sum", "minus-chain", "deep-nesting", "syntax-before-division",
          "zeta-order-above-bound", "zeta-order-at-bound", "power-above-size-bound",
@@ -347,7 +396,9 @@ def test_an_oversized_name_is_not_echoed(argv, head, tail, capsys):
          "product-above-print-limit", "multi-term-product-above-print-limit",
          "multi-term-power-above-print-limit", "irrational-power-above-print-limit",
          "sum-above-print-limit", "dense-irrational-divisor", "conductor-above-bound-product",
-         "conductor-above-bound-sum", "conductor-above-bound-medium", "conductor-above-bound-norm"],
+         "conductor-above-bound-sum", "conductor-above-bound-medium", "conductor-above-bound-norm",
+         "unit-power-of-4300-digits", "root-power-of-4300-digits", "rational-power-of-4300-digits",
+         "double-minus"],
 )
 def test_hostile_expressions_end_with_their_exit_code(text, code, group, capsys):
     argv = ["decompose", "--group", group, "--parity", "0", "--even", "x@0,x@1"]
@@ -356,6 +407,37 @@ def test_hostile_expressions_end_with_their_exit_code(text, code, group, capsys)
     elapsed = time.perf_counter() - start
     assert "Traceback" not in capsys.readouterr().err
     assert elapsed < 2.0, f"decompose of {text[:40]!r} took {elapsed:.2f}s"
+
+
+SOUP_TOKENS = [
+    "x@0", "y@2", "s@1", "t@3", "w", "x@(0)", "0", "1", "2", "7", NINES, "1" * 4301,
+    "i", "zeta(3,1)", "zeta(4096,5)", "zeta(4097,1)", "zeta(0,1)", "zeta(12,",
+    "+", "-", "*", "/", "^", "^0", "^2", "^99999999", "^" + NINES,
+    "(", ")", ",", "@", " ",
+]
+
+
+def _soup_ends_in_time(soup):
+    """Not a root of order 4096 to a 4,300-digit power, 14,284 squarings that
+    take about 6 s on a 2-core VM, and not "-" alone, which reads the
+    expression from stdin."""
+    text = "".join(soup)
+    return text != "-" and not ("zeta(4096,5)" in soup and NINES in text)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.lists(st.sampled_from(SOUP_TOKENS), max_size=12).filter(_soup_ends_in_time))
+def test_token_soup_ends_with_an_exit_code_and_a_short_message(soup):
+    argv = ["decompose", "--group", "4", "--parity", "1", "--even", "x@0,y@2",
+            "--odd", "s@1,t@3", "--expr=" + "".join(soup)]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue() and len(err.getvalue().encode()) < 200, err.getvalue()
+    assert elapsed < 2.0, f"decompose of {soup!r} took {elapsed:.2f}s"
 
 
 def test_a_sum_past_the_printable_digits_is_a_short_syntax_error(capsys):

@@ -468,6 +468,9 @@ def test_polynomial_first_evaluation_matches_the_rational_evaluator():
     # resets once its sum cancels, powers of a root, and the zeroth power
     texts += ["xi1^2", "(x0*xi1)^2", "0*x0", "x0/0", "0/3", "x0 - x0 + zeta(12,5)*x0",
               "zeta(6,1)^3*x1", "(x0*xi2)^0"]
+    # single-term powers above 2: rationals, a unit, roots and an odd monomial
+    texts += ["((3/2)*x0)^7", "(-x0)^9", "(x0/(3/2))^4", "(2*zeta(12,5)*x1)^5", "(i*x1)^6",
+              "(x0*xi1)^3"]
     # long sums accumulated in place, with cancellations and re-insertions
     long_rng = random.Random(7)
     texts += [
