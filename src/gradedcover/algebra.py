@@ -1152,8 +1152,10 @@ def _substitute(
     its odd images; a sum adds numerators over equal denominators and
     cross-multiplies unequal ones.  Each product is reduced modulo Phi_n,
     each total is unpacked once, and f is num * den.invert().  A
-    polynomial shared by object is packed once, and a denominator shared so,
-    as by a lifted transition's images, is evaluated and inverted once.
+    polynomial shared by object is packed once, and a denominator is
+    evaluated and inverted once, with the inverse taken by each later one
+    that is the same object or has equal terms, as the images of a
+    polynomial transition (denominator 1) or of a lifted one have.
     """
     if not fs:
         return []
@@ -1220,11 +1222,15 @@ def _substitute(
             for x in total
         ))
 
-    inverses: dict[int, SuperRational] = {}  # by id, as ``packed``
+    inverses: list[tuple] = []  # (D, its evaluated inverse) per distinct D
+    taken = []  # the inverse of each f's D
     for f in fs:
-        if id(f.denominator) not in inverses:
-            inverses[id(f.denominator)] = evaluate(f.denominator).invert()
-    return [evaluate(f.numerator) * inverses[id(f.denominator)] for f in fs]
+        den = f.denominator
+        entry = next((e for e in inverses if e[0] is den or e[0].terms == den.terms), None)
+        if entry is None:
+            inverses.append(entry := (den, evaluate(den).invert()))
+        taken.append(entry[1])
+    return [evaluate(f.numerator) * inverse for f, inverse in zip(fs, taken)]
 
 
 def decompose_oracle(f: SuperRational) -> dict[Character, SuperRational]:

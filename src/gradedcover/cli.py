@@ -18,7 +18,7 @@ import functools
 import json
 import sys
 
-from .algebra import GradedSignature, SuperRational, SuperSignature
+from .algebra import GradedSignature, SuperSignature
 from .covering import Atlas, check_cocycle, lift_atlas, lift_super
 from .errors import ExprSyntaxError, GradedError
 from .expressions import _quoted, format_expression, parse_expression, parse_residues
@@ -101,20 +101,19 @@ def _signature_from_json(obj, where: str, group=None, parity=None) -> SuperSigna
 
 
 def _morphism_from_json(mapping, where: str, source, target) -> SuperMorphism:
-    """A morphism from a JSON object mapping target names to image text;
-    an image whose denominator has exactly the first one's terms, in order
-    and conductors included, shares its object, as a lift's components do."""
-    images, keys, shared = {}, {}, None
+    """A morphism from a JSON object mapping target names to image text.
+    Its images are parsed with one span memo, so an outermost parenthesised
+    span whose text an earlier image holds is read once, and equal texts
+    share one object: the images of a printed lift share their denominator,
+    as the lift's components do."""
+    images, keys, spans = {}, {}, {}
     for var, expr in _expect(mapping, dict, where, "a JSON object").items():
         name = parse_var_name(var)[0]
         if name in keys:
             raise ValueError(f"{where}: keys {keys[name]!r} and {var!r} name one variable")
         keys[name] = var
         expr = _expect(expr, str, f"{where}.{var}", "an expression string")
-        f = parse_expression(expr, source)
-        terms = [(m, c.conductor, c.num, c.den) for m, c in f.denominator.terms.items()]
-        shared = shared or (f.denominator, terms)
-        images[name] = SuperRational(f.numerator, shared[0]) if terms == shared[1] else f
+        images[name] = parse_expression(expr, source, spans)
     return SuperMorphism(source, target, images)
 
 

@@ -8,15 +8,24 @@ Grammar (no implicit multiplication):
     atom  := "(" expr ")" | identifier | integer | "i" | "zeta(" int "," int ")"
 
 Identifiers may carry a weight suffix, canonically ``name@(k1,...,kt)``;
-the shorthand ``name@k`` is accepted for rank-one groups.  ``parse_expression``
-syntax-checks the whole text into a postfix program before any arithmetic
-runs, so malformed text is an ``ExprSyntaxError`` even if it also divides
-by zero; it then evaluates the program with a value stack against a
-declared signature into an exact superfunction.  A polynomial on the
-stack is a dict of terms that only the stack holds, a single term a
-one-entry dict: a product, a power, or a division by a constant c other
-than 1 (a product with 1/c) of single terms pushes a new one, and a sum
-adds each term into its left dict in place.  Values stay polynomials
+the shorthand ``name@k`` is accepted for rank-one groups.  ``_lex`` reads
+the text with one ``findall`` of (whitespace, token) pairs: a token's
+position is the sum of the lengths before it, its kind its first
+character's (``_kind``).  ``parse_expression`` syntax-checks the whole text
+into a postfix program before any arithmetic runs, so malformed text is an
+``ExprSyntaxError`` even if it also divides by zero; it then evaluates the
+program with a value stack against a declared signature into an exact
+superfunction.  ``zeta(N,k)^e`` and ``i^e``, e >= 1, are the root zeta_N^(k*e
+mod N), taken by no product.  A polynomial on the stack is a dict of terms
+that only the stack holds, a single term a one-entry dict: a product, a
+power, or a division by a constant c other than 1 (a product with 1/c) of
+single terms pushes a new one, and a sum adds each term into its left dict
+in place.  A caller reading several texts over one signature, such as the
+images of one morphism, may pass them one span memo: the value of each
+outermost parenthesised span of at least ``MEMO_SPAN`` (16) characters,
+by its text, once it is ``_bounded``.  A later text that holds the span is
+not parsed or evaluated there again, and pushes the memo's value, which is
+shared: a sum into it takes a copy.  Values stay polynomials
 until a division by a non-constant; that division, and arithmetic on a
 quotient, go through ``SuperRational``, and a quotient whose denominator
 is exactly 1 at conductor 1 turns back into a polynomial.
@@ -44,8 +53,8 @@ from __future__ import annotations
 
 import operator
 import re
+from itertools import accumulate, chain
 from math import comb, lcm
-from typing import NamedTuple
 
 from .algebra import GradedSignature, SuperMonomial, SuperPolynomial, SuperRational, SuperSignature
 from .algebra import _accumulate, _is_unit, _mul_single
@@ -53,34 +62,36 @@ from .cyclotomic import Cyclotomic, _basis_pieces, _join_signed, _power, euler_p
 from .errors import ExprSyntaxError
 from .groups import DEFAULT_ORDER_BOUND
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:@(?:\(\s*\d+(?:\s*,\s*\d+)*\s*\)|\d+))?)
-  | (?P<op>[-+*/^(),])
-  | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+_TOKEN = r"[-+*/^(),]|\d+|[A-Za-z_][A-Za-z0-9_]*(?:@(?:\(\s*\d+(?:\s*,\s*\d+)*\s*\)|\d+))?"
+_TOKEN_RE = re.compile(rf"(\s*)({_TOKEN})")  # (whitespace, token) pairs
+_LEXABLE_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")  # the longest prefix the lexer reads
+_OPERATORS = frozenset("-+*/^(),")
+_END = "end of input"  # the end token's text, as error messages quote it
 
 
-class Token(NamedTuple):
-    kind: str  # "int" | "ident" | one of "+-*/^(),", or "end"
-    text: str  # "end of input" for the end token, as error messages quote it
-    pos: int  # 1-based offset in the source text
+def _kind(token: str) -> str:
+    """A token's kind from its first character: an operator is its own kind,
+    a decimal digit (what the regex's ``\\d`` matches) starts an "int", an
+    ASCII letter or "_" an "ident"; the end token is "end"."""
+    c = token[0]
+    return c if c in _OPERATORS else "int" if c.isdecimal() else "end" if token == _END else "ident"
 
 
-def _lex(text: str) -> list[Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start() + 1)
-        if kind != "ws":
-            tokens.append(Token(m.group() if kind == "op" else kind, m.group(), m.start() + 1))
-    tokens.append(Token("end", "end of input", len(text) + 1))
-    return tokens
+def _lex(text: str) -> tuple[list[str], list[int]]:
+    """The token texts of ``text`` and their 1-based positions, the end token
+    last, from one ``findall``: a token's position is one past the lengths
+    of every pair before it and of its own whitespace.  A character no token
+    starts with is a syntax error at its position."""
+    pairs = _TOKEN_RE.findall(text)
+    ends = list(accumulate(map(len, chain.from_iterable(pairs)), initial=1))
+    if text[ends[-1] - 1:].strip():  # findall skipped a character, or stopped at one
+        bad = _LEXABLE_RE.match(text).end()
+        raise ExprSyntaxError(f"unexpected character {text[bad]!r}", bad + 1)
+    tokens = [token for _, token in pairs]
+    tokens.append(_END)
+    positions = ends[1::2]
+    positions.append(len(text) + 1)
+    return tokens, positions
 
 
 def parse_residues(text: str, what: str, start: int = 0) -> tuple[int, ...]:
@@ -118,6 +129,7 @@ MAX_NESTING = 100  # each level costs four parser frames
 MAX_POWER_SIZE = 500  # (7/3+zeta(6,1)*x)^249 takes about 1 s on a 2-core VM
 MAX_COEFFICIENT_DIGITS = 4300  # the interpreter's default limit on int-to-text conversion
 _DIGIT_LIMIT = 10**MAX_COEFFICIENT_DIGITS
+MEMO_SPAN = 16  # a lifted P^1/Z_2 image repeats a denominator of 19 characters
 
 
 class _Parser:
@@ -125,94 +137,129 @@ class _Parser:
 
     Steps are ``("const", n)``, ``("root", order, power, pos)``,
     ``("var", name, pos)``, ``("neg",)``, ``("^", n, pos)`` and the binary
-    ``(op, pos)`` for op in ``+ - * /``.  It does no arithmetic and no name
-    lookup.
+    ``(op, pos)`` for op in ``+ - * /``.  With a span memo, an outermost
+    span that an earlier text evaluated is the step ``("span", value)``, and
+    one of at least ``MEMO_SPAN`` characters that none did is followed by
+    ``("keep", its text, its token count)``.  It does no arithmetic and no
+    name lookup.
     """
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str, spans: dict | None = None):
+        self.text, self.spans = text, spans
+        self.tokens, self.positions = _lex(text)
         self.idx = 0
         self.depth = 0
         self.program: list[tuple] = []
 
-    def take(self, *kinds: str) -> Token | None:
-        """Consume and return the next token if its kind is one of ``kinds``."""
+    def take(self, *ops: str) -> str | None:
+        """Consume and return the next token if it is one of the operators ``ops``."""
         tok = self.tokens[self.idx]
-        if tok.kind not in kinds:
+        if tok not in ops:
             return None
         self.idx += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.take(kind)
-        if tok is None:
-            tok = self.tokens[self.idx]
-            raise ExprSyntaxError(f"expected {kind!r}, found {_quoted(tok.text)}", tok.pos)
-        return tok
+    def expect(self, kind: str) -> int:
+        """Consume the next token, which must be of ``kind``; its index."""
+        i = self.idx
+        if _kind(self.tokens[i]) != kind:
+            raise ExprSyntaxError(f"expected {kind!r}, found {_quoted(self.tokens[i])}",
+                                  self.positions[i])
+        self.idx = i + 1
+        return i
 
-    def integer(self, tok: Token) -> int:
+    def integer(self, i: int) -> int:
         """An int token's value; more than ``MAX_COEFFICIENT_DIGITS`` digits is a syntax error."""
-        if len(tok.text) > MAX_COEFFICIENT_DIGITS:
+        if len(self.tokens[i]) > MAX_COEFFICIENT_DIGITS:
             raise ExprSyntaxError(
-                f"integer literal has more than {MAX_COEFFICIENT_DIGITS} digits", tok.pos
+                f"integer literal has more than {MAX_COEFFICIENT_DIGITS} digits", self.positions[i]
             )
-        return int(tok.text)
+        return int(self.tokens[i])
 
     def parse(self) -> list[tuple]:
         self.expr()
         tok = self.tokens[self.idx]
-        if tok.kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing input {_quoted(tok.text)}", tok.pos)
+        if tok != _END:
+            raise ExprSyntaxError(f"unexpected trailing input {_quoted(tok)}",
+                                  self.positions[self.idx])
         return self.program
 
     def expr(self):
         self.term()
         while op := self.take("+", "-"):
+            pos = self.positions[self.idx - 1]
             self.term()
-            self.program.append((op.kind, op.pos))
+            self.program.append((op, pos))
 
     def term(self):
         self.unary()
         while op := self.take("*", "/"):
+            pos = self.positions[self.idx - 1]
             self.unary()
-            self.program.append((op.kind, op.pos))
+            self.program.append((op, pos))
 
     def unary(self):
         negations = 0
         while self.take("-"):
             negations += 1
         self.atom()
-        if power := self.take("^"):
-            self.program.append(("^", self.integer(self.expect("int")), power.pos))
+        if self.take("^"):
+            pos = self.positions[self.idx - 1]
+            exponent = self.integer(self.expect("int"))
+            last = self.program[-1]
+            if last[0] == "root" and exponent:  # zeta(N,k)^e is zeta(N,k*e), with no products
+                self.program[-1] = ("root", last[1], last[2] * exponent % last[1], last[3])
+            else:
+                self.program.append(("^", exponent, pos))
         self.program.extend([("neg",)] * negations)
 
     def atom(self):
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        if tok.kind == "(":
+        i = self.idx
+        tok = self.tokens[i]
+        self.idx = i + 1
+        if tok == "(":
             if self.depth == MAX_NESTING:
-                raise ExprSyntaxError(f"parentheses nest deeper than {MAX_NESTING}", tok.pos)
+                raise ExprSyntaxError(f"parentheses nest deeper than {MAX_NESTING}",
+                                      self.positions[i])
+            start = self.positions[i] - 1
+            memo = self.spans if self.depth == 0 else None
+            if memo is not None and self.recall(i, start):
+                return
             self.depth += 1
             self.expr()
-            self.expect(")")
+            end = self.positions[self.expect(")")]
             self.depth -= 1
-        elif tok.kind == "int":
-            self.program.append(("const", self.integer(tok)))
-        elif tok.text == "i":
-            self.program.append(("root", 4, 1, tok.pos))
-        elif tok.text == "zeta":
+            if memo is not None and end - start >= MEMO_SPAN:
+                self.program.append(("keep", self.text[start:end], self.idx - i))
+            return
+        kind = _kind(tok)
+        if kind == "int":
+            self.program.append(("const", self.integer(i)))
+        elif tok == "i":
+            self.program.append(("root", 4, 1, self.positions[i]))
+        elif tok == "zeta":
             self.expect("(")
             order = self.integer(self.expect("int"))
             self.expect(",")
             power = self.integer(self.expect("int"))
             self.expect(")")
             if order < 1:
-                raise ExprSyntaxError("zeta needs a positive order", tok.pos)
-            self.program.append(("root", order, power, tok.pos))
-        elif tok.kind == "ident":
-            self.program.append(("var", tok.text, tok.pos))
+                raise ExprSyntaxError("zeta needs a positive order", self.positions[i])
+            self.program.append(("root", order, power, self.positions[i]))
+        elif kind == "ident":
+            self.program.append(("var", tok, self.positions[i]))
         else:
-            raise ExprSyntaxError(f"expected a value, found {_quoted(tok.text)}", tok.pos)
+            raise ExprSyntaxError(f"expected a value, found {_quoted(tok)}", self.positions[i])
+
+    def recall(self, i: int, start: int) -> bool:
+        """Step over the span opening at token ``i`` if an earlier text
+        evaluated one with its text, and push that value."""
+        for span, (count, value) in self.spans.get(self.text[start:start + MEMO_SPAN], {}).items():
+            if self.text.startswith(span, start):
+                self.program.append(("span", value))
+                self.idx = i + count
+                return True
+        return False
 
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -308,8 +355,18 @@ def _stacked(value: Value):
     return dict(value.terms) if isinstance(value, SuperPolynomial) else value
 
 
-def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
-    """Parse the whole text, then evaluate it exactly over the signature."""
+def parse_expression(
+    text: str, signature: SuperSignature, spans: dict | None = None
+) -> SuperRational:
+    """Parse the whole text, then evaluate it exactly over the signature.
+
+    A caller parsing several texts over one signature may pass one
+    ``spans`` dict, the span memo, to every call: an outermost span that
+    an earlier call evaluated is then neither parsed nor evaluated again,
+    and equal spans give one value object.  The memo maps the first
+    ``MEMO_SPAN`` characters of a span to {its text: (its token count,
+    its value)}.
+    """
     unit, one = SuperMonomial((0,) * len(signature.even), ()), Cyclotomic.from_rational(1)
     monomials: dict[str, SuperMonomial] = {}  # by identifier, for this parse
     stack: list = []
@@ -321,7 +378,7 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
             _bounded(value.values(), *mark)
         return value
 
-    for step in _Parser(_lex(text)).parse():
+    for step in _Parser(text, spans).parse():
         op = step[0]
         if op == "var":
             mono = monomials.get(step[1])
@@ -343,6 +400,19 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
                 raise ExprSyntaxError(f"zeta order {_quoted(str(order), str)} is above the "
                                       f"bound {DEFAULT_ORDER_BOUND}", pos)
             stack.append({unit: root_of_unity(order, power)})
+        elif op == "span":
+            stack.append(step[1])
+        elif op == "keep":  # a span's value, once it passed _bounded, serves later texts
+            top = stack[-1]
+            if type(top) is dict:
+                if mark := sums.get(id(top)):
+                    try:
+                        _bounded(top.values(), *mark)
+                    except ExprSyntaxError:  # left pending, to be refused where it would be
+                        continue
+                    del sums[id(top)]
+                top = stack[-1] = SuperPolynomial._raw(signature, top)
+            spans.setdefault(step[1][:MEMO_SPAN], {}).setdefault(step[1], (step[2], top))
         elif op == "neg":
             top = settled(stack[-1])
             stack[-1] = {mono: -c for mono, c in top.items()} if type(top) is dict else -top
@@ -358,7 +428,8 @@ def parse_expression(text: str, signature: SuperSignature) -> SuperRational:
             rhs = stack.pop()
             lhs = stack[-1]
             if op in "+-" and SuperRational not in (type(lhs), type(rhs)):
-                items = settled(rhs).items()
+                lhs = stack[-1] = _stacked(lhs)  # a span's value is shared: the sum takes a copy
+                items = _stacked(settled(rhs)).items()
                 if op == "-":
                     items = [(mono, -c) for mono, c in items]
                 _accumulate(lhs, items)
@@ -414,8 +485,9 @@ def _format_poly(poly: SuperPolynomial) -> str:
             parts.append(f" - {text[1:]}" if parts and text[0] == "-" else
                          f" + {text}" if parts else text)
     except ValueError:  # the interpreter refuses to turn a longer int into text
-        raise ValueError(f"printing the result: a coefficient has more than "
-                         f"{MAX_COEFFICIENT_DIGITS} digits") from None
+        long = any(e >= _DIGIT_LIMIT for mono in poly.terms for e in mono.even)
+        raise ValueError(f"printing the result: {'an exponent' if long else 'a coefficient'} "
+                         f"has more than {MAX_COEFFICIENT_DIGITS} digits") from None
     return "".join(parts)
 
 

@@ -21,6 +21,16 @@ from gradedcover import (
     root_of_unity,
 )
 
+NINES = "9" * 4300  # the longest literal that reads as an int
+
+# the vocabulary of token-soup texts: every kind of token, valid or not
+SOUP_TOKENS = [
+    "x@0", "y@2", "s@1", "t@3", "w", "x@(0)", "0", "1", "2", "7", NINES, "1" * 4301,
+    "i", "zeta(3,1)", "zeta(4096,5)", "zeta(4097,1)", "zeta(0,1)", "zeta(12,",
+    "+", "-", "*", "/", "^", "^0", "^2", "^99999999", "^" + NINES,
+    "(", ")", ",", "@", " ",
+]
+
 
 def random_group(rng: random.Random, max_order: int = 12) -> FiniteAbelianGroup:
     factors = [rng.choice([2, 2, 3, 4])]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from gradedcover import GradedMorphism, SuperPolynomial, cli
 from gradedcover.cli import build_parser, dump_atlas, load_atlas, main
+from conftest import NINES, SOUP_TOKENS
 
 CP1_ATLAS = {
     "charts": {"0": {"even": ["x"], "odd": []}, "1": {"even": ["y"], "odd": []}},
@@ -304,9 +305,6 @@ def test_an_oversized_residue_is_not_echoed(argv, head, tail, capsys):
     assert len(err) < 200 and err.startswith(head) and err.endswith(tail)
 
 
-NINES = "9" * 4300  # the longest literal that reads as an int
-
-
 @pytest.mark.parametrize("expr, head, tail", [
     (f"zeta({NINES},1)", "syntax error: zeta order 999",
      "... (4300 characters) is above the bound 4096 (position 1)\n"),
@@ -386,6 +384,11 @@ def test_an_oversized_name_is_not_echoed(argv, head, tail, capsys):
         ("(-x@0)^" + NINES, 0, "2"),
         ("(i*x@0)^" + NINES, 0, "2"),
         ("((2/3)*x@0)^" + NINES, 2, "2"),
+        # a root to a 4,300-digit power is the root at k*e mod N: 14,284
+        # squarings took 6.6 s
+        ("zeta(4096,5)^" + NINES, 0, "4"),
+        # each power prints, their product's exponent 2*N does not
+        ("x@0^" + NINES + "*x@0^" + NINES, 2, "2"),
         # argparse hands the value of --expr=-- over as [], not as "--"
         ("--", 2, "2"),
     ],
@@ -398,7 +401,7 @@ def test_an_oversized_name_is_not_echoed(argv, head, tail, capsys):
          "sum-above-print-limit", "dense-irrational-divisor", "conductor-above-bound-product",
          "conductor-above-bound-sum", "conductor-above-bound-medium", "conductor-above-bound-norm",
          "unit-power-of-4300-digits", "root-power-of-4300-digits", "rational-power-of-4300-digits",
-         "double-minus"],
+         "zeta-power-of-4300-digits", "exponent-above-print-limit", "double-minus"],
 )
 def test_hostile_expressions_end_with_their_exit_code(text, code, group, capsys):
     argv = ["decompose", "--group", group, "--parity", "0", "--even", "x@0,x@1"]
@@ -409,24 +412,13 @@ def test_hostile_expressions_end_with_their_exit_code(text, code, group, capsys)
     assert elapsed < 2.0, f"decompose of {text[:40]!r} took {elapsed:.2f}s"
 
 
-SOUP_TOKENS = [
-    "x@0", "y@2", "s@1", "t@3", "w", "x@(0)", "0", "1", "2", "7", NINES, "1" * 4301,
-    "i", "zeta(3,1)", "zeta(4096,5)", "zeta(4097,1)", "zeta(0,1)", "zeta(12,",
-    "+", "-", "*", "/", "^", "^0", "^2", "^99999999", "^" + NINES,
-    "(", ")", ",", "@", " ",
-]
-
-
-def _soup_ends_in_time(soup):
-    """Not a root of order 4096 to a 4,300-digit power, 14,284 squarings that
-    take about 6 s on a 2-core VM, and not "-" alone, which reads the
-    expression from stdin."""
-    text = "".join(soup)
-    return text != "-" and not ("zeta(4096,5)" in soup and NINES in text)
+def _soup_reads_no_stdin(soup):
+    """Not "-" alone, which reads the expression from stdin."""
+    return "".join(soup) != "-"
 
 
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
-@given(st.lists(st.sampled_from(SOUP_TOKENS), max_size=12).filter(_soup_ends_in_time))
+@given(st.lists(st.sampled_from(SOUP_TOKENS), max_size=12).filter(_soup_reads_no_stdin))
 def test_token_soup_ends_with_an_exit_code_and_a_short_message(soup):
     argv = ["decompose", "--group", "4", "--parity", "1", "--even", "x@0,y@2",
             "--odd", "s@1,t@3", "--expr=" + "".join(soup)]
@@ -477,7 +469,16 @@ def test_a_norm_past_the_printable_digits_fails_as_it_prints(command, tmp_path, 
     assert captured.err == "error: printing the result: a coefficient has more than 4300 digits\n"
 
 
-@pytest.mark.parametrize("order", ["3", "4", "5", "6"])
+def test_an_exponent_past_the_printable_digits_fails_as_it_prints(capsys):
+    argv = ["decompose", "--group", "2", "--parity", "0", "--even", "x@0",
+            "--expr", f"x@0^{NINES}*x@0^{NINES}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: printing the result: an exponent has more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("order", ["3", "4", "5", "6", "7", "8"])
 def test_lifted_projective_line_checks_within_its_budget(order, tmp_path, capsys):
     # composing the lifted transitions directly takes 0.65 s over Z_4 and minutes
     # over Z_5 on a 2-core VM

@@ -3,6 +3,7 @@
 import functools
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,8 +27,10 @@ from gradedcover import (
 )
 from gradedcover.cli import dump_atlas, load_atlas, parse_graded_signature
 from gradedcover.covering import lift_atlas
-from gradedcover.expressions import MAX_NESTING, _lex, _Parser, parse_residues, parse_var_name
-from conftest import random_group, random_parity, random_rational, random_signature
+from gradedcover.expressions import MAX_NESTING, MEMO_SPAN, _kind, _lex, _Parser
+from gradedcover.expressions import parse_residues, parse_var_name
+from conftest import NINES, SOUP_TOKENS, random_group, random_parity, random_rational
+from conftest import random_signature
 
 
 def line_signature():
@@ -396,7 +399,7 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.t
 def reference_parse(text, signature):
     """The evaluator with a ``SuperRational`` for every value on the stack."""
     stack = []
-    for step in _Parser(_lex(text)).parse():
+    for step in _Parser(text).parse():
         op = step[0]
         if op == "var":
             stack.append(SuperRational.variable(signature, parse_var_name(step[1])[0]))
@@ -492,6 +495,70 @@ def test_polynomial_first_evaluation_matches_the_rational_evaluator():
     assert any(conductor > 1 for ((_, conductor, _),) in unit_denominators)
 
 
+def test_a_span_memo_matches_the_rational_evaluator():
+    """One memo for many texts, as a morphism load passes it: each span of
+    at least ``MEMO_SPAN`` characters repeats, then stands left of every
+    operator.  A span's value is shared, so a sum into it must take a copy."""
+    sig = SuperSignature(even=["x0", "x1"], odd=["xi1", "xi2"])
+    spans = [
+        "(x0 + 2*x1 - zeta(12,5)*x0*x1)",
+        "((3/2)*zeta(12,5)*x0^2*x1*xi1)",  # one term
+        "((x0 + xi1*xi2)/(1 + x0*x1 + x1))",  # a quotient
+        "(x0 - x0 + zeta(3,1) - zeta(3,1))",  # zero
+    ]
+    assert min(map(len, spans)) >= MEMO_SPAN
+    texts = []
+    for span in spans:
+        texts += [span, f"{span} + x0", f"{span} - x1*xi2", f"{span} * x0", f"{span} / (1 + x1)",
+                  f"{span} / zeta(12,5)", f"{span}^3", f"{span}^0", f"-{span}", f"x0 - {span}",
+                  f"{span} + {span}", f"({span} + x1)", span]
+    rng = random.Random(11)
+    pool = [f"({random_text(rng, 3)})" for _ in range(12)]
+    texts += [f"{rng.choice(pool)} {rng.choice('+-*/')} {rng.choice(pool)}" for _ in range(150)]
+    texts += [f"{rng.choice(pool)}^{rng.choice([0, 1, 2])}" for _ in range(30)]
+    memo: dict = {}
+    for text in texts:
+        with_memo = evaluation(lambda t, s: parse_expression(t, s, memo), text, sig)
+        assert with_memo == evaluation(reference_parse, text, sig), text
+    assert all(span in memo[span[:MEMO_SPAN]] for span in spans)
+    # equal spans give one object
+    den = "(1 + x0*x1 + zeta(12,5)*x1^2)"
+    f, g = (parse_expression(f"{num}/{den}", sig, memo) for num in ("x0", "(x1 - 3)"))
+    assert f.denominator is g.denominator
+
+
+def test_a_span_past_the_printable_digits_is_refused_where_it_was():
+    """A sum is checked as it leaves the stack: the memo keeps no value
+    that has not passed that check, so the next text that holds the span
+    is refused at the span's own operator, as without a memo."""
+    sig = SuperSignature(even=["x0"])
+    big = f"({NINES} + {NINES})"  # 4,301 digits
+    texts = [f"{big} - {NINES} - {NINES}", f"x0 + {big}*x0"]
+    memo: dict = {}
+    outcomes = [evaluation(lambda t, s: parse_expression(t, s, memo), text, sig) for text in texts]
+    assert outcomes == [evaluation(parse_expression, text, sig) for text in texts]
+    assert outcomes[0] == ([], [(SuperMonomial((0,), ()), 1, (1,))])
+    position = texts[1].index(" + ", 5) + 2
+    assert outcomes[1] == (
+        ExprSyntaxError, f"coefficient of the sum has more than 4300 digits (position {position})"
+    )
+
+
+def test_a_root_to_a_power_is_the_root_at_the_product():
+    sig = SuperSignature(even=["x0"])
+    x0 = SuperRational.variable(sig, "x0")
+    for n, k in [(1, 0), (2, 1), (3, 2), (4, 1), (6, 5), (12, 7), (4096, 5)]:
+        for e in [0, 1, 2, 3, 7, 1000]:
+            power = SuperRational.constant(sig, root_of_unity(n, k)) ** e * x0
+            expected = (_items(power.numerator), _items(power.denominator))
+            negated = (_items(-power.numerator), _items(power.denominator))
+            texts = [f"zeta({n},{k})^{e}*x0", f"(zeta({n},{k}))^{e}*x0"]
+            texts += [f"i^{e}*x0"] if (n, k) == (4, 1) else []
+            for text in texts:
+                assert evaluation(parse_expression, text, sig) == expected, text
+            assert evaluation(parse_expression, f"-zeta({n},{k})^{e}*x0", sig) == negated
+
+
 def test_printed_lift_images_parse_without_polynomial_arithmetic(monkeypatch):
     cp1 = {
         "charts": {"0": {"even": ["x"], "odd": []}, "1": {"even": ["y"], "odd": []}},
@@ -534,9 +601,65 @@ def test_lexer_errors_point_at_the_character():
             parse_expression(text, sig)
         assert err.value.position == pos, text
         assert repr(text[pos - 1]) in str(err.value)
-    assert [(t.kind, t.pos) for t in _lex("\tx0^2")] == [
+    assert [(_kind(t), pos) for t, pos in zip(*_lex("\tx0^2"))] == [
         ("ident", 2), ("^", 4), ("int", 5), ("end", 6)
     ]
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<int>\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:@(?:\(\s*\d+(?:\s*,\s*\d+)*\s*\)|\d+))?)
+  | (?P<op>[-+*/^(),])
+  | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def reference_lex(text):
+    """The match-by-match lexer: (kind, text, position) per token, the end last."""
+    tokens = []
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start() + 1)
+        if kind != "ws":
+            tokens.append((m.group() if kind == "op" else kind, m.group(), m.start() + 1))
+    tokens.append(("end", "end of input", len(text) + 1))
+    return tokens
+
+
+def one_call_lex(text):
+    return [(_kind(token), token, pos) for token, pos in zip(*_lex(text))]
+
+
+def test_the_one_call_lexer_matches_the_match_by_match_loop():
+    rng = random.Random(3)
+    texts = SOUP_TOKENS + ["".join(rng.choices(SOUP_TOKENS, k=rng.randint(1, 12)))
+                           for _ in range(400)]
+    texts += ["x0\t+\t$", "x0 + \u00e9", "x0 + x1 #", "x0@ + x1", "\tx0^2", "", "  ", "x0 + ",
+              "x@(1", "x@(1,)", "x@ (1)", "x0\n+\r\n1"]
+    for seed in range(20):
+        rng = random.Random(seed)
+        grp = random_group(rng)
+        f = random_rational(rng, random_signature(rng, grp, random_parity(rng, grp)))
+        texts += [format_expression(g) for g in [f, *f.decompose().values()]]
+    # letters no identifier starts with, superscript digits that \d does not
+    # match, decimal digits of other scripts that it does, and Unicode spaces
+    texts += ["\u00e9", "x\u00e9", "x0\u00b2", "\u00b2", "\u0663", "x0*\u0663\u0661 + 2",
+              "x@\u0663", "x@(\u0661, \u0662)", "\u00a0x0\u2003+\u30001", "x0\x1c+\x1f1"]
+    texts += [chr(c) for c in range(0x3000)]
+    texts += [f"1{c}x" for c in map(chr, range(0x110000)) if c.isdecimal() or c.isspace()]
+    for text in texts:
+        outcomes = []
+        for lex in (reference_lex, one_call_lex):
+            try:
+                outcomes.append(lex(text))
+            except ExprSyntaxError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], repr(text)
 
 
 # -- one texts dict prints each shared denominator object once ---------------
