@@ -1139,23 +1139,21 @@ def _substitute(
 ) -> list[SuperRational]:
     """Each of ``fs``, functions over one signature, at the images over ``target``.
 
-    Each image is packed once, at one conductor n (the lcm of the irrational
-    coefficients' conductors in ``fs`` and the images) and in one codec
-    whose fields hold every exponent reached: a sum of k terms
-    cross-multiplies at most k term denominators, so none passes the sum
-    over a polynomial's terms of sum_v e_v*top(v), top(v) the largest
-    exponent in v's image, and z's field holds 2*(phi(n) - 1), which an
-    unreduced product of two reduced values may reach.  Each numerator and
-    denominator of ``fs`` is then evaluated on canonical packed (numerator,
-    denominator) pairs as ``SuperRational`` arithmetic does termwise: a term
-    is its coefficient times the cached image powers, in variable order, then
-    its odd images; a sum adds numerators over equal denominators and
-    cross-multiplies unequal ones.  Each product is reduced modulo Phi_n,
-    each total is unpacked once, and f is num * den.invert().  A
-    polynomial shared by object is packed once, and a denominator is
-    evaluated and inverted once, with the inverse taken by each later one
-    that is the same object or has equal terms, as the images of a
-    polynomial transition (denominator 1) or of a lifted one have.
+    Each image is packed once, at one conductor n (the lcm of the irrational coefficients'
+    conductors in ``fs`` and the images) and in one codec whose fields hold every exponent
+    reached: a sum of k terms cross-multiplies at most k term denominators, so no value
+    passes the sum over a polynomial's terms of sum_v e_v*top(v), top(v) the largest
+    exponent in v's image, nor a product of an f's values the sum of its numerator's and
+    denominator's; z's field holds 2*(phi(n) - 1), which an unreduced product of two reduced
+    values may reach.  Each numerator and denominator of ``fs`` is evaluated on canonical
+    packed (numerator, denominator) pairs as ``SuperRational`` arithmetic does termwise: a
+    term is its coefficient times the cached image powers, in variable order, then its odd
+    images; a sum adds numerators over equal denominators and cross-multiplies unequal
+    ones.  Each product is reduced modulo Phi_n.  f is N's value times the inverse of D's
+    value Dn/Dd, which is Dd/Dn where both are 1 or even and not constant (``swaps``), so f
+    is (Nn*Dd)/(Nd*Dn), each part unpacked once; else ``invert``.  A polynomial shared by
+    object is packed once, and each D evaluated and inverted once per distinct terms; the fs
+    over it whose N has a value over 1 share its denominator.
     """
     if not fs:
         return []
@@ -1168,8 +1166,9 @@ def _substitute(
     top = {v: max((e for p in pair for m in p.terms for e in m.even), default=0)
            for v, pair in inner.items()}
     tops = [top.get(v, 0) for v in sig.even + sig.odd]
-    reach = max(sum(sum(map(mul, m.even, tops)) + sum(tops[len(m.even) + j] for j in m.odd)
-                    for m in p.terms) for p in polys)
+    reaches = [sum(sum(map(mul, m.even, tops)) + sum(tops[len(m.even) + j] for j in m.odd)
+                   for m in p.terms) for p in polys]  # each f's numerator, then denominator
+    reach = max(map(add, reaches[::2], reaches[1::2]))  # the tail's Nn*Dd and Nd*Dn
     n = lcm(*(c.conductor for p in chain(polys, *inner.values()) for c in p.terms.values()
               if not c.is_rational()))
     if n > MAX_CONDUCTOR and len(fs) > 1:  # past the bound, each f alone may need less
@@ -1203,7 +1202,7 @@ def _substitute(
                     powers[v, e] = tuple(map(times, powers[v, e], power(v, 1)))
         return powers[v, e]
 
-    def evaluate(p):
+    def evaluate(p):  # p at the images, as a packed (numerator, denominator)
         total = zero, one
         for mono, c in p.terms.items():
             term = (c.den, {i << zshift: x for i, x in enumerate(_entries(c, n)) if x}), one
@@ -1217,20 +1216,31 @@ def _substitute(
                 total = _packed_sum(na, nb), da
             else:
                 total = _packed_sum(times(na, db), times(nb, da)), times(da, db)
-        return SuperRational._of(*(
-            unit if x == one else SuperPolynomial._raw(target, _unpacked(x, n, codec))
-            for x in total
-        ))
+        return total
 
-    inverses: list[tuple] = []  # (D, its evaluated inverse) per distinct D
-    taken = []  # the inverse of each f's D
+    def unpacked(x):
+        return unit if x == one else SuperPolynomial._raw(target, _unpacked(x, n, codec))
+
+    def swaps(x):  # 1, or even and not constant: 1/x is x swapped, with no series and no fold
+        return x == one or any(k % (1 << zshift) for k in x[1]) and max(x[1]) >> codec.shift == 0
+
+    inverses: list[tuple] = []  # per distinct D: (D, Dd, Dn, Dn unpacked or D's inverse)
+    out = []
     for f in fs:
         den = f.denominator
         entry = next((e for e in inverses if e[0] is den or e[0].terms == den.terms), None)
         if entry is None:
-            inverses.append(entry := (den, evaluate(den).invert()))
-        taken.append(entry[1])
-    return [evaluate(f.numerator) * inverse for f, inverse in zip(fs, taken)]
+            dn, dd = evaluate(den)
+            inverse = unpacked(dn) if swaps(dn) and swaps(dd) else \
+                SuperRational._of(unpacked(dn), unpacked(dd)).invert()
+            inverses.append(entry := (den, dd, dn, inverse))
+        (nn, nd), (_, dd, dn, inverse) = evaluate(f.numerator), entry
+        if isinstance(inverse, SuperRational):
+            out.append(SuperRational._of(unpacked(nn), unpacked(nd)) * inverse)
+        else:  # a value's denominator is 1 or not constant, so nothing folds
+            out.append(SuperRational._of(
+                unpacked(times(nn, dd)), inverse if nd == one else unpacked(times(nd, dn))))
+    return out
 
 
 def decompose_oracle(f: SuperRational) -> dict[Character, SuperRational]:

@@ -160,7 +160,7 @@ def dump_atlas(atlas: Atlas, group, parity) -> dict:
         cid: {"even": list(sig.even), "odd": list(sig.odd)}
         for cid, sig in sorted(atlas.charts.items())
     }
-    texts: dict = {}  # the transitions' shared denominators, printed once each
+    texts: dict = {}  # polynomials the transitions share, each rendered once
     data["transitions"] = {
         f"{src}->{dst}": {
             name: format_expression(img, texts) for name, img in sorted(m.images.items())
@@ -219,7 +219,7 @@ def cmd_char_table(args) -> tuple[dict, str, int]:
 def cmd_decompose(args) -> tuple[dict, str, int]:
     sig = _signature_from_flags(args)
     f = parse_expression(_read_expr(args), sig)
-    texts: dict = {}  # the components share one denominator
+    texts: dict = {}  # the components share one denominator, rendered once
     components = {str(chi): format_expression(c, texts) for chi, c in f.decompose().items()}
     lines = [f"{chi}: {text}" for chi, text in components.items()]
     return {"components": components}, "\n".join(lines) if lines else "0", 0
@@ -239,7 +239,7 @@ def cmd_lift(args) -> tuple[dict, str, int]:
     target = _signature_from_json(data.get("target"), "target")
     psi = _morphism_from_json(data.get("map"), "map", source, target)
     lifted = lift_super(psi, group, parity)
-    texts: dict = {}  # the copies of each coordinate share one denominator
+    texts: dict = {}  # the copies of each coordinate share one denominator, rendered once
     # each coordinate's copies in character order, the even coordinates first
     names = lifted.target.even + lifted.target.odd
     images = {n: format_expression(lifted.images[n], texts) for n in names}

@@ -43,10 +43,10 @@ operator: a stacked sum carries the position of its last ``+`` or ``-``
 and is ``_bounded`` once there, as it leaves the stack as an operand or
 as the result.  A message quotes at most 40 characters of a name, a
 residue, a token or an integer (``_quoted``).
-``format_expression`` renders a superfunction back in a canonical,
-re-parseable form in one pass over its sorted terms, each coefficient by its
-value: over Q(zeta_N), N the exponent of a graded signature's group (1 for a
-plain one), when that field holds it, else at its least conductor.
+``format_expression`` renders a superfunction back in a canonical, re-parseable
+form, each polynomial a template of its sorted terms filled with its names, each
+coefficient over Q(zeta_N), N the exponent of a graded signature's group (1 for
+a plain one), when that field holds it, else at its least conductor.
 """
 
 from __future__ import annotations
@@ -130,6 +130,7 @@ MAX_POWER_SIZE = 500  # (7/3+zeta(6,1)*x)^249 takes about 1 s on a 2-core VM
 MAX_COEFFICIENT_DIGITS = 4300  # the interpreter's default limit on int-to-text conversion
 _DIGIT_LIMIT = 10**MAX_COEFFICIENT_DIGITS
 MEMO_SPAN = 16  # a lifted P^1/Z_2 image repeats a denominator of 19 characters
+_SLOTS: list[str] = []  # "{k}" at k, grown to the widest signature printed
 
 
 class _Parser:
@@ -364,11 +365,11 @@ def parse_expression(
     ``spans`` dict, the span memo, to every call: an outermost span that
     an earlier call evaluated is then neither parsed nor evaluated again,
     and equal spans give one value object.  The memo maps the first
-    ``MEMO_SPAN`` characters of a span to {its text: (its token count,
-    its value)}.
+    ``MEMO_SPAN`` characters of a span to {its text: (its token count, its
+    value)}, and None to {each known identifier read: its monomial}.
     """
     unit, one = SuperMonomial((0,) * len(signature.even), ()), Cyclotomic.from_rational(1)
-    monomials: dict[str, SuperMonomial] = {}  # by identifier, for this parse
+    monomials: dict = {} if spans is None else spans.setdefault(None, {})  # for the whole load
     stack: list = []
     sums: dict[int, tuple] = {}  # by id of a stacked sum of polynomials: (name, its last position)
 
@@ -456,20 +457,22 @@ def parse_expression(
 # -- formatting ------------------------------------------------------------
 
 
-def _format_poly(poly: SuperPolynomial) -> str:
-    """The terms, leading monomial first, in one pass: a rational a/b from its
-    integers (1 and -1 by their sign before a monomial), any other over
-    Q(zeta_N), N the group exponent, if it holds it, else at its least conductor."""
+def _template(poly: SuperPolynomial, n: int) -> str:
+    """The terms, leading monomial first, in one pass, variable k of even + odd
+    the slot {k}: a rational a/b from its integers (1 and -1 by their sign
+    before a monomial), any other over Q(zeta_n) if it holds it, else at its least conductor."""
     if not poly.terms:
         return "0"
     sig = poly.signature
-    even, odd = sig.even, sig.odd
-    n = sig.group.exponent if isinstance(sig, GradedSignature) else 1
+    n_even, slots = len(sig.even), _SLOTS
+    while len(slots) < n_even + len(sig.odd):
+        slots.append(f"{{{len(slots)}}}")
     parts = []
     try:
         for mono, c in poly.sorted_terms():
-            names = [even[i] if e == 1 else f"{even[i]}^{e}" for i, e in enumerate(mono.even) if e]
-            names.extend(odd[j] for j in mono.odd)
+            names = [slots[i] if e == 1 else f"{slots[i]}^{e}" for i, e in enumerate(mono.even)
+                     if e]
+            names.extend(slots[n_even + j] for j in mono.odd)
             body = "*".join(names)
             if not c.is_rational():
                 c = c if n % c.conductor == 0 else c.least()
@@ -494,19 +497,25 @@ def _format_poly(poly: SuperPolynomial) -> str:
 def format_expression(f: SuperRational | SuperPolynomial, texts: dict | None = None) -> str:
     """Canonical text form; ``parse_expression`` reads it back exactly.
 
-    The components of one decomposition or lift share a denominator object.
-    A caller printing them passes one ``texts`` dict to every call, and each
-    denominator object is then printed once.  The dict holds the objects, so
-    their ids stay theirs while it lives.
+    Each polynomial is a ``_template`` filled with its signature's names.  A
+    caller passes one ``texts`` dict to every call, the memo: by ``id(terms)``,
+    (terms, group exponent, template, signature, its text), so shared terms,
+    as of a lift's components or twin lifted transitions, render once and fill
+    once per signature.  Holding the terms keeps their ids theirs.
     """
+    sig = f.signature
+    n = sig.group.exponent if isinstance(sig, GradedSignature) else 1
+    texts = {} if texts is None else texts
+
+    def text(poly: SuperPolynomial) -> str:
+        entry = texts.get(id(poly.terms))
+        if entry is None or entry[3] is not sig:
+            template = entry[2] if entry and entry[1] == n else _template(poly, n)
+            entry = texts[id(poly.terms)] = (
+                poly.terms, n, template, sig, template.format(*sig.even, *sig.odd))
+        return entry[4]
+
     if isinstance(f, SuperPolynomial):
-        return _format_poly(f)
-    num = _format_poly(f.numerator)
-    den = f.denominator
-    if den.as_constant() == 1:
-        return num
-    if texts is None:
-        texts = {}
-    if id(den) not in texts:
-        texts[id(den)] = (den, _format_poly(den))
-    return f"({num})/({texts[id(den)][1]})"
+        return text(f)
+    num = text(f.numerator)
+    return num if f.denominator.as_constant() == 1 else f"({num})/({text(f.denominator)})"

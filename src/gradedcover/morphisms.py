@@ -130,7 +130,8 @@ def compose(second: SuperMorphism, first: SuperMorphism) -> SuperMorphism:
 
     ``second`` maps B -> C and ``first`` maps A -> B; the result maps
     A -> C with images second*(z) evaluated along first, all of them in one
-    ``_substitute``, which packs each image of ``first`` once.
+    ``_substitute``, which packs each image of ``first`` once; an image N/D is
+    N's value times the inverse of D's, packed where that is 1 or even and varies.
     """
     if first.target != second.source:
         raise SignatureMismatchError("inner target and outer source signatures differ")

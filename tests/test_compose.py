@@ -8,8 +8,10 @@ denominator, polynomial for polynomial, not only the same value: a
 composite prints as its numerator over its denominator.
 """
 
+import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -164,6 +166,95 @@ def test_packed_composition_builds_the_termwise_numerator_and_denominator(conduc
             assert_same(composite.images[name], want)
 
 
+def reference_tail(f, images):
+    """f at the images as ``_substitute`` finished each composite before its
+    tail stayed packed: the value of N times the inverse of the value of D,
+    each value evaluated as a function over 1."""
+    def evaluate(p):
+        return SuperRational(p).substitute(images, signature=A)
+
+    return evaluate(f.numerator) * evaluate(f.denominator).invert()
+
+
+def even_image(rng, conductor, kind):
+    """An image of an even variable of B: 1, another constant, zero, even
+    and not constant (over 1 or a denominator), or with odd content."""
+    if kind == "one":
+        return SuperRational.one(A)
+    if kind == "constant":
+        return SuperRational.constant(A, rng.choice([2, Fraction(-1, 3), root_of_unity(3, 1)]))
+    if kind == "zero":
+        return SuperRational.zero(A)
+    num = polynomial(rng, A, conductor, [0], nonzero=True)
+    if kind == "odd":  # a*b, now and then with no even part
+        num = SuperPolynomial.variable(A, "a") * SuperPolynomial.variable(A, "b") + (
+            num if rng.random() < 0.8 else 0)
+    elif num.as_constant() is not None:
+        num = num + SuperPolynomial.variable(A, "u")
+    if rng.random() < 0.5:
+        return SuperRational(num)
+    return SuperRational(num, polynomial(rng, A, conductor, [0], terms=2, nonzero=True))
+
+
+KINDS = ("one", "constant", "zero", "even", "even", "odd")
+
+
+def swaps(p):
+    """1, or even and not constant: its inverse needs no series and folds nothing."""
+    return p.is_one() or bool(p) and not p.has_odd_content() and p.as_constant() is None
+
+
+@pytest.mark.parametrize("conductor", (1, 3, 4))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_the_packed_tail_builds_what_the_inverse_did(conductor, seed):
+    """Composites over denominators whose values are 1, even and not
+    constant, other constants, zero or with odd content: each has the
+    numerator and denominator of N's value times the inverse of D's, or its
+    exception; composites over one D with a numerator value over 1 share one
+    denominator object; and no inverse is taken where every D's value is 1
+    or even and not constant."""
+    rng = random.Random(seed)
+    images = {name: even_image(rng, conductor, rng.choice(KINDS)) for name in B.even}
+    for name in B.odd:
+        images[name] = SuperRational(polynomial(rng, A, conductor, [1], nonzero=True))
+    x, y = (SuperPolynomial.variable(B, n) for n in B.even)
+    pool = [x, y, x * y, x + 1, x - y, y * y + 3, x - 1]
+    dens = rng.sample(pool, 3)
+    dens.append(SuperPolynomial(B, dict(dens[0].terms)))  # equal terms, another object
+    fs = [SuperRational(polynomial(rng, B, conductor, [0, 2]), rng.choice(dens))
+          for _ in range(5)]
+    wants, values = [], {}
+    for f in fs:
+        try:
+            wants.append(reference_tail(f, images))
+        except NotInvertibleError as exc:
+            wants.append(exc)
+        values[id(f.denominator)] = SuperRational(f.denominator).substitute(images, signature=A)
+    inverted = []
+    invert = SuperRational.invert
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SuperRational, "invert", lambda self: inverted.append(self) or invert(self))
+        for f, want in zip(fs, wants):
+            if isinstance(want, NotInvertibleError):
+                with pytest.raises(NotInvertibleError, match=re.escape(str(want))):
+                    f.substitute(images)
+            else:
+                assert_same(f.substitute(images), want)
+        if not any(isinstance(want, NotInvertibleError) for want in wants):
+            inverted.clear()
+            got = algebra._substitute(fs, images, A)
+            for g, want in zip(got, wants):
+                assert_same(g, want)
+            if all(swaps(v.numerator) and swaps(v.denominator) for v in values.values()):
+                assert inverted == []
+            over_one = [SuperRational(f.numerator).substitute(images, signature=A)
+                        .denominator.is_one() for f in fs]
+            for (f, g, one), (f2, g2, one2) in itertools.combinations(zip(fs, got, over_one), 2):
+                if one and one2 and f.denominator.terms == f2.denominator.terms:
+                    assert g.denominator is g2.denominator
+
+
 def test_a_denominator_with_nilpotent_content_is_inverted_by_its_series():
     u, v, a, b, c = (SuperRational.variable(A, n) for n in A.even + A.odd)
     images = {"x": u + a * b, "y": (v + b * c) / (u + 1), "s": a / (v + 2), "t": c}
@@ -212,6 +303,7 @@ def test_a_singular_substituted_denominator_still_raises():
     (15, None, 255, 8),  # y^8 + y^9: the cross-multiplied sum reaches x^255
     (15, 1, 256, 16),  # ... plus z, whose denominator 1 multiplies it by x
     (16, None, 256, 16),
+    (130, None, 260, 16),  # y^130/(y^130 + 1) at y = 1/x: the tail's x^130 * (1 + x^130)
 ])
 def test_the_codec_bound_leaves_no_carry(monkeypatch, exponent, image_degree, top, width):
     """Each field holds every exponent the evaluation reaches: for each
@@ -225,6 +317,8 @@ def test_the_codec_bound_leaves_no_carry(monkeypatch, exponent, image_degree, to
     f = y**8 + y**9 if exponent == 15 else y**16
     if image_degree:
         f = f + z
+    if exponent == 130:  # N's value over x^130 times D's swapped, each reaching x^130
+        images["y"], f = 1 / x, y**130 / (y**130 + 1)
     codecs, products = [], []
     codec, product = algebra._codec, algebra._packed_product
 
@@ -248,7 +342,7 @@ def test_the_codec_bound_leaves_no_carry(monkeypatch, exponent, image_degree, to
             for s in used.shifts + [used.zshift]:
                 assert max(k >> s & field for k in ta) + max(k >> s & field for k in tb) <= field
     assert_same(got, reference(f, images, target))
-    assert max(m.even[0] for m in got.numerator.terms) == top
+    assert max(m.even[0] for p in (got.numerator, got.denominator) for m in p.terms) == top
 
 
 def test_the_codec_z_field_holds_unreduced_exponents(monkeypatch):

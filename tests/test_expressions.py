@@ -527,6 +527,35 @@ def test_a_span_memo_matches_the_rational_evaluator():
     assert f.denominator is g.denominator
 
 
+def test_a_load_reads_each_identifier_of_a_transition_once(monkeypatch):
+    """The span memo of a morphism load also keeps each identifier's
+    monomial, in its own dict under the key None: reading lifted P^1/Z_4 back spells and builds each name of a
+    transition once, and an unknown name is never kept and still raises
+    where it stands."""
+    from gradedcover import expressions
+
+    p1 = {"charts": {"0": {"even": ["x"]}, "1": {"even": ["y"]}},
+          "transitions": {"0->1": {"y": "1/x"}, "1->0": {"x": "1/y"}}}
+    group = make_group([4])
+    parity = ParityMap.trivial(group)
+    data = dump_atlas(lift_atlas(load_atlas(p1)[0], group, parity), group, parity)
+    spelled, built = [], []
+    spell, variable = expressions.parse_var_name, SuperPolynomial.variable.__func__
+    monkeypatch.setattr(expressions, "parse_var_name", lambda n: spelled.append(n) or spell(n))
+    monkeypatch.setattr(SuperPolynomial, "variable", classmethod(
+        lambda cls, sig, n: built.append((id(sig), n)) or variable(cls, sig, n)))
+    load_atlas(data)
+    assert sorted(spelled) == [f"{c}@({k})" for c in "xy" for k in range(4)]
+    assert len(built) == len(set(built)) == 8
+    sig = SuperSignature(even=["x0", "x1"])
+    memo: dict = {}
+    parse_expression("x0 + x1", sig, memo)
+    for _ in range(2):
+        with pytest.raises(ExprSyntaxError, match=r"unknown identifier 'x2' \(position 6\)"):
+            parse_expression("x0 + x2", sig, memo)
+    assert memo.keys() == {None} and memo[None].keys() == {"x0", "x1"}
+
+
 def test_a_span_past_the_printable_digits_is_refused_where_it_was():
     """A sum is checked as it leaves the stack: the memo keeps no value
     that has not passed that check, so the next text that holds the span
@@ -662,14 +691,14 @@ def test_the_one_call_lexer_matches_the_match_by_match_loop():
         assert outcomes[0] == outcomes[1], repr(text)
 
 
-# -- one texts dict prints each shared denominator object once ---------------
+# -- one texts dict renders each distinct terms dict once ---------------------
 
 
 def test_shared_and_unshared_denominators_print_as_alone():
     sig = line_signature()
     x0, x1 = (parse_expression(n, sig).numerator for n in ("x0", "x1"))
     shared, other = x0 * x0 - x1 * x1, x0 + 2 * x1
-    copy = SuperPolynomial(sig, dict(shared.terms))  # equal terms, another object
+    copy = SuperPolynomial(sig, dict(shared.terms))  # equal terms, another dict
     items = [
         SuperRational(x0, shared), SuperRational(x1, other), SuperRational(-x1, shared),
         x0 + 1, SuperRational(x0 * x1, shared), SuperRational(x1, copy),
@@ -680,24 +709,102 @@ def test_shared_and_unshared_denominators_print_as_alone():
     printed = [format_expression(f, texts) for f in items]
     assert printed == [format_expression(f) for f in items]
     assert printed[0].endswith(f"/({format_expression(shared)})")
-    assert {id(den) for den, _ in texts.values()} == {id(shared), id(other), id(copy)}
+    # one entry per distinct terms dict printed, numerators and denominators
+    # alike; the denominator 1 is not printed
+    polys = [x0, shared, x1, other, items[2].numerator, items[3], items[4].numerator, copy,
+             items[7].numerator]
+    assert len({id(p.terms) for p in polys}) == len(polys) == 9
+    assert texts.keys() == {id(p.terms) for p in polys}
+    assert all(key == id(terms) for key, (terms, _, _, _, _) in texts.items())
+    # each entry keeps the text it filled for its signature, and serves it again
+    entry = texts[id(shared.terms)]
+    assert entry[3] is sig and entry[4] == format_expression(shared)
+    assert format_expression(items[0], texts) == printed[0] and texts[id(shared.terms)] is entry
 
 
 def test_a_freed_denominator_does_not_leak_its_text():
     sig = line_signature()
-    x1 = parse_expression("x1", sig).numerator
-    one, mono = SuperMonomial((0, 0), ()), SuperMonomial((1, 0), ())
+    one, mono, x1 = SuperMonomial((0, 0), ()), SuperMonomial((1, 0), ()), SuperMonomial((0, 1), ())
     texts: dict = {}
 
     def printed(k, texts):
         # the quotient is freed on return, so without the dict holding its
-        # denominator the next call's objects could take their addresses
-        return format_expression(SuperRational(x1, SuperPolynomial(sig, {one: 1, mono: k})), texts)
+        # terms the next call's dicts could take their addresses
+        f = SuperRational(SuperPolynomial(sig, {x1: k}), SuperPolynomial(sig, {one: 1, mono: k}))
+        return format_expression(f, texts)
 
-    # each k comes three times in a row, each time in a new object
+    # each k comes three times in a row, each time in new objects
     ks = [k - k % 3 + 1 for k in range(30)]
     assert [printed(k, texts) for k in ks] == [printed(k, None) for k in ks]
-    assert len(texts) == 30 and len({text for _, text in texts.values()}) == 10
+    assert len(texts) == 60 and len({template for _, _, template, _, _ in texts.values()}) == 20
+
+
+def test_a_relabelled_polynomial_prints_through_the_memo_as_alone():
+    """A polynomial over other names that shares the terms dict takes the
+    template and fills in its own names, even where one name is a prefix of
+    another, and a group of another exponent renders the terms anew."""
+    source = SuperSignature(even=["x", "xx"], odd=["xi", "xxi"])
+    p = parse_expression(
+        "x*xx^2*xi + zeta(3,1)*x*xxi - 2/3*xx*xi*xxi + (1 + i)*x^10 + xx - 7", source
+    ).numerator
+    z6 = make_group([6])
+    parity = ParityMap(z6, (1,))
+    weight = z6.character
+    graded = GradedSignature(z6, parity, even=[("xx@(2)", weight((2,))), ("x@(0)", weight((0,)))],
+                             odd=[("xxi@(1)", weight((1,))), ("xi@(3)", weight((3,)))])
+    den = parse_expression("x^2 + zeta(3,1)*xx + 1", source).numerator
+    texts: dict = {}
+    for sig in (
+        source,
+        SuperSignature(even=["xx", "x"], odd=["xxi", "xi"]),  # names swapped
+        SuperSignature(even=["x", "xxx"], odd=["xi", "xxxi"]),
+        graded,
+        source,
+    ):
+        q, d = (SuperPolynomial._raw(sig, r.terms) for r in (p, den))
+        for f in (q, SuperRational(q, d)):
+            assert format_expression(f, texts) == format_expression(f)
+    swapped = SuperSignature(even=["xx", "x"], odd=["xxi", "xi"])
+    assert format_expression(SuperPolynomial._raw(swapped, p.terms), texts) == (
+        "(1 + i)*xx^10 + xx*x^2*xxi + zeta(3,1)*xx*xi - 2/3*x*xxi*xi + x - 7")
+    # zeta(3,1) over Q(zeta_6), the field of the Z_6 grading
+    relabelled = format_expression(SuperPolynomial._raw(graded, p.terms))
+    assert "(-1 + zeta(6,1))*xx@(2)*xi@(3)" in relabelled
+    assert len(texts) == 2  # one entry per terms dict, rebuilt for another exponent
+    # wider than any signature before: the slot texts grow to it
+    wide = SuperSignature(even=[f"v{k}" for k in range(300)], odd=["w0", "w1"])
+    q = parse_expression("v299^2*w1 - v0*w0*w1 + 3*v256", wide).numerator
+    assert format_expression(q, texts) == "v299^2*w1 - v0*w0*w1 + 3*v256"
+
+
+def count_templates(monkeypatch, atlas, order, parity):
+    """(templates built, distinct polynomial objects printed) by ``dump_atlas``
+    of ``atlas`` lifted over Z_order."""
+    from gradedcover import expressions
+
+    built = []
+    template = expressions._template
+    monkeypatch.setattr(expressions, "_template", lambda p, n: built.append(p) or template(p, n))
+    group = make_group([order])
+    parity = ParityMap(group, (parity,))
+    lifted = lift_atlas(load_atlas(atlas)[0], group, parity)
+    dump_atlas(lifted, group, parity)
+    printed = {id(p) for m in lifted.transitions.values() for f in m.images.values()
+               for p in (f.numerator, f.denominator) if p.as_constant() != 1}
+    return len(built), len(printed)
+
+
+def test_a_lifted_atlas_renders_each_shared_polynomial_once(monkeypatch):
+    """The twin transitions of a lifted P^1 or P^{1|1} are relabelled copies
+    that share their terms: each numerator and the one denominator of a
+    transition are rendered once for both."""
+    p1 = {"charts": {"0": {"even": ["x"]}, "1": {"even": ["y"]}},
+          "transitions": {"0->1": {"y": "1/x"}, "1->0": {"x": "1/y"}}}
+    p11 = {"charts": {"0": {"even": ["x"], "odd": ["xi"]}, "1": {"even": ["y"], "odd": ["eta"]}},
+           "transitions": {"0->1": {"y": "1/x", "eta": "xi/x"},
+                           "1->0": {"x": "1/y", "xi": "eta/y"}}}
+    assert count_templates(monkeypatch, p1, 7, 0) == (8, 16)
+    assert count_templates(monkeypatch, p11, 12, 1) == (13, 26)
 
 
 @pytest.mark.parametrize("text, residues", [
