@@ -26,8 +26,8 @@ at the lcm of their conductors, multiplies them and unpacks the product,
 each coefficient reduced modulo Phi_N once and taking one gcd;
 ``_substitute`` (``substitute`` and ``compose``) packs each image once,
 evaluates whole functions on packed values, reducing each product, and
-unpacks each result once; ``_cofactor`` multiplies the twists of the norm
-tower.  Coefficients print by value, so where one is stored never shows.
+unpacks each result once; so does the norm of ``decompose``.  Coefficients
+print by value, so where one is stored never shows.
 ``SuperPolynomial.__mul__`` scales by a scalar, returns the other operand
 for a factor equal to the constant 1 at conductor 1, and multiplies one term
 by one term as one Cyclotomic product.
@@ -36,12 +36,13 @@ by one term as one Cyclotomic product.
 prime-index subgroups from the stabilizer of D up (``_orbit_tower``), on
 the exponents of zeta_N that the group gives D's monomial weights: no group
 element is built.  Each prime step multiplies its twists in integers by
-Kronecker substitution (``_cofactor``), whatever the coefficients.  The
-tower gives the cofactors and the invariant D*C once per distinct D;
-``_components`` multiplies each numerator by them, so the images of a
-lifted transition norm a shared D once and share its invariant form, and
-the transitions of a lifted atlas, over coverings of one weight layout,
-share each norm and each numerator's weight split, relabelled.
+Kronecker substitution (``_cofactor``), whatever the coefficients, on D
+packed once; the invariant D*C is unpacked once.  ``_components`` multiplies
+each numerator, packed once, by the packed cofactors and splits the product
+as it unpacks it, so the images of a lifted transition norm a shared D once
+and share its invariant form, and the transitions of a lifted atlas, over
+coverings of one weight layout, share each norm and each numerator's weight
+split, relabelled.
 
 Signatures, polynomials and quotients are ``_Frozen`` (see ``cyclotomic``):
 signatures are equal and hash alike when type and fields agree, so a plain
@@ -51,15 +52,14 @@ one never equals a graded one; polynomials and quotients compare by value.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import chain
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, mul
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from .cyclotomic import (MAX_CONDUCTOR, Cyclotomic, _conductor, _Frozen, _power,
                          _prime_factors, _reduce, _reducer, root_of_unity)
-from .errors import NotInvertibleError, SignatureMismatchError
+from .errors import NormSizeError, NotInvertibleError, SignatureMismatchError
 from .groups import Character, FiniteAbelianGroup, GroupElement, ParityMap
 
 Scalar = Union[int, Fraction, Cyclotomic]
@@ -277,15 +277,6 @@ def _codec(n_even: int, top: int) -> _Codec:
     return codec
 
 
-def _chain_codec(factors: Sequence[Terms], n: int) -> _Codec:
-    """The codec whose fields fit the product of ``factors`` (the first one
-    non-empty) left unreduced at conductor n: an even field holds the sum of
-    their largest exponents, and z's field that of one exponent below phi(n)
-    per factor."""
-    top = sum(max((e for m in t for e in m.even), default=0) for t in factors)
-    return _codec(len(next(iter(factors[0])).even), max(top, len(factors) * (_reducer(n)[0] - 1)))
-
-
 def _odd_rows(keys_a, items_b, shift: int) -> dict[int, list]:
     """Per distinct odd mask of ``keys_a``: ``(key, value)`` for the terms of b,
     ``items_b`` re-iterable, whose product with it survives, in b's order, the
@@ -387,15 +378,23 @@ def _unpacked(packed: tuple[int, dict], n: int, codec: _Codec) -> Terms:
     return {unpack(key): lowest(r, d, n) for key, r in _reductions(t, n, codec)}
 
 
+def _times(a: tuple[int, dict], b: tuple[int, dict], n: int, codec: _Codec) -> tuple[int, dict]:
+    """a times b on packed polynomials at conductor n, reduced and canonical."""
+    d, t = _packed_product(a, b, codec.shift)
+    return _canonical((d, _reduced(t, n, codec)))
+
+
 def _mul_terms(a: Terms, b: Terms) -> Terms:
     """a times b in integers: both are packed once at Q(zeta_n), n the lcm of
-    their coefficients' conductors, multiplied by ``_packed_product`` and
-    unpacked, so each coefficient takes one reduction and one gcd.  A zero
-    operand gives {}."""
+    their coefficients' conductors, in a codec whose even fields hold the sum
+    of their largest exponents and z's two exponents below phi(n), multiplied
+    by ``_packed_product`` and unpacked, so each coefficient takes one
+    reduction and one gcd.  A zero operand gives {}."""
     if not a or not b:
         return {}
     n = _conductor(c.conductor for t in (a, b) for c in t.values())
-    codec = _chain_codec([a, b], n)
+    top = sum(max((e for m in t for e in m.even), default=0) for t in (a, b))
+    codec = _codec(len(next(iter(a)).even), max(top, 2 * (_reducer(n)[0] - 1)))
     product = _packed_product(_pack(a, n, codec), _pack(b, n, codec), codec.shift)
     return _unpacked(product, n, codec)
 
@@ -618,12 +617,7 @@ class SuperPolynomial(_Frozen):
 
     def weight_components(self) -> dict[Character, "SuperPolynomial"]:
         """Split termwise by monomial weight; keys in lex residue order."""
-        sig = _graded(self.signature)
-        buckets: dict[tuple[int, ...], Terms] = {}
-        for mono, c in self.terms.items():
-            buckets.setdefault(_residues(sig, mono), {})[mono] = c
-        return {Character(sig.group, r): SuperPolynomial._raw(sig, buckets[r])
-                for r in sorted(buckets)}
+        return dict(_split(_graded(self.signature), self.terms, None))
 
     def act(self, g: GroupElement) -> "SuperPolynomial":
         """Rescale every variable by the value of its weight at g."""
@@ -637,10 +631,6 @@ class SuperPolynomial(_Frozen):
             m: c * root_of_unity(n, sum(map(mul, _residues(sig, m), steps)))
             for m, c in self.terms.items()
         })
-
-    def sorted_terms(self) -> list[tuple[SuperMonomial, Cyclotomic]]:
-        """Terms in the canonical output order, leading monomial first."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
 
 
 class SuperRational(_Frozen):
@@ -839,18 +829,8 @@ class SuperRational(_Frozen):
             return None
         return self.numerator.grassmann_parity()
 
-    def _normed(self) -> tuple[list[SuperPolynomial], SuperPolynomial]:
-        """The norm of the denominator D: cofactors c_1, ..., c_r and D*C,
-        C = c_1*...*c_r the product of the distinct group twists of D, one per
-        coset of its stabilizer S.  D*C is the orbit product of D, which the
-        group permutes: invariant, termwise of identity weight, so over it
-        N*C is homogeneous exactly where it is termwise.  Only D is read.
-
-        ``_orbit_tower`` builds it through prime-index subgroups
-        S = K_0 < ... < G, one ``_cofactor`` per step, rational or not.  It
-        skips no step whose partial product is already invariant: that may
-        have a larger stabilizer than D.
-        """
+    def _normed(self) -> tuple[tuple, SuperPolynomial]:
+        """The norm of the denominator D, packed cofactors and D*C (``_orbit_tower``)."""
         return _orbit_tower(_graded(self.signature), self.denominator)
 
     def weight(self) -> Character | None:
@@ -867,11 +847,10 @@ class SuperRational(_Frozen):
         """Split into homogeneous components; zero components are omitted.
 
         The denominator is normed to a group-invariant polynomial and the
-        numerator is then projected termwise by monomial weight, which is
-        exact and avoids summing rational functions.  A denominator that is
-        already homogeneous of weight d needs no norming: the monomials of
-        weight w in the numerator contribute the component of weight w/d.
-        ``_components`` does it, as for the images of a lifted transition.
+        numerator times its cofactors split termwise by monomial weight, which
+        is exact and avoids summing rational functions; a denominator of weight
+        d needs no norming, and numerator monomials of weight w give the
+        component of weight w/d.  ``_components`` does it.
         """
         _graded(self.signature)
         return _components([self])[0]
@@ -957,17 +936,15 @@ def _components(
     """``decompose`` of each of ``fs``, functions over one graded signature:
     the one homogeneity rule, which ``weight`` and ``GradedMorphism`` read.
 
-    D, or ``_normed``'s cofactors and D*C if D is not termwise homogeneous,
-    is taken once per distinct D, and the weight split of a numerator times
-    the cofactors once per numerator over D, in this call or in all that
-    share ``seen`` (one ``lift_atlas``).
-    D matches by identity, then by layout (group, parity, ordered weights)
-    and equal terms, a numerator by its monomial tuple, then equal terms.
-    ``_orbit_tower``, ``_cofactor``, ``termwise_weight`` and
-    ``weight_components`` never read a name, so a match over another
-    signature of one layout is the same polynomials renamed, relabelled
-    sharing their immutable ``terms``.  The components of the functions
-    sharing D share one denominator, weighed once here and printed once.
+    D, or ``_normed``'s packed cofactors and D*C if D is not termwise
+    homogeneous, is taken once per distinct D, and the ``_split`` of a
+    numerator times them (``_cofactored``) once per numerator over D, in this
+    call or in all that share ``seen`` (one ``lift_atlas``).  D matches by
+    identity, then by layout (group, parity, ordered weights) and equal terms,
+    a numerator by its monomial tuple, then equal terms.  No name is read and
+    packed keys are positional, so a match over another signature of one
+    layout is relabelled, sharing the immutable ``terms``; the components of
+    the functions sharing D share one denominator, weighed and printed once.
     """
     seen = [] if seen is None else seen  # [(D, layout, split, {monomials: [(terms, parts)]})]
     entries: dict[int, tuple] = {}  # id(D) -> its entry in ``seen``; ``fs`` hold the D's
@@ -982,25 +959,22 @@ def _components(
             layout = sig.group, sig.parity, sig.even_weights, sig.odd_weights
             entry = next((e for e in seen if e[0] is den
                           or e[1] == layout and e[0].terms == den.terms), None)
-            if entry is None:  # (cofactors, a termwise homogeneous D', 1/weight(D'))
+            if entry is None:  # (packed tower or None, a termwise homogeneous D', 1/weight(D'))
                 d = den.termwise_weight()
                 split = (*f._normed(), None) if d is None else (
-                    [], den, None if d.is_identity() else d.inverse())
+                    None, den, None if d.is_identity() else d.inverse())
                 seen.append(entry := (den, layout, split, {}))
             entries[id(den)] = entry
             if id(entry) not in splits:
-                cofactors, normed, shift = entry[2]
+                tower, normed, shift = entry[2]
                 if normed.signature is not sig:  # renamed, sharing the terms
-                    cofactors = [SuperPolynomial._raw(sig, c.terms) for c in cofactors]
                     normed = SuperPolynomial._raw(sig, normed.terms)
-                splits[id(entry)] = cofactors, normed, shift
-        cofactors, normed, shift = splits[id(entry := entries[id(den)])]
+                splits[id(entry)] = tower, normed, shift
+        tower, normed, shift = splits[id(entry := entries[id(den)])]
         same = entry[3].setdefault(tuple(num), [])
         parts = next((p for t, p in same if t == num), None)
         if parts is None:
-            split = reduce(mul, cofactors, f.numerator).weight_components()
-            parts = sorted(((chi if shift is None else chi * shift, p)
-                            for chi, p in split.items()), key=lambda cp: cp[0].residues)
+            parts = _split(sig, num if tower is None else _cofactored(tower, num), shift)
             same.append((num, parts))
         elif parts[0][1].signature is not sig:
             parts = [(chi, SuperPolynomial._raw(sig, p.terms)) for chi, p in parts]
@@ -1008,10 +982,47 @@ def _components(
     return out
 
 
-def _orbit_tower(
-    sig: GradedSignature, den: SuperPolynomial
-) -> tuple[list[SuperPolynomial], SuperPolynomial]:
-    """([c_1, ..., c_r], P_r): see ``SuperRational._normed``.
+def _split(sig: GradedSignature, terms: Terms, shift: Character | None) -> list[tuple]:
+    """(weight times ``shift``, polynomial) per monomial weight of ``terms``, in lex order."""
+    buckets: dict[tuple[int, ...], Terms] = {}
+    for mono, c in terms.items():
+        buckets.setdefault(_residues(sig, mono), {})[mono] = c
+    parts = [(Character(sig.group, r), t) for r, t in buckets.items()]
+    if shift is not None:
+        parts = [(chi * shift, t) for chi, t in parts]
+    parts.sort(key=lambda ct: ct[0].residues)
+    return [(chi, SuperPolynomial._raw(sig, t)) for chi, t in parts]
+
+
+def _cofactored(tower: tuple, num: Terms) -> Terms:
+    """N*c_1*...*c_r, N packed at m, the lcm of n and its conductor, the product
+    unpacked; the cofactors packed again where m != n > 1 or the fields are short."""
+    n, codec, top, cofactors = tower
+    m = _conductor([n, *(c.conductor for c in num.values() if not c.is_rational())])
+    need = max(top + max((e for mono in num for e in mono.even), default=0),
+               2 * (_reducer(m)[0] - 1))  # z: a product of two values reduced at m
+    wide = codec if need < 1 << codec.width else _codec(len(codec.shifts), need)
+    if wide is not codec or n not in (1, m):  # rare: unpacked and packed again
+        cofactors = [_pack(_unpacked(c, n, codec), m, wide) for c in cofactors]
+    acc = _pack(num, m, wide)
+    for c in cofactors[:-1]:
+        acc = _times(acc, c, m, wide)
+    return _unpacked(_packed_product(acc, cofactors[-1], wide.shift), m, wide)
+
+
+# Predicted monomials of a norm D*C, the fewer of the monomials of its degree and
+# the multisets of its twists' terms: lifted P^1/Z_12 has 1,352,078, Z_13 5,200,300 (README).
+MAX_NORM_MONOMIALS = 4_000_000
+
+
+def _orbit_tower(sig: GradedSignature, den: SuperPolynomial) -> tuple[tuple, SuperPolynomial]:
+    """((n, codec, top, [c_1, ..., c_r]), P_r = D*C), C = c_1*...*c_r the product
+    of the distinct group twists of D, one per coset of its stabilizer S.  D*C
+    is the orbit product of D, which the group permutes: invariant, termwise of
+    identity weight, so over it N*C is homogeneous exactly where it is termwise.
+    The tower climbs prime-index subgroups S = K_0 < ... < G, one ``_cofactor``
+    per step, rational or not, and skips no step whose partial product is
+    already invariant: that may have a larger stabilizer than D.
 
     The group acts on D only through h(g), the exponents of zeta_n (n the
     group exponent) that g gives the distinct monomial weights of D; a weight
@@ -1020,16 +1031,21 @@ def _orbit_tower(
     is known by h(K), from {0} up.  Each step adds g = e_t^k of prime order p
     modulo K, peeled off e_t's order modulo K (the least k with
     k*h(e_t) in h(K)), larger primes first, and h(K) gains the p multiples of
-    h(g).  P = P_(i-1) is K-invariant, so chi_m(g) = zeta_p^j_m on each
-    monomial m of P, j_m read off m's residues too.  The cofactor
-    c_i = prod_(k=1..p-1) g^k.P is ``_cofactor`` of the j_m, and P_i = P*c_i.
-    The numerator takes no part: its products N*c_1*...*c_r are the caller's.
+    h(g).  Before any product, D*C, the product of s = |h(G)| twists of D's
+    t terms, is refused where both the monomials of degree s*deg D in D's
+    variables and the multisets of s of the t terms pass
+    ``MAX_NORM_MONOMIALS``.  P = P_(i-1) is K-invariant, so chi_m(g) =
+    zeta_p^j_m on each monomial m of P, j_m read off m's residues too; c_i is
+    ``_cofactor`` of the j_m and P_i = P*c_i, packed at the conductor of D's
+    irrational coefficients in one codec whose fields hold s*e, e D's largest
+    exponent, and each unreduced z exponent; ``top`` = (s - 1)*e is what the
+    cofactors add to a numerator's exponents (``_cofactored`` widens for it).
     """
     n = sig.group.exponent
     steps = [n // q for q in sig.group.factors]  # residue r at Z_q is zeta_n^(r*n/q)
     weights = dict.fromkeys(tuple(map(mul, _residues(sig, m), steps)) for m in den.terms)
     hk = {(0,) * len(weights)}  # h(K)
-    cofactors = []
+    plan = []  # (p, t, k) per step: g = e_t^order, k = step * order
     for p in reversed(_prime_factors(n)):
         for t, step in enumerate(steps):
             col = [w[t] for w in weights]  # h(e_t)
@@ -1038,44 +1054,58 @@ def _orbit_tower(
                 order //= p
                 h = [order * x % n for x in col]
                 hk = {tuple((u + i * x) % n for u, x in zip(v, h)) for v in hk for i in range(p)}
-                js = [_residues(sig, m)[t] * step * order % n * p // n for m in den.terms]
-                cofactors.append(_cofactor(sig, den.terms, js, p))
-                den = den * cofactors[-1]
-    return cofactors, den
+                plan.append((p, t, step * order))
+    orbit, exps = len(hk), [m.even for m in den.terms]
+    degree, used, terms = max(map(sum, exps)), max(1, sum(map(any, zip(*exps)))), len(exps)
+    size = min(comb(orbit * degree + used - 1, used - 1), comb(orbit + terms - 1, terms - 1))
+    if size > MAX_NORM_MONOMIALS:
+        shown = f"{size:,}" if size.bit_length() < 64 else f"over 2^{size.bit_length() - 1}"
+        raise NormSizeError(
+            f"norming the denominator: {orbit} twists of {terms} terms of degree {degree} in "
+            f"{used} variables predict {shown} monomials, above the bound {MAX_NORM_MONOMIALS:,}")
+    cond = _conductor(c.conductor for c in den.terms.values() if not c.is_rational())
+    top = (orbit - 1) * (high := max((e for m in exps for e in m), default=0))
+    z = max([2, *(p - 1 for p, _, _ in plan)]) * (_reducer(cond)[0] - 1)
+    codec = _codec(len(sig.even), max(top + high, z))
+    packed, unpack, low = _pack(den.terms, cond, codec), codec.unpack, (1 << codec.zshift) - 1
+    cofactors = []
+    for p, t, k in plan:
+        j = {m: _residues(sig, unpack(m))[t] * k % n * p // n for m in {key & low for key in packed[1]}}
+        cofactors.append(_cofactor(packed, j, p, cond, codec))
+        packed = _times(packed, cofactors[-1], cond, codec)
+    return (cond, codec, top, cofactors), SuperPolynomial._raw(sig, _unpacked(packed, cond, codec))
 
 
-def _cofactor(sig: GradedSignature, terms: Terms, js: list[int], p: int) -> SuperPolynomial:
-    """C = prod_(k=1..p-1) sum_m zeta_p^(j_m*k) c_m*m for P = sum_m c_m*m even,
-    ``js`` giving j_m in ``terms`` order.
-
-    Write c_m = a_m(z)/d, d the common denominator and a_m an integer
-    polynomial in z = zeta_N left unreduced, N the lcm of the irrational c_m's
-    conductors, and take zeta_p as a separate symbol s.  The Galois group of
-    Q(zeta_p) fixes z and permutes the twists, so d^(p-1)*C is free of s over
-    Z[z]: its coefficient at a monomial and z^i is an integer, a sum of
-    products of p - 1 entries of the a_m times roots of unity, so at most
-    L^(p-1) in size, L the sum of all |entries|.  With t = 2L + 1, s -> t is
-    a ring map Z[z][s]/Phi_p(s) -> (Z/M)[z] for M = Phi_p(t) >= t^(p-1) >
-    2*L^(p-1) (Kronecker substitution): the twists of the packed P, multiplied
-    by ``_packed_product`` modulo M, z's exponent in its own field of the
-    keys, leave each such coefficient as its symmetric residue.  M need not be
-    prime.  The bound holds only while z is left unreduced, so the product is
-    reduced modulo Phi_N once, as it is unpacked.
+def _cofactor(packed: tuple[int, dict], j: dict, p: int, n: int, codec: _Codec) -> tuple[int, dict]:
+    """C = prod_(k=1..p-1) sum_m zeta_p^(j_m*k) c_m*m, reduced and canonical, for
+    P = sum_m c_m*m even, both packed at conductor n in ``codec``, ``j`` giving
+    j_m by m's key.  With c_m = a_m(z)/d, d the packed denominator and a_m the
+    integer polynomial in z = zeta_n of m's entries, take zeta_p as a separate
+    symbol s.  The Galois group of Q(zeta_p) fixes z and permutes the twists,
+    so d^(p-1)*C is free of s over Z[z]: its coefficient at a monomial and z^i
+    is an integer, a sum of products of p - 1 entries of the a_m times roots
+    of unity, so at most L^(p-1) in size, L the sum of all |entries|.  With
+    t = 2L + 1, s -> t is a ring map Z[z][s]/Phi_p(s) -> (Z/M)[z] for
+    M = Phi_p(t) >= t^(p-1) > 2*L^(p-1) (Kronecker substitution): the twists
+    of P, multiplied by ``_packed_product`` modulo M, z's exponent in its own
+    field of the keys, leave each such coefficient as its symmetric residue.
+    M need not be prime.  The bound holds only while z is left unreduced, so
+    the product is reduced modulo Phi_n once, at the end.
     """
-    n = _conductor(c.conductor for c in terms.values() if not c.is_rational())
-    codec = _chain_codec([terms] * (p - 1), n)
-    d, packed = _pack(terms, n, codec)
-    low, j = (1 << codec.zshift) - 1, dict(zip(map(codec.pack, terms), js))  # P is even
-    t = 2 * sum(map(abs, packed.values())) + 1
+    d, terms = packed
+    low = (1 << codec.zshift) - 1  # P is even: a key below z's field is its monomial's
+    if p == 2:  # the one twist: zeta_2 = -1 flips the sign of each m with j_m = 1
+        return d, {key: -a if j[key & low] else a for key, a in terms.items()}
+    t = 2 * sum(map(abs, terms.values())) + 1
     modulus = (t ** p - 1) // (t - 1)
     powers, half = [t ** i for i in range(p)], modulus // 2
     acc = {0: 1}
     for k in range(1, p):
-        twist = 1, {key: a * powers[j[key & low] * k % p] for key, a in packed.items()}
+        twist = 1, {key: a * powers[j[key & low] * k % p] for key, a in terms.items()}
         _, out = _packed_product((1, acc), twist, codec.shift)
         acc = {key: r for key, v in out.items() if (r := v % modulus)}
     signed = {key: r - modulus if r > half else r for key, r in acc.items()}
-    return SuperPolynomial._raw(sig, _unpacked((d ** (p - 1), signed), n, codec))
+    return _canonical((d ** (p - 1), _reduced(signed, n, codec)))
 
 
 def _even_value(sig: SuperSignature, mono: SuperMonomial, point: Mapping[str, complex]) -> complex:
@@ -1185,8 +1215,7 @@ def _substitute(
             return zero
         if a == one or b == one:
             return b if a == one else a
-        d, t = _packed_product(a, b, codec.shift)
-        return _canonical((d, _reduced(t, n, codec)))
+        return _times(a, b, n, codec)
 
     def power(v, e):  # v's image to the e, as (numerator, denominator)
         if (v, e) not in powers:

@@ -5,9 +5,10 @@ Each command returns its JSON payload, its text and its exit code, and
 ``main`` writes one of the two, to ``--output`` or stdout; the text is
 joined from the payload's strings.  Atlas and morphism files take their
 grading from one reader, the parity defaulting to all-zero bits.
+``main`` reads a command line once, with the subparser it names (``parse``).
 Exit codes: 0 on success, 1 on a mathematical failure (invalid morphism,
-division by a non-invertible function, cocycle violation), 2 on usage,
-syntax, or file errors.
+division by a non-invertible function, cocycle violation, a norm past its
+size bound), 2 on usage, syntax, or file errors.
 """
 
 from __future__ import annotations
@@ -321,11 +322,23 @@ def build_parser() -> argparse.ArgumentParser:
     output(p)
     p.set_defaults(func=cmd_check_cocycle)
 
+    parser.commands = sub.choices  # name -> subparser, for ``parse``
     return parser
 
 
+def parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, one pass where a command's subparser reads it all."""
+    parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv and "--" not in argv else None
+    args, rest = sub.parse_known_args(argv[1:]) if sub else (None, None)
+    if args is None or rest:  # the top-level parser reports errors as it always has
+        return parser.parse_args(argv)
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse(sys.argv[1:] if argv is None else argv)
     try:
         payload, text, code = args.func(args)
         _emit(json.dumps(payload, indent=2, sort_keys=True) if args.json else text, args.output)

@@ -294,15 +294,16 @@ def _descend(
     }
     section = ([keep.get(n) for n in cover.even], [keep.get(n) for n in cover.odd])
     totals, images = {}, {}
+    dens = {id(img.denominator): img.denominator for img in lifted.images.values()}
+    weights = {key: den.termwise_weight() for key, den in dens.items()}  # copies share one
     for part in _copies(target, lifted.target):
         for name, copies in part:
             total = SuperRational.zero(cover)
             for copy, chi in copies:
                 img = lifted.images[copy]
                 if not img.is_zero():
-                    num_weight, den_weight = (
-                        p.termwise_weight() for p in (img.numerator, img.denominator)
-                    )
+                    num_weight = img.numerator.termwise_weight()
+                    den_weight = weights[id(img.denominator)]
                     if None in (num_weight, den_weight) or num_weight != chi * den_weight:
                         return None
                 total = total + img

@@ -21,6 +21,10 @@ class NotInvertibleError(GradedError):
     """Division by a superfunction whose even part vanishes."""
 
 
+class NormSizeError(GradedError):
+    """A norm whose predicted size passes ``algebra.MAX_NORM_MONOMIALS``."""
+
+
 class MorphismValidationError(GradedError):
     """A coordinate image violates its weight or parity constraint."""
 

@@ -463,18 +463,19 @@ def _template(poly: SuperPolynomial, n: int) -> str:
     before a monomial), any other over Q(zeta_n) if it holds it, else at its least conductor."""
     if not poly.terms:
         return "0"
-    sig = poly.signature
+    sig, terms = poly.signature, poly.terms
     n_even, slots = len(sig.even), _SLOTS
     while len(slots) < n_even + len(sig.odd):
         slots.append(f"{{{len(slots)}}}")
     parts = []
     try:
-        for mono, c in poly.sorted_terms():
+        for mono in sorted(terms, key=SuperMonomial.sort_key, reverse=True):
+            c = terms[mono]
             names = [slots[i] if e == 1 else f"{slots[i]}^{e}" for i, e in enumerate(mono.even)
                      if e]
-            names.extend(slots[n_even + j] for j in mono.odd)
+            names += [slots[n_even + j] for j in mono.odd]
             body = "*".join(names)
-            if not c.is_rational():
+            if any(c.num[1:]):
                 c = c if n % c.conductor == 0 else c.least()
                 c = c.lift(n) if n % c.conductor == 0 else c
                 m = c.conductor

@@ -5,6 +5,8 @@ Everything draws from an explicit ``random.Random`` so failures reproduce.
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from gradedcover import (
     make_group,
     root_of_unity,
 )
+from gradedcover import algebra
 
 NINES = "9" * 4300  # the longest literal that reads as an int
 
@@ -161,3 +164,54 @@ def sum_components(components, sig) -> SuperRational:
     for part in components.values():
         total = total + part
     return total
+
+
+def unpacked_tower(tower, sig) -> list[SuperPolynomial]:
+    """The packed cofactors of ``_orbit_tower`` (``_normed()[0]``), each
+    unpacked into a polynomial over ``sig``."""
+    n, codec, _, cofactors = tower
+    return [SuperPolynomial._raw(sig, algebra._unpacked(c, n, codec)) for c in cofactors]
+
+
+def cofactor_terms(terms, js, p):
+    """``_cofactor`` of P = ``terms``, j_m given by ``js`` in ``terms`` order:
+    P packed at its conductor in a codec that holds the product of p - 1 copies
+    of P, and the packed cofactor unpacked."""
+    n = algebra._conductor(c.conductor for c in terms.values() if not c.is_rational())
+    top = max(max((e for m in terms for e in m.even), default=0), algebra._reducer(n)[0] - 1)
+    codec = algebra._codec(len(next(iter(terms)).even), (p - 1) * top)
+    j = dict(zip(map(codec.pack, terms), js))
+    return algebra._unpacked(algebra._cofactor(algebra._pack(terms, n, codec), j, p, n, codec),
+                             n, codec)
+
+
+def reference_components(f) -> dict:
+    """``decompose`` of f by the route the packed pass replaced: the tower's
+    cofactors unpacked, the numerator times each in turn (``reduce(mul, ...)``),
+    and the product split termwise by ``monomial_weight``; over a termwise
+    homogeneous D of weight d, N alone split, each weight over d."""
+    sig, den = f.signature, f.denominator
+    d = den.termwise_weight()
+    if d is None:
+        tower, normed = f._normed()
+        num = functools.reduce(operator.mul, unpacked_tower(tower, sig), f.numerator)
+        shift = sig.group.identity_character
+    else:
+        num, normed, shift = f.numerator, den, d.inverse()
+    parts: dict = {}
+    for mono, c in num.terms.items():
+        parts.setdefault(num.monomial_weight(mono) * shift, {})[mono] = c
+    return {chi: SuperRational._of(SuperPolynomial._raw(sig, parts[chi]), normed)
+            for chi in sorted(parts, key=lambda chi: chi.residues)}
+
+
+def assert_components_match_the_reference(f, got: dict):
+    """``got``, f's components, against ``reference_components``: one weight
+    order, and each numerator and denominator the same monomials in the same
+    order with equal coefficients.  A rational coefficient may be stored at
+    another conductor: it prints by its value."""
+    want = reference_components(f)
+    assert list(got) == list(want)
+    for chi, part in got.items():
+        for a, b in ((part.numerator, want[chi].numerator), (part.denominator, want[chi].denominator)):
+            assert list(a.terms.items()) == list(b.terms.items())

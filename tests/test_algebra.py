@@ -3,6 +3,7 @@
 import copy
 import functools
 import itertools
+import math
 import operator
 import pickle
 import random
@@ -37,12 +38,15 @@ from gradedcover import (
 )
 from gradedcover import algebra
 from conftest import (
+    assert_components_match_the_reference,
+    cofactor_terms,
     random_group,
     random_parity,
     random_polynomial,
     random_rational,
     random_signature,
     sum_components,
+    unpacked_tower,
 )
 
 
@@ -764,8 +768,8 @@ def rational_polynomial(rng, sig, n_terms, max_degree, with_odd):
 def assert_tower_matches_chain(f):
     """Equal values (``Cyclotomic.__eq__`` compares across conductors), an
     invariant denominator, and a rational one for rational N and D."""
-    cofactors, den = f._normed()
-    num = functools.reduce(operator.mul, cofactors, f.numerator)
+    tower, den = f._normed()
+    num = functools.reduce(operator.mul, unpacked_tower(tower, f.signature), f.numerator)
     chain_num, chain_den = normed_chain(f)
     assert num.terms == chain_num.terms
     assert den.terms == chain_den.terms
@@ -838,16 +842,15 @@ def test_orbit_tower_carries_odd_variables_in_the_numerator():
     x0, x2, s1, s3 = (SuperPolynomial.variable(sig, v) for v in ("x0", "x2", "s1", "s3"))
     f = SuperRational(s1 * s3 + 3 * s1 * x2 - s3, x0 + x2 + 2)
     assert_tower_matches_chain(f)
-    assert functools.reduce(operator.mul, f._normed()[0], f.numerator).has_odd_content()
+    cofactors = unpacked_tower(f._normed()[0], sig)
+    assert functools.reduce(operator.mul, cofactors, f.numerator).has_odd_content()
 
 
 def test_a_cofactor_whose_z_exponents_pass_one_byte():
     """A p = 3 step at conductor 257 (phi = 256): the twists' product leaves
     exponents of z = zeta_257 up to 2*201 unreduced, past one byte, and the
-    codec's z field holds them.  The cofactor is the termwise product of the
-    twists of P."""
-    from gradedcover import algebra
-
+    codec ``_orbit_tower`` sizes holds them in z's field.  The tower's one
+    cofactor is the termwise product of the twists of D."""
     grp = make_group([3])
     sig = GradedSignature(
         grp, ParityMap.trivial(grp), even=[("x", grp.character((0,))), ("y", grp.character((1,)))]
@@ -864,7 +867,8 @@ def test_a_cofactor_whose_z_exponents_pass_one_byte():
                 m = SuperMonomial((m1.even[0] + m2.even[0], m1.even[1] + m2.even[1]), ())
                 out[m] = out[m] + c1 * c2 if m in out else c1 * c2
         product = {m: c for m, c in out.items() if not c.is_zero()}
-    assert algebra._cofactor(sig, den.terms, js, 3).terms == product
+    tower, _ = algebra._orbit_tower(sig, den)
+    assert [c.terms for c in unpacked_tower(tower, sig)] == [product]
 
 
 def test_irrational_coefficients_take_the_chain():
@@ -895,20 +899,20 @@ def test_prime_step_cofactor_takes_any_coefficients():
     assert one_at_5.conductor == 5
     den = x + y * 2
     js = [den.monomial_weight(m).exponent_at(grp.element((1,))) for m in den.terms]
-    at_1 = algebra._cofactor(sig, den.terms, js, 5)
-    at_5 = algebra._cofactor(sig, (den * one_at_5).terms, js, 5)
-    assert at_1.terms == at_5.terms == (x**4 - x**3 * y * 2 + x**2 * y**2 * 4
+    at_1 = cofactor_terms(den.terms, js, 5)
+    at_5 = cofactor_terms((den * one_at_5).terms, js, 5)
+    assert at_1 == at_5 == (x**4 - x**3 * y * 2 + x**2 * y**2 * 4
                                         - x * y**3 * 8 + y**4 * 16).terms
     # the product of the twists x + c*zeta^k*y, k = 1..4, at conductors 5, 3 and 15
     for c in (zeta * 2, root_of_unity(3, 1) - 4, zeta * root_of_unity(3, 1) + 7):
         twists = SuperPolynomial.one(sig)
         for k in range(1, 5):
             twists = twists * (x + y * (c * root_of_unity(5, k)))
-        assert algebra._cofactor(sig, (x + y * c).terms, js, 5).terms == twists.terms
+        assert cofactor_terms((x + y * c).terms, js, 5) == twists.terms
     # one-term parts, and a two-term part at j = 0
     for den in (x + zeta * y, x + x * x + zeta * y, x * one_at_5 + y):
-        cofactors, normed = algebra._orbit_tower(sig, den)
-        num = functools.reduce(operator.mul, cofactors, SuperPolynomial.one(sig))
+        tower, normed = algebra._orbit_tower(sig, den)
+        num = functools.reduce(operator.mul, unpacked_tower(tower, sig), SuperPolynomial.one(sig))
         assert (num.terms, normed.terms) == tuple(p.terms for p in normed_chain(SuperRational(SuperPolynomial.one(sig), den)))
 
 
@@ -963,6 +967,60 @@ def rational_functions(draw):
 @given(rational_functions())
 def test_orbit_tower_equals_the_chain(f):
     assert_tower_matches_chain(f)
+
+
+# -- the packed pass of _components against the route it replaced --------------
+
+
+COMPONENT_GROUPS = [[q] for q in range(2, 13)] + [[2, 2, 2], [3, 4]]
+
+
+def test_components_match_the_replaced_route_on_seeded_functions(monkeypatch):
+    """Seeded functions over Z_2 ... Z_12, Z_2^3 and Z_3 x Z_4, with odd
+    variables and roots of unity among their coefficients; every other one
+    has N over zeta_5 and D over zeta_8, so that N's conductor m is mostly not
+    D's, n, and where n > 1 the r cofactors are unpacked and packed again at
+    m: D*C, the r cofactors and the product are unpacked, else D*C and the
+    product.  Their norms take one to three tower steps."""
+    unpacked = spy_on(monkeypatch, "_unpacked")
+    rng = random.Random(32)
+    steps, moved = set(), 0
+    for factors in COMPONENT_GROUPS:
+        grp = make_group(factors)
+        for k in range(12):
+            f = random_rational(rng, random_signature(rng, grp, random_parity(rng, grp)))
+            if k % 2 and f:
+                f = SuperRational(times_root(f.numerator, root_of_unity(5, 1)),
+                                  times_root(f.denominator, root_of_unity(8, 3)))
+            unpacked.clear()
+            got, calls = algebra._components([f])[0], len(unpacked)
+            if f and f.denominator.termwise_weight() is None:
+                (n, _, _, cofactors), _ = f._normed()
+                steps.add(len(cofactors))
+                m = math.lcm(n, *(c.conductor for c in f.numerator.terms.values()
+                                  if not c.is_rational()))
+                moved += n not in (1, m)
+                assert calls == 2 + len(cofactors) * (n not in (1, m))
+            assert_components_match_the_reference(f, got)
+    assert steps == {1, 2, 3} and moved > 10
+
+
+def test_a_numerator_past_the_fields_of_its_tower_takes_wider_ones(monkeypatch):
+    """Functions that share D share its packed tower, whose codec is sized
+    for the tower alone: x0^300 passes its byte-wide fields, so its
+    one cofactor is unpacked and packed again in a wider codec for it alone,
+    one unpacking more than D*C's and the three products'."""
+    sig = z4_signature()
+    x0, x2, s1 = (SuperPolynomial.variable(sig, v) for v in ("x0", "x2", "s1"))
+    den = x0 + x2 * 3 + 2
+    fs = [SuperRational(x0 + s1, den), SuperRational(x0**300 * x2 + s1 * x2, den),
+          SuperRational(x2 - 1, den)]
+    assert len(fs[0]._normed()[0][3]) == 1
+    unpacked = spy_on(monkeypatch, "_unpacked")
+    parts = algebra._components(fs)
+    assert len(unpacked) == 1 + 3 + 1
+    for f, got in zip(fs, parts):
+        assert_components_match_the_reference(f, got)
 
 
 # -- the cofactor of a prime step, by Kronecker substitution ------------------
@@ -1236,8 +1294,8 @@ def test_twist_classes_give_the_twists_the_comparison_found(
     # the tower compares neither polynomials nor coefficients
     for cls in (SuperPolynomial, Cyclotomic):
         monkeypatch.setattr(cls, "__eq__", lambda self, other: pytest.fail("compared"))
-    cofactors, normed = SuperRational(num, den)._normed()
-    got = [functools.reduce(operator.mul, cofactors, num), normed]
+    tower, normed = SuperRational(num, den)._normed()
+    got = [functools.reduce(operator.mul, unpacked_tower(tower, sig), num), normed]
     monkeypatch.undo()
     assert [p.terms for p in got] == [p.terms for p in chain]
 
@@ -1318,6 +1376,7 @@ def test_identity_shifts_make_no_character_product(monkeypatch):
         return real(self, other)
 
     monkeypatch.setattr(Character, "__mul__", spied)
+    splits = spy_on(monkeypatch, "_split")
     sig = z4_signature()
     x0, x2, s1 = (SuperPolynomial.variable(sig, v) for v in ("x0", "x2", "s1"))
     # a normed denominator, and a homogeneous one of identity weight
@@ -1325,10 +1384,13 @@ def test_identity_shifts_make_no_character_product(monkeypatch):
         f = SuperRational(x0 + x2 + s1, den)
         assert len(f.decompose()) == 3 and f.weight() is None
         assert SuperRational(den * 2, den).weight() == sig.group.identity_character
-    assert products == []
-    # a denominator of weight 2 shifts each of the three components once
-    assert len(SuperRational(x0 + x2 + s1, x2).decompose()) == 3
-    assert len(products) == 3
+    assert products == [] and [shift for _, _, shift in splits] == [None] * 6
+    # a denominator of weight 2 shifts each of the three components once, in
+    # the one split that takes the shift
+    splits.clear()
+    parts = SuperRational(x0 + x2 + s1, x2).decompose()
+    assert [chi.residues for chi in parts] == [(0,), (2,), (3,)]  # 2, 0 and 1, each minus 2
+    assert len(products) == 3 and [shift.residues for _, _, shift in splits] == [(2,)]
 
 
 # -- substitution and the unchecked constructor of arithmetic results ----------

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedcover import GradedMorphism, SuperPolynomial, cli
-from gradedcover.cli import build_parser, dump_atlas, load_atlas, main
+from gradedcover import (GradedMorphism, GradedSignature, ParityMap,
+                         SuperPolynomial, algebra, cli, make_group)
+from gradedcover.cli import build_parser, dump_atlas, load_atlas, main, parse
+from gradedcover.errors import NormSizeError
 from conftest import NINES, SOUP_TOKENS
 
 CP1_ATLAS = {
@@ -28,6 +30,9 @@ SUPER_ATLAS = {  # P^{1|1}
     "charts": {"0": {"even": ["x"], "odd": ["xi"]}, "1": {"even": ["y"], "odd": ["eta"]}},
     "transitions": {"0->1": {"y": "1/x", "eta": "xi/x"}, "1->0": {"x": "1/y", "xi": "eta/y"}},
 }
+
+# x_j of weight e_j over Z_2^6
+Z2_6_UNITS = [f"x{j}@({','.join(str(int(i == j)) for i in range(6))})" for j in range(6)]
 
 SUPER_MORPHISM = {
     "group": "4",
@@ -256,6 +261,60 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+def run_main(argv) -> tuple:
+    """(exit code, stdout, stderr) of ``main(argv)``, a usage exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_a_command_line_is_read_once_and_as_the_top_level_parser_reads_it(tmp_path, monkeypatch):
+    """``main`` parses a valid command line with its command's subparser
+    alone, one ``parse_known_args`` call; on every shape, valid or not, it
+    prints and exits as ``build_parser().parse_args`` made it do."""
+    import argparse
+
+    atlas = write_json(tmp_path, "atlas.json", CP1_ATLAS)
+    morphism = write_json(tmp_path, "psi.json", SUPER_MORPHISM)
+    decompose = ["decompose", "--group", "2", "--even", "x@0,x@1"]
+    valid = [
+        decompose + ["--expr", "(x@0 + 1)/(1 + x@1)"],
+        decompose + ["--ex", "x@0 + x@1", "--json"],  # an abbreviated option
+        decompose + ["--expr=--"],  # read as [], a syntax error
+        ["char-table", "--group", "2x2"],
+        ["act", "--group", "4", "--even", "x@0,x@1", "--element", "1", "--expr", "x@0 - x@1"],
+        ["lift", morphism],
+        ["lift-atlas", atlas, "--group", "3"],
+        ["check-cocycle", atlas, "--json"],
+    ]
+    invalid = [
+        decompose + ["--expr", "x@0", "--bogus"],
+        decompose + ["--expr", "x@0", "extra"],
+        decompose + ["-h"], decompose + ["--help"], ["-h"], ["--help"], ["lift", "-h"],
+        [], ["unknown", "--group", "2"], ["decompose"], ["decompose", "--group"],
+        ["lift"], ["lift", morphism, morphism], ["decompose", "--", "--group", "2"],
+    ]
+    reads = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        lambda self, *a: reads.append(self.prog) or parse_known_args(self, *a))
+    for argv in valid + invalid:
+        reads.clear()
+        once = run_main(argv)
+        if argv in valid:
+            assert reads == [f"gradedcover {argv[0]}"], argv
+            assert vars(parse(argv)) == vars(build_parser().parse_args(argv))
+        monkeypatch.setattr(cli, "parse", lambda a: build_parser().parse_args(a))
+        twice = run_main(argv)
+        monkeypatch.setattr(cli, "parse", parse)
+        assert once == twice, argv
+        assert once[0] in ((0, 1, 2) if argv in valid else (0, 2)), argv
+
+
 def test_decompose_with_rank_two_weights(capsys):
     code = main([
         "decompose",
@@ -391,6 +450,8 @@ def test_an_oversized_name_is_not_echoed(argv, head, tail, capsys):
         ("x@0^" + NINES + "*x@0^" + NINES, 2, "2"),
         # argparse hands the value of --expr=-- over as [], not as "--"
         ("--", 2, "2"),
+        # its norm predicts 11,238,513 monomials: it did not end within 120 s
+        ("1/(" + " + ".join(Z2_6_UNITS) + ")", 1, "2x2x2x2x2x2"),
     ],
     ids=["flat-sum", "minus-chain", "deep-nesting", "syntax-before-division",
          "zeta-order-above-bound", "zeta-order-at-bound", "power-above-size-bound",
@@ -401,15 +462,75 @@ def test_an_oversized_name_is_not_echoed(argv, head, tail, capsys):
          "sum-above-print-limit", "dense-irrational-divisor", "conductor-above-bound-product",
          "conductor-above-bound-sum", "conductor-above-bound-medium", "conductor-above-bound-norm",
          "unit-power-of-4300-digits", "root-power-of-4300-digits", "rational-power-of-4300-digits",
-         "zeta-power-of-4300-digits", "exponent-above-print-limit", "double-minus"],
+         "zeta-power-of-4300-digits", "exponent-above-print-limit", "double-minus",
+         "norm-above-size-bound"],
 )
 def test_hostile_expressions_end_with_their_exit_code(text, code, group, capsys):
-    argv = ["decompose", "--group", group, "--parity", "0", "--even", "x@0,x@1"]
+    rank = group.count("x") + 1
+    even = "x@0,x@1" if rank == 1 else ",".join(Z2_6_UNITS)
+    argv = ["decompose", "--group", group, "--parity", "0" * rank, "--even", even]
     start = time.perf_counter()
     assert main(argv + [f"--expr={text}"]) == code
     elapsed = time.perf_counter() - start
     assert "Traceback" not in capsys.readouterr().err
-    assert elapsed < 2.0, f"decompose of {text[:40]!r} took {elapsed:.2f}s"
+    assert elapsed < (1.0 if rank > 1 else 2.0), f"decompose of {text[:40]!r} took {elapsed:.2f}s"
+
+
+def test_a_norm_past_its_size_bound_names_the_stage_and_the_sizes(monkeypatch, capsys):
+    """1/(x_0 + ... + x_5) over Z_2^6 is refused before any product.  The
+    denominator x@(0) + ... + x@(q-1) of lifted P^1/Z_q passes the gate at
+    q = 12 (1,352,078 monomials) and not at q = 13 (5,200,300)."""
+    argv = ["decompose", "--group", "2x2x2x2x2x2", "--parity", "000000",
+            "--even", ",".join(Z2_6_UNITS), "--expr", "1/(" + " + ".join(Z2_6_UNITS) + ")"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: norming the denominator: 64 twists of 6 terms of degree 1 in 6 variables "
+        "predict 11,238,513 monomials, above the bound 4,000,000\n")
+    # 36 terms x_i^1001*x_j^1001 over Z_2^8: both counts pass 64 bits, and the
+    # smaller prints as a power of two, not as digits past the interpreter's limit
+    units = [f"x{j}@({','.join(str(int(i == j)) for i in range(8))})" for j in range(8)]
+    den = " + ".join(f"{units[i]}^1001*{units[j]}^1001" for i in range(8) for j in range(i, 8))
+    assert main(["decompose", "--group", "2x2x2x2x2x2x2x2", "--parity", "0" * 8,
+                 "--even", ",".join(units), "--expr", f"1/({den})"]) == 1
+    assert capsys.readouterr().err == (
+        "error: norming the denominator: 128 twists of 36 terms of degree 2002 in 8 variables "
+        "predict over 2^113 monomials, above the bound 4,000,000\n")
+
+    class Packed(Exception):
+        """The gate let the denominator through to its packing."""
+
+    def pack(*args):
+        raise Packed
+
+    monkeypatch.setattr(algebra, "_pack", pack)
+    for q, expected in ((12, Packed), (13, NormSizeError)):
+        group = make_group([q])
+        sig = GradedSignature(group, ParityMap.trivial(group),
+                              even=[(f"x{k}", group.character((k,))) for k in range(q)])
+        den = sum((SuperPolynomial.variable(sig, n) for n in sig.even), SuperPolynomial.zero(sig))
+        with pytest.raises(expected):
+            algebra._orbit_tower(sig, den)
+
+
+def test_a_sparse_denominator_of_high_degree_passes_the_norm_gate(capsys):
+    """A binomial D = 1 + m norms to 1 - m^s however many variables m holds:
+    the gate counts the multisets of D's terms too, not only the monomials of
+    degree s*deg D (64,512,240 for the 11 variables over Z_2, 26,294,360 for
+    x*(y*z*w*u)^3 over Z_12)."""
+    names = [f"{v}@(1)" for v in "abcdefghijk"]
+    m = "*".join(names)
+    assert main(["decompose", "--group", "2", "--parity", "0", "--even", ",".join(names),
+                 "--expr", f"1/(1 + {m})"]) == 0
+    norm = f"(-{'*'.join(v + '^2' for v in names)} + 1)"
+    assert capsys.readouterr().out == f"(0): (1)/{norm}\n(1): (-{m})/{norm}\n"
+    start = time.perf_counter()
+    assert main(["decompose", "--group", "12", "--parity", "0", "--even", "x@1,y@0,z@0,w@0,u@0",
+                 "--expr", "1/(1 + x@1*(y@0*z@0*w@0*u@0)^3)"]) == 0
+    assert time.perf_counter() - start < 1.0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 12
+    assert all(line.endswith("/(-x@(1)^12*y@(0)^36*z@(0)^36*w@(0)^36*u@(0)^36 + 1)")
+               for line in lines)
 
 
 def _soup_reads_no_stdin(soup):

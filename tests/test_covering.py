@@ -19,6 +19,7 @@ from gradedcover import (
     ParityMap,
     SignatureMismatchError,
     SuperMorphism,
+    SuperPolynomial,
     SuperRational,
     SuperSignature,
     check_cocycle,
@@ -37,7 +38,7 @@ from gradedcover import (
     parse_parity_spec,
     root_of_unity,
 )
-from conftest import random_polynomial_morphism
+from conftest import assert_components_match_the_reference, random_polynomial_morphism
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import inputs  # noqa: E402  (the benchmark's seeded atlas texts)
@@ -826,6 +827,23 @@ def test_images_equal_by_value_share_one_norm(monkeypatch):
     assert len({id(img.denominator) for img in lifted.images.values() if not img.is_zero()}) == 1
 
 
+def test_descent_weighs_a_shared_denominator_once_per_transition(monkeypatch):
+    """The four copies of each transition of lifted P^1/Z_4, loaded from its
+    JSON, share one denominator object: descent weighs it once per
+    transition, not once per copy."""
+    g = parse_group_spec("4")
+    pm = parse_parity_spec(g, "0")
+    lifted = lifted_by(load_atlas(json.loads(inputs.projective_line()))[0], "4", "0")
+    loaded = load_atlas(json.loads(json.dumps(dump_atlas(lifted, g, pm))))[0]
+    dens = {id(img.denominator) for m in loaded.transitions.values() for img in m.images.values()}
+    assert len(dens) == len(loaded.transitions) == 2
+    weighed = counting(monkeypatch, SuperPolynomial, "termwise_weight")
+    report, path = checked(loaded)
+    assert report.ok and path == "descent"
+    assert len([p for (p,) in weighed if id(p) in dens]) == 2
+    assert len(weighed) == 2 + 2 * 4  # and each copy's numerator
+
+
 def test_descent_builds_one_projection_per_chart(monkeypatch):
     lifted = lifted_atlas("shear", 3, "4", "1")
     projections = counting(monkeypatch, covering, "_projection")
@@ -890,13 +908,36 @@ def test_images_over_conductors_past_the_bound_compose_and_lift_each_at_its_own(
     assert GradedMorphism(lift.source, lift.target, lift.images) == lift
 
 
+@pytest.mark.parametrize("text, group, parity", [
+    (inputs.projective_line, "7", "0"), (inputs.projective_superline, "12", "1"),
+], ids=["P1-Z7", "P11-Z12"])
+def test_lifted_transitions_split_as_the_replaced_route(monkeypatch, text, group, parity):
+    """The images of each transition, as ``lift_atlas`` hands them to
+    ``_components`` with one ``seen`` for the atlas, split term for term as
+    the tower's cofactors, multiplied in turn and weighed, split them."""
+    calls = []
+    real = covering._components
+
+    def spy(fs, seen=None):
+        calls.append((fs, real(fs, seen)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(covering, "_components", spy)
+    lifted_by(load_atlas(json.loads(text()))[0], group, parity)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    for fs, out in calls:
+        for f, got in zip(fs, out):
+            assert_components_match_the_reference(f, got)
+
+
 def test_p1_splits_its_one_numerator_once_per_atlas(monkeypatch):
     """P^1's 0->1 and 1->0 lift 1/x and 1/y over coverings of one layout, so
     the second transition takes the first one's norm and weight split."""
     from gradedcover import algebra
 
     tower = counting(monkeypatch, algebra, "_orbit_tower")
-    split = counting(monkeypatch, algebra.SuperPolynomial, "weight_components")
+    split = counting(monkeypatch, algebra, "_split")
     lifted = lifted_by(load_atlas(json.loads(inputs.projective_line()))[0], "7", "0")
     assert (len(tower), len(split)) == (1, 1)
     monkeypatch.undo()

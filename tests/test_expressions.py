@@ -30,7 +30,7 @@ from gradedcover.covering import lift_atlas
 from gradedcover.expressions import MAX_NESTING, MEMO_SPAN, _kind, _lex, _Parser
 from gradedcover.expressions import parse_residues, parse_var_name
 from conftest import NINES, SOUP_TOKENS, random_group, random_parity, random_rational
-from conftest import random_signature
+from conftest import random_signature, unpacked_tower
 
 
 def line_signature():
@@ -332,7 +332,7 @@ def test_printed_coefficients_do_not_depend_on_how_products_are_grouped():
     for t in twists[1:]:
         at_once = at_once * t
     at_once = num * at_once
-    tower = functools.reduce(operator.mul, f._normed()[0], num)
+    tower = functools.reduce(operator.mul, unpacked_tower(f._normed()[0], sig), num)
     assert one_at_a_time == at_once == tower
     texts = {format_expression(p) for p in (one_at_a_time, at_once, tower)}
     assert len(texts) == 1
@@ -863,7 +863,8 @@ def reference_format_poly(poly):
 
     if poly.is_zero():
         return "0"
-    return _join_signed([reference_format_term(poly.signature, m, c) for m, c in poly.sorted_terms()])
+    return _join_signed([reference_format_term(poly.signature, m, c) for m, c in sorted(
+        poly.terms.items(), key=lambda kv: kv[0].sort_key(), reverse=True)])
 
 
 # Groups of exponent 1 (a plain signature), 2, 3, 4, 6, 12 and rank 3; the

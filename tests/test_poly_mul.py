@@ -28,7 +28,7 @@ from gradedcover import (
     root_of_unity,
 )
 from gradedcover import algebra
-from gradedcover.algebra import _accumulate, _chain_codec, _mul_terms, _odd_rows
+from gradedcover.algebra import _accumulate, _codec, _mul_terms, _odd_rows
 
 
 def _mul_terms_termwise(a, b):
@@ -39,7 +39,8 @@ def _mul_terms_termwise(a, b):
     """
     if not a or not b:
         return {}
-    codec = _chain_codec((a, b), 1)
+    top = sum(max((e for m in t for e in m.even), default=0) for t in (a, b))
+    codec = _codec(len(next(iter(a)).even), top)  # fields for the sum of the largest exponents
     shift, keys_a = codec.shift, list(map(codec.pack, a))
     rows = _odd_rows(keys_a, [(codec.pack(m), c) for m, c in b.items()], shift)
     pairs = ((ka + kb, c1 * c2) for ka, c1 in zip(keys_a, a.values()) for kb, c2 in rows[ka >> shift])
