@@ -876,13 +876,7 @@ class SuperRational(_Frozen):
             raise ValueError("no images given and no target signature specified")
 
         sig = self.signature
-        used: set[str] = set()
-        for poly in (self.numerator, self.denominator):
-            for mono in poly.terms:
-                used.update(
-                    sig.even[i] for i, e in enumerate(mono.even) if e
-                )
-                used.update(sig.odd[j] for j in mono.odd)
+        used = _used_names(sig, (self.numerator, self.denominator))
         missing = sorted(used - set(images))
         if missing:
             raise ValueError(f"missing images for variables: {', '.join(missing)}")
@@ -1030,11 +1024,12 @@ def _orbit_tower(sig: GradedSignature, den: SuperPolynomial) -> tuple[tuple, Sup
     K_0 = Stab(D) is the kernel of h, so every K of the tower contains it and
     is known by h(K), from {0} up.  Each step adds g = e_t^k of prime order p
     modulo K, peeled off e_t's order modulo K (the least k with
-    k*h(e_t) in h(K)), larger primes first, and h(K) gains the p multiples of
-    h(g).  Before any product, D*C, the product of s = |h(G)| twists of D's
-    t terms, is refused where both the monomials of degree s*deg D in D's
-    variables and the multisets of s of the t terms pass
-    ``MAX_NORM_MONOMIALS``.  P = P_(i-1) is K-invariant, so chi_m(g) =
+    k*h(e_t) in h(K); those k are a subgroup of Z holding n, so the least
+    divides n and only divisors are tried), larger primes first, and h(K)
+    gains the p multiples of h(g).  Before any product, D*C, the product of
+    s = |h(G)| twists of D's t terms, is refused where both the monomials of
+    degree s*deg D in D's variables and the multisets of s of the t terms
+    pass ``MAX_NORM_MONOMIALS``.  P = P_(i-1) is K-invariant, so chi_m(g) =
     zeta_p^j_m on each monomial m of P, j_m read off m's residues too; c_i is
     ``_cofactor`` of the j_m and P_i = P*c_i, packed at the conductor of D's
     irrational coefficients in one codec whose fields hold s*e, e D's largest
@@ -1049,7 +1044,8 @@ def _orbit_tower(sig: GradedSignature, den: SuperPolynomial) -> tuple[tuple, Sup
     for p in reversed(_prime_factors(n)):
         for t, step in enumerate(steps):
             col = [w[t] for w in weights]  # h(e_t)
-            order = next(k for k in range(1, n + 1) if tuple(k * x % n for x in col) in hk)
+            order = next(k for k in range(1, n + 1)
+                         if n % k == 0 and tuple(k * x % n for x in col) in hk)
             while order % p == 0:
                 order //= p
                 h = [order * x % n for x in col]
@@ -1164,6 +1160,14 @@ def _packed_sum(a: tuple[int, dict], b: tuple[int, dict]) -> tuple[int, dict]:
     return _canonical((d, {k: v for k, v in out.items() if v}))
 
 
+def _used_names(sig: SuperSignature, polys: Sequence[SuperPolynomial]) -> set[str]:
+    """The names of the variables that occur in ``polys``, polynomials over ``sig``."""
+    monos = [m for p in polys for m in p.terms]
+    names = {sig.even[i] for m in monos for i, e in enumerate(m.even) if e}
+    names.update(sig.odd[j] for m in monos for j in m.odd)
+    return names
+
+
 def _substitute(
     fs: Sequence[SuperRational], images: Mapping[str, SuperRational], target: SuperSignature
 ) -> list[SuperRational]:
@@ -1189,10 +1193,7 @@ def _substitute(
         return []
     sig = fs[0].signature
     polys = [p for f in fs for p in (f.numerator, f.denominator)]
-    monos = [m for p in polys for m in p.terms]
-    names = {sig.even[i] for m in monos for i, e in enumerate(m.even) if e}
-    names.update(sig.odd[j] for m in monos for j in m.odd)
-    inner = {v: (images[v].numerator, images[v].denominator) for v in names}
+    inner = {v: (images[v].numerator, images[v].denominator) for v in _used_names(sig, polys)}
     top = {v: max((e for p in pair for m in p.terms for e in m.even), default=0)
            for v, pair in inner.items()}
     tops = [top.get(v, 0) for v in sig.even + sig.odd]

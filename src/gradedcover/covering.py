@@ -18,7 +18,9 @@ denominator, and splits each numerator over it, once per atlas.
 A graded morphism into a covering is fixed by its projection, whose
 homogeneous parts are its images, so lifting is functorial and a lifted
 atlas satisfies the cocycle identities exactly when its base atlas does;
-``check_cocycle`` checks lifted atlases that way.
+``check_cocycle`` checks lifted atlases that way.  ``covering_signature``
+builds a covering by one weight layout, ``_layout``, by which alone, never
+by its names, ``_base_signature`` recognises one.
 """
 
 from __future__ import annotations
@@ -39,35 +41,35 @@ def graded_copy_name(base: str, weight: Character) -> str:
     return f"{base}@{weight}"
 
 
+def _layout(group: FiniteAbelianGroup, parity: ParityMap) -> tuple[tuple, tuple]:
+    """Per parity, the weights of one coordinate's graded copies: the group's
+    characters of that parity, in character order."""
+    chars = group.characters()
+    return tuple(tuple(chi for chi in chars if parity(chi) == bit) for bit in (0, 1))
+
+
 def covering_signature(
     signature: SuperSignature, group: FiniteAbelianGroup, parity: ParityMap
 ) -> GradedSignature:
     """One graded copy of every coordinate per weight of matching parity."""
     if parity.group != group:
         raise ValueError("parity map belongs to a different group")
-    even_weights = [chi for chi in group.characters() if parity(chi) == 0]
-    odd_weights = [chi for chi in group.characters() if parity(chi) == 1]
-    if signature.odd and not odd_weights:
+    runs = _layout(group, parity)
+    if signature.odd and not runs[1]:
         raise CoveringError(
             "no odd-parity weights exist, so the anticommuting coordinates "
             f"{list(signature.odd)} would have no graded copies"
         )
-    even = [
-        (graded_copy_name(name, chi), chi)
-        for name in signature.even
-        for chi in even_weights
-    ]
-    odd = [
-        (graded_copy_name(name, chi), chi)
-        for name in signature.odd
-        for chi in odd_weights
-    ]
+    even, odd = (
+        [(graded_copy_name(name, chi), chi) for name in names for chi in run]
+        for names, run in zip((signature.even, signature.odd), runs)
+    )
     return GradedSignature(group, parity, even, odd)
 
 
 def _copies(base: SuperSignature, cover: GradedSignature) -> list[list]:
     """Per parity, [(coordinate, [(copy, weight), ...])] for ``base``, read off
-    its ``covering_signature``, which lists each coordinate's copies together."""
+    a chart of its covering's ``_layout``, which lists its copies together."""
     layout = []
     for names, copies in ((base.even, [*zip(cover.even, cover.even_weights)]),
                           (base.odd, [*zip(cover.odd, cover.odd_weights)])):
@@ -105,7 +107,7 @@ def lift_mixed(phi: SuperMorphism) -> GradedMorphism:
     source = phi.source
     if not isinstance(source, GradedSignature):
         raise TypeError("the morphism must start from a graded domain")
-    return _lift(phi, covering_signature(source_super(phi.target), source.group, source.parity))
+    return _lift(phi, covering_signature(phi.target, source.group, source.parity))
 
 
 def _lift(phi: SuperMorphism, cover: GradedSignature, seen: list | None = None) -> GradedMorphism:
@@ -125,13 +127,6 @@ def _lift(phi: SuperMorphism, cover: GradedSignature, seen: list | None = None) 
     images = {copy: parts.get(chi, zero)
               for (_, copies), parts in zip(layout, components) for copy, chi in copies}
     return _restore(GradedMorphism, (phi.source, cover, images))
-
-
-def source_super(signature: SuperSignature) -> SuperSignature:
-    """The underlying plain signature (drops grading data if present)."""
-    if type(signature) is SuperSignature:
-        return signature
-    return SuperSignature(signature.even, signature.odd)
 
 
 def lift_super(
@@ -214,11 +209,12 @@ def _residual(morphism: SuperMorphism) -> dict[str, str]:
 def check_cocycle(atlas: Atlas) -> CocycleReport:
     """Verify that transitions invert pairwise and close on triples.
 
-    A lifted atlas, every chart the ``covering_signature`` of a plain one
-    under one grading, is checked by descent:
+    A lifted atlas, every chart of a covering's weight layout under one
+    grading whatever its names (``_base_signature``), is checked by descent:
 
-    1. psi_ab = p_B o G_ab o s_A, where the section s_A keeps x@(0) as x
-       and the first odd-parity copy of each odd coordinate, and sends
+    1. psi_ab = p_B o G_ab o s_A, where the section s_A keeps each
+       coordinate's first copy, of identity weight if even and of the first
+       odd-parity weight if odd, as the base coordinate it names, and sends
        every other copy to 0.  It is applied termwise to the sum of the
        copies' images, and the common monomial factor is cancelled.
     2. G_ab = lift(psi_ab), because homogeneous parts are unique, if every
@@ -247,18 +243,19 @@ def check_cocycle(atlas: Atlas) -> CocycleReport:
 
 
 def _base_signature(chart: SuperSignature) -> SuperSignature | None:
-    """The plain signature that ``chart`` is the covering of, else None."""
+    """The plain signature that ``chart`` is a covering of, else None: its
+    weights of each parity repeat that parity's run of ``_layout`` whole, one
+    run per coordinate, named by the run's first copy.  No name is read."""
     if not isinstance(chart, GradedSignature):
         return None
-    try:
-        base = SuperSignature(*(
-            dict.fromkeys(name.partition("@")[0] for name in names)
-            for names in (chart.even, chart.odd)
-        ))
-        cover = covering_signature(base, chart.group, chart.parity)
-    except ValueError:  # a name in both parities, or no odd-parity weights
-        return None
-    return base if cover == chart else None
+    names = []
+    for run, copies, weights in zip(_layout(chart.group, chart.parity), (chart.even, chart.odd),
+                                    (chart.even_weights, chart.odd_weights)):
+        k = max(len(run), 1)  # no odd-parity weights: no odd copies
+        if weights != run * (len(weights) // k):
+            return None
+        names.append(copies[::k])
+    return SuperSignature(*names)
 
 
 def _base_atlas(atlas: Atlas) -> Atlas | None:
