@@ -43,7 +43,11 @@ def _expect(value, kind: type | tuple[type, ...], where: str, what: str):
 
 def _read_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return _expect(json.load(fh), dict, "the top level", "a JSON object")
+        try:
+            data = json.load(fh)
+        except RecursionError:  # the decoder recurses once per level of nesting
+            raise ValueError(f"{_quoted(path)} nests its JSON too deeply to read") from None
+    return _expect(data, dict, "the top level", "a JSON object")
 
 
 def _split_outside_parens(spec: str) -> list[str]:
@@ -114,7 +118,11 @@ def _morphism_from_json(mapping, where: str, source, target) -> SuperMorphism:
             raise ValueError(f"{where}: keys {keys[name]!r} and {var!r} name one variable")
         keys[name] = var
         expr = _expect(expr, str, f"{where}.{var}", "an expression string")
-        images[name] = parse_expression(expr, source, spans)
+        try:
+            images[name] = parse_expression(expr, source, spans)
+        except (ArithmeticError, ValueError) as exc:  # name the image at fault, keep the rest
+            exc.args = (f"{where}.{var}: {exc}",)
+            raise
     return SuperMorphism(source, target, images)
 
 

@@ -3,10 +3,16 @@
 ``GradedError`` covers mathematical failures (invalid morphisms, singular
 substitutions, cocycle problems); syntax problems in expression text or
 input files raise ``ExprSyntaxError`` instead.  The CLI maps the former to
-exit code 1 and the latter to exit code 2.
+exit code 1 and the latter to exit code 2.  A message quotes a text from
+the input through ``_quoted``, which cuts it to 40 characters.
 """
 
 from __future__ import annotations
+
+
+def _quoted(text: str, quote=repr) -> str:
+    """``text`` quoted for a message, cut to 40 characters."""
+    return quote(text) if len(text) <= 40 else f"{quote(text[:40])}... ({len(text)} characters)"
 
 
 class GradedError(ValueError):

@@ -8,41 +8,34 @@ Grammar (no implicit multiplication):
     atom  := "(" expr ")" | identifier | integer | "i" | "zeta(" int "," int ")"
 
 Identifiers may carry a weight suffix, canonically ``name@(k1,...,kt)``;
-the shorthand ``name@k`` is accepted for rank-one groups.  ``_lex`` reads
-the text with one ``findall`` of (whitespace, token) pairs: a token's
-position is the sum of the lengths before it, its kind its first
-character's (``_kind``).  ``parse_expression`` syntax-checks the whole text
-into a postfix program before any arithmetic runs, so malformed text is an
-``ExprSyntaxError`` even if it also divides by zero; it then evaluates the
-program with a value stack against a declared signature into an exact
-superfunction.  ``zeta(N,k)^e`` and ``i^e``, e >= 1, are the root zeta_N^(k*e
-mod N), taken by no product.  A polynomial on the stack is a dict of terms
-that only the stack holds, a single term a one-entry dict: a product, a
-power, or a division by a constant c other than 1 (a product with 1/c) of
-single terms pushes a new one, and a sum adds each term into its left dict
-in place.  A caller reading several texts over one signature, such as the
-images of one morphism, may pass them one span memo: the value of each
-outermost parenthesised span of at least ``MEMO_SPAN`` (16) characters,
-by its text, once it is ``_bounded``.  A later text that holds the span is
-not parsed or evaluated there again, and pushes the memo's value, which is
-shared: a sum into it takes a copy.  Values stay polynomials
-until a division by a non-constant; that division, and arithmetic on a
-quotient, go through ``SuperRational``, and a quotient whose denominator
-is exactly 1 at conductor 1 turns back into a polynomial.
-Parentheses nest at most ``MAX_NESTING`` (100) levels deep,
-``zeta(N,k)`` takes orders N up to ``DEFAULT_ORDER_BOUND`` (4096), and a
-power of an operand with more than one term may have at most
-``MAX_POWER_SIZE`` (500) coefficient entries as ``_check_power`` counts them;
-neither an integer literal nor a product, quotient or power, nor a sum
-that involves a quotient, may hold an integer of more than
-``MAX_COEFFICIENT_DIGITS`` (4300) digits: ``_Parser.integer`` checks each
-literal and ``_bounded`` each new coefficient, a power's at each product of
-its binary powering as it is taken (``_term_power``, ``_bounded_power``).
-A sum of polynomials adds at most one digit, so it is not checked at each
-operator: a stacked sum carries the position of its last ``+`` or ``-``
-and is ``_bounded`` once there, as it leaves the stack as an operand or
-as the result.  A message quotes at most 40 characters of a name, a
-residue, a token or an integer (``_quoted``).
+the shorthand ``name@k`` is accepted for rank-one groups.
+``parse_expression`` reads a text in one recursive descent that evaluates
+as it reads, over a declared signature, into an exact superfunction; each
+token is matched at its position when it is needed, so no token list is
+built.  A character no token starts with is reported first, wherever it
+is, then the first grammar error; an arithmetic failure is held while the
+rest is read for syntax only, so ``1/0 )`` is an ``ExprSyntaxError``.  A
+run of atoms (integers, ``i``, ``zeta(N,k)`` and identifiers, each to its
+power and negated) joined by "*", or by "/" before an integer or a root,
+folds into one exponent list, one odd index list with its sign, one
+rational and one root zeta_N^k (to the e, zeta_N^(k*e mod N)), built as
+one term.  A polynomial is a dict of terms that only the reader holds, a
+sum adds each term into its left dict in place, and any other arithmetic
+goes through ``SuperRational`` (``_binary``).  A caller reading several
+texts over one signature, such as the images of one morphism, may pass
+them one span memo: the value of each outermost parenthesised span of at
+least ``MEMO_SPAN`` (16) characters, by its text, once it is ``_bounded``.
+A later text steps over the span unread and shares its value: a sum into
+it takes a copy.  Parentheses nest at most ``MAX_NESTING`` (100) deep,
+``zeta(N,k)`` takes orders N up to ``DEFAULT_ORDER_BOUND`` (4096), a power
+of more than one term may have at most ``MAX_POWER_SIZE`` (500)
+coefficient entries (``_check_power``), and no literal, product, quotient,
+power or sum may hold an integer of more than ``MAX_COEFFICIENT_DIGITS``
+(4300) digits: a literal is checked as it is read, a new coefficient
+``_bounded`` at its operator, a power at each product of its binary
+powering.  A sum of polynomials adds at most one digit: it carries the
+position of its last "+" or "-" and is ``_bounded`` once, when it is used.
+A message quotes at most 40 characters of an input text (``_quoted``).
 ``format_expression`` renders a superfunction back in a canonical, re-parseable
 form, each polynomial a template of its sorted terms filled with its names, each
 coefficient over Q(zeta_N), N the exponent of a graded signature's group (1 for
@@ -51,47 +44,24 @@ a plain one), when that field holds it, else at its least conductor.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
-from itertools import accumulate, chain
-from math import comb, lcm
+from bisect import bisect_left, insort
+from math import comb, gcd, lcm
 
 from .algebra import GradedSignature, SuperMonomial, SuperPolynomial, SuperRational, SuperSignature
-from .algebra import _accumulate, _is_unit, _mul_single
-from .cyclotomic import Cyclotomic, _basis_pieces, _join_signed, _power, euler_phi, root_of_unity
-from .errors import ExprSyntaxError
+from .algebra import _accumulate
+from .cyclotomic import Cyclotomic, _basis_pieces, _conductor, _join_signed, _power, euler_phi
+from .cyclotomic import root_of_unity
+from .errors import ExprSyntaxError, _quoted
 from .groups import DEFAULT_ORDER_BOUND
 
 _TOKEN = r"[-+*/^(),]|\d+|[A-Za-z_][A-Za-z0-9_]*(?:@(?:\(\s*\d+(?:\s*,\s*\d+)*\s*\)|\d+))?"
-_TOKEN_RE = re.compile(rf"(\s*)({_TOKEN})")  # (whitespace, token) pairs
-_LEXABLE_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")  # the longest prefix the lexer reads
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN})")  # the next token, past its whitespace
+_LEXABLE_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")  # the longest run of tokens from a position
 _OPERATORS = frozenset("-+*/^(),")
 _END = "end of input"  # the end token's text, as error messages quote it
-
-
-def _kind(token: str) -> str:
-    """A token's kind from its first character: an operator is its own kind,
-    a decimal digit (what the regex's ``\\d`` matches) starts an "int", an
-    ASCII letter or "_" an "ident"; the end token is "end"."""
-    c = token[0]
-    return c if c in _OPERATORS else "int" if c.isdecimal() else "end" if token == _END else "ident"
-
-
-def _lex(text: str) -> tuple[list[str], list[int]]:
-    """The token texts of ``text`` and their 1-based positions, the end token
-    last, from one ``findall``: a token's position is one past the lengths
-    of every pair before it and of its own whitespace.  A character no token
-    starts with is a syntax error at its position."""
-    pairs = _TOKEN_RE.findall(text)
-    ends = list(accumulate(map(len, chain.from_iterable(pairs)), initial=1))
-    if text[ends[-1] - 1:].strip():  # findall skipped a character, or stopped at one
-        bad = _LEXABLE_RE.match(text).end()
-        raise ExprSyntaxError(f"unexpected character {text[bad]!r}", bad + 1)
-    tokens = [token for _, token in pairs]
-    tokens.append(_END)
-    positions = ends[1::2]
-    positions.append(len(text) + 1)
-    return tokens, positions
 
 
 def parse_residues(text: str, what: str, start: int = 0) -> tuple[int, ...]:
@@ -107,11 +77,7 @@ def parse_residues(text: str, what: str, start: int = 0) -> tuple[int, ...]:
         raise ValueError(f"malformed {what} {_quoted(text)}; expected (k1,...,kt)") from None
 
 
-def _quoted(text: str, quote=repr) -> str:
-    """``text`` quoted for a message, cut to 40 characters."""
-    return quote(text) if len(text) <= 40 else f"{quote(text[:40])}... ({len(text)} characters)"
-
-
+@functools.lru_cache(maxsize=4096)  # a signature's names, spelled again in each text
 def parse_var_name(name: str) -> tuple[str, tuple[int, ...] | None]:
     """Canonical spelling and weight residues of a variable name.
 
@@ -129,138 +95,9 @@ MAX_NESTING = 100  # each level costs four parser frames
 MAX_POWER_SIZE = 500  # (7/3+zeta(6,1)*x)^249 takes about 1 s on a 2-core VM
 MAX_COEFFICIENT_DIGITS = 4300  # the interpreter's default limit on int-to-text conversion
 _DIGIT_LIMIT = 10**MAX_COEFFICIENT_DIGITS
+_SMALL = 10**4000  # times a root's entries (far below 10^300) stays below _DIGIT_LIMIT
 MEMO_SPAN = 16  # a lifted P^1/Z_2 image repeats a denominator of 19 characters
 _SLOTS: list[str] = []  # "{k}" at k, grown to the widest signature printed
-
-
-class _Parser:
-    """Recursive descent that emits a postfix program.
-
-    Steps are ``("const", n)``, ``("root", order, power, pos)``,
-    ``("var", name, pos)``, ``("neg",)``, ``("^", n, pos)`` and the binary
-    ``(op, pos)`` for op in ``+ - * /``.  With a span memo, an outermost
-    span that an earlier text evaluated is the step ``("span", value)``, and
-    one of at least ``MEMO_SPAN`` characters that none did is followed by
-    ``("keep", its text, its token count)``.  It does no arithmetic and no
-    name lookup.
-    """
-
-    def __init__(self, text: str, spans: dict | None = None):
-        self.text, self.spans = text, spans
-        self.tokens, self.positions = _lex(text)
-        self.idx = 0
-        self.depth = 0
-        self.program: list[tuple] = []
-
-    def take(self, *ops: str) -> str | None:
-        """Consume and return the next token if it is one of the operators ``ops``."""
-        tok = self.tokens[self.idx]
-        if tok not in ops:
-            return None
-        self.idx += 1
-        return tok
-
-    def expect(self, kind: str) -> int:
-        """Consume the next token, which must be of ``kind``; its index."""
-        i = self.idx
-        if _kind(self.tokens[i]) != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, found {_quoted(self.tokens[i])}",
-                                  self.positions[i])
-        self.idx = i + 1
-        return i
-
-    def integer(self, i: int) -> int:
-        """An int token's value; more than ``MAX_COEFFICIENT_DIGITS`` digits is a syntax error."""
-        if len(self.tokens[i]) > MAX_COEFFICIENT_DIGITS:
-            raise ExprSyntaxError(
-                f"integer literal has more than {MAX_COEFFICIENT_DIGITS} digits", self.positions[i]
-            )
-        return int(self.tokens[i])
-
-    def parse(self) -> list[tuple]:
-        self.expr()
-        tok = self.tokens[self.idx]
-        if tok != _END:
-            raise ExprSyntaxError(f"unexpected trailing input {_quoted(tok)}",
-                                  self.positions[self.idx])
-        return self.program
-
-    def expr(self):
-        self.term()
-        while op := self.take("+", "-"):
-            pos = self.positions[self.idx - 1]
-            self.term()
-            self.program.append((op, pos))
-
-    def term(self):
-        self.unary()
-        while op := self.take("*", "/"):
-            pos = self.positions[self.idx - 1]
-            self.unary()
-            self.program.append((op, pos))
-
-    def unary(self):
-        negations = 0
-        while self.take("-"):
-            negations += 1
-        self.atom()
-        if self.take("^"):
-            pos = self.positions[self.idx - 1]
-            exponent = self.integer(self.expect("int"))
-            last = self.program[-1]
-            if last[0] == "root" and exponent:  # zeta(N,k)^e is zeta(N,k*e), with no products
-                self.program[-1] = ("root", last[1], last[2] * exponent % last[1], last[3])
-            else:
-                self.program.append(("^", exponent, pos))
-        self.program.extend([("neg",)] * negations)
-
-    def atom(self):
-        i = self.idx
-        tok = self.tokens[i]
-        self.idx = i + 1
-        if tok == "(":
-            if self.depth == MAX_NESTING:
-                raise ExprSyntaxError(f"parentheses nest deeper than {MAX_NESTING}",
-                                      self.positions[i])
-            start = self.positions[i] - 1
-            memo = self.spans if self.depth == 0 else None
-            if memo is not None and self.recall(i, start):
-                return
-            self.depth += 1
-            self.expr()
-            end = self.positions[self.expect(")")]
-            self.depth -= 1
-            if memo is not None and end - start >= MEMO_SPAN:
-                self.program.append(("keep", self.text[start:end], self.idx - i))
-            return
-        kind = _kind(tok)
-        if kind == "int":
-            self.program.append(("const", self.integer(i)))
-        elif tok == "i":
-            self.program.append(("root", 4, 1, self.positions[i]))
-        elif tok == "zeta":
-            self.expect("(")
-            order = self.integer(self.expect("int"))
-            self.expect(",")
-            power = self.integer(self.expect("int"))
-            self.expect(")")
-            if order < 1:
-                raise ExprSyntaxError("zeta needs a positive order", self.positions[i])
-            self.program.append(("root", order, power, self.positions[i]))
-        elif kind == "ident":
-            self.program.append(("var", tok, self.positions[i]))
-        else:
-            raise ExprSyntaxError(f"expected a value, found {_quoted(tok)}", self.positions[i])
-
-    def recall(self, i: int, start: int) -> bool:
-        """Step over the span opening at token ``i`` if an earlier text
-        evaluated one with its text, and push that value."""
-        for span, (count, value) in self.spans.get(self.text[start:start + MEMO_SPAN], {}).items():
-            if self.text.startswith(span, start):
-                self.program.append(("span", value))
-                self.idx = i + count
-                return True
-        return False
 
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -294,10 +131,8 @@ def _check_power(value: Value, exponent: int, pos: int):
         if exponent > 1 and t > 1:
             width = euler_phi(lcm(*(c.conductor for c in poly.terms.values())))
             if comb(min(exponent, MAX_POWER_SIZE) + t - 1, t - 1) * width > MAX_POWER_SIZE:
-                raise ExprSyntaxError(
-                    f"power of {t} terms to the {_quoted(str(exponent), str)} is above the "
-                    f"size bound {MAX_POWER_SIZE}", pos
-                )
+                raise ExprSyntaxError(f"power of {t} terms to the {_quoted(str(exponent), str)} "
+                                      f"is above the size bound {MAX_POWER_SIZE}", pos)
 
 
 def _bounded(coefficients, what: str, pos: int):
@@ -305,9 +140,8 @@ def _bounded(coefficients, what: str, pos: int):
     denominator) of more than ``MAX_COEFFICIENT_DIGITS`` digits."""
     for c in coefficients:
         if c.den >= _DIGIT_LIMIT or max(map(abs, c.num)) >= _DIGIT_LIMIT:
-            raise ExprSyntaxError(
-                f"coefficient of the {what} has more than {MAX_COEFFICIENT_DIGITS} digits", pos
-            )
+            raise ExprSyntaxError(f"coefficient of the {what} has more than "
+                                  f"{MAX_COEFFICIENT_DIGITS} digits", pos)
 
 
 def _bounded_power(value: Value, exponent: int, pos: int) -> Value:
@@ -325,29 +159,6 @@ def _bounded_power(value: Value, exponent: int, pos: int) -> Value:
     return SuperRational._of(power(value.numerator), power(value.denominator))
 
 
-def _term_power(mono: SuperMonomial, c: Cyclotomic, exponent: int, pos: int) -> dict:
-    """One term to the k >= 0, as a one-entry dict, {} for zero: the exponents
-    scale, an odd monomial to a power >= 2 is zero, a coefficient 1 at
-    conductor 1 stays, and any other is taken by ``_power``, each product
-    ``_bounded``.  A rational a/b in lowest terms has its powers a^j/b^j in
-    lowest terms and growing with j, and binary powering forms none above
-    c^k, so a product is refused exactly when c^k is."""
-    if mono.odd and exponent > 1:
-        return {}
-    mono = SuperMonomial(tuple(e * exponent for e in mono.even), mono.odd if exponent == 1 else ())
-    if not _is_unit(c):
-        what = f"power to the {_quoted(str(exponent), str)}"
-        c = _power(c, exponent, Cyclotomic.from_rational(1), lambda q: _bounded((q,), what, pos))
-    return {mono: c}
-
-
-# A polynomial on the stack is a dict of terms that only the stack holds,
-# a single term a one-entry dict; a sum adds into its left dict in place.
-
-def _term(value) -> tuple | None:
-    return next(iter(value.items())) if type(value) is dict and len(value) == 1 else None
-
-
 def _value(value, signature: SuperSignature) -> Value:
     return SuperPolynomial._raw(signature, value) if type(value) is dict else value
 
@@ -356,102 +167,291 @@ def _stacked(value: Value):
     return dict(value.terms) if isinstance(value, SuperPolynomial) else value
 
 
-def parse_expression(
-    text: str, signature: SuperSignature, spans: dict | None = None
-) -> SuperRational:
-    """Parse the whole text, then evaluate it exactly over the signature.
+def _built(fold: list, negative: bool = False) -> tuple:
+    """The term (monomial, p/q * zeta_order^power) of ``fold``, negated if ``negative``."""
+    even, odd, p, q, order, power = fold
+    c = Cyclotomic._raw((-p if negative else p,), q, 1)
+    if order > 1:
+        root = root_of_unity(order, power)
+        c = root if c == 1 else root * c
+    return SuperMonomial(tuple(even), tuple(odd)), c
 
-    A caller parsing several texts over one signature may pass one
-    ``spans`` dict, the span memo, to every call: an outermost span that
-    an earlier call evaluated is then neither parsed nor evaluated again,
-    and equal spans give one value object.  The memo maps the first
-    ``MEMO_SPAN`` characters of a span to {its text: (its token count, its
-    value)}, and None to {each known identifier read: its monomial}.
-    """
-    unit, one = SuperMonomial((0,) * len(signature.even), ()), Cyclotomic.from_rational(1)
-    monomials: dict = {} if spans is None else spans.setdefault(None, {})  # for the whole load
-    stack: list = []
-    sums: dict[int, tuple] = {}  # by id of a stacked sum of polynomials: (name, its last position)
 
-    def settled(value):
-        """``value`` leaving the stack: a sum is ``_bounded`` at its last position."""
-        if sums and type(value) is dict and (mark := sums.pop(id(value), None)):
+class _Reader:
+    """One recursive descent that evaluates as it reads: ``tok`` is the token
+    at hand, ``at`` its 1-based position and ``end`` the index past it, and
+    the first arithmetic failure waits in ``failure`` while the rest is read."""
+
+    __slots__ = ("text", "signature", "spans", "monomials", "width", "sums", "failure", "depth",
+                 "tok", "at", "end")
+
+    def __init__(self, text: str, signature: SuperSignature, spans: dict | None):
+        self.text, self.signature, self.spans = text, signature, spans
+        self.monomials = {} if spans is None else spans.setdefault(None, {})  # for the whole load
+        self.width = len(signature.even)  # of a monomial's exponents
+        self.sums: dict[int, tuple] = {}  # by id of a sum of polynomials: (name, its last position)
+        self.failure: Exception | None = None
+        self.depth = self.end = 0
+        self.advance()
+
+    def advance(self):
+        if m := _TOKEN_RE.match(self.text, self.end):
+            self.tok = tok = m[1]
+            self.end = end = m.end()
+            self.at = end - len(tok) + 1
+        else:  # the end, unless a character no token starts with comes first
+            self.error(None, 0)
+            self.tok, self.at, self.end = _END, len(self.text) + 1, len(self.text)
+
+    def error(self, message: str | None, at: int):
+        """Raise a syntax error at ``at``, with ``message`` if it is not None,
+        but first at an unread character that no token starts with."""
+        bad = _LEXABLE_RE.match(self.text, self.end).end()
+        if bad < len(self.text):
+            raise ExprSyntaxError(f"unexpected character {self.text[bad]!r}", bad + 1)
+        if message is not None:
+            raise ExprSyntaxError(message, at)
+
+    def expect(self, tok: str):
+        if self.tok != tok:
+            self.error(f"expected {tok!r}, found {_quoted(self.tok)}", self.at)
+        self.advance()
+
+    def integer(self) -> int:
+        """Read an int token; more than ``MAX_COEFFICIENT_DIGITS`` digits is a syntax error."""
+        tok = self.tok
+        if not tok[0].isdecimal():
+            self.error(f"expected 'int', found {_quoted(tok)}", self.at)
+        if len(tok) > MAX_COEFFICIENT_DIGITS:
+            self.error(f"integer literal has more than {MAX_COEFFICIENT_DIGITS} digits", self.at)
+        self.advance()
+        return int(tok)
+
+    def parse(self) -> SuperRational:
+        value = self.expr()
+        if self.tok != _END:
+            self.error(f"unexpected trailing input {_quoted(self.tok)}", self.at)
+        if self.failure is not None:
+            raise self.failure
+        top = _value(self.settled(value), self.signature)
+        return top if isinstance(top, SuperRational) else SuperRational(top)
+
+    def expr(self):
+        value = self.term()
+        if type(value) is list:
+            value = dict((_built(value),))
+        while (op := self.tok) == "+" or op == "-":
+            at = self.at
+            self.advance()
+            rhs = self.term()
+            if self.failure is None:
+                try:
+                    if type(rhs) is list and type(value) is dict:  # a folded term, built signed
+                        _accumulate(value, (_built(rhs, op == "-"),))
+                        self.sums[id(value)] = _RESULTS[op], at
+                    else:
+                        rhs = dict((_built(rhs),)) if type(rhs) is list else rhs
+                        value = self.binary(op, value, rhs, at)
+                except Exception as exc:
+                    self.failure = exc
+        return value
+
+    def term(self):
+        """A product: a ``fold`` (a list) while its factors fold, then a value."""
+        fold, value, op, at = [[0] * self.width, [], 1, 1, 1, 0], None, None, None
+        while True:
+            negations = 0
+            while self.tok == "-":
+                negations += 1
+                self.advance()
+            atom, exponent, caret = self.atom(), None, self.at
+            if self.tok == "^":
+                self.advance()
+                exponent = self.integer()
+            if self.failure is None:
+                try:
+                    if fold is None or not self.fold(fold, op or "*", at, atom, exponent, caret,
+                                                     negations):
+                        rhs = self.operand(atom, exponent, caret, negations)
+                        if op is not None:
+                            lhs = value if fold is None else dict((_built(fold),))
+                            rhs = self.binary(op, lhs, rhs, at)
+                        fold, value = None, rhs
+                except Exception as exc:
+                    self.failure = exc
+            if (op := self.tok) != "*" and op != "/":
+                return value if fold is None else fold
+            at = self.at
+            self.advance()
+
+    def atom(self):
+        """Read an atom: an identifier's monomial (None if it is unknown),
+        an integer, a root (order, power), or a parenthesised value."""
+        tok, at = self.tok, self.at
+        if tok == "(":
+            return self.group()
+        if tok[0].isdecimal():
+            return self.integer()
+        if tok == "zeta":
+            self.advance()
+            self.expect("(")
+            order = self.integer()
+            self.expect(",")
+            power = self.integer()
+            self.expect(")")
+            if order < 1:
+                self.error("zeta needs a positive order", at)
+            if order > DEFAULT_ORDER_BOUND and self.failure is None:
+                self.failure = ExprSyntaxError(f"zeta order {_quoted(str(order), str)} is above "
+                                               f"the bound {DEFAULT_ORDER_BOUND}", at)
+            return order, power
+        if tok in _OPERATORS or tok == _END:
+            self.error(f"expected a value, found {_quoted(tok)}", at)
+        self.advance()
+        return (4, 1) if tok == "i" else self.monomials.get(tok) or self.variable(tok, at)
+
+    def group(self):
+        """Read "(" expr ")"; at depth 0, a span in the memo is stepped over
+        unread and its value shared, and a new one kept."""
+        at, text, spans = self.at, self.text, self.spans
+        if self.depth == MAX_NESTING:
+            self.error(f"parentheses nest deeper than {MAX_NESTING}", at)
+        memo = spans is not None and self.depth == 0
+        for span, value in spans.get(text[at - 1:at - 1 + MEMO_SPAN], {}).items() if memo else ():
+            if text.startswith(span, at - 1):
+                self.end = at - 1 + len(span)
+                self.advance()
+                return value
+        self.advance()
+        self.depth += 1
+        value = self.expr()
+        close = self.at
+        self.expect(")")
+        self.depth -= 1
+        if memo and close - at + 1 >= MEMO_SPAN and self.failure is None:
+            value = self.keep(text[at - 1:close], value)
+        return value
+
+    def variable(self, tok: str, at: int) -> SuperMonomial | None:
+        """An identifier's monomial, kept for the whole load; an unknown one is held."""
+        if self.failure is not None:
+            return None
+        try:
+            name = parse_var_name(tok)[0]  # a residue too long to read as an int fails
+            if name not in self.signature.even and name not in self.signature.odd:
+                raise ValueError(f"unknown identifier {_quoted(tok)}")
+        except ValueError as exc:
+            self.failure = ExprSyntaxError(str(exc), at)
+            return None
+        (mono,) = SuperPolynomial.variable(self.signature, name).terms
+        self.monomials[tok] = mono
+        return mono
+
+    def keep(self, span: str, value):
+        """A span's value, kept in the memo as later texts share it once it is ``_bounded``."""
+        if type(value) is dict:
+            if mark := self.sums.get(id(value)):
+                try:
+                    _bounded(value.values(), *mark)
+                except ExprSyntaxError:  # left pending, to be refused where it would be
+                    return value
+                del self.sums[id(value)]
+            value = SuperPolynomial._raw(self.signature, value)
+        self.spans.setdefault(span[:MEMO_SPAN], {})[span] = value
+        return value
+
+    def fold(self, fold: list, op: str, at: int | None, atom, exponent, caret, negations) -> bool:
+        """Multiply ``fold`` = [exponents, odd indices, p, q, order, power] by a
+        factor in place, ``_bounded`` at ``at``; False, ``fold`` unchanged, for
+        a zero product, a value in parentheses, or a divisor that is 1 or not
+        an integer or a root."""
+        even, odd, p, q, order, power = fold
+        if type(atom) is SuperMonomial:
+            if op == "/":
+                return False
+            if not atom.odd:
+                even[atom.even.index(1)] += 1 if exponent is None else exponent
+            elif exponent != 0:
+                if (j := atom.odd[0]) in odd or exponent is not None and exponent > 1:
+                    return False  # zero
+                negations += len(odd) - bisect_left(odd, j)  # j passes each index above it
+                insort(odd, j)
+            fold[2] = -p if negations & 1 else p
+            return True
+        if type(atom) is int and atom:
+            n, k, v = 1, 0, 1 if exponent == 0 else atom
+            if exponent is not None and exponent > 1 and atom > 1:  # no step passes atom^exponent
+                what = f"power to the {_quoted(str(exponent), str)}"
+                v = _power(atom, exponent, 1, lambda x: _bounded((Cyclotomic._raw((x,), 1, 1),),
+                                                                 what, caret))
+        elif type(atom) is tuple:  # zeta(N,k)^0 is 1 at conductor 1
+            (n, k), v = (atom if exponent is None else (1, 0) if exponent == 0 else
+                         (atom[0], atom[1] * exponent % atom[0])), 1
+        else:
+            return False
+        if op == "/":
+            if v == 1 and root_of_unity(n, k) == (-1) ** negations:
+                return False
+            k = -k
+        if n > 1 and order > 1:
+            m = _conductor((order, n))
+            order, power = m, (power * (m // order) + k * (m // n)) % m
+        elif n > 1:
+            order, power = n, k
+        g = gcd(p, v) if op == "/" else gcd(q, v)
+        p, q = (p // g, q * (v // g)) if op == "/" else (p * (v // g), q // g)
+        fold[2:] = -p if negations & 1 else p, q, order, power
+        if at is not None and not (-_SMALL < p < _SMALL and q < _SMALL):
+            _bounded((_built(fold)[1],), _RESULTS[op], at)
+        return True
+
+    def operand(self, atom, exponent, caret, negations):
+        """A factor's value: a folded term's one-entry dict, else the value in
+        parentheses, or {} for 0 or an odd square, to its power and negated."""
+        fold = [[0] * self.width, [], 1, 1, 1, 0]
+        if self.fold(fold, "*", None, atom, exponent, caret, negations):
+            return dict((_built(fold),))
+        value = {} if type(atom) in (SuperMonomial, int) else atom
+        if exponent is not None and type(atom) is not SuperMonomial:
+            value = _value(self.settled(value), self.signature)
+            _check_power(value, exponent, caret)
+            value = _stacked(_bounded_power(value, exponent, caret))
+        for _ in range(negations):
+            value = self.settled(value)
+            value = {mono: -c for mono, c in value.items()} if type(value) is dict else -value
+        return value
+
+    def settled(self, value):
+        """``value`` as an operand: a sum is ``_bounded`` at its last position."""
+        if self.sums and type(value) is dict and (mark := self.sums.pop(id(value), None)):
             _bounded(value.values(), *mark)
         return value
 
-    for step in _Parser(text, spans).parse():
-        op = step[0]
-        if op == "var":
-            mono = monomials.get(step[1])
-            if mono is None:
-                try:
-                    name = parse_var_name(step[1])[0]
-                except ValueError as exc:  # a residue too long to read as an int
-                    raise ExprSyntaxError(str(exc), step[2]) from None
-                if name not in signature.even and name not in signature.odd:
-                    raise ExprSyntaxError(f"unknown identifier {_quoted(step[1])}", step[2])
-                (mono,) = SuperPolynomial.variable(signature, name).terms
-                monomials[step[1]] = mono
-            stack.append({mono: one})
-        elif op == "const":
-            stack.append({unit: Cyclotomic.from_rational(step[1])} if step[1] else {})
-        elif op == "root":
-            _, order, power, pos = step
-            if order > DEFAULT_ORDER_BOUND:
-                raise ExprSyntaxError(f"zeta order {_quoted(str(order), str)} is above the "
-                                      f"bound {DEFAULT_ORDER_BOUND}", pos)
-            stack.append({unit: root_of_unity(order, power)})
-        elif op == "span":
-            stack.append(step[1])
-        elif op == "keep":  # a span's value, once it passed _bounded, serves later texts
-            top = stack[-1]
-            if type(top) is dict:
-                if mark := sums.get(id(top)):
-                    try:
-                        _bounded(top.values(), *mark)
-                    except ExprSyntaxError:  # left pending, to be refused where it would be
-                        continue
-                    del sums[id(top)]
-                top = stack[-1] = SuperPolynomial._raw(signature, top)
-            spans.setdefault(step[1][:MEMO_SPAN], {}).setdefault(step[1], (step[2], top))
-        elif op == "neg":
-            top = settled(stack[-1])
-            stack[-1] = {mono: -c for mono, c in top.items()} if type(top) is dict else -top
-        elif op == "^":
-            _, exponent, pos = step
-            if term := _term(settled(stack[-1])):
-                stack[-1] = _term_power(*term, exponent, pos)
-            else:
-                value = _value(stack[-1], signature)
-                _check_power(value, exponent, pos)
-                stack[-1] = _stacked(_bounded_power(value, exponent, pos))
-        else:
-            rhs = stack.pop()
-            lhs = stack[-1]
-            if op in "+-" and SuperRational not in (type(lhs), type(rhs)):
-                lhs = stack[-1] = _stacked(lhs)  # a span's value is shared: the sum takes a copy
-                items = _stacked(settled(rhs)).items()
-                if op == "-":
-                    items = [(mono, -c) for mono, c in items]
-                _accumulate(lhs, items)
-                sums[id(lhs)] = _RESULTS[op], step[1]
-                continue
-            a, b = _term(settled(lhs)), _term(settled(rhs))
-            if op == "*" and a and b:
-                term = _mul_single(a, b)
-                # a factor 1 leaves the other's coefficient, already bounded
-                if term and term[1] is not a[1] and term[1] is not b[1]:
-                    _bounded((term[1],), "product", step[1])
-                stack[-1] = dict((term,)) if term else {}
-            elif op == "/" and a and b and b[0] == unit and b[1] != 1:
-                mono, c = _mul_single(a, (unit, b[1].inverse()))
-                _bounded((c,), "quotient", step[1])
-                stack[-1] = {mono: c}
-            else:
-                value = _binary(op, _value(lhs, signature), _value(rhs, signature), step[1])
-                stack[-1] = _stacked(value)
-    top = _value(settled(stack[0]), signature)
-    return top if isinstance(top, SuperRational) else SuperRational(top)
+    def binary(self, op: str, lhs, rhs, at: int):
+        """``lhs op rhs``: a sum of polynomials adds into ``lhs`` in place, and
+        the rest goes through ``_binary``."""
+        if op in "+-" and SuperRational not in (type(lhs), type(rhs)):
+            lhs = _stacked(lhs)  # a span's value is shared: the sum takes a copy
+            items = _stacked(self.settled(rhs)).items()
+            _accumulate(lhs, [(mono, -c) for mono, c in items] if op == "-" else items)
+            self.sums[id(lhs)] = _RESULTS[op], at
+            return lhs
+        self.settled(lhs), self.settled(rhs)
+        return _stacked(_binary(op, _value(lhs, self.signature), _value(rhs, self.signature), at))
+
+
+def parse_expression(text: str, signature: SuperSignature,
+                     spans: dict | None = None) -> SuperRational:
+    """Read the text and evaluate it exactly over the signature, in one descent.
+
+    A caller reading several texts over one signature may pass one
+    ``spans`` dict, the span memo, to every call: an outermost span that
+    an earlier call read is then neither read nor evaluated again, and
+    equal spans give one value object.  The memo maps the first
+    ``MEMO_SPAN`` characters of a span to {its text: its value}, and None
+    to {each known identifier read: its monomial}.
+    """
+    return _Reader(text, signature, spans).parse()
 
 
 # -- formatting ------------------------------------------------------------

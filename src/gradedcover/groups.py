@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cyclotomic import Cyclotomic, root_of_unity
+from .errors import _quoted
 
 DEFAULT_ORDER_BOUND = 4096
 
@@ -197,7 +198,7 @@ def parse_group_spec(spec: str) -> FiniteAbelianGroup:
     try:
         factors = [int(part) for part in text.split("x")]
     except ValueError:
-        raise ValueError(f"malformed group spec {spec!r}") from None
+        raise ValueError(f"malformed group spec {_quoted(spec)}") from None
     return make_group(factors)
 
 
@@ -205,5 +206,5 @@ def parse_parity_spec(group: FiniteAbelianGroup, spec: str) -> ParityMap:
     """Parse a parity bit string like ``"11"``, one bit per cyclic factor."""
     text = spec.strip()
     if not all(ch in "01" for ch in text):
-        raise ValueError(f"parity spec must be a string of bits, got {spec!r}")
+        raise ValueError(f"parity spec must be a string of bits, got {_quoted(spec)}")
     return ParityMap(group, tuple(int(ch) for ch in text))

@@ -7,13 +7,13 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradedcover import (GradedMorphism, GradedSignature, ParityMap,
                          SuperPolynomial, algebra, cli, make_group)
 from gradedcover.cli import build_parser, dump_atlas, load_atlas, main, parse
-from gradedcover.errors import NormSizeError
+from gradedcover.errors import ExprSyntaxError, NormSizeError
 from conftest import NINES, SOUP_TOKENS
 
 CP1_ATLAS = {
@@ -898,3 +898,101 @@ def test_a_self_transition_other_than_the_identity_fails(tmp_path, capsys):
         if code:
             assert "self on (0): self-transition is not the identity\n    x = x + 1" in captured.out
             assert "input atlas fails the cocycle check" in captured.err
+
+
+NESTED_CHARTS = '{"charts": ' + "[" * 1200 + "]" * 1200 + "}"  # past the decoder's recursion
+
+
+@pytest.mark.parametrize("command", ["check-cocycle", "lift-atlas", "lift"])
+def test_deeply_nested_json_is_a_usage_error(command, tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text(NESTED_CHARTS, encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and len(captured.err.encode()) < 200
+    assert captured.err.endswith(" nests its JSON too deeply to read\n")
+
+
+@pytest.mark.parametrize("command, payload, code, message", [
+    ("check-cocycle", with_transitions(**{"0->1": {"y": "1/(x-x)"}}), 1,
+     "error: transitions.0->1.y: even part of the numerator is zero; the function is not "
+     "invertible\n"),
+    ("check-cocycle", with_transitions(**{"1->0": {"x": "1/y )"}}), 2,
+     "syntax error: transitions.1->0.x: unexpected trailing input ')' (position 5)\n"),
+    ("lift", dict(SUPER_MORPHISM, map={"y": "1/(x - x)", "eta": "xi/x"}), 1,
+     "error: map.y: even part of the numerator is zero; the function is not invertible\n"),
+    ("lift", dict(SUPER_MORPHISM, map={"y": "1/x", "eta": "xi/x $"}), 2,
+     "syntax error: map.eta: unexpected character '$' (position 6)\n"),
+    ("lift", dict(SUPER_MORPHISM, map={"y": "1/x", "eta": "w + 1/0"}), 2,
+     "syntax error: map.eta: unknown identifier 'w' (position 1)\n"),
+])
+def test_an_image_that_fails_to_read_names_its_key(command, payload, code, message, tmp_path,
+                                                   capsys):
+    assert main([command, write_json(tmp_path, "bad.json", payload)]) == code
+    assert capsys.readouterr().err == message
+
+
+def test_an_image_syntax_error_keeps_its_position_within_the_image():
+    with pytest.raises(ExprSyntaxError) as err:
+        load_atlas(with_transitions(**{"1->0": {"x": "1/y )"}}))
+    assert err.value.position == 5 and str(err.value).startswith("transitions.1->0.x: ")
+
+
+# -- atlas and morphism files of every malformed shape -------------------------
+
+FILE_NAMES = st.sampled_from(["x", "y", "xi", "eta", "x@0", "x@(1)", "y@1", "x@(0,1)", "s@1", ""])
+FILE_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                      st.floats(allow_nan=False, width=16), st.just([]), st.just({}),
+                      st.just("x"))
+FILE_IMAGES = st.sampled_from(["1/x", "x", "y", "1/y", "x + 1", "xi/x", "eta/y", "1/(x - x)",
+                               "1/x )", "zeta(3,1)*x@0", "x@0", "1/x@0", "x@1 $", "w"])
+FILE_GROUPS = st.one_of(st.sampled_from(["2", "3", "4", "2x2", "", "0", "x", "99999999999",
+                                         "2x" * 40 + "2", "65536x65536", "1" * 5000]),
+                        st.integers(-2, 5), FILE_JUNK)
+FILE_PARITIES = st.one_of(st.sampled_from(["0", "1", "00", "11", "2", "0" * 5000]), FILE_JUNK)
+FILE_CHARTS = st.one_of(FILE_JUNK, st.fixed_dictionaries({}, optional={
+    key: st.one_of(FILE_JUNK, st.lists(FILE_NAMES, max_size=3)) for key in ("even", "odd")}))
+FILE_MAPS = st.one_of(FILE_JUNK, st.dictionaries(FILE_NAMES, st.one_of(FILE_IMAGES, FILE_JUNK),
+                                                 max_size=3))
+FILE_GRADING = {"group": FILE_GROUPS, "parity": FILE_PARITIES}
+ATLAS_FILES = st.fixed_dictionaries({}, optional={
+    **FILE_GRADING,
+    "charts": st.one_of(FILE_JUNK, st.dictionaries(st.sampled_from(["0", "1", "2"]), FILE_CHARTS,
+                                                   max_size=3)),
+    "transitions": st.one_of(FILE_JUNK, st.dictionaries(
+        st.sampled_from(["0->1", "1->0", "0->0", "0->2", "1 -> 0", "01"]), FILE_MAPS,
+        max_size=3)),
+})
+MORPHISM_FILES = st.fixed_dictionaries({}, optional={
+    **FILE_GRADING, "source": FILE_CHARTS, "target": FILE_CHARTS, "map": FILE_MAPS})
+DEEP_TEXTS = st.builds(  # nesting thousands deep, of arrays or of objects
+    lambda key, depth, shape: f'{{"{key}": {shape[0] * depth}{shape[1]}{shape[2] * depth}}}',
+    st.sampled_from(["charts", "transitions", "map", "group"]), st.integers(1000, 5000),
+    st.sampled_from([("[", "", "]"), ('{"a": ', "0", "}")]))
+FILE_MESSAGE_BYTES = 300  # every key and name drawn above is short
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(case=st.one_of(
+    st.tuples(st.sampled_from(["check-cocycle", "lift-atlas"]), ATLAS_FILES.map(json.dumps)),
+    st.tuples(st.just("lift"), MORPHISM_FILES.map(json.dumps)),
+    st.tuples(st.sampled_from(["check-cocycle", "lift-atlas", "lift"]), DEEP_TEXTS),
+))
+@example(case=("check-cocycle", NESTED_CHARTS))
+@example(case=("lift-atlas", json.dumps({"group": "1" * 5000, "charts": {}})))
+@example(case=("lift", json.dumps({"group": "2", "parity": "2" * 5000})))
+def test_any_atlas_or_morphism_file_ends_with_an_exit_code_and_a_short_message(
+        case, tmp_path_factory):
+    command, text = case
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path)])
+    elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().encode()) < FILE_MESSAGE_BYTES, err.getvalue()
+    assert elapsed < 2.0, f"{command} of {text[:200]!r} took {elapsed:.2f}s"

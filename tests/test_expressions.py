@@ -1,10 +1,13 @@
 """Parsing, evaluation, and canonical formatting of expression text."""
 
 import functools
+import json
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,14 +26,20 @@ from gradedcover import (
     format_expression,
     make_group,
     parse_expression,
+    parse_group_spec,
+    parse_parity_spec,
     root_of_unity,
 )
 from gradedcover.cli import dump_atlas, load_atlas, parse_graded_signature
 from gradedcover.covering import lift_atlas
-from gradedcover.expressions import MAX_NESTING, MEMO_SPAN, _kind, _lex, _Parser
+from gradedcover.expressions import _END, MAX_NESTING, MEMO_SPAN, _Reader
 from gradedcover.expressions import parse_residues, parse_var_name
 from conftest import NINES, SOUP_TOKENS, random_group, random_parity, random_rational
 from conftest import random_signature, unpacked_tower
+from reference_parser import _Parser, _kind, reference_parse_expression
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import inputs  # noqa: E402  (the benchmark's seeded decompose specs and atlas texts)
 
 
 def line_signature():
@@ -630,9 +639,20 @@ def test_lexer_errors_point_at_the_character():
             parse_expression(text, sig)
         assert err.value.position == pos, text
         assert repr(text[pos - 1]) in str(err.value)
-    assert [(_kind(t), pos) for t, pos in zip(*_lex("\tx0^2"))] == [
+    assert [(_kind(t), pos) for t, pos in read_tokens("\tx0^2")] == [
         ("ident", 2), ("^", 4), ("int", 5), ("end", 6)
     ]
+
+
+def read_tokens(text):
+    """The reader's tokens, (text, position) each, read one at a time from
+    the text by position, the end token last."""
+    reader = _Reader(text, SuperSignature(), None)
+    tokens = [(reader.tok, reader.at)]
+    while reader.tok != _END:
+        reader.advance()
+        tokens.append((reader.tok, reader.at))
+    return tokens
 
 
 _REFERENCE_TOKEN_RE = re.compile(
@@ -660,8 +680,8 @@ def reference_lex(text):
     return tokens
 
 
-def one_call_lex(text):
-    return [(_kind(token), token, pos) for token, pos in zip(*_lex(text))]
+def reader_lex(text):
+    return [(_kind(token), token, pos) for token, pos in read_tokens(text)]
 
 
 def test_the_one_call_lexer_matches_the_match_by_match_loop():
@@ -683,12 +703,141 @@ def test_the_one_call_lexer_matches_the_match_by_match_loop():
     texts += [f"1{c}x" for c in map(chr, range(0x110000)) if c.isdecimal() or c.isspace()]
     for text in texts:
         outcomes = []
-        for lex in (reference_lex, one_call_lex):
+        for lex in (reference_lex, reader_lex):
             try:
                 outcomes.append(lex(text))
             except ExprSyntaxError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1], repr(text)
+
+
+# -- the one-descent reader against the postfix reference -------------------
+
+
+def assert_read_as_the_reference(texts, signature):
+    """The same items in the same order, or the same exception type and
+    message, which holds a syntax error's position."""
+    for text in texts:
+        same = evaluation(parse_expression, text, signature) == evaluation(
+            reference_parse_expression, text, signature)
+        assert same, text  # not the outcomes, whose integers may pass the printable digits
+
+
+def soup_signature():
+    group = make_group([4])
+    return parse_graded_signature(group, ParityMap(group, (1,)), "x@0,y@2", "s@1,t@3")
+
+
+# the order of the error contract: a character no token starts with wins,
+# then the first grammar error, then the first arithmetic failure, each
+# partial product refused at its own operator
+CONTRACT_TEXTS = [
+    "1/0 )", "1/0 + w", "w + 1/0", "1/0 ) $", "w + (", "w $", "zeta(4097,1) + w",
+    "w + zeta(4097,1)", "(10*x@0)^4000*(10*x@0)^4000", "x@0*(10*x@0)^4000*10^300*w",
+    "(10*x@0)^4000/(1/10)^4000", f"({NINES} + {NINES})*zeta(4097,1)",
+    f"({NINES} + {NINES}) + 1", f"-({NINES} + {NINES})", "zeta(4093,1)*zeta(4091,1)",
+    "zeta(4093,1)*s@1*s@1*zeta(4091,1)", "s@1*zeta(4093,1)*s@1*zeta(4091,1)",
+    "x@0/zeta(4093,1)/zeta(4091,1)", "x@0/0", "x@0/(x@0 - x@0)", "0*w", "s@1^2*zeta(4097,1)",
+    "x@0/s@1", "x@0/1", "x@0/-1", "x@0/--1", "x@0/zeta(4,0)", "x@0/-zeta(4,2)", "x@0/i^4",
+    "x@0/1^7", "x@0/y@2^0", "x@0/-y@2^0", "2/4*3/6*x@0", "-3/-6*i/i^3", "0^0*x@0", "x@0*0^0",
+    "zeta(12,5)^0/zeta(1,3)*zeta(2,1)", "s@1*t@3*s@1", "t@3*s@1", "-s@1^1*t@3^0*x@0^2",
+    "zeta(0,1)", "zeta(12,", "x@0^", "x@0^-1", "x@(1", "1" * 4301, f"x@0^{NINES}*x@0^{NINES}",
+    "(" * 101 + "x@0" + ")" * 101, "x@(" + "1" * 4301 + ")", "x@0 + é + w", "٣*x@0",
+    # runs of atoms past and at the printable digits, refused at their own operator
+    f"{NINES}*{NINES}*x@0", f"x@0*{NINES}/{NINES}*{NINES}*w", f"1/{NINES}/{NINES}*w",
+    f"{NINES}*zeta(3,1)*{NINES}", f"-s@1*{NINES}/i*{NINES}", "10^2150*10^2149*x@0",
+    "10^2150*10^2150*x@0", "x@0/10^2150/10^2149", "x@0/10^2150/10^2150",
+]
+
+
+def test_the_reader_matches_the_reference_on_token_soups():
+    rng = random.Random(34)
+    texts = CONTRACT_TEXTS + ["".join(rng.choices(SOUP_TOKENS, k=rng.randint(1, 12)))
+                              for _ in range(500)]
+    assert_read_as_the_reference(texts, soup_signature())
+
+
+def test_the_reader_matches_the_reference_on_random_and_printed_texts():
+    sig = SuperSignature(even=["x0", "x1"], odd=["xi1", "xi2"])
+    rng = random.Random(35)
+    assert_read_as_the_reference([random_text(rng, 4) for _ in range(300)], sig)
+    for seed in range(40):
+        rng = random.Random(seed)
+        grp = random_group(rng)
+        sig = random_signature(rng, grp, random_parity(rng, grp))
+        f = random_rational(rng, sig)
+        assert_read_as_the_reference([format_expression(g) for g in [f, *f.decompose().values()]],
+                                     sig)
+
+
+def test_the_reader_matches_the_reference_on_the_decompose_universe():
+    for index in range(256):
+        spec = inputs.decompose_spec(index)
+        group = parse_group_spec(spec["group"])
+        parity = parse_parity_spec(group, spec["parity"])
+        sig = parse_graded_signature(group, parity, spec["even"], spec["odd"])
+        assert_read_as_the_reference([spec["expr"]], sig)
+
+
+BENCHMARK_LIFTS = sorted({
+    *inputs.lift_sweep([]), *inputs.cocycle_sweep([]),
+    *(("shear", j, g, p) for j in range(inputs.SHEAR_UNIVERSE)
+      for g, p in inputs.SHEAR_LIFT_GROUPS + inputs.SHEAR_COCYCLE_GROUPS),
+})
+
+
+def test_the_reader_shares_what_the_reference_shares_on_the_benchmark_lifts():
+    """Each lifted atlas of the benchmark, and the broken one, read back one
+    transition at a time with one memo each: the same values, and equal
+    spans shared as one object exactly where the reference shares them."""
+    shared = 0
+    for family, index, group_spec, parity_spec in BENCHMARK_LIFTS:
+        group = parse_group_spec(group_spec)
+        parity = parse_parity_spec(group, parity_spec)
+        atlas = load_atlas(json.loads(inputs.atlas_text(family, index)))[0]
+        lifted = lift_atlas(atlas, group, parity)
+        texts = [json.dumps(dump_atlas(lifted, group, parity))]
+        if (family, index, group_spec, parity_spec) == inputs.BROKEN_BASE:
+            texts.append(inputs.break_lifted(texts[0]))
+        for key, images in (item for text in texts
+                            for item in json.loads(text)["transitions"].items()):
+            sig = lifted.charts[key.split("->")[0]]
+            reads = []
+            for parse in (parse_expression, reference_parse_expression):
+                memo: dict = {}
+                reads.append([parse(text, sig, memo) for text in images.values()])
+            for f, g in zip(*reads):
+                assert (_items(f.numerator), _items(f.denominator)) == (
+                    _items(g.numerator), _items(g.denominator)), key
+            for fs in reads:
+                fs[:] = [[a.denominator is b.denominator for b in fs] for a in fs]
+            assert reads[0] == reads[1], key
+            shared += sum(map(sum, reads[0])) > len(reads[0])
+    assert shared == 2 * 12 + 2  # each transition of the 12 lifted P^1 and P^{1|1}, and the broken one
+
+
+def test_a_span_read_again_is_not_lexed(monkeypatch):
+    """A span the memo holds is stepped over: no token is read inside it."""
+    from gradedcover import expressions
+
+    sig = SuperSignature(even=["x0", "x1"])
+    span = "(1 + x0*x1 + 2*x0^2 - x1^3)"
+    memo: dict = {}
+    parse_expression(f"x0/{span}", sig, memo)
+    starts = []
+    token_re = expressions._TOKEN_RE
+
+    class Spy:
+        def match(self, text, pos):
+            starts.append(pos)
+            return token_re.match(text, pos)
+
+    monkeypatch.setattr(expressions, "_TOKEN_RE", Spy())
+    text = f"x1/{span} + x0"
+    f = parse_expression(text, sig, memo)
+    begin = text.index(span)
+    assert starts and not [pos for pos in starts if begin < pos < begin + len(span)]
+    assert f.denominator is memo[span[:MEMO_SPAN]][span]
 
 
 # -- one texts dict renders each distinct terms dict once ---------------------
