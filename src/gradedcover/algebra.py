@@ -26,11 +26,12 @@ at the lcm of their conductors, multiplies them and unpacks the product,
 each coefficient reduced modulo Phi_N once and taking one gcd;
 ``_substitute`` (``substitute`` and ``compose``) packs each image once,
 evaluates whole functions on packed values, reducing each product, and
-unpacks each result once; so does the norm of ``decompose``.  Coefficients
-print by value, so where one is stored never shows.
+unpacks each result once; so does the norm of ``decompose``, and so does
+``evaluate_even``, which substitutes an exact point and embeds only the
+result.  Coefficients print by value, so where one is stored never shows.
 ``SuperPolynomial.__mul__`` scales by a scalar, returns the other operand
-for a factor equal to the constant 1 at conductor 1, and multiplies one term
-by one term as one Cyclotomic product.
+for a factor equal to the constant 1 at conductor 1, and sends every other
+product, one term by one term too, through ``_mul_terms``.
 
 ``decompose`` norms an inhomogeneous denominator D over its orbit, through
 prime-index subgroups from the stabilizer of D up (``_orbit_tower``), on
@@ -51,6 +52,7 @@ one never equals a graded one; polynomials and quotients compare by value.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from itertools import chain
 from math import comb, gcd, lcm
@@ -399,28 +401,12 @@ def _mul_terms(a: Terms, b: Terms) -> Terms:
     return _unpacked(product, n, codec)
 
 
-def _mul_single(t1: tuple, t2: tuple) -> tuple | None:
-    """One (monomial, coefficient) term times another, None for zero; a
-    coefficient 1 at conductor 1 is not multiplied in."""
-    (m1, c1), (m2, c2) = t1, t2
-    sign = _odd_sign(sum(1 << j for j in m1.odd), sum(1 << j for j in m2.odd)) if m2.odd else 1
-    if not sign:
-        return None
-    mono = SuperMonomial(tuple(map(add, m1.even, m2.even)), tuple(sorted(m1.odd + m2.odd)))
-    c = c2 if _is_unit(c1) else c1 if _is_unit(c2) else c1 * c2
-    return mono, c if sign > 0 else -c
-
-
-def _is_unit(c: Cyclotomic) -> bool:
-    return c.conductor == 1 and c.num[0] == 1 and c.den == 1
-
-
 def _is_one(terms: Terms) -> bool:
     """True for exactly the constant 1 at conductor 1."""
     if len(terms) != 1:
         return False
     ((mono, c),) = terms.items()
-    return _is_unit(c) and not mono.odd and not any(mono.even)
+    return c.conductor == 1 and c.num[0] == 1 and c.den == 1 and not mono.odd and not any(mono.even)
 
 
 def _as_coefficient(value: Scalar) -> Cyclotomic:
@@ -542,9 +528,6 @@ class SuperPolynomial(_Frozen):
             return self
         if _is_one(self.terms):
             return other
-        if len(self.terms) == 1 == len(other.terms):
-            t = _mul_single(*self.terms.items(), *other.terms.items())
-            return SuperPolynomial._raw(self.signature, {} if t is None else dict([t]))
         return SuperPolynomial._raw(self.signature, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
@@ -906,22 +889,38 @@ class SuperRational(_Frozen):
     def evaluate_even(
         self, point: Mapping[str, complex], *, tol: float = 1e-12
     ) -> dict[tuple[str, ...], complex]:
-        """Numeric value at a point of the commuting variables.
-
-        Returns the complex coefficient of each anticommuting monomial,
-        keyed by the tuple of its variable names.
-        """
+        """The complex coefficient of each anticommuting monomial, keyed by
+        its variables' names, at a point of the commuting variables; a
+        monomial whose value is 0 has no key.  Exact up to that embedding: a
+        coordinate that is an int, Fraction or Cyclotomic is read as it is,
+        any other through ``complex()`` as a Gaussian rational at conductor 4
+        (one with an imaginary part needs lcm(N, 4) <= ``MAX_CONDUCTOR``, N
+        the coefficients' conductor, or raises the conductor ``GradedError``),
+        and numerator and denominator are substituted by ``_substitute``, the
+        odd variables kept as symbols.  A denominator whose value is 0, or
+        embeds within ``tol`` of 0, raises ``ZeroDivisionError``."""
         sig = self.signature
-        den = 0j
-        for mono, c in self.denominator.terms.items():
-            den += c.embed() * _even_value(sig, mono, point)
-        if abs(den) <= tol:
-            raise ZeroDivisionError(f"denominator too close to zero: |{den}| <= {tol}")
-        out: dict[tuple[str, ...], complex] = {}
-        for mono, c in self.numerator.terms.items():
-            key = tuple(sig.odd[j] for j in mono.odd)
-            out[key] = out.get(key, 0j) + c.embed() * _even_value(sig, mono, point)
-        return {key: val / den for key, val in out.items()}
+        target = SuperSignature(odd=sig.odd)
+        images = {v: SuperRational.variable(target, v) for v in sig.odd}
+        used = _used_names(sig, (self.numerator, self.denominator))
+        for v in (v for v in sig.even if v in used):
+            if v not in point:
+                raise ValueError(f"no value given for variable {v!r}")
+            x = point[v]
+            if not isinstance(x, (int, Fraction, Cyclotomic)):
+                if not cmath.isfinite(z := complex(x)):
+                    raise ValueError(f"the value of variable {v!r} is not finite: {z}")
+                re, im = Fraction(z.real), Fraction(z.imag)
+                x = Cyclotomic((re, im), 4) if im else re
+            images[v] = SuperRational.constant(target, x)
+        fs = SuperRational(self.numerator), SuperRational(self.denominator)
+        num, den = _substitute(fs, images, target)
+        value = den.numerator.as_constant()  # D is even: a constant, None for 0
+        shown = 0j if value is None else value.embed()
+        if value is None or abs(shown) <= tol:
+            raise ZeroDivisionError(f"denominator too close to zero: |{shown}| <= {tol}")
+        return {tuple(sig.odd[j] for j in mono.odd): (c / value).embed()
+                for mono, c in num.numerator.terms.items()}
 
 
 def _components(
@@ -1102,17 +1101,6 @@ def _cofactor(packed: tuple[int, dict], j: dict, p: int, n: int, codec: _Codec) 
         acc = {key: r for key, v in out.items() if (r := v % modulus)}
     signed = {key: r - modulus if r > half else r for key, r in acc.items()}
     return _canonical((d ** (p - 1), _reduced(signed, n, codec)))
-
-
-def _even_value(sig: SuperSignature, mono: SuperMonomial, point: Mapping[str, complex]) -> complex:
-    val = 1 + 0j
-    for i, e in enumerate(mono.even):
-        if e:
-            try:
-                val *= complex(point[sig.even[i]]) ** e
-            except KeyError:
-                raise ValueError(f"no value given for variable {sig.even[i]!r}") from None
-    return val
 
 
 def restrict_terms(

@@ -22,8 +22,8 @@ import sys
 from .algebra import GradedSignature, SuperSignature
 from .covering import Atlas, check_cocycle, lift_atlas, lift_super
 from .errors import ExprSyntaxError, GradedError
-from .expressions import _quoted, format_expression, parse_expression, parse_residues
-from .expressions import parse_var_name
+from .expressions import MAX_COEFFICIENT_DIGITS, _quoted, format_expression, parse_expression
+from .expressions import parse_residues, parse_var_name
 from .groups import (
     FiniteAbelianGroup,
     ParityMap,
@@ -42,9 +42,15 @@ def _expect(value, kind: type | tuple[type, ...], where: str, what: str):
 
 
 def _read_json(path: str) -> dict:
+    def parse_int(text: str) -> int:  # refused before the interpreter's own digit limit
+        if (digits := len(text.lstrip("-"))) > MAX_COEFFICIENT_DIGITS:
+            raise ValueError(f"{_quoted(path)} holds an integer literal of {digits:,} digits, "
+                             f"above the bound {MAX_COEFFICIENT_DIGITS:,}")
+        return int(text)
+
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=parse_int)
         except RecursionError:  # the decoder recurses once per level of nesting
             raise ValueError(f"{_quoted(path)} nests its JSON too deeply to read") from None
     return _expect(data, dict, "the top level", "a JSON object")

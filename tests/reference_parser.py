@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate, chain
+from operator import add
 
 from gradedcover.algebra import SuperMonomial, SuperPolynomial, SuperRational, SuperSignature
-from gradedcover.algebra import _accumulate, _is_unit, _mul_single
+from gradedcover.algebra import _accumulate, _odd_sign
 from gradedcover.cyclotomic import Cyclotomic, _power, root_of_unity
 from gradedcover.errors import ExprSyntaxError
 from gradedcover.expressions import (
@@ -182,6 +183,22 @@ class _Parser:
                 return True
         return False
 
+
+
+def _mul_single(t1: tuple, t2: tuple) -> tuple | None:
+    """One (monomial, coefficient) term times another, None for zero; a
+    coefficient 1 at conductor 1 is not multiplied in."""
+    (m1, c1), (m2, c2) = t1, t2
+    sign = _odd_sign(sum(1 << j for j in m1.odd), sum(1 << j for j in m2.odd)) if m2.odd else 1
+    if not sign:
+        return None
+    mono = SuperMonomial(tuple(map(add, m1.even, m2.even)), tuple(sorted(m1.odd + m2.odd)))
+    c = c2 if _is_unit(c1) else c1 if _is_unit(c2) else c1 * c2
+    return mono, c if sign > 0 else -c
+
+
+def _is_unit(c: Cyclotomic) -> bool:
+    return c.conductor == 1 and c.num[0] == 1 and c.den == 1
 
 
 def _term_power(mono: SuperMonomial, c: Cyclotomic, exponent: int, pos: int) -> dict:

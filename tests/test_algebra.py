@@ -1,5 +1,6 @@
 """Behavior of the graded function algebra: products, action, decomposition."""
 
+import cmath
 import copy
 import functools
 import itertools
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from gradedcover import (
     Character,
     Cyclotomic,
+    GradedError,
     GradedSignature,
     NotInvertibleError,
     ParityMap,
@@ -693,6 +695,102 @@ def test_numeric_equivariance_spot_check():
                 continue
             for key, val in base.items():
                 assert abs(after.get(key, 0j) - factor * val) < 1e-9
+
+
+def float_evaluate_even(f, point, tol=1e-12):
+    """``evaluate_even`` as it was computed in complex floats: each coefficient
+    embedded and each monomial evaluated numerically, then one division by
+    the denominator's value; the reference for the exact evaluator."""
+    sig = f.signature
+
+    def even_value(mono):
+        val = 1 + 0j
+        for i, e in enumerate(mono.even):
+            if e:
+                val *= complex(point[sig.even[i]]) ** e
+        return val
+
+    den = sum((c.embed() * even_value(m) for m, c in f.denominator.terms.items()), 0j)
+    if abs(den) <= tol:
+        raise ZeroDivisionError(f"denominator too close to zero: |{den}| <= {tol}")
+    out = {}
+    for mono, c in f.numerator.terms.items():
+        key = tuple(sig.odd[j] for j in mono.odd)
+        out[key] = out.get(key, 0j) + c.embed() * even_value(mono)
+    return {key: val / den for key, val in out.items()}, den
+
+
+def test_numeric_evaluation_is_exact_until_the_result():
+    """(x - 10^8)^2 at x = 10^8 + 1 is 1; expanded, its terms cancel in
+    floats to 0, and exactly to 1."""
+    sig = pair_signature()
+    x = SuperRational.variable(sig, "x")
+    f = x**2 - 200000000 * x + 10**16
+    assert float_evaluate_even(f, {"x": 100000001.0})[0] == {(): 0j}
+    assert f.evaluate_even({"x": 100000001.0}) == {(): 1 + 0j}
+    assert f.evaluate_even({"x": Fraction(100000001)}) == {(): 1 + 0j}
+
+
+def test_numeric_evaluation_drops_monomials_whose_value_is_zero():
+    sig = pair_signature()
+    x, s1 = (SuperRational.variable(sig, v) for v in ("x", "s1"))
+    assert ((x - 2) * s1).evaluate_even({"x": 2}) == {}
+    values = ((x - 2) * s1 + x).evaluate_even({"x": 2.0})
+    assert values == {(): 2 + 0j}
+    with pytest.raises(ZeroDivisionError, match=r"\|0j\| <= 1e-12"):
+        (1 / (x - 2)).evaluate_even({"x": 2.0})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(1, math.nan)])
+def test_numeric_evaluation_rejects_coordinates_that_are_not_finite(value):
+    sig = pair_signature()
+    x = SuperRational.variable(sig, "x")
+    with pytest.raises(ValueError, match="variable 'x' is not finite"):
+        (x + 1).evaluate_even({"x": value})
+
+
+def test_numeric_evaluation_needs_a_value_for_every_variable_in_use():
+    sig = SuperSignature(even=["x", "y"])
+    x, y = (SuperRational.variable(sig, v) for v in ("x", "y"))
+    with pytest.raises(ValueError, match="no value given for variable 'x'"):
+        (x + 1).evaluate_even({"y": 1.0})
+    assert (y + 1).evaluate_even({"y": 1.0}) == {(): 2 + 0j}
+
+
+def test_numeric_evaluation_reads_a_complex_point_at_conductor_4():
+    """A point with an imaginary part is a Gaussian rational: zeta_4 joins the
+    coefficients' conductor, which must stay within the bound."""
+    sig = pair_signature()
+    x = SuperRational.variable(sig, "x")
+    root = root_of_unity(16411, 1)  # prime, and 4 * 16411 is past the bound
+    assert abs((x * root).evaluate_even({"x": 2.0})[()] - 2 * root.embed()) < 1e-12
+    with pytest.raises(GradedError, match="conductor 65644 is above the bound"):
+        (x * root).evaluate_even({"x": 2 + 1j})
+    assert (x * x).evaluate_even({"x": 1j}) == {(): -1 + 0j}
+
+
+def test_numeric_evaluation_matches_the_float_reference():
+    """Seeded random functions over groups of order up to 12, with odd
+    variables, at points of [1, 2]^2: each exact value agrees with the float
+    loop's to 1e-9 relative wherever the float denominator is at least 1e-6.
+    A value that is exactly 0 has no key, so the float one must be 0 too."""
+    rng = random.Random(2035)
+    pairs = 0
+    for _ in range(200):
+        grp = random_group(rng, max_order=12)
+        sig = random_signature(rng, grp, random_parity(rng, grp))
+        f = random_rational(rng, sig, max_terms=3, max_degree=3)
+        for _ in range(3):
+            point = {n: complex(rng.uniform(1, 2), rng.uniform(1, 2)) for n in sig.even}
+            want, den = float_evaluate_even(f, point, tol=0)
+            if abs(den) < 1e-6:
+                continue
+            got = f.evaluate_even(point, tol=0)
+            assert set(got) <= set(want)
+            for key, val in want.items():
+                assert cmath.isclose(got.get(key, 0j), val, rel_tol=1e-9), (f, point, key)
+                pairs += 1
+    assert pairs > 400
 
 
 def test_dimension_vector_counts_variables_per_weight():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gradedcover import (GradedMorphism, GradedSignature, ParityMap,
                          SuperPolynomial, algebra, cli, make_group)
 from gradedcover.cli import build_parser, dump_atlas, load_atlas, main, parse
-from gradedcover.errors import ExprSyntaxError, NormSizeError
+from gradedcover.errors import ExprSyntaxError, NormSizeError, _quoted
 from conftest import NINES, SOUP_TOKENS
 
 CP1_ATLAS = {
@@ -914,6 +914,21 @@ def test_deeply_nested_json_is_a_usage_error(command, tmp_path, capsys):
     assert captured.err.endswith(" nests its JSON too deeply to read\n")
 
 
+LONG_LITERAL = '{"group": ' + "1" * 5000 + ', "charts": {}}'  # past the int-to-text limit
+
+
+@pytest.mark.parametrize("command", ["check-cocycle", "lift-atlas", "lift"])
+def test_a_long_integer_literal_in_a_file_is_a_usage_error(command, tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(LONG_LITERAL, encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "set_int_max_str_digits" not in captured.err
+    assert captured.err == (f"error: {_quoted(str(path))} holds an integer literal of 5,000 "
+                            "digits, above the bound 4,300\n")
+
+
 @pytest.mark.parametrize("command, payload, code, message", [
     ("check-cocycle", with_transitions(**{"0->1": {"y": "1/(x-x)"}}), 1,
      "error: transitions.0->1.y: even part of the numerator is zero; the function is not "
@@ -980,6 +995,7 @@ FILE_MESSAGE_BYTES = 300  # every key and name drawn above is short
     st.tuples(st.sampled_from(["check-cocycle", "lift-atlas", "lift"]), DEEP_TEXTS),
 ))
 @example(case=("check-cocycle", NESTED_CHARTS))
+@example(case=("check-cocycle", LONG_LITERAL))
 @example(case=("lift-atlas", json.dumps({"group": "1" * 5000, "charts": {}})))
 @example(case=("lift", json.dumps({"group": "2", "parity": "2" * 5000})))
 def test_any_atlas_or_morphism_file_ends_with_an_exit_code_and_a_short_message(
@@ -994,5 +1010,6 @@ def test_any_atlas_or_morphism_file_ends_with_an_exit_code_and_a_short_message(
     elapsed = time.perf_counter() - start
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    assert "set_int_max_str_digits" not in err.getvalue()
     assert len(err.getvalue().encode()) < FILE_MESSAGE_BYTES, err.getvalue()
     assert elapsed < 2.0, f"{command} of {text[:200]!r} took {elapsed:.2f}s"

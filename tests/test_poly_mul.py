@@ -3,7 +3,7 @@
 ``SuperPolynomial.__mul__`` multiplies in integers in Q(zeta_N) (the kernel
 ``_mul_terms``, which ``_mul_terms_integer`` below calls), N the lcm of
 every coefficient's conductor (``product_conductor``); one term times one
-term is a single ``Cyclotomic`` product (``_mul_single``).
+term goes through the same kernel.
 ``_mul_terms_termwise`` below, one ``Cyclotomic`` multiply-add per pair of
 terms, is the kernel's reference.  All must give the same terms with equal
 coefficient values; a coefficient prints by its value, so its stored
