@@ -898,7 +898,9 @@ class SuperRational(_Frozen):
         the coefficients' conductor, or raises the conductor ``GradedError``),
         and numerator and denominator are substituted by ``_substitute``, the
         odd variables kept as symbols.  A denominator whose value is 0, or
-        embeds within ``tol`` of 0, raises ``ZeroDivisionError``."""
+        embeds within ``tol`` of 0, raises ``ZeroDivisionError``; a
+        coefficient past the float range raises ``ValueError``, naming its
+        monomial and the decimal digits of its exact integer part."""
         sig = self.signature
         target = SuperSignature(odd=sig.odd)
         images = {v: SuperRational.variable(target, v) for v in sig.odd}
@@ -916,11 +918,29 @@ class SuperRational(_Frozen):
         fs = SuperRational(self.numerator), SuperRational(self.denominator)
         num, den = _substitute(fs, images, target)
         value = den.numerator.as_constant()  # D is even: a constant, None for 0
-        shown = 0j if value is None else value.embed()
-        if value is None or abs(shown) <= tol:
+        shown = 0j if value is None else _embedded(value)
+        if value is None or shown is not None and abs(shown) <= tol:  # None: past floats
             raise ZeroDivisionError(f"denominator too close to zero: |{shown}| <= {tol}")
-        return {tuple(sig.odd[j] for j in mono.odd): (c / value).embed()
-                for mono, c in num.numerator.terms.items()}
+        out = {}
+        for mono, c in num.numerator.terms.items():
+            key, q = tuple(sig.odd[j] for j in mono.odd), c / value
+            out[key] = _embedded(q)
+            if out[key] is None:
+                size = max(map(abs, q.num)) // q.den
+                digits = size.bit_length() * 30103 // 100000 + 1  # exact, or one too many
+                digits -= 10 ** (digits - 1) > size
+                raise ValueError(f"the coefficient of {'*'.join(key) or '1'} is past the float "
+                                 f"range: its exact integer part has {digits:,} decimal digits")
+        return out
+
+
+def _embedded(c: Cyclotomic) -> complex | None:
+    """c's ``embed``, or None where that passes the float range."""
+    try:
+        z = c.embed()
+    except OverflowError:
+        return None
+    return z if cmath.isfinite(z) else None
 
 
 def _components(
@@ -1175,7 +1195,8 @@ def _substitute(
     value Dn/Dd, which is Dd/Dn where both are 1 or even and not constant (``swaps``), so f
     is (Nn*Dd)/(Nd*Dn), each part unpacked once; else ``invert``.  A polynomial shared by
     object is packed once, and each D evaluated and inverted once per distinct terms; the fs
-    over it whose N has a value over 1 share its denominator.
+    over it whose N values have equal denominators Nd (equal packed forms, as both are
+    canonical) share one Nd*Dn, multiplied and unpacked once, Dn itself where Nd is 1.
     """
     if not fs:
         return []
@@ -1242,22 +1263,26 @@ def _substitute(
     def swaps(x):  # 1, or even and not constant: 1/x is x swapped, with no series and no fold
         return x == one or any(k % (1 << zshift) for k in x[1]) and max(x[1]) >> codec.shift == 0
 
-    inverses: list[tuple] = []  # per distinct D: (D, Dd, Dn, Dn unpacked or D's inverse)
+    # per distinct D: (D, Dd, Dn, D's inverse where it does not swap, else [(Nd, Nd*Dn unpacked)])
+    inverses: list[tuple] = []
     out = []
     for f in fs:
         den = f.denominator
         entry = next((e for e in inverses if e[0] is den or e[0].terms == den.terms), None)
         if entry is None:
             dn, dd = evaluate(den)
-            inverse = unpacked(dn) if swaps(dn) and swaps(dd) else \
+            inverse = [(one, unpacked(dn))] if swaps(dn) and swaps(dd) else \
                 SuperRational._of(unpacked(dn), unpacked(dd)).invert()
             inverses.append(entry := (den, dd, dn, inverse))
         (nn, nd), (_, dd, dn, inverse) = evaluate(f.numerator), entry
         if isinstance(inverse, SuperRational):
             out.append(SuperRational._of(unpacked(nn), unpacked(nd)) * inverse)
-        else:  # a value's denominator is 1 or not constant, so nothing folds
-            out.append(SuperRational._of(
-                unpacked(times(nn, dd)), inverse if nd == one else unpacked(times(nd, dn))))
+            continue
+        # a value's denominator is 1 or not constant, so nothing folds
+        shared = next((p for v, p in inverse if v == nd), None)
+        if shared is None:
+            inverse.append((nd, shared := unpacked(times(nd, dn))))
+        out.append(SuperRational._of(unpacked(times(nn, dd)), shared))
     return out
 
 

@@ -202,8 +202,10 @@ class CocycleReport:
 
 
 def _residual(morphism: SuperMorphism) -> dict[str, str]:
-    """The images of an endomorphism that are not their own variable, printed."""
-    return {name: format_expression(morphism.images[name]) for name in morphism._moved()}
+    """The images of an endomorphism that are not their own variable, printed
+    through one ``format_expression`` memo: a shared denominator renders once."""
+    texts: dict = {}
+    return {name: format_expression(morphism.images[name], texts) for name in morphism._moved()}
 
 
 def check_cocycle(atlas: Atlas) -> CocycleReport:

@@ -502,7 +502,9 @@ def format_expression(f: SuperRational | SuperPolynomial, texts: dict | None = N
     caller passes one ``texts`` dict to every call, the memo: by ``id(terms)``,
     (terms, group exponent, template, signature, its text), so shared terms,
     as of a lift's components or twin lifted transitions, render once and fill
-    once per signature.  Holding the terms keeps their ids theirs.
+    once per signature.  Holding the terms keeps their ids theirs.  A
+    quotient is ``(N)/(D)`` unless D is 1 or N is zero: zero prints as ``0``,
+    whatever its denominator.
     """
     sig = f.signature
     n = sig.group.exponent if isinstance(sig, GradedSignature) else 1
@@ -519,4 +521,6 @@ def format_expression(f: SuperRational | SuperPolynomial, texts: dict | None = N
     if isinstance(f, SuperPolynomial):
         return text(f)
     num = text(f.numerator)
-    return num if f.denominator.as_constant() == 1 else f"({num})/({text(f.denominator)})"
+    if not f.numerator or f.denominator.as_constant() == 1:
+        return num
+    return f"({num})/({text(f.denominator)})"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterator, Mapping
 
 from .algebra import GradedSignature, SuperRational, SuperSignature, _components, _substitute
-from .cyclotomic import _Frozen
+from .cyclotomic import _Frozen, _restore
 from .errors import MorphismValidationError, SignatureMismatchError
 
 
@@ -57,9 +57,10 @@ class SuperMorphism(_Frozen):
         return self.source == self.target and next(self._moved(), None) is None
 
     def _moved(self) -> Iterator[str]:
-        """The variables of an endomorphism whose images are not themselves."""
+        """The variables of an endomorphism whose images are not themselves
+        (``_is_variable``), one test per image and no product."""
         sig = self.source
-        return (n for n in sig.even + sig.odd if self.images[n] != SuperRational.variable(sig, n))
+        return (n for n in sig.even + sig.odd if not _is_variable(self.images[n], n))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.source!r} -> {self.target!r})"
@@ -70,7 +71,8 @@ class GradedMorphism(SuperMorphism):
 
     ``_components`` must split each image into one component, of its
     variable's weight; images in order share one ``seen``, so each distinct
-    denominator is normed once.  ``covering._lift`` builds lifts unchecked.
+    denominator is normed once.  ``covering._lift`` builds lifts unchecked,
+    and ``compose`` composites.
     """
 
     __slots__ = ()
@@ -97,6 +99,28 @@ class GradedMorphism(SuperMorphism):
             if parts and list(parts) != [expected]:  # a zero image has no parts
                 found = str(next(iter(parts))) if len(parts) == 1 else "inhomogeneous"
                 raise MorphismValidationError(name, "weight mismatch", str(expected), found)
+
+
+def _is_variable(f: SuperRational, name: str) -> bool:
+    """f == the variable ``name`` of f's signature, with no product.
+
+    f = N/D with D even and non-zero, so f = v exactly when N = v*D.  D has no
+    odd part, so v*D has no reordering sign: each term c*m of D gives the term
+    c*(v*m), v's exponent in m raised by 1 for an even v, the odd set {v} for an
+    odd one, and distinct m give distinct v*m.  So N = v*D exactly when N has
+    as many terms as D and each shifted term of D is a term of N with its
+    coefficient; differing term counts alone prove v moved.
+    """
+    sig, num, den = f.signature, f.numerator.terms, f.denominator.terms
+    if len(num) != len(den):
+        return False
+    if name in sig.even:
+        i = sig.even.index(name)
+        shifted = {(m.even[:i] + (m.even[i] + 1,) + m.even[i + 1:], ()): c for m, c in den.items()}
+    else:
+        odd = (sig.odd.index(name),)
+        shifted = {(m.even, odd): c for m, c in den.items()}
+    return num == shifted
 
 
 def _check_images_complete(target: SuperSignature, images: dict):
@@ -132,6 +156,11 @@ def compose(second: SuperMorphism, first: SuperMorphism) -> SuperMorphism:
     A -> C with images second*(z) evaluated along first, all of them in one
     ``_substitute``, which packs each image of ``first`` once; an image N/D is
     N's value times the inverse of D's, packed where that is 1 or even and varies.
+    A singular composite, whose D has a value of zero body, raises ``GradedError``.
+    Built unchecked, as ``covering._lift`` builds lifts: evaluation along
+    ``first`` is a homomorphism into functions over A that keeps parity, and
+    weight where both are graded (equivariant), so each variable of C keeps an
+    image of its parity and weight, or 0, as ``second`` gave it.
     """
     if first.target != second.source:
         raise SignatureMismatchError("inner target and outer source signatures differ")
@@ -139,9 +168,9 @@ def compose(second: SuperMorphism, first: SuperMorphism) -> SuperMorphism:
     # parities, which is all that ``SuperRational.substitute`` checks
     images = dict(zip(second.images, _substitute(list(second.images.values()),
                                                  first.images, first.source)))
-    if isinstance(first, GradedMorphism) and isinstance(second, GradedMorphism):
-        return GradedMorphism(first.source, second.target, images)
-    return SuperMorphism(first.source, second.target, images)
+    graded = isinstance(first, GradedMorphism) and isinstance(second, GradedMorphism)
+    return _restore(GradedMorphism if graded else SuperMorphism,
+                    (first.source, second.target, images))
 
 
 def identity_morphism(signature: SuperSignature) -> SuperMorphism:

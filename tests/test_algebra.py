@@ -741,6 +741,31 @@ def test_numeric_evaluation_drops_monomials_whose_value_is_zero():
         (1 / (x - 2)).evaluate_even({"x": 2.0})
 
 
+@pytest.mark.parametrize("point, digits", [(1e300, "601"), (1e200, "400")])
+def test_numeric_evaluation_past_the_float_range_names_the_monomial(point, digits):
+    """x^2 at a float whose square passes the float range: the exact value is
+    known, so a ValueError names the monomial and the value's decimal digits."""
+    sig = pair_signature()
+    x, s1 = (SuperRational.variable(sig, v) for v in ("x", "s1"))
+    assert len(str(int(Fraction(point)) ** 2)) == int(digits)
+    past = rf"past the float range: its exact integer part has {digits} decimal digits"
+    with pytest.raises(ValueError, match="coefficient of 1 is " + past):
+        (x**2).evaluate_even({"x": point})
+    with pytest.raises(ValueError, match="coefficient of s1 is " + past):
+        (x + x**2 * s1).evaluate_even({"x": point})
+    with pytest.raises(ValueError, match="exact integer part has 60,001 decimal digits"):
+        (x**200).evaluate_even({"x": 1e300})
+
+
+def test_numeric_evaluation_near_the_float_range_still_embeds():
+    """x^2 at 1e150 is about 1e300, a float; 1/x^2 at 1e300 has a denominator
+    past the float range, which is far from 0, and its value underflows to 0."""
+    sig = pair_signature()
+    x = SuperRational.variable(sig, "x")
+    assert (x**2).evaluate_even({"x": 1e150}) == {(): complex(int(Fraction(1e150)) ** 2)}
+    assert (1 / x**2).evaluate_even({"x": 1e300}) == {(): 0j}
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(1, math.nan)])
 def test_numeric_evaluation_rejects_coordinates_that_are_not_finite(value):
     sig = pair_signature()

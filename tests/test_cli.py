@@ -838,6 +838,29 @@ def test_broken_lifted_atlas_text_report_is_pinned(tmp_path, capsys):
     )
 
 
+ZERO_RESIDUAL_ATLAS = {  # v's image is zero, so each round trip sends an odd coordinate to 0
+    "charts": {"0": {"even": ["x"], "odd": ["u"]}, "1": {"even": ["y"], "odd": ["v"]}},
+    "transitions": {"0->1": {"y": "1/x", "v": "u*x - u*x"}, "1->0": {"x": "1/y", "u": "v*y"}},
+}
+
+
+def test_a_zero_residual_prints_as_zero(tmp_path, capsys):
+    """On 0->1->0, u's image is 0 over the denominator x that 1/x brought:
+    it prints as 0, as v's does on 1->0->1, in the text and the JSON report."""
+    path = write_json(tmp_path, "zero.json", ZERO_RESIDUAL_ATLAS)
+    assert main(["check-cocycle", path]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  pair on (0->1): round trip is not the identity",
+        "    u = 0",
+        "  pair on (1->0): round trip is not the identity",
+        "    v = 0",
+    ]
+    assert main(["check-cocycle", path, "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [(f["charts"], f["residual"]) for f in report["failures"]] == [
+        (["0", "1"], {"u": "0"}), (["1", "0"], {"v": "0"})]
+
+
 def test_text_lift_atlas_formats_each_image_once(tmp_path, capsys, monkeypatch):
     calls = []
     format_expression = cli.format_expression

@@ -11,11 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from gradedcover import covering
+from gradedcover import covering, expressions, morphisms
 from gradedcover.cli import dump_atlas, load_atlas, main
 from gradedcover import (
     Atlas,
     CoveringError,
+    GradedError,
     GradedMorphism,
     GradedSignature,
     ParityMap,
@@ -659,8 +660,9 @@ BROKEN_REPORT_SHA256 = "d5c3034b29d2ed74af341f3bcae02d41f86419dae081d28a1ce454cc
 
 
 def test_the_broken_benchmark_atlas_report_is_pinned(tmp_path, capsys, monkeypatch):
-    """The report, byte for byte, and one equality test per image of each
-    composite: the residual pass alone decides that a composite fails."""
+    """The report, byte for byte, and one moved-image test per image of each
+    composite, and no equality test: the residual pass alone decides that a
+    composite fails."""
     family, index, group, parity = inputs.BROKEN_BASE
     source = tmp_path / "base.json"
     source.write_text(inputs.atlas_text(family, index))
@@ -675,18 +677,35 @@ def test_the_broken_benchmark_atlas_report_is_pinned(tmp_path, capsys, monkeypat
     assert hashlib.sha256(out.encode()).hexdigest() == BROKEN_REPORT_SHA256
 
     atlas, _, _ = load_atlas(json.loads(broken.read_text()))
-    calls = []
-    eq = SuperRational.__eq__
+    calls, equalities = [], []
+    is_variable, eq = morphisms._is_variable, SuperRational.__eq__
 
-    def counted(self, other):
-        calls.append(other)
+    def counted(f, name):
+        calls.append(name)
+        return is_variable(f, name)
+
+    def counted_eq(self, other):
+        equalities.append(other)
         return eq(self, other)
 
-    monkeypatch.setattr(SuperRational, "__eq__", counted)
+    monkeypatch.setattr(morphisms, "_is_variable", counted)
+    monkeypatch.setattr(SuperRational, "__eq__", counted_eq)
     report = covering._check_cocycle_direct(atlas)
     # the round trips 0->1->0 and 1->0->1, each with the images of chart 0 or 1
     assert [f.charts for f in report.failures] == [("0", "1"), ("1", "0")]
     assert len(calls) == sum(len(atlas.charts[c].even + atlas.charts[c].odd) for c in "01")
+    assert equalities == []
+
+
+def broken_text():
+    """The broken benchmark atlas: lifted P^1 over Z_3 with one image shifted by 1."""
+    lifted = lifted_atlas(*inputs.BROKEN_BASE)
+    m = lifted.transitions[("1", "0")]
+    return inputs.break_lifted(json.dumps(dump_atlas(lifted, m.source.group, m.source.parity)))
+
+
+def broken_atlas():
+    return load_atlas(json.loads(broken_text()))[0]
 
 
 def test_integer_products_and_equality_build_no_fraction():
@@ -699,10 +718,7 @@ def test_integer_products_and_equality_build_no_fraction():
     from gradedcover import Cyclotomic
     from gradedcover.algebra import _packed_product
 
-    lifted = lifted_atlas(*inputs.BROKEN_BASE)
-    m = lifted.transitions[("1", "0")]
-    text = json.dumps(dump_atlas(lifted, m.source.group, m.source.parity))
-    broken, _, _ = load_atlas(json.loads(inputs.break_lifted(text)))
+    broken = broken_atlas()
     watched = {_packed_product.__code__: "terms", Cyclotomic.__eq__.__code__: "eq"}
     # every construction path: __new__, and _from_coprime_ints where it exists
     makers = {getattr(f, "__func__", f).__code__ for name, f in vars(Fraction).items()
@@ -725,9 +741,149 @@ def test_integer_products_and_equality_build_no_fraction():
     finally:
         sys.setprofile(None)
     assert not report.ok
-    # the watch saw both run: 104 products and 100 comparisons at this writing
-    assert entered["terms"] > 100 and entered["eq"] >= 100, entered
+    # the watch saw both run: 94 products and 102 comparisons at this writing
+    assert entered["terms"] > 90 and entered["eq"] >= 100, entered
     assert made == []
+
+
+def direct_composites(atlas):
+    """The composites whose residual the direct check of ``atlas`` takes, in
+    order: each self-transition, round trip and triple that is not singular."""
+    seen, residual = [], covering._residual
+
+    def spy(m):
+        seen.append(m)
+        return residual(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covering, "_residual", spy)
+        covering._check_cocycle_direct(atlas)
+    return seen
+
+
+def assert_moved_agrees(m) -> list[str]:
+    """``_moved`` names exactly the variables whose image does not equal them."""
+    sig = m.source
+    want = [n for n in sig.even + sig.odd if m.images[n] != SuperRational.variable(sig, n)]
+    assert list(m._moved()) == want
+    return want
+
+
+def test_the_moved_image_test_agrees_with_equality_on_lift_composites():
+    for lift in LIFTS:
+        composites = direct_composites(lifted_atlas(*lift))
+        assert composites, lift
+        for m in composites:
+            assert assert_moved_agrees(m) == []
+
+
+def test_the_moved_image_test_agrees_with_equality_on_failing_composites():
+    """The perturbed lifted atlases, and the broken benchmark atlas, whose
+    report names exactly the moved images."""
+    moved = 0
+    for lift in PERTURBED:
+        for perturb in PERTURBATIONS:
+            for m in direct_composites(perturb(lifted_atlas(*lift))):
+                moved += len(assert_moved_agrees(m))
+    assert moved > 0
+    atlas = broken_atlas()
+    composites = direct_composites(atlas)
+    report = covering._check_cocycle_direct(atlas)
+    assert [assert_moved_agrees(m) for m in composites] == [
+        sorted(f.residual, key=m.source.even.index) for f, m in zip(report.failures, composites)]
+
+
+def test_the_moved_image_test_on_chosen_images():
+    """Zero images, odd variables, and images with as many terms as their
+    denominators that are not the variable: another variable's shift, another
+    coefficient, or odd content in the image of an even variable."""
+    sig = SuperSignature(even=["x", "y"], odd=["u", "w"])
+    x, y, u, w = (SuperRational.variable(sig, n) for n in ("x", "y", "u", "w"))
+    z, zero = root_of_unity(3, 1), SuperRational.zero(sig)
+
+    def q(num, den):  # num/den as written, with no common factor cancelled
+        return SuperRational(num.numerator, den.numerator)
+
+    cases = [
+        ("x", x, True), ("u", u, True), ("x", q(x * x, x), True), ("u", q(u * x, x), True),
+        ("x", q(x * y + x, y + 1), True), ("u", q(u * y + u, y + 1), True),
+        ("x", q(z * x * y + x, z * y + 1), True), ("w", q(z * w * x + w, z * x + 1), True),
+        ("x", zero, False), ("u", zero, False), ("y", q(zero, x + 1), False),
+        ("x", y, False), ("y", x, False), ("u", w, False), ("w", u, False), ("u", u * x, False),
+        ("x", 2 * x, False), ("u", -u, False), ("x", SuperRational.one(sig), False),
+        ("x", q(y * y + y, y + 1), False), ("y", q(x * y + x, y + 1), False),
+        ("u", q(w * y + w, y + 1), False), ("w", q(u * x + u, x + 1), False),
+        ("x", q(2 * x * y + x, y + 1), False), ("u", q(u * y + 2 * u, y + 1), False),
+        ("x", q(x * y + u * w, y + 1), False), ("x", q(z * x * y + x, y + 1), False),
+        ("x", q(x * y + x + 1, y + 1), False), ("x", q(x * y, y + 1), False),
+    ]
+    for name, f, want in cases:
+        assert morphisms._is_variable(f, name) is want, (name, f)
+        assert (f == SuperRational.variable(sig, name)) is want, (name, f)
+
+
+def test_a_shared_composite_denominator_renders_once(tmp_path, capsys, monkeypatch):
+    """The three images of chain 1->0->1 of the broken benchmark atlas share
+    one denominator object; its residual renders it once, and the report's
+    bytes are the pinned ones."""
+    atlas = broken_atlas()
+    back = compose(atlas.transitions[("0", "1")], atlas.transitions[("1", "0")])
+    (den,) = {id(img.denominator): img.denominator for img in back.images.values()}.values()
+    assert len(back.images) == 3 and den.as_constant() is None
+    rendered, template = [], expressions._template
+
+    def spy(poly, n):
+        rendered.append(poly.terms)
+        return template(poly, n)
+
+    monkeypatch.setattr(expressions, "_template", spy)
+    residual = covering._residual(back)
+    assert sorted(residual) == sorted(back.images)
+    assert sum(terms is den.terms for terms in rendered) == 1
+    broken = tmp_path / "broken.json"
+    broken.write_text(broken_text())
+    assert main(["check-cocycle", str(broken), "--json"]) == 1
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == BROKEN_REPORT_SHA256
+
+
+def test_composites_pass_their_checked_constructors(monkeypatch):
+    """``compose`` builds its composite unchecked: each composite made while
+    plain, lifted and perturbed atlases are lifted and checked, and each
+    composite of ``lift_super`` lifts, passes ``SuperMorphism`` or, where both
+    factors are graded, ``GradedMorphism``, with equal images."""
+    made, checked_compose = [], morphisms.compose
+
+    def spy(second, first):
+        made.append(checked_compose(second, first))
+        return made[-1]
+
+    monkeypatch.setattr(covering, "compose", spy)
+    for atlas in (projective_line_atlas(), three_chart_polynomial_atlas()):
+        covering._check_cocycle_direct(atlas)
+    for lift in PERTURBED:
+        atlas = lifted_atlas(*lift)  # composes each base transition with a projection
+        check_cocycle(atlas)  # and with p_A in descent
+        covering._check_cocycle_direct(atlas)
+        covering._check_cocycle_direct(plus_one(atlas))
+        base, _, _ = load_atlas(json.loads(inputs.atlas_text(*lift[:2])))
+        group = parse_group_spec(lift[2])
+        parity = parse_parity_spec(group, lift[3])
+        lifts = {key: lift_super(psi, group, parity) for key, psi in base.transitions.items()}
+        made.extend(compose(lifts[b, a], m) for (a, b), m in lifts.items() if (b, a) in lifts)
+    assert {type(m) for m in made} == {SuperMorphism, GradedMorphism}
+    for m in made:
+        again = type(m)(m.source, m.target, m.images)
+        assert again == m and list(again.images) == list(m.images)
+
+
+def test_a_singular_composite_still_raises():
+    """Lifted P^1's 1->0 after the zero map, plain and graded."""
+    atlas = lifted_atlas("P1", 0, "3", "0")
+    m = atlas.transitions[("0", "1")]
+    zero = {name: SuperRational.zero(m.source) for name in m.images}
+    for kind in (SuperMorphism, GradedMorphism):
+        with pytest.raises(GradedError, match="not invertible"):
+            compose(atlas.transitions[("1", "0")], kind(m.source, m.target, zero))
 
 
 def test_non_covering_atlases_take_the_direct_path():
