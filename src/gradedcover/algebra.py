@@ -76,8 +76,9 @@ class SuperSignature(_Frozen):
     __slots__ = ("even", "odd")
 
     def __init__(self, even: Sequence[str] = (), odd: Sequence[str] = ()):
-        even = tuple(even)
-        odd = tuple(odd)
+        if isinstance(even, str) or isinstance(odd, str):  # "x1" would declare x and 1
+            raise ValueError(f"even and odd must be sequences of names, got {even!r}, {odd!r}")
+        even, odd = tuple(even), tuple(odd)
         names = even + odd
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
@@ -114,8 +115,9 @@ class GradedSignature(SuperSignature):
     ):
         if parity.group != group:
             raise ValueError("parity map belongs to a different group")
-        even = tuple(even)
-        odd = tuple(odd)
+        if isinstance(even, str) or isinstance(odd, str):
+            raise ValueError(f"even and odd must be sequences of pairs, got {even!r}, {odd!r}")
+        even, odd = tuple(even), tuple(odd)
         super().__init__(tuple(n for n, _ in even), tuple(n for n, _ in odd))
         for name, w in even + odd:
             if w.group != group:
@@ -146,13 +148,6 @@ class GradedSignature(SuperSignature):
         if name in self.odd:
             return self.odd_weights[self.odd.index(name)]
         raise KeyError(name)
-
-    def dimension_vector(self) -> dict[Character, int]:
-        """Number of variables per weight."""
-        dims: dict[Character, int] = {}
-        for w in self.even_weights + self.odd_weights:
-            dims[w] = dims.get(w, 0) + 1
-        return dims
 
     def __repr__(self):
         ev = [f"{n}:{w}" for n, w in zip(self.even, self.even_weights)]
@@ -584,11 +579,6 @@ class SuperPolynomial(_Frozen):
             return seen.pop()
         return None
 
-    def monomial_weight(self, mono: SuperMonomial) -> Character:
-        """The product of the variables' weights."""
-        sig = _graded(self.signature)
-        return Character(sig.group, _residues(sig, mono))
-
     def termwise_weight(self) -> Character | None:
         """The common weight of all monomials, or None if they disagree."""
         sig = _graded(self.signature)
@@ -597,10 +587,6 @@ class SuperPolynomial(_Frozen):
         if first is None or any(r != first for r in residues):
             return None
         return Character(sig.group, first)
-
-    def weight_components(self) -> dict[Character, "SuperPolynomial"]:
-        """Split termwise by monomial weight; keys in lex residue order."""
-        return dict(_split(_graded(self.signature), self.terms, None))
 
     def act(self, g: GroupElement) -> "SuperPolynomial":
         """Rescale every variable by the value of its weight at g."""
@@ -822,9 +808,6 @@ class SuperRational(_Frozen):
             raise ValueError("the zero function has no weight")
         parts = self.decompose()
         return next(iter(parts)) if len(parts) == 1 else None
-
-    def is_homogeneous(self, chi: Character) -> bool:
-        return self.is_zero() or self.weight() == chi
 
     def decompose(self) -> dict[Character, "SuperRational"]:
         """Split into homogeneous components; zero components are omitted.

@@ -369,13 +369,6 @@ class Cyclotomic(_Frozen):
             return self.inverse() ** (-exponent)
         return _power(self, exponent, Cyclotomic.from_rational(1))
 
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation, the Galois map z -> z^(N-1)."""
-        n = self.conductor
-        if n <= 2:
-            return self
-        return Cyclotomic._raw(_spread(self.num, n - 1, n), self.den, n)
-
     # -- predicates and views ------------------------------------------
 
     def is_zero(self) -> bool:
@@ -383,11 +376,6 @@ class Cyclotomic(_Frozen):
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("value is not rational")
-        return Fraction(self.num[0], self.den)
 
     def embed(self) -> complex:
         """Numeric image under zeta_N -> exp(2*pi*i/N)."""
@@ -412,7 +400,7 @@ class Cyclotomic(_Frozen):
         return not self.is_zero()
 
     def __repr__(self):
-        return f"Cyclotomic({list(self.coeffs)!r}, conductor={self.conductor})"
+        return f"Cyclotomic(num={self.num!r}, den={self.den}, conductor={self.conductor})"
 
     def __str__(self):
         # Polynomial in z (z = i for conductor 4), tagged with the conductor.

@@ -30,8 +30,10 @@ class FiniteAbelianGroup:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(int(q) for q in self.factors))
+        object.__setattr__(self, "factors", tuple(self.factors))
         for q in self.factors:
+            if not isinstance(q, int):
+                raise ValueError(f"cyclic factor orders must be ints, got {q!r}")
             if q < 2:
                 raise ValueError(f"cyclic factor orders must be >= 2, got {q}")
 
@@ -48,7 +50,9 @@ class FiniteAbelianGroup:
         return len(self.factors)
 
     def _canon(self, residues: Sequence[int]) -> tuple[int, ...]:
-        residues = tuple(int(r) for r in residues)
+        residues = tuple(residues)
+        if not all(isinstance(r, int) for r in residues):
+            raise ValueError(f"residues must be ints, got {residues!r}")
         if len(residues) != len(self.factors):
             raise ValueError(
                 f"residue tuple of length {len(residues)} for a group of rank {len(self.factors)}"
@@ -60,10 +64,6 @@ class FiniteAbelianGroup:
 
     def character(self, residues: Sequence[int]) -> "Character":
         return Character(self, self._canon(residues))
-
-    @property
-    def identity(self) -> "GroupElement":
-        return GroupElement(self, (0,) * len(self.factors))
 
     @property
     def identity_character(self) -> "Character":
@@ -167,14 +167,14 @@ class ParityMap:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+        object.__setattr__(self, "bits", tuple(self.bits))
         if len(self.bits) != len(self.group.factors):
             raise ValueError(
                 f"{len(self.bits)} parity bits for a group of rank {len(self.group.factors)}"
             )
         for q, b in zip(self.group.factors, self.bits):
-            if b not in (0, 1):
-                raise ValueError(f"parity bits must be 0 or 1, got {b}")
+            if not isinstance(b, int) or b not in (0, 1):
+                raise ValueError(f"parity bits must be 0 or 1, got {b!r}")
             if b and q % 2:
                 raise ValueError(
                     f"parity bit set over odd cyclic factor Z_{q}: not a homomorphism"

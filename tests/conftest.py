@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 from gradedcover import (
+    Character,
     FiniteAbelianGroup,
     GradedSignature,
     ParityMap,
@@ -185,10 +186,28 @@ def cofactor_terms(terms, js, p):
                              n, codec)
 
 
+def entries(c) -> tuple[Fraction, ...]:
+    """A ``Cyclotomic``'s power-basis entries ``num[k]/den``, as Fractions."""
+    return tuple(Fraction(x, c.den) for x in c.num)
+
+
+def nested_residue_weight(sig, mono) -> Character:
+    """A monomial's weight by the nested residue loop the per-factor rows replace."""
+    acc = [0] * sig.group.rank
+    for i, e in enumerate(mono.even):
+        if e:
+            for t, r in enumerate(sig.even_weights[i].residues):
+                acc[t] += e * r
+    for j in mono.odd:
+        for t, r in enumerate(sig.odd_weights[j].residues):
+            acc[t] += r
+    return Character(sig.group, tuple(a % q for a, q in zip(acc, sig.group.factors)))
+
+
 def reference_components(f) -> dict:
     """``decompose`` of f by the route the packed pass replaced: the tower's
     cofactors unpacked, the numerator times each in turn (``reduce(mul, ...)``),
-    and the product split termwise by ``monomial_weight``; over a termwise
+    and the product split termwise by ``nested_residue_weight``; over a termwise
     homogeneous D of weight d, N alone split, each weight over d."""
     sig, den = f.signature, f.denominator
     d = den.termwise_weight()
@@ -200,7 +219,7 @@ def reference_components(f) -> dict:
         num, normed, shift = f.numerator, den, d.inverse()
     parts: dict = {}
     for mono, c in num.terms.items():
-        parts.setdefault(num.monomial_weight(mono) * shift, {})[mono] = c
+        parts.setdefault(nested_residue_weight(sig, mono) * shift, {})[mono] = c
     return {chi: SuperRational._of(SuperPolynomial._raw(sig, parts[chi]), normed)
             for chi in sorted(parts, key=lambda chi: chi.residues)}
 

@@ -34,7 +34,7 @@ from gradedcover.cli import dump_atlas, load_atlas, parse_graded_signature
 from gradedcover.covering import lift_atlas
 from gradedcover.expressions import _END, MAX_NESTING, MEMO_SPAN, _Reader
 from gradedcover.expressions import parse_residues, parse_var_name
-from conftest import NINES, SOUP_TOKENS, random_group, random_parity, random_rational
+from conftest import NINES, SOUP_TOKENS, entries, random_group, random_parity, random_rational
 from conftest import random_signature, unpacked_tower
 from reference_parser import _Parser, _kind, reference_parse_expression
 
@@ -427,7 +427,7 @@ def reference_parse(text, signature):
 
 
 def _items(poly):
-    return [(mono, c.conductor, c.coeffs) for mono, c in poly.terms.items()]
+    return [(mono, c.conductor, entries(c)) for mono, c in poly.terms.items()]
 
 
 def evaluation(parse, text, signature):

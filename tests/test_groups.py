@@ -17,6 +17,7 @@ from gradedcover import (
     parse_parity_spec,
     root_of_unity,
 )
+from conftest import entries
 
 
 def test_make_group_examples():
@@ -36,6 +37,18 @@ def test_make_group_rejects_bad_factors():
     with pytest.raises(ValueError):
         make_group([2] * 13)  # order 8192 > the bound
     assert make_group([2] * 12).order == 4096  # at the bound
+    # a value that is not an int is refused by name, not truncated
+    for bad, text in (([2.9, 4.2], "2.9"), ([2, "3"], "'3'"), ([4.0], "4.0")):
+        with pytest.raises(ValueError, match=f"cyclic factor orders must be ints, got {text}"):
+            make_group(bad)
+    g = make_group([2, 4])
+    assert g.factors == (2, 4) and type(g.factors) is tuple
+    for build in (g.element, g.character):
+        for bad in ((1.9, 3.7), ("1", "2"), (1, 2.0)):
+            with pytest.raises(ValueError, match=r"residues must be ints, got \("):
+                build(bad)
+        assert build([5, -1]).residues == (1, 3)  # ints reduce as before
+        assert build(r for r in (1, 2)).residues == (1, 2)
 
 
 def test_enumeration_is_lexicographic():
@@ -170,6 +183,11 @@ def test_parity_map_rejects_odd_factor_bits():
         ParityMap(make_group([2, 9]), (0, 1))
     with pytest.raises(ValueError):
         ParityMap(make_group([2]), (1, 0))
+    g = make_group([2, 4])
+    for bad, text in (((0.6, 1), "0.6"), ((0, 1.0), "1.0"), ((0, "1"), "'1'"), ((2, 0), "2")):
+        with pytest.raises(ValueError, match=f"parity bits must be 0 or 1, got {text}$"):
+            ParityMap(g, bad)
+    assert ParityMap(g, [True, 0]).bits == (1, 0)  # a bool is an int, as before
 
 
 def test_parity_is_a_homomorphism():
@@ -228,7 +246,7 @@ def test_elements_and_characters_keep_their_types(pair):
 @given(residue_pairs(), st.integers(-30, 30))
 def test_powers_are_repeated_products(pair, k):
     group, r, _ = pair
-    for x, identity in [(group.element(r), group.identity),
+    for x, identity in [(group.element(r), group.element((0,) * group.rank)),
                         (group.character(r), group.identity_character)]:
         expected = identity
         for _ in range(abs(k)):
@@ -247,7 +265,7 @@ def test_character_exponent_gives_its_value():
                 e = chi.exponent_at(g)
                 assert 0 <= e < n
                 value = chi(g)
-                assert value.conductor == n and value.coeffs == root_of_unity(n, e).coeffs
+                assert value.conductor == n and entries(value) == entries(root_of_unity(n, e))
                 # the module docstring's product of one root per cyclic factor
                 expected = Cyclotomic.from_rational(1)
                 for k, x, q in zip(chi.residues, g.residues, factors):
