@@ -53,6 +53,8 @@ one never equals a graded one; polynomials and quotients compare by value.
 from __future__ import annotations
 
 import cmath
+import functools
+import re
 from fractions import Fraction
 from itertools import chain
 from math import comb, gcd, lcm
@@ -61,13 +63,18 @@ from typing import Mapping, NamedTuple, Sequence, Union
 
 from .cyclotomic import (MAX_CONDUCTOR, Cyclotomic, _conductor, _Frozen, _power,
                          _prime_factors, _reduce, _reducer, root_of_unity)
-from .errors import NormSizeError, NotInvertibleError, SignatureMismatchError
+from .errors import NormSizeError, NotInvertibleError, SignatureMismatchError, _quoted
 from .groups import Character, FiniteAbelianGroup, GroupElement, ParityMap
 
 Scalar = Union[int, Fraction, Cyclotomic]
 
 EVEN = 0
 ODD = 1
+
+_IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"  # a variable name up to its weight suffix
+# a name that reads back as itself: a weight suffix as ``_Residues.__str__`` writes it
+_VARIABLE_NAME = re.compile(
+    rf"{_IDENTIFIER}(?:@\((?:(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*)?\))?")
 
 
 class SuperSignature(_Frozen):
@@ -80,6 +87,10 @@ class SuperSignature(_Frozen):
             raise ValueError(f"even and odd must be sequences of names, got {even!r}, {odd!r}")
         even, odd = tuple(even), tuple(odd)
         names = even + odd
+        for name in names:  # each reads back as itself, where "i" and "zeta" are numbers
+            if type(name) is not str or name in ("i", "zeta") or not _VARIABLE_NAME.fullmatch(name):
+                raise ValueError(f"variable name {_quoted(str(name))} is not an identifier "
+                                 f"other than i and zeta, with an optional suffix @(k1,...,kt)")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
         object.__setattr__(self, "even", even)
@@ -209,10 +220,13 @@ def _odd_sign(ma: int, mb: int) -> int:
     return -1 if flips & 1 else 1
 
 
-# Monomials one codec's memo keeps, and codecs kept; full ones are cleared.
-_MEMO_BOUND = 8192
-_CODEC_BOUND = 16
-_CODECS: dict[tuple[int, int], "_Codec"] = {}
+_MEMO_BOUND = 8192  # monomials one codec's memo keeps; a full memo is cleared
+
+
+@functools.lru_cache(maxsize=_MEMO_BOUND)
+def _odd_indices(mask: int) -> tuple[int, ...]:
+    """The ascending odd indices of a bitmask, one tuple per mask."""
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 class _Codec:
@@ -227,14 +241,13 @@ class _Codec:
     tuples by even key and odd tuples by mask.
     """
 
-    __slots__ = ("width", "zshift", "shift", "field", "shifts", "memo", "odds")
+    __slots__ = ("width", "zshift", "shift", "field", "shifts", "memo")
 
     def __init__(self, n_even: int, width: int):
         self.width, self.zshift, self.field = width, n_even * width, (1 << width) - 1
         self.shift = self.zshift + width
         self.shifts = [i * width for i in range(n_even)]
         self.memo: dict[int, SuperMonomial] = {}
-        self.odds: dict[int, tuple[int, ...]] = {}
 
     def pack(self, m: SuperMonomial) -> int:
         """The key of a monomial times z^0; ``key >> shift`` is its odd mask."""
@@ -249,14 +262,11 @@ class _Codec:
         if m is None:
             if len(self.memo) >= _MEMO_BOUND:
                 self.memo.clear()
-                self.odds.clear()
             mask, field = key >> self.shift, self.field
             base = self.memo.get(key ^ mask << self.shift)  # the even part's monomial
-            odd = self.odds.get(mask)
-            if odd is None:
-                odd = self.odds[mask] = tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
             m = self.memo[key] = SuperMonomial(
-                tuple([key >> s & field for s in self.shifts]) if base is None else base.even, odd
+                tuple([key >> s & field for s in self.shifts]) if base is None else base.even,
+                _odd_indices(mask),
             )
         return m
 
@@ -264,14 +274,11 @@ class _Codec:
 def _codec(n_even: int, top: int) -> _Codec:
     """The codec of ``n_even`` fields and z's that hold exponents up to
     ``top``, rounded up to whole bytes, so that products over one signature
-    mostly share one codec and its memo."""
-    layout = n_even, -(-top.bit_length() // 8) * 8
-    codec = _CODECS.get(layout)
-    if codec is None:
-        if len(_CODECS) >= _CODEC_BOUND:
-            _CODECS.clear()
-        codec = _CODECS[layout] = _Codec(*layout)
-    return codec
+    mostly share one codec and its memo; the 16 layouts last used keep theirs."""
+    return _codec_of(n_even, -(-top.bit_length() // 8) * 8)
+
+
+_codec_of = functools.lru_cache(maxsize=16)(_Codec)
 
 
 def _odd_rows(keys_a, items_b, shift: int) -> dict[int, list]:
@@ -506,7 +513,7 @@ class SuperPolynomial(_Frozen):
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)  # NotImplemented where __sub__ gives it
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):

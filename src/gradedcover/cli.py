@@ -134,10 +134,10 @@ def _morphism_from_json(mapping, where: str, source, target) -> SuperMorphism:
 
 def _grading(data: dict) -> tuple[FiniteAbelianGroup, ParityMap]:
     """The ``group`` and ``parity`` of a JSON file, the parity all-zero bits
-    when it is absent."""
+    when it is absent or empty, as the flag ``--parity ""`` reads."""
     spec = _expect(data.get("group"), (str, int), "group", 'a group spec like "2x2"')
     group = parse_group_spec(str(spec))
-    return group, parse_parity_spec(group, str(data.get("parity", "0" * group.rank)))
+    return group, parse_parity_spec(group, str(data.get("parity", "")).strip() or "0" * group.rank)
 
 
 def load_atlas(data: dict):

@@ -14,7 +14,9 @@ conductor of a value, which printing uses when the group's field does not
 hold it, and equality when the conductors differ.
 
 A root zeta_N^k is z^(k mod N) reduced modulo Phi_N, an integer vector
-over 1, cached per (N, k mod N): one reduction per root, no table of all N.
+over 1: one reduction per root, no table of all N.  Phi_N, the lower terms
+``_reduce`` takes from it, and each root are ``functools.cache``d, unbounded,
+by N and by (N, k mod N), past the public functions' argument checks.
 ``_reduce`` takes and returns ints, padding with int 0.  ``inverse`` runs
 Euclid on (Phi_N, num) over Z with ``cyclotomic_polynomial``'s pseudo-division:
 each dividend is scaled once, so every step divides exactly, and each remainder
@@ -29,6 +31,7 @@ without running a checked constructor again.
 from __future__ import annotations
 
 import cmath
+import functools
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, sub
@@ -39,14 +42,6 @@ from .errors import GradedError
 Rational = Union[int, Fraction]
 
 MAX_CONDUCTOR = 65536  # zeta(251,1)*zeta(257,1), at 64,507, takes about 0.3 s on a 2-core VM
-
-# Filled lazily, keyed by conductor and by (order, exponent mod order).
-# Concurrent first access is safe: every thread computes the same
-# immutable tuple and dict item assignment is atomic, so a duplicated
-# fill is idempotent.
-_CYCLOTOMIC_POLY: dict[int, tuple[int, ...]] = {}
-_REDUCERS: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
-_ROOTS: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
 class _Frozen:
@@ -122,29 +117,27 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending degree, monic: Phi_m(x^p) if p | m,
-    else Phi_m(x^p) / Phi_m(x), for m = n/p and p a repeated prime factor
-    of n if it has one, else its largest, which keeps the division small."""
+    """Coefficients of Phi_n, ascending degree, monic."""
     if n < 1:
         raise ValueError(f"conductor must be >= 1, got {n}")
-    cached = _CYCLOTOMIC_POLY.get(n)
-    if cached is not None:
-        return cached
+    return _cyclotomic_polynomial(n)
+
+
+@functools.cache
+def _cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Phi_n for n >= 1: Phi_m(x^p) if p | m, else Phi_m(x^p) / Phi_m(x),
+    which divides exactly, for m = n/p and p a repeated prime factor of n
+    if it has one, else its largest, which keeps the division small."""
     if n == 1:
-        poly: tuple[int, ...] = (-1, 1)
-    else:
-        primes = _prime_factors(n)
-        p = next((q for q in primes if n % (q * q) == 0), primes[-1])
-        base = cyclotomic_polynomial(n // p)
-        stretched = [0] * ((len(base) - 1) * p + 1)
-        stretched[::p] = base
-        if n % (p * p) != 0:
-            stretched, rem = _pseudodivmod(stretched, base)
-            if any(rem):
-                raise ArithmeticError("non-exact polynomial division")
-        poly = tuple(stretched)
-    _CYCLOTOMIC_POLY[n] = poly
-    return poly
+        return (-1, 1)
+    primes = _prime_factors(n)
+    p = next((q for q in primes if n % (q * q) == 0), primes[-1])
+    base = _cyclotomic_polynomial(n // p)
+    stretched = [0] * ((len(base) - 1) * p + 1)
+    stretched[::p] = base
+    if n % (p * p) != 0:
+        stretched = _pseudodivmod(stretched, base)[0]
+    return tuple(stretched)
 
 
 def euler_phi(n: int) -> int:
@@ -155,13 +148,12 @@ def euler_phi(n: int) -> int:
     return n
 
 
+@functools.cache
 def _reducer(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(phi(n), Phi_n's non-zero lower coefficients as (offset from the top, value))."""
-    if n not in _REDUCERS:
-        phi_n = cyclotomic_polynomial(n)
-        deg = len(phi_n) - 1
-        _REDUCERS[n] = (deg, tuple((j - deg, d) for j, d in enumerate(phi_n[:deg]) if d))
-    return _REDUCERS[n]
+    phi_n = cyclotomic_polynomial(n)
+    deg = len(phi_n) - 1
+    return deg, tuple((j - deg, d) for j, d in enumerate(phi_n[:deg]) if d)
 
 
 def _reduce(coeffs: list, n: int) -> tuple:
@@ -420,12 +412,13 @@ def root_of_unity(n: int, k: int) -> Cyclotomic:
     """Exact zeta_N^k, the remainder of z^(k mod N) modulo Phi_N."""
     if n < 1:
         raise ValueError(f"order of the root must be >= 1, got {n}")
-    key = (n, k % n)
-    num = _ROOTS.get(key)
-    if num is None:
-        vec = [0] * key[1] + [1]
-        num = _ROOTS[key] = _reduce(vec, n)
-    return Cyclotomic._raw(num, 1, n)
+    return Cyclotomic._raw(_root(n, k % n), 1, n)
+
+
+@functools.cache
+def _root(n: int, k: int) -> tuple[int, ...]:
+    """z^k modulo Phi_n for 0 <= k < n."""
+    return _reduce([0] * k + [1], n)
 
 
 def _spread(num: tuple[int, ...], step: int, n: int) -> tuple[int, ...]:
@@ -473,11 +466,8 @@ def _basis_pieces(num: Sequence[int], den: int, root) -> list[str]:
 
 
 def _join_signed(pieces: list[str]) -> str:
-    """Signed pieces joined as a sum: "a", "-b" give "a - b"."""
-    text = pieces[0]
-    for p in pieces[1:]:
-        text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return text
+    """Signed pieces as a sum, "a", "-b" as "a - b"; no piece holds " + -", as this joins sums."""
+    return " + ".join(pieces).replace(" + -", " - ")
 
 
 # -- polynomial helpers for products and the inverse -----------------

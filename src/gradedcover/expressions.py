@@ -17,7 +17,7 @@ is, then the first grammar error; an arithmetic failure is held while the
 rest is read for syntax only, so ``1/0 )`` is an ``ExprSyntaxError``.  A
 run of atoms (integers, ``i``, ``zeta(N,k)`` and identifiers, each to its
 power and negated) joined by "*", or by "/" before an integer or a root,
-folds into one exponent list, one odd index list with its sign, one
+folds into one exponent list, one odd bitmask with its sign, one
 rational and one root zeta_N^k (to the e, zeta_N^(k*e mod N)), built as
 one term.  A polynomial is a dict of terms that only the reader holds, a
 sum adds each term into its left dict in place, and any other arithmetic
@@ -47,17 +47,16 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from bisect import bisect_left, insort
 from math import comb, gcd, lcm
 
 from .algebra import GradedSignature, SuperMonomial, SuperPolynomial, SuperRational, SuperSignature
-from .algebra import _accumulate
+from .algebra import _IDENTIFIER, _accumulate, _odd_indices, _odd_sign
 from .cyclotomic import Cyclotomic, _basis_pieces, _conductor, _join_signed, _power, euler_phi
 from .cyclotomic import root_of_unity
 from .errors import ExprSyntaxError, _quoted
 from .groups import DEFAULT_ORDER_BOUND
 
-_TOKEN = r"[-+*/^(),]|\d+|[A-Za-z_][A-Za-z0-9_]*(?:@(?:\(\s*\d+(?:\s*,\s*\d+)*\s*\)|\d+))?"
+_TOKEN = rf"[-+*/^(),]|\d+|{_IDENTIFIER}(?:@(?:\(\s*\d+(?:\s*,\s*\d+)*\s*\)|\d+|\(\)))?"
 _TOKEN_RE = re.compile(rf"\s*({_TOKEN})")  # the next token, past its whitespace
 _LEXABLE_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")  # the longest run of tokens from a position
 _OPERATORS = frozenset("-+*/^(),")
@@ -174,7 +173,7 @@ def _built(fold: list, negative: bool = False) -> tuple:
     if order > 1:
         root = root_of_unity(order, power)
         c = root if c == 1 else root * c
-    return SuperMonomial(tuple(even), tuple(odd)), c
+    return SuperMonomial(tuple(even), _odd_indices(odd) if odd else ()), c
 
 
 class _Reader:
@@ -258,7 +257,7 @@ class _Reader:
 
     def term(self):
         """A product: a ``fold`` (a list) while its factors fold, then a value."""
-        fold, value, op, at = [[0] * self.width, [], 1, 1, 1, 0], None, None, None
+        fold, value, op, at = [[0] * self.width, 0, 1, 1, 1, 0], None, None, None
         while True:
             negations = 0
             while self.tok == "-":
@@ -337,7 +336,8 @@ class _Reader:
         if self.failure is not None:
             return None
         try:
-            name = parse_var_name(tok)[0]  # a residue too long to read as an int fails
+            # "x@()", the trivial group's weight, is canonical; a too long residue fails
+            name = tok if tok.endswith("()") else parse_var_name(tok)[0]
             if name not in self.signature.even and name not in self.signature.odd:
                 raise ValueError(f"unknown identifier {_quoted(tok)}")
         except ValueError as exc:
@@ -361,7 +361,7 @@ class _Reader:
         return value
 
     def fold(self, fold: list, op: str, at: int | None, atom, exponent, caret, negations) -> bool:
-        """Multiply ``fold`` = [exponents, odd indices, p, q, order, power] by a
+        """Multiply ``fold`` = [exponents, odd mask, p, q, order, power] by a
         factor in place, ``_bounded`` at ``at``; False, ``fold`` unchanged, for
         a zero product, a value in parentheses, or a divisor that is 1 or not
         an integer or a root."""
@@ -372,10 +372,10 @@ class _Reader:
             if not atom.odd:
                 even[atom.even.index(1)] += 1 if exponent is None else exponent
             elif exponent != 0:
-                if (j := atom.odd[0]) in odd or exponent is not None and exponent > 1:
+                sign = _odd_sign(odd, bit := 1 << atom.odd[0]) if exponent in (None, 1) else 0
+                if not sign:
                     return False  # zero
-                negations += len(odd) - bisect_left(odd, j)  # j passes each index above it
-                insort(odd, j)
+                fold[1], negations = odd | bit, negations + (sign < 0)
             fold[2] = -p if negations & 1 else p
             return True
         if type(atom) is int and atom:
@@ -408,7 +408,7 @@ class _Reader:
     def operand(self, atom, exponent, caret, negations):
         """A factor's value: a folded term's one-entry dict, else the value in
         parentheses, or {} for 0 or an odd square, to its power and negated."""
-        fold = [[0] * self.width, [], 1, 1, 1, 0]
+        fold = [[0] * self.width, 0, 1, 1, 1, 0]
         if self.fold(fold, "*", None, atom, exponent, caret, negations):
             return dict((_built(fold),))
         value = {} if type(atom) in (SuperMonomial, int) else atom
@@ -485,14 +485,12 @@ def _template(poly: SuperPolynomial, n: int) -> str:
                 coeff = "" if c.num[0] == 1 else "-"
             else:
                 coeff = str(c.num[0]) if c.den == 1 else f"{c.num[0]}/{c.den}"
-            text = f"{coeff}*{body}" if body and coeff not in ("", "-") else coeff + body
-            parts.append(f" - {text[1:]}" if parts and text[0] == "-" else
-                         f" + {text}" if parts else text)
+            parts.append(f"{coeff}*{body}" if body and coeff not in ("", "-") else coeff + body)
     except ValueError:  # the interpreter refuses to turn a longer int into text
         long = any(e >= _DIGIT_LIMIT for mono in poly.terms for e in mono.even)
         raise ValueError(f"printing the result: {'an exponent' if long else 'a coefficient'} "
                          f"has more than {MAX_COEFFICIENT_DIGITS} digits") from None
-    return "".join(parts)
+    return _join_signed(parts)
 
 
 def format_expression(f: SuperRational | SuperPolynomial, texts: dict | None = None) -> str:

@@ -737,14 +737,22 @@ def test_lift_file_without_parity_lifts_with_zero_bits(tmp_path, capsys):
     even = {"group": "3", "source": {"even": ["x"]}, "target": {"even": ["y"]},
             "map": {"y": "1/x"}}
     outs = []
-    for data in (even, dict(even, parity="0")):
+    for data in (even, dict(even, parity="0"), dict(even, parity="")):
         assert main(["lift", write_json(tmp_path, "psi.json", data), "--json"]) == 0
         outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
     # odd coordinates have no odd-parity copies under zero bits, as with "parity": "0"
     odd = {k: v for k, v in SUPER_MORPHISM.items() if k != "parity"}
     assert main(["lift", write_json(tmp_path, "odd.json", odd)]) == 1
     assert "no odd-parity weights" in capsys.readouterr().err
+
+
+def test_an_atlas_file_with_an_empty_parity_lifts_with_zero_bits(tmp_path, capsys):
+    outs = []
+    for data in (dict(CP1_ATLAS, group="3"), dict(CP1_ATLAS, group="3", parity="")):
+        assert main(["lift-atlas", write_json(tmp_path, "atlas.json", data), "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 ACT_Z4 = ["act", "--group", "4", "--even", "x@0,y@1", "--expr", "x@0 + y@1"]
@@ -896,13 +904,22 @@ USAGE_ERRORS = [
      dict(CP1_ATLAS, group="2", charts={"0": {"even": ["x@0", "x@1"]}, "1": {"even": ["y@0"]}},
           transitions={"0->0": {"x@1": "x@1", "x@0": "x@0", "x@(1)": "x@(1)"}}),
      "transitions.0->0: keys 'x@1' and 'x@(1)' name one variable"),
+    # "i" and "zeta" read as numbers: a variable so named would not read back
+    (["lift", "FILE"], {"group": "2", "source": {"even": ["i"]}, "target": {"even": ["y"]},
+                        "map": {"y": "i"}}, "variable name 'i'"),
+    (["lift-atlas", "FILE", "--group", "2"], dict(CP1_ATLAS, charts={
+        "0": {"even": ["i"]}, "1": {"even": ["y"]}}, transitions={
+        "0->1": {"y": "1/i"}, "1->0": {"i": "1/y"}}), "variable name 'i'"),
+    (["lift-atlas", "FILE", "--group", "2"], dict(CP1_ATLAS, charts={
+        "0": {"even": ["zeta"]}, "1": {"even": ["y"]}}), "variable name 'zeta'"),
 ]
 
 
 @pytest.mark.parametrize("argv, atlas, message", USAGE_ERRORS, ids=[
     "transition-key-form", "unknown-chart", "no-group", "no-weight-suffix",
     "weights-without-group", "zeta-order-zero", "two-spellings-of-a-transition",
-    "two-spellings-of-a-variable"])
+    "two-spellings-of-a-variable", "imaginary-unit-name", "imaginary-unit-chart",
+    "zeta-chart"])
 def test_usage_errors_exit_2_with_their_message(argv, atlas, message, tmp_path, capsys):
     if atlas is not None:
         argv = [write_json(tmp_path, "atlas.json", atlas) if a == "FILE" else a for a in argv]

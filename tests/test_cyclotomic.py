@@ -251,8 +251,8 @@ def test_polynomial_cache_fills_idempotently_under_threads():
 
     import gradedcover.cyclotomic as cyc
 
-    cyc._CYCLOTOMIC_POLY.clear()
-    cyc._ROOTS.clear()
+    cyc._cyclotomic_polynomial.cache_clear()
+    cyc._root.cache_clear()
     results = []
 
     def worker():

@@ -1076,3 +1076,79 @@ def test_the_printer_oracle_covers_units_least_conductors_and_zero():
     for text, terms in cases.items():
         poly = SuperPolynomial(sig, terms)
         assert format_expression(poly) == reference_format_poly(poly) == text
+
+
+# -- the reader's reordering sign against the rule it replaced -----------------
+
+
+def bisect_odd_product(factors):
+    """(odd indices, sign) of a product of odd atoms, each (index, exponent or
+    None), or None for zero, by the reader's former rule: each index j is
+    inserted into the sorted list and passes each index above it."""
+    from bisect import bisect_left, insort
+
+    odd, flips = [], 0
+    for j, exponent in factors:
+        if exponent == 0:
+            continue
+        if j in odd or exponent is not None and exponent > 1:
+            return None
+        flips += len(odd) - bisect_left(odd, j)
+        insort(odd, j)
+    return tuple(odd), -1 if flips & 1 else 1
+
+
+def test_the_reader_signs_odd_products_as_the_bisect_rule():
+    rng = random.Random(38)
+    names = ["s0", "s1", "s2", "s3", "s4"]
+    sig = SuperSignature(even=["x"], odd=names)
+    for _ in range(400):
+        factors = [(rng.randrange(len(names)), rng.choice([None, None, None, 0, 1, 2]))
+                   for _ in range(rng.randint(1, 6))]
+        minus = [rng.choice([0, 0, 1, 2]) for _ in factors]
+        text = "*".join("-" * m + names[j] + ("" if e is None else f"^{e}")
+                        for (j, e), m in zip(factors, minus))
+        got = parse_expression(text, sig)
+        want = bisect_odd_product(factors)
+        assert got.denominator.is_one(), text
+        if want is None:
+            assert got.numerator.terms == {}, text
+            continue
+        odd, sign = want
+        sign *= (-1) ** sum(minus)
+        (mono, c), = got.numerator.terms.items()
+        assert mono == SuperMonomial((0,), odd) and c == sign, text
+
+
+# -- every name a signature holds reads back as itself -------------------------
+
+
+def rank_zero_signature():
+    from gradedcover import covering_signature
+
+    return covering_signature(SuperSignature(even=["x", "y"]), make_group([]),
+                              ParityMap(make_group([]), ()))
+
+
+@pytest.mark.parametrize("sig", [
+    SuperSignature(even=["x", "_a1", "x@(0,1)", "X_9"], odd=["s", "_", "s@(10,0)"]),
+    GradedSignature(make_group([2, 2]), ParityMap(make_group([2, 2]), (0, 1)),
+                    even=[("x@(0,1)", make_group([2, 2]).character((1, 0)))],
+                    odd=[("s@(1,1)", make_group([2, 2]).character((0, 1)))]),
+    rank_zero_signature(),
+], ids=["plain", "graded", "rank-zero"])
+def test_every_variable_reads_back_as_itself(sig):
+    if sig.even[0] == "x@()":  # the trivial group's weight
+        assert sig.even == ("x@()", "y@()")
+    for name in sig.even + sig.odd:
+        v = SuperRational.variable(sig, name)
+        assert format_expression(v) == name
+        assert parse_expression(format_expression(v), sig) == v
+
+
+@pytest.mark.parametrize("name", ["i", "zeta", "1x", "x y", "x@0", "x@(01)", "", "x@(0, 1)",
+                                  "x@(-1)", "x@(1,)", "x-y", "x@(٣)"])
+def test_a_name_no_expression_reads_back_is_refused(name):
+    for even, odd in (([name], []), (["y"], [name])):
+        with pytest.raises(ValueError, match=re.escape(f"variable name {name!r}")):
+            SuperSignature(even=even, odd=odd)

@@ -390,9 +390,11 @@ def test_products_past_the_codec_memo_bound():
     # 10,000 product monomials
     assert len(a.terms) * len(b.terms) > algebra._MEMO_BOUND
     want = reference_product(a.terms, b.terms)
+    codec = _codec(2, 99 + 49)  # the layout of every product here, one codec per layout
     for _ in range(2):
         for got in (_mul_terms_integer(a.terms, b.terms, 1), (a * b).terms,
                     _mul_terms_termwise(a.terms, b.terms)):
             assert list(got) == list(want)
             assert_same_terms(got, want)
-        assert all(len(c.memo) <= algebra._MEMO_BOUND for c in algebra._CODECS.values())
+        assert _codec(2, 99 + 49) is codec
+        assert 0 < len(codec.memo) <= algebra._MEMO_BOUND

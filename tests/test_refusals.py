@@ -147,15 +147,17 @@ def operands():
 
 @pytest.mark.parametrize("value", operands(), ids=lambda v: type(v).__name__)
 def test_operators_give_way_to_a_string(value):
-    names = ["__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__eq__"]
+    names = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__eq__"]
     if not isinstance(value, SuperPolynomial):
-        names += ["__rsub__", "__truediv__", "__rtruediv__", "__pow__"]
+        names += ["__truediv__", "__rtruediv__", "__pow__"]
     for name in names:
         assert getattr(value, name)("a") is NotImplemented, name
     for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         for a, b in ((value, "a"), ("a", value)):
             with pytest.raises(TypeError):
                 op(a, b)
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -"):
+        "a" - value  # refused by the reflected subtraction, not from inside an addition
     assert value != "a" and not value == "a"
 
 
