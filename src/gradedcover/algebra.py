@@ -61,8 +61,8 @@ from math import comb, gcd, lcm
 from operator import add, mul
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from .cyclotomic import (MAX_CONDUCTOR, Cyclotomic, _conductor, _Frozen, _power,
-                         _prime_factors, _reduce, _reducer, root_of_unity)
+from .cyclotomic import (MAX_CONDUCTOR, Cyclotomic, _conductor, _Division, _Frozen, _power,
+                         _prime_factors, _reduce, _reducer, _Ring, root_of_unity)
 from .errors import NormSizeError, NotInvertibleError, SignatureMismatchError, _quoted
 from .groups import Character, FiniteAbelianGroup, GroupElement, ParityMap
 
@@ -415,7 +415,7 @@ def _as_coefficient(value: Scalar) -> Cyclotomic:
     return value if isinstance(value, Cyclotomic) else Cyclotomic.from_rational(value)
 
 
-class SuperPolynomial(_Frozen):
+class SuperPolynomial(_Frozen, _Ring):
     """A Grassmann polynomial over a signature, in canonical form.
 
     ``terms`` maps monomials to nonzero cyclotomic coefficients; the zero
@@ -489,13 +489,19 @@ class SuperPolynomial(_Frozen):
         if self.signature != other.signature:
             raise SignatureMismatchError("polynomials live over different signatures")
 
-    def __add__(self, other):
+    def _coerce(self, other) -> "SuperPolynomial | None":
+        if isinstance(other, SuperPolynomial):
+            return other
         if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = SuperPolynomial.constant(self.signature, other)
-        if not isinstance(other, SuperPolynomial):
+            return SuperPolynomial.constant(self.signature, other)
+        return None
+
+    def __add__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
             return NotImplemented
-        self._check_signature(other)
-        out = _accumulate(dict(self.terms), other.terms.items())
+        self._check_signature(rhs)
+        out = _accumulate(dict(self.terms), rhs.terms.items())
         return SuperPolynomial._raw(self.signature, out)
 
     __radd__ = __add__
@@ -504,16 +510,6 @@ class SuperPolynomial(_Frozen):
         return SuperPolynomial._raw(
             self.signature, {m: -c for m, c in self.terms.items()}
         )
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = SuperPolynomial.constant(self.signature, other)
-        if not isinstance(other, SuperPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)  # NotImplemented where __sub__ gives it
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
@@ -540,11 +536,10 @@ class SuperPolynomial(_Frozen):
         return _power(self, exponent, SuperPolynomial.one(self.signature))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = SuperPolynomial.constant(self.signature, other)
-        if not isinstance(other, SuperPolynomial):
+        rhs = self._coerce(other)
+        if rhs is None:
             return NotImplemented
-        return self.signature == other.signature and self.terms == other.terms
+        return self.signature == rhs.signature and self.terms == rhs.terms
 
     __hash__ = None
 
@@ -554,9 +549,6 @@ class SuperPolynomial(_Frozen):
     def is_one(self) -> bool:
         """True for exactly the constant 1 at conductor 1."""
         return _is_one(self.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __repr__(self):
         return f"SuperPolynomial({len(self.terms)} terms over {self.signature!r})"
@@ -609,7 +601,7 @@ class SuperPolynomial(_Frozen):
         })
 
 
-class SuperRational(_Frozen):
+class SuperRational(_Frozen, _Division):
     """A Grassmann polynomial divided by a nonzero even polynomial.
 
     The denominator never contains anticommuting variables, so equality is
@@ -697,18 +689,6 @@ class SuperRational(_Frozen):
     def __neg__(self):
         return SuperRational._of(-self.numerator, self.denominator)
 
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
             return SuperRational._of(self.numerator * other, self.denominator)
@@ -727,18 +707,6 @@ class SuperRational(_Frozen):
         if lhs is None:
             return NotImplemented
         return lhs * self
-
-    def __truediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self * rhs.invert()
-
-    def __rtruediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs * self.invert()
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -763,9 +731,6 @@ class SuperRational(_Frozen):
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
-
-    def __bool__(self):
-        return not self.is_zero()
 
     def __repr__(self):
         return f"SuperRational({self.numerator!r} / {self.denominator!r})"

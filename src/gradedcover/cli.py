@@ -133,11 +133,10 @@ def _morphism_from_json(mapping, where: str, source, target) -> SuperMorphism:
 
 
 def _grading(data: dict) -> tuple[FiniteAbelianGroup, ParityMap]:
-    """The ``group`` and ``parity`` of a JSON file, the parity all-zero bits
-    when it is absent or empty, as the flag ``--parity ""`` reads."""
+    """The ``group`` and ``parity`` of a JSON file."""
     spec = _expect(data.get("group"), (str, int), "group", 'a group spec like "2x2"')
     group = parse_group_spec(str(spec))
-    return group, parse_parity_spec(group, str(data.get("parity", "")).strip() or "0" * group.rank)
+    return group, parse_parity_spec(group, str(data.get("parity", "")))
 
 
 def load_atlas(data: dict):
@@ -201,7 +200,7 @@ def _read_expr(args) -> str:
 
 def _signature_from_flags(args):
     group = parse_group_spec(args.group)
-    parity = parse_parity_spec(group, args.parity) if args.parity else ParityMap.trivial(group)
+    parity = parse_parity_spec(group, args.parity)
     return parse_graded_signature(group, parity, args.even or "", args.odd or "")
 
 
@@ -266,11 +265,9 @@ def cmd_lift_atlas(args) -> tuple[dict, str, int]:
     group = parse_group_spec(args.group) if args.group else file_group
     if group is None:
         raise ValueError("no group given on the command line or in the atlas file")
-    parity = (
-        parse_parity_spec(group, args.parity) if args.parity else
-        (file_parity if file_parity is not None and file_parity.group == group
-         else ParityMap.trivial(group))
-    )
+    blank = not (args.parity or "").strip()
+    keep = blank and file_parity is not None and file_parity.group == group
+    parity = file_parity if keep else parse_parity_spec(group, args.parity)
     payload = dump_atlas(lift_atlas(atlas, group, parity), group, parity)
     lines = []
     for key, images in payload["transitions"].items():

@@ -25,7 +25,8 @@ is divided by its content, so no Fraction is built and no common factor grows.
 ``_Frozen``, the base of ``Cyclotomic``, signatures, polynomials, quotients
 and morphisms (the group types are frozen dataclasses), refuses assignment,
 compares and hashes by type and slots, and copies and pickles by its slots
-without running a checked constructor again.
+without running a checked constructor again.  Values take ``-`` and truth
+from the slot-free mixin ``_Ring``, and ``/`` by their power -1 from ``_Division``.
 """
 
 from __future__ import annotations
@@ -67,6 +68,37 @@ class _Frozen:
 
     def __reduce__(self):
         return _restore, (type(self), self._state)
+
+
+class _Ring:
+    """``-`` and truth from ``_coerce``, ``+``, unary ``-`` and ``is_zero``."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        rhs = self._coerce(other)
+        return NotImplemented if rhs is None else self + (-rhs)
+
+    def __rsub__(self, other):
+        lhs = self._coerce(other)
+        return NotImplemented if lhs is None else lhs + (-self)
+
+    def __bool__(self):
+        return not self.is_zero()
+
+
+class _Division(_Ring):
+    """``/`` from ``_coerce``, ``*`` and the power -1."""
+
+    __slots__ = ()
+
+    def __truediv__(self, other):
+        rhs = self._coerce(other)
+        return NotImplemented if rhs is None else self * rhs**-1
+
+    def __rtruediv__(self, other):
+        lhs = self._coerce(other)
+        return NotImplemented if lhs is None else lhs * self**-1
 
 
 def _restore(cls, state: tuple):
@@ -172,7 +204,7 @@ def _reduce(coeffs: list, n: int) -> tuple:
     return tuple(work)
 
 
-class Cyclotomic(_Frozen):
+class Cyclotomic(_Frozen, _Division):
     """An exact element of Q(zeta_N): ``num``/``den`` reduced modulo Phi_N."""
 
     __slots__ = ("conductor", "num", "den")
@@ -287,18 +319,6 @@ class Cyclotomic(_Frozen):
     def __neg__(self):
         return Cyclotomic._raw(tuple(-x for x in self.num), self.den, self.conductor)
 
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
     def __mul__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
@@ -342,18 +362,6 @@ class Cyclotomic(_Frozen):
             s[: len(s0)] = [x + ck * d1 * y for x, y in zip(s, s0)]
             r0, s0, d0, r1, s1, d1 = r1, s1, d1, r, s, d0 * d1
 
-    def __truediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self * rhs.inverse()
-
-    def __rtruediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs * self.inverse()
-
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
@@ -387,9 +395,6 @@ class Cyclotomic(_Frozen):
         return a.conductor == b.conductor and a.num == b.num and a.den == b.den  # no lift
 
     __hash__ = None  # value-equal across conductors; not hashable
-
-    def __bool__(self):
-        return not self.is_zero()
 
     def __repr__(self):
         return f"Cyclotomic(num={self.num!r}, den={self.den}, conductor={self.conductor})"

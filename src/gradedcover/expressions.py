@@ -87,6 +87,8 @@ def parse_var_name(name: str) -> tuple[str, tuple[int, ...] | None]:
     if not at:
         return name, None
     ks = parse_residues(name, "weight suffix in", len(base) + 1)
+    if min(ks) < 0:  # the reader lexes a residue as digits, so no text spells this name
+        raise ValueError(f"malformed weight suffix in {_quoted(name)}; expected (k1,...,kt)")
     return f"{base}@({','.join(str(k) for k in ks)})", ks
 
 

@@ -202,9 +202,12 @@ def parse_group_spec(spec: str) -> FiniteAbelianGroup:
     return make_group(factors)
 
 
-def parse_parity_spec(group: FiniteAbelianGroup, spec: str) -> ParityMap:
-    """Parse a parity bit string like ``"11"``, one bit per cyclic factor."""
-    text = spec.strip()
+def parse_parity_spec(group: FiniteAbelianGroup, spec: str | None) -> ParityMap:
+    """Parse a parity bit string like ``"11"``, one bit per cyclic factor; a blank
+    spec or None is all-zero bits."""
+    text = (spec or "").strip()
+    if not text:
+        return ParityMap.trivial(group)
     if not all(ch in "01" for ch in text):
         raise ValueError(f"parity spec must be a string of bits, got {_quoted(spec)}")
     return ParityMap(group, tuple(int(ch) for ch in text))

@@ -444,13 +444,17 @@ def test_shared_norms_match_by_layout_and_terms_not_by_names(monkeypatch):
 
 
 def test_reflected_subtraction_and_negative_powers_are_exact():
-    """``c - f`` for a scalar c, and f^-k, the inverse to the k."""
+    """``c - f`` for a scalar c and f a quotient or a polynomial, and f^-k,
+    the inverse to the k."""
     sig = klein_xy_signature()
     f = parse_expression("(1 + x*y)/(2 + y)", sig)
     i = root_of_unity(4, 1)
     assert (3 - f) + f == 3
     assert (i - f) + f == i
     assert Fraction(1, 2) - f == -(f - Fraction(1, 2))
+    p = f.numerator  # 1 + x*y, a polynomial, stays one
+    assert (3 - p) + p == 3 and (i - p) + p == i and isinstance(3 - p, SuperPolynomial)
+    assert Fraction(1, 2) - p == -(p - Fraction(1, 2))
     for k in (1, 2, 3):
         assert f ** -k * f ** k == 1
     assert f ** -1 == f.invert()

@@ -737,10 +737,10 @@ def test_lift_file_without_parity_lifts_with_zero_bits(tmp_path, capsys):
     even = {"group": "3", "source": {"even": ["x"]}, "target": {"even": ["y"]},
             "map": {"y": "1/x"}}
     outs = []
-    for data in (even, dict(even, parity="0"), dict(even, parity="")):
+    for data in (even, dict(even, parity="0"), dict(even, parity=""), dict(even, parity=" ")):
         assert main(["lift", write_json(tmp_path, "psi.json", data), "--json"]) == 0
         outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1] == outs[2]
+    assert outs == [outs[0]] * 4
     # odd coordinates have no odd-parity copies under zero bits, as with "parity": "0"
     odd = {k: v for k, v in SUPER_MORPHISM.items() if k != "parity"}
     assert main(["lift", write_json(tmp_path, "odd.json", odd)]) == 1
@@ -755,6 +755,23 @@ def test_an_atlas_file_with_an_empty_parity_lifts_with_zero_bits(tmp_path, capsy
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("argv, bits", [
+    (["decompose", "--group", "2", "--even", "x@0,y@1", "--expr", "x@0 + 1/y@1"], "0"),
+    (["act", "--group", "4", "--even", "x@0,y@1", "--expr", "x@0 + y@1", "--element", "1"], "0"),
+    (["lift-atlas", "{cp1}", "--group", "3"], "0"),
+    (["lift-atlas", "{super}"], "1"),  # the file's own parity
+], ids=["decompose", "act", "lift-atlas", "lift-atlas-file-parity"])
+def test_a_blank_parity_flag_reads_as_no_flag(argv, bits, tmp_path, capsys):
+    paths = {"cp1": write_json(tmp_path, "cp1.json", CP1_ATLAS),
+             "super": write_json(tmp_path, "super.json", dict(SUPER_ATLAS, group="4", parity="1"))}
+    argv = [arg.format(**paths) for arg in argv]
+    outs = []
+    for flag in ([], ["--parity", ""], ["--parity", " "], ["--parity", bits]):
+        assert main(argv + flag) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs == [outs[0]] * 4
+
+
 ACT_Z4 = ["act", "--group", "4", "--even", "x@0,y@1", "--expr", "x@0 + y@1"]
 ACT_KLEIN = ["act", "--group", "2x2", "--even", "x@(0,0),y@(1,1)", "--expr", "x@(0,0) + y@(1,1)"]
 
@@ -767,6 +784,7 @@ ACT_KLEIN = ["act", "--group", "2x2", "--even", "x@(0,0),y@(1,1)", "--expr", "x@
     # these three were read as element 1 over Z_4
     (ACT_Z4, "((1", None), (ACT_Z4, "1)", None), (ACT_Z4, "(1", None),
     (ACT_Z4, "()", None), (ACT_KLEIN, "1;0", None),
+    (ACT_Z4, "-1", "x@(0) - i*y@(1)"),  # an element reads a negative residue; a name may not
 ])
 def test_act_element_text(argv, element, out, capsys):
     assert main(argv + ["--element", element]) == (0 if out else 2)
@@ -912,6 +930,11 @@ USAGE_ERRORS = [
         "0->1": {"y": "1/i"}, "1->0": {"i": "1/y"}}), "variable name 'i'"),
     (["lift-atlas", "FILE", "--group", "2"], dict(CP1_ATLAS, charts={
         "0": {"even": ["zeta"]}, "1": {"even": ["y"]}}), "variable name 'zeta'"),
+    # no expression reads a negative residue back
+    (["decompose", "--group", "4", "--even", "x@(-2)", "--expr", "1"], None,
+     "malformed weight suffix in 'x@(-2)'; expected (k1,...,kt)"),
+    (["check-cocycle", "FILE"], dict(CP1_ATLAS, group="4", charts={
+        "0": {"even": ["x@(-2)"]}, "1": {"even": ["y"]}}), "malformed weight suffix in 'x@(-2)'"),
 ]
 
 
@@ -919,7 +942,7 @@ USAGE_ERRORS = [
     "transition-key-form", "unknown-chart", "no-group", "no-weight-suffix",
     "weights-without-group", "zeta-order-zero", "two-spellings-of-a-transition",
     "two-spellings-of-a-variable", "imaginary-unit-name", "imaginary-unit-chart",
-    "zeta-chart"])
+    "zeta-chart", "negative-residue-flag", "negative-residue-chart"])
 def test_usage_errors_exit_2_with_their_message(argv, atlas, message, tmp_path, capsys):
     if atlas is not None:
         argv = [write_json(tmp_path, "atlas.json", atlas) if a == "FILE" else a for a in argv]

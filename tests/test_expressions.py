@@ -972,6 +972,15 @@ def test_malformed_residue_text_is_quoted(text):
         parse_residues(text, "element")
 
 
+@pytest.mark.parametrize("text, element", [("(-2)", (-2,)), ("1,-1", (1, -1))])
+def test_a_negative_residue_is_refused_in_a_name_only(text, element):
+    """No expression spells a name with a negative residue; a group element may."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"malformed weight suffix in 'x@{text}'; expected (k1,...,kt)")):
+        parse_var_name(f"x@{text}")
+    assert parse_residues(text, "group element") == element
+
+
 # -- the one-pass printer against the termwise one it replaced -----------------
 
 

@@ -214,6 +214,8 @@ def test_group_spec_parsing():
 def test_parity_spec_parsing():
     g = make_group([2, 2])
     assert parse_parity_spec(g, "11").bits == (1, 1)
+    for blank in ("", "  ", None):
+        assert parse_parity_spec(g, blank).bits == (0,) * g.rank
     with pytest.raises(ValueError):
         parse_parity_spec(g, "2x")
     with pytest.raises(ValueError):

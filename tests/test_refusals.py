@@ -6,6 +6,7 @@ not raised, so Python tries the reflected operation before a ``TypeError``.
 """
 
 import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from gradedcover import (
     Cyclotomic,
     GradedMorphism,
     GradedSignature,
+    NotInvertibleError,
     ParityMap,
     SignatureMismatchError,
     SuperMonomial,
@@ -176,6 +178,29 @@ def test_values_over_other_signatures_or_sources_are_unequal():
 def test_a_cyclotomic_value_is_true_unless_zero():
     assert bool(root_of_unity(5, 2)) is True and bool(Cyclotomic([0, 0], 3)) is False
     assert bool(Cyclotomic.from_rational(Fraction(-1, 2))) is True
+    x = SuperPolynomial.variable(GRADED, "x")
+    for value in (x, SuperRational(x, x + 1)):
+        assert bool(value) is True and bool(value - value) is False
+
+
+def test_a_polynomial_has_no_division():
+    x = SuperPolynomial.variable(GRADED, "x")
+    for a, b in ((x, x), (x, 2), (2, x)):
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for /"):
+            a / b
+
+
+def test_division_by_zero_raises_the_inverse_error():
+    """``/`` inverts through each type's own rule, so it keeps that rule's error."""
+    for call in (lambda: root_of_unity(4, 1) / 0, lambda: 1 / Cyclotomic.from_rational(0)):
+        with pytest.raises(ZeroDivisionError, match="^inverse of zero cyclotomic value$"):
+            call()
+    x, s = SuperRational.variable(GRADED, "x"), SuperRational.variable(GRADED, "s")
+    with pytest.raises(NotInvertibleError) as refused:
+        s.invert()
+    for call in (lambda: x / s, lambda: 1 / s):
+        with pytest.raises(NotInvertibleError, match=f"^{re.escape(str(refused.value))}$"):
+            call()
 
 
 # -- repr -----------------------------------------------------------------------
