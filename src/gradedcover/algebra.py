@@ -20,7 +20,7 @@ Products run on packed polynomials (d, {key: int}) at one conductor N over
 one denominator d: each key packs a monomial times z^i, z = zeta_N, so a
 product of two entries is one integer addition of keys and one product of
 ints, through one codec per layout (variable count, byte-wide fields, z's
-field among them) whose memo of unpacked monomials is cleared when full.
+field among them) that keeps its unpacked monomials in a bounded cache.
 ``_packed_product`` is the one kernel: ``_mul_terms`` packs both operands
 at the lcm of their conductors, multiplies them and unpacks the product,
 each coefficient reduced modulo Phi_N once and taking one gcd;
@@ -220,7 +220,7 @@ def _odd_sign(ma: int, mb: int) -> int:
     return -1 if flips & 1 else 1
 
 
-_MEMO_BOUND = 8192  # monomials one codec's memo keeps; a full memo is cleared
+_MEMO_BOUND = 8192  # entries in each bounded cache: a codec's monomials, the odd index tuples
 
 
 @functools.lru_cache(maxsize=_MEMO_BOUND)
@@ -231,23 +231,24 @@ def _odd_indices(mask: int) -> tuple[int, ...]:
 
 class _Codec:
     """Monomials times powers of z = zeta_n packed into int keys, and keys
-    unpacked through a memo.
+    unpacked through a per-codec ``functools.lru_cache``, which holds the codec
+    in a cycle: the cycle collector frees both once ``_codec_of`` drops them.
 
     Even exponent i occupies bits [i*w, (i+1)*w), z's exponent the next field
     (from ``zshift``), and the odd index set is a bitmask above them (from
     ``shift``).  While no field carries, and for disjoint masks, the key of a
     product term is the sum of the keys.  Packing is not memoized: hashing a
-    monomial costs as much as packing it.  Unpacked monomials share even
-    tuples by even key and odd tuples by mask.
+    monomial costs as much as packing it.  Unpacked monomials share odd tuples
+    by mask.
     """
 
-    __slots__ = ("width", "zshift", "shift", "field", "shifts", "memo")
+    __slots__ = ("width", "zshift", "shift", "field", "shifts", "unpack")
 
     def __init__(self, n_even: int, width: int):
         self.width, self.zshift, self.field = width, n_even * width, (1 << width) - 1
         self.shift = self.zshift + width
         self.shifts = [i * width for i in range(n_even)]
-        self.memo: dict[int, SuperMonomial] = {}
+        self.unpack = functools.lru_cache(maxsize=_MEMO_BOUND)(self._unpack)
 
     def pack(self, m: SuperMonomial) -> int:
         """The key of a monomial times z^0; ``key >> shift`` is its odd mask."""
@@ -256,45 +257,33 @@ class _Codec:
             key = key << self.width | e
         return key
 
-    def unpack(self, key: int) -> SuperMonomial:
-        """The monomial of a key whose z field is 0."""
-        m = self.memo.get(key)
-        if m is None:
-            if len(self.memo) >= _MEMO_BOUND:
-                self.memo.clear()
-            mask, field = key >> self.shift, self.field
-            base = self.memo.get(key ^ mask << self.shift)  # the even part's monomial
-            m = self.memo[key] = SuperMonomial(
-                tuple([key >> s & field for s in self.shifts]) if base is None else base.even,
-                _odd_indices(mask),
-            )
-        return m
+    def _unpack(self, key: int) -> SuperMonomial:
+        """The monomial of a key whose z field is 0 (``unpack`` caches it)."""
+        mask, field = key >> self.shift, self.field
+        return SuperMonomial(tuple([key >> s & field for s in self.shifts]), _odd_indices(mask))
 
 
 def _codec(n_even: int, top: int) -> _Codec:
     """The codec of ``n_even`` fields and z's that hold exponents up to
     ``top``, rounded up to whole bytes, so that products over one signature
-    mostly share one codec and its memo; the 16 layouts last used keep theirs."""
+    mostly share one codec and its cache; the 16 layouts last used keep theirs."""
     return _codec_of(n_even, -(-top.bit_length() // 8) * 8)
 
 
 _codec_of = functools.lru_cache(maxsize=16)(_Codec)
 
 
-def _odd_rows(keys_a, items_b, shift: int) -> dict[int, list]:
+def _odd_rows(keys_a, items_b, shift: int) -> dict:
     """Per distinct odd mask of ``keys_a``: ``(key, value)`` for the terms of b,
     ``items_b`` re-iterable, whose product with it survives, in b's order, the
-    value negated where reordering the odd factors flips the sign."""
-    rows: dict[int, list] = {}
-    for ka in keys_a:
-        ma = ka >> shift
-        if ma not in rows:
-            row = rows[ma] = []
-            for kb, y in items_b:
-                mb = kb >> shift
-                sign = _odd_sign(ma, mb) if ma and mb else 1
-                if sign:
-                    row.append((kb, y if sign > 0 else -y))
+    value negated where reordering the odd factors flips the sign.  The empty
+    mask commutes with every term and takes ``items_b`` as they are; any other
+    takes one ``_odd_sign`` per distinct mask of b."""
+    rows, masks = {0: items_b}, [kb >> shift for kb, _ in items_b]
+    for ma in {ka >> shift for ka in keys_a} - {0}:
+        signs = {mb: _odd_sign(ma, mb) for mb in set(masks)}
+        rows[ma] = [(kb, y if s > 0 else -y)
+                    for (kb, y), mb in zip(items_b, masks) if (s := signs[mb])]
     return rows
 
 
@@ -363,13 +352,13 @@ def _reductions(t: dict, n: int, codec: _Codec):
     return ((key, r) for key, vec in vecs.items() if any(r := _reduce(vec, n)))
 
 
-def _reduced(t: dict, n: int, codec: _Codec) -> dict:
-    """``t`` reduced modulo Phi_n (``_reductions``), packed again."""
+def _reduced(d: int, t: dict, n: int, codec: _Codec) -> tuple[int, dict]:
+    """(d, t) reduced modulo Phi_n (``_reductions``), packed again and canonical."""
     if n == 1:
-        return {key: v for key, v in t.items() if v}
+        return _canonical((d, {key: v for key, v in t.items() if v}))
     zshift = codec.zshift
-    return {key | i << zshift: x
-            for key, r in _reductions(t, n, codec) for i, x in enumerate(r) if x}
+    return _canonical((d, {key | i << zshift: x
+                           for key, r in _reductions(t, n, codec) for i, x in enumerate(r) if x}))
 
 
 def _unpacked(packed: tuple[int, dict], n: int, codec: _Codec) -> Terms:
@@ -384,8 +373,7 @@ def _unpacked(packed: tuple[int, dict], n: int, codec: _Codec) -> Terms:
 
 def _times(a: tuple[int, dict], b: tuple[int, dict], n: int, codec: _Codec) -> tuple[int, dict]:
     """a times b on packed polynomials at conductor n, reduced and canonical."""
-    d, t = _packed_product(a, b, codec.shift)
-    return _canonical((d, _reduced(t, n, codec)))
+    return _reduced(*_packed_product(a, b, codec.shift), n, codec)
 
 
 def _mul_terms(a: Terms, b: Terms) -> Terms:
@@ -1075,7 +1063,7 @@ def _cofactor(packed: tuple[int, dict], j: dict, p: int, n: int, codec: _Codec) 
         _, out = _packed_product((1, acc), twist, codec.shift)
         acc = {key: r for key, v in out.items() if (r := v % modulus)}
     signed = {key: r - modulus if r > half else r for key, r in acc.items()}
-    return _canonical((d ** (p - 1), _reduced(signed, n, codec)))
+    return _reduced(d ** (p - 1), signed, n, codec)
 
 
 def restrict_terms(

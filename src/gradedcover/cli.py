@@ -133,10 +133,11 @@ def _morphism_from_json(mapping, where: str, source, target) -> SuperMorphism:
 
 
 def _grading(data: dict) -> tuple[FiniteAbelianGroup, ParityMap]:
-    """The ``group`` and ``parity`` of a JSON file."""
+    """The ``group`` and ``parity`` of a JSON file; a null parity is an absent one."""
     spec = _expect(data.get("group"), (str, int), "group", 'a group spec like "2x2"')
     group = parse_group_spec(str(spec))
-    return group, parse_parity_spec(group, str(data.get("parity", "")))
+    parity = data.get("parity")
+    return group, parse_parity_spec(group, None if parity is None else str(parity))
 
 
 def load_atlas(data: dict):

@@ -434,18 +434,21 @@ def _spread(num: tuple[int, ...], step: int, n: int) -> tuple[int, ...]:
 
 
 def _power(base, k: int, one, check=None):
-    """base ** k for k >= 0 by binary powering, starting from ``one``; each
-    product is passed to ``check``, if given, as soon as it is taken."""
-    result = one
+    """base ** k for k >= 0 by binary powering: ``one`` for k = 0, else from
+    the first factor on; each product is passed to ``check``, if given, as
+    soon as it is taken."""
+    def product(x, y):
+        z = x * y
+        if check:
+            check(z)
+        return z
+
+    result = one if k == 0 else None
     while k:
         if k & 1:
-            result = result * base
-            if check:
-                check(result)
+            result = base if result is None else product(result, base)
         if k > 1:
-            base = base * base
-            if check:
-                check(base)
+            base = product(base, base)
         k >>= 1
     return result
 

@@ -737,10 +737,11 @@ def test_lift_file_without_parity_lifts_with_zero_bits(tmp_path, capsys):
     even = {"group": "3", "source": {"even": ["x"]}, "target": {"even": ["y"]},
             "map": {"y": "1/x"}}
     outs = []
-    for data in (even, dict(even, parity="0"), dict(even, parity=""), dict(even, parity=" ")):
+    for data in (even, dict(even, parity="0"), dict(even, parity=""), dict(even, parity=" "),
+                 dict(even, parity=None)):
         assert main(["lift", write_json(tmp_path, "psi.json", data), "--json"]) == 0
         outs.append(capsys.readouterr().out)
-    assert outs == [outs[0]] * 4
+    assert outs == [outs[0]] * 5
     # odd coordinates have no odd-parity copies under zero bits, as with "parity": "0"
     odd = {k: v for k, v in SUPER_MORPHISM.items() if k != "parity"}
     assert main(["lift", write_json(tmp_path, "odd.json", odd)]) == 1
@@ -749,10 +750,16 @@ def test_lift_file_without_parity_lifts_with_zero_bits(tmp_path, capsys):
 
 def test_an_atlas_file_with_an_empty_parity_lifts_with_zero_bits(tmp_path, capsys):
     outs = []
-    for data in (dict(CP1_ATLAS, group="3"), dict(CP1_ATLAS, group="3", parity="")):
+    for data in (dict(CP1_ATLAS, group="3"), dict(CP1_ATLAS, group="3", parity=""),
+                 dict(CP1_ATLAS, group="3", parity=None)):
         assert main(["lift-atlas", write_json(tmp_path, "atlas.json", data), "--json"]) == 0
         outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
+    assert outs == [outs[0]] * 3
+    # a null parity is checked as an absent one
+    for data in (dict(CP1_ATLAS, group="3"), dict(CP1_ATLAS, group="3", parity=None)):
+        assert main(["check-cocycle", write_json(tmp_path, "atlas.json", data)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[3] == outs[4]
 
 
 @pytest.mark.parametrize("argv, bits", [

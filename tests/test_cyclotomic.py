@@ -1,6 +1,7 @@
 """Exactness checks for the cyclotomic field arithmetic."""
 
 import functools
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gradedcover import Cyclotomic, cyclotomic_polynomial, euler_phi, root_of_unity
-from gradedcover.cyclotomic import MAX_CONDUCTOR, _conductor, _reduce, _spread
+from gradedcover.cyclotomic import MAX_CONDUCTOR, _conductor, _power, _reduce, _spread
 from gradedcover.errors import GradedError
 from conftest import entries
 
@@ -111,6 +112,35 @@ def test_quotients_and_negative_powers_invert_exactly():
     assert d ** -1 == d.inverse()
     with pytest.raises(ZeroDivisionError):
         Cyclotomic.from_rational(0) ** -1
+
+
+@pytest.mark.parametrize("compute, reference, products", [
+    (lambda c, d: c / d, lambda c, d: c * d.inverse(), 1),
+    (lambda c, d: c ** -1, lambda c, d: c.inverse(), 0),
+    (lambda c, d: c ** 5, lambda c, d: c * c * c * c * c, 3),
+    (lambda c, d: 1 / c, lambda c, d: c.inverse(), 1),
+    (lambda c, d: c ** 1, lambda c, d: c, 0),
+    (lambda c, d: c ** 0, lambda c, d: 1, 0),
+], ids=["c / d", "c ** -1", "c ** 5", "1 / c", "c ** 1", "c ** 0"])
+def test_powers_take_only_the_products_they_need(compute, reference, products, monkeypatch):
+    """Binary powering starts from the first factor, never from a product by
+    one: ``/`` is one product by the inverse, ``c ** 5`` three products."""
+    c = 2 + root_of_unity(12, 1) + 3 * root_of_unity(12, 5)
+    d = Fraction(3, 7) - root_of_unity(5, 2)
+    want, taken, mul = reference(c, d), [], Cyclotomic.__mul__
+    monkeypatch.setattr(Cyclotomic, "__mul__", lambda x, y: taken.append(1) or mul(x, y))
+    assert compute(c, d) == want
+    assert len(taken) == products
+
+
+def test_power_checks_each_product_it_takes():
+    """``_power`` passes each product to ``check`` as it is taken, and only those."""
+    c = 2 + root_of_unity(12, 1)
+    for k, products in ((0, 0), (1, 0), (2, 1), (5, 3), (8, 3), (13, 5)):
+        checked = []
+        assert _power(c, k, Cyclotomic.from_rational(1), checked.append) == functools.reduce(
+            operator.mul, [c] * k, Cyclotomic.from_rational(1))
+        assert len(checked) == products, k
 
 
 def test_inverse_builds_no_fraction():

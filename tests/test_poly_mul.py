@@ -369,12 +369,12 @@ def test_products_whose_z_exponents_pass_one_byte():
     assert want[SuperMonomial((1, 1), ())] == root_of_unity(257, 401 - 257)
 
 
-# -- the codec memo --------------------------------------------------------------
+# -- the codec cache -------------------------------------------------------------
 
 
 def test_products_past_the_codec_memo_bound():
-    """More distinct monomials than one codec's memo holds: the memo is
-    cleared when full, and both kernels still give the reference terms."""
+    """More distinct monomials than one codec's cache holds: the cache stays
+    within its bound, and both kernels still give the reference terms."""
     from gradedcover import algebra
 
     rng = random.Random(45)
@@ -384,7 +384,7 @@ def test_products_past_the_codec_memo_bound():
         return Fraction(rng.randint(-9, 9) or 1, rng.choice([1, 2, 3]))
 
     a = SuperPolynomial(sig, {SuperMonomial((e, 0), ()): coefficient() for e in range(100)})
-    # y^e and y^e*s: unpacked monomials share their even part
+    # y^e and y^e*s: monomials with one even part and two odd masks
     b = SuperPolynomial(sig, {SuperMonomial((0, e), odd): coefficient()
                               for e in range(50) for odd in ((), (0,))})
     # 10,000 product monomials
@@ -397,4 +397,61 @@ def test_products_past_the_codec_memo_bound():
             assert list(got) == list(want)
             assert_same_terms(got, want)
         assert _codec(2, 99 + 49) is codec
-        assert 0 < len(codec.memo) <= algebra._MEMO_BOUND
+        assert 0 < codec.unpack.cache_info().currsize <= algebra._MEMO_BOUND
+
+
+# -- reordering signs per pair of odd masks ----------------------------------
+
+
+def spy_on_odd_sign(monkeypatch) -> list:
+    """The masks (ma, mb) of every ``_odd_sign`` call from now on."""
+    calls, odd_sign = [], algebra._odd_sign
+    monkeypatch.setattr(algebra, "_odd_sign", lambda ma, mb: calls.append((ma, mb)) or odd_sign(ma, mb))
+    return calls
+
+
+def test_one_odd_sign_per_pair_of_distinct_masks(monkeypatch):
+    """A product takes ``_odd_sign`` at most once per (distinct non-empty
+    mask of a, distinct mask of b), and never when a is even; the terms,
+    in their order, are the reference product's."""
+    calls = spy_on_odd_sign(monkeypatch)
+    rng = random.Random(46)
+    for _ in range(30):
+        a, b = (random_operand(rng, rng.choice(CONDUCTOR_SETS), rng.randint(1, 12)) for _ in "ab")
+        calls.clear()
+        got = (a * b).terms
+        want = reference_product(a.terms, b.terms)
+        assert list(got) == list(want)
+        assert_same_terms(got, want)
+        masks_a = {m.odd for m in a.terms if m.odd}
+        masks_b = {m.odd for m in b.terms}
+        assert len(calls) <= len(masks_a) * len(masks_b)
+        assert len(set(calls)) == len(calls)
+    # an even a takes b's terms as they are: no sign at all
+    even = SuperPolynomial(SIG, {SuperMonomial((e, 1), ()): 1 + e for e in range(4)})
+    b = random_operand(rng, (4,), 8)
+    calls.clear()
+    assert list((even * b).terms) == list(reference_product(even.terms, b.terms))
+    assert calls == []
+
+
+def test_sixty_by_thirty_six_terms_over_twelve_masks_take_144_signs(monkeypatch):
+    """60 terms over 12 non-empty odd masks times 36 over 12: one sign per
+    pair of masks is 12 * 12, where one per (mask of a, term of b) is 12 * 36."""
+    sig = SuperSignature(even=("x",), odd=("t0", "t1", "t2", "t3"))
+    odd_sets = [tuple(j for j in range(4) if mask >> j & 1) for mask in range(1, 16)]
+    rng = random.Random(47)
+
+    def operand(n_exponents):
+        sets = rng.sample(odd_sets, 12)
+        return SuperPolynomial(sig, {SuperMonomial((e,), odd): random_coefficient(rng, 3)
+                                     for e in range(n_exponents) for odd in sets})
+
+    a, b = operand(5), operand(3)
+    assert (len(a.terms), len(b.terms)) == (60, 36)
+    calls = spy_on_odd_sign(monkeypatch)
+    got = (a * b).terms
+    assert len(calls) == 12 * 12
+    want = reference_product(a.terms, b.terms)
+    assert list(got) == list(want)
+    assert_same_terms(got, want)
