@@ -27,6 +27,16 @@ from gradedcover import algebra
 
 NINES = "9" * 4300  # the longest literal that reads as an int
 
+CP1_ATLAS = {  # P^1
+    "charts": {"0": {"even": ["x"], "odd": []}, "1": {"even": ["y"], "odd": []}},
+    "transitions": {"0->1": {"y": "1/x"}, "1->0": {"x": "1/y"}},
+}
+NONSPLIT_ATLAS = {  # P^{1|2} with odd coordinates that scale by 1/x^2: not split
+    "charts": {"0": {"even": ["x"], "odd": ["a", "b"]}, "1": {"even": ["y"], "odd": ["c", "d"]}},
+    "transitions": {"0->1": {"y": "1/x + a*b/x^3", "c": "a/x^2", "d": "b/x^2"},
+                    "1->0": {"x": "1/y + c*d/y^3", "a": "c/y^2", "b": "d/y^2"}},
+}
+
 # the vocabulary of token-soup texts: every kind of token, valid or not
 SOUP_TOKENS = [
     "x@0", "y@2", "s@1", "t@3", "w", "x@(0)", "0", "1", "2", "7", NINES, "1" * 4301,

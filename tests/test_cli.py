@@ -4,7 +4,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import re
+import sys
 import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,12 +19,8 @@ from gradedcover import (GradedMorphism, GradedSignature, ParityMap,
                          SuperPolynomial, algebra, cli, make_group)
 from gradedcover.cli import build_parser, dump_atlas, load_atlas, main, parse
 from gradedcover.errors import ExprSyntaxError, NormSizeError, _quoted
-from conftest import NINES, SOUP_TOKENS
-
-CP1_ATLAS = {
-    "charts": {"0": {"even": ["x"], "odd": []}, "1": {"even": ["y"], "odd": []}},
-    "transitions": {"0->1": {"y": "1/x"}, "1->0": {"x": "1/y"}},
-}
+import cli_pins
+from conftest import CP1_ATLAS, NINES, SOUP_TOKENS
 
 BROKEN_ATLAS = {
     "charts": {"1": {"even": ["x"], "odd": []}, "2": {"even": ["y"], "odd": []}},
@@ -626,30 +627,51 @@ def test_lift_of_the_projective_line_over_z8_within_its_budget(tmp_path, capsys)
     assert elapsed < 1.0, f"lift-atlas of P^1 over Z_8 took {elapsed:.2f}s"
 
 
-# Inputs whose orbit tower takes a prime step p >= 5, which the benchmark's
-# decompose inputs never reach: (exit code, SHA-256 of stdout), recorded while
-# each p >= 5 step still read a circulant form or took the twist chain.
-PRIME_STEP_DECOMPOSE = [
-    (["--group", "7", "--even", "x@1",
-      "--expr", "1/(1 + x@1 + x@1^2 + x@1^3 + x@1^4 + x@1^5 + x@1^6)"],
-     "8eb7e6f8b05788ed3aee39c8ea315f68f340fec498197d241cf3fef6bb8ec638"),
-    (["--group", "11", "--even", "a@0,b@1,c@3",
-      "--expr", "(a@0 + 1)/(2*a@0^2 - 3*b@1 + 5/7*c@3)"],
-     "44c1657e56c6fda18f2fc4ca2fd9e91495688f31139a0393ccefa6b3c9a70161"),
-    (["--group", "10", "--even", "u@1,v@5", "--expr", "(u@1 - v@5)/(1 + 3*u@1 + 1000*v@5)"],
-     "3e882d25006b0fe15889f6f3cf280225a9354f2fdf5edde39d1e270d2cacecff"),
-    # one p = 5 step: the first of its four twists times the other three, at
-    # conductor 60; recorded while the orbit tower still built group elements
-    (["--group", "5", "--even", "x@0,x@1,y@2",
-      "--expr", "1/(x@0+zeta(4,1)*x@1+zeta(3,1)*y@2)"],
-     "aeb14ec240877fc510824babda3eab8bb0a87ad3220dbea07f8973e6823a32cf"),
-]
+def in_process(argv, stdin, cwd, timeout):
+    """``cli.main`` in this process, run in ``cwd``; ``timeout`` bounds the
+    console script's runs alone."""
+    out, err, here = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's refusals
+                code = exc.code
+    finally:
+        os.chdir(here)
+    return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("argv, digest", PRIME_STEP_DECOMPOSE, ids=["z7", "z11", "z10", "z5-chain"])
-def test_prime_step_decompose_output_is_pinned(argv, digest, capsys):
-    assert main(["decompose", *argv]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+@pytest.fixture(scope="module")
+def pins(tmp_path_factory):
+    return cli_pins.Runner(in_process, tmp_path_factory.mktemp("cli-pins"))
+
+
+@pytest.mark.parametrize("row_id", cli_pins.ROWS)
+def test_pinned_cli_row(row_id, pins):
+    assert pins.problems(row_id) == [], cli_pins.ROWS[row_id].why
+
+
+def test_the_runner_reports_each_kind_of_miss(tmp_path):
+    def wrong(argv, stdin, cwd, timeout):
+        return 0, "moved\n", "Traceback"
+
+    runner = cli_pins.Runner(wrong, tmp_path)
+    assert runner.problems("nested-json") == [
+        "exit 0, not 2; stderr: Traceback", "stderr holds 'Traceback' 1 times, not 0"]
+    assert runner.problems("zero-residual")[1:] == ["stdout holds ' = 0\\n' 0 times, not 2"]
+    assert runner.problems("z7")[0].startswith("output differs from the pin")
+    assert runner.problems("p2-z5-json") == ["wrote no lifted-p2.json"]
+
+
+def test_the_workflow_calls_the_console_script_only_through_the_table():
+    """CI runs the table's rows through the installed script; a call written
+    into the workflow itself would be a pin that tier-1 does not run."""
+    workflow = (Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml").read_text()
+    assert re.findall(r"^.*\bgradedcover\b.*$", workflow, re.M) == []
+    assert re.search(r"^\s+run: python tests/cli_pins\.py$", workflow, re.M)
 
 
 MISSING_KEYS = ("group", "source", "target", "map")  # of a morphism file

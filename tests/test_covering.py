@@ -42,7 +42,9 @@ from gradedcover import (
     parse_parity_spec,
     root_of_unity,
 )
-from conftest import assert_components_match_the_reference, random_polynomial_morphism
+from cli_pins import ROWS
+from conftest import (NONSPLIT_ATLAS, assert_components_match_the_reference,
+                      random_polynomial_morphism)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import inputs  # noqa: E402  (the benchmark's seeded atlas texts)
@@ -570,11 +572,6 @@ def test_a_lifted_self_transition_descends_to_its_base(shift):
 
 # -- a non-split supermanifold --------------------------------------------------
 
-NONSPLIT_ATLAS = {
-    "charts": {"0": {"even": ["x"], "odd": ["a", "b"]}, "1": {"even": ["y"], "odd": ["c", "d"]}},
-    "transitions": {"0->1": {"y": "1/x + a*b/x^3", "c": "a/x^2", "d": "b/x^2"},
-                    "1->0": {"x": "1/y + c*d/y^3", "a": "c/y^2", "b": "d/y^2"}},
-}
 SPLIT_ATLAS = {  # the same y, with odd coordinates that scale by 1/x
     "charts": NONSPLIT_ATLAS["charts"],
     "transitions": {"0->1": {"y": "1/x + a*b/x^3", "c": "a/x", "d": "b/x"},
@@ -655,8 +652,9 @@ def test_the_broken_benchmark_atlas_is_the_lift_of_a_broken_base():
     assert not assert_agrees(broken, "direct").ok
 
 
-# SHA-256 of ``check-cocycle --json`` on the broken benchmark atlas
-BROKEN_REPORT_SHA256 = "d5c3034b29d2ed74af341f3bcae02d41f86419dae081d28a1ce454ccb296c759"
+# SHA-256 of ``check-cocycle --json`` on the broken benchmark atlas: lifted P^1
+# over Z_3 with one image shifted by 1, the CLI table's row p1-z3-broken
+BROKEN_REPORT_SHA256 = ROWS["p1-z3-broken"].pin
 
 
 def test_the_broken_benchmark_atlas_report_is_pinned(tmp_path, capsys, monkeypatch):

@@ -1,23 +1,27 @@
 """The README's examples, run as written.
 
 Its ```python blocks run in order in one namespace, and every result that
-their comments state is checked.  Its two ```json blocks are written to the
-file names its ``## Command line`` block uses, and each line of that block
-runs through ``cli.main`` and must exit 0.
+their comments state is checked.  Each line of its ``## Command line`` block
+is a row of ``cli_pins.py``, run on its two ```json blocks, and must exit 0.
 """
 
 import ast
 import re
-import shlex
 from pathlib import Path
 
-from gradedcover import cli, parse_expression
+from gradedcover import parse_expression
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
 
 def blocks(lang: str) -> list[str]:
     return re.findall(rf"^```{lang}\n(.*?)^```$", README, re.S | re.M)
+
+
+def command_lines() -> list[str]:
+    """The lines of the ``## Command line`` block."""
+    section = README.split("## Command line", 1)[1]
+    return re.search(r"```sh\n(.*?)```", section, re.S).group(1).splitlines()
 
 
 def stated_results(code: str) -> list[tuple[str, str]]:
@@ -61,18 +65,3 @@ def test_the_python_examples_give_the_results_their_comments_state():
                 raise AssertionError(f"no check for the README's stated result of {expr}")
             checked.append(expr)
     assert len(checked) == 5
-
-
-def test_the_command_lines_exit_zero(tmp_path, monkeypatch, capsys):
-    atlas, morphism = blocks("json")
-    (tmp_path / "atlas.json").write_text(atlas, encoding="utf-8")
-    (tmp_path / "morphism.json").write_text(morphism, encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-    section = README.split("## Command line", 1)[1]
-    lines = re.search(r"```sh\n(.*?)```", section, re.S).group(1).splitlines()
-    assert len(lines) == 6
-    for line in lines:
-        argv = shlex.split(line)
-        assert argv[0] == "gradedcover"
-        assert cli.main(argv[1:]) == 0, (line, capsys.readouterr().err)
-    assert (tmp_path / "lifted.json").exists()
