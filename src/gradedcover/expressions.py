@@ -24,9 +24,10 @@ sum adds each term into its left dict in place, and any other arithmetic
 goes through ``SuperRational`` (``_binary``).  A caller reading several
 texts over one signature, such as the images of one morphism, may pass
 them one span memo: the value of each outermost parenthesised span of at
-least ``MEMO_SPAN`` (16) characters, by its text, once it is ``_bounded``.
-A later text steps over the span unread and shares its value: a sum into
-it takes a copy.  Parentheses nest at most ``MAX_NESTING`` (100) deep,
+least ``MEMO_SPAN`` (16) characters, by its text, once it is ``_bounded``,
+``MEMO_PREFIX_SPANS`` (64) at most per first 16 characters.  A later text
+steps over the span unread and shares its value: a sum into it takes a
+copy.  Parentheses nest at most ``MAX_NESTING`` (100) deep,
 ``zeta(N,k)`` takes orders N up to ``DEFAULT_ORDER_BOUND`` (4096), a power
 of more than one term may have at most ``MAX_POWER_SIZE`` (500)
 coefficient entries (``_check_power``), and no literal, product, quotient,
@@ -98,6 +99,7 @@ MAX_COEFFICIENT_DIGITS = 4300  # the interpreter's default limit on int-to-text 
 _DIGIT_LIMIT = 10**MAX_COEFFICIENT_DIGITS
 _SMALL = 10**4000  # times a root's entries (far below 10^300) stays below _DIGIT_LIMIT
 MEMO_SPAN = 16  # a lifted P^1/Z_2 image repeats a denominator of 19 characters
+MEMO_PREFIX_SPANS = 64  # spans kept per prefix: each span read scans them all
 _SLOTS: list[str] = []  # "{k}" at k, grown to the widest signature printed
 
 
@@ -359,7 +361,8 @@ class _Reader:
                     return value
                 del self.sums[id(value)]
             value = SuperPolynomial._raw(self.signature, value)
-        self.spans.setdefault(span[:MEMO_SPAN], {})[span] = value
+        if len(kept := self.spans.setdefault(span[:MEMO_SPAN], {})) < MEMO_PREFIX_SPANS:
+            kept[span] = value
         return value
 
     def fold(self, fold: list, op: str, at: int | None, atom, exponent, caret, negations) -> bool:
@@ -418,9 +421,10 @@ class _Reader:
             value = _value(self.settled(value), self.signature)
             _check_power(value, exponent, caret)
             value = _stacked(_bounded_power(value, exponent, caret))
-        for _ in range(negations):
+        if negations:  # a run of minuses negates once, or not at all
             value = self.settled(value)
-            value = {mono: -c for mono, c in value.items()} if type(value) is dict else -value
+            if negations & 1:
+                value = {mono: -c for mono, c in value.items()} if type(value) is dict else -value
         return value
 
     def settled(self, value):

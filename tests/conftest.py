@@ -1,4 +1,4 @@
-"""Shared builders for randomized checks.
+"""Shared inputs, and builders for randomized checks.
 
 Everything draws from an explicit ``random.Random`` so failures reproduce.
 """
@@ -36,6 +36,39 @@ NONSPLIT_ATLAS = {  # P^{1|2} with odd coordinates that scale by 1/x^2: not spli
     "transitions": {"0->1": {"y": "1/x + a*b/x^3", "c": "a/x^2", "d": "b/x^2"},
                     "1->0": {"x": "1/y + c*d/y^3", "a": "c/y^2", "b": "d/y^2"}},
 }
+SUPER_ATLAS = {  # P^{1|1}
+    "charts": {"0": {"even": ["x"], "odd": ["xi"]}, "1": {"even": ["y"], "odd": ["eta"]}},
+    "transitions": {"0->1": {"y": "1/x", "eta": "xi/x"}, "1->0": {"x": "1/y", "xi": "eta/y"}},
+}
+SUPER_MORPHISM = {
+    "group": "4",
+    "parity": "1",
+    "source": {"even": ["x"], "odd": ["xi"]},
+    "target": {"even": ["y"], "odd": ["eta"]},
+    "map": {"y": "1/x", "eta": "xi/x"},
+}
+BROKEN_ATLAS = {
+    "charts": {"1": {"even": ["x"], "odd": []}, "2": {"even": ["y"], "odd": []}},
+    "transitions": {"1->2": {"y": "1/x"}, "2->1": {"x": "1/y + 1"}},
+}
+ZERO_RESIDUAL_ATLAS = {  # v's image is zero, so each round trip sends an odd coordinate to 0
+    "charts": {"0": {"even": ["x"], "odd": ["u"]}, "1": {"even": ["y"], "odd": ["v"]}},
+    "transitions": {"0->1": {"y": "1/x", "v": "u*x - u*x"}, "1->0": {"x": "1/y", "u": "v*y"}},
+}
+IMAGINARY_MORPHISM = {"group": "2", "source": {"even": ["i"]}, "target": {"even": ["y"]},
+                      "map": {"y": "i"}}
+# past the decoder's recursion on every supported interpreter (3.12 and 3.13 read 1,200 levels)
+NESTED_CHARTS = '{"charts": ' + "[" * 100_000 + "]" * 100_000 + "}"
+LONG_LITERAL = '{"group": ' + "1" * 5000 + ', "charts": {}}'  # past the int-to-text limit
+
+# x_j of weight e_j over Z_2^6
+Z2_6_UNITS = [f"x{j}@({','.join(str(int(i == j)) for i in range(6))})" for j in range(6)]
+
+
+def with_transitions(**transitions) -> dict:
+    """P^1 with ``transitions`` added or replaced."""
+    return dict(CP1_ATLAS, transitions=dict(CP1_ATLAS["transitions"], **transitions))
+
 
 # the vocabulary of token-soup texts: every kind of token, valid or not
 SOUP_TOKENS = [
