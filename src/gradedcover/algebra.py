@@ -450,10 +450,8 @@ class SuperPolynomial(_Frozen, _Ring):
     @classmethod
     def constant(cls, signature: SuperSignature, value: Scalar) -> "SuperPolynomial":
         c = _as_coefficient(value)
-        if c.is_zero():
-            return cls.zero(signature)
         unit = SuperMonomial((0,) * len(signature.even), ())
-        return cls._raw(signature, {unit: c})
+        return cls._raw(signature, {} if c.is_zero() else {unit: c})
 
     @classmethod
     def one(cls, signature: SuperSignature) -> "SuperPolynomial":
@@ -501,11 +499,10 @@ class SuperPolynomial(_Frozen, _Ring):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
+            # each coefficient at its own conductor, where _mul_terms lifts all to their lcm
             c = _as_coefficient(other)
-            if c.is_zero():
-                return SuperPolynomial.zero(self.signature)
             return SuperPolynomial._raw(
-                self.signature, {m: v * c for m, v in self.terms.items()}
+                self.signature, {} if c.is_zero() else {m: v * c for m, v in self.terms.items()}
             )
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
@@ -655,11 +652,8 @@ class SuperRational(_Frozen, _Division):
     def _coerce(self, other) -> "SuperRational | None":
         if isinstance(other, SuperRational):
             return other
-        if isinstance(other, SuperPolynomial):
-            return SuperRational(other)
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return SuperRational.constant(self.signature, other)
-        return None
+        poly = self.numerator._coerce(other)
+        return None if poly is None else SuperRational(poly)
 
     def __add__(self, other):
         rhs = self._coerce(other)

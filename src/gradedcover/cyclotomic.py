@@ -265,8 +265,6 @@ class Cyclotomic(_Frozen, _Division):
 
     @staticmethod
     def _common(a: "Cyclotomic", b: "Cyclotomic"):
-        if a.conductor == b.conductor:
-            return a, b
         m = _conductor((a.conductor, b.conductor))
         return a.lift(m), b.lift(m)
 
@@ -343,9 +341,7 @@ class Cyclotomic(_Frozen, _Division):
         c = +-1, and 1/a = den/num = den*s1/(d1*c)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic value")
-        n, lead = self.conductor, self.num[0]
-        if self.is_rational():  # 1/(q/d) = d*q/q^2, zeros above
-            return Cyclotomic._lowest((self.den * lead,) + self.num[1:], lead * lead, n)
+        n = self.conductor
         r0, s0, d0 = cyclotomic_polynomial(n), [0], 1
         r1, s1, d1 = list(self.num), [1], 1
         while True:

@@ -19,9 +19,10 @@ run of atoms (integers, ``i``, ``zeta(N,k)`` and identifiers, each to its
 power and negated) joined by "*", or by "/" before an integer or a root,
 folds into one exponent list, one odd bitmask with its sign, one
 rational and one root zeta_N^k (to the e, zeta_N^(k*e mod N)), built as
-one term.  A polynomial is a dict of terms that only the reader holds, a
-sum adds each term into its left dict in place, and any other arithmetic
-goes through ``SuperRational`` (``_binary``).  A caller reading several
+one term; the factors after a value but roots fold the same way into one
+product (``join``).  A polynomial is a dict of terms that only the reader
+holds, a sum adds each term into its left dict in place, and any other
+arithmetic goes through ``SuperRational`` (``_binary``).  A caller reading several
 texts over one signature, such as the images of one morphism, may pass
 them one span memo: the value of each outermost parenthesised span of at
 least ``MEMO_SPAN`` (16) characters, by its text, once it is ``_bounded``,
@@ -123,19 +124,26 @@ def _binary(op: str, lhs: Value, rhs: Value, pos: int) -> Value:
     return out.numerator if out.denominator.is_one() else out
 
 
-def _check_power(value: Value, exponent: int, pos: int):
+def _check_power(value: Value, exponent: int, pos: int) -> Value:
     """Reject a power of more than ``MAX_POWER_SIZE`` coefficient entries:
     t > 1 terms to the k give at most C(k+t-1, k) terms, each phi(N) wide
-    over the field Q(zeta_N) of their coefficients.  The count grows with
-    k, so a larger exponent is checked as the bound itself."""
+    over the field Q(zeta_N) of their stored coefficients.  The count grows
+    with k, so a larger exponent is checked as the bound.  A sum too wide
+    as stored is checked, and returned to be powered, with each coefficient
+    at its least conductor, so that value-equal powers pass alike."""
     polys = [value] if isinstance(value, SuperPolynomial) else [value.numerator, value.denominator]
-    for poly in polys:
+    for i, poly in enumerate(polys):
         t = len(poly.terms)
         if exponent > 1 and t > 1:
-            width = euler_phi(lcm(*(c.conductor for c in poly.terms.values())))
-            if comb(min(exponent, MAX_POWER_SIZE) + t - 1, t - 1) * width > MAX_POWER_SIZE:
-                raise ExprSyntaxError(f"power of {t} terms to the {_quoted(str(exponent), str)} "
-                                      f"is above the size bound {MAX_POWER_SIZE}", pos)
+            count = comb(min(exponent, MAX_POWER_SIZE) + t - 1, t - 1)
+            if count * euler_phi(lcm(*(c.conductor for c in poly.terms.values()))) > MAX_POWER_SIZE:
+                terms = {mono: c.least() for mono, c in poly.terms.items()}
+                if count * euler_phi(lcm(*(c.conductor for c in terms.values()))) > MAX_POWER_SIZE:
+                    raise ExprSyntaxError(f"power of {t} terms to the "
+                                          f"{_quoted(str(exponent), str)} is above the size "
+                                          f"bound {MAX_POWER_SIZE}", pos)
+                polys[i] = SuperPolynomial._raw(poly.signature, terms)
+    return polys[0] if len(polys) == 1 else SuperRational._of(*polys)
 
 
 def _bounded(coefficients, what: str, pos: int):
@@ -261,7 +269,7 @@ class _Reader:
 
     def term(self):
         """A product: a ``fold`` (a list) while its factors fold, then a value."""
-        fold, value, op, at = [[0] * self.width, 0, 1, 1, 1, 0], None, None, None
+        fold, value, pending, op, at = [[0] * self.width, 0, 1, 1, 1, 0], None, [], None, None
         while True:
             negations = 0
             while self.tok == "-":
@@ -273,8 +281,14 @@ class _Reader:
                 exponent = self.integer()
             if self.failure is None:
                 try:
-                    if fold is None or not self.fold(fold, op or "*", at, atom, exponent, caret,
-                                                     negations):
+                    if fold is not None:
+                        joined = self.fold(fold, op or "*", at, atom, exponent, caret, negations)
+                    else:
+                        joined = self.join(pending, value, op, atom, exponent, caret, negations)
+                        if pending and (not joined or self.tok != "*" and self.tok != "/"):
+                            value = self.binary("*", value, dict((_built(pending[0]),)), at)
+                            pending.clear()
+                    if not joined:
                         rhs = self.operand(atom, exponent, caret, negations)
                         if op is not None:
                             lhs = value if fold is None else dict((_built(fold),))
@@ -410,6 +424,31 @@ class _Reader:
             _bounded((_built(fold)[1],), _RESULTS[op], at)
         return True
 
+    def join(self, pending: list, value, op: str, atom, exponent, caret, negations) -> bool:
+        """Fold a factor after ``value`` into ``pending`` = [fold, most, den]: the fold's order N
+        is their product's conductor, most and den ``value``'s largest entry at N and denominator.
+        False for a root, which may change the conductor error, no fold, or too many digits,
+        and for a last factor that no other joins, which needs no scan of ``value``."""
+        if not pending and self.tok != "*" and self.tok != "/":
+            return False
+        fold = [pending[0][0][:], *pending[0][1:]] if pending else [[0] * self.width, 0, 1, 1, 1, 0]
+        if type(atom) is tuple or not self.fold(fold, op, None, atom, exponent, caret, negations):
+            return False
+        self.settled(value)  # as the product by this factor would
+        if pending:
+            most, den = pending[1:]
+        elif fold == [[0] * self.width, 0, 1, 1, 1, 0]:
+            return True  # a product by 1 is its other operand
+        else:
+            terms = _stacked(getattr(value, "numerator", value)).values()
+            fold[4] = n = _conductor(c.conductor for c in terms)  # 1 at N lifts the value too
+            most = max((abs(x) for c in terms for x in c.lift(n).num), default=1)
+            den = max((c.den for c in terms), default=1)
+        if most * abs(fold[2]) >= _DIGIT_LIMIT or den * fold[3] >= _DIGIT_LIMIT:
+            return False
+        pending[:] = fold, most, den
+        return True
+
     def operand(self, atom, exponent, caret, negations):
         """A factor's value: a folded term's one-entry dict, else the value in
         parentheses, or {} for 0 or an odd square, to its power and negated."""
@@ -419,8 +458,7 @@ class _Reader:
         value = {} if type(atom) in (SuperMonomial, int) else atom
         if exponent is not None and type(atom) is not SuperMonomial:
             value = _value(self.settled(value), self.signature)
-            _check_power(value, exponent, caret)
-            value = _stacked(_bounded_power(value, exponent, caret))
+            value = _stacked(_bounded_power(_check_power(value, exponent, caret), exponent, caret))
         if negations:  # a run of minuses negates once, or not at all
             value = self.settled(value)
             if negations & 1:

@@ -354,6 +354,30 @@ BAD_IMAGES = [  # (case, command, payload, exit code, stderr)
 SAME_PREFIX_SPANS = " + ".join(f"0*(111111111111111{k:05})" for k in range(10000))
 
 
+CHAIN_GROUP = "(" + " + ".join(f"x@0^{k}" for k in range(1, 2001)) + ")"  # about 20 KB
+CHAINS = [  # (case, factor, count, CPU seconds with one product per factor, SHA-256 of stdout)
+    ("one", "*1", 4000, 2.8, "b3a996e819deac2059d797531ac0d6a30df7867b0b672e7c9940304d3eec2a2e"),
+    ("two", "*2", 1000, 4.2, "c8b6a82d811a0c6e2dab355f506c623983ee5012a747332fe71df19580b5b83a"),
+    ("minus-one", "*-1", 1000, 3.9,
+     "b3a996e819deac2059d797531ac0d6a30df7867b0b672e7c9940304d3eec2a2e"),
+    ("monomial", "*y@0", 1000, 7.4,
+     "038498ab859147b5542fb49b9d9fb8d8e0164f486c7ebadd9bf6c73044bd2e9e"),
+    ("half", "/2", 1000, 6.3, "e82ab45409a0558c49e71c988e1ddc61a42efe18d5ee10040d56d13556c87885"),
+]
+# its constant term lifts to conductor 12 as 2*NINES - NINES*zeta(12,2): 4,301 digits
+LIFTED = f"({NINES} - {NINES}*zeta(3,1) + i*x@0)"
+POWER_TWINS = [  # (case, a power, its twin of equal value stored at the least conductor,
+    #                 the twin's case, SHA-256 of the twin's stdout)
+    ("one-at-12", "(zeta(12,0) + x@0)^200", "(1 + x@0)^200", "one",
+     "8d088b075b3517d027b1872b3bbba211c64de3305090889bf98ebe14c0a0763f"),
+    ("cube-root-at-12", "(zeta(12,4) + x@0)^200", "(zeta(3,1) + x@0)^200", "cube-root",
+     "b6d9b7944b2113d05b21538dbbe6a9adbf2f55e41dc2c13c4f28d98720cab2ba"),
+    # stored at 4095 times i, at 16380 (phi 3456) the power would take minutes
+    ("i-at-16380", "(zeta(4095,0) + i*x@0)^249", "(1 + i*x@0)^249", "i",
+     "c7c8b3f3942cbfab76f83b990acfb99aa82f82070443b6c6be76da2cd2e1826c"),
+]
+
+
 PRIME_STEP = ("an orbit tower with a prime step p >= 5, which the benchmark's decompose inputs "
               "never reach, prints the bytes recorded while each such step still read a "
               "circulant form or took the twist chain")
@@ -1018,6 +1042,40 @@ TABLE = [
               "--group", "2", "--parity", "0", "--even", "x@0", "--expr", f"x@0^{NINES}*x@0^{NINES}",
               code=2, pin="",
               stderr="error: printing the result: an exponent has more than 4300 digits\n"),
+    *(decompose(f"chain-{case}", f"a group of 2,000 terms times {count:,} factors {factor} "
+                f"reads within 0.5 s: the factors after a value fold into one product (one "
+                f"product per factor took {cpu} s of CPU on a 2-core VM)",
+                "--group", "2", "--even", "x@0,y@0", "--expr", CHAIN_GROUP + factor * count,
+                pin=Sha256(sha), budget=0.5)
+      for case, factor, count, cpu, sha in CHAINS),
+    decompose("chain-digits-product", "a chain of factors after a value is refused at the "
+              "operator whose product passes the printable digits, not where the fold ends",
+              "--group", "2", "--even", "x@0", "--expr", "(x@0 + 1)*10^4000*10^300*2", code=2,
+              pin="", stderr=("syntax error: coefficient of the product has more than 4300 "
+                              "digits (position 18)\n")),
+    decompose("chain-digits-quotient", "a chain of factors after a value is refused at the "
+              "operator whose quotient passes the printable digits, after the *2 has cancelled "
+              "a 2 of its denominator", "--group", "2", "--even", "x@0",
+              "--expr", "(x@0/10^4000 + 1)*2/10^200/10^100/3*7", code=2, pin="",
+              stderr=("syntax error: coefficient of the quotient has more than 4300 digits "
+                      "(position 34)\n")),
+    decompose("chain-lifted-quotient", "a value whose entries pass the printable digits only "
+              "once lifted to the conductor of its product (12) takes a quotient by 3 that "
+              "brings them back below", "--group", "2", "--even", "x@0", "--expr", LIFTED + "/3",
+              pin=Sha256("2507723b7021e0606343d8b7d7a000b225efe0d4b9fd0fa55360a76372fdf958")),
+    decompose("chain-lifted-product", "the same value is refused at its product by x@0, the "
+              "first to lift it, whatever follows", "--group", "2", "--even", "x@0",
+              "--expr", LIFTED + "*x@0/3", code=2, pin="",
+              stderr=("syntax error: coefficient of the product has more than 4300 digits "
+                      "(position 8624)\n")),
+    *(decompose(f"power-size-{case}", "a power of a sum within its size bound",
+                "--group", "2", "--even", "x@0", "--expr", twin, pin=Sha256(sha))
+      for _, _, twin, case, sha in POWER_TWINS),
+    *(decompose(f"power-size-{case}", "the power bound counts each coefficient at its least "
+                "conductor, and the power is taken there, so a power prints what its twin of "
+                "equal value prints, as fast", "--group", "2", "--even", "x@0", "--expr", text,
+                pin=Output(f"power-size-{twin}"), budget=2)
+      for case, text, _, twin, _ in POWER_TWINS),
     *(Row(f"shape-{re.sub('[ :.]', '-', case)}", "an atlas or morphism file of the wrong shape "
           "exits 2, naming the key", (command, "bad.json"), files={"bad.json": payload}, code=2,
           pin="", stderr=stderr)

@@ -16,19 +16,23 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedcover import (
     Cyclotomic,
+    GradedError,
     SuperMonomial,
     SuperPolynomial,
+    SuperRational,
     SuperSignature,
     euler_phi,
     root_of_unity,
 )
 from gradedcover import algebra
 from gradedcover.algebra import _accumulate, _codec, _mul_terms, _odd_rows
+from gradedcover.cyclotomic import _polymul, _reduce
 
 
 def _mul_terms_termwise(a, b):
@@ -455,3 +459,113 @@ def test_sixty_by_thirty_six_terms_over_twelve_masks_take_144_signs(monkeypatch)
     want = reference_product(a.terms, b.terms)
     assert list(got) == list(want)
     assert_same_terms(got, want)
+
+
+# -- products by a scalar: the shortcuts against the general path -----------
+#
+# A scalar takes shortcuts of its own: a rational factor of a Cyclotomic
+# scales the other operand's vector without a lift, and a polynomial times a
+# scalar multiplies each coefficient at its own conductor.  Against the
+# general path (``lifted_product``, and a product by the constant
+# polynomial), each gives the same terms in the same order, each stored at
+# the same conductor with the same integers, while an operand's coefficients
+# share one conductor; past that, the termwise product keeps each stored
+# conductor where ``_mul_terms`` lifts them all to their lcm.  A rational's
+# inverse once took d*q/q^2 (``rational_inverse``), which Euclid now gives.
+
+SCALAR_CONDUCTORS = (1, 4, 12, 257)
+SCALARS = [0, 1, -1, Fraction(3, 2), root_of_unity(12, 5), root_of_unity(12, 0)]
+
+
+def lifted_product(x, y):
+    """x * y by the general path of ``Cyclotomic.__mul__``: both operands
+    lifted to the lcm of their conductors, one product of vectors reduced."""
+    a, b = Cyclotomic._common(x, y)
+    return Cyclotomic._lowest(_reduce(_polymul(a.num, b.num), a.conductor), a.den * b.den,
+                              a.conductor)
+
+
+def rational_inverse(c):
+    """1/c for a rational c = q/d at any conductor: d*q/q^2, zeros above."""
+    lead = c.num[0]
+    return Cyclotomic._lowest((c.den * lead,) + c.num[1:], lead * lead, c.conductor)
+
+
+def stored(terms):
+    """Each term's monomial and coefficient as stored, in the terms' order."""
+    return [(m, c.conductor, c.num, c.den) for m, c in terms.items()]
+
+
+def scalar_operands(seed):
+    """Seeded polynomials and quotients, the coefficients of each at one
+    conductor, some with odd terms, and the scalars as ints, Fractions and
+    Cyclotomic values, a 1 stored at conductor 12 among them."""
+    rng = random.Random(seed)
+    x, unit = SuperMonomial((1, 0), ()), SuperMonomial((0, 0), ())
+    polys = [random_operand(rng, (n,), rng.randint(1, 5))
+             for n in SCALAR_CONDUCTORS for _ in range(2)]
+    assert any(p.has_odd_content() for p in polys)
+    quotients = [SuperRational(p, SuperPolynomial(SIG, {x: random_coefficient(rng, n),
+                                                        unit: random_coefficient(rng, n)}))
+                 for p, n in zip(polys[::2], SCALAR_CONDUCTORS)]
+    scalars = SCALARS + [Cyclotomic.from_rational(q) for q in SCALARS[:4]]
+    return polys, quotients, scalars
+
+
+def test_rational_factors_give_the_lifted_product_without_the_lift():
+    rng = random.Random(91)
+    values = [random_coefficient(rng, n) for n in SCALAR_CONDUCTORS for _ in range(3)]
+    rationals = [Cyclotomic.from_rational(q) for q in (1, -1, Fraction(3, 2), Fraction(-7, 4))]
+    values += rationals + [q * root_of_unity(12, 0) for q in rationals]
+    for a in values:
+        for q in rationals:
+            for x, y in ((a, q), (q, a)):
+                assert (x * y)._state == lifted_product(x, y)._state, (x, y)
+            assert (a * a)._state == lifted_product(a, a)._state
+
+
+def test_rational_inverses_take_euclid_to_the_same_stored_value():
+    for n in SCALAR_CONDUCTORS:
+        for q in (1, -1, 2, Fraction(3, 2), Fraction(-5, 12), 10**30 + 1):
+            c = Cyclotomic.from_rational(q) * root_of_unity(n, 0)
+            assert c.conductor == n and c.is_rational()
+            assert c.inverse()._state == rational_inverse(c)._state, (n, q)
+            assert (c * c.inverse())._state == root_of_unity(n, 0)._state
+
+
+def test_scalar_products_of_polynomials_match_the_product_by_a_constant():
+    polys, _, scalars = scalar_operands(17)
+    for p in polys:
+        for s in scalars:
+            c = SuperPolynomial.constant(SIG, s)
+            assert stored((p * s).terms) == stored((p * c).terms), (p, s)
+            assert stored((s * p).terms) == stored((c * p).terms), (p, s)
+
+
+def test_scalar_products_of_quotients_match_the_product_by_a_constant():
+    polys, quotients, scalars = scalar_operands(29)
+    for r in quotients + [SuperRational(p) for p in polys[1::3]]:
+        for s in scalars:
+            c = SuperRational.constant(SIG, s)
+            for product, general in ((r * s, r * c), (s * r, c * r)):
+                assert type(product) is SuperRational
+                assert stored(product.numerator.terms) == stored(general.numerator.terms), (r, s)
+                assert stored(product.denominator.terms) == stored(r.denominator.terms)
+
+
+def test_a_scalar_keeps_each_stored_conductor_where_the_lcm_would_pass_the_bound():
+    rng = random.Random(3)
+    p = random_operand(rng, (4, 257), 4)
+    assert stored((p * 1).terms) == stored(p.terms)
+    for s in SCALARS[2:]:
+        product, n = p * s, getattr(s, "conductor", 1)
+        assert product == p * SuperPolynomial.constant(SIG, s)
+        assert [c.conductor for c in product.terms.values()] == [
+            lcm(c.conductor, n) for c in p.terms.values()]
+    wide = random_operand(rng, (4001, 4003), 2)
+    with pytest.raises(GradedError, match="conductor 16016003 is above the bound 65536"):
+        wide * SuperPolynomial.constant(SIG, 2)
+    for product in (wide * 2, 2 * wide, SuperRational(wide) * Fraction(1, 2),
+                    SuperRational(wide, SuperPolynomial.constant(SIG, 2)).numerator):
+        assert [c.conductor for c in getattr(product, "numerator", product).terms.values()] == [
+            4001, 4003]
